@@ -274,6 +274,8 @@ def expand_tasks(cfg: SweepConfig) -> tuple[list[tuple], int]:
                         tasks.append(("lemma-sn-minus1", (n, s, j)))
                 if n % 2 == 0:
                     tasks.append(("even-sign", (n,)))
+                else:
+                    skipped += 1
         elif thm == "classical":
             for p in cfg.n_values:
                 if not _is_odd_prime(p):

@@ -86,5 +86,5 @@ def test_sweep_golden(fmt, tmp_path, capsys):
     out = tmp_path / f"golden.{fmt}"
     assert cli.main(["sweep", *SWEEP_FLAGS, f"--format={fmt}", f"--output={out}"]) == 0
     summary = capsys.readouterr().err
-    assert re.match(r"total=318 passed=318 failed=0 skipped=209 ", summary)
+    assert re.match(r"total=318 passed=318 failed=0 skipped=212 ", summary)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[fmt]

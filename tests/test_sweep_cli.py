@@ -137,13 +137,13 @@ def test_expand_tasks_classical_skips_bad_p_and_alpha():
 
 
 def test_expand_tasks_lemmas_and_even_sign():
-    cfg = SweepConfig(theorems=("lemmas",), n_values=(4,), s_values=(0, 1))
+    cfg = SweepConfig(theorems=("lemmas",), n_values=(3, 4), s_values=(0, 1))
     tasks, skipped = expand_tasks(cfg)
     kinds = sorted(t[0] for t in tasks)
-    assert kinds.count("lemma-sn") == 3
-    assert kinds.count("lemma-sn-minus1") == 3
+    assert kinds.count("lemma-sn") == 2 + 3
+    assert kinds.count("lemma-sn-minus1") == 2 + 3
     assert kinds.count("even-sign") == 1
-    assert skipped == 6  # s=0 row
+    assert skipped == 4 + 6 + 1  # s=0 rows, even-sign at odd n=3
 
 
 # -- record shape and rendering ----------------------------------------------
