@@ -21,42 +21,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from fractions import Fraction
 
 from .bivariate import RatExpr
-from .congruence import NoncoprimeDenominatorError, congruent, residual
+from .congruence import congruent, residual
 from .cyclotomic import cyclotomic
-from .families import FamilySpec, generate, random_int_sequence
+from .families import DEFAULT_COEFF_BOUND, FamilySpec, generate
 from .laurent import LaurentPoly
 from .qcalc import qbinom_base, qpoch
-from .sweep import (
-    build_config,
-    format_summary,
-    parse_config_text,
-    run_sweep,
-    split_atoms,
-)
-from .theorems import (
-    AlphaParams,
-    SymParams,
-    check_classical_sun,
-    check_even_sign_fact,
-    check_guo_zeng,
-    check_lemma_sn_binom,
-    check_lemma_sn_minus1,
-    check_s0_identity,
-    check_sun_p_analogue,
-    check_thm_1_1,
-    check_thm_1_2,
-    check_thm_2_1,
-)
+from .sweep import CONFIG_KEYS, format_summary, load_config, run_sweep
+from .theorems import CHECKS
 from .transforms import hat, tilde
 
-VERIFY_CHOICES = (
-    "thm1.1", "thm1.2", "thm2.1", "s0", "guo_zeng", "sun_p",
-    "lemma-sn", "lemma-sn-minus1", "even-sign", "classical",
-)
+# verify flags other than required integers; each check needs the flags of its args
+_VERIFY_FLAGS = {
+    "family": {"default": "ones"},
+    "p": {"type": int, "help": "odd prime (classical check)"},
+    "alpha": {"help": "rational alpha (classical check)"},
+    "seed": {"type": int, "default": 0},
+    "bound": {"type": int, "default": DEFAULT_COEFF_BOUND},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,41 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True, metavar="FILE")
 
     p = sub.add_parser("verify", help="run a single check")
-    p.add_argument("theorem", choices=VERIFY_CHOICES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--family", default="ones")
-    p.add_argument("--p", type=int, help="odd prime (classical check)")
-    p.add_argument("--alpha", help="rational alpha (classical check)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=9)
+    p.add_argument("theorem", choices=tuple(CHECKS))
+    names = dict.fromkeys(arg for check in CHECKS.values() for arg in check.args)
+    for name in sorted(names, key=lambda name: name in _VERIFY_FLAGS):  # integers first
+        p.add_argument(f"--{name}", **_VERIFY_FLAGS.get(name, {"type": int}))
 
     p = sub.add_parser("sweep", help="run a parameter grid from a config file")
     p.add_argument("--config", metavar="FILE")
-    for flag, key in _SWEEP_FLAGS:
-        p.add_argument(flag, dest=f"ov_{key}", metavar="V[,V...]")
+    for key in CONFIG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), metavar="V[,V...]")
     return parser
-
-
-_SWEEP_FLAGS = (
-    ("--theorems", "theorems"),
-    ("--n", "n"),
-    ("--d", "d"),
-    ("--r", "r"),
-    ("--s", "s"),
-    ("--a", "a"),
-    ("--families", "families"),
-    ("--alphas", "alphas"),
-    ("--classical-seeds", "classical_seeds"),
-    ("--classical-bound", "classical_bound"),
-    ("--workers", "workers"),
-    ("--output", "output"),
-    ("--format", "format"),
-)
 
 
 def _read_expr(path: str) -> RatExpr:
@@ -142,13 +100,6 @@ def _read_expr(path: str) -> RatExpr:
     if len(lines) == 2:
         return RatExpr(LaurentPoly.parse(lines[0]), LaurentPoly.parse(lines[1]))
     raise ValueError(f"{path}: expected one polynomial line or numerator/denominator pair")
-
-
-def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        parser.error(f"verify {args.theorem} needs {flags}")
 
 
 def _print_report(rep) -> int:
@@ -168,68 +119,20 @@ def _print_report(rep) -> int:
     return 0 if rep.holds else 1
 
 
-def _print_flat(check: str, holds: bool, started: float, **params) -> int:
-    status = "PASS" if holds else "FAIL"
-    parts = " ".join(f"{key}={value}" for key, value in params.items())
-    print(f"{status} {check} {parts} [{(time.perf_counter() - started) * 1000:.1f} ms]")
-    return 0 if holds else 1
-
-
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    thm = args.theorem
-    started = time.perf_counter()
-    if thm in ("thm1.1", "thm1.2"):
-        _require(parser, args, "n", "d", "r")
-        params = SymParams.create(args.n, args.d, args.r)
-        check = check_thm_1_1 if thm == "thm1.1" else check_thm_1_2
-        return _print_report(check(params, args.family))
-    if thm == "thm2.1":
-        _require(parser, args, "n", "a", "s")
-        return _print_report(check_thm_2_1(AlphaParams.create(args.n, args.a, args.s), args.family))
-    if thm == "s0":
-        _require(parser, args, "n", "a")
-        holds = check_s0_identity(args.n, args.a, args.family)
-        return _print_flat("s0", holds, started, n=args.n, a=args.a, family=args.family)
-    if thm == "guo_zeng":
-        _require(parser, args, "n", "d", "r")
-        return _print_report(check_guo_zeng(SymParams.create(args.n, args.d, args.r)))
-    if thm == "sun_p":
-        _require(parser, args, "n", "d", "r")
-        return _print_report(check_sun_p_analogue(SymParams.create(args.n, args.d, args.r)))
-    if thm == "lemma-sn":
-        _require(parser, args, "n", "s", "j")
-        holds = check_lemma_sn_binom(args.n, args.s, args.j)
-        return _print_flat("lemma-sn", holds, started, n=args.n, s=args.s, j=args.j)
-    if thm == "lemma-sn-minus1":
-        _require(parser, args, "n", "s", "j")
-        holds = check_lemma_sn_minus1(args.n, args.s, args.j)
-        return _print_flat("lemma-sn-minus1", holds, started, n=args.n, s=args.s, j=args.j)
-    if thm == "even-sign":
-        _require(parser, args, "n")
-        holds = check_even_sign_fact(args.n)
-        return _print_flat("even-sign", holds, started, n=args.n)
-    if thm == "classical":
-        _require(parser, args, "p", "alpha")
-        alpha = Fraction(args.alpha)
-        fs = random_int_sequence(args.seed, args.p, args.bound)
-        holds = check_classical_sun(args.p, alpha, fs)
-        return _print_flat("classical", holds, started,
-                           p=args.p, alpha=alpha, seed=args.seed)
-    raise AssertionError(thm)
+    check = CHECKS[args.theorem]
+    values = [getattr(args, name) for name in check.args]
+    missing = [f"--{name}" for name, value in zip(check.args, values) if value is None]
+    if missing:
+        parser.error(f"verify {args.theorem} needs {', '.join(missing)}")
+    return _print_report(check.run(*values))
 
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    raw: dict[str, list[str]] = {}
-    if args.config:
-        raw = parse_config_text(open(args.config).read())
-    for _, key in _SWEEP_FLAGS:
-        value = getattr(args, f"ov_{key}")
-        if value is not None:
-            raw[key] = split_atoms(value)
-    if not raw:
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None}
+    if not args.config and not overrides:
         parser.error("sweep needs --config or at least --theorems/--n flags")
-    cfg = build_config(raw)
-    summary = run_sweep(cfg)
+    summary = run_sweep(load_config(args.config, overrides))
     print(format_summary(summary), file=sys.stderr)
     return 0 if summary.failed == 0 else 1
 
@@ -269,9 +172,6 @@ def main(argv=None) -> int:
             return _cmd_verify(parser, args)
         if args.command == "sweep":
             return _cmd_sweep(parser, args)
-    except NoncoprimeDenominatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

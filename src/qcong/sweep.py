@@ -4,8 +4,8 @@ A sweep expands its config into independent check tasks, runs them (in a
 process pool when workers > 1), sorts the records by a fixed key, and
 renders them to JSON-lines or CSV.  Records never contain timing, so the
 emitted file depends only on the config, not on the worker count or
-machine load.  Invalid grid cells (gcd(n, d) > 1, even n where a statement
-needs odd, non-p-integral alpha) are counted as skipped, not errored.
+machine load.  Grid cells outside a check's hypotheses (CHECKS[id].invalid)
+are counted as skipped, not errored.
 
 Config files are flat ``key = value`` lines; '#' starts a comment.  Values
 are comma-separated atoms, each an integer, a fraction, an inclusive range
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -28,23 +28,24 @@ from fractions import Fraction
 from multiprocessing import get_context
 from pathlib import Path
 
-from .families import DEFAULT_COEFF_BOUND, FamilySpec, random_int_sequence
-from .theorems import (
-    AlphaParams,
-    SymParams,
-    check_classical_sun,
-    check_even_sign_fact,
-    check_guo_zeng,
-    check_lemma_sn_binom,
-    check_lemma_sn_minus1,
-    check_sun_p_analogue,
-    check_thm_1_1,
-    check_thm_1_2,
-    check_thm_2_1,
-)
-from .transforms import RATIONAL
+from .families import DEFAULT_COEFF_BOUND, FamilySpec
+from .theorems import CHECKS
 
-THEOREM_CHOICES = ("1.1", "1.2", "2.1", "guo_zeng", "sun_p", "lemmas", "classical")
+# config `theorems` value -> the CHECKS ids it sweeps
+SWEEP_GROUPS = {
+    "1.1": ("thm1.1",),
+    "1.2": ("thm1.2",),
+    "2.1": ("thm2.1",),
+    "guo_zeng": ("guo_zeng",),
+    "sun_p": ("sun_p",),
+    "lemmas": ("lemma-sn", "lemma-sn-minus1", "even-sign"),
+    "classical": ("classical",),
+}
+# config keys, in the order the CLI lists their flags (--key, '_' spelled '-')
+CONFIG_KEYS = (
+    "theorems", "n", "d", "r", "s", "a", "families", "alphas",
+    "classical_seeds", "classical_bound", "workers", "output", "format",
+)
 WORKERS_ENV = "QCONG_WORKERS"
 
 DEFAULT_ALPHAS = (Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
@@ -128,14 +129,8 @@ def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-_CONFIG_KEYS = {
-    "theorems", "n", "d", "r", "s", "a", "families", "alphas",
-    "classical_seeds", "classical_bound", "workers", "output", "format",
-}
-
-
 def build_config(raw: dict[str, list[str]]) -> SweepConfig:
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -151,8 +146,8 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
     if not theorems:
         raise ValueError("config needs a 'theorems' key")
     for t in theorems:
-        if t not in THEOREM_CHOICES:
-            raise ValueError(f"unknown theorem {t!r}; choices: {', '.join(THEOREM_CHOICES)}")
+        if t not in SWEEP_GROUPS:
+            raise ValueError(f"unknown theorem {t!r}; choices: {', '.join(SWEEP_GROUPS)}")
     if "n" not in raw:
         raise ValueError("config needs an 'n' key")
 
@@ -194,8 +189,9 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
     return cfg
 
 
-def load_config(path: "str | Path", overrides: "dict[str, str] | None" = None) -> SweepConfig:
-    raw = parse_config_text(Path(path).read_text())
+def load_config(path: "str | Path | None", overrides: "dict[str, str] | None" = None) -> SweepConfig:
+    """The config file at path (none if None) with command-line values laid over it."""
+    raw = parse_config_text(Path(path).read_text()) if path else {}
     for key, value in (overrides or {}).items():
         raw[key] = split_atoms(value)
     return build_config(raw)
@@ -204,91 +200,28 @@ def load_config(path: "str | Path", overrides: "dict[str, str] | None" = None) -
 # -- task expansion ---------------------------------------------------------
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def expand_tasks(cfg: SweepConfig) -> tuple[list[tuple], int]:
     """All runnable (check_id, args) tasks plus the count of skipped cells."""
     tasks: list[tuple] = []
     skipped = 0
-    for thm in cfg.theorems:
-        if thm in ("1.1", "1.2"):
-            check_id = "thm1.1" if thm == "1.1" else "thm1.2"
-            for n in cfg.n_values:
-                for d in cfg.d_values:
-                    if math.gcd(n, d) != 1:
-                        skipped += len(cfg.r_values) * len(cfg.families)
-                        continue
-                    for r in cfg.r_values:
-                        for fam in cfg.families:
-                            if thm == "1.1" and fam.kind == RATIONAL:
-                                skipped += 1
-                                continue
-                            tasks.append((check_id, (n, d, r, fam.label())))
-        elif thm == "2.1":
-            for n in cfg.n_values:
-                a_values = cfg.a_values if cfg.a_values is not None else tuple(range(n))
-                for a in a_values:
-                    if not 0 <= a < n:
-                        skipped += len(cfg.s_values) * len(cfg.families)
-                        continue
-                    for s in cfg.s_values:
-                        for fam in cfg.families:
-                            if fam.kind == RATIONAL:
-                                skipped += 1
-                                continue
-                            tasks.append(("thm2.1", (n, a, s, fam.label())))
-        elif thm == "guo_zeng":
-            for n in cfg.n_values:
-                for d in cfg.d_values:
-                    if math.gcd(n, d) != 1:
-                        skipped += len(cfg.r_values)
-                        continue
-                    for r in cfg.r_values:
-                        tasks.append(("guo_zeng", (n, d, r)))
-        elif thm == "sun_p":
-            for n in cfg.n_values:
-                for d in cfg.d_values:
-                    valid = n % 2 == 1 and n >= 3 and math.gcd(n, d) == 1
-                    if not valid:
-                        skipped += len(cfg.r_values)
-                        continue
-                    for r in cfg.r_values:
-                        tasks.append(("sun_p", (n, d, r)))
-        elif thm == "lemmas":
-            for n in cfg.n_values:
-                for s in cfg.s_values:
-                    if s == 0:
-                        skipped += 2 * (n - 1)
-                        continue
-                    for j in range(1, n):
-                        tasks.append(("lemma-sn", (n, s, j)))
-                        tasks.append(("lemma-sn-minus1", (n, s, j)))
-                if n % 2 == 0:
-                    tasks.append(("even-sign", (n,)))
-                else:
-                    skipped += 1
-        elif thm == "classical":
-            for p in cfg.n_values:
-                if not _is_odd_prime(p):
-                    skipped += len(cfg.alphas) * cfg.classical_seeds
-                    continue
-                for alpha in cfg.alphas:
-                    if alpha.denominator % p == 0:
-                        skipped += cfg.classical_seeds
-                        continue
-                    for seed in range(cfg.classical_seeds):
-                        tasks.append(("classical", (p, str(alpha), seed, cfg.classical_bound)))
-        else:  # unreachable, build_config validated
-            raise ValueError(f"unknown theorem {thm!r}")
+    families = [fam.label() for fam in cfg.families]
+    alphas = [str(alpha) for alpha in cfg.alphas]
+    for group in cfg.theorems:
+        for check_id in SWEEP_GROUPS[group]:
+            check = CHECKS[check_id]
+            for n in cfg.n_values:  # n, or p for the classical check
+                axes = {
+                    "d": cfg.d_values, "r": cfg.r_values, "s": cfg.s_values,
+                    "a": cfg.a_values if cfg.a_values is not None else range(n),
+                    "j": range(1, n), "family": families, "alpha": alphas,
+                    "seed": range(cfg.classical_seeds), "bound": (cfg.classical_bound,),
+                }
+                for rest in itertools.product(*(axes[name] for name in check.args[1:])):
+                    args = (n, *rest)
+                    if check.invalid(*args):
+                        skipped += 1
+                    else:
+                        tasks.append((check_id, args))
     return tasks, skipped
 
 
@@ -313,56 +246,8 @@ def _record_from_report(rep) -> dict:
 
 
 def run_task(task: tuple) -> dict:
-    kind, args = task
-    if kind == "thm1.1":
-        n, d, r, fam = args
-        return _record_from_report(check_thm_1_1(SymParams.create(n, d, r), fam))
-    if kind == "thm1.2":
-        n, d, r, fam = args
-        return _record_from_report(check_thm_1_2(SymParams.create(n, d, r), fam))
-    if kind == "thm2.1":
-        n, a, s, fam = args
-        return _record_from_report(check_thm_2_1(AlphaParams.create(n, a, s), fam))
-    if kind == "guo_zeng":
-        n, d, r = args
-        return _record_from_report(check_guo_zeng(SymParams.create(n, d, r)))
-    if kind == "sun_p":
-        n, d, r = args
-        return _record_from_report(check_sun_p_analogue(SymParams.create(n, d, r)))
-    if kind == "lemma-sn":
-        n, s, j = args
-        return {"check": "lemma-sn", "n": n, "s": s, "j": j,
-                "holds": check_lemma_sn_binom(n, s, j)}
-    if kind == "lemma-sn-minus1":
-        n, s, j = args
-        return {"check": "lemma-sn-minus1", "n": n, "s": s, "j": j,
-                "holds": check_lemma_sn_minus1(n, s, j)}
-    if kind == "even-sign":
-        (n,) = args
-        return {"check": "even-sign", "n": n, "holds": check_even_sign_fact(n)}
-    if kind == "classical":
-        p, alpha, seed, bound = args
-        fs = random_int_sequence(seed, p, bound)
-        return {"check": "classical", "p": p, "alpha": alpha, "seed": seed,
-                "holds": check_classical_sun(p, Fraction(alpha), fs)}
-    raise ValueError(f"unknown task kind {kind!r}")
-
-
-_KEY_FIELDS = {
-    "thm1.1": ("n", "d", "r", "family"),
-    "thm1.2": ("n", "d", "r", "family"),
-    "thm2.1": ("n", "a", "s", "family"),
-    "guo_zeng": ("n", "d", "r", "family"),
-    "sun_p": ("n", "d", "r", "family"),
-    "lemma-sn": ("n", "s", "j"),
-    "lemma-sn-minus1": ("n", "s", "j"),
-    "even-sign": ("n",),
-    "classical": ("p", "alpha", "seed"),
-}
-
-
-def record_key(rec: dict) -> tuple:
-    return (rec["check"],) + tuple(rec[f] for f in _KEY_FIELDS[rec["check"]])
+    check_id, args = task
+    return _record_from_report(CHECKS[check_id].run(*args))
 
 
 # -- rendering --------------------------------------------------------------
@@ -403,7 +288,8 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
             records = pool.map(run_task, tasks, chunksize=chunk)
     else:
         records = [run_task(t) for t in tasks]
-    records.sort(key=record_key)
+    # a task's (check_id, args) is its record's sort key
+    records = [rec for _, rec in sorted(zip(tasks, records), key=lambda pair: pair[0])]
     text = render_csv(records) if cfg.format == "csv" else render_jsonl(records)
     if cfg.output:
         Path(cfg.output).write_text(text)

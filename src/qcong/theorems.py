@@ -29,10 +29,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .bivariate import BiPoly, RatExpr
 from .congruence import congruent, residual
-from .families import FamilySpec, generate
+from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, divides, one, qpow
 from .cyclotomic import cyclotomic
 from .qcalc import qbinom_int, qpoch, qpoch_x
@@ -42,6 +43,59 @@ from .transforms import RATIONAL, PolySeq, common_denominator, hat, tilde
 def _tri(x: int) -> int:
     """The binomial C(x, 2)."""
     return x * (x - 1) // 2
+
+
+# -- hypotheses ---------------------------------------------------------------
+# Each returns None when its hypothesis holds and the reason otherwise.  The
+# parameter constructors, side-builders and checks raise with the reason;
+# CHECKS uses the same functions to skip out-of-hypothesis sweep cells.
+
+
+def _require(reason: "str | None") -> None:
+    if reason:
+        raise ValueError(reason)
+
+
+def _coprime(n: int, d: int) -> "str | None":
+    return None if math.gcd(n, d) == 1 else f"n and d must be coprime, gcd({n},{d}) != 1"
+
+
+def _a_in_range(n: int, a: int) -> "str | None":
+    return None if 0 <= a < n else f"a must lie in [0, {n - 1}]"
+
+
+def _odd_n(n: int) -> "str | None":
+    return None if n % 2 and n >= 3 else "this statement is for odd n >= 3 only"
+
+
+_EVEN_N = "n must be even and at least 2"
+
+
+def _even_n(n: int) -> "str | None":
+    return None if n % 2 == 0 else _EVEN_N
+
+
+_RATIONAL = "rational families are out of hypothesis here"
+_RATIONAL_1_1 = _RATIONAL + "; use thm_1_2"
+_RATIONAL_S0 = "polynomial families only"
+
+
+def _polynomial(kind: str, reason: str = _RATIONAL) -> "str | None":
+    return reason if kind == RATIONAL else None
+
+
+def _nonzero_s(s: int) -> "str | None":
+    return None if s else "s must be nonzero"
+
+
+def _odd_prime(p: int) -> "str | None":
+    if p >= 3 and p % 2 and all(p % i for i in range(3, math.isqrt(p) + 1, 2)):
+        return None
+    return "p must be an odd prime"
+
+
+def _p_integral(p: int, alpha: "Fraction | str") -> "str | None":
+    return "alpha must be p-integral" if Fraction(alpha).denominator % p == 0 else None
 
 
 @dataclass(frozen=True)
@@ -60,8 +114,7 @@ class SymParams:
             raise ValueError("n must be at least 2")
         if d < 1:
             raise ValueError("d must be at least 1")
-        if math.gcd(n, d) != 1:
-            raise ValueError(f"n and d must be coprime, gcd({n},{d}) != 1")
+        _require(_coprime(n, d))
         a = next(a for a in range(n) if (a * d + r) % n == 0)
         prod = (a * d + r) * (n - 1 - 2 * a)
         if prod % 2:
@@ -88,8 +141,7 @@ class AlphaParams:
     def create(cls, n: int, a: int, s: int) -> "AlphaParams":
         if n < 2:
             raise ValueError("n must be at least 2")
-        if not 0 <= a < n:
-            raise ValueError(f"a must lie in [0, {n - 1}]")
+        _require(_a_in_range(n, a))
         alpha = a + s * n
         F = _tri(a + 1) + s * n * a - s * _tri(n)
         if n % 2:
@@ -160,8 +212,7 @@ def _weighted_sum(weights, entries, d: int, extra_exp: int = 0):
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
-    if seq.kind == RATIONAL:
-        raise ValueError("rational families are out of hypothesis here; use thm_1_2")
+    _require(_polynomial(seq.kind, _RATIONAL_1_1))
     if len(seq) != p.n:
         raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
     weights = _sym_weights(p)
@@ -200,8 +251,7 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     Both sides are plain (Laurent or bivariate) polynomials: the q-binomials
     with integer top are Laurent polynomials, so no denominators appear.
     """
-    if seq.kind == RATIONAL:
-        raise ValueError("rational families are out of hypothesis here")
+    _require(_polynomial(seq.kind))
     if len(seq) != p.n:
         raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
     hatted = hat(seq)
@@ -218,30 +268,6 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     return lhs, rhs
 
 
-def s0_sides(n: int, a: int, seq: PolySeq):
-    """The exact identity behind the s = 0 case:
-
-    Sum q^(k^2+k) [a,k][-1-a,k] hat(f)_k  ==  (-1)^a q^C(a+1,2) Sum q^(k^2+k) [a,k][-1-a,k] f_k.
-    """
-    if not 0 <= a < n:
-        raise ValueError(f"a must lie in [0, {n - 1}]")
-    if seq.kind == RATIONAL:
-        raise ValueError("polynomial families only")
-    hatted = hat(seq)
-    lhs = None
-    rhs = None
-    for k in range(n):
-        B = qbinom_int(a, k) * qbinom_int(-1 - a, k)
-        B = B.shift(k * k + k)
-        tl = hatted[k] * B
-        tr = seq[k] * B
-        lhs = tl if lhs is None else lhs + tl
-        rhs = tr if rhs is None else rhs + tr
-    sign = -1 if a % 2 else 1
-    rhs = rhs * (sign * qpow(_tri(a + 1)))
-    return lhs, rhs
-
-
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
     """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
 
@@ -250,8 +276,7 @@ def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
     numerators become ordinary Pochhammer products with step +-d.  Each
     side is built over the denominator (Q;Q)_{n-1}^3.
     """
-    if p.n % 2 == 0:
-        raise ValueError("this statement is for odd n >= 3 only")
+    _require(_odd_n(p.n))
     n, d, r = p.n, p.d, p.r
 
     def build(step: int) -> tuple[BiPoly, LaurentPoly]:
@@ -319,14 +344,15 @@ def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:
     seq, label = _resolve_family(fam, p.n)
     lhs, rhs = thm_2_1_sides(p, seq)
     params = {"n": p.n, "a": p.a, "s": p.s, "family": label}
-    rep = _report("thm2.1", params, p, lhs, rhs, p.n, started)
-    return rep
+    return _report("thm2.1", params, p, lhs, rhs, p.n, started)
 
 
 def check_s0_identity(n: int, a: int, fam) -> bool:
-    """Exact equality, not a congruence."""
+    """At s = 0 both sides of Theorem 2.1 are equal exactly, not just congruent."""
     seq, _ = _resolve_family(fam, n)
-    lhs, rhs = s0_sides(n, a, seq)
+    p = AlphaParams.create(n, a, 0)
+    _require(_polynomial(seq.kind, _RATIONAL_S0))
+    lhs, rhs = thm_2_1_sides(p, seq)
     return lhs == rhs
 
 
@@ -334,8 +360,7 @@ def check_lemma_sn_binom(n: int, s: int, j: int) -> bool:
     """Phi_n divides [s*n over j]_q for 1 <= j <= n-1, s != 0."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if s == 0:
-        raise ValueError("s must be nonzero")
+    _require(_nonzero_s(s))
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, {n - 1}]")
     return divides(cyclotomic(n), qbinom_int(s * n, j))
@@ -353,8 +378,9 @@ def check_lemma_sn_minus1(n: int, s: int, j: int) -> bool:
 
 def check_even_sign_fact(n: int) -> bool:
     """Phi_n divides (-1)^(n-1) q^C(n,2) - 1 for even n."""
-    if n < 2 or n % 2:
-        raise ValueError("n must be even and at least 2")
+    if n < 2:
+        raise ValueError(_EVEN_N)
+    _require(_even_n(n))
     value = qpow(_tri(n)) * (-1 if (n - 1) % 2 else 1) - one
     return divides(cyclotomic(n), value)
 
@@ -384,17 +410,6 @@ def check_sun_p_analogue(p: SymParams) -> CheckReport:
     return _report("sun_p", params, p, lhs, rhs, p.n, started)
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _binom_frac(alpha: Fraction, k: int) -> Fraction:
     v = Fraction(1)
     for i in range(k):
@@ -410,10 +425,7 @@ def check_classical_sun(p: int, alpha: "Fraction | int | str", fs) -> bool:
     at least 2.  alpha must be p-integral; f needs at least p entries.
     """
     alpha = Fraction(alpha)
-    if not _is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
-    if alpha.denominator % p == 0:
-        raise ValueError("alpha must be p-integral")
+    _require(_odd_prime(p) or _p_integral(p, alpha))
     fs = list(fs)
     if len(fs) < p:
         raise ValueError(f"need at least p={p} sequence entries")
@@ -439,3 +451,94 @@ def check_classical_sun(p: int, alpha: "Fraction | int | str", fs) -> bool:
         num //= p
         v += 1
     return v >= 2
+
+
+# -- the check registry -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One statement as `qcong verify` and the sweep see it.
+
+    args     argument names, in the order sweep records sort by
+    invalid  (*args) -> why a sweep skips the cell (a hypothesis fails), or None
+    run      (*args) -> CheckReport; ill-posed arguments raise ValueError
+    """
+
+    args: tuple[str, ...]
+    invalid: Callable[..., "str | None"]
+    run: Callable[..., CheckReport]
+
+
+def _kind(family: str) -> str:
+    return FamilySpec.parse(family).kind
+
+
+def _bool_report(check: str, holds, **params) -> CheckReport:
+    """Time a bool-valued check and report it with its arguments as params."""
+    started = time.perf_counter()
+    result = holds(*params.values())
+    return CheckReport(check, params, result, wall_time=time.perf_counter() - started)
+
+
+def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
+    started = time.perf_counter()
+    alpha = Fraction(alpha)
+    holds = check_classical_sun(p, alpha, random_int_sequence(seed, p, bound))
+    params = {"p": p, "alpha": str(alpha), "seed": seed}
+    return CheckReport("classical", params, holds, wall_time=time.perf_counter() - started)
+
+
+CHECKS: dict[str, Check] = {
+    "thm1.1": Check(
+        ("n", "d", "r", "family"),
+        lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1),
+        lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
+    ),
+    "thm1.2": Check(
+        ("n", "d", "r", "family"),
+        lambda n, d, r, family: _coprime(n, d),
+        lambda n, d, r, family: check_thm_1_2(SymParams.create(n, d, r), family),
+    ),
+    "thm2.1": Check(
+        ("n", "a", "s", "family"),
+        lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)),
+        lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
+    ),
+    "s0": Check(
+        ("n", "a", "family"),
+        lambda n, a, family: _a_in_range(n, a) or _polynomial(_kind(family), _RATIONAL_S0),
+        lambda n, a, family: _bool_report("s0", check_s0_identity, n=n, a=a, family=family),
+    ),
+    "guo_zeng": Check(
+        ("n", "d", "r"),
+        lambda n, d, r: _coprime(n, d),
+        lambda n, d, r: check_guo_zeng(SymParams.create(n, d, r)),
+    ),
+    "sun_p": Check(
+        ("n", "d", "r"),
+        lambda n, d, r: _coprime(n, d) or _odd_n(n),
+        lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
+    ),
+    "lemma-sn": Check(
+        ("n", "s", "j"),
+        lambda n, s, j: _nonzero_s(s),
+        lambda n, s, j: _bool_report("lemma-sn", check_lemma_sn_binom, n=n, s=s, j=j),
+    ),
+    # holds at s = 0 as well, but sweeps pair it with lemma-sn and skip both there
+    "lemma-sn-minus1": Check(
+        ("n", "s", "j"),
+        lambda n, s, j: _nonzero_s(s),
+        lambda n, s, j: _bool_report("lemma-sn-minus1", check_lemma_sn_minus1, n=n, s=s, j=j),
+    ),
+    "even-sign": Check(
+        ("n",),
+        _even_n,
+        lambda n: _bool_report("even-sign", check_even_sign_fact, n=n),
+    ),
+    "classical": Check(
+        ("p", "alpha", "seed", "bound"),
+        lambda p, alpha, seed, bound: _odd_prime(p) or _p_integral(p, alpha),
+        _classical,
+    ),
+}

@@ -14,12 +14,18 @@ from qcong.sweep import (
     expand_ints,
     expand_tasks,
     parse_config_text,
-    record_key,
     render_csv,
     render_jsonl,
     run_sweep,
     run_task,
 )
+from qcong.theorems import CHECKS
+
+
+def record_key(rec: dict) -> tuple:
+    """Sweep record order: the check id, then the check's arguments in turn."""
+    return (rec["check"],) + tuple(rec[name] for name in CHECKS[rec["check"]].args if name in rec)
+
 
 # -- config parsing -----------------------------------------------------------
 

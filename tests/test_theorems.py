@@ -21,7 +21,6 @@ from qcong.theorems import (
     check_thm_1_1,
     check_thm_1_2,
     check_thm_2_1,
-    s0_sides,
     sun_p_sides,
     thm_1_1_sides,
     thm_1_2_sides,
@@ -163,7 +162,8 @@ def test_s0_identity_is_exact_equality():
 
 
 def test_s0_sides_differ_before_normalization():
-    lhs, rhs = s0_sides(5, 2, generate("ones", 5))
+    # the s = 0 identity is Theorem 2.1's sides at s = 0
+    lhs, rhs = thm_2_1_sides(AlphaParams.create(5, 2, 0), generate("ones", 5))
     assert lhs == rhs
     assert lhs != rhs + one
 
