@@ -96,7 +96,10 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset((j, frozenset(c.terms.items())) for j, c in self._coeffs.items()))
+        c = self._coeffs
+        if c.keys() <= {0}:  # equal to its x^0 coefficient, so hashed as that
+            return hash(c.get(0, _ZERO))
+        return hash(frozenset((j, frozenset(p.terms.items())) for j, p in c.items()))
 
     # -- arithmetic -----------------------------------------------------
 

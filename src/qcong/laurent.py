@@ -123,7 +123,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        t = self._terms
+        if t.keys() <= {0}:  # a constant equals its scalar, so it hashes as one
+            return hash(t.get(0, 0))
+        return hash(frozenset(t.items()))
 
     # -- ring operations ------------------------------------------------
 

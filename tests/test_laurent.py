@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcong.laurent import (
@@ -17,6 +17,8 @@ from qcong.laurent import (
     qpow,
     zero,
 )
+
+from qcong.bivariate import BiPoly
 
 from helpers import ref_mul, terms_of
 
@@ -217,7 +219,27 @@ def test_parse_rejects_garbage():
             LaurentPoly.parse(bad)
 
 
-@given(laurent_polys, laurent_polys)
+def _equal_forms(p: LaurentPoly) -> list:
+    """Values of other types equal to p: the BiPoly, and the scalar if p is constant."""
+    forms = [p, BiPoly.const(p)]
+    if p.terms.keys() <= {0}:
+        forms += [p.coeff(0), Fraction(p.coeff(0))]
+    return forms
+
+
+# few terms of small degree, so that two draws are often equal
+mixed_values = st.dictionaries(st.integers(min_value=-1, max_value=1), coeffs, max_size=2).map(
+    LaurentPoly
+).flatmap(lambda p: st.sampled_from(_equal_forms(p)))
+
+
+@given(st.one_of(laurent_polys, mixed_values), mixed_values)
+@example(LaurentPoly.const(2), 2)
+@example(LaurentPoly.const(Fraction(1, 2)), Fraction(1, 2))
+@example(zero, 0)
+@example(BiPoly.const(2), LaurentPoly.const(2))
+@example(BiPoly.const(q), q)
+@example(BiPoly(), 0)
 def test_hash_consistent_with_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
