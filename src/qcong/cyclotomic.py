@@ -10,7 +10,6 @@ as an independent oracle, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .laurent import LaurentPoly, exact_div, qpow
@@ -69,19 +68,3 @@ def cyclotomic_power(n: int, m: int) -> LaurentPoly:
     if m < 1:
         raise ValueError("cyclotomic_power requires m >= 1")
     return cyclotomic(n) ** m
-
-
-@dataclass(frozen=True)
-class CyclotomicModulus:
-    """A congruence modulus Phi_n(q)^m together with its parameters."""
-
-    n: int
-    m: int
-    phi_n: LaurentPoly
-    modulus: LaurentPoly
-
-    @classmethod
-    def create(cls, n: int, m: int = 1) -> "CyclotomicModulus":
-        if n < 1 or m < 1:
-            raise ValueError("CyclotomicModulus requires n >= 1 and m >= 1")
-        return cls(n=n, m=m, phi_n=cyclotomic(n), modulus=cyclotomic_power(n, m))

@@ -449,16 +449,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return quot
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of ordinary polynomials (gcd(0, 0) is 0)."""
-    _require_ordinary(a, "poly_gcd")
-    _require_ordinary(b, "poly_gcd")
-    while not b.is_zero():
-        _, r = divrem(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else _ZERO
-
-
 def ext_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """Extended gcd (g, u, v) with u*a + v*b = g and g monic.
 

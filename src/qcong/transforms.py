@@ -138,17 +138,3 @@ def hat_tilde_bridge_check(fs) -> bool:
     hatted = _apply(_hat_kernel, entries)
     flipped = _apply(_tilde_kernel, [f.substitute_power(-1) for f in entries])
     return all(h.substitute_power(-1) == t for h, t in zip(hatted, flipped))
-
-
-def transform_matrix(kind: str, length: int) -> list[list[LaurentPoly]]:
-    """The lower-triangular kernel matrix M with (M f)_k = transform(f)_k."""
-    if length < 1:
-        raise ValueError("matrix size must be at least 1")
-    if kind == "hat":
-        kernel = _hat_kernel
-    elif kind == "tilde":
-        kernel = _tilde_kernel
-    else:
-        raise ValueError(f"unknown transform kind {kind!r}")
-    zero = LaurentPoly()
-    return [[kernel(k, j) if j <= k else zero for j in range(length)] for k in range(length)]

@@ -164,3 +164,25 @@ def complex_eval(p: LaurentPoly, z: complex) -> complex:
     for e, c in p.terms.items():
         out += complex(c) * z**e
     return out
+
+
+def transform_matrix(kind: str, length: int) -> list:
+    """The lower-triangular matrix M with (M f)_k = hat(f)_k or tilde(f)_k,
+    written out from the defining sums with q-Pascal binomials."""
+    if length < 1:
+        raise ValueError("matrix size must be at least 1")
+    if kind == "hat":
+        def shift(k, j):
+            return j * (j + 1) // 2
+    elif kind == "tilde":
+        def shift(k, j):
+            return j * (j - 1) // 2 - k * j
+    else:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    return [
+        [
+            LaurentPoly({e + shift(k, j): (-1) ** j * c for e, c in qpascal(k, j).items()})
+            for j in range(length)
+        ]
+        for k in range(length)
+    ]

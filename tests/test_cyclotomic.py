@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcong.cyclotomic import CyclotomicModulus, cyclotomic, cyclotomic_power, divisors, totient
+from qcong.cyclotomic import cyclotomic, cyclotomic_power, divisors, totient
 from qcong.laurent import LaurentPoly, one, q, qpow
 
 from helpers import complex_eval, cyclotomic_by_mobius
@@ -87,12 +87,3 @@ def test_rejects_nonpositive():
         cyclotomic(0)
     with pytest.raises(ValueError):
         cyclotomic(-3)
-
-
-def test_modulus_dataclass():
-    mod = CyclotomicModulus.create(7, 2)
-    assert mod.n == 7 and mod.m == 2
-    assert mod.phi_n == cyclotomic(7)
-    assert mod.modulus == cyclotomic(7) ** 2
-    with pytest.raises(ValueError):
-        CyclotomicModulus.create(0)

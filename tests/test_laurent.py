@@ -12,7 +12,6 @@ from qcong.laurent import (
     exact_div,
     ext_gcd,
     one,
-    poly_gcd,
     q,
     qpow,
     zero,
@@ -181,12 +180,6 @@ def test_ext_gcd_bezout(a, b):
     assert u * a + v * b == g
     assert divides(g, a) and divides(g, b)
     assert g.leading_coeff() == 1
-
-
-@given(nonzero_int_polys, nonzero_int_polys)
-def test_poly_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
-    assert divides(g, a) and divides(g, b)
 
 
 PARSE_CASES = [

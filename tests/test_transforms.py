@@ -13,10 +13,9 @@ from qcong.transforms import (
     hat,
     hat_tilde_bridge_check,
     tilde,
-    transform_matrix,
 )
 
-from helpers import solve_lower_triangular
+from helpers import solve_lower_triangular, transform_matrix
 
 polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
