@@ -152,14 +152,9 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
         raise ValueError("config needs an 'n' key")
 
     cfg = SweepConfig(theorems=theorems, n_values=expand_ints(raw["n"], "n"))
-    if "d" in raw:
-        cfg.d_values = expand_ints(raw["d"], "d")
-    if "r" in raw:
-        cfg.r_values = expand_ints(raw["r"], "r")
-    if "s" in raw:
-        cfg.s_values = expand_ints(raw["s"], "s")
-    if "a" in raw:
-        cfg.a_values = expand_ints(raw["a"], "a")
+    for key in ("d", "r", "s", "a"):
+        if key in raw:
+            setattr(cfg, f"{key}_values", expand_ints(raw[key], key))
     if "families" in raw:
         cfg.families = tuple(FamilySpec.parse(a) for a in raw["families"])
     if "alphas" in raw:
@@ -229,19 +224,11 @@ def expand_tasks(cfg: SweepConfig) -> tuple[list[tuple], int]:
 
 
 def _record_from_report(rep) -> dict:
-    rec: dict = {"check": rep.check}
-    rec.update(rep.params)
-    rec["holds"] = rep.holds
-    if rep.a is not None:
-        rec["a"] = rep.a
-    if rep.exponent is not None:
-        rec["exponent"] = rep.exponent
-    if rep.sign is not None:
-        rec["sign"] = rep.sign
-    if rep.branch is not None:
-        rec["branch"] = rep.branch
-    if rep.residual is not None:
-        rec["residual"] = rep.residual
+    rec: dict = {"check": rep.check, **rep.params, "holds": rep.holds}
+    for key in ("a", "exponent", "sign", "branch", "residual"):
+        value = getattr(rep, key)
+        if value is not None:
+            rec[key] = value
     return rec
 
 
