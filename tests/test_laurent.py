@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcong.bivariate import BiPoly
 from qcong.laurent import (
     LaurentPoly,
     divides,
@@ -16,8 +17,6 @@ from qcong.laurent import (
     qpow,
     zero,
 )
-
-from qcong.bivariate import BiPoly
 
 from helpers import ref_mul, terms_of
 
