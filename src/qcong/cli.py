@@ -14,12 +14,17 @@ Expression files for ``congruent`` hold one polynomial per line in the
 canonical text form ("3/2*q^0 + 1*q^3"); a second line, when present, is a
 denominator.  Exit codes: 0 success/holds, 1 check failed, 2 bad usage or
 an ill-posed input (for instance a denominator sharing a factor with the
-modulus).
+modulus, or a sweep cell whose check raised).
+
+A flag value may be negative, a fraction or a range (``--alpha -3/4``,
+``--r -2..2``): such a value is attached to its flag before parsing, since
+argparse reads only plain negative numbers as values.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .bivariate import RatExpr
@@ -88,6 +93,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE = re.compile(r"-\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write '--flag -3/4' as '--flag=-3/4'."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE.match(tok) and prev.startswith("--") and len(prev) > 2 and "=" not in prev:
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _read_expr(path: str) -> RatExpr:
     lines = []
     with open(path) as fh:
@@ -134,12 +154,15 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error("sweep needs --config or at least --theorems/--n flags")
     summary = run_sweep(load_config(args.config, overrides))
     print(format_summary(summary), file=sys.stderr)
+    if summary.errors:
+        print(f"error: {summary.errors} sweep task(s) raised; see their error records", file=sys.stderr)
+        return 2
     return 0 if summary.failed == 0 else 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command == "cyclotomic":
             print(cyclotomic(args.n))

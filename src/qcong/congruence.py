@@ -1,25 +1,39 @@
 """Congruence decisions modulo powers of cyclotomic polynomials.
 
-The working ring is Q[q] localized at polynomials coprime to Phi_n.  A
-rational expression u/s with gcd(s, Phi_n) = 1 is divisible by Phi_n^m in
-that ring exactly when Phi_n^m divides u as a polynomial, so congruence of
-two RatExpr reduces to one polynomial divisibility test after
-cross-multiplying (or mere subtraction when the denominators coincide).
-Inversion via the extended Euclidean algorithm backs Residue arithmetic
-and failure reporting; the decision procedure itself never inverts.
+Every decision is computed in the residue ring Q[q]/(Phi_n^m), whose
+elements are dense coefficient tuples of length m*phi(n), lowest degree
+first.  A Laurent polynomial enters the ring in two stages.  First each
+term is folded below degree m*n by the closed form
+
+    q^(a*n + b) == q^b * Sum_{i<m} C(a, i) * (q^n - 1)^i   (mod (q^n - 1)^m),
+
+the binomial series of (1 + (q^n - 1))^a, which holds for a of either sign
+because q^n is a unit; Phi_n divides q^n - 1, so it holds mod Phi_n^m too.
+This costs O(terms) whatever the exponents, so q^(10^9) and q^(-10^9)
+never become dense lists.  Then one dense division by Phi_n^m, of length
+at most max(m*n, 2*m*phi(n) - 1), leaves the canonical representative.
+
+The working ring for rational inputs is Q[q] localized at polynomials
+coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
+Phi_n^m there exactly when Phi_n^m divides u, so a congruence of two RatExpr
+is decided on residues: numerators and denominators are reduced first and
+only then cross-multiplied (or merely subtracted when the denominators
+coincide).  A denominator is certified coprime to Phi_n by its residue mod
+Phi_n being nonzero.  Residuals and Residue.inverse invert a reduced
+element by the extended Euclidean algorithm against Phi_n^m.
 
 Bivariate inputs are handled coefficient-wise in x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .bivariate import BiPoly, RatExpr, as_ratexpr
-from .cyclotomic import cyclotomic, cyclotomic_power
-from .laurent import LaurentPoly, divides, divrem, ext_gcd, one, q
+from .bivariate import BiPoly, as_ratexpr
+from .cyclotomic import cyclotomic_power
+from .laurent import LaurentPoly, ext_gcd, one
 
 __all__ = [
     "NoncoprimeDenominatorError",
@@ -57,64 +71,127 @@ def _check_modulus_params(n: int, m: int) -> None:
         raise ValueError("modulus requires m >= 1")
 
 
+class _Ring:
+    """The tables of Q[q]/(Phi_n^m): the modulus below its leading term and
+    the expansions of (q^n - 1)^i, i < m, that the fold uses."""
+
+    __slots__ = ("n", "m", "dim", "tail", "expand")
+
+    def __init__(self, n: int, m: int):
+        modulus = cyclotomic_power(n, m)
+        self.n, self.m = n, m
+        self.dim = modulus.degree()
+        self.tail = [(e, c) for e, c in sorted(modulus.terms.items()) if e < self.dim]
+        self.expand = [[(j * n, math.comb(i, j) * (-1) ** (i - j)) for j in range(i + 1)]
+                       for i in range(m)]
+
+    def fold(self, p: LaurentPoly) -> list:
+        """Dense coefficients, below degree m*n, of a polynomial == p mod (q^n - 1)^m."""
+        n, span = self.n, self.m * self.n
+        out = [0] * span
+        for e, c in p.terms.items():
+            if 0 <= e < span:
+                out[e] += c
+                continue
+            a, b = divmod(e, n)
+            binom = 1  # C(a, i), the generalized binomial for a < 0
+            for i, row in enumerate(self.expand):
+                cb = c * binom
+                for off, s in row:
+                    out[off + b] += cb * s
+                binom = binom * (a - i) // (i + 1)
+        return out
+
+    def divide(self, vec: list) -> tuple:
+        """Remainder of the dense vec by Phi_n^m (vec is overwritten)."""
+        dim, tail = self.dim, self.tail
+        for i in range(len(vec) - 1, dim - 1, -1):
+            c = vec[i]
+            if c:
+                base = i - dim
+                for e, mc in tail:
+                    vec[base + e] -= c * mc
+        return tuple(vec[:dim])
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        out = [0] * (2 * self.dim - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return self.divide(out)
+
+    def residue(self, coeffs: tuple) -> "Residue":
+        r = object.__new__(Residue)
+        r._ring, r.coeffs = self, coeffs
+        return r
+
+
 @lru_cache(maxsize=None)
-def _q_inverse(n: int, m: int) -> LaurentPoly:
-    # q is a unit mod Phi_n^m since Phi_n(0) is +-1
-    g, u, _ = ext_gcd(q, cyclotomic_power(n, m))
-    if g != one:
-        raise NotInvertibleError("q is not invertible (impossible for n >= 2)", g)
-    _, rep = divrem(u, cyclotomic_power(n, m))
-    return rep
+def _ring(n: int, m: int) -> _Ring:
+    return _Ring(n, m)
 
 
-def _reduce_poly(p: LaurentPoly, n: int, m: int) -> LaurentPoly:
-    """Canonical representative of p: negative exponents cleared, then remainder."""
-    modulus = cyclotomic_power(n, m)
-    if p.is_zero():
-        return p
-    v = p.valuation()
-    if v < 0:
-        p = p.shift(-v)
-        qinv = _q_inverse(n, m)
-        e = -v
-        # square-and-multiply on the unit q^-1, reducing as we go
-        acc = one
-        base = qinv
-        while e:
-            if e & 1:
-                acc = divrem(acc * base, modulus)[1]
-            e >>= 1
-            if e:
-                base = divrem(base * base, modulus)[1]
-        p = p * acc
-    _, rep = divrem(p, modulus)
-    return rep
+def _reduce_poly(p: LaurentPoly, n: int, m: int) -> tuple:
+    """Coefficients of the canonical representative of p mod Phi_n^m: fold, then divide."""
+    ring = _ring(n, m)
+    return ring.divide(ring.fold(p))
 
 
-@dataclass(frozen=True)
 class Residue:
-    """An element of Q[q]/(Phi_n^m) by its canonical representative."""
+    """An element of Q[q]/(Phi_n^m) by the m*phi(n) coefficients of its
+    canonical representative, lowest degree first."""
 
-    n: int
-    m: int
-    rep: LaurentPoly
+    __slots__ = ("_ring", "coeffs")
 
-    def _coerce(self, other) -> "Residue | None":
+    def __init__(self, n: int, m: int, coeffs):
+        _check_modulus_params(n, m)
+        ring = _ring(n, m)
+        coeffs = tuple(coeffs)
+        if len(coeffs) != ring.dim:
+            raise ValueError(f"a residue mod Phi_{n}^{m} has {ring.dim} coefficients")
+        self._ring, self.coeffs = ring, coeffs
+
+    @property
+    def n(self) -> int:
+        return self._ring.n
+
+    @property
+    def m(self) -> int:
+        return self._ring.m
+
+    @property
+    def rep(self) -> LaurentPoly:
+        """The canonical representative, of degree below m*phi(n)."""
+        return LaurentPoly(enumerate(self.coeffs))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Residue):
+            return NotImplemented
+        return (self.n, self.m, self.coeffs) == (other.n, other.m, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"Residue(n={self.n}, m={self.m}, rep={self.rep!r})"
+
+    def _coerce(self, other) -> "tuple | None":
         if isinstance(other, Residue):
             if (other.n, other.m) != (self.n, self.m):
                 raise ValueError("mixed moduli in Residue arithmetic")
-            return other
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            if isinstance(other, (int, Fraction)):
-                other = LaurentPoly.const(other)
-            return reduce(other, self.n, self.m)
+            return other.coeffs
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(other)
+        if isinstance(other, LaurentPoly):
+            return _reduce_poly(other, self.n, self.m)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self.n, self.m, _reduce_poly(self.rep + o.rep, self.n, self.m))
+        return self._ring.residue(tuple(x + y for x, y in zip(self.coeffs, o)))
 
     __radd__ = __add__
 
@@ -122,30 +199,44 @@ class Residue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self.n, self.m, _reduce_poly(self.rep - o.rep, self.n, self.m))
+        return self._ring.residue(tuple(x - y for x, y in zip(self.coeffs, o)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self.n, self.m, _reduce_poly(o.rep - self.rep, self.n, self.m))
+        return self._ring.residue(tuple(y - x for x, y in zip(self.coeffs, o)))
 
     def __neg__(self):
-        return Residue(self.n, self.m, -self.rep)
+        return self._ring.residue(tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._ring.residue(tuple(x * other for x in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self.n, self.m, _reduce_poly(self.rep * o.rep, self.n, self.m))
+        return self._ring.residue(self._ring.mul(self.coeffs, o))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Residue":
-        return invert(self.rep, self.n, self.m)
+        """The u with u*self == 1; raises NotInvertibleError when gcd(self, Phi_n^m) != 1."""
+        n, m = self.n, self.m
+        g, u, _ = ext_gcd(self.rep, cyclotomic_power(n, m))
+        if g != one:
+            raise NotInvertibleError(f"not invertible mod Phi_{n}^{m}, gcd = {g}", g)
+        return reduce(u, n, m)
+
+    def is_unit(self) -> bool:
+        """True iff gcd(self, Phi_n) = 1, that is the residue is nonzero mod Phi_n."""
+        return any(_ring(self.n, 1).divide(list(self.coeffs)))
 
     def is_zero(self) -> bool:
-        return self.rep.is_zero()
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
 
 def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
@@ -153,58 +244,57 @@ def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     _check_modulus_params(n, m)
     if not isinstance(p, LaurentPoly):
         p = LaurentPoly.const(p)
-    return Residue(n, m, _reduce_poly(p, n, m))
+    return _ring(n, m).residue(_reduce_poly(p, n, m))
 
 
 def invert(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     """Residue u with u*p == 1 mod Phi_n^m; raises NotInvertibleError otherwise."""
-    _check_modulus_params(n, m)
-    if not isinstance(p, LaurentPoly):
-        p = LaurentPoly.const(p)
-    if p.is_zero():
-        raise NotInvertibleError("zero is not invertible", cyclotomic_power(n, m))
-    v = p.valuation()
-    p0 = p.shift(-v) if v else p
-    modulus = cyclotomic_power(n, m)
-    g, u, _ = ext_gcd(p0, modulus)
-    if g != one:
-        raise NotInvertibleError(f"not invertible mod Phi_{n}^{m}, gcd = {g}", g)
-    inv = _reduce_poly(u, n, m)
-    if v:
-        # p = q^v * p0, so the inverse picks up q^(-v)
-        inv = _reduce_poly(inv * _power_of_q(-v, n, m), n, m)
-    return Residue(n, m, inv)
-
-
-def _power_of_q(e: int, n: int, m: int) -> LaurentPoly:
-    # q**e reduced, e of either sign
-    return _reduce_poly(LaurentPoly.monomial(e), n, m)
+    return reduce(p, n, m).inverse()
 
 
 def coprime_certify(p: LaurentPoly, n: int) -> bool:
     """True iff gcd(p, Phi_n) = 1.
 
     Phi_n is irreducible over Q, so the gcd is 1 exactly when Phi_n does
-    not divide p; a remainder test decides that without a gcd loop.
+    not divide p, that is when p is nonzero mod Phi_n.
     """
     if not isinstance(p, LaurentPoly):
         p = LaurentPoly.const(p)
     if p.is_zero():
         raise ValueError("coprime_certify requires a nonzero polynomial")
-    return not divides(cyclotomic(n), p)
+    return any(_reduce_poly(p, n, 1))
 
 
-def _certify_den(den: LaurentPoly, n: int) -> None:
-    if den == one:
-        return
-    if not coprime_certify(den, n):
+def _certify_den(den: LaurentPoly, n: int, m: int) -> Residue:
+    """The residue of den mod Phi_n^m, once den is certified coprime to Phi_n."""
+    res = reduce(den, n, m)
+    if den != one and not res.is_unit():
         raise NoncoprimeDenominatorError(den, n)
+    return res
 
 
-def _difference(lhs: RatExpr, rhs: RatExpr):
-    if lhs.den == rhs.den:
-        return lhs.num - rhs.num
-    return lhs.num * rhs.den - rhs.num * lhs.den
+def _lift(num, n: int, m: int) -> dict[int, Residue]:
+    """Residues of a numerator by x-degree; a univariate one sits at x^0."""
+    if isinstance(num, BiPoly):
+        return {j: reduce(c, n, m) for j, c in num.coeffs.items()}
+    return {0: reduce(num, n, m)}
+
+
+def _difference(lhs, rhs, n: int, m: int, who: str):
+    """Residues of lhs - rhs: (x-degree -> numerator, denominator, bivariate?)."""
+    _check_modulus_params(n, m)
+    left, right = as_ratexpr(lhs), as_ratexpr(rhs)
+    if left is None or right is None:
+        raise TypeError(f"{who} expects polynomial or rational operands")
+    bivariate = left.is_bivariate() or right.is_bivariate()
+    den = _certify_den(left.den, n, m)
+    if left.den == right.den:
+        return _lift(left.num - right.num, n, m), den, bivariate
+    rden = _certify_den(right.den, n, m)
+    lnum, rnum = _lift(left.num, n, m), _lift(right.num, n, m)
+    zero = reduce(0, n, m)
+    diff = {j: lnum.get(j, zero) * rden - rnum.get(j, zero) * den for j in lnum.keys() | rnum.keys()}
+    return diff, den * rden, bivariate
 
 
 def congruent(lhs, rhs, n: int, m: int) -> bool:
@@ -215,17 +305,8 @@ def congruent(lhs, rhs, n: int, m: int) -> bool:
     is distinct from the congruence failing).  Bivariate differences are
     tested coefficient-wise in x.
     """
-    _check_modulus_params(n, m)
-    left, right = as_ratexpr(lhs), as_ratexpr(rhs)
-    if left is None or right is None:
-        raise TypeError("congruent expects polynomial or rational operands")
-    _certify_den(left.den, n)
-    _certify_den(right.den, n)
-    diff = _difference(left, right)
-    modulus = cyclotomic_power(n, m)
-    if isinstance(diff, BiPoly):
-        return all(divides(modulus, c) for c in diff.coeffs.values())
-    return divides(modulus, diff)
+    diff, _, _ = _difference(lhs, rhs, n, m, "congruent")
+    return not any(diff.values())
 
 
 def residual(lhs, rhs, n: int, m: int):
@@ -235,23 +316,8 @@ def residual(lhs, rhs, n: int, m: int):
     map (nonzero entries only) for bivariate ones.  Zero / empty exactly
     when the congruence holds.
     """
-    _check_modulus_params(n, m)
-    left, right = as_ratexpr(lhs), as_ratexpr(rhs)
-    if left is None or right is None:
-        raise TypeError("residual expects polynomial or rational operands")
-    _certify_den(left.den, n)
-    _certify_den(right.den, n)
-    diff = _difference(left, right)
-    if left.den == right.den:
-        den = left.den
-    else:
-        den = left.den * right.den
-    scale = one if den == one else invert(den, n, m).rep
-    if isinstance(diff, BiPoly):
-        out: dict[int, LaurentPoly] = {}
-        for j, c in diff.coeffs.items():
-            rep = _reduce_poly(c * scale, n, m)
-            if rep:
-                out[j] = rep
-        return out
-    return _reduce_poly(diff * scale, n, m)
+    diff, den, bivariate = _difference(lhs, rhs, n, m, "residual")
+    scale = den.inverse()
+    if bivariate:
+        return {j: (r * scale).rep for j, r in sorted(diff.items()) if r}
+    return (diff[0] * scale).rep

@@ -5,7 +5,10 @@ process pool when workers > 1), sorts the records by a fixed key, and
 renders them to JSON-lines or CSV.  Records never contain timing, so the
 emitted file depends only on the config, not on the worker count or
 machine load.  Grid cells outside a check's hypotheses (CHECKS[id].invalid)
-are counted as skipped, not errored.
+are counted as skipped, not errored.  A task that raises ValueError or
+ArithmeticError (an ill-posed cell, such as n = 1) becomes an error record
+carrying its arguments and the message; the other records are still
+written, and the sweep counts it under errors.
 
 Config files are flat ``key = value`` lines; '#' starts a comment.  Values
 are comma-separated atoms, each an integer, a fraction, an inclusive range
@@ -90,6 +93,7 @@ class SweepSummary:
     failed: int
     skipped: int
     wall_time: float
+    errors: int = 0
 
 
 def split_atoms(value: str) -> list[str]:
@@ -234,7 +238,11 @@ def _record_from_report(rep) -> dict:
 
 def run_task(task: tuple) -> dict:
     check_id, args = task
-    return _record_from_report(CHECKS[check_id].run(*args))
+    check = CHECKS[check_id]
+    try:
+        return _record_from_report(check.run(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return {"check": check_id, **dict(zip(check.args, args)), "error": str(exc)}
 
 
 # -- rendering --------------------------------------------------------------
@@ -250,6 +258,8 @@ def render_jsonl(records: list[dict]) -> str:
 
 
 def render_csv(records: list[dict]) -> str:
+    columns = CSV_COLUMNS + ("error",) if any("error" in rec for rec in records) else CSV_COLUMNS
+
     def cell(rec: dict, col: str) -> str:
         v = rec.get(col)
         if v is None:
@@ -260,9 +270,9 @@ def render_csv(records: list[dict]) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for rec in records:
-        writer.writerow([cell(rec, col) for col in CSV_COLUMNS])
+        writer.writerow([cell(rec, col) for col in columns])
     return buf.getvalue()
 
 
@@ -282,16 +292,19 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
         Path(cfg.output).write_text(text)
     else:
         sys.stdout.write(text)
-    failed = sum(1 for rec in records if not rec["holds"])
+    errors = sum(1 for rec in records if "error" in rec)
+    failed = sum(1 for rec in records if rec.get("holds") is False)
     return SweepSummary(
         total=len(records),
-        passed=len(records) - failed,
+        passed=len(records) - failed - errors,
         failed=failed,
         skipped=skipped,
         wall_time=time.perf_counter() - started,
+        errors=errors,
     )
 
 
 def format_summary(s: SweepSummary) -> str:
+    errors = f" errors={s.errors}" if s.errors else ""
     return (f"total={s.total} passed={s.passed} failed={s.failed} "
-            f"skipped={s.skipped} wall={s.wall_time:.2f}s")
+            f"skipped={s.skipped}{errors} wall={s.wall_time:.2f}s")

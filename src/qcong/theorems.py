@@ -29,12 +29,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .bivariate import BiPoly, RatExpr
-from .congruence import congruent, residual
+from .congruence import congruent, reduce, residual
 from .families import FamilySpec, generate, random_int_sequence
-from .laurent import LaurentPoly, divides, one, qpow
+from .laurent import LaurentPoly, divides, one, qpow, zero
 from .cyclotomic import cyclotomic
 from .qcalc import qbinom_int, qpoch, qpoch_x
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, tilde
@@ -88,10 +89,37 @@ def _nonzero_s(s: int) -> "str | None":
     return None if s else "s must be nonzero"
 
 
+# Miller-Rabin to these bases decides primality exactly below 3.3e24
+# (Sorenson and Webster, 2015), far above MAX_CLASSICAL_P.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _odd_prime(p: int) -> "str | None":
-    if p >= 3 and p % 2 and all(p % i for i in range(3, math.isqrt(p) + 1, 2)):
-        return None
-    return "p must be an odd prime"
+    if p < 3 or p % 2 == 0:
+        return "p must be an odd prime"
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        if a >= p:
+            break
+        x = pow(a, d, p)
+        for _ in range(s):
+            if x == 1 or x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return "p must be an odd prime"
+    return None
+
+
+# check_classical_sun makes about p^2 exact rational operations on growing
+# numerators: about 12 s at p = 1000.
+MAX_CLASSICAL_P = 1000
+
+
+def _p_bounded(p: int) -> "str | None":
+    return None if p <= MAX_CLASSICAL_P else f"p must be at most {MAX_CLASSICAL_P}"
 
 
 def _p_integral(p: int, alpha: "Fraction | str") -> "str | None":
@@ -180,47 +208,138 @@ def _subs(entry, d: int):
     return entry.substitute_power(d)
 
 
-def _sym_weights(p: SymParams) -> list[LaurentPoly]:
-    """P_k * G_k^2, the numerator of T_k over the shared denominator."""
+def _sym_weights(p: SymParams, qpow=qpow) -> list:
+    """P_k * G_k^2, the numerator of T_k over the shared denominator.
+
+    Built from qpow(e), the carrier's q^e: full polynomials by default,
+    residues mod Phi_n^2 for the checks.
+    """
     n, d, r = p.n, p.d, p.r
-    G: list[LaurentPoly] = [one] * n
+    unit = qpow(0)
+    G = [unit] * n
     for k in range(n - 2, -1, -1):
-        G[k] = G[k + 1] * (one - qpow(d * (k + 1)))
+        G[k] = G[k + 1] * (unit - qpow(d * (k + 1)))
     weights = []
-    P = one
+    P = unit
     for k in range(n):
         if k:
-            P = P * (one - qpow(r + d * (k - 1))) * (one - qpow(d - r + d * (k - 1)))
+            P = P * (unit - qpow(r + d * (k - 1))) * (unit - qpow(d - r + d * (k - 1)))
         weights.append(P * (G[k] * G[k]))
     return weights
 
 
-def _sym_den(p: SymParams) -> LaurentPoly:
-    D = qpoch(p.d, p.d, p.n - 1)
+def _sym_den(p: SymParams, qpow=qpow):
+    """(q^d;q^d)_{n-1}^2, the shared denominator, in the carrier of qpow."""
+    unit = qpow(0)
+    D = unit
+    for j in range(1, p.n):
+        D = D * (unit - qpow(p.d * j))
     return D * D
 
 
-def _weighted_sum(weights, entries, d: int, extra_exp: int = 0):
-    """Sum of weights[k] * q^(extra_exp*k) * entries[k](q^d)."""
+def _weighted_sum(weights, entries, lift, extra_exp: int = 0):
+    """Sum of weights[k] * lift(entries[k], extra_exp*k), where lift(f, e) is f(q^d) * q^e."""
     acc = None
     for k, f in enumerate(entries):
-        w = weights[k] if extra_exp == 0 else weights[k].shift(extra_exp * k)
-        term = _subs(f, d) * w
+        term = lift(f, extra_exp * k) * weights[k]
         acc = term if acc is None else acc + term
     return acc
 
 
-def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
-    """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
-    _require(_polynomial(seq.kind, _RATIONAL_1_1))
+def _thm_1_1_nums(p: SymParams, weights, entries, hatted, lift, qpow):
+    """q^E * Sum T_k q^(dk) f_k(q^d)  and  sign * Sum T_k q^(dk) hat(f)_k(q^d), over _sym_den."""
+    lhs = _weighted_sum(weights, entries, lift, p.d) * qpow(p.E)
+    rhs = _weighted_sum(weights, hatted, lift, p.d) * p.sign
+    return lhs, rhs
+
+
+def _thm_1_2_nums(p: SymParams, weights, entries, tilded, lift, qpow):
+    """Sum T_k f_k(q^d)  and  sign * q^E * Sum T_k tilde(f)_k(q^d), over _sym_den."""
+    lhs = _weighted_sum(weights, entries, lift)
+    rhs = _weighted_sum(weights, tilded, lift) * (p.sign * qpow(p.E))
+    return lhs, rhs
+
+
+def _require_length(p, seq: PolySeq) -> None:
     if len(seq) != p.n:
         raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
-    weights = _sym_weights(p)
-    hatted = hat(seq)
-    lhs = _weighted_sum(weights, seq.entries, p.d, extra_exp=p.d) * qpow(p.E)
-    rhs = _weighted_sum(weights, hatted.entries, p.d, extra_exp=p.d) * p.sign
-    den = _sym_den(p)
+
+
+def _thm_1_1_inputs(p: SymParams, seq: PolySeq):
+    """(entries, hat of them, family denominator, numerator formula) for Theorem 1.1."""
+    _require(_polynomial(seq.kind, _RATIONAL_1_1))
+    _require_length(p, seq)
+    entries = list(seq.entries)
+    return entries, hat(entries), one, _thm_1_1_nums
+
+
+def _thm_1_2_inputs(p: SymParams, seq: PolySeq):
+    """The same for Theorem 1.2; a rational sequence is rewritten over a common
+    denominator first, which then multiplies the shared T_k denominator."""
+    _require_length(p, seq)
+    if seq.kind == RATIONAL:
+        entries, fden = common_denominator(seq.entries)
+    else:
+        entries, fden = list(seq.entries), one
+    return entries, tilde(entries), fden, _thm_1_2_nums
+
+
+def _full_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
+    entries, transformed, fden, nums = inputs
+
+    def lift(f, e=0):
+        return _subs(f, p.d) * qpow(e)
+
+    lhs, rhs = nums(p, _sym_weights(p), entries, transformed, lift, qpow)
+    den = _sym_den(p) * lift(fden)
     return RatExpr(lhs, den), RatExpr(rhs, den)
+
+
+@lru_cache(maxsize=16)
+def _ring_weights(p: SymParams) -> tuple:
+    """_sym_weights and _sym_den mod Phi_n^2, kept across the families of a cell."""
+    def rq(e):
+        return reduce(qpow(e), p.n, 2)
+
+    return _sym_weights(p, rq), _sym_den(p, rq)
+
+
+def _ring_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
+    """The sides assembled in Q[q]/(Phi_n^2), bivariate ones coefficient-wise in x.
+
+    Numerators and denominator are replaced by their canonical residues, so
+    the verdict and the residual are those of the full sides.
+    """
+    entries, transformed, fden, nums = inputs
+    n, d = p.n, p.d
+    weights, den = _ring_weights(p)
+
+    def rq(e):
+        return reduce(qpow(e), n, 2)
+
+    def lift_at(j):
+        def lift(f, e=0):
+            if j is not None:
+                f = f.coeff(j) if isinstance(f, BiPoly) else f if j == 0 else zero
+            return reduce(_subs(f, d).shift(e), n, 2)
+        return lift
+
+    den = den * lift_at(None)(fden)
+    if not den.is_unit():  # ill-posed: the full sides raise the usual error
+        return _full_sides(p, inputs)
+    if not any(isinstance(f, BiPoly) for f in entries):
+        lhs, rhs = nums(p, weights, entries, transformed, lift_at(None), rq)
+        return RatExpr(lhs.rep, den.rep), RatExpr(rhs.rep, den.rep)
+    degrees = sorted({j for f in (*entries, *transformed) if isinstance(f, BiPoly) for j in f.coeffs})
+    parts = [nums(p, weights, entries, transformed, lift_at(j), rq) for j in degrees]
+    lhs = BiPoly({j: lhs.rep for j, (lhs, _) in zip(degrees, parts)})
+    rhs = BiPoly({j: rhs.rep for j, (_, rhs) in zip(degrees, parts)})
+    return RatExpr(lhs, den.rep), RatExpr(rhs, den.rep)
+
+
+def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
+    """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
+    return _full_sides(p, _thm_1_1_inputs(p, seq))
 
 
 def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -229,20 +348,7 @@ def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     Rational families are allowed: the sequence is rewritten over a common
     denominator first, which then multiplies the shared T_k denominator.
     """
-    if len(seq) != p.n:
-        raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
-    weights = _sym_weights(p)
-    den = _sym_den(p)
-    if seq.kind == RATIONAL:
-        nums, fden = common_denominator(seq.entries)
-        tilded = tilde(nums)
-        den = den * fden.substitute_power(p.d)
-    else:
-        nums = list(seq.entries)
-        tilded = tilde(nums)
-    lhs = _weighted_sum(weights, nums, p.d)
-    rhs = _weighted_sum(weights, tilded, p.d) * (p.sign * qpow(p.E))
-    return RatExpr(lhs, den), RatExpr(rhs, den)
+    return _full_sides(p, _thm_1_2_inputs(p, seq))
 
 
 def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
@@ -326,7 +432,7 @@ def _report(check: str, params: dict, p, lhs, rhs, n: int, started: float) -> Ch
 def check_thm_1_1(p: SymParams, fam) -> CheckReport:
     started = time.perf_counter()
     seq, label = _resolve_family(fam, p.n)
-    lhs, rhs = thm_1_1_sides(p, seq)
+    lhs, rhs = _ring_sides(p, _thm_1_1_inputs(p, seq))
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
     return _report("thm1.1", params, p, lhs, rhs, p.n, started)
 
@@ -334,7 +440,7 @@ def check_thm_1_1(p: SymParams, fam) -> CheckReport:
 def check_thm_1_2(p: SymParams, fam) -> CheckReport:
     started = time.perf_counter()
     seq, label = _resolve_family(fam, p.n)
-    lhs, rhs = thm_1_2_sides(p, seq)
+    lhs, rhs = _ring_sides(p, _thm_1_2_inputs(p, seq))
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
     return _report("thm1.2", params, p, lhs, rhs, p.n, started)
 
@@ -399,7 +505,7 @@ def check_guo_zeng(p: SymParams) -> CheckReport:
                 wall_time=time.perf_counter() - started,
                 residual=f"hat(x^k) != (xq;q)_k at k={k}",
             )
-    lhs, rhs = thm_1_1_sides(p, seq)
+    lhs, rhs = _ring_sides(p, _thm_1_1_inputs(p, seq))
     return _report("guo_zeng", params, p, lhs, rhs, p.n, started)
 
 
@@ -422,13 +528,18 @@ def check_classical_sun(p: int, alpha: "Fraction | int | str", fs) -> bool:
 
     Decides whether Sum C(alpha,k) C(-1-alpha,k) f_k for k < p differs from
     (-1)^<alpha>_p times the hatted sum by a rational of p-adic valuation
-    at least 2.  alpha must be p-integral; f needs at least p entries.
+    at least 2.  alpha must be p-integral, p at most MAX_CLASSICAL_P, and f
+    needs at least p entries.
     """
     alpha = Fraction(alpha)
-    _require(_odd_prime(p) or _p_integral(p, alpha))
+    _require(_odd_prime(p) or _p_integral(p, alpha) or _p_bounded(p))
     fs = list(fs)
     if len(fs) < p:
         raise ValueError(f"need at least p={p} sequence entries")
+    return _classical_sun(p, alpha, fs)
+
+
+def _classical_sun(p: int, alpha: Fraction, fs: list) -> bool:
     a = alpha.numerator * pow(alpha.denominator, -1, p) % p
     hatted = [
         sum((-1) ** j * math.comb(k, j) * fs[j] for j in range(k + 1))
@@ -484,7 +595,8 @@ def _bool_report(check: str, holds, **params) -> CheckReport:
 def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
     started = time.perf_counter()
     alpha = Fraction(alpha)
-    holds = check_classical_sun(p, alpha, random_int_sequence(seed, p, bound))
+    _require(_odd_prime(p) or _p_integral(p, alpha) or _p_bounded(p))
+    holds = _classical_sun(p, alpha, random_int_sequence(seed, p, bound))
     params = {"p": p, "alpha": str(alpha), "seed": seed}
     return CheckReport("classical", params, holds, wall_time=time.perf_counter() - started)
 

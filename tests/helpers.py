@@ -186,3 +186,41 @@ def transform_matrix(kind: str, length: int) -> list:
         ]
         for k in range(length)
     ]
+
+
+def _dense(p: LaurentPoly) -> list:
+    t = p.terms
+    return [Fraction(t.get(i, 0)) for i in range(max(t) + 1)]
+
+
+def residue_by_long_division(terms: dict, n: int, m: int) -> list:
+    """Coefficients of Sum c*q^e mod Phi_n^m, lowest degree first, padded to m*phi(n).
+
+    Phi_n^m comes from the Moebius product.  Each q^e is built by
+    square-and-multiply on dense lists, reduced by dense_divmod after every
+    product; negative powers use q^-1 = -(M - M(0)) / (q * M(0)), read off M.
+    """
+    phi = _dense(cyclotomic_by_mobius(n))
+    modulus = [Fraction(1)]
+    for _ in range(m):
+        modulus = dense_mul(modulus, phi)
+    dim = len(modulus) - 1
+
+    def reduced(a):
+        return dense_divmod(a, modulus)[1]
+
+    def power(base, e):
+        acc = [Fraction(1)]
+        while e:
+            if e & 1:
+                acc = reduced(dense_mul(acc, base))
+            base = reduced(dense_mul(base, base))
+            e >>= 1
+        return acc
+
+    q_inverse = [-c / modulus[0] for c in modulus[1:]]
+    total = [Fraction(0)] * dim
+    for e, c in terms.items():
+        for i, v in enumerate(power([Fraction(0), Fraction(1)] if e >= 0 else q_inverse, abs(e))):
+            total[i] += Fraction(c) * v
+    return total

@@ -1,13 +1,17 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from helpers import residue_by_long_division
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import (
     NoncoprimeDenominatorError,
     NotInvertibleError,
+    _reduce_poly,
     congruent,
     coprime_certify,
     invert,
@@ -196,3 +200,52 @@ def test_modulus_parameter_guards():
         reduce(q, 1)
     with pytest.raises(ValueError):
         congruent(q, q, 5, 0)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=15),
+    st.integers(min_value=1, max_value=3),
+    st.dictionaries(st.integers(min_value=-10**6, max_value=10**6), coefficients, max_size=3),
+)
+def test_reduce_poly_matches_long_division(n, m, terms):
+    got = _reduce_poly(LaurentPoly(terms), n, m)
+    assert len(got) == m * totient(n)
+    assert list(got) == residue_by_long_division(terms, n, m)
+
+
+def _closed_form(e: int, n: int, m: int) -> LaurentPoly:
+    """q^b * Sum_{i<m} C(a, i) (q^n - 1)^i for e = a*n + b, written out directly."""
+    a, b = divmod(e, n)
+    total = LaurentPoly()
+    for i in range(m):
+        binom = math.prod(a - k for k in range(i)) // math.factorial(i)
+        total = total + (qpow(n) - 1) ** i * binom
+    return total.shift(b)
+
+
+def _expected_residual(e: int, n: int, m: int) -> LaurentPoly:
+    # the closed form has degree below m*n, so long division reduces it quickly
+    terms = (_closed_form(e, n, m) - 1).terms
+    return LaurentPoly(enumerate(residue_by_long_division(terms, n, m)))
+
+
+def test_hostile_exponents_complete_and_match_closed_form():
+    started = time.perf_counter()
+    assert not congruent(qpow(10**9), one, 5, 2)
+    assert congruent(qpow(10**9), _closed_form(10**9, 5, 2), 5, 2)
+    assert residual(qpow(10**9), one, 5, 2) == _expected_residual(10**9, 5, 2)
+    assert residual(qpow(-10**9), one, 7, 3) == _expected_residual(-10**9, 7, 3)
+    assert time.perf_counter() - started < 5
+
+
+def test_residue_of_a_rational_is_its_numerator_times_the_inverse():
+    den = one - qpow(3)
+    lhs = RatExpr(qpow(10**6) + q, den)
+    assert residual(lhs, 0, 5, 2) == (reduce(qpow(10**6) + q, 5, 2) * invert(den, 5, 2)).rep

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from qcong.sweep import (
     run_sweep,
     run_task,
 )
-from qcong.theorems import CHECKS
+from qcong.theorems import CHECKS, MAX_CLASSICAL_P
 
 
 def record_key(rec: dict) -> tuple:
@@ -319,3 +320,52 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1*q^0 + 1*q^1 + 1*q^2 + 1*q^3 + 1*q^4 + 1*q^5 + 1*q^6"
+
+
+@pytest.mark.parametrize("p,error", [
+    ("1000000000000000001", "error: p must be an odd prime"),  # 101 * 9901 * ...
+    ("2305843009213693951", f"error: p must be at most {MAX_CLASSICAL_P}"),  # 2^61 - 1
+])
+def test_cli_classical_rejects_a_huge_p_at_once(p, error, capsys):
+    started = time.perf_counter()
+    assert cli.main(["verify", "classical", "--p", p, "--alpha=1/2"]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err.strip() == error
+
+
+def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"records-{workers}.jsonl"
+        assert cli.main(["sweep", "--theorems=1.1", "--n=1..3", f"--workers={workers}",
+                         f"--output={out}"]) == 2
+        err = capsys.readouterr().err
+        assert "errors=1 " in err and "error: 1 sweep task(s) raised" in err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    recs = [json.loads(line) for line in outputs[0].decode().splitlines()]
+    assert recs[0] == {"check": "thm1.1", "n": 1, "d": 1, "r": 0, "family": "ones",
+                       "error": "n must be at least 2"}
+    assert [(rec["n"], rec["holds"]) for rec in recs[1:]] == [(2, True), (3, True)]
+
+
+def test_cli_accepts_negative_flag_values(capsys):
+    assert cli.main(["verify", "classical", "--p", "13", "--alpha", "-3/4"]) == 0
+    assert "alpha=-3/4" in capsys.readouterr().out
+    assert cli.main(["sweep", "--theorems", "1.2", "--n", "3", "--r", "-2..2", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["-2", "-1", "0", "1", "2"]
+    assert cli.main(["qbinom", "--", "-2", "2"]) == 0  # '--' still ends the options
+    assert capsys.readouterr().out == "1*q^-5 + 1*q^-4 + 1*q^-3\n"
+
+
+def test_cli_congruent_file_with_a_huge_exponent(tmp_path, capsys):
+    lhs = tmp_path / "lhs.txt"
+    rhs = tmp_path / "rhs.txt"
+    lhs.write_text("1*q^1000000000\n")
+    rhs.write_text("1*q^0\n")
+    started = time.perf_counter()
+    assert cli.main(["congruent", "--n", "5", "--m", "2", "--lhs", str(lhs), "--rhs", str(rhs)]) == 1
+    assert time.perf_counter() - started < 5
+    # q^(5a) == 1 + a*(q^5 - 1) mod Phi_5^2 with a = 2*10^8, already of degree < 8
+    assert capsys.readouterr().out == "NOT CONGRUENT\nresidual: -200000000*q^0 + 200000000*q^5\n"

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from qcong.congruence import congruent
+from qcong.bivariate import RatExpr
+from qcong.congruence import NoncoprimeDenominatorError, congruent
 from qcong.cyclotomic import cyclotomic
 from qcong.families import generate, random_int_sequence
 from qcong.laurent import one, q, qpow
 from qcong.theorems import (
+    MAX_CLASSICAL_P,
     AlphaParams,
     CheckReport,
     SymParams,
@@ -25,8 +28,13 @@ from qcong.theorems import (
     thm_1_1_sides,
     thm_1_2_sides,
     thm_2_1_sides,
+    _odd_prime,
+    _residual_text,
+    _ring_sides,
+    _thm_1_1_inputs,
+    _thm_1_2_inputs,
 )
-from qcong.transforms import PolySeq, UNIVARIATE
+from qcong.transforms import RATIONAL, PolySeq, UNIVARIATE
 
 # -- parameter derivation ----------------------------------------------------
 
@@ -200,6 +208,73 @@ def test_perturbed_family_entry_fails():
     assert not congruent(lhs, rhs_mut, 5, 2)
 
 
+# -- the residue-ring checks against the full sides ---------------------------
+
+RING_CELLS = [(2, 1, 0), (5, 3, 1), (6, 5, 2), (7, 2, -3), (9, 4, 2), (11, 1, 4), (12, 5, -1)]
+RING_FAMILIES = ["ones", "delta:1", "monomial_q:2", "random_poly:5:3", "monomial_x", "sun_p_x"]
+# the true cell, then the negative controls
+PERTURBATIONS = {
+    "true": lambda p: p,
+    "flipped sign": lambda p: dataclasses.replace(p, sign=-p.sign),
+    "E+1": lambda p: dataclasses.replace(p, E=p.E + 1),
+    "E-1": lambda p: dataclasses.replace(p, E=p.E - 1),
+}
+CHECKS_BY_SIDES = [(check_thm_1_1, thm_1_1_sides), (check_thm_1_2, thm_1_2_sides)]
+
+
+def _full_verdict(lhs, rhs, n):
+    holds = congruent(lhs, rhs, n, 2)
+    return holds, None if holds else _residual_text(lhs, rhs, n, 2)
+
+
+@pytest.mark.parametrize("cell", RING_CELLS)
+@pytest.mark.parametrize("name", PERTURBATIONS)
+def test_ring_check_matches_full_sides(cell, name):
+    p = PERTURBATIONS[name](SymParams.create(*cell))
+    failures = 0
+    for fam in RING_FAMILIES:
+        seq = generate(fam, p.n)
+        for check, sides in CHECKS_BY_SIDES:
+            if check is check_thm_1_1 and seq.kind == RATIONAL:
+                continue
+            rep = check(p, fam)
+            assert (rep.holds, rep.residual) == _full_verdict(*sides(p, seq), p.n), (fam, check)
+            failures += not rep.holds
+    rep = check_guo_zeng(p)
+    assert (rep.holds, rep.residual) == _full_verdict(*thm_1_1_sides(p, generate("monomial_x", p.n)), p.n)
+    failures += not rep.holds
+    if name != "true" and p.n > 2:
+        assert failures, "the perturbation went unnoticed in every family"
+
+
+@pytest.mark.parametrize("cell", RING_CELLS)
+@pytest.mark.parametrize("fam", ["random_poly:3:3", "monomial_x", "sun_p_x"])
+def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
+    p = SymParams.create(*cell)
+    seq = generate(fam, p.n)
+    if seq.kind == RATIONAL:
+        inputs, sides = _thm_1_2_inputs, thm_1_2_sides
+    else:
+        inputs, sides = _thm_1_1_inputs, thm_1_1_sides
+    bump = qpow(cell[2] % p.n) * cyclotomic(p.n) * 3
+    verdicts = []
+    for lhs, rhs in (_ring_sides(p, inputs(p, seq)), sides(p, seq)):
+        bumped = RatExpr(lhs.num + bump * lhs.den, lhs.den)
+        verdicts.append(_full_verdict(bumped, rhs, p.n))
+    assert verdicts[0] == verdicts[1]
+    assert not verdicts[0][0]
+
+
+def test_ring_check_reports_a_noncoprime_family_denominator():
+    p = SymParams.create(5, 2, 1)
+    bad = PolySeq(tuple(RatExpr(qpow(k), cyclotomic(5)) for k in range(5)), RATIONAL)
+    with pytest.raises(NoncoprimeDenominatorError) as ring:
+        check_thm_1_2(p, bad)
+    with pytest.raises(NoncoprimeDenominatorError) as full:
+        congruent(*thm_1_2_sides(p, bad), 5, 2)
+    assert str(ring.value) == str(full.value)
+
+
 # -- corollaries and supporting facts ----------------------------------------
 
 
@@ -293,6 +368,21 @@ def test_classical_sun_guards():
         check_classical_sun(5, Fraction(1, 5), [1] * 5)
     with pytest.raises(ValueError):
         check_classical_sun(5, Fraction(1, 2), [1] * 4)
+    with pytest.raises(ValueError, match="at most"):
+        check_classical_sun(1009, Fraction(1, 2), [1] * 1009)
+
+
+def test_odd_prime_is_miller_rabin_exact():
+    def trial(p):
+        return p >= 3 and p % 2 == 1 and all(p % i for i in range(3, math.isqrt(p) + 1, 2))
+
+    assert all((_odd_prime(p) is None) == trial(p) for p in range(-3, 20000))
+    # strong pseudoprimes to the first few prime bases, and two known primes
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461, 10**18 + 1):
+        assert _odd_prime(composite) == "p must be an odd prime"
+    for prime in (2**61 - 1, 1000000007):
+        assert _odd_prime(prime) is None
+    assert MAX_CLASSICAL_P < 3 * 10**24
 
 
 # -- report plumbing ----------------------------------------------------------
