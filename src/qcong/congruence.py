@@ -268,7 +268,7 @@ def coprime_certify(p: LaurentPoly, n: int) -> bool:
 def _certify_den(den: LaurentPoly, n: int, m: int) -> Residue:
     """The residue of den mod Phi_n^m, once den is certified coprime to Phi_n."""
     res = reduce(den, n, m)
-    if den != one and not res.is_unit():
+    if not res.is_unit():
         raise NoncoprimeDenominatorError(den, n)
     return res
 

@@ -21,6 +21,13 @@ The summand weight in the first two statements is
 T_k = (q^r;q^d)_k (q^(d-r);q^d)_k / (q^d;q^d)_k^2; both sides are built
 over the common denominator (q^d;q^d)_{n-1}^2, turning T_k into the
 polynomial P_k * G_k^2 with G_k the trailing factors of (q^d;q^d)_{n-1}.
+
+Those two statements and guo_zeng are checked in the residue ring
+Q[q]/(Phi_n^2): their formulas are written once over a carrier given by
+qpow(e) and lift(f, e) = f(q^d) * q^e, so that the same code builds the
+full polynomials of thm_1_1_sides / thm_1_2_sides and, for the checks,
+residues of degree below 2*phi(n).  The weights and the denominator are
+memoized per (n, d, r), since the family varies fastest in a sweep.
 """
 
 from __future__ import annotations
@@ -304,8 +311,15 @@ def _ring_weights(p: SymParams) -> tuple:
     return _sym_weights(p, rq), _sym_den(p, rq)
 
 
+def _x_coeff(f, j: int):
+    """The coefficient of x^j in a univariate or bivariate entry."""
+    if isinstance(f, BiPoly):
+        return f.coeff(j)
+    return f if j == 0 else zero
+
+
 def _ring_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
-    """The sides assembled in Q[q]/(Phi_n^2), bivariate ones coefficient-wise in x.
+    """The sides assembled in Q[q]/(Phi_n^2).
 
     Numerators and denominator are replaced by their canonical residues, so
     the verdict and the residual are those of the full sides.
@@ -317,24 +331,22 @@ def _ring_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
     def rq(e):
         return reduce(qpow(e), n, 2)
 
-    def lift_at(j):
-        def lift(f, e=0):
-            if j is not None:
-                f = f.coeff(j) if isinstance(f, BiPoly) else f if j == 0 else zero
-            return reduce(_subs(f, d).shift(e), n, 2)
-        return lift
+    def lift(f, e=0):
+        return reduce(_subs(f, d).shift(e), n, 2)
 
-    den = den * lift_at(None)(fden)
+    den = den * lift(fden)
     if not den.is_unit():  # ill-posed: the full sides raise the usual error
         return _full_sides(p, inputs)
     if not any(isinstance(f, BiPoly) for f in entries):
-        lhs, rhs = nums(p, weights, entries, transformed, lift_at(None), rq)
+        lhs, rhs = nums(p, weights, entries, transformed, lift, rq)
         return RatExpr(lhs.rep, den.rep), RatExpr(rhs.rep, den.rep)
-    degrees = sorted({j for f in (*entries, *transformed) if isinstance(f, BiPoly) for j in f.coeffs})
-    parts = [nums(p, weights, entries, transformed, lift_at(j), rq) for j in degrees]
-    lhs = BiPoly({j: lhs.rep for j, (lhs, _) in zip(degrees, parts)})
-    rhs = BiPoly({j: rhs.rep for j, (_, rhs) in zip(degrees, parts)})
-    return RatExpr(lhs, den.rep), RatExpr(rhs, den.rep)
+    # the sides are linear in the entries, which are summed coefficient-wise in x
+    lhs, rhs = {}, {}
+    for j in sorted({j for f in (*entries, *transformed) if isinstance(f, BiPoly) for j in f.coeffs}):
+        at_j = nums(p, weights, [_x_coeff(f, j) for f in entries],
+                    [_x_coeff(f, j) for f in transformed], lift, rq)
+        lhs[j], rhs[j] = (side.rep for side in at_j)
+    return RatExpr(BiPoly(lhs), den.rep), RatExpr(BiPoly(rhs), den.rep)
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -358,8 +370,7 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     with integer top are Laurent polynomials, so no denominators appear.
     """
     _require(_polynomial(seq.kind))
-    if len(seq) != p.n:
-        raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
+    _require_length(p, seq)
     hatted = hat(seq)
     lhs = None
     rhs = None
