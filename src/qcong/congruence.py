@@ -121,11 +121,6 @@ class _Ring:
                     out[k] += x * y
         return self.divide(out)
 
-    def residue(self, coeffs: tuple) -> "Residue":
-        r = object.__new__(Residue)
-        r._ring, r.coeffs = self, coeffs
-        return r
-
 
 @lru_cache(maxsize=None)
 def _ring(n: int, m: int) -> _Ring:
@@ -140,16 +135,12 @@ def _reduce_poly(p: LaurentPoly, n: int, m: int) -> tuple:
 
 class Residue:
     """An element of Q[q]/(Phi_n^m) by the m*phi(n) coefficients of its
-    canonical representative, lowest degree first."""
+    canonical representative, lowest degree first.  Made by reduce(),
+    invert() and arithmetic on residues."""
 
     __slots__ = ("_ring", "coeffs")
 
-    def __init__(self, n: int, m: int, coeffs):
-        _check_modulus_params(n, m)
-        ring = _ring(n, m)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ring.dim:
-            raise ValueError(f"a residue mod Phi_{n}^{m} has {ring.dim} coefficients")
+    def __init__(self, ring: _Ring, coeffs: tuple):
         self._ring, self.coeffs = ring, coeffs
 
     @property
@@ -191,7 +182,7 @@ class Residue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._ring.residue(tuple(x + y for x, y in zip(self.coeffs, o)))
+        return Residue(self._ring, tuple(x + y for x, y in zip(self.coeffs, o)))
 
     __radd__ = __add__
 
@@ -199,24 +190,24 @@ class Residue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._ring.residue(tuple(x - y for x, y in zip(self.coeffs, o)))
+        return Residue(self._ring, tuple(x - y for x, y in zip(self.coeffs, o)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._ring.residue(tuple(y - x for x, y in zip(self.coeffs, o)))
+        return Residue(self._ring, tuple(y - x for x, y in zip(self.coeffs, o)))
 
     def __neg__(self):
-        return self._ring.residue(tuple(-x for x in self.coeffs))
+        return Residue(self._ring, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._ring.residue(tuple(x * other for x in self.coeffs))
+            return Residue(self._ring, tuple(x * other for x in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._ring.residue(self._ring.mul(self.coeffs, o))
+        return Residue(self._ring, self._ring.mul(self.coeffs, o))
 
     __rmul__ = __mul__
 
@@ -235,16 +226,13 @@ class Residue:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
 
 def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     """Canonical residue of p mod Phi_n^m; Laurent inputs allowed."""
     _check_modulus_params(n, m)
     if not isinstance(p, LaurentPoly):
         p = LaurentPoly.const(p)
-    return _ring(n, m).residue(_reduce_poly(p, n, m))
+    return Residue(_ring(n, m), _reduce_poly(p, n, m))
 
 
 def invert(p: LaurentPoly, n: int, m: int = 1) -> Residue:
@@ -306,7 +294,7 @@ def congruent(lhs, rhs, n: int, m: int) -> bool:
     tested coefficient-wise in x.
     """
     diff, _, _ = _difference(lhs, rhs, n, m, "congruent")
-    return not any(diff.values())
+    return all(r.is_zero() for r in diff.values())
 
 
 def residual(lhs, rhs, n: int, m: int):
@@ -319,5 +307,5 @@ def residual(lhs, rhs, n: int, m: int):
     diff, den, bivariate = _difference(lhs, rhs, n, m, "residual")
     scale = den.inverse()
     if bivariate:
-        return {j: (r * scale).rep for j, r in sorted(diff.items()) if r}
+        return {j: (r * scale).rep for j, r in sorted(diff.items()) if not r.is_zero()}
     return (diff[0] * scale).rep

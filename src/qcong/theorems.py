@@ -302,12 +302,15 @@ def _full_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
     return RatExpr(lhs, den), RatExpr(rhs, den)
 
 
+def _ring_qpow(n: int):
+    """e -> q^e as a residue mod Phi_n^2."""
+    return lambda e: reduce(qpow(e), n, 2)
+
+
 @lru_cache(maxsize=16)
 def _ring_weights(p: SymParams) -> tuple:
     """_sym_weights and _sym_den mod Phi_n^2, kept across the families of a cell."""
-    def rq(e):
-        return reduce(qpow(e), p.n, 2)
-
+    rq = _ring_qpow(p.n)
     return _sym_weights(p, rq), _sym_den(p, rq)
 
 
@@ -327,9 +330,7 @@ def _ring_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
     entries, transformed, fden, nums = inputs
     n, d = p.n, p.d
     weights, den = _ring_weights(p)
-
-    def rq(e):
-        return reduce(qpow(e), n, 2)
+    rq = _ring_qpow(n)
 
     def lift(f, e=0):
         return reduce(_subs(f, d).shift(e), n, 2)

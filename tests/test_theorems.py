@@ -14,6 +14,11 @@ from qcong.theorems import (
     AlphaParams,
     CheckReport,
     SymParams,
+    _odd_prime,
+    _residual_text,
+    _ring_sides,
+    _thm_1_1_inputs,
+    _thm_1_2_inputs,
     check_classical_sun,
     check_even_sign_fact,
     check_guo_zeng,
@@ -28,11 +33,6 @@ from qcong.theorems import (
     thm_1_1_sides,
     thm_1_2_sides,
     thm_2_1_sides,
-    _odd_prime,
-    _residual_text,
-    _ring_sides,
-    _thm_1_1_inputs,
-    _thm_1_2_inputs,
 )
 from qcong.transforms import RATIONAL, PolySeq, UNIVARIATE
 
