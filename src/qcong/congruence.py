@@ -1,7 +1,7 @@
 """Congruence decisions modulo powers of cyclotomic polynomials.
 
 Every decision is computed in the residue ring Q[q]/(Phi_n^m), whose
-elements are dense coefficient tuples of length m*phi(n), lowest degree
+elements are dense coefficient lists of length m*phi(n), lowest degree
 first.  A Laurent polynomial enters the ring in two stages.  First each
 term is folded below degree m*n by the closed form
 
@@ -102,8 +102,8 @@ class _Ring:
                 binom = binom * (a - i) // (i + 1)
         return out
 
-    def divide(self, vec: list) -> tuple:
-        """Remainder of the dense vec by Phi_n^m (vec is overwritten)."""
+    def divide(self, vec: list) -> list:
+        """Remainder of the dense vec by Phi_n^m, computed in place."""
         dim, tail = self.dim, self.tail
         for i in range(len(vec) - 1, dim - 1, -1):
             c = vec[i]
@@ -111,9 +111,10 @@ class _Ring:
                 base = i - dim
                 for e, mc in tail:
                     vec[base + e] -= c * mc
-        return tuple(vec[:dim])
+        del vec[dim:]
+        return vec
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
+    def mul(self, a: list, b: list) -> list:
         out = [0] * (2 * self.dim - 1)
         for i, x in enumerate(a):
             if x:
@@ -127,7 +128,7 @@ def _ring(n: int, m: int) -> _Ring:
     return _Ring(n, m)
 
 
-def _reduce_poly(p: LaurentPoly, n: int, m: int) -> tuple:
+def _reduce_poly(p: LaurentPoly, n: int, m: int) -> list:
     """Coefficients of the canonical representative of p mod Phi_n^m: fold, then divide."""
     ring = _ring(n, m)
     return ring.divide(ring.fold(p))
@@ -136,12 +137,21 @@ def _reduce_poly(p: LaurentPoly, n: int, m: int) -> tuple:
 class Residue:
     """An element of Q[q]/(Phi_n^m) by the m*phi(n) coefficients of its
     canonical representative, lowest degree first.  Made by reduce(),
-    invert() and arithmetic on residues."""
+    invert() and arithmetic on residues.
 
-    __slots__ = ("_ring", "coeffs")
+    The coefficients are kept in a list that no operation mutates: CPython
+    keeps up to 2000 freed tuples of each small length for reuse, and the
+    tuples that ring arithmetic sheds would hold that memory.
+    """
 
-    def __init__(self, ring: _Ring, coeffs: tuple):
-        self._ring, self.coeffs = ring, coeffs
+    __slots__ = ("_ring", "_coeffs")
+
+    def __init__(self, ring: _Ring, coeffs: list):
+        self._ring, self._coeffs = ring, coeffs
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self._coeffs)
 
     @property
     def n(self) -> int:
@@ -154,12 +164,12 @@ class Residue:
     @property
     def rep(self) -> LaurentPoly:
         """The canonical representative, of degree below m*phi(n)."""
-        return LaurentPoly(enumerate(self.coeffs))
+        return LaurentPoly(enumerate(self._coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Residue):
             return NotImplemented
-        return (self.n, self.m, self.coeffs) == (other.n, other.m, other.coeffs)
+        return (self.n, self.m, self._coeffs) == (other.n, other.m, other._coeffs)
 
     def __hash__(self) -> int:
         return hash((self.n, self.m, self.coeffs))
@@ -167,11 +177,11 @@ class Residue:
     def __repr__(self) -> str:
         return f"Residue(n={self.n}, m={self.m}, rep={self.rep!r})"
 
-    def _coerce(self, other) -> "tuple | None":
+    def _coerce(self, other) -> "list | None":
         if isinstance(other, Residue):
             if (other.n, other.m) != (self.n, self.m):
                 raise ValueError("mixed moduli in Residue arithmetic")
-            return other.coeffs
+            return other._coeffs
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
         if isinstance(other, LaurentPoly):
@@ -182,7 +192,7 @@ class Residue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self._ring, tuple(x + y for x, y in zip(self.coeffs, o)))
+        return Residue(self._ring, [x + y for x, y in zip(self._coeffs, o)])
 
     __radd__ = __add__
 
@@ -190,24 +200,24 @@ class Residue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self._ring, tuple(x - y for x, y in zip(self.coeffs, o)))
+        return Residue(self._ring, [x - y for x, y in zip(self._coeffs, o)])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self._ring, tuple(y - x for x, y in zip(self.coeffs, o)))
+        return Residue(self._ring, [y - x for x, y in zip(self._coeffs, o)])
 
     def __neg__(self):
-        return Residue(self._ring, tuple(-x for x in self.coeffs))
+        return Residue(self._ring, [-x for x in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Residue(self._ring, tuple(x * other for x in self.coeffs))
+            return Residue(self._ring, [x * other for x in self._coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self._ring, self._ring.mul(self.coeffs, o))
+        return Residue(self._ring, self._ring.mul(self._coeffs, o))
 
     __rmul__ = __mul__
 
@@ -221,10 +231,10 @@ class Residue:
 
     def is_unit(self) -> bool:
         """True iff gcd(self, Phi_n) = 1, that is the residue is nonzero mod Phi_n."""
-        return any(_ring(self.n, 1).divide(list(self.coeffs)))
+        return any(_ring(self.n, 1).divide(list(self._coeffs)))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._coeffs)
 
 
 def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:

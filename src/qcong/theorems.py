@@ -307,7 +307,7 @@ def _ring_qpow(n: int):
     return lambda e: reduce(qpow(e), n, 2)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _ring_weights(p: SymParams) -> tuple:
     """_sym_weights and _sym_den mod Phi_n^2, kept across the families of a cell."""
     rq = _ring_qpow(p.n)
