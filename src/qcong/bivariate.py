@@ -76,11 +76,6 @@ class BiPoly:
     def coeff(self, j: int) -> LaurentPoly:
         return self._coeffs.get(j, _ZERO)
 
-    def x_degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("x-degree of the zero polynomial is undefined")
-        return max(self._coeffs)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -161,15 +156,6 @@ class BiPoly:
     def subs_power(self, t: int) -> "BiPoly":
         """q ↦ q**t on every coefficient; x untouched."""
         return BiPoly._raw({j: c.substitute_power(t) for j, c in self._coeffs.items()})
-
-    def scale_x(self, u: LaurentPoly) -> "BiPoly":
-        """x ↦ u·x, so the coefficient of x^j picks up a factor u^j."""
-        out: dict[int, LaurentPoly] = {}
-        for j, c in self._coeffs.items():
-            s = c * u ** j
-            if s:
-                out[j] = s
-        return BiPoly._raw(out)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -256,10 +242,6 @@ class RatExpr:
         return RatExpr(self.num * lc, self.den)
 
     __rmul__ = __mul__
-
-    def substitute_power(self, t: int) -> "RatExpr":
-        num = self.num.subs_power(t) if isinstance(self.num, BiPoly) else self.num.substitute_power(t)
-        return RatExpr(num, self.den.substitute_power(t))
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -14,7 +14,8 @@ Expression files for ``congruent`` hold one polynomial per line in the
 canonical text form ("3/2*q^0 + 1*q^3"); a second line, when present, is a
 denominator.  Exit codes: 0 success/holds, 1 check failed, 2 bad usage or
 an ill-posed input (for instance a denominator sharing a factor with the
-modulus, or a sweep cell whose check raised).
+modulus, a sweep cell whose check raised, or a cyclotomic, qbinom, qpoch or
+congruent request whose exponent span exceeds MAX_SPAN).
 
 A flag value may be negative, a fraction or a range (``--alpha -3/4``,
 ``--r -2..2``): such a value is attached to its flag before parsing, since
@@ -93,6 +94,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The widest exponent span a cyclotomic, qbinom, qpoch or congruent request
+# may work over.  It bounds memory; near it, on a 2-core host, `qpoch 1 1 199`
+# takes 2.4 s and `qbinom 200 100` 12 s (its exact division is dense).
+MAX_SPAN = 20_000
+
+
+def _poch_span(r: int, d: int, k: int) -> int:
+    """Sum_{j<k} |r + j*d|, the exponent span of (q^r;q^d)_k, counted until it passes MAX_SPAN."""
+    span = 0
+    for j in range(k if d else 0):
+        span += abs(r + j * d)
+        if span > MAX_SPAN:
+            break
+    return span
+
+
+def _span(args: argparse.Namespace) -> int:
+    """The exponent span a request works over, from its arguments alone."""
+    if args.command == "cyclotomic":  # Phi_n is divided out of q^n - 1
+        return args.n
+    if args.command == "qbinom":  # the numerator (q^(alpha-k+1);q)_k is the widest product
+        k = min(args.k, args.alpha - args.k) if args.alpha >= 0 else args.k
+        return abs(args.base) * _poch_span(args.alpha - k + 1, 1, k)
+    if args.command == "qpoch":
+        return _poch_span(args.r, args.d, args.k)
+    if args.command == "congruent":  # every term is folded below degree m*n
+        return args.n * args.m
+    return 0
+
+
 _NEGATIVE = re.compile(r"-\d")
 
 
@@ -164,6 +195,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        if _span(args) > MAX_SPAN:
+            raise ValueError(f"{args.command} would span more than {MAX_SPAN} exponents")
         if args.command == "cyclotomic":
             print(cyclotomic(args.n))
             return 0

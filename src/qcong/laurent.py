@@ -239,15 +239,6 @@ class LaurentPoly:
             total += c * point ** e
         return _norm_scalar(total)
 
-    def monic(self) -> "LaurentPoly":
-        if not self._terms:
-            raise ValueError("the zero polynomial cannot be made monic")
-        lead = self.leading_coeff()
-        if lead == 1:
-            return self
-        inv = Fraction(1, 1) / lead
-        return self * inv
-
     # -- canonical text form ---------------------------------------------
 
     def __str__(self) -> str:

@@ -1,10 +1,14 @@
 """Both sides of each symmetric-congruence statement, assembled and decided.
 
-Each statement gets a side-builder returning the two expressions over a
-shared denominator (so the decision usually reduces to one divisibility
-test) and a check_* wrapper that times the decision and packages a report.
-Side-builders are public on purpose: the negative-control tests perturb a
-side and expect the congruence to break.
+Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
+_thm_2_1 or _sun_p; guo_zeng is Theorem 1.1 at f_k = x^k) comparing
+lscale * Sum wl_k left_k / lden with rscale * Sum wr_k right_k / rden mod
+Phi_n^2.  Its weight builder works in the carrier of a lift function:
+_full_sides uses the identity and gives the full polynomials of the public
+*_sides builders, which the negative-control tests perturb; _ring_sides uses
+reduce(., n, 2), so the checks decide in Q[q]/(Phi_n^2) and never form
+anything above degree 2*phi(n).  Ring weights are memoized per (builder,
+params), since the family varies fastest in a sweep.
 
 Parameter conventions:
 
@@ -17,17 +21,10 @@ Parameter conventions:
   AlphaParams(n, a, s):  alpha = a + s*n, F = C(a+1,2) + s*n*a - s*C(n,2),
       sign (-1)^a for odd n and (-1)^(a+s) for even n.
 
-The summand weight in the first two statements is
+The summand weight in Theorems 1.1 and 1.2 is
 T_k = (q^r;q^d)_k (q^(d-r);q^d)_k / (q^d;q^d)_k^2; both sides are built
 over the common denominator (q^d;q^d)_{n-1}^2, turning T_k into the
 polynomial P_k * G_k^2 with G_k the trailing factors of (q^d;q^d)_{n-1}.
-
-Those two statements and guo_zeng are checked in the residue ring
-Q[q]/(Phi_n^2): their formulas are written once over a carrier given by
-qpow(e) and lift(f, e) = f(q^d) * q^e, so that the same code builds the
-full polynomials of thm_1_1_sides / thm_1_2_sides and, for the checks,
-residues of degree below 2*phi(n).  The weights and the denominator are
-memoized per (n, d, r), since the family varies fastest in a sweep.
 """
 
 from __future__ import annotations
@@ -36,15 +33,15 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .bivariate import BiPoly, RatExpr
 from .congruence import congruent, reduce, residual
 from .families import FamilySpec, generate, random_int_sequence
-from .laurent import LaurentPoly, divides, one, qpow, zero
+from .laurent import LaurentPoly, divides, one, qpow
 from .cyclotomic import cyclotomic
-from .qcalc import qbinom_int, qpoch, qpoch_x
+from .qcalc import qbinom_int, qpoch_x
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, tilde
 
 
@@ -215,144 +212,176 @@ def _subs(entry, d: int):
     return entry.substitute_power(d)
 
 
-def _sym_weights(p: SymParams, qpow=qpow) -> list:
-    """P_k * G_k^2, the numerator of T_k over the shared denominator.
-
-    Built from qpow(e), the carrier's q^e: full polynomials by default,
-    residues mod Phi_n^2 for the checks.
-    """
-    n, d, r = p.n, p.d, p.r
-    unit = qpow(0)
-    G = [unit] * n
-    for k in range(n - 2, -1, -1):
-        G[k] = G[k + 1] * (unit - qpow(d * (k + 1)))
-    weights = []
-    P = unit
-    for k in range(n):
-        if k:
-            P = P * (unit - qpow(r + d * (k - 1))) * (unit - qpow(d - r + d * (k - 1)))
-        weights.append(P * (G[k] * G[k]))
-    return weights
-
-
-def _sym_den(p: SymParams, qpow=qpow):
-    """(q^d;q^d)_{n-1}^2, the shared denominator, in the carrier of qpow."""
-    unit = qpow(0)
-    D = unit
-    for j in range(1, p.n):
-        D = D * (unit - qpow(p.d * j))
-    return D * D
-
-
-def _weighted_sum(weights, entries, lift, extra_exp: int = 0):
-    """Sum of weights[k] * lift(entries[k], extra_exp*k), where lift(f, e) is f(q^d) * q^e."""
-    acc = None
-    for k, f in enumerate(entries):
-        term = lift(f, extra_exp * k) * weights[k]
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _thm_1_1_nums(p: SymParams, weights, entries, hatted, lift, qpow):
-    """q^E * Sum T_k q^(dk) f_k(q^d)  and  sign * Sum T_k q^(dk) hat(f)_k(q^d), over _sym_den."""
-    lhs = _weighted_sum(weights, entries, lift, p.d) * qpow(p.E)
-    rhs = _weighted_sum(weights, hatted, lift, p.d) * p.sign
-    return lhs, rhs
-
-
-def _thm_1_2_nums(p: SymParams, weights, entries, tilded, lift, qpow):
-    """Sum T_k f_k(q^d)  and  sign * q^E * Sum T_k tilde(f)_k(q^d), over _sym_den."""
-    lhs = _weighted_sum(weights, entries, lift)
-    rhs = _weighted_sum(weights, tilded, lift) * (p.sign * qpow(p.E))
-    return lhs, rhs
-
-
 def _require_length(p, seq: PolySeq) -> None:
     if len(seq) != p.n:
         raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
 
 
-def _thm_1_1_inputs(p: SymParams, seq: PolySeq):
-    """(entries, hat of them, family denominator, numerator formula) for Theorem 1.1."""
+# -- weights, built factor by factor in the carrier of lift ------------------
+
+
+def _tails(lift, step: int, n: int) -> list:
+    """G_k = prod_{j=k+1..n-1} (1 - q^(step*j)) for k < n; G_0 is (q^step;q^step)_{n-1}."""
+    G = [lift(one)] * n
+    for k in range(n - 2, -1, -1):
+        G[k] = G[k + 1] * lift(one - qpow(step * (k + 1)))
+    return G
+
+
+def _pairs(lift, r: int, d: int, n: int) -> list:
+    """P_k = (q^r;q^d)_k (q^(d-r);q^d)_k for k < n."""
+    P = [lift(one)]
+    for k in range(1, n):
+        e = d * (k - 1)
+        P.append(P[-1] * lift(one - qpow(r + e)) * lift(one - qpow(d - r + e)))
+    return P
+
+
+def _sym_weights(p: SymParams, lift) -> tuple:
+    """T_k as P_k * G_k^2 over the shared denominator (q^d;q^d)_{n-1}^2, on both sides."""
+    G = _tails(lift, p.d, p.n)
+    w = [P * (G[k] * G[k]) for k, P in enumerate(_pairs(lift, p.r, p.d, p.n))]
+    den = G[0] * G[0]
+    return w, w, den, den
+
+
+def _alpha_weights(p: AlphaParams, lift) -> tuple:
+    """q^(k^2+k) [alpha,k] [-1-alpha,k] over 1, on both sides."""
+    w = [lift(qbinom_int(p.alpha, k)) * lift(qbinom_int(-1 - p.alpha, k)) * lift(qpow(k * k + k))
+         for k in range(p.n)]
+    return w, w, lift(one), lift(one)
+
+
+def _sun_p_weights(p: SymParams, lift) -> tuple:
+    """Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q / (Q;Q)_k over (Q;Q)_{n-1}^3, alpha = -r/d,
+    Q = q^step with step = d on the left and -d on the right: the binomial
+    numerators are the pair products with r -> step*alpha and d -> -step.
+    """
+    def side(step: int) -> tuple:
+        G = _tails(lift, step, p.n)
+        P = _pairs(lift, -p.r if step > 0 else p.r, -step, p.n)
+        w = [P[k] * (G[k] * G[k] * G[k]) * lift(qpow(step * (k * k + k))) for k in range(p.n)]
+        return w, G[0] * G[0] * G[0]
+
+    (wl, lden), (wr, rden) = side(p.d), side(-p.d)
+    return wl, wr, lden, rden
+
+
+# -- the statements -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Statement:
+    """lscale * Sum_k wl_k left_k / (lden * fden)  vs  rscale * Sum_k wr_k right_k / (rden * fden).
+
+    left, right     the entries, full Laurent or bivariate polynomials
+    weights         (p, lift) -> (wl, wr, lden, rden) in the carrier of lift: the
+                    identity for full polynomials, reduce(., n, 2) for residues
+    lscale, rscale  monomials, the sign included
+    fden            the family's common denominator, 1 unless the family is rational
+    """
+
+    p: "SymParams | AlphaParams"
+    weights: Callable
+    left: tuple
+    right: tuple
+    lscale: LaurentPoly
+    rscale: LaurentPoly
+    fden: LaurentPoly = one
+
+
+def _entries(fs, d: int, step: int = 0) -> tuple:
+    """The entries f_k(q^d) * q^(step*k)."""
+    return tuple(_subs(f, d) * qpow(step * k) for k, f in enumerate(fs))
+
+
+def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
+    """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
-    entries = list(seq.entries)
-    return entries, hat(entries), one, _thm_1_1_nums
+    return _Statement(p, _sym_weights, _entries(seq, p.d, p.d), _entries(hat(seq), p.d, p.d),
+                      qpow(p.E), LaurentPoly.const(p.sign))
 
 
-def _thm_1_2_inputs(p: SymParams, seq: PolySeq):
-    """The same for Theorem 1.2; a rational sequence is rewritten over a common
-    denominator first, which then multiplies the shared T_k denominator."""
+def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
+    """Sum T_k f_k(q^d)  vs  sign * q^E * Sum T_k tilde(f)_k(q^d).
+
+    A rational sequence is rewritten over a common denominator first, which
+    then multiplies the shared T_k denominator.
+    """
     _require_length(p, seq)
-    if seq.kind == RATIONAL:
-        entries, fden = common_denominator(seq.entries)
-    else:
-        entries, fden = list(seq.entries), one
-    return entries, tilde(entries), fden, _thm_1_2_nums
+    entries, fden = common_denominator(seq.entries) if seq.kind == RATIONAL else (seq, one)
+    return _Statement(p, _sym_weights, _entries(entries, p.d), _entries(tilde(entries), p.d),
+                      one, p.sign * qpow(p.E), _subs(fden, p.d))
 
 
-def _full_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
-    entries, transformed, fden, nums = inputs
-
-    def lift(f, e=0):
-        return _subs(f, p.d) * qpow(e)
-
-    lhs, rhs = nums(p, _sym_weights(p), entries, transformed, lift, qpow)
-    den = _sym_den(p) * lift(fden)
-    return RatExpr(lhs, den), RatExpr(rhs, den)
+def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
+    """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum."""
+    _require(_polynomial(seq.kind))
+    _require_length(p, seq)
+    return _Statement(p, _alpha_weights, tuple(seq), tuple(hat(seq)), p.sign * qpow(p.F), one)
 
 
-def _ring_qpow(n: int):
-    """e -> q^e as a residue mod Phi_n^2."""
-    return lambda e: reduce(qpow(e), n, 2)
+def _sun_p(p: SymParams) -> _Statement:
+    """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
+
+    The entries are (x;q^d)_k and (x q^-d; q^-d)_k = (xq;q)_k at q -> q^-d.
+    """
+    _require(_odd_n(p.n))
+    left = tuple(qpoch_x(0, k).subs_power(p.d) for k in range(p.n))
+    right = tuple(qpoch_x(1, k).subs_power(-p.d) for k in range(p.n))
+    return _Statement(p, _sun_p_weights, left, right, one, p.sign * qpow(p.E))
+
+
+def _sum(weights, entries):
+    """Sum_k entries[k] * weights[k]."""
+    terms = [f * w for w, f in zip(weights, entries)]
+    return sum(terms[1:], terms[0])
+
+
+def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
+    wl, wr, lden, rden = st.weights(st.p, lambda f: f)
+    return (RatExpr(_sum(wl, st.left) * st.lscale, lden * st.fden),
+            RatExpr(_sum(wr, st.right) * st.rscale, rden * st.fden))
 
 
 @lru_cache(maxsize=4)
-def _ring_weights(p: SymParams) -> tuple:
-    """_sym_weights and _sym_den mod Phi_n^2, kept across the families of a cell."""
-    rq = _ring_qpow(p.n)
-    return _sym_weights(p, rq), _sym_den(p, rq)
+def _ring_weights(weights, p) -> tuple:
+    """The weights mod Phi_n^2, kept across the families of a cell."""
+    return weights(p, partial(reduce, n=p.n, m=2))
 
 
-def _x_coeff(f, j: int):
-    """The coefficient of x^j in a univariate or bivariate entry."""
-    if isinstance(f, BiPoly):
-        return f.coeff(j)
-    return f if j == 0 else zero
-
-
-def _ring_sides(p: SymParams, inputs) -> tuple[RatExpr, RatExpr]:
+def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     """The sides assembled in Q[q]/(Phi_n^2).
 
-    Numerators and denominator are replaced by their canonical residues, so
-    the verdict and the residual are those of the full sides.
+    Numerators and denominators are replaced by their canonical residues, so
+    the verdict and the residual are those of the full sides.  A side is
+    linear in its entries, so bivariate entries are summed per x-degree.
     """
-    entries, transformed, fden, nums = inputs
-    n, d = p.n, p.d
-    weights, den = _ring_weights(p)
-    rq = _ring_qpow(n)
+    def lift(f):  # a constant stays a scalar, which multiplies a residue coefficient-wise
+        c = f.coeff(0)
+        return c if f == c else reduce(f, st.p.n, 2)
 
-    def lift(f, e=0):
-        return reduce(_subs(f, d).shift(e), n, 2)
+    wl, wr, lden, rden = _ring_weights(st.weights, st.p)
+    fden = lift(st.fden)
+    lden, rden = lden * fden, rden * fden
+    if not (lden.is_unit() and rden.is_unit()):  # ill-posed: the full sides raise the usual error
+        return _full_sides(st)
 
-    den = den * lift(fden)
-    if not den.is_unit():  # ill-posed: the full sides raise the usual error
-        return _full_sides(p, inputs)
-    if not any(isinstance(f, BiPoly) for f in entries):
-        lhs, rhs = nums(p, weights, entries, transformed, lift, rq)
-        return RatExpr(lhs.rep, den.rep), RatExpr(rhs.rep, den.rep)
-    # the sides are linear in the entries, which are summed coefficient-wise in x
-    lhs, rhs = {}, {}
-    for j in sorted({j for f in (*entries, *transformed) if isinstance(f, BiPoly) for j in f.coeffs}):
-        at_j = nums(p, weights, [_x_coeff(f, j) for f in entries],
-                    [_x_coeff(f, j) for f in transformed], lift, rq)
-        lhs[j], rhs[j] = (side.rep for side in at_j)
-    return RatExpr(BiPoly(lhs), den.rep), RatExpr(BiPoly(rhs), den.rep)
+    def side(weights, entries, scale):
+        if not any(isinstance(f, BiPoly) for f in entries):
+            return (_sum(weights, [lift(f) for f in entries]) * scale).rep
+        degrees = sorted({j for f in entries if isinstance(f, BiPoly) for j in f.coeffs})
+        entries = [f if isinstance(f, BiPoly) else BiPoly.const(f) for f in entries]
+        return BiPoly({j: side(weights, [f.coeff(j) for f in entries], scale) for j in degrees})
+
+    return (RatExpr(side(wl, st.left, lift(st.lscale)), lden.rep),
+            RatExpr(side(wr, st.right, lift(st.rscale)), rden.rep))
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
-    return _full_sides(p, _thm_1_1_inputs(p, seq))
+    return _full_sides(_thm_1_1(p, seq))
 
 
 def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -361,7 +390,7 @@ def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     Rational families are allowed: the sequence is rewritten over a common
     denominator first, which then multiplies the shared T_k denominator.
     """
-    return _full_sides(p, _thm_1_2_inputs(p, seq))
+    return _full_sides(_thm_1_2(p, seq))
 
 
 def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
@@ -370,53 +399,19 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     Both sides are plain (Laurent or bivariate) polynomials: the q-binomials
     with integer top are Laurent polynomials, so no denominators appear.
     """
-    _require(_polynomial(seq.kind))
-    _require_length(p, seq)
-    hatted = hat(seq)
-    lhs = None
-    rhs = None
-    for k in range(p.n):
-        B = qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k)
-        B = B.shift(k * k + k)
-        tl = seq[k] * B
-        tr = hatted[k] * B
-        lhs = tl if lhs is None else lhs + tl
-        rhs = tr if rhs is None else rhs + tr
-    lhs = lhs * (p.sign * qpow(p.F))
-    return lhs, rhs
+    lhs, rhs = _full_sides(_thm_2_1(p, seq))
+    return lhs.num, rhs.num
 
 
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
     """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
 
-    P_n(alpha, x; Q) = Sum q^(k^2+k maps to Q) [alpha,k]_Q [-1-alpha,k]_Q (x;Q)_k / (Q;Q)_k.
+    P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q (x;Q)_k / (Q;Q)_k.
     With alpha = -r/d every q-exponent is an integer: the binomial
     numerators become ordinary Pochhammer products with step +-d.  Each
     side is built over the denominator (Q;Q)_{n-1}^3.
     """
-    _require(_odd_n(p.n))
-    n, d, r = p.n, p.d, p.r
-
-    def build(step: int) -> tuple[BiPoly, LaurentPoly]:
-        d_alpha = -r if step == d else r  # step * alpha, alpha = -r/d
-        H: list[LaurentPoly] = [one] * n
-        for k in range(n - 2, -1, -1):
-            H[k] = H[k + 1] * (one - qpow(step * (k + 1)))
-        num = None
-        for k in range(n):
-            n1 = qpoch(d_alpha + step * (1 - k), step, k)
-            n2 = qpoch(-d_alpha - step * k, step, k)
-            w = n1 * n2 * (H[k] * H[k] * H[k])
-            w = w.shift(step * (k * k + k))
-            term = qpoch_x(0, k).subs_power(step) * w
-            num = term if num is None else num + term
-        D = qpoch(step, step, n - 1)
-        return num, D * D * D
-
-    lhs_num, lhs_den = build(d)
-    rhs_num, rhs_den = build(-d)
-    rhs_num = rhs_num.scale_x(qpow(-d)) * (p.sign * qpow(p.E))
-    return RatExpr(lhs_num, lhs_den), RatExpr(rhs_num, rhs_den)
+    return _full_sides(_sun_p(p))
 
 
 def _residual_text(lhs, rhs, n: int, m: int) -> str:
@@ -426,8 +421,11 @@ def _residual_text(lhs, rhs, n: int, m: int) -> str:
     return str(res)
 
 
-def _report(check: str, params: dict, p, lhs, rhs, n: int, started: float) -> CheckReport:
-    holds = congruent(lhs, rhs, n, 2)
+def _report(check: str, params: dict, st: _Statement, started: float) -> CheckReport:
+    """Decide a statement on its ring sides and report it."""
+    p = st.p
+    lhs, rhs = _ring_sides(st)
+    holds = congruent(lhs, rhs, p.n, 2)
     return CheckReport(
         check=check,
         params=params,
@@ -437,32 +435,29 @@ def _report(check: str, params: dict, p, lhs, rhs, n: int, started: float) -> Ch
         sign=p.sign,
         branch=p.branch,
         wall_time=time.perf_counter() - started,
-        residual=None if holds else _residual_text(lhs, rhs, n, 2),
+        residual=None if holds else _residual_text(lhs, rhs, p.n, 2),
     )
 
 
 def check_thm_1_1(p: SymParams, fam) -> CheckReport:
     started = time.perf_counter()
     seq, label = _resolve_family(fam, p.n)
-    lhs, rhs = _ring_sides(p, _thm_1_1_inputs(p, seq))
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.1", params, p, lhs, rhs, p.n, started)
+    return _report("thm1.1", params, _thm_1_1(p, seq), started)
 
 
 def check_thm_1_2(p: SymParams, fam) -> CheckReport:
     started = time.perf_counter()
     seq, label = _resolve_family(fam, p.n)
-    lhs, rhs = _ring_sides(p, _thm_1_2_inputs(p, seq))
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.2", params, p, lhs, rhs, p.n, started)
+    return _report("thm1.2", params, _thm_1_2(p, seq), started)
 
 
 def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:
     started = time.perf_counter()
     seq, label = _resolve_family(fam, p.n)
-    lhs, rhs = thm_2_1_sides(p, seq)
     params = {"n": p.n, "a": p.a, "s": p.s, "family": label}
-    return _report("thm2.1", params, p, lhs, rhs, p.n, started)
+    return _report("thm2.1", params, _thm_2_1(p, seq), started)
 
 
 def check_s0_identity(n: int, a: int, fam) -> bool:
@@ -507,25 +502,18 @@ def check_guo_zeng(p: SymParams) -> CheckReport:
     """The bivariate instance f_k = x^k, after verifying hat(x^k) = (xq;q)_k."""
     started = time.perf_counter()
     seq = generate("monomial_x", p.n)
-    hatted = hat(seq)
     params = {"n": p.n, "d": p.d, "r": p.r, "family": "monomial_x"}
-    for k in range(p.n):
-        if hatted[k] != qpoch_x(1, k):
-            return CheckReport(
-                check="guo_zeng", params=params, holds=False,
-                a=p.a, exponent=p.E, sign=p.sign, branch=p.branch,
-                wall_time=time.perf_counter() - started,
-                residual=f"hat(x^k) != (xq;q)_k at k={k}",
-            )
-    lhs, rhs = _ring_sides(p, _thm_1_1_inputs(p, seq))
-    return _report("guo_zeng", params, p, lhs, rhs, p.n, started)
+    k = next((k for k, h in enumerate(hat(seq)) if h != qpoch_x(1, k)), None)
+    if k is not None:
+        return CheckReport("guo_zeng", params, False, p.a, p.E, p.sign, p.branch,
+                           time.perf_counter() - started, f"hat(x^k) != (xq;q)_k at k={k}")
+    return _report("guo_zeng", params, _thm_1_1(p, seq), started)
 
 
 def check_sun_p_analogue(p: SymParams) -> CheckReport:
     started = time.perf_counter()
-    lhs, rhs = sun_p_sides(p)
     params = {"n": p.n, "d": p.d, "r": p.r, "family": "sun_p_x"}
-    return _report("sun_p", params, p, lhs, rhs, p.n, started)
+    return _report("sun_p", params, _sun_p(p), started)
 
 
 def _binom_frac(alpha: Fraction, k: int) -> Fraction:

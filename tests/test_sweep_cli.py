@@ -8,6 +8,7 @@ import pytest
 
 from qcong import cli
 from qcong.families import FamilySpec
+from qcong.qcalc import qbinom_base, qpoch
 from qcong.sweep import (
     SweepConfig,
     build_config,
@@ -369,3 +370,46 @@ def test_cli_congruent_file_with_a_huge_exponent(tmp_path, capsys):
     assert time.perf_counter() - started < 5
     # q^(5a) == 1 + a*(q^5 - 1) mod Phi_5^2 with a = 2*10^8, already of degree < 8
     assert capsys.readouterr().out == "NOT CONGRUENT\nresidual: -200000000*q^0 + 200000000*q^5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cyclotomic", "100000000"],
+    ["qbinom", "100000000", "2"],
+    ["qbinom", "--", "-1", "100000000"],
+    ["qpoch", "1", "1", "1000"],
+    ["qpoch", "1", "1", "200"],  # degree 20 100
+    ["congruent", "--n", "100000000", "--m", "2", "--lhs", "absent", "--rhs", "absent"],  # files unread
+])
+def test_cli_rejects_an_oversized_request_at_once(argv, capsys):
+    started = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {argv[0]} would span more than {cli.MAX_SPAN} exponents"
+
+
+def test_cli_accepts_a_request_at_the_span_limit(capsys):
+    assert cli.main(["qpoch", str(cli.MAX_SPAN), "1", "1"]) == 0
+    assert capsys.readouterr().out == f"1*q^0 + -1*q^{cli.MAX_SPAN}\n"
+    assert cli.main(["qbinom", "5", "100000000"]) == 0  # k > alpha >= 0: zero, whatever k is
+    assert capsys.readouterr().out == "0\n"
+
+
+def _exponent_span(poly) -> int:
+    return 0 if poly.is_zero() else poly.degree() - poly.valuation()
+
+
+def test_span_bounds_the_qpoch_and_qbinom_results():
+    for r in range(-6, 7):
+        for d in (-3, -2, -1, 1, 2, 3):
+            for k in range(7):
+                poly = qpoch(r, d, k)
+                args = cli.build_parser().parse_args(["qpoch", str(r), str(d), str(k)])
+                assert cli._span(args) >= _exponent_span(poly)
+                if 0 not in range(r, r + k * d, d):  # no factor 1 - q^0
+                    assert cli._span(args) == _exponent_span(poly), (r, d, k)
+    for alpha in range(-6, 11):
+        for k in range(-1, 9):
+            for base in (-2, 1, 3):
+                args = cli.build_parser().parse_args(["qbinom", f"--base={base}", f"{alpha}", f"{k}"])
+                assert cli._span(args) >= _exponent_span(qbinom_base(alpha, k, base)), (alpha, k, base)

@@ -17,8 +17,8 @@ from qcong.theorems import (
     _odd_prime,
     _residual_text,
     _ring_sides,
-    _thm_1_1_inputs,
-    _thm_1_2_inputs,
+    _thm_1_1,
+    _thm_1_2,
     check_classical_sun,
     check_even_sign_fact,
     check_guo_zeng,
@@ -212,12 +212,20 @@ def test_perturbed_family_entry_fails():
 
 RING_CELLS = [(2, 1, 0), (5, 3, 1), (6, 5, 2), (7, 2, -3), (9, 4, 2), (11, 1, 4), (12, 5, -1)]
 RING_FAMILIES = ["ones", "delta:1", "monomial_q:2", "random_poly:5:3", "monomial_x", "sun_p_x"]
+
+
+def _bump_exponent(p, by: int):
+    """p with its exponent (E, or F for Theorem 2.1) moved by `by`."""
+    name = "F" if isinstance(p, AlphaParams) else "E"
+    return dataclasses.replace(p, **{name: getattr(p, name) + by})
+
+
 # the true cell, then the negative controls
 PERTURBATIONS = {
     "true": lambda p: p,
     "flipped sign": lambda p: dataclasses.replace(p, sign=-p.sign),
-    "E+1": lambda p: dataclasses.replace(p, E=p.E + 1),
-    "E-1": lambda p: dataclasses.replace(p, E=p.E - 1),
+    "E+1": lambda p: _bump_exponent(p, 1),
+    "E-1": lambda p: _bump_exponent(p, -1),
 }
 CHECKS_BY_SIDES = [(check_thm_1_1, thm_1_1_sides), (check_thm_1_2, thm_1_2_sides)]
 
@@ -230,21 +238,30 @@ def _full_verdict(lhs, rhs, n):
 @pytest.mark.parametrize("cell", RING_CELLS)
 @pytest.mark.parametrize("name", PERTURBATIONS)
 def test_ring_check_matches_full_sides(cell, name):
-    p = PERTURBATIONS[name](SymParams.create(*cell))
-    failures = 0
+    perturb = PERTURBATIONS[name]
+    p = perturb(SymParams.create(*cell))
+    alpha = perturb(AlphaParams.create(p.n, p.a, cell[2]))  # Theorem 2.1 at s = r
+    failures = dict.fromkeys(["thm1.1", "thm1.2", "thm2.1", "guo_zeng"] + ["sun_p"] * (p.n % 2), 0)
+
+    def compare(rep, sides):
+        assert (rep.holds, rep.residual) == _full_verdict(*sides, p.n), rep.params
+        failures[rep.check] += not rep.holds
+
     for fam in RING_FAMILIES:
         seq = generate(fam, p.n)
         for check, sides in CHECKS_BY_SIDES:
             if check is check_thm_1_1 and seq.kind == RATIONAL:
                 continue
-            rep = check(p, fam)
-            assert (rep.holds, rep.residual) == _full_verdict(*sides(p, seq), p.n), (fam, check)
-            failures += not rep.holds
-    rep = check_guo_zeng(p)
-    assert (rep.holds, rep.residual) == _full_verdict(*thm_1_1_sides(p, generate("monomial_x", p.n)), p.n)
-    failures += not rep.holds
+            compare(check(p, fam), sides(p, seq))
+        if seq.kind != RATIONAL:
+            compare(check_thm_2_1(alpha, fam), thm_2_1_sides(alpha, seq))
+    compare(check_guo_zeng(p), thm_1_1_sides(p, generate("monomial_x", p.n)))
+    if p.n % 2:
+        compare(check_sun_p_analogue(p), sun_p_sides(p))
     if name != "true" and p.n > 2:
-        assert failures, "the perturbation went unnoticed in every family"
+        assert all(failures.values()), f"the perturbation went unnoticed: {failures}"
+    elif name == "true":
+        assert not any(failures.values())
 
 
 @pytest.mark.parametrize("cell", RING_CELLS)
@@ -253,12 +270,12 @@ def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
     p = SymParams.create(*cell)
     seq = generate(fam, p.n)
     if seq.kind == RATIONAL:
-        inputs, sides = _thm_1_2_inputs, thm_1_2_sides
+        statement, sides = _thm_1_2, thm_1_2_sides
     else:
-        inputs, sides = _thm_1_1_inputs, thm_1_1_sides
+        statement, sides = _thm_1_1, thm_1_1_sides
     bump = qpow(cell[2] % p.n) * cyclotomic(p.n) * 3
     verdicts = []
-    for lhs, rhs in (_ring_sides(p, inputs(p, seq)), sides(p, seq)):
+    for lhs, rhs in (_ring_sides(statement(p, seq)), sides(p, seq)):
         bumped = RatExpr(lhs.num + bump * lhs.den, lhs.den)
         verdicts.append(_full_verdict(bumped, rhs, p.n))
     assert verdicts[0] == verdicts[1]
