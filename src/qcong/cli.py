@@ -14,8 +14,8 @@ Expression files for ``congruent`` hold one polynomial per line in the
 canonical text form ("3/2*q^0 + 1*q^3"); a second line, when present, is a
 denominator.  Exit codes: 0 success/holds, 1 check failed, 2 bad usage or
 an ill-posed input (for instance a denominator sharing a factor with the
-modulus, a sweep cell whose check raised, or a cyclotomic, qbinom, qpoch or
-congruent request whose exponent span exceeds MAX_SPAN).
+modulus, a sweep cell whose check raised, or a request whose exponent span
+exceeds MAX_SPAN).
 
 A flag value may be negative, a fraction or a range (``--alpha -3/4``,
 ``--r -2..2``): such a value is attached to its flag before parsing, since
@@ -25,6 +25,7 @@ argparse reads only plain negative numbers as values.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -94,9 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The widest exponent span a cyclotomic, qbinom, qpoch or congruent request
-# may work over.  It bounds memory; near it, on a 2-core host, `qpoch 1 1 199`
-# takes 2.4 s and `qbinom 200 100` 12 s (its exact division is dense).
+# The widest exponent span a request may work over.  It bounds memory, not time:
+# on a 2-core host `qbinom 200 100` takes 12 s (its exact division is dense).
 MAX_SPAN = 20_000
 
 
@@ -110,17 +110,44 @@ def _poch_span(r: int, d: int, k: int) -> int:
     return span
 
 
+def _qbinom_span(alpha: int, k: int) -> int:
+    """The span of [alpha over k]: its numerator (q^(alpha-k+1);q)_k is the widest product."""
+    k = min(k, alpha - k) if alpha >= 0 else k
+    return _poch_span(alpha - k + 1, 1, k)
+
+
+def _transform_span(length: int, family: str) -> int:
+    """C(L+1,4) = C(L,2)(C(L,2)-1)/6, the summed degree j(k-j) of the kernels [k over j],
+    j <= k < L, plus the L*(D+1) dense coefficients of a random_poly:S:D prefix."""
+    length, fam = max(length, 0), FamilySpec.parse(family)
+    return math.comb(length + 1, 4) + length * (fam.args[1] + 1 if fam.name == "random_poly" else 0)
+
+
+# The span of each verify check that does not transform n entries, from its arguments.
+_VERIFY_SPANS = {
+    "lemma-sn": lambda n, s, j: _qbinom_span(s * n, j),
+    "lemma-sn-minus1": lambda n, s, j: _qbinom_span(s * n - 1, j - 1),
+    "even-sign": lambda n: n,  # reduced mod Phi_n, like cyclotomic N
+    "classical": lambda p, alpha, seed, bound: 0,  # p is bounded by MAX_CLASSICAL_P
+}
+
+
 def _span(args: argparse.Namespace) -> int:
     """The exponent span a request works over, from its arguments alone."""
     if args.command == "cyclotomic":  # Phi_n is divided out of q^n - 1
         return args.n
-    if args.command == "qbinom":  # the numerator (q^(alpha-k+1);q)_k is the widest product
-        k = min(args.k, args.alpha - args.k) if args.alpha >= 0 else args.k
-        return abs(args.base) * _poch_span(args.alpha - k + 1, 1, k)
+    if args.command == "qbinom":
+        return abs(args.base) * _qbinom_span(args.alpha, args.k)
     if args.command == "qpoch":
         return _poch_span(args.r, args.d, args.k)
     if args.command == "congruent":  # every term is folded below degree m*n
         return args.n * args.m
+    if args.command == "transform":
+        return _transform_span(args.length, args.family)
+    if args.command == "verify":  # a missing flag spans 0, so _cmd_verify reports it
+        values = {name: getattr(args, name) for name in CHECKS[args.theorem].args}
+        span = _VERIFY_SPANS.get(args.theorem, lambda n, family="ones", **_: _transform_span(n, family))
+        return 0 if None in values.values() else span(**values)
     return 0
 
 

@@ -22,7 +22,6 @@ import csv
 import io
 import itertools
 import json
-import os
 import re
 import sys
 import time
@@ -49,24 +48,10 @@ CONFIG_KEYS = (
     "theorems", "n", "d", "r", "s", "a", "families", "alphas",
     "classical_seeds", "classical_bound", "workers", "output", "format",
 )
-WORKERS_ENV = "QCONG_WORKERS"
 
 DEFAULT_ALPHAS = (Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None or raw == "":
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1")
-    return workers
 
 
 @dataclass
@@ -174,7 +159,8 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
         if cfg.classical_bound < 1:
             raise ValueError("classical_bound must be at least 1")
     workers = single("workers")
-    cfg.workers = int(workers) if workers is not None else default_workers()
+    if workers is not None:
+        cfg.workers = int(workers)
     if cfg.workers < 1:
         raise ValueError("workers must be at least 1")
     output = single("output")

@@ -3,12 +3,13 @@
 Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
 _thm_2_1 or _sun_p; guo_zeng is Theorem 1.1 at f_k = x^k) comparing
 lscale * Sum wl_k left_k / lden with rscale * Sum wr_k right_k / rden mod
-Phi_n^2.  Its weight builder works in the carrier of a lift function:
-_full_sides uses the identity and gives the full polynomials of the public
-*_sides builders, which the negative-control tests perturb; _ring_sides uses
-reduce(., n, 2), so the checks decide in Q[q]/(Phi_n^2) and never form
-anything above degree 2*phi(n).  Ring weights are memoized per (builder,
-params), since the family varies fastest in a sweep.
+Phi_n^2.  _weights builds the weights of each side from an integer spec, in
+the carrier of a lift function: _full_sides uses the identity and gives the
+full polynomials of the public *_sides builders, which the negative-control
+tests perturb; _ring_sides uses reduce(., n, 2), so the checks decide in
+Q[q]/(Phi_n^2) and never form anything above degree 2*phi(n), however large
+the exponents.  Ring weights are memoized per (n, spec), since the family
+varies fastest in a sweep.  The lemma checks decide mod Phi_n.
 
 Parameter conventions:
 
@@ -20,11 +21,6 @@ Parameter conventions:
 
   AlphaParams(n, a, s):  alpha = a + s*n, F = C(a+1,2) + s*n*a - s*C(n,2),
       sign (-1)^a for odd n and (-1)^(a+s) for even n.
-
-The summand weight in Theorems 1.1 and 1.2 is
-T_k = (q^r;q^d)_k (q^(d-r);q^d)_k / (q^d;q^d)_k^2; both sides are built
-over the common denominator (q^d;q^d)_{n-1}^2, turning T_k into the
-polynomial P_k * G_k^2 with G_k the trailing factors of (q^d;q^d)_{n-1}.
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ from typing import Callable
 from .bivariate import BiPoly, RatExpr
 from .congruence import congruent, reduce, residual
 from .families import FamilySpec, generate, random_int_sequence
-from .laurent import LaurentPoly, divides, one, qpow
-from .cyclotomic import cyclotomic
+from .laurent import LaurentPoly, one, qpow
 from .qcalc import qbinom_int, qpoch_x
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, tilde
 
@@ -237,34 +232,14 @@ def _pairs(lift, r: int, d: int, n: int) -> list:
     return P
 
 
-def _sym_weights(p: SymParams, lift) -> tuple:
-    """T_k as P_k * G_k^2 over the shared denominator (q^d;q^d)_{n-1}^2, on both sides."""
-    G = _tails(lift, p.d, p.n)
-    w = [P * (G[k] * G[k]) for k, P in enumerate(_pairs(lift, p.r, p.d, p.n))]
-    den = G[0] * G[0]
-    return w, w, den, den
-
-
-def _alpha_weights(p: AlphaParams, lift) -> tuple:
-    """q^(k^2+k) [alpha,k] [-1-alpha,k] over 1, on both sides."""
-    w = [lift(qbinom_int(p.alpha, k)) * lift(qbinom_int(-1 - p.alpha, k)) * lift(qpow(k * k + k))
-         for k in range(p.n)]
-    return w, w, lift(one), lift(one)
-
-
-def _sun_p_weights(p: SymParams, lift) -> tuple:
-    """Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q / (Q;Q)_k over (Q;Q)_{n-1}^3, alpha = -r/d,
-    Q = q^step with step = d on the left and -d on the right: the binomial
-    numerators are the pair products with r -> step*alpha and d -> -step.
-    """
-    def side(step: int) -> tuple:
-        G = _tails(lift, step, p.n)
-        P = _pairs(lift, -p.r if step > 0 else p.r, -step, p.n)
-        w = [P[k] * (G[k] * G[k] * G[k]) * lift(qpow(step * (k * k + k))) for k in range(p.n)]
-        return w, G[0] * G[0] * G[0]
-
-    (wl, lden), (wr, rden) = side(p.d), side(-p.d)
-    return wl, wr, lden, rden
+def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool) -> tuple:
+    """w_k = Q^(k^2+k if tri) P_k G_k^power over G_0^power, Q = q^step: the weight
+    Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^power of every statement."""
+    G = [math.prod([g] * (power - 1), start=g) for g in _tails(lift, step, n)]
+    w = [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))]
+    if tri:
+        w = [wk * lift(qpow(step * (k * k + k))) for k, wk in enumerate(w)]
+    return w, G[0]
 
 
 # -- the statements -----------------------------------------------------------
@@ -275,14 +250,15 @@ class _Statement:
     """lscale * Sum_k wl_k left_k / (lden * fden)  vs  rscale * Sum_k wr_k right_k / (rden * fden).
 
     left, right     the entries, full Laurent or bivariate polynomials
-    weights         (p, lift) -> (wl, wr, lden, rden) in the carrier of lift: the
-                    identity for full polynomials, reduce(., n, 2) for residues
+    lweights        the specs (r, d, step, power, tri) of _weights for each
+    rweights        side, giving wl, lden and wr, rden in any carrier
     lscale, rscale  monomials, the sign included
     fden            the family's common denominator, 1 unless the family is rational
     """
 
     p: "SymParams | AlphaParams"
-    weights: Callable
+    lweights: tuple
+    rweights: tuple
     left: tuple
     right: tuple
     lscale: LaurentPoly
@@ -299,7 +275,8 @@ def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
-    return _Statement(p, _sym_weights, _entries(seq, p.d, p.d), _entries(hat(seq), p.d, p.d),
+    spec = (p.r, p.d, p.d, 2, False)
+    return _Statement(p, spec, spec, _entries(seq, p.d, p.d), _entries(hat(seq), p.d, p.d),
                       qpow(p.E), LaurentPoly.const(p.sign))
 
 
@@ -311,26 +288,32 @@ def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
     """
     _require_length(p, seq)
     entries, fden = common_denominator(seq.entries) if seq.kind == RATIONAL else (seq, one)
-    return _Statement(p, _sym_weights, _entries(entries, p.d), _entries(tilde(entries), p.d),
+    spec = (p.r, p.d, p.d, 2, False)
+    return _Statement(p, spec, spec, _entries(entries, p.d), _entries(tilde(entries), p.d),
                       one, p.sign * qpow(p.E), _subs(fden, p.d))
 
 
 def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
-    """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum."""
+    """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum, where
+    [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
-    return _Statement(p, _alpha_weights, tuple(seq), tuple(hat(seq)), p.sign * qpow(p.F), one)
+    spec = (p.alpha, -1, 1, 2, True)
+    return _Statement(p, spec, spec, tuple(seq), tuple(hat(seq)), p.sign * qpow(p.F), one)
 
 
 def _sun_p(p: SymParams) -> _Statement:
     """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
 
-    The entries are (x;q^d)_k and (x q^-d; q^-d)_k = (xq;q)_k at q -> q^-d.
+    With Q = q^step, step = +-d, the binomial numerators are the pair products
+    at r -> step*alpha, d -> -step.  The entries are (x;q^d)_k and
+    (x q^-d; q^-d)_k = (xq;q)_k at q -> q^-d.
     """
     _require(_odd_n(p.n))
     left = tuple(qpoch_x(0, k).subs_power(p.d) for k in range(p.n))
     right = tuple(qpoch_x(1, k).subs_power(-p.d) for k in range(p.n))
-    return _Statement(p, _sun_p_weights, left, right, one, p.sign * qpow(p.E))
+    return _Statement(p, (-p.r, -p.d, p.d, 3, True), (p.r, p.d, -p.d, 3, True),
+                      left, right, one, p.sign * qpow(p.E))
 
 
 def _sum(weights, entries):
@@ -340,15 +323,16 @@ def _sum(weights, entries):
 
 
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
-    wl, wr, lden, rden = st.weights(st.p, lambda f: f)
+    built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
+    (wl, lden), (wr, rden) = built[st.lweights], built[st.rweights]
     return (RatExpr(_sum(wl, st.left) * st.lscale, lden * st.fden),
             RatExpr(_sum(wr, st.right) * st.rscale, rden * st.fden))
 
 
 @lru_cache(maxsize=4)
-def _ring_weights(weights, p) -> tuple:
-    """The weights mod Phi_n^2, kept across the families of a cell."""
-    return weights(p, partial(reduce, n=p.n, m=2))
+def _ring_weights(n: int, spec: tuple) -> tuple:
+    """The weights of a spec mod Phi_n^2, kept across the families of a cell."""
+    return _weights(partial(reduce, n=n, m=2), n, *spec)
 
 
 def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
@@ -362,7 +346,7 @@ def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
         c = f.coeff(0)
         return c if f == c else reduce(f, st.p.n, 2)
 
-    wl, wr, lden, rden = _ring_weights(st.weights, st.p)
+    (wl, lden), (wr, rden) = _ring_weights(st.p.n, st.lweights), _ring_weights(st.p.n, st.rweights)
     fden = lift(st.fden)
     lden, rden = lden * fden, rden * fden
     if not (lden.is_unit() and rden.is_unit()):  # ill-posed: the full sides raise the usual error
@@ -396,11 +380,13 @@ def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
 def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum.
 
-    Both sides are plain (Laurent or bivariate) polynomials: the q-binomials
-    with integer top are Laurent polynomials, so no denominators appear.
+    Both sides are plain (Laurent or bivariate) polynomials: the weights are the
+    Laurent polynomials of qbinom_int, not the check's pair products, so these
+    sides are an independent reference for that identity.
     """
-    lhs, rhs = _full_sides(_thm_2_1(p, seq))
-    return lhs.num, rhs.num
+    st = _thm_2_1(p, seq)
+    w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
+    return _sum(w, st.left) * st.lscale, _sum(w, st.right) * st.rscale
 
 
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
@@ -476,7 +462,7 @@ def check_lemma_sn_binom(n: int, s: int, j: int) -> bool:
     _require(_nonzero_s(s))
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, {n - 1}]")
-    return divides(cyclotomic(n), qbinom_int(s * n, j))
+    return reduce(qbinom_int(s * n, j), n).is_zero()
 
 
 def check_lemma_sn_minus1(n: int, s: int, j: int) -> bool:
@@ -486,7 +472,7 @@ def check_lemma_sn_minus1(n: int, s: int, j: int) -> bool:
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, {n - 1}]")
     closed = qpow(-_tri(j)) * (-1 if (j - 1) % 2 else 1)
-    return divides(cyclotomic(n), qbinom_int(s * n - 1, j - 1) - closed)
+    return reduce(qbinom_int(s * n - 1, j - 1) - closed, n).is_zero()
 
 
 def check_even_sign_fact(n: int) -> bool:
@@ -495,7 +481,7 @@ def check_even_sign_fact(n: int) -> bool:
         raise ValueError(_EVEN_N)
     _require(_even_n(n))
     value = qpow(_tri(n)) * (-1 if (n - 1) % 2 else 1) - one
-    return divides(cyclotomic(n), value)
+    return reduce(value, n).is_zero()
 
 
 def check_guo_zeng(p: SymParams) -> CheckReport:

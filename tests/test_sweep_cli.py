@@ -12,7 +12,6 @@ from qcong.qcalc import qbinom_base, qpoch
 from qcong.sweep import (
     SweepConfig,
     build_config,
-    default_workers,
     expand_ints,
     expand_tasks,
     parse_config_text,
@@ -82,22 +81,13 @@ def test_build_config_defaults_and_validation():
         build_config({"theorems": ["1.1"], "n": ["3"], "format": ["yaml"]})
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("QCONG_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("QCONG_WORKERS", "4")
-    assert default_workers() == 4
-    monkeypatch.setenv("QCONG_WORKERS", "zero")
-    with pytest.raises(ValueError):
-        default_workers()
-
-
 def test_config_workers_beats_env(monkeypatch):
+    # the workers key (or --workers) is the only setting; the environment is not read
     monkeypatch.setenv("QCONG_WORKERS", "4")
     cfg = build_config({"theorems": ["1.1"], "n": ["3"], "workers": ["2"]})
     assert cfg.workers == 2
     cfg = build_config({"theorems": ["1.1"], "n": ["3"]})
-    assert cfg.workers == 4
+    assert cfg.workers == 1
 
 
 # -- task expansion and skip accounting --------------------------------------
@@ -413,3 +403,57 @@ def test_span_bounds_the_qpoch_and_qbinom_results():
             for base in (-2, 1, 3):
                 args = cli.build_parser().parse_args(["qbinom", f"--base={base}", f"{alpha}", f"{k}"])
                 assert cli._span(args) >= _exponent_span(qbinom_base(alpha, k, base)), (alpha, k, base)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--kind", "hat", "--family", "ones", "--length", "27"],  # span 20 475
+    ["transform", "--kind", "tilde", "--family", "ones", "--length", "3000"],
+    ["transform", "--kind", "hat", "--family", "random_poly:1:10000", "--length", "5"],
+    ["verify", "thm1.1", "--n", "1000003", "--d", "1", "--r", "1"],
+    ["verify", "thm1.2", "--n", "27", "--d", "1", "--r", "1", "--family", "sun_p_x"],
+    ["verify", "thm2.1", "--n", "100", "--a", "2", "--s", "1"],
+    ["verify", "s0", "--n", "60", "--a", "30"],
+    ["verify", "thm1.1", "--n", "20", "--d", "1", "--r", "1", "--family", "random_poly:1:1000"],
+    ["verify", "guo_zeng", "--n", "27", "--d", "1", "--r", "1"],
+    ["verify", "sun_p", "--n", "27", "--d", "1", "--r", "1"],
+    ["verify", "lemma-sn", "--n", "7", "--s", "100000", "--j", "4"],
+    ["verify", "lemma-sn-minus1", "--n", "7", "--s", "100000", "--j", "4"],
+    ["verify", "even-sign", "--n", "200000"],
+])
+def test_cli_rejects_an_oversized_transform_or_verify_at_once(argv, capsys):
+    started = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {argv[0]} would span more than {cli.MAX_SPAN} exponents"
+
+
+def test_transform_and_verify_spans():
+    def span(*argv):
+        return cli._span(cli.build_parser().parse_args(list(argv)))
+
+    assert span("transform", "--kind=hat", "--family=ones", "--length=26") == 17_550
+    assert span("transform", "--kind=hat", "--family=ones", "--length=27") == 20_475
+    for length in range(-2, 12):  # C(L,2)(C(L,2)-1)/6, the summed degree of [k over j], j <= k < L
+        kernels = sum(j * (k - j) for k in range(length) for j in range(k + 1))
+        assert span("transform", "--kind=tilde", "--family=delta:1", f"--length={length}") == kernels
+        assert span("verify", "thm1.2", "--n", str(length), "--d=1", "--r=0", "--family=sun_p_x") == kernels
+        assert span("verify", "thm1.1", "--n", str(length), "--d=1", "--r=0",
+                    "--family=random_poly:4:3") == kernels + max(length, 0) * 4
+    assert span("verify", "lemma-sn", "--n=5", "--s=2", "--j=3") == span("qbinom", "10", "3")
+    assert span("verify", "lemma-sn-minus1", "--n=5", "--s=-2", "--j=3") == span("qbinom", "--", "-11", "2")
+    assert span("verify", "even-sign", "--n=20000") == 20_000
+    assert span("verify", "classical", "--p=7", "--alpha=1/2") == 0
+    assert span("verify", "thm1.1", "--n=100000") == 0  # --d and --r missing: the usage error comes first
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--kind", "hat", "--family", "ones", "--length", "26"],
+    ["verify", "thm2.1", "--n", "5", "--a", "2", "--s", "1000000"],
+    ["verify", "even-sign", "--n", "20000"],
+])
+def test_cli_accepts_large_transform_and_verify_requests(argv, capsys):
+    started = time.perf_counter()
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - started < 2
+    capsys.readouterr()

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from qcong import theorems
 from qcong.bivariate import RatExpr
 from qcong.congruence import NoncoprimeDenominatorError, congruent
 from qcong.cyclotomic import cyclotomic
 from qcong.families import generate, random_int_sequence
 from qcong.laurent import one, q, qpow
+from qcong.qcalc import qbinom_int, qpoch
 from qcong.theorems import (
     MAX_CLASSICAL_P,
     AlphaParams,
@@ -19,6 +22,7 @@ from qcong.theorems import (
     _ring_sides,
     _thm_1_1,
     _thm_1_2,
+    _weights,
     check_classical_sun,
     check_even_sign_fact,
     check_guo_zeng,
@@ -290,6 +294,61 @@ def test_ring_check_reports_a_noncoprime_family_denominator():
     with pytest.raises(NoncoprimeDenominatorError) as full:
         congruent(*thm_1_2_sides(p, bad), 5, 2)
     assert str(ring.value) == str(full.value)
+
+
+# -- the one weight formula ---------------------------------------------------
+
+# (r, d) -> the (r, d, step, power, tri) spec of each statement side
+SPEC_SHAPES = {
+    "thm1.1/thm1.2/guo_zeng": lambda r, d: (r, d, d, 2, False),
+    "thm2.1": lambda r, d: (r, -1, 1, 2, True),  # r plays alpha
+    "sun_p left": lambda r, d: (-r, -d, d, 3, True),
+    "sun_p right": lambda r, d: (r, d, -d, 3, True),
+}
+
+
+@pytest.mark.parametrize("shape", SPEC_SHAPES)
+def test_weights_are_the_pochhammer_formula(shape):
+    """w_k (Q;Q)_k^power == Q^(k^2+k if tri) (q^r;q^d)_k (q^(d-r);q^d)_k * den."""
+    for n in range(2, 10):
+        for r in (-3, -1, 0, 2, 5):
+            for d in (1, 2, 3):
+                spec = SPEC_SHAPES[shape](r, d)
+                r_, d_, step, power, tri = spec
+                w, den = _weights(lambda f: f, n, *spec)
+                assert len(w) == n
+                for k, wk in enumerate(w):
+                    pairs = qpoch(r_, d_, k) * qpoch(d_ - r_, d_, k)
+                    scale = qpow(step * (k * k + k)) if tri else one
+                    assert wk * qpoch(step, step, k) ** power == scale * pairs * den, (spec, n, k)
+
+
+def test_thm_2_1_weights_are_the_q_binomial_products():
+    """q^(k^2+k) [alpha,k][-1-alpha,k] from qbinom_int equals w_k / den, alpha = a + s*n."""
+    for n in range(2, 10):
+        for a in range(n):
+            for s in range(-3, 4):
+                alpha = a + s * n
+                w, den = _weights(lambda f: f, n, alpha, -1, 1, 2, True)
+                for k, wk in enumerate(w):
+                    binoms = qbinom_int(alpha, k) * qbinom_int(-1 - alpha, k)
+                    assert wk == qpow(k * k + k) * binoms * den, (n, a, s, k)
+
+
+@pytest.mark.parametrize("fam", ["ones", "random_poly:4:2", "monomial_x"])
+def test_thm_2_1_at_a_huge_s_decides_at_once(fam):
+    p = AlphaParams.create(5, 2, 10**6)
+    for name, perturb in PERTURBATIONS.items():
+        started = time.perf_counter()
+        rep = check_thm_2_1(perturb(p), fam)
+        assert time.perf_counter() - started < 1, name
+        assert rep.holds == (name == "true"), name
+
+
+def test_lemmas_detect_a_perturbed_binomial(monkeypatch):
+    monkeypatch.setattr(theorems, "qbinom_int", lambda alpha, k: qbinom_int(alpha, k) + q)
+    assert not check_lemma_sn_binom(5, 1, 2)
+    assert not check_lemma_sn_minus1(5, 1, 2)
 
 
 # -- corollaries and supporting facts ----------------------------------------
