@@ -31,7 +31,7 @@ from .theorems import (
     check_thm_1_2,
     check_thm_2_1,
 )
-from .transforms import PolySeq, common_denominator, hat, hat_tilde_bridge_check, tilde
+from .transforms import PolySeq, common_denominator, hat, tilde
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "gauss_binomial",
     "generate",
     "hat",
-    "hat_tilde_bridge_check",
     "invert",
     "load_config",
     "one",

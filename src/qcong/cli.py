@@ -117,8 +117,9 @@ def _qbinom_span(alpha: int, k: int) -> int:
 
 
 def _transform_span(length: int, family: str) -> int:
-    """C(L+1,4) = C(L,2)(C(L,2)-1)/6, the summed degree j(k-j) of the kernels [k over j],
-    j <= k < L, plus the L*(D+1) dense coefficients of a random_poly:S:D prefix."""
+    """C(L+1,4) = Sum_{k<L} (L-1-k) C(k+1,2), the summed span of the row entries the
+    transform forms before the last column (row_k[m] spans C(k+1,2), m + k < L - 1),
+    plus the L*(D+1) dense coefficients of a random_poly:S:D prefix."""
     length, fam = max(length, 0), FamilySpec.parse(family)
     return math.comb(length + 1, 4) + length * (fam.args[1] + 1 if fam.name == "random_poly" else 0)
 

@@ -9,9 +9,18 @@ LaurentPoly, BiPoly, or RatExpr; rational sequences are first brought to
 a common denominator and transformed on their numerators, which keeps
 denominators from compounding across the sum.
 
+By q-Pascal, [k over j] = [k-1 over j] + q^(k-j) [k-1 over j-1]
+= q^j [k-1 over j] + [k-1 over j-1], so with the shift (Sf)_j = f_(j+1):
+
+hat_k(f)   = hat_(k-1)(f)   - q^k    hat_(k-1)(Sf)
+tilde_k(f) = tilde_(k-1)(f) - q^(-k) tilde_(k-1)(Sf)
+
+One row, row_0 = f and row_k[m] = row_(k-1)[m] - q^(+-k) row_(k-1)[m+1],
+gives output k as row_k[0]: no Gaussian binomial, and no multiplication
+but by the monomial q^(+-k).
+
 The two transforms are exchanged by q -> 1/q: hat(f)_k at 1/q equals
-tilde(g)_k where g_j = f_j(1/q).  hat_tilde_bridge_check verifies that
-relation exactly.
+tilde(g)_k where g_j = f_j(1/q).
 """
 
 from __future__ import annotations
@@ -20,8 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bivariate import BiPoly, RatExpr
-from .laurent import LaurentPoly, divides, exact_div
-from .qcalc import gauss_binomial
+from .laurent import LaurentPoly, divides, exact_div, qpow
 
 UNIVARIATE = "univariate"
 BIVARIATE = "bivariate"
@@ -55,23 +63,14 @@ class PolySeq:
         return iter(self.entries)
 
 
-def _hat_kernel(k: int, j: int) -> LaurentPoly:
-    w = gauss_binomial(k, j).shift(j * (j + 1) // 2)
-    return -w if j % 2 else w
-
-
-def _tilde_kernel(k: int, j: int) -> LaurentPoly:
-    w = gauss_binomial(k, j).shift(j * (j - 1) // 2 - k * j)
-    return -w if j % 2 else w
-
-
-def _apply(kernel, fs: Sequence) -> list:
-    out = []
-    for k in range(len(fs)):
-        acc = kernel(k, 0) * fs[0]
-        for j in range(1, k + 1):
-            acc = acc + kernel(k, j) * fs[j]
-        out.append(acc)
+def _pascal(fs: Sequence, sign: int) -> list:
+    """Outputs 0..L-1 of the recurrence; sign 1 gives hat and -1 tilde."""
+    row = list(fs)
+    out = row[:1]
+    for k in range(1, len(row)):
+        step = qpow(sign * k)
+        row = [a - b * step for a, b in zip(row, row[1:])]
+        out.append(row[0])
     return out
 
 
@@ -101,40 +100,21 @@ def common_denominator(fs: Sequence[RatExpr]) -> tuple[list, LaurentPoly]:
     return nums, den
 
 
-def _transform(kernel, fs):
-    if isinstance(fs, PolySeq):
-        if fs.kind == RATIONAL:
-            nums, den = common_denominator(fs.entries)
-            out = [RatExpr(nm, den) for nm in _apply(kernel, nums)]
-        else:
-            out = _apply(kernel, fs.entries)
-        return PolySeq(tuple(out), fs.kind)
-    fs = list(fs)
-    if fs and isinstance(fs[0], RatExpr):
-        nums, den = common_denominator(fs)
-        return [RatExpr(nm, den) for nm in _apply(kernel, nums)]
-    return _apply(kernel, fs)
+def _transform(fs, sign: int):
+    entries = list(fs)
+    if entries and isinstance(entries[0], RatExpr):
+        nums, den = common_denominator(entries)
+        out = [RatExpr(nm, den) for nm in _pascal(nums, sign)]
+    else:
+        out = _pascal(entries, sign)
+    return PolySeq(tuple(out), fs.kind) if isinstance(fs, PolySeq) else out
 
 
 def hat(fs):
     """The hat transform; accepts a PolySeq or any sequence of entries."""
-    return _transform(_hat_kernel, fs)
+    return _transform(fs, 1)
 
 
 def tilde(fs):
     """The tilde transform; same conventions as hat."""
-    return _transform(_tilde_kernel, fs)
-
-
-def hat_tilde_bridge_check(fs) -> bool:
-    """Exact check that hat(f) at 1/q equals tilde of (f at 1/q), entrywise.
-
-    Univariate sequences only.
-    """
-    entries = list(fs.entries if isinstance(fs, PolySeq) else fs)
-    for f in entries:
-        if not isinstance(f, LaurentPoly):
-            raise TypeError("bridge check is defined for univariate sequences")
-    hatted = _apply(_hat_kernel, entries)
-    flipped = _apply(_tilde_kernel, [f.substitute_power(-1) for f in entries])
-    return all(h.substitute_power(-1) == t for h, t in zip(hatted, flipped))
+    return _transform(fs, -1)

@@ -11,7 +11,6 @@ from qcong.transforms import (
     PolySeq,
     common_denominator,
     hat,
-    hat_tilde_bridge_check,
     tilde,
 )
 
@@ -25,10 +24,20 @@ polys = st.dictionaries(
 
 poly_lists = st.lists(polys, min_size=1, max_size=6)
 
+bipolys = st.dictionaries(st.integers(min_value=0, max_value=3), polys, max_size=3).map(BiPoly)
+rationals = st.builds(RatExpr, polys, st.sampled_from([one, one - q, qpoch(1, 1, 2), one + qpow(3)]))
+entry_lists = st.one_of(
+    poly_lists,
+    st.lists(bipolys, min_size=1, max_size=5),
+    st.lists(rationals, min_size=1, max_size=5),
+)
+
 
 def test_hat_of_ones_is_q_pochhammer():
-    out = hat([one, one, one, one])
-    assert list(out) == [qpoch(1, 1, k) for k in range(4)]
+    ones = [one] * 61
+    assert hat(ones) == [qpoch(1, 1, k) for k in range(61)]
+    assert tilde(ones) == [qpoch(-1, -1, k) for k in range(61)]
+    assert hat([]) == [] and tilde([]) == []
 
 
 def test_tilde_of_ones_small():
@@ -77,12 +86,9 @@ def test_transforms_are_linear(fs, gs, c):
 @settings(max_examples=200)
 @given(poly_lists)
 def test_hat_tilde_bridge(fs):
-    assert hat_tilde_bridge_check(fs)
-
-
-def test_bridge_rejects_bivariate():
-    with pytest.raises(TypeError):
-        hat_tilde_bridge_check([BiPoly.x_power(1)])
+    # q -> 1/q exchanges the transforms: hat(f) at 1/q is tilde of f at 1/q
+    flipped = tilde([f.substitute_power(-1) for f in fs])
+    assert [h.substitute_power(-1) for h in hat(fs)] == flipped
 
 
 @settings(max_examples=100)
@@ -94,13 +100,14 @@ def test_matrix_is_invertible_round_trip(fs):
         assert solve_lower_triangular(M, list(out)) == fs
 
 
-@given(poly_lists)
-def test_matrix_application_agrees(fs):
-    M = transform_matrix("hat", len(fs))
-    out = hat(fs)
+@pytest.mark.parametrize("kind", ["hat", "tilde"])
+@given(entry_lists)
+def test_matrix_application_agrees(kind, fs):
+    M = transform_matrix(kind, len(fs))
+    out = hat(fs) if kind == "hat" else tilde(fs)
     for k in range(len(fs)):
-        acc = LaurentPoly()
-        for j in range(k + 1):
+        acc = M[k][0] * fs[0]
+        for j in range(1, k + 1):
             acc = acc + M[k][j] * fs[j]
         assert acc == out[k]
 
