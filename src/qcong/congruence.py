@@ -43,6 +43,8 @@ __all__ = [
     "invert",
     "congruent",
     "coprime_certify",
+    "dot",
+    "reduce_by_degree",
     "residual",
 ]
 
@@ -85,11 +87,12 @@ class _Ring:
         self.expand = [[(j * n, math.comb(i, j) * (-1) ** (i - j)) for j in range(i + 1)]
                        for i in range(m)]
 
-    def fold(self, p: LaurentPoly) -> list:
-        """Dense coefficients, below degree m*n, of a polynomial == p mod (q^n - 1)^m."""
+    def fold(self, terms) -> list:
+        """Dense coefficients, below degree m*n, of a polynomial == Sum c*q^e mod
+        (q^n - 1)^m, over the (e, c) pairs of terms."""
         n, span = self.n, self.m * self.n
         out = [0] * span
-        for e, c in p.terms.items():
+        for e, c in terms:
             if 0 <= e < span:
                 out[e] += c
                 continue
@@ -114,13 +117,28 @@ class _Ring:
         del vec[dim:]
         return vec
 
-    def mul(self, a: list, b: list) -> list:
+    def dot(self, pairs) -> list:
+        """Sum a*b over the (a, b) pairs of residue lists, divided once.  The zero
+        coefficients of each a are skipped, so the sparser factor goes first."""
         out = [0] * (2 * self.dim - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
+        for a, b in pairs:
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        out[k] += x * y
         return self.divide(out)
+
+    def mul(self, a: list, b: list) -> list:
+        return self.dot(((a, b),))
+
+    def mul_poly(self, a: list, p: LaurentPoly) -> list:
+        """a * p: each term of p shifts a through the fold, then one division.
+        A p with more terms than the ring dimension is reduced first."""
+        terms = p.terms
+        if len(terms) > self.dim:
+            return self.mul(self.divide(self.fold(terms.items())), a)
+        return self.divide(self.fold((i + e, x * c) for e, c in terms.items()
+                                     for i, x in enumerate(a) if x))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +149,7 @@ def _ring(n: int, m: int) -> _Ring:
 def _reduce_poly(p: LaurentPoly, n: int, m: int) -> list:
     """Coefficients of the canonical representative of p mod Phi_n^m: fold, then divide."""
     ring = _ring(n, m)
-    return ring.divide(ring.fold(p))
+    return ring.divide(ring.fold(p.terms.items()))
 
 
 class Residue:
@@ -214,6 +232,8 @@ class Residue:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Residue(self._ring, [x * other for x in self._coeffs])
+        if isinstance(other, LaurentPoly):
+            return Residue(self._ring, self._ring.mul_poly(self._coeffs, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -271,7 +291,19 @@ def _certify_den(den: LaurentPoly, n: int, m: int) -> Residue:
     return res
 
 
-def _lift(num, n: int, m: int) -> dict[int, Residue]:
+def dot(pairs) -> Residue:
+    """Sum a*b over (a, b) pairs of residues mod one Phi_n^m, with one division.
+
+    The zero coefficients of each a are skipped, so the sparser factor goes first.
+    """
+    pairs = [(a._coeffs, b._coeffs, b._ring) for a, b in pairs]
+    ring = pairs[0][2]
+    if any(r is not ring for _, _, r in pairs):
+        raise ValueError("mixed moduli in Residue arithmetic")
+    return Residue(ring, ring.dot((a, b) for a, b, _ in pairs))
+
+
+def reduce_by_degree(num, n: int, m: int) -> dict[int, Residue]:
     """Residues of a numerator by x-degree; a univariate one sits at x^0."""
     if isinstance(num, BiPoly):
         return {j: reduce(c, n, m) for j, c in num.coeffs.items()}
@@ -287,9 +319,9 @@ def _difference(lhs, rhs, n: int, m: int, who: str):
     bivariate = left.is_bivariate() or right.is_bivariate()
     den = _certify_den(left.den, n, m)
     if left.den == right.den:
-        return _lift(left.num - right.num, n, m), den, bivariate
+        return reduce_by_degree(left.num - right.num, n, m), den, bivariate
     rden = _certify_den(right.den, n, m)
-    lnum, rnum = _lift(left.num, n, m), _lift(right.num, n, m)
+    lnum, rnum = reduce_by_degree(left.num, n, m), reduce_by_degree(right.num, n, m)
     zero = reduce(0, n, m)
     diff = {j: lnum.get(j, zero) * rden - rnum.get(j, zero) * den for j in lnum.keys() | rnum.keys()}
     return diff, den * rden, bivariate

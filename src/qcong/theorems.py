@@ -30,10 +30,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
-from .congruence import congruent, reduce, residual
+from .congruence import congruent, dot, reduce, reduce_by_degree, residual
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
 from .qcalc import qbinom_int, qpoch_x
@@ -215,11 +215,11 @@ def _require_length(p, seq: PolySeq) -> None:
 # -- weights, built factor by factor in the carrier of lift ------------------
 
 
-def _tails(lift, step: int, n: int) -> list:
-    """G_k = prod_{j=k+1..n-1} (1 - q^(step*j)) for k < n; G_0 is (q^step;q^step)_{n-1}."""
+def _tails(lift, step: int, n: int, power: int) -> list:
+    """G_k = prod_{j=k+1..n-1} (1 - q^(step*j))^power for k < n; G_0 is (q^step;q^step)_{n-1}^power."""
     G = [lift(one)] * n
     for k in range(n - 2, -1, -1):
-        G[k] = G[k + 1] * lift(one - qpow(step * (k + 1)))
+        G[k] = G[k + 1] * (one - qpow(step * (k + 1))) ** power
     return G
 
 
@@ -228,28 +228,43 @@ def _pairs(lift, r: int, d: int, n: int) -> list:
     P = [lift(one)]
     for k in range(1, n):
         e = d * (k - 1)
-        P.append(P[-1] * lift(one - qpow(r + e)) * lift(one - qpow(d - r + e)))
+        P.append(P[-1] * ((one - qpow(r + e)) * (one - qpow(d - r + e))))
     return P
 
 
 def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool) -> tuple:
-    """w_k = Q^(k^2+k if tri) P_k G_k^power over G_0^power, Q = q^step: the weight
-    Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^power of every statement."""
-    G = [math.prod([g] * (power - 1), start=g) for g in _tails(lift, step, n)]
+    """w_k = Q^(k^2+k if tri) P_k G_k over G_0, Q = q^step: the weight
+    Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^power of every statement.
+
+    Every factor is a sparse polynomial, so a residue carrier multiplies it
+    term by term through the fold; only P_k G_k is a dense product.
+    """
+    G = _tails(lift, step, n, power)
     w = [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))]
     if tri:
-        w = [wk * lift(qpow(step * (k * k + k))) for k, wk in enumerate(w)]
+        w = [wk * qpow(step * (k * k + k)) for k, wk in enumerate(w)]
     return w, G[0]
 
 
 # -- the statements -----------------------------------------------------------
 
 
+class _Side(NamedTuple):
+    """The entries X_k = q^(step*k) T(f)_k(q^d) of a statement side, where T
+    is the identity (t = 0), hat (t = 1) or tilde (t = -1)."""
+
+    entries: tuple
+    t: int
+    d: int
+    step: int
+
+
 @dataclass(frozen=True)
 class _Statement:
-    """lscale * Sum_k wl_k left_k / (lden * fden)  vs  rscale * Sum_k wr_k right_k / (rden * fden).
+    """lscale * Sum_k wl_k L_k / (lden * fden)  vs  rscale * Sum_k wr_k R_k / (rden * fden).
 
-    left, right     the entries, full Laurent or bivariate polynomials
+    left, right     _Side records: the untransformed entries f, full Laurent
+                    or bivariate polynomials, and the L_k, R_k made of them
     lweights        the specs (r, d, step, power, tri) of _weights for each
     rweights        side, giving wl, lden and wr, rden in any carrier
     lscale, rscale  monomials, the sign included
@@ -259,16 +274,11 @@ class _Statement:
     p: "SymParams | AlphaParams"
     lweights: tuple
     rweights: tuple
-    left: tuple
-    right: tuple
+    left: _Side
+    right: _Side
     lscale: LaurentPoly
     rscale: LaurentPoly
     fden: LaurentPoly = one
-
-
-def _entries(fs, d: int, step: int = 0) -> tuple:
-    """The entries f_k(q^d) * q^(step*k)."""
-    return tuple(_subs(f, d) * qpow(step * k) for k, f in enumerate(fs))
 
 
 def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
@@ -276,7 +286,8 @@ def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
     spec = (p.r, p.d, p.d, 2, False)
-    return _Statement(p, spec, spec, _entries(seq, p.d, p.d), _entries(hat(seq), p.d, p.d),
+    fs = tuple(seq)
+    return _Statement(p, spec, spec, _Side(fs, 0, p.d, p.d), _Side(fs, 1, p.d, p.d),
                       qpow(p.E), LaurentPoly.const(p.sign))
 
 
@@ -289,7 +300,8 @@ def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
     _require_length(p, seq)
     entries, fden = common_denominator(seq.entries) if seq.kind == RATIONAL else (seq, one)
     spec = (p.r, p.d, p.d, 2, False)
-    return _Statement(p, spec, spec, _entries(entries, p.d), _entries(tilde(entries), p.d),
+    fs = tuple(entries)
+    return _Statement(p, spec, spec, _Side(fs, 0, p.d, 0), _Side(fs, -1, p.d, 0),
                       one, p.sign * qpow(p.E), _subs(fden, p.d))
 
 
@@ -299,21 +311,23 @@ def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
     spec = (p.alpha, -1, 1, 2, True)
-    return _Statement(p, spec, spec, tuple(seq), tuple(hat(seq)), p.sign * qpow(p.F), one)
+    fs = tuple(seq)
+    return _Statement(p, spec, spec, _Side(fs, 0, 1, 0), _Side(fs, 1, 1, 0),
+                      p.sign * qpow(p.F), one)
 
 
 def _sun_p(p: SymParams) -> _Statement:
     """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
 
     With Q = q^step, step = +-d, the binomial numerators are the pair products
-    at r -> step*alpha, d -> -step.  The entries are (x;q^d)_k and
-    (x q^-d; q^-d)_k = (xq;q)_k at q -> q^-d.
+    at r -> step*alpha, d -> -step.  The entries are (x;q)_k at q -> q^d and
+    (xq;q)_k at q -> q^-d, which is (x q^-d; q^-d)_k.
     """
     _require(_odd_n(p.n))
-    left = tuple(qpoch_x(0, k).subs_power(p.d) for k in range(p.n))
-    right = tuple(qpoch_x(1, k).subs_power(-p.d) for k in range(p.n))
+    left = tuple(qpoch_x(0, k) for k in range(p.n))
+    right = tuple(qpoch_x(1, k) for k in range(p.n))
     return _Statement(p, (-p.r, -p.d, p.d, 3, True), (p.r, p.d, -p.d, 3, True),
-                      left, right, one, p.sign * qpow(p.E))
+                      _Side(left, 0, p.d, 0), _Side(right, 0, -p.d, 0), one, p.sign * qpow(p.E))
 
 
 def _sum(weights, entries):
@@ -322,11 +336,18 @@ def _sum(weights, entries):
     return sum(terms[1:], terms[0])
 
 
+def _expand(side: _Side) -> tuple:
+    """The entries q^(step*k) T(f)_k(q^d) of a side, as full polynomials."""
+    fs = (hat if side.t == 1 else tilde)(side.entries) if side.t else side.entries
+    return tuple(_subs(f, side.d) * qpow(side.step * k) if side.step else _subs(f, side.d)
+                 for k, f in enumerate(fs))
+
+
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
     (wl, lden), (wr, rden) = built[st.lweights], built[st.rweights]
-    return (RatExpr(_sum(wl, st.left) * st.lscale, lden * st.fden),
-            RatExpr(_sum(wr, st.right) * st.rscale, rden * st.fden))
+    return (RatExpr(_sum(wl, _expand(st.left)) * st.lscale, lden * st.fden),
+            RatExpr(_sum(wr, _expand(st.right)) * st.rscale, rden * st.fden))
 
 
 @lru_cache(maxsize=4)
@@ -335,32 +356,56 @@ def _ring_weights(n: int, spec: tuple) -> tuple:
     return _weights(partial(reduce, n=n, m=2), n, *spec)
 
 
+@lru_cache(maxsize=4)
+def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
+    """The u_j with Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2
+    for every sequence f, kept, like the weights, across the families of a cell.
+
+    At q -> q^d, row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1],
+    and T(f)_k is entry 0 of B_k...B_1 f.  So with v_k = w_k q^(step*k), u is
+    the transposed recurrence run Horner-style from k = n-1 down:
+    y <- B_k^T y + v_(k-1) e_0, where (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].
+    Every product is by a monomial, a shift through the fold.
+    """
+    v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec)[0])]
+    if not t:
+        return tuple(v)
+    y = v[-1:]
+    for k in range(n - 1, 0, -1):
+        c = qpow(t * d * k)
+        y = [y[0] + v[k - 1]] + [a - b * c for a, b in zip(y[1:], y)] + [-(y[-1] * c)]
+    return tuple(y)
+
+
 def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     """The sides assembled in Q[q]/(Phi_n^2).
 
     Numerators and denominators are replaced by their canonical residues, so
     the verdict and the residual are those of the full sides.  A side is
-    linear in its entries, so bivariate entries are summed per x-degree.
+    linear in its entries: per x-degree it is one sum of products of the
+    lifted f_j(q^d) with the kernel u_j, then times the scale monomial.  No
+    entry is transformed, and each f_j(q^d) is lifted once.
     """
-    def lift(f):  # a constant stays a scalar, which multiplies a residue coefficient-wise
-        c = f.coeff(0)
-        return c if f == c else reduce(f, st.p.n, 2)
-
-    (wl, lden), (wr, rden) = _ring_weights(st.p.n, st.lweights), _ring_weights(st.p.n, st.rweights)
-    fden = lift(st.fden)
-    lden, rden = lden * fden, rden * fden
+    n = st.p.n
+    lden = _ring_weights(n, st.lweights)[1] * st.fden
+    rden = _ring_weights(n, st.rweights)[1] * st.fden
     if not (lden.is_unit() and rden.is_unit()):  # ill-posed: the full sides raise the usual error
         return _full_sides(st)
 
-    def side(weights, entries, scale):
-        if not any(isinstance(f, BiPoly) for f in entries):
-            return (_sum(weights, [lift(f) for f in entries]) * scale).rep
-        degrees = sorted({j for f in entries if isinstance(f, BiPoly) for j in f.coeffs})
-        entries = [f if isinstance(f, BiPoly) else BiPoly.const(f) for f in entries]
-        return BiPoly({j: side(weights, [f.coeff(j) for f in entries], scale) for j in degrees})
+    def lift(side):
+        return [reduce_by_degree(_subs(f, side.d), n, 2) for f in side.entries]
 
-    return (RatExpr(side(wl, st.left, lift(st.lscale)), lden.rep),
-            RatExpr(side(wr, st.right, lift(st.rscale)), rden.rep))
+    def side(sd, lifted, spec, scale):
+        u = _ring_kernel(n, spec, sd.t, sd.d, sd.step)
+        sums = {j: (dot((f[j], uk) for f, uk in zip(lifted, u) if j in f) * scale).rep
+                for j in sorted(set().union(*lifted))}
+        return BiPoly(sums) if any(isinstance(f, BiPoly) for f in sd.entries) else sums[0]
+
+    left = lift(st.left)
+    same = st.right.entries is st.left.entries and st.right.d == st.left.d
+    right = left if same else lift(st.right)
+    return (RatExpr(side(st.left, left, st.lweights, st.lscale), lden.rep),
+            RatExpr(side(st.right, right, st.rweights, st.rscale), rden.rep))
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -386,7 +431,7 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     """
     st = _thm_2_1(p, seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return _sum(w, st.left) * st.lscale, _sum(w, st.right) * st.rscale
+    return _sum(w, _expand(st.left)) * st.lscale, _sum(w, _expand(st.right)) * st.rscale
 
 
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
@@ -455,24 +500,45 @@ def check_s0_identity(n: int, a: int, fam) -> bool:
     return lhs == rhs
 
 
+def _poch_mod(n: int, a: int, k: int):
+    """(q^a;q)_k mod Phi_n, one two-term factor (1 - q^(a+i)) at a time."""
+    acc = reduce(one, n)
+    for i in range(k):
+        acc = acc * (one - qpow(a + i))
+    return acc
+
+
 def check_lemma_sn_binom(n: int, s: int, j: int) -> bool:
-    """Phi_n divides [s*n over j]_q for 1 <= j <= n-1, s != 0."""
+    """Phi_n divides [s*n over j]_q for 1 <= j <= n-1, s != 0.
+
+    [s*n, j] = (q^(s*n-j+1);q)_j / (q;q)_j for either sign of s, so once
+    (q;q)_j is certified a unit mod Phi_n, the numerator decides.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     _require(_nonzero_s(s))
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, {n - 1}]")
-    return reduce(qbinom_int(s * n, j), n).is_zero()
+    if not _poch_mod(n, 1, j).is_unit():  # not for j < n: the dense q-binomial then
+        return reduce(qbinom_int(s * n, j), n).is_zero()
+    return _poch_mod(n, s * n - j + 1, j).is_zero()
 
 
 def check_lemma_sn_minus1(n: int, s: int, j: int) -> bool:
-    """[s*n - 1 over j-1]_q == (-1)^(j-1) q^(-C(j,2)) mod Phi_n for 1 <= j <= n-1."""
+    """[s*n - 1 over j-1]_q == (-1)^(j-1) q^(-C(j,2)) mod Phi_n for 1 <= j <= n-1.
+
+    [s*n-1, j-1] = (q^(s*n-j+1);q)_(j-1) / (q;q)_(j-1); with the denominator
+    a unit mod Phi_n, the cross-multiplied difference decides.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must lie in [1, {n - 1}]")
     closed = qpow(-_tri(j)) * (-1 if (j - 1) % 2 else 1)
-    return reduce(qbinom_int(s * n - 1, j - 1) - closed, n).is_zero()
+    den = _poch_mod(n, 1, j - 1)
+    if not den.is_unit():  # not for j < n: the dense q-binomial then
+        return reduce(qbinom_int(s * n - 1, j - 1) - closed, n).is_zero()
+    return (_poch_mod(n, s * n - j + 1, j - 1) - den * closed).is_zero()
 
 
 def check_even_sign_fact(n: int) -> bool:

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import residue_by_long_division
+from helpers import ref_add, ref_mul, residue_by_long_division, terms_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +14,7 @@ from qcong.congruence import (
     _reduce_poly,
     congruent,
     coprime_certify,
+    dot,
     invert,
     reduce,
     residual,
@@ -218,6 +219,36 @@ def test_reduce_poly_matches_long_division(n, m, terms):
     got = _reduce_poly(LaurentPoly(terms), n, m)
     assert len(got) == m * totient(n)
     assert list(got) == residue_by_long_division(terms, n, m)
+
+
+sparse = st.dictionaries(st.integers(min_value=-10**6, max_value=10**6), coefficients, max_size=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3), polys, sparse)
+def test_residue_times_sparse_polynomial_matches_long_division(n, m, a, terms):
+    """The term-by-term product, and the reduce-first one when p has more terms than m*phi(n)."""
+    got = reduce(a, n, m) * LaurentPoly(terms)
+    assert list(got.coeffs) == residue_by_long_division(ref_mul(terms_of(a), terms), n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(polys, sparse), min_size=1, max_size=4),
+)
+def test_dot_matches_long_division(n, m, pairs):
+    got = dot((reduce(a, n, m), reduce(LaurentPoly(b), n, m)) for a, b in pairs)
+    total: dict = {}
+    for a, b in pairs:
+        total = ref_add(total, ref_mul(terms_of(a), b))
+    assert list(got.coeffs) == residue_by_long_division(total, n, m)
+
+
+def test_dot_rejects_mixed_moduli():
+    with pytest.raises(ValueError):
+        dot([(reduce(q, 5, 2), reduce(q, 5, 2)), (reduce(q, 5, 1), reduce(q, 5, 1))])
 
 
 def _closed_form(e: int, n: int, m: int) -> LaurentPoly:

@@ -4,13 +4,16 @@ import time
 from fractions import Fraction
 
 import pytest
+from helpers import transform_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcong import theorems
-from qcong.bivariate import RatExpr
-from qcong.congruence import NoncoprimeDenominatorError, congruent
+from qcong.bivariate import BiPoly, RatExpr
+from qcong.congruence import NoncoprimeDenominatorError, congruent, reduce, reduce_by_degree
 from qcong.cyclotomic import cyclotomic
 from qcong.families import generate, random_int_sequence
-from qcong.laurent import one, q, qpow
+from qcong.laurent import LaurentPoly, one, q, qpow
 from qcong.qcalc import qbinom_int, qpoch
 from qcong.theorems import (
     MAX_CLASSICAL_P,
@@ -19,9 +22,11 @@ from qcong.theorems import (
     SymParams,
     _odd_prime,
     _residual_text,
+    _ring_kernel,
     _ring_sides,
     _thm_1_1,
     _thm_1_2,
+    _subs,
     _weights,
     check_classical_sun,
     check_even_sign_fact,
@@ -38,7 +43,7 @@ from qcong.theorems import (
     thm_1_2_sides,
     thm_2_1_sides,
 )
-from qcong.transforms import RATIONAL, PolySeq, UNIVARIATE
+from qcong.transforms import RATIONAL, PolySeq, UNIVARIATE, common_denominator
 
 # -- parameter derivation ----------------------------------------------------
 
@@ -335,6 +340,49 @@ def test_thm_2_1_weights_are_the_q_binomial_products():
                     assert wk == qpow(k * k + k) * binoms * den, (n, a, s, k)
 
 
+small_polys = st.dictionaries(
+    st.integers(min_value=-4, max_value=6), st.integers(min_value=-9, max_value=9), max_size=3
+).map(LaurentPoly)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n, spec, t, d, step, entries): Laurent, bivariate or common-denominator entries."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=5).filter(lambda d: math.gcd(n, d) == 1))
+    spec = SPEC_SHAPES[draw(st.sampled_from(sorted(SPEC_SHAPES)))](draw(st.integers(-3, 5)), d)
+    kind = draw(st.sampled_from(["laurent", "bivariate", "rational"]))
+    if kind == "laurent":
+        entries = draw(st.lists(small_polys, min_size=n, max_size=n))
+    elif kind == "bivariate":
+        rows = st.dictionaries(st.integers(min_value=0, max_value=2), small_polys, max_size=3)
+        entries = [BiPoly(c) for c in draw(st.lists(rows, min_size=n, max_size=n))]
+    else:
+        dens = st.integers(min_value=1, max_value=4).map(lambda i: one - qpow(i))
+        fs = draw(st.lists(st.tuples(small_polys, dens), min_size=n, max_size=n))
+        entries, _ = common_denominator([RatExpr(num, den) for num, den in fs])
+    return n, spec, draw(st.sampled_from([-1, 0, 1])), d, draw(st.sampled_from([0, d])), entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_ring_kernel_is_the_transposed_transform(case):
+    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, T from the matrix."""
+    n, spec, t, d, step, entries = case
+    w, _ = _weights(lambda f: f, n, *spec)
+    matrix = transform_matrix("hat" if t == 1 else "tilde", n) if t else None
+    total = LaurentPoly()
+    for k in range(n):
+        tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly()) if t else entries[k]
+        total = _subs(tk, d) * qpow(step * k) * w[k] + total
+    u = _ring_kernel(n, spec, t, d, step)
+    lifted = [reduce_by_degree(_subs(f, d), n, 2) for f in entries]
+    expected = reduce_by_degree(total, n, 2)
+    for j in set(expected) | set().union(*lifted):
+        got = sum((f[j] * uk for f, uk in zip(lifted, u) if j in f), reduce(0, n, 2))
+        assert got == expected.get(j, reduce(0, n, 2)), (j, case)
+
+
 @pytest.mark.parametrize("fam", ["ones", "random_poly:4:2", "monomial_x"])
 def test_thm_2_1_at_a_huge_s_decides_at_once(fam):
     p = AlphaParams.create(5, 2, 10**6)
@@ -346,9 +394,30 @@ def test_thm_2_1_at_a_huge_s_decides_at_once(fam):
 
 
 def test_lemmas_detect_a_perturbed_binomial(monkeypatch):
+    """Both lemma checks read the binomial as numerator / (q;q)_k, by _poch_mod
+    at a = 1 for the denominator; a q added to the numerator must fail them.
+    A denominator that is not a unit sends them to the dense qbinom_int."""
+    poch = theorems._poch_mod
+    monkeypatch.setattr(theorems, "_poch_mod", lambda n, a, k: poch(n, a, k) + (q if a != 1 else 0))
+    assert not check_lemma_sn_binom(5, 1, 2)
+    assert not check_lemma_sn_minus1(5, 1, 2)
+    monkeypatch.setattr(theorems, "_poch_mod", lambda n, a, k: reduce(0, n) if a == 1 else poch(n, a, k) + q)
+    assert check_lemma_sn_binom(5, 1, 2)
+    assert check_lemma_sn_minus1(5, 1, 2)
     monkeypatch.setattr(theorems, "qbinom_int", lambda alpha, k: qbinom_int(alpha, k) + q)
     assert not check_lemma_sn_binom(5, 1, 2)
     assert not check_lemma_sn_minus1(5, 1, 2)
+
+
+def test_lemmas_match_the_dense_q_binomial():
+    """The ring route against reduce(qbinom_int) for every j, n 2..13, s in {-3, -1, 1, 2}."""
+    for n in range(2, 14):
+        for s in (-3, -1, 1, 2):
+            for j in range(1, n):
+                closed = qpow(-(j * (j - 1) // 2)) * (-1) ** (j - 1)
+                assert check_lemma_sn_binom(n, s, j) == reduce(qbinom_int(s * n, j), n).is_zero()
+                holds = reduce(qbinom_int(s * n - 1, j - 1) - closed, n).is_zero()
+                assert check_lemma_sn_minus1(n, s, j) == holds, (n, s, j)
 
 
 # -- corollaries and supporting facts ----------------------------------------
