@@ -13,6 +13,11 @@ This costs O(terms) whatever the exponents, so q^(10^9) and q^(-10^9)
 never become dense lists.  Then one dense division by Phi_n^m, of length
 at most max(m*n, 2*m*phi(n) - 1), leaves the canonical representative.
 
+A residue times a sparse Laurent polynomial goes the same way: every
+product of a coefficient with a term is folded, then divided once, so a
+factor such as 1 - q^e or a monomial costs O(m*phi(n)) terms and no dense
+product.  dot sums products of residues with a single division.
+
 The working ring for rational inputs is Q[q] localized at polynomials
 coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
 Phi_n^m there exactly when Phi_n^m divides u, so a congruence of two RatExpr

@@ -2,14 +2,23 @@
 
 Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
 _thm_2_1 or _sun_p; guo_zeng is Theorem 1.1 at f_k = x^k) comparing
-lscale * Sum wl_k left_k / lden with rscale * Sum wr_k right_k / rden mod
-Phi_n^2.  _weights builds the weights of each side from an integer spec, in
-the carrier of a lift function: _full_sides uses the identity and gives the
-full polynomials of the public *_sides builders, which the negative-control
-tests perturb; _ring_sides uses reduce(., n, 2), so the checks decide in
-Q[q]/(Phi_n^2) and never form anything above degree 2*phi(n), however large
-the exponents.  Ring weights are memoized per (n, spec), since the family
-varies fastest in a sweep.  The lemma checks decide mod Phi_n.
+lscale * Sum wl_k L_k / lden with rscale * Sum wr_k R_k / rden mod Phi_n^2.
+Each side keeps its untransformed entries f and how it uses them, as
+(entries, t, d, step): X_k = q^(step*k) T(f)_k(q^d), with T the identity
+(t = 0), hat (t = 1) or tilde (t = -1).  _weights builds the weights of
+each side from an integer spec, in the carrier of a lift function.
+
+_full_sides expands the sides on full polynomials: the public *_sides
+builders, which the negative-control tests perturb, and the oracle of the
+checks.  The checks decide on _ring_sides in Q[q]/(Phi_n^2), and never form
+anything above degree 2*phi(n), however large the exponents.  A side is
+linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does
+not depend on f: _ring_kernel runs the q-Pascal recurrence of hat and tilde
+transposed on the ring weights, with monomial shifts only.  Ring weights
+(per (n, spec)) and kernels (per (n, spec, t, d, step)) are memoized, since
+the family varies fastest in a sweep; a check lifts each f_j(q^d) once and
+transforms nothing.  The
+lemma checks decide mod Phi_n on Pochhammer products, one factor at a time.
 
 Parameter conventions:
 
@@ -216,7 +225,8 @@ def _require_length(p, seq: PolySeq) -> None:
 
 
 def _tails(lift, step: int, n: int, power: int) -> list:
-    """G_k = prod_{j=k+1..n-1} (1 - q^(step*j))^power for k < n; G_0 is (q^step;q^step)_{n-1}^power."""
+    """G_k = prod_{j=k+1..n-1} (1 - q^(step*j))^power for k < n, so that
+    G_0 is (q^step;q^step)_{n-1}^power."""
     G = [lift(one)] * n
     for k in range(n - 2, -1, -1):
         G[k] = G[k + 1] * (one - qpow(step * (k + 1))) ** power

@@ -225,7 +225,8 @@ sparse = st.dictionaries(st.integers(min_value=-10**6, max_value=10**6), coeffic
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3), polys, sparse)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3),
+       polys, sparse)
 def test_residue_times_sparse_polynomial_matches_long_division(n, m, a, terms):
     """The term-by-term product, and the reduce-first one when p has more terms than m*phi(n)."""
     got = reduce(a, n, m) * LaurentPoly(terms)

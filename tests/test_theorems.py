@@ -373,7 +373,9 @@ def test_ring_kernel_is_the_transposed_transform(case):
     matrix = transform_matrix("hat" if t == 1 else "tilde", n) if t else None
     total = LaurentPoly()
     for k in range(n):
-        tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly()) if t else entries[k]
+        tk = entries[k]
+        if t:
+            tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
         total = _subs(tk, d) * qpow(step * k) * w[k] + total
     u = _ring_kernel(n, spec, t, d, step)
     lifted = [reduce_by_degree(_subs(f, d), n, 2) for f in entries]
@@ -398,10 +400,17 @@ def test_lemmas_detect_a_perturbed_binomial(monkeypatch):
     at a = 1 for the denominator; a q added to the numerator must fail them.
     A denominator that is not a unit sends them to the dense qbinom_int."""
     poch = theorems._poch_mod
-    monkeypatch.setattr(theorems, "_poch_mod", lambda n, a, k: poch(n, a, k) + (q if a != 1 else 0))
+
+    def bumped(n, a, k):
+        return poch(n, a, k) + (q if a != 1 else 0)
+
+    def no_unit(n, a, k):
+        return reduce(0, n) if a == 1 else poch(n, a, k) + q
+
+    monkeypatch.setattr(theorems, "_poch_mod", bumped)
     assert not check_lemma_sn_binom(5, 1, 2)
     assert not check_lemma_sn_minus1(5, 1, 2)
-    monkeypatch.setattr(theorems, "_poch_mod", lambda n, a, k: reduce(0, n) if a == 1 else poch(n, a, k) + q)
+    monkeypatch.setattr(theorems, "_poch_mod", no_unit)
     assert check_lemma_sn_binom(5, 1, 2)
     assert check_lemma_sn_minus1(5, 1, 2)
     monkeypatch.setattr(theorems, "qbinom_int", lambda alpha, k: qbinom_int(alpha, k) + q)
