@@ -25,7 +25,11 @@ is decided on residues: numerators and denominators are reduced first and
 only then cross-multiplied (or merely subtracted when the denominators
 coincide).  A denominator is certified coprime to Phi_n by its residue mod
 Phi_n being nonzero.  Residuals and Residue.inverse invert a reduced
-element by the extended Euclidean algorithm against Phi_n^m.
+element by the extended Euclidean algorithm over Z[q] against the monic
+Phi_n^m: the element's denominators are cleared first, every remainder and
+cofactor is kept primitive, and the sequence ends at a constant D, so the
+inverse is an integer cofactor times one rational scale.  A residual
+multiplies by the integer cofactor and applies the scale last.
 
 Bivariate inputs are handled coefficient-wise in x.
 """
@@ -38,7 +42,7 @@ from functools import lru_cache
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
-from .laurent import LaurentPoly, ext_gcd, one
+from .laurent import LaurentPoly
 
 __all__ = [
     "NoncoprimeDenominatorError",
@@ -134,6 +138,9 @@ class _Ring:
         return self.divide(out)
 
     def mul(self, a: list, b: list) -> list:
+        """a*b through dot, with the factor of more zero coefficients first."""
+        if a.count(0) < b.count(0):
+            a, b = b, a
         return self.dot(((a, b),))
 
     def mul_poly(self, a: list, p: LaurentPoly) -> list:
@@ -144,6 +151,58 @@ class _Ring:
             return self.mul(self.divide(self.fold(terms.items())), a)
         return self.divide(self.fold((i + e, x * c) for e, c in terms.items()
                                      for i, x in enumerate(a) if x))
+
+    def inverse(self, a: list) -> tuple:
+        """(s, scale) with s*scale the inverse of the residue list a: s is an
+        integer list, so a product with it does no rational arithmetic until
+        it is scaled.  Raises NotInvertibleError when gcd(a, Phi_n^m) != 1.
+
+        a is scaled by the lcm L of its denominators to an integer
+        polynomial, and the extended Euclidean algorithm runs over Z[q]
+        from (Phi_n^m, L*a), keeping r == s*L*a mod Phi_n^m for each
+        remainder r and its cofactor s.  A pseudo-division step takes r0 to
+        f0*r0 - f1*q^sh*r1 with f0 = |c1|/g, f1 = sign(c1)*c0/g for the
+        leading coefficients c0, c1 and g = gcd(c0, c1), so a leading +-1
+        never rescales; each finished (remainder, cofactor) pair is divided
+        by the gcd of all its coefficients.  The sequence ends at a constant
+        D with s*L*a == D, so scale = L/D.  If it ends at a non-constant r
+        instead, r made monic is the gcd, the power of Phi_n dividing a.
+        """
+        lcm = math.lcm(*(x.denominator for x in a))
+        r1 = [int(x * lcm) for x in a]
+        while r1 and not r1[-1]:
+            r1.pop()
+        r0 = [0] * self.dim + [1]
+        for e, c in self.tail:
+            r0[e] = c
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            c1, top = r1[-1], len(r1)
+            while len(r0) >= top:
+                c0 = r0[-1]
+                g = math.gcd(c0, c1)
+                f0, f1 = abs(c1) // g, (c0 if c1 > 0 else -c0) // g
+                if f0 != 1:
+                    r0 = [f0 * x for x in r0]
+                    s0 = [f0 * x for x in s0]
+                sh = len(r0) - top
+                for i, y in enumerate(r1, sh):
+                    r0[i] -= f1 * y
+                s0.extend([0] * (sh + len(s1) - len(s0)))
+                for i, y in enumerate(s1, sh):
+                    s0[i] -= f1 * y
+                while r0 and not r0[-1]:
+                    r0.pop()
+            g = math.gcd(*r0, *s0)
+            if g != 1:
+                r0 = [x // g for x in r0]
+                s0 = [x // g for x in s0]
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if not r1:
+            gcd = LaurentPoly((e, Fraction(c, r0[-1])) for e, c in enumerate(r0))
+            raise NotInvertibleError(f"not invertible mod Phi_{self.n}^{self.m}, gcd = {gcd}", gcd)
+        scale = Fraction(lcm, r1[0])  # s1 has degree below dim - deg(r0)
+        return s1 + [0] * (self.dim - len(s1)), scale.numerator if scale.denominator == 1 else scale
 
 
 @lru_cache(maxsize=None)
@@ -248,11 +307,8 @@ class Residue:
 
     def inverse(self) -> "Residue":
         """The u with u*self == 1; raises NotInvertibleError when gcd(self, Phi_n^m) != 1."""
-        n, m = self.n, self.m
-        g, u, _ = ext_gcd(self.rep, cyclotomic_power(n, m))
-        if g != one:
-            raise NotInvertibleError(f"not invertible mod Phi_{n}^{m}, gcd = {g}", g)
-        return reduce(u, n, m)
+        s, scale = self._ring.inverse(self._coeffs)
+        return Residue(self._ring, [x * scale for x in s])
 
     def is_unit(self) -> bool:
         """True iff gcd(self, Phi_n) = 1, that is the residue is nonzero mod Phi_n."""
@@ -352,7 +408,12 @@ def residual(lhs, rhs, n: int, m: int):
     when the congruence holds.
     """
     diff, den, bivariate = _difference(lhs, rhs, n, m, "residual")
-    scale = den.inverse()
+    ring = den._ring
+    s, scale = ring.inverse(den._coeffs)
+
+    def times_inverse(r: Residue) -> LaurentPoly:
+        return LaurentPoly((e, c * scale) for e, c in enumerate(ring.mul(r._coeffs, s)))
+
     if bivariate:
-        return {j: (r * scale).rep for j, r in sorted(diff.items()) if not r.is_zero()}
-    return (diff[0] * scale).rep
+        return {j: times_inverse(r) for j, r in sorted(diff.items()) if not r.is_zero()}
+    return times_inverse(diff[0])

@@ -8,7 +8,7 @@ the package cannot hide itself by appearing on both sides of an assert.
 from fractions import Fraction
 from math import factorial
 
-from qcong.laurent import LaurentPoly
+from qcong.laurent import LaurentPoly, ext_gcd
 
 
 def terms_of(p: LaurentPoly) -> dict:
@@ -224,3 +224,19 @@ def residue_by_long_division(terms: dict, n: int, m: int) -> list:
         for i, v in enumerate(power([Fraction(0), Fraction(1)] if e >= 0 else q_inverse, abs(e))):
             total[i] += Fraction(c) * v
     return total
+
+
+def inverse_by_ext_gcd(a: LaurentPoly, n: int, m: int) -> tuple:
+    """(g, u) with g = gcd(a, Phi_n^m) made monic, by the extended Euclidean
+    algorithm over Q (ext_gcd), and, when g == 1, u the coefficients of
+    a^-1 mod Phi_n^m as residue_by_long_division lists them.
+
+    a enters as its residue by long division; Phi_n^m comes from the
+    Moebius product.
+    """
+    modulus = cyclotomic_by_mobius(n) ** m
+    rep = LaurentPoly(enumerate(residue_by_long_division(a.terms, n, m)))
+    g, u, _ = ext_gcd(rep, modulus)
+    if g != LaurentPoly.const(1):
+        return g, None
+    return g, residue_by_long_division(u.terms, n, m)

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import ref_add, ref_mul, residue_by_long_division, terms_of
+from helpers import inverse_by_ext_gcd, ref_add, ref_mul, residue_by_long_division, terms_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +12,7 @@ from qcong.congruence import (
     NoncoprimeDenominatorError,
     NotInvertibleError,
     _reduce_poly,
+    _ring,
     congruent,
     coprime_certify,
     dot,
@@ -19,8 +20,9 @@ from qcong.congruence import (
     reduce,
     residual,
 )
-from qcong.cyclotomic import cyclotomic, totient
+from qcong.cyclotomic import cyclotomic, cyclotomic_power, totient
 from qcong.laurent import LaurentPoly, one, q, qpow
+from qcong.qcalc import qpoch
 
 moduli = st.tuples(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=2))
 
@@ -86,6 +88,62 @@ def test_invert_failures():
 def test_invert_handles_laurent_input():
     u = invert(qpow(-3) * (one - q - qpow(2)), 5, 2)
     assert (u * reduce(qpow(-3) * (one - q - qpow(2)), 5, 2)).rep == one
+
+
+def _times_one_minus_q_powers(scale_factors) -> LaurentPoly:
+    scale, factors = scale_factors
+    out = LaurentPoly.const(scale)
+    for c, e in factors:
+        out = out * (one - qpow(e) * c)
+    return out
+
+
+inverse_inputs = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**4),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).map(LaurentPoly.const),
+    st.dictionaries(st.integers(min_value=-12, max_value=40),
+                    st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=6).map(LaurentPoly),
+    st.tuples(
+        st.integers(min_value=-10**30, max_value=10**30).filter(bool),
+        st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(min_value=1, max_value=40)),
+                 max_size=5),
+    ).map(_times_one_minus_q_powers),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=3), inverse_inputs)
+def test_inverse_matches_euclid_over_q(n, m, a):
+    g, expected = inverse_by_ext_gcd(a if isinstance(a, LaurentPoly) else LaurentPoly.const(a), n, m)
+    if expected is None:
+        with pytest.raises(NotInvertibleError) as info:
+            invert(a, n, m)
+        assert info.value.gcd == g
+        assert str(info.value) == f"not invertible mod Phi_{n}^{m}, gcd = {g}"
+    else:
+        assert list(invert(a, n, m).coeffs) == expected
+
+
+@pytest.mark.parametrize("n", [2, 6, 7, 12, 15])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_non_unit_reports_the_power_of_phi_n_it_shares(n, m):
+    unit = (qpow(5) + 2) * (3 - q)  # no root of unity is a root
+    for v in range(1, m + 2):
+        a = cyclotomic(n) ** v * unit * qpow(-4) * Fraction(-7, 3)
+        gcd = cyclotomic_power(n, min(v, m))
+        with pytest.raises(NotInvertibleError) as info:
+            invert(a, n, m)
+        assert info.value.gcd == gcd == inverse_by_ext_gcd(a, n, m)[0]
+        assert str(info.value) == f"not invertible mod Phi_{n}^{m}, gcd = {gcd}"
+
+
+def test_inverse_of_a_long_denominator_is_fast():
+    den = qpoch(1, 1, 100) * (3 - q + 2 * qpow(5))  # (q;q)_100 * a unit, mod Phi_101^2
+    started = time.perf_counter()
+    u = invert(den, 101, 2)
+    assert time.perf_counter() - started < 5
+    assert (u * reduce(den, 101, 2)).rep == one
 
 
 def test_residue_arithmetic_and_guards():
@@ -250,6 +308,20 @@ def test_dot_matches_long_division(n, m, pairs):
 def test_dot_rejects_mixed_moduli():
     with pytest.raises(ValueError):
         dot([(reduce(q, 5, 2), reduce(q, 5, 2)), (reduce(q, 5, 1), reduce(q, 5, 1))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    polys,
+    st.dictionaries(st.integers(min_value=0, max_value=3), coefficients, max_size=2),
+)
+def test_ring_mul_is_symmetric_in_sparse_and_dense_factors(n, m, a, terms):
+    dense, sparse_factor = _reduce_poly(a, n, m), _reduce_poly(LaurentPoly(terms), n, m)
+    expected = residue_by_long_division(ref_mul(terms_of(a), terms), n, m)
+    ring = _ring(n, m)
+    assert ring.mul(dense, sparse_factor) == ring.mul(sparse_factor, dense) == expected
 
 
 def _closed_form(e: int, n: int, m: int) -> LaurentPoly:

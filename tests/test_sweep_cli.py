@@ -362,6 +362,19 @@ def test_cli_congruent_file_with_a_huge_exponent(tmp_path, capsys):
     assert capsys.readouterr().out == "NOT CONGRUENT\nresidual: -200000000*q^0 + 200000000*q^5\n"
 
 
+def test_cli_congruent_inverts_a_long_denominator_quickly(tmp_path, capsys):
+    # q / (q^7;q^7)_60 against 1 mod Phi_61^2: the denominator has degree 12 810
+    assert cli.main(["qpoch", "7", "7", "60"]) == 0
+    lhs = tmp_path / "lhs.txt"
+    rhs = tmp_path / "rhs.txt"
+    lhs.write_text("1*q^1\n" + capsys.readouterr().out)
+    rhs.write_text("1*q^0\n")
+    started = time.perf_counter()
+    assert cli.main(["congruent", "--n", "61", "--m", "2", "--lhs", str(lhs), "--rhs", str(rhs)]) == 1
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().out.startswith("NOT CONGRUENT\nresidual: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["cyclotomic", "100000000"],
     ["qbinom", "100000000", "2"],
