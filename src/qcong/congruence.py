@@ -138,9 +138,6 @@ class _Ring:
         return self.divide(out)
 
     def mul(self, a: list, b: list) -> list:
-        """a*b through dot, with the factor of more zero coefficients first."""
-        if a.count(0) < b.count(0):
-            a, b = b, a
         return self.dot(((a, b),))
 
     def mul_poly(self, a: list, p: LaurentPoly) -> list:
@@ -306,7 +303,10 @@ class Residue:
     __rmul__ = __mul__
 
     def inverse(self) -> "Residue":
-        """The u with u*self == 1; raises NotInvertibleError when gcd(self, Phi_n^m) != 1."""
+        """The u with u*self == 1, by the extended Euclidean algorithm over Z[q]
+        against Phi_n^m (_Ring.inverse): an integer cofactor times one rational
+        scale.  Raises NotInvertibleError, carrying gcd(self, Phi_n^m) made
+        monic, when that gcd is not 1."""
         s, scale = self._ring.inverse(self._coeffs)
         return Residue(self._ring, [x * scale for x in s])
 
@@ -412,7 +412,9 @@ def residual(lhs, rhs, n: int, m: int):
     s, scale = ring.inverse(den._coeffs)
 
     def times_inverse(r: Residue) -> LaurentPoly:
-        return LaurentPoly((e, c * scale) for e, c in enumerate(ring.mul(r._coeffs, s)))
+        a = r._coeffs  # the factor with more zero coefficients goes first
+        pair = (a, s) if a.count(0) >= s.count(0) else (s, a)
+        return LaurentPoly((e, c * scale) for e, c in enumerate(ring.dot((pair,))))
 
     if bivariate:
         return {j: times_inverse(r) for j, r in sorted(diff.items()) if not r.is_zero()}
