@@ -6,7 +6,6 @@ from .congruence import (
     NotInvertibleError,
     Residue,
     congruent,
-    coprime_certify,
     invert,
     reduce,
     residual,
@@ -63,7 +62,6 @@ __all__ = [
     "check_thm_2_1",
     "common_denominator",
     "congruent",
-    "coprime_certify",
     "cyclotomic",
     "cyclotomic_power",
     "divides",

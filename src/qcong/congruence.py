@@ -26,10 +26,11 @@ only then cross-multiplied (or merely subtracted when the denominators
 coincide).  A denominator is certified coprime to Phi_n by its residue mod
 Phi_n being nonzero.  Residuals and Residue.inverse invert a reduced
 element by the extended Euclidean algorithm over Z[q] against the monic
-Phi_n^m: the element's denominators are cleared first, every remainder and
-cofactor is kept primitive, and the sequence ends at a constant D, so the
-inverse is an integer cofactor times one rational scale.  A residual
-multiplies by the integer cofactor and applies the scale last.
+Phi_n^m (laurent._int_euclid, shared with ext_gcd): the element's
+denominators are cleared first, every remainder and cofactor is kept
+primitive, and the sequence ends at a constant D, so the inverse is an
+integer cofactor times one rational scale.  A residual multiplies by the
+integer cofactor and applies the scale last.
 
 Bivariate inputs are handled coefficient-wise in x.
 """
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _int_euclid
 
 __all__ = [
     "NoncoprimeDenominatorError",
@@ -51,7 +52,6 @@ __all__ = [
     "reduce",
     "invert",
     "congruent",
-    "coprime_certify",
     "dot",
     "reduce_by_degree",
     "residual",
@@ -154,52 +154,20 @@ class _Ring:
         integer list, so a product with it does no rational arithmetic until
         it is scaled.  Raises NotInvertibleError when gcd(a, Phi_n^m) != 1.
 
-        a is scaled by the lcm L of its denominators to an integer
-        polynomial, and the extended Euclidean algorithm runs over Z[q]
-        from (Phi_n^m, L*a), keeping r == s*L*a mod Phi_n^m for each
-        remainder r and its cofactor s.  A pseudo-division step takes r0 to
-        f0*r0 - f1*q^sh*r1 with f0 = |c1|/g, f1 = sign(c1)*c0/g for the
-        leading coefficients c0, c1 and g = gcd(c0, c1), so a leading +-1
-        never rescales; each finished (remainder, cofactor) pair is divided
-        by the gcd of all its coefficients.  The sequence ends at a constant
-        D with s*L*a == D, so scale = L/D.  If it ends at a non-constant r
-        instead, r made monic is the gcd, the power of Phi_n dividing a.
+        laurent._int_euclid runs from (Phi_n^m, L*a), L the lcm of a's
+        denominators, to a last remainder r == s*L*a mod Phi_n^m.  A constant
+        r gives scale = L/r; otherwise r made monic is the gcd, the power of
+        Phi_n dividing a.
         """
-        lcm = math.lcm(*(x.denominator for x in a))
-        r1 = [int(x * lcm) for x in a]
-        while r1 and not r1[-1]:
-            r1.pop()
-        r0 = [0] * self.dim + [1]
+        modulus = [0] * self.dim + [1]
         for e, c in self.tail:
-            r0[e] = c
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            c1, top = r1[-1], len(r1)
-            while len(r0) >= top:
-                c0 = r0[-1]
-                g = math.gcd(c0, c1)
-                f0, f1 = abs(c1) // g, (c0 if c1 > 0 else -c0) // g
-                if f0 != 1:
-                    r0 = [f0 * x for x in r0]
-                    s0 = [f0 * x for x in s0]
-                sh = len(r0) - top
-                for i, y in enumerate(r1, sh):
-                    r0[i] -= f1 * y
-                s0.extend([0] * (sh + len(s1) - len(s0)))
-                for i, y in enumerate(s1, sh):
-                    s0[i] -= f1 * y
-                while r0 and not r0[-1]:
-                    r0.pop()
-            g = math.gcd(*r0, *s0)
-            if g != 1:
-                r0 = [x // g for x in r0]
-                s0 = [x // g for x in s0]
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        if not r1:
-            gcd = LaurentPoly((e, Fraction(c, r0[-1])) for e, c in enumerate(r0))
+            modulus[e] = c
+        lcm, r, s = _int_euclid(modulus, a)
+        if len(r) > 1:
+            gcd = LaurentPoly((e, Fraction(c, r[-1])) for e, c in enumerate(r))
             raise NotInvertibleError(f"not invertible mod Phi_{self.n}^{self.m}, gcd = {gcd}", gcd)
-        scale = Fraction(lcm, r1[0])  # s1 has degree below dim - deg(r0)
-        return s1 + [0] * (self.dim - len(s1)), scale.numerator if scale.denominator == 1 else scale
+        scale = Fraction(lcm, r[0])
+        return s + [0] * (self.dim - len(s)), scale.numerator if scale.denominator == 1 else scale
 
 
 @lru_cache(maxsize=None)
@@ -329,19 +297,6 @@ def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
 def invert(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     """Residue u with u*p == 1 mod Phi_n^m; raises NotInvertibleError otherwise."""
     return reduce(p, n, m).inverse()
-
-
-def coprime_certify(p: LaurentPoly, n: int) -> bool:
-    """True iff gcd(p, Phi_n) = 1.
-
-    Phi_n is irreducible over Q, so the gcd is 1 exactly when Phi_n does
-    not divide p, that is when p is nonzero mod Phi_n.
-    """
-    if not isinstance(p, LaurentPoly):
-        p = LaurentPoly.const(p)
-    if p.is_zero():
-        raise ValueError("coprime_certify requires a nonzero polynomial")
-    return any(_reduce_poly(p, n, 1))
 
 
 def _certify_den(den: LaurentPoly, n: int, m: int) -> Residue:

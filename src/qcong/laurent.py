@@ -10,9 +10,11 @@ Values are immutable after construction and safe to share across threads.
 
 Large products of integer-coefficient polynomials are multiplied by packing
 the coefficients into a single big integer (Kronecker substitution), which
-moves the inner loop into CPython's native bignum multiply.  The sparse
-dict product is kept for small or rational-coefficient operands; the two
-paths are checked against each other in the test suite.
+moves the inner loop into CPython's native bignum multiply; it serves the
+full-polynomial statement sides, not the residue ring.  The sparse dict
+product is kept for small or rational-coefficient operands; the two paths
+are checked against each other in the test suite.  ext_gcd and the ring's
+inverse share one integer remainder sequence, _int_euclid.
 
 The canonical text form sorts terms by ascending exponent and writes every
 coefficient and exponent explicitly, e.g. ``-1*q^-2 + 3/2*q^0 + 1*q^3``.
@@ -21,6 +23,7 @@ The zero polynomial prints as ``0``.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -440,25 +443,70 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return quot
 
 
+def _int_euclid(r0: list, r1: list) -> tuple:
+    """The extended Euclidean algorithm over Z[q] on dense lists, lowest
+    degree first, as a primitive remainder sequence (Collins, "Subresultants
+    and reduced polynomial remainder sequences", JACM 14, 1967).
+
+    r0 is an integer list; r1 is scaled by the lcm L of its denominators.
+    Each remainder r is kept with its cofactor s, r == s*L*r1 mod r0.  A step
+    takes r0 to f0*r0 - f1*q^sh*r1 with f0 = |c1|/g, f1 = sign(c1)*c0/g for
+    the leading coefficients c0, c1 and g = gcd(c0, c1), so a leading +-1
+    never rescales; each finished (remainder, cofactor) pair is divided by
+    the gcd of all its coefficients.  So each remainder is a scalar multiple
+    of the one the Euclidean algorithm over Q takes from (r0, r1).  Returns
+    (L, r, s) for the last nonzero remainder r, a constant or else the gcd
+    up to a scalar, and its cofactor s.
+    """
+    lcm = math.lcm(*(c.denominator for c in r1))
+    r1 = [int(c * lcm) for c in r1]
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        c1, top = r1[-1], len(r1)
+        while len(r0) >= top:
+            c0 = r0[-1]
+            g = math.gcd(c0, c1)
+            f0, f1 = abs(c1) // g, (c0 if c1 > 0 else -c0) // g
+            if f0 != 1:
+                r0 = [f0 * x for x in r0]
+                s0 = [f0 * x for x in s0]
+            sh = len(r0) - top
+            for i, y in enumerate(r1, sh):
+                r0[i] -= f1 * y
+            s0.extend([0] * (sh + len(s1) - len(s0)))
+            for i, y in enumerate(s1, sh):
+                s0[i] -= f1 * y
+            while r0 and not r0[-1]:
+                r0.pop()
+        g = math.gcd(*r0, *s0)
+        if g != 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return (lcm, r1, s1) if r1 else (lcm, r0, s0)
+
+
 def ext_gcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """Extended gcd (g, u, v) with u*a + v*b = g and g monic.
 
     Ordinary polynomials only; at least one operand must be nonzero.
+    _int_euclid runs from the operand of higher degree (a on ties), its
+    denominators cleared, against the other, so it takes the steps of the
+    Euclidean algorithm over Q; it gives g and the second operand's
+    cofactor, and one exact division gives the first's.
     """
     _require_ordinary(a, "ext_gcd")
     _require_ordinary(b, "ext_gcd")
     if a.is_zero() and b.is_zero():
         raise ValueError("ext_gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    u0, u1 = _ONE, _ZERO
-    v0, v1 = _ZERO, _ONE
-    while not r1.is_zero():
-        quot, rem = divrem(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, u0 - quot * u1
-        v0, v1 = v1, v0 - quot * v1
-    lead = r0.leading_coeff()
-    if lead != 1:
-        inv = Fraction(1) / lead
-        r0, u0, v0 = r0 * inv, u0 * inv, v0 * inv
-    return r0, u0, v0
+    swap = a.is_zero() or (not b.is_zero() and b.degree() > a.degree())
+    x, y = (b, a) if swap else (a, b)
+    dx, dy = ([p.coeff(i) for i in range(p.degree() + 1)] if p else [] for p in (x, y))
+    lx = math.lcm(*(c.denominator for c in dx))
+    lcm, r, s = _int_euclid([int(c * lx) for c in dx], dy)
+    g = LaurentPoly((e, Fraction(c, r[-1])) for e, c in enumerate(r))
+    v = LaurentPoly((e, Fraction(c * lcm, r[-1])) for e, c in enumerate(s))
+    u = exact_div(g - v * y, x)
+    return (g, v, u) if swap else (g, u, v)

@@ -8,7 +8,7 @@ the package cannot hide itself by appearing on both sides of an assert.
 from fractions import Fraction
 from math import factorial
 
-from qcong.laurent import LaurentPoly, ext_gcd
+from qcong.laurent import LaurentPoly
 
 
 def terms_of(p: LaurentPoly) -> dict:
@@ -61,6 +61,35 @@ def dense_divmod(num: list, den: list) -> tuple:
     while len(rem) > 1 and rem[-1] == 0:
         rem.pop()
     return quot, rem
+
+
+def dense_sub(a: list, b: list) -> list:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def dense_ext_gcd(a: list, b: list) -> tuple:
+    """(g, u, v) with u*a + v*b = g and g monic: the Euclidean algorithm over
+    Q on ascending coefficient lists, by dense_divmod.  Zero is [0]; a and b
+    must not both be zero."""
+    r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    u0, u1 = [Fraction(1)], [Fraction(0)]
+    v0, v1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        quot, rem = dense_divmod(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, dense_sub(u0, dense_mul(quot, u1))
+        v0, v1 = v1, dense_sub(v0, dense_mul(quot, v1))
+    while r0[-1] == 0:
+        r0.pop()
+    lead = r0[-1]
+    return tuple([c / lead for c in x] for x in (r0, u0, v0))
 
 
 def mobius(n: int) -> int:
@@ -188,9 +217,19 @@ def transform_matrix(kind: str, length: int) -> list:
     ]
 
 
-def _dense(p: LaurentPoly) -> list:
+def dense_of(p: LaurentPoly) -> list:
+    """The coefficients of an ordinary polynomial, lowest degree first; [0] for zero."""
     t = p.terms
-    return [Fraction(t.get(i, 0)) for i in range(max(t) + 1)]
+    return [Fraction(t.get(i, 0)) for i in range(max(t, default=0) + 1)]
+
+
+def phi_power_by_mobius(n: int, m: int) -> list:
+    """The dense coefficients of Phi_n^m, from the Moebius product."""
+    phi = dense_of(cyclotomic_by_mobius(n))
+    out = [Fraction(1)]
+    for _ in range(m):
+        out = dense_mul(out, phi)
+    return out
 
 
 def residue_by_long_division(terms: dict, n: int, m: int) -> list:
@@ -200,10 +239,7 @@ def residue_by_long_division(terms: dict, n: int, m: int) -> list:
     square-and-multiply on dense lists, reduced by dense_divmod after every
     product; negative powers use q^-1 = -(M - M(0)) / (q * M(0)), read off M.
     """
-    phi = _dense(cyclotomic_by_mobius(n))
-    modulus = [Fraction(1)]
-    for _ in range(m):
-        modulus = dense_mul(modulus, phi)
+    modulus = phi_power_by_mobius(n, m)
     dim = len(modulus) - 1
 
     def reduced(a):
@@ -228,15 +264,14 @@ def residue_by_long_division(terms: dict, n: int, m: int) -> list:
 
 def inverse_by_ext_gcd(a: LaurentPoly, n: int, m: int) -> tuple:
     """(g, u) with g = gcd(a, Phi_n^m) made monic, by the extended Euclidean
-    algorithm over Q (ext_gcd), and, when g == 1, u the coefficients of
+    algorithm over Q (dense_ext_gcd), and, when g == 1, u the coefficients of
     a^-1 mod Phi_n^m as residue_by_long_division lists them.
 
     a enters as its residue by long division; Phi_n^m comes from the
     Moebius product.
     """
-    modulus = cyclotomic_by_mobius(n) ** m
-    rep = LaurentPoly(enumerate(residue_by_long_division(a.terms, n, m)))
-    g, u, _ = ext_gcd(rep, modulus)
+    g, u, _ = dense_ext_gcd(residue_by_long_division(a.terms, n, m), phi_power_by_mobius(n, m))
+    g = LaurentPoly(enumerate(g))
     if g != LaurentPoly.const(1):
         return g, None
-    return g, residue_by_long_division(u.terms, n, m)
+    return g, residue_by_long_division(dict(enumerate(u)), n, m)

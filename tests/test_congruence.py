@@ -14,7 +14,6 @@ from qcong.congruence import (
     _reduce_poly,
     _ring,
     congruent,
-    coprime_certify,
     dot,
     invert,
     reduce,
@@ -245,13 +244,11 @@ def test_residual_bivariate_returns_sparse_map():
     assert out[2] == reduce(q, n).rep
 
 
-def test_coprime_certify():
-    assert coprime_certify(one - q, 5)
-    assert coprime_certify(LaurentPoly.const(7), 3)
-    assert not coprime_certify(cyclotomic(5), 5)
-    assert not coprime_certify(cyclotomic(5) * qpow(-2), 5)
-    with pytest.raises(ValueError):
-        coprime_certify(LaurentPoly(), 5)
+def test_is_unit_certifies_coprimality():
+    assert reduce(one - q, 5).is_unit()
+    assert reduce(LaurentPoly.const(7), 3).is_unit()
+    assert not reduce(cyclotomic(5), 5).is_unit()
+    assert not reduce(cyclotomic(5) * qpow(-2), 5).is_unit()
 
 
 def test_modulus_parameter_guards():

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcong.bivariate import BiPoly
+from qcong.congruence import reduce
+from qcong.cyclotomic import cyclotomic_power
 from qcong.laurent import (
     LaurentPoly,
     divides,
@@ -18,7 +21,7 @@ from qcong.laurent import (
     zero,
 )
 
-from helpers import ref_mul, terms_of
+from helpers import dense_ext_gcd, dense_of, ref_mul, terms_of
 
 coeffs = st.one_of(
     st.integers(min_value=-50, max_value=50),
@@ -179,6 +182,50 @@ def test_ext_gcd_bezout(a, b):
     assert u * a + v * b == g
     assert divides(g, a) and divides(g, b)
     assert g.leading_coeff() == 1
+
+
+def _of_degree(d):
+    return st.tuples(st.lists(coeffs, min_size=d, max_size=d), coeffs.filter(bool)).map(
+        lambda t: LaurentPoly(enumerate(t[0] + [t[1]])))
+
+
+ordinary_polys = st.dictionaries(st.integers(min_value=0, max_value=8), coeffs, max_size=6).map(LaurentPoly)
+euclid_pairs = st.tuples(
+    st.one_of(
+        st.tuples(ordinary_polys, ordinary_polys),
+        st.integers(min_value=0, max_value=6).flatmap(lambda d: st.tuples(_of_degree(d), _of_degree(d))),
+    ),
+    st.one_of(st.just(one), ordinary_polys.filter(bool)),
+).map(lambda t: (t[0][0] * t[1], t[0][1] * t[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(euclid_pairs)
+@example((zero, 3 * q + 1))
+@example((Fraction(1, 2) * q, zero))
+@example((q * q + 1, 2 * q * q - 3))
+def test_ext_gcd_matches_the_dense_euclid_over_q(pair):
+    """(g, u, v), exactly, against the Euclidean algorithm over Q on dense lists:
+    zero operands, equal degrees and common factors included."""
+    a, b = pair
+    assume(a or b)
+    expected = dense_ext_gcd(dense_of(a), dense_of(b))
+    assert ext_gcd(a, b) == tuple(LaurentPoly(enumerate(x)) for x in expected)
+
+
+def test_ext_gcd_with_large_coefficients_is_fast():
+    """A residue of 1119 * prod (1 - c*q^e) with c = 10^20 + 7 against Phi_27^3,
+    which the Euclidean algorithm over Q did not finish in 25 s."""
+    p = LaurentPoly.const(1119)
+    for e in (1, 2, 4, 5):
+        p = p * (one - qpow(e) * (10**20 + 7))
+    a, b = reduce(p, 27, 3).rep, cyclotomic_power(27, 3)
+    started = time.perf_counter()
+    g, u, v = ext_gcd(a, b)
+    assert time.perf_counter() - started < 10
+    assert u * a + v * b == g
+    assert g.leading_coeff() == 1
+    assert divides(g, a) and divides(g, b)
 
 
 PARSE_CASES = [
