@@ -31,7 +31,7 @@ import sys
 
 from .bivariate import RatExpr
 from .congruence import congruent, residual
-from .cyclotomic import cyclotomic
+from .cyclotomic import cyclotomic, totient
 from .families import DEFAULT_COEFF_BOUND, FamilySpec, generate
 from .laurent import LaurentPoly
 from .qcalc import qbinom_base, qpoch
@@ -124,8 +124,16 @@ def _transform_span(length: int, family: str) -> int:
     return math.comb(length + 1, 4) + length * (fam.args[1] + 1 if fam.name == "random_poly" else 0)
 
 
+def _horner_span(n: int) -> int:
+    """n x-coefficients of 2*phi(n) each, what a side built by Horner in x holds
+    (theorems._horner); n alone once that passes MAX_SPAN."""
+    return n if n > MAX_SPAN or n < 2 else n * 2 * totient(n)
+
+
 # The span of each verify check that does not transform n entries, from its arguments.
 _VERIFY_SPANS = {
+    "guo_zeng": lambda n, d, r: _horner_span(n),
+    "sun_p": lambda n, d, r: _horner_span(n),
     "lemma-sn": lambda n, s, j: _qbinom_span(s * n, j),
     "lemma-sn-minus1": lambda n, s, j: _qbinom_span(s * n - 1, j - 1),
     "even-sign": lambda n: n,  # reduced mod Phi_n, like cyclotomic N

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bivariate import BiPoly, RatExpr
 from .laurent import LaurentPoly, one, qpow, zero
-from .qcalc import qpoch, qpoch_x
+from .qcalc import qpoch, qpoch_x_prefixes
 from .transforms import BIVARIATE, RATIONAL, UNIVARIATE, PolySeq
 
 DEFAULT_COEFF_BOUND = 9
@@ -135,7 +135,7 @@ def generate(fam: "FamilySpec | str", n: int) -> PolySeq:
     elif name == "monomial_x":
         entries = [BiPoly.x_power(k) for k in range(n)]
     elif name == "sun_p_x":
-        entries = [RatExpr(qpoch_x(0, k) * qpow(k), qpoch(1, 1, k)) for k in range(n)]
+        entries = [RatExpr(px * qpow(k), qpoch(1, 1, k)) for k, px in enumerate(qpoch_x_prefixes(0, n))]
     else:  # unreachable, __post_init__ validated the name
         raise ValueError(f"unknown family {name!r}")
     return PolySeq(tuple(entries), fam.kind)

@@ -46,9 +46,14 @@ def qpoch_x(shift: int, k: int) -> BiPoly:
     """(x*q^shift; q)_k = prod_{j=0..k-1} (1 - x*q^(shift+j)) as a BiPoly."""
     if k < 0:
         raise ValueError("qpoch_x length must be non-negative")
-    acc = BiPoly.const(1)
-    for j in range(k):
-        acc = acc * BiPoly({0: one, 1: -qpow(shift + j)})
+    return qpoch_x_prefixes(shift, k + 1)[k]
+
+
+def qpoch_x_prefixes(shift: int, n: int) -> list[BiPoly]:
+    """(x*q^shift; q)_k for k < n, each one factor times the one before."""
+    acc = [BiPoly.const(1)]
+    for j in range(n - 1):
+        acc.append(acc[-1] * BiPoly({0: one, 1: -qpow(shift + j)}))
     return acc
 
 

@@ -46,7 +46,7 @@ from .bivariate import BiPoly, RatExpr
 from .congruence import congruent, dot, reduce, reduce_by_degree, residual
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
-from .qcalc import qbinom_int, qpoch_x
+from .qcalc import qbinom_int, qpoch, qpoch_x_prefixes
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, tilde
 
 
@@ -262,12 +262,20 @@ def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool) -> 
 
 class _Side(NamedTuple):
     """The entries X_k = q^(step*k) T(f)_k(q^d) of a statement side, where T
-    is the identity (t = 0), hat (t = 1) or tilde (t = -1)."""
+    is the identity (t = 0), hat (t = 1) or tilde (t = -1).
 
-    entries: tuple
+    A side in Pochhammer form stores no entries (entries is None): its f_k
+    is (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
+    rescaled multiplies f_k by q^k (q^(k+1);q)_(n-1-k), which at poch = 0
+    makes the f_k the numerators of sun_p_x over (q;q)_(n-1).
+    """
+
+    entries: "tuple | None"
     t: int
     d: int
     step: int
+    poch: "int | None" = None
+    rescaled: bool = False
 
 
 @dataclass(frozen=True)
@@ -327,9 +335,22 @@ def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
                       p.sign * qpow(p.F), one)
 
 
+_SUN_P_X = FamilySpec("sun_p_x")
+
+
+def _sun_p_x(p: SymParams) -> _Statement:
+    """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
+    Pochhammer form of its numerators over (q;q)_(n-1): the statement
+    _thm_1_2 makes of generate("sun_p_x") by common_denominator."""
+    spec = (p.r, p.d, p.d, 2, False)
+    side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
+    return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E),
+                      qpoch(p.d, p.d, p.n - 1))
+
+
 def _guo_zeng(p: SymParams) -> _Statement:
     """Theorem 1.1 at f_k = x^k, with hat(x^k) = (xq;q)_k as the right entries."""
-    right = _Side(tuple(qpoch_x(1, k) for k in range(p.n)), 0, p.d, p.d)
+    right = _Side(None, 0, p.d, p.d, poch=1)
     return replace(_thm_1_1(p, generate("monomial_x", p.n)), right=right)
 
 
@@ -341,10 +362,9 @@ def _sun_p(p: SymParams) -> _Statement:
     (xq;q)_k at q -> q^-d, which is (x q^-d; q^-d)_k.
     """
     _require(_odd_n(p.n))
-    left = tuple(qpoch_x(0, k) for k in range(p.n))
-    right = tuple(qpoch_x(1, k) for k in range(p.n))
     return _Statement(p, (-p.r, -p.d, p.d, 3, True), (p.r, p.d, -p.d, 3, True),
-                      _Side(left, 0, p.d, 0), _Side(right, 0, -p.d, 0), one, p.sign * qpow(p.E))
+                      _Side(None, 0, p.d, 0, poch=0), _Side(None, 0, -p.d, 0, poch=1),
+                      one, p.sign * qpow(p.E))
 
 
 def _sum(weights, entries):
@@ -353,9 +373,21 @@ def _sum(weights, entries):
     return sum(terms[1:], terms[0])
 
 
-def _expand(side: _Side) -> tuple:
+def _entries(side: _Side, n: int) -> tuple:
+    """The f_k of a side.  A Pochhammer form is expanded by running products;
+    a rescaled one is sun_p_x brought to its common denominator, as
+    _thm_1_2 does, so the H_k of _ring_sides are not built here."""
+    if side.poch is None:
+        return side.entries
+    if side.rescaled:
+        return tuple(common_denominator(generate(_SUN_P_X, n).entries)[0])
+    return tuple(qpoch_x_prefixes(side.poch, n))
+
+
+def _expand(side: _Side, n: int) -> tuple:
     """The entries q^(step*k) T(f)_k(q^d) of a side, as full polynomials."""
-    fs = (hat if side.t == 1 else tilde)(side.entries) if side.t else side.entries
+    fs = _entries(side, n)
+    fs = (hat if side.t == 1 else tilde)(fs) if side.t else fs
     return tuple(_subs(f, side.d) * qpow(side.step * k) if side.step else _subs(f, side.d)
                  for k, f in enumerate(fs))
 
@@ -363,14 +395,25 @@ def _expand(side: _Side) -> tuple:
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
     (wl, lden), (wr, rden) = built[st.lweights], built[st.rweights]
-    return (RatExpr(_sum(wl, _expand(st.left)) * st.lscale, lden * st.fden),
-            RatExpr(_sum(wr, _expand(st.right)) * st.rscale, rden * st.fden))
+    return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * st.lscale, lden * st.fden),
+            RatExpr(_sum(wr, _expand(st.right, st.p.n)) * st.rscale, rden * st.fden))
 
 
 @lru_cache(maxsize=4)
 def _ring_weights(n: int, spec: tuple) -> tuple:
     """The weights of a spec mod Phi_n^2, kept across the families of a cell."""
     return _weights(partial(reduce, n=n, m=2), n, *spec)
+
+
+def _horner(g: list, c: int, e: int) -> list:
+    """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, by Horner in x from the
+    last k down: S <- g_k + (1 - x q^(c + k*e)) S.  Every product is by a
+    monomial, a shift through the fold when the g_k are residues."""
+    y = g[-1:]
+    for k in range(len(g) - 2, -1, -1):
+        m = qpow(c + k * e)
+        y = [y[0] + g[k]] + [a - b * m for a, b in zip(y[1:], y)] + [-(y[-1] * m)]
+    return y
 
 
 @lru_cache(maxsize=4)
@@ -380,18 +423,13 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
 
     At q -> q^d, row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1],
     and T(f)_k is entry 0 of B_k...B_1 f.  So with v_k = w_k q^(step*k), u is
-    the transposed recurrence run Horner-style from k = n-1 down:
+    the transposed recurrence run from k = n-1 down:
     y <- B_k^T y + v_(k-1) e_0, where (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].
-    Every product is by a monomial, a shift through the fold.
+    That is Horner in a variable x that stands for the index m: u_j is the
+    coefficient of x^j in Sum_k v_k (x q^(t*d); q^(t*d))_k.
     """
     v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec)[0])]
-    if not t:
-        return tuple(v)
-    y = v[-1:]
-    for k in range(n - 1, 0, -1):
-        c = qpow(t * d * k)
-        y = [y[0] + v[k - 1]] + [a - b * c for a, b in zip(y[1:], y)] + [-(y[-1] * c)]
-    return tuple(y)
+    return tuple(_horner(v, t * d, t * d) if t else v)
 
 
 def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
@@ -401,7 +439,11 @@ def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     the verdict and the residual are those of the full sides.  A side is
     linear in its entries: per x-degree it is one sum of products of the
     lifted f_j(q^d) with the kernel u_j, then times the scale monomial.  No
-    entry is transformed, and each f_j(q^d) is lifted once.
+    entry is transformed, and each f_j(q^d) is lifted once.  A side in
+    Pochhammer form is Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or
+    u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j) built
+    from the top by sparse factors: _horner gives its x-coefficients, and
+    no entry is formed or lifted.
     """
     n = st.p.n
     lden = _ring_weights(n, st.lweights)[1] * st.fden
@@ -410,10 +452,16 @@ def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
         return _full_sides(st)
 
     def lift(side):
-        return [reduce_by_degree(_subs(f, side.d), n, 2) for f in side.entries]
+        if side.poch is None:
+            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in side.entries]
 
     def side(sd, lifted, spec, scale):
         u = _ring_kernel(n, spec, sd.t, sd.d, sd.step)
+        if sd.poch is not None:
+            if sd.rescaled:
+                H = _tails(partial(reduce, n=n, m=2), sd.d, n, 1)
+                u = [uj * Hj * qpow(sd.d * j) for j, (uj, Hj) in enumerate(zip(u, H))]
+            return BiPoly({j: (s * scale).rep for j, s in enumerate(_horner(u, sd.poch * sd.d, sd.d))})
         sums = {j: (dot((f[j], uk) for f, uk in zip(lifted, u) if j in f) * scale).rep
                 for j in sorted(set().union(*lifted))}
         return BiPoly(sums) if any(isinstance(f, BiPoly) for f in sd.entries) else sums[0]
@@ -448,7 +496,7 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     """
     st = _thm_2_1(p, seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return _sum(w, _expand(st.left)) * st.lscale, _sum(w, _expand(st.right)) * st.rscale
+    return _sum(w, _expand(st.left, p.n)) * st.lscale, _sum(w, _expand(st.right, p.n)) * st.rscale
 
 
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
@@ -495,10 +543,18 @@ def check_thm_1_1(p: SymParams, fam) -> CheckReport:
 
 
 def check_thm_1_2(p: SymParams, fam) -> CheckReport:
+    """The sun_p_x label is decided in Pochhammer form (_sun_p_x): no entry of
+    the family is built.  Every other family, a custom PolySeq of the same
+    entries included, goes through _thm_1_2."""
     started = time.perf_counter()
-    seq, label = _resolve_family(fam, p.n)
+    fam = FamilySpec.parse(fam) if isinstance(fam, str) else fam
+    if fam == _SUN_P_X:
+        st, label = _sun_p_x(p), fam.label()
+    else:
+        seq, label = _resolve_family(fam, p.n)
+        st = _thm_1_2(p, seq)
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.2", params, _thm_1_2(p, seq), started)
+    return _report("thm1.2", params, st, started)
 
 
 def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:

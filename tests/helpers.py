@@ -6,6 +6,7 @@ the package cannot hide itself by appearing on both sides of an assert.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from qcong.laurent import LaurentPoly
@@ -77,15 +78,21 @@ def dense_sub(a: list, b: list) -> list:
 def dense_ext_gcd(a: list, b: list) -> tuple:
     """(g, u, v) with u*a + v*b = g and g monic: the Euclidean algorithm over
     Q on ascending coefficient lists, by dense_divmod.  Zero is [0]; a and b
-    must not both be zero."""
+    must not both be zero.
+
+    Each new remainder is made monic, its cofactors divided alike: the final
+    (g, u, v) is unchanged, and the fractions stay near their reduced size
+    instead of compounding the leading coefficients of every step."""
     r0, r1 = [Fraction(c) for c in a], [Fraction(c) for c in b]
     u0, u1 = [Fraction(1)], [Fraction(0)]
     v0, v1 = [Fraction(0)], [Fraction(1)]
     while any(r1):
         quot, rem = dense_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, dense_sub(u0, dense_mul(quot, u1))
-        v0, v1 = v1, dense_sub(v0, dense_mul(quot, v1))
+        u2, v2 = dense_sub(u0, dense_mul(quot, u1)), dense_sub(v0, dense_mul(quot, v1))
+        if any(rem):
+            lead = rem[-1]
+            rem, u2, v2 = ([c / lead for c in x] for x in (rem, u2, v2))
+        r0, r1, u0, u1, v0, v1 = r1, rem, u1, u2, v1, v2
     while r0[-1] == 0:
         r0.pop()
     lead = r0[-1]
@@ -223,13 +230,24 @@ def dense_of(p: LaurentPoly) -> list:
     return [Fraction(t.get(i, 0)) for i in range(max(t, default=0) + 1)]
 
 
-def phi_power_by_mobius(n: int, m: int) -> list:
-    """The dense coefficients of Phi_n^m, from the Moebius product."""
+@lru_cache(maxsize=None)
+def phi_power_by_mobius(n: int, m: int) -> tuple:
+    """The dense coefficients of Phi_n^m, from the Moebius product; kept per (n, m)."""
     phi = dense_of(cyclotomic_by_mobius(n))
     out = [Fraction(1)]
     for _ in range(m):
         out = dense_mul(out, phi)
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _squarings(n: int, m: int, negative: bool) -> list:
+    """[q^(+-1), q^(+-2), q^(+-4), ...] mod Phi_n^m, the squarings that
+    residue_by_long_division's square-and-multiply uses, kept per (n, m) and
+    extended there as exponents grow.  q^-1 = -(M - M(0)) / (q * M(0)), read
+    off M = Phi_n^m."""
+    modulus = phi_power_by_mobius(n, m)
+    return [[-c / modulus[0] for c in modulus[1:]] if negative else [Fraction(0), Fraction(1)]]
 
 
 def residue_by_long_division(terms: dict, n: int, m: int) -> list:
@@ -237,7 +255,7 @@ def residue_by_long_division(terms: dict, n: int, m: int) -> list:
 
     Phi_n^m comes from the Moebius product.  Each q^e is built by
     square-and-multiply on dense lists, reduced by dense_divmod after every
-    product; negative powers use q^-1 = -(M - M(0)) / (q * M(0)), read off M.
+    product, from the squarings of _squarings.
     """
     modulus = phi_power_by_mobius(n, m)
     dim = len(modulus) - 1
@@ -245,19 +263,21 @@ def residue_by_long_division(terms: dict, n: int, m: int) -> list:
     def reduced(a):
         return dense_divmod(a, modulus)[1]
 
-    def power(base, e):
-        acc = [Fraction(1)]
+    def power(e):
+        squares = _squarings(n, m, e < 0)
+        acc, e, i = [Fraction(1)], abs(e), 0
         while e:
+            if i == len(squares):
+                squares.append(reduced(dense_mul(squares[-1], squares[-1])))
             if e & 1:
-                acc = reduced(dense_mul(acc, base))
-            base = reduced(dense_mul(base, base))
+                acc = reduced(dense_mul(acc, squares[i]))
             e >>= 1
+            i += 1
         return acc
 
-    q_inverse = [-c / modulus[0] for c in modulus[1:]]
     total = [Fraction(0)] * dim
     for e, c in terms.items():
-        for i, v in enumerate(power([Fraction(0), Fraction(1)] if e >= 0 else q_inverse, abs(e))):
+        for i, v in enumerate(power(e)):
             total[i] += Fraction(c) * v
     return total
 

@@ -427,8 +427,9 @@ def test_span_bounds_the_qpoch_and_qbinom_results():
     ["verify", "thm2.1", "--n", "100", "--a", "2", "--s", "1"],
     ["verify", "s0", "--n", "60", "--a", "30"],
     ["verify", "thm1.1", "--n", "20", "--d", "1", "--r", "1", "--family", "random_poly:1:1000"],
-    ["verify", "guo_zeng", "--n", "27", "--d", "1", "--r", "1"],
-    ["verify", "sun_p", "--n", "27", "--d", "1", "--r", "1"],
+    ["verify", "guo_zeng", "--n", "101", "--d", "1", "--r", "1"],  # span 101 * 200 = 20 200
+    ["verify", "sun_p", "--n", "101", "--d", "1", "--r", "1"],
+    ["verify", "sun_p", "--n", "1000000000000000000000000000001", "--d", "1", "--r", "1"],
     ["verify", "lemma-sn", "--n", "7", "--s", "100000", "--j", "4"],
     ["verify", "lemma-sn-minus1", "--n", "7", "--s", "100000", "--j", "4"],
     ["verify", "even-sign", "--n", "200000"],
@@ -453,6 +454,9 @@ def test_transform_and_verify_spans():
         assert span("verify", "thm1.2", "--n", str(length), "--d=1", "--r=0", "--family=sun_p_x") == kernels
         assert span("verify", "thm1.1", "--n", str(length), "--d=1", "--r=0",
                     "--family=random_poly:4:3") == kernels + max(length, 0) * 4
+    for n, phi in ((2, 1), (27, 18), (41, 40), (97, 96), (105, 48), (180, 48)):  # n * 2*phi(n)
+        assert span("verify", "guo_zeng", f"--n={n}", "--d=1", "--r=0") == n * 2 * phi
+        assert span("verify", "sun_p", f"--n={n}", "--d=1", "--r=0") == n * 2 * phi
     assert span("verify", "lemma-sn", "--n=5", "--s=2", "--j=3") == span("qbinom", "10", "3")
     assert span("verify", "lemma-sn-minus1", "--n=5", "--s=-2", "--j=3") == span("qbinom", "--", "-11", "2")
     assert span("verify", "even-sign", "--n=20000") == 20_000
@@ -464,6 +468,8 @@ def test_transform_and_verify_spans():
     ["transform", "--kind", "hat", "--family", "ones", "--length", "26"],
     ["verify", "thm2.1", "--n", "5", "--a", "2", "--s", "1000000"],
     ["verify", "even-sign", "--n", "20000"],
+    ["verify", "guo_zeng", "--n", "41", "--d", "3", "--r", "2"],
+    ["verify", "sun_p", "--n", "41", "--d", "3", "--r", "2"],
 ])
 def test_cli_accepts_large_transform_and_verify_requests(argv, capsys):
     started = time.perf_counter()

@@ -21,9 +21,13 @@ from qcong.theorems import (
     CheckReport,
     SymParams,
     _odd_prime,
+    _full_sides,
+    _guo_zeng,
     _residual_text,
     _ring_kernel,
     _ring_sides,
+    _sun_p,
+    _sun_p_x,
     _thm_1_1,
     _thm_1_2,
     _subs,
@@ -289,6 +293,45 @@ def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
         verdicts.append(_full_verdict(bumped, rhs, p.n))
     assert verdicts[0] == verdicts[1]
     assert not verdicts[0][0]
+
+
+@st.composite
+def horner_cases(draw):
+    """(statement, bumped): a side in Pochhammer form at n <= 15, d coprime to
+    n, r in -5..5, and whether its lhs is bumped by c*q^j*Phi_n at x^i."""
+    n = draw(st.integers(min_value=2, max_value=15))
+    d = draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1))
+    p = SymParams.create(n, d, draw(st.integers(min_value=-5, max_value=5)))
+    statements = [_guo_zeng, _sun_p_x] + [_sun_p] * (n % 2 and n >= 3)
+    st_ = draw(st.sampled_from(statements))(p)
+    bump = None
+    if draw(st.booleans()):
+        c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        j, i = draw(st.integers(min_value=-2 * n, max_value=2 * n)), draw(st.integers(0, n - 1))
+        bump = BiPoly.x_power(i, qpow(j) * cyclotomic(n) * c)
+    return st_, bump
+
+
+@settings(max_examples=40, deadline=None)
+@given(horner_cases())
+def test_horner_sides_match_the_full_sides(case):
+    """guo_zeng, sun_p and thm1.2 sun_p_x decided by Horner in x (_ring_sides)
+    give the verdict and residual string of the same statement on full
+    polynomials (_full_sides: BiPoly entries by running products, transformed
+    by hat or tilde), on the true sides and with the lhs bumped off them.
+    Each ring side is congruent to its full side, so a change that scales
+    both alike is caught too."""
+    st_, bump = case
+    n = st_.p.n
+    ring, full = _ring_sides(st_), _full_sides(st_)
+    assert all(congruent(a, b, n, 2) for a, b in zip(ring, full))
+    verdicts = []
+    for lhs, rhs in (ring, full):
+        if bump is not None:
+            lhs = RatExpr(lhs.num + bump * lhs.den, lhs.den)
+        verdicts.append(_full_verdict(lhs, rhs, n))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == (bump is None)
 
 
 def test_ring_check_reports_a_noncoprime_family_denominator():
