@@ -1,13 +1,15 @@
 """Both sides of each symmetric-congruence statement, assembled and decided.
 
 Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
-_thm_2_1, _guo_zeng or _sun_p; guo_zeng is Theorem 1.1 at f_k = x^k, its
-right entries written out as hat(x^k) = (xq;q)_k) comparing
+_thm_2_1, _sun_p_x, _guo_zeng or _sun_p; guo_zeng is Theorem 1.1 at
+f_k = x^k, its right entries written out as hat(x^k) = (xq;q)_k, and
+_sun_p_x is Theorem 1.2 on the sun_p_x label) comparing
 lscale * Sum wl_k L_k / lden with rscale * Sum wr_k R_k / rden mod Phi_n^2.
 Each side keeps its untransformed entries f and how it uses them, as
 (entries, t, d, step): X_k = q^(step*k) T(f)_k(q^d), with T the identity
 (t = 0), hat (t = 1) or tilde (t = -1).  _weights builds the weights of
-each side from an integer spec, in the carrier of a lift function.
+each side from an integer spec, in the carrier of a lift function.  A side
+in Pochhammer form stores no entries: its f_k(q^d) is (x q^c; q^e)_k.
 
 _full_sides expands the sides on full polynomials: the public *_sides
 builders, which the negative-control tests perturb, and the oracle of the
@@ -18,8 +20,19 @@ not depend on f: _ring_kernel runs the q-Pascal recurrence of hat and tilde
 transposed on the ring weights, with monomial shifts only.  Ring weights
 (per (n, spec)) and kernels (per (n, spec, t, d, step)) are memoized, since
 the family varies fastest in a sweep; a check lifts each f_j(q^d) once and
-transforms nothing.  The
-lemma checks decide mod Phi_n on Pochhammer products, one factor at a time.
+transforms nothing.
+
+A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
+and _horner gives its x-coefficients from the last j down,
+S <- g_j + (1 - x q^(c + j*e)) S: monomial shifts again, with no BiPoly,
+no lift and no dense product per x-degree.  sun_p and the right side of
+guo_zeng take g_j = u_j.  For sun_p_x, with Q = q^d,
+1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is built from
+the top by sparse factors, so g_j = u_j Q^j H_j over the family
+denominator (Q;Q)_(n-1), and no common denominator is formed.  The
+transposed recurrence of _ring_kernel is the same Horner, in a variable
+that stands for the index of f.  The lemma checks decide mod Phi_n on
+Pochhammer products, one factor at a time.
 
 Parameter conventions:
 
@@ -266,8 +279,8 @@ class _Side(NamedTuple):
 
     A side in Pochhammer form stores no entries (entries is None): its f_k
     is (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
-    rescaled multiplies f_k by q^k (q^(k+1);q)_(n-1-k), which at poch = 0
-    makes the f_k the numerators of sun_p_x over (q;q)_(n-1).
+    A rescaled side (poch = 0) has f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k,
+    the numerators of sun_p_x over (q;q)_(n-1).
     """
 
     entries: "tuple | None"
