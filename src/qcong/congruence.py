@@ -2,7 +2,7 @@
 
 Every decision is computed in the residue ring Q[q]/(Phi_n^m), whose
 elements are dense coefficient lists of length m*phi(n), lowest degree
-first.  A Laurent polynomial enters the ring in two stages.  First each
+first.  A Laurent polynomial enters the ring in two steps.  First each
 term is folded below degree m*n by the closed form
 
     q^(a*n + b) == q^b * Sum_{i<m} C(a, i) * (q^n - 1)^i   (mod (q^n - 1)^m),
@@ -10,13 +10,27 @@ term is folded below degree m*n by the closed form
 the binomial series of (1 + (q^n - 1))^a, which holds for a of either sign
 because q^n is a unit; Phi_n divides q^n - 1, so it holds mod Phi_n^m too.
 This costs O(terms) whatever the exponents, so q^(10^9) and q^(-10^9)
-never become dense lists.  Then one dense division by Phi_n^m, of length
-at most max(m*n, 2*m*phi(n) - 1), leaves the canonical representative.
+never become dense lists.  Then one division leaves the canonical
+representative.
 
-A residue times a sparse Laurent polynomial goes the same way: every
-product of a coefficient with a term is folded, then divided once, so a
-factor such as 1 - q^e or a monomial costs O(m*phi(n)) terms and no dense
-product.  dot sums products of residues with a single division.
+A division is a remainder tower (von zur Gathen and Gerhard, "Modern
+Computer Algebra", section 9): each stage divides by a monic multiple of
+the next, so the remainders agree mod Phi_n^m.  The first stage reduces
+the rows from m*n up by the sparse (q^n - 1)^m, whose m+1 terms give
+q^(m*n) == -Sum_{i<m} C(m, i) (-1)^(m-i) q^(i*n), m operations a row.
+When n is composite and not a prime power, a second sparse stage reduces
+by ((q^n - 1)/(q^(n/p) - 1))^m, p the least prime factor of n, of degree
+m*(n - n/p).  Only the rows left above m*phi(n) are divided by the dense
+Phi_n^m: m*(n - phi(n)) of them, or m*(n - n/p - phi(n)) after the
+second stage.  For prime n that is m rows, where the one-stage division took
+m*phi(n) - 1 of them for a product of two residues.
+
+A residue times a sparse Laurent polynomial costs no dense product: a term
+c*q^(k*n + b) adds the shifted copies c*w_j*a at b + j*n, j < m, where
+q^(k*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m is the same binomial series,
+and the sum is divided once.  So a factor such as 1 - q^e or a monomial
+costs O(m * m*phi(n)) operations before the division, whatever e is.
+dot sums products of residues with a single division.
 
 The working ring for rational inputs is Q[q] localized at polynomials
 coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
@@ -24,7 +38,10 @@ Phi_n^m there exactly when Phi_n^m divides u, so a congruence of two RatExpr
 is decided on residues: numerators and denominators are reduced first and
 only then cross-multiplied (or merely subtracted when the denominators
 coincide).  A denominator is certified coprime to Phi_n by its residue mod
-Phi_n being nonzero.  Residuals and Residue.inverse invert a reduced
+Phi_n being nonzero.  _residual_of is the residual of sides already in the
+ring, a numerator difference by x-degree over one unit denominator:
+residual uses it after _difference, and the theorem checks use it on their
+residues directly.  Residuals and Residue.inverse invert a reduced
 element by the extended Euclidean algorithm over Z[q] against the monic
 Phi_n^m (laurent._int_euclid, shared with ext_gcd): the element's
 denominators are cleared first, every remainder and cofactor is kept
@@ -43,7 +60,7 @@ from functools import lru_cache
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
-from .laurent import LaurentPoly, _int_euclid
+from .laurent import LaurentPoly, _int_euclid, qpow
 
 __all__ = [
     "NoncoprimeDenominatorError",
@@ -82,48 +99,70 @@ def _check_modulus_params(n: int, m: int) -> None:
         raise ValueError("modulus requires m >= 1")
 
 
-class _Ring:
-    """The tables of Q[q]/(Phi_n^m): the modulus below its leading term and
-    the expansions of (q^n - 1)^i, i < m, that the fold uses."""
+@lru_cache(maxsize=1024)
+def _shift(m: int, a: int) -> tuple:
+    """The w_j, j < m, with q^(a*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m for
+    every n: the binomial series Sum_{i<m} C(a, i) (q^n - 1)^i of
+    (1 + (q^n - 1))^a, for a of either sign."""
+    w = [0] * m
+    binom = 1  # C(a, i), the generalized binomial for a < 0
+    for i in range(m):
+        for j in range(i + 1):
+            w[j] += binom * math.comb(i, j) * (-1) ** (i - j)
+        binom = binom * (a - i) // (i + 1)
+    return tuple(w)
 
-    __slots__ = ("n", "m", "dim", "tail", "expand")
+
+def _below_lead(p: LaurentPoly) -> tuple:
+    """(the (exponent, coefficient) pairs of the monic p below its leading term, its degree)."""
+    deg = p.degree()
+    return [(e, c) for e, c in sorted(p.terms.items()) if e < deg], deg
+
+
+class _Ring:
+    """The tables of Q[q]/(Phi_n^m): the stages of a division, each a monic
+    modulus below its leading term, a multiple of the next one, and Phi_n^m
+    last."""
+
+    __slots__ = ("n", "m", "dim", "span", "stages")
 
     def __init__(self, n: int, m: int):
         modulus = cyclotomic_power(n, m)
-        self.n, self.m = n, m
+        self.n, self.m, self.span = n, m, m * n
         self.dim = modulus.degree()
-        self.tail = [(e, c) for e, c in sorted(modulus.terms.items()) if e < self.dim]
-        self.expand = [[(j * n, math.comb(i, j) * (-1) ** (i - j)) for j in range(i + 1)]
-                       for i in range(m)]
+        # (q^n - 1)^m, then, for the least prime p | n, ((q^n - 1)/(q^(n/p) - 1))^m
+        # unless that is Phi_n^m itself (n a prime power): both sparse
+        p = next(p for p in range(2, n + 1) if n % p == 0)
+        sparse = [(qpow(n) - 1) ** m, LaurentPoly({i * (n // p): 1 for i in range(p)}) ** m]
+        self.stages = [_below_lead(t) for t in sparse if t.degree() > self.dim] + [_below_lead(modulus)]
 
     def fold(self, terms) -> list:
         """Dense coefficients, below degree m*n, of a polynomial == Sum c*q^e mod
         (q^n - 1)^m, over the (e, c) pairs of terms."""
-        n, span = self.n, self.m * self.n
+        n, m, span = self.n, self.m, self.span
         out = [0] * span
         for e, c in terms:
             if 0 <= e < span:
                 out[e] += c
                 continue
             a, b = divmod(e, n)
-            binom = 1  # C(a, i), the generalized binomial for a < 0
-            for i, row in enumerate(self.expand):
-                cb = c * binom
-                for off, s in row:
-                    out[off + b] += cb * s
-                binom = binom * (a - i) // (i + 1)
+            for j, w in enumerate(_shift(m, a)):
+                out[b + j * n] += c * w
         return out
 
     def divide(self, vec: list) -> list:
-        """Remainder of the dense vec by Phi_n^m, computed in place."""
-        dim, tail = self.dim, self.tail
-        for i in range(len(vec) - 1, dim - 1, -1):
-            c = vec[i]
-            if c:
-                base = i - dim
-                for e, mc in tail:
-                    vec[base + e] -= c * mc
-        del vec[dim:]
+        """Remainder of the dense vec by Phi_n^m, computed in place, stage by
+        stage: the rows from m*n up by the sparse (q^n - 1)^m, which Phi_n^m
+        divides, and the rows left above m*phi(n) by Phi_n^m, after a sparse
+        middle stage when n has one."""
+        for modulus, deg in self.stages:
+            for i in range(len(vec) - 1, deg - 1, -1):
+                c = vec[i]
+                if c:
+                    base = i - deg
+                    for e, mc in modulus:
+                        vec[base + e] -= c * mc
+            del vec[deg:]
         return vec
 
     def dot(self, pairs) -> list:
@@ -141,13 +180,26 @@ class _Ring:
         return self.dot(((a, b),))
 
     def mul_poly(self, a: list, p: LaurentPoly) -> list:
-        """a * p: each term of p shifts a through the fold, then one division.
-        A p with more terms than the ring dimension is reduced first."""
+        """a * p by shifted copies of a, then one division: a term c*q^(k*n + b)
+        adds c*w_j*a at b + j*n for the w of _shift(m, k).  A p with more terms
+        than the ring dimension is reduced first."""
         terms = p.terms
         if len(terms) > self.dim:
             return self.mul(self.divide(self.fold(terms.items())), a)
-        return self.divide(self.fold((i + e, x * c) for e, c in terms.items()
-                                     for i, x in enumerate(a) if x))
+        n, m = self.n, self.m
+        out = [0] * (self.span + self.dim - 1)
+        for e, c in terms.items():
+            k, b = divmod(e, n)
+            if 0 <= k < m:  # q^e itself is below m*n: one copy, no series
+                for i, y in enumerate(a, e):
+                    out[i] += c * y
+                continue
+            for j, w in enumerate(_shift(m, k)):
+                if w:
+                    cw = c * w
+                    for i, y in enumerate(a, b + j * n):
+                        out[i] += cw * y
+        return self.divide(out)
 
     def inverse(self, a: list) -> tuple:
         """(s, scale) with s*scale the inverse of the residue list a: s is an
@@ -159,8 +211,9 @@ class _Ring:
         r gives scale = L/r; otherwise r made monic is the gcd, the power of
         Phi_n dividing a.
         """
+        tail, _ = self.stages[-1]
         modulus = [0] * self.dim + [1]
-        for e, c in self.tail:
+        for e, c in tail:
             modulus[e] = c
         lcm, r, s = _int_euclid(modulus, a)
         if len(r) > 1:
@@ -259,10 +312,10 @@ class Residue:
         return Residue(self._ring, [-x for x in self._coeffs])
 
     def __mul__(self, other):
+        if isinstance(other, LaurentPoly):  # first: Fraction's isinstance goes through its ABC
+            return Residue(self._ring, self._ring.mul_poly(self._coeffs, other))
         if isinstance(other, (int, Fraction)):
             return Residue(self._ring, [x * other for x in self._coeffs])
-        if isinstance(other, LaurentPoly):
-            return Residue(self._ring, self._ring.mul_poly(self._coeffs, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -362,7 +415,12 @@ def residual(lhs, rhs, n: int, m: int):
     map (nonzero entries only) for bivariate ones.  Zero / empty exactly
     when the congruence holds.
     """
-    diff, den, bivariate = _difference(lhs, rhs, n, m, "residual")
+    return _residual_of(*_difference(lhs, rhs, n, m, "residual"))
+
+
+def _residual_of(diff: dict, den: Residue, bivariate: bool):
+    """residual's answer for the difference of two sides already in the ring:
+    diff maps x-degree -> numerator residue, over the unit residue den."""
     ring = den._ring
     s, scale = ring.inverse(den._coeffs)
 

@@ -4,32 +4,45 @@ Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
 _thm_2_1, _sun_p_x, _guo_zeng or _sun_p; guo_zeng is Theorem 1.1 at
 f_k = x^k, its right entries written out as hat(x^k) = (xq;q)_k, and
 _sun_p_x is Theorem 1.2 on the sun_p_x label) comparing
-lscale * Sum wl_k L_k / lden with rscale * Sum wr_k R_k / rden mod Phi_n^2.
+lscale * Sum wl_k L_k / den with rscale * Sum wr_k R_k / den mod Phi_n^2.
 Each side keeps its untransformed entries f and how it uses them, as
 (entries, t, d, step): X_k = q^(step*k) T(f)_k(q^d), with T the identity
 (t = 0), hat (t = 1) or tilde (t = -1).  _weights builds the weights of
 each side from an integer spec, in the carrier of a lift function.  A side
 in Pochhammer form stores no entries: its f_k(q^d) is (x q^c; q^e)_k.
 
+Both sides of a statement are over one denominator, that of its left
+weights (times the family's).  sun_p's right weights have the denominator
+(q^-d;q^-d)_(n-1)^3 = q^(-3d*C(n,2)) (q^d;q^d)_(n-1)^3 for odd n, so its
+rscale carries q^(3d*C(n,2)) and the sides are never cross-multiplied.
+
 _full_sides expands the sides on full polynomials: the public *_sides
 builders, which the negative-control tests perturb, and the oracle of the
 checks.  The checks decide on _ring_sides in Q[q]/(Phi_n^2), and never form
-anything above degree 2*phi(n), however large the exponents.  A side is
-linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does
-not depend on f: _ring_kernel runs the q-Pascal recurrence of hat and tilde
-transposed on the ring weights, with monomial shifts only.  Ring weights
-(per (n, spec)) and kernels (per (n, spec, t, d, step)) are memoized, since
-the family varies fastest in a sweep; a check lifts each f_j(q^d) once and
-transforms nothing.
+anything above degree 2*phi(n), however large the exponents.  _ring_sides
+yields residues, each numerator by x-degree over the one denominator, and
+_report decides on them: the statement holds when every x-coefficient of
+the two numerators agrees.  No residue goes back to a polynomial, and
+nothing is reduced or certified twice; a failing check gets its residual
+from the same residues (congruence._residual_of, which residual uses too).
+A side is linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel
+u that does not depend on f: _ring_kernel runs the q-Pascal recurrence of
+hat and tilde transposed on the ring weights, with monomial shifts only.
+Ring tails G_k (per (n, step, power)), weights (per (n, spec)) and kernels
+(per (n, spec, t, d, step)) are memoized in bounded caches.  The tails
+depend on neither r nor alpha, so every r of a cell and every alpha of
+thm2.1 share them; weights and kernels are kept since the family varies
+fastest in a sweep.  A check lifts each f_j(q^d) once and transforms
+nothing.
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
 and _horner gives its x-coefficients from the last j down,
 S <- g_j + (1 - x q^(c + j*e)) S: monomial shifts again, with no BiPoly,
 no lift and no dense product per x-degree.  sun_p and the right side of
 guo_zeng take g_j = u_j.  For sun_p_x, with Q = q^d,
-1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is built from
-the top by sparse factors, so g_j = u_j Q^j H_j over the family
-denominator (Q;Q)_(n-1), and no common denominator is formed.  The
+1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
+G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
+(Q;Q)_(n-1), and no common denominator is formed.  The
 transposed recurrence of _ring_kernel is the same Horner, in a variable
 that stands for the index of f.  The lemma checks decide mod Phi_n on
 Pochhammer products, one factor at a time.
@@ -56,7 +69,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
-from .congruence import congruent, dot, reduce, reduce_by_degree, residual
+from .congruence import NoncoprimeDenominatorError, Residue, _residual_of, dot, reduce, reduce_by_degree
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
 from .qcalc import qbinom_int, qpoch, qpoch_x_prefixes
@@ -256,14 +269,16 @@ def _pairs(lift, r: int, d: int, n: int) -> list:
     return P
 
 
-def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool) -> tuple:
+def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool, G=None) -> tuple:
     """w_k = Q^(k^2+k if tri) P_k G_k over G_0, Q = q^step: the weight
     Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^power of every statement.
+    G, the tails _tails(lift, step, n, power), is built here unless given.
 
     Every factor is a sparse polynomial, so a residue carrier multiplies it
-    term by term through the fold; only P_k G_k is a dense product.
+    by shifted copies; only P_k G_k is a dense product.
     """
-    G = _tails(lift, step, n, power)
+    if G is None:
+        G = _tails(lift, step, n, power)
     w = [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))]
     if tri:
         w = [wk * qpow(step * (k * k + k)) for k, wk in enumerate(w)]
@@ -293,12 +308,15 @@ class _Side(NamedTuple):
 
 @dataclass(frozen=True)
 class _Statement:
-    """lscale * Sum_k wl_k L_k / (lden * fden)  vs  rscale * Sum_k wr_k R_k / (rden * fden).
+    """lscale * Sum_k wl_k L_k / (den * fden)  vs  rscale * Sum_k wr_k R_k / (den * fden).
 
     left, right     _Side records: the untransformed entries f, full Laurent
                     or bivariate polynomials, and the L_k, R_k made of them
     lweights        the specs (r, d, step, power, tri) of _weights for each
-    rweights        side, giving wl, lden and wr, rden in any carrier
+    rweights        side, giving wl, den and wr in any carrier; both sides are
+                    over the den of lweights, so a statement whose right
+                    weights have another denominator puts the ratio, a
+                    monomial, into rscale
     lscale, rscale  monomials, the sign included
     fden            the family's common denominator, 1 unless the family is rational
     """
@@ -372,12 +390,14 @@ def _sun_p(p: SymParams) -> _Statement:
 
     With Q = q^step, step = +-d, the binomial numerators are the pair products
     at r -> step*alpha, d -> -step.  The entries are (x;q)_k at q -> q^d and
-    (xq;q)_k at q -> q^-d, which is (x q^-d; q^-d)_k.
+    (xq;q)_k at q -> q^-d, which is (x q^-d; q^-d)_k.  For odd n the right
+    denominator (q^-d;q^-d)_(n-1)^3 is q^(-3d*C(n,2)) (q^d;q^d)_(n-1)^3, the
+    left one times a monomial, which rscale takes.
     """
     _require(_odd_n(p.n))
     return _Statement(p, (-p.r, -p.d, p.d, 3, True), (p.r, p.d, -p.d, 3, True),
                       _Side(None, 0, p.d, 0, poch=0), _Side(None, 0, -p.d, 0, poch=1),
-                      one, p.sign * qpow(p.E))
+                      one, p.sign * qpow(p.E + 3 * p.d * _tri(p.n)))
 
 
 def _sum(weights, entries):
@@ -407,15 +427,24 @@ def _expand(side: _Side, n: int) -> tuple:
 
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
-    (wl, lden), (wr, rden) = built[st.lweights], built[st.rweights]
-    return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * st.lscale, lden * st.fden),
-            RatExpr(_sum(wr, _expand(st.right, st.p.n)) * st.rscale, rden * st.fden))
+    (wl, den), (wr, _) = built[st.lweights], built[st.rweights]
+    den = den * st.fden
+    return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * st.lscale, den),
+            RatExpr(_sum(wr, _expand(st.right, st.p.n)) * st.rscale, den))
+
+
+@lru_cache(maxsize=8)
+def _ring_tails(n: int, step: int, power: int) -> tuple:
+    """The tails G_k of _tails mod Phi_n^2.  They depend on neither r nor
+    alpha, so every r of a cell and every alpha of thm2.1 share them."""
+    return tuple(_tails(partial(reduce, n=n, m=2), step, n, power))
 
 
 @lru_cache(maxsize=4)
 def _ring_weights(n: int, spec: tuple) -> tuple:
     """The weights of a spec mod Phi_n^2, kept across the families of a cell."""
-    return _weights(partial(reduce, n=n, m=2), n, *spec)
+    _, _, step, power, _ = spec
+    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, step, power))
 
 
 def _horner(g: list, c: int, e: int) -> list:
@@ -441,49 +470,66 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     That is Horner in a variable x that stands for the index m: u_j is the
     coefficient of x^j in Sum_k v_k (x q^(t*d); q^(t*d))_k.
     """
-    v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec)[0])]
+    v = _ring_weights(n, spec)[0]
+    if step:
+        v = [wk * qpow(step * k) for k, wk in enumerate(v)]
     return tuple(_horner(v, t * d, t * d) if t else v)
 
 
-def _ring_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
+class _RingSides(NamedTuple):
+    """Both sides of a statement in Q[q]/(Phi_n^2): each numerator as an
+    x-degree -> residue map (x^0 alone when univariate), over one denominator."""
+
+    left: dict
+    right: dict
+    den: Residue
+    bivariate: bool
+
+
+def _ring_sides(st: _Statement) -> _RingSides:
     """The sides assembled in Q[q]/(Phi_n^2).
 
-    Numerators and denominators are replaced by their canonical residues, so
-    the verdict and the residual are those of the full sides.  A side is
+    Numerators and the denominator are replaced by their canonical residues,
+    so the verdict and the residual are those of the full sides.  A side is
     linear in its entries: per x-degree it is one sum of products of the
     lifted f_j(q^d) with the kernel u_j, then times the scale monomial.  No
     entry is transformed, and each f_j(q^d) is lifted once.  A side in
     Pochhammer form is Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or
-    u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j) built
-    from the top by sparse factors: _horner gives its x-coefficients, and
-    no entry is formed or lifted.
+    u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j), the
+    cached tails: _horner gives its x-coefficients, and no entry is formed
+    or lifted.  A denominator that is not a unit mod Phi_n raises the error
+    congruent raises on the full sides, with the full denominator.
     """
     n = st.p.n
-    lden = _ring_weights(n, st.lweights)[1] * st.fden
-    rden = _ring_weights(n, st.rweights)[1] * st.fden
-    if not (lden.is_unit() and rden.is_unit()):  # ill-posed: the full sides raise the usual error
-        return _full_sides(st)
+    den = _ring_weights(n, st.lweights)[1]
+    if st.fden != one:
+        den = den * st.fden
+    if not den.is_unit():
+        raise NoncoprimeDenominatorError(_full_sides(st)[0].den, n)
 
     def lift(side):
         if side.poch is None:
             return [reduce_by_degree(_subs(f, side.d), n, 2) for f in side.entries]
 
-    def side(sd, lifted, spec, scale):
+    def side(sd, lifted, spec, scale) -> dict:
         u = _ring_kernel(n, spec, sd.t, sd.d, sd.step)
         if sd.poch is not None:
             if sd.rescaled:
-                H = _tails(partial(reduce, n=n, m=2), sd.d, n, 1)
+                H = _ring_tails(n, sd.d, 1)
                 u = [uj * Hj * qpow(sd.d * j) for j, (uj, Hj) in enumerate(zip(u, H))]
-            return BiPoly({j: (s * scale).rep for j, s in enumerate(_horner(u, sd.poch * sd.d, sd.d))})
-        sums = {j: (dot((f[j], uk) for f, uk in zip(lifted, u) if j in f) * scale).rep
-                for j in sorted(set().union(*lifted))}
-        return BiPoly(sums) if any(isinstance(f, BiPoly) for f in sd.entries) else sums[0]
+            sums = dict(enumerate(_horner(u, sd.poch * sd.d, sd.d)))
+        else:
+            sums = {j: dot((f[j], uk) for f, uk in zip(lifted, u) if j in f)
+                    for j in sorted(set().union(*lifted))}
+        return sums if scale == one else {j: s * scale for j, s in sums.items()}
 
     left = lift(st.left)
     same = st.right.entries is st.left.entries and st.right.d == st.left.d
     right = left if same else lift(st.right)
-    return (RatExpr(side(st.left, left, st.lweights, st.lscale), lden.rep),
-            RatExpr(side(st.right, right, st.rweights, st.rscale), rden.rep))
+    bivariate = any(sd.poch is not None or any(isinstance(f, BiPoly) for f in sd.entries)
+                    for sd in (st.left, st.right))
+    return _RingSides(side(st.left, left, st.lweights, st.lscale),
+                      side(st.right, right, st.rweights, st.rscale), den, bivariate)
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -523,18 +569,23 @@ def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
     return _full_sides(_sun_p(p))
 
 
-def _residual_text(lhs, rhs, n: int, m: int) -> str:
-    res = residual(lhs, rhs, n, m)
+def _residual_text(res) -> str:
+    """A residual, univariate or by x-degree, as a report prints it."""
     if isinstance(res, dict):
         return "; ".join(f"x^{j}: {res[j]}" for j in sorted(res))
     return str(res)
 
 
 def _report(check: str, params: dict, st: _Statement, started: float) -> CheckReport:
-    """Decide a statement on its ring sides and report it."""
+    """Decide a statement on its ring sides and report it: it holds when every
+    x-coefficient of the numerators agrees, and a failing one gets the
+    residual of the same residues."""
     p = st.p
-    lhs, rhs = _ring_sides(st)
-    holds = congruent(lhs, rhs, p.n, 2)
+    sides = _ring_sides(st)
+    zero = sides.den * 0
+    diff = {j: sides.left.get(j, zero) - sides.right.get(j, zero)
+            for j in sides.left.keys() | sides.right.keys()}
+    holds = all(r.is_zero() for r in diff.values())
     return CheckReport(
         check=check,
         params=params,
@@ -544,7 +595,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
         sign=p.sign,
         branch=p.branch,
         wall_time=time.perf_counter() - started,
-        residual=None if holds else _residual_text(lhs, rhs, p.n, 2),
+        residual=None if holds else _residual_text(_residual_of(diff, sides.den, sides.bivariate)),
     )
 
 

@@ -241,44 +241,84 @@ def phi_power_by_mobius(n: int, m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _int_modulus(n: int, m: int) -> tuple:
+    """Phi_n^m from the Moebius product, as integers: for n >= 2 it is monic
+    with constant term 1, so every q^e reduces to an integer list."""
+    modulus = phi_power_by_mobius(n, m)
+    assert modulus[0] == modulus[-1] == 1 and all(c.denominator == 1 for c in modulus)
+    return tuple(int(c) for c in modulus)
+
+
+def _remainder(a: list, modulus: tuple) -> list:
+    """a mod the monic modulus by schoolbook long division, padded to its degree;
+    integer inputs stay integers."""
+    dim = len(modulus) - 1
+    a = list(a) + [0] * max(0, dim - len(a))
+    for i in range(len(a) - 1, dim - 1, -1):
+        c = a[i]
+        if c:
+            for j, mc in enumerate(modulus):
+                a[i - dim + j] -= c * mc
+    return a[:dim]
+
+
+def _mulmod(a: list, b: list, modulus: tuple) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _remainder(out, modulus)
+
+
+@lru_cache(maxsize=None)
 def _squarings(n: int, m: int, negative: bool) -> list:
     """[q^(+-1), q^(+-2), q^(+-4), ...] mod Phi_n^m, the squarings that
     residue_by_long_division's square-and-multiply uses, kept per (n, m) and
-    extended there as exponents grow.  q^-1 = -(M - M(0)) / (q * M(0)), read
-    off M = Phi_n^m."""
-    modulus = phi_power_by_mobius(n, m)
-    return [[-c / modulus[0] for c in modulus[1:]] if negative else [Fraction(0), Fraction(1)]]
+    extended there as exponents grow.  q^-1 = -(M - 1) / q, read off
+    M = Phi_n^m, whose constant term is 1."""
+    modulus = _int_modulus(n, m)
+    return [[-c for c in modulus[1:]] if negative else [0, 1]]
+
+
+# exponents 0 .. _DENSE_BELOW - 1 are divided as one dense polynomial
+_DENSE_BELOW = 1024
 
 
 def residue_by_long_division(terms: dict, n: int, m: int) -> list:
     """Coefficients of Sum c*q^e mod Phi_n^m, lowest degree first, padded to m*phi(n).
 
-    Phi_n^m comes from the Moebius product.  Each q^e is built by
-    square-and-multiply on dense lists, reduced by dense_divmod after every
-    product, from the squarings of _squarings.
+    Phi_n^m comes from the Moebius product.  The terms of exponent 0 up to
+    _DENSE_BELOW are one dense polynomial, reduced by long division.  Every
+    other q^e is built by square-and-multiply on dense integer lists, from
+    the squarings of _squarings, and reduced by long division after every
+    product.
     """
-    modulus = phi_power_by_mobius(n, m)
+    modulus = _int_modulus(n, m)
     dim = len(modulus) - 1
-
-    def reduced(a):
-        return dense_divmod(a, modulus)[1]
 
     def power(e):
         squares = _squarings(n, m, e < 0)
-        acc, e, i = [Fraction(1)], abs(e), 0
+        acc, e, i = [1], abs(e), 0
         while e:
             if i == len(squares):
-                squares.append(reduced(dense_mul(squares[-1], squares[-1])))
+                squares.append(_mulmod(squares[-1], squares[-1], modulus))
             if e & 1:
-                acc = reduced(dense_mul(acc, squares[i]))
+                acc = _mulmod(acc, squares[i], modulus)
             e >>= 1
             i += 1
         return acc
 
     total = [Fraction(0)] * dim
+    dense = [Fraction(0)] * _DENSE_BELOW
     for e, c in terms.items():
+        if 0 <= e < _DENSE_BELOW:
+            dense[e] += Fraction(c)
+            continue
         for i, v in enumerate(power(e)):
             total[i] += Fraction(c) * v
+    for i, v in enumerate(_remainder(dense, modulus)):
+        total[i] += v
     return total
 
 

@@ -278,21 +278,44 @@ def test_reduce_poly_matches_long_division(n, m, terms):
 
 sparse = st.dictionaries(st.integers(min_value=-10**6, max_value=10**6), coefficients, max_size=9)
 
+# n up to 12, and the primes up to 31: for prime n a product of two residues
+# passes m*n, so the first, sparse stage of the division runs
+ring_ns = st.one_of(st.integers(min_value=2, max_value=12), st.sampled_from([13, 17, 19, 23, 29, 31]))
+
+# negative, above m*n for every drawn modulus (m*n <= 93), and near +-10^6
+shift_exponents = st.one_of(
+    st.integers(min_value=-200, max_value=-1),
+    st.integers(min_value=94, max_value=400),
+    st.integers(min_value=10**6 - 100, max_value=10**6 + 100),
+    st.integers(min_value=-10**6 - 100, max_value=-10**6 + 100),
+)
+monomials_and_binomials = st.dictionaries(shift_exponents, coefficients.filter(bool), min_size=1, max_size=2)
+factors = st.one_of(monomials_and_binomials, sparse)
+
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3),
-       polys, sparse)
+@given(ring_ns, st.integers(min_value=1, max_value=3), polys, factors)
 def test_residue_times_sparse_polynomial_matches_long_division(n, m, a, terms):
-    """The term-by-term product, and the reduce-first one when p has more terms than m*phi(n)."""
+    """The shifted copies of a monomial or binomial factor, and the reduce-first
+    product when p has more terms than m*phi(n)."""
     got = reduce(a, n, m) * LaurentPoly(terms)
     assert list(got.coeffs) == residue_by_long_division(ref_mul(terms_of(a), terms), n, m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(ring_ns, st.integers(min_value=1, max_value=3), st.data())
+def test_divide_matches_long_division(n, m, data):
+    """_Ring.divide on vectors longer than m*n, so both of its stages run."""
+    length = data.draw(st.integers(min_value=m * n + 1, max_value=3 * m * n))
+    vec = data.draw(st.lists(coefficients, min_size=length, max_size=length))
+    assert _ring(n, m).divide(list(vec)) == residue_by_long_division(dict(enumerate(vec)), n, m)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=12),
+    ring_ns,
     st.integers(min_value=1, max_value=3),
-    st.lists(st.tuples(polys, sparse), min_size=1, max_size=4),
+    st.lists(st.tuples(polys, factors), min_size=1, max_size=4),
 )
 def test_dot_matches_long_division(n, m, pairs):
     got = dot((reduce(a, n, m), reduce(LaurentPoly(b), n, m)) for a, b in pairs)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qcong import theorems
 from qcong.bivariate import BiPoly, RatExpr
-from qcong.congruence import NoncoprimeDenominatorError, congruent, reduce, reduce_by_degree
+from qcong.congruence import NoncoprimeDenominatorError, congruent, reduce, reduce_by_degree, residual
 from qcong.cyclotomic import cyclotomic
 from qcong.families import generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, q, qpow
@@ -26,6 +26,7 @@ from qcong.theorems import (
     _residual_text,
     _ring_kernel,
     _ring_sides,
+    _ring_weights,
     _sun_p,
     _sun_p_x,
     _thm_1_1,
@@ -245,7 +246,19 @@ CHECKS_BY_SIDES = [(check_thm_1_1, thm_1_1_sides), (check_thm_1_2, thm_1_2_sides
 
 def _full_verdict(lhs, rhs, n):
     holds = congruent(lhs, rhs, n, 2)
-    return holds, None if holds else _residual_text(lhs, rhs, n, 2)
+    return holds, None if holds else _residual_text(residual(lhs, rhs, n, 2))
+
+
+def _ring_ratexprs(statement):
+    """The residues of _ring_sides as two RatExpr over their one denominator."""
+    sides = _ring_sides(statement)
+
+    def num(residues):
+        if sides.bivariate:
+            return BiPoly({j: r.rep for j, r in residues.items()})
+        return residues[0].rep
+
+    return RatExpr(num(sides.left), sides.den.rep), RatExpr(num(sides.right), sides.den.rep)
 
 
 @pytest.mark.parametrize("cell", RING_CELLS)
@@ -288,7 +301,7 @@ def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
         statement, sides = _thm_1_1, thm_1_1_sides
     bump = qpow(cell[2] % p.n) * cyclotomic(p.n) * 3
     verdicts = []
-    for lhs, rhs in (_ring_sides(statement(p, seq)), sides(p, seq)):
+    for lhs, rhs in (_ring_ratexprs(statement(p, seq)), sides(p, seq)):
         bumped = RatExpr(lhs.num + bump * lhs.den, lhs.den)
         verdicts.append(_full_verdict(bumped, rhs, p.n))
     assert verdicts[0] == verdicts[1]
@@ -323,7 +336,7 @@ def test_horner_sides_match_the_full_sides(case):
     both alike is caught too."""
     st_, bump = case
     n = st_.p.n
-    ring, full = _ring_sides(st_), _full_sides(st_)
+    ring, full = _ring_ratexprs(st_), _full_sides(st_)
     assert all(congruent(a, b, n, 2) for a, b in zip(ring, full))
     verdicts = []
     for lhs, rhs in (ring, full):
@@ -521,6 +534,18 @@ def test_sun_p_sides_are_rational_with_coprime_denominator():
     p = SymParams.create(5, 2, 1)
     lhs, rhs = sun_p_sides(p)
     assert congruent(lhs, rhs, 5, 2)
+
+
+def test_sun_p_right_denominator_is_the_left_times_a_monomial():
+    """(q^-d;q^-d)_(n-1)^3 = q^(-3d*C(n,2)) (q^d;q^d)_(n-1)^3 for odd n, the
+    monomial that _sun_p moves into rscale so that both sides share one
+    denominator."""
+    for n in range(3, 16, 2):
+        for d in (d for d in range(1, 8) if math.gcd(n, d) == 1):
+            for r in range(-3, 4):
+                st_ = _sun_p(SymParams.create(n, d, r))
+                left, right = (_ring_weights(n, spec)[1] for spec in (st_.lweights, st_.rweights))
+                assert right == left * qpow(-3 * d * math.comb(n, 2)), (n, d, r)
 
 
 # -- the classical rational-number congruence --------------------------------
