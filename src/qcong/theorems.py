@@ -582,7 +582,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
     residual of the same residues."""
     p = st.p
     sides = _ring_sides(st)
-    zero = sides.den * 0
+    zero = reduce(0, p.n, 2)
     diff = {j: sides.left.get(j, zero) - sides.right.get(j, zero)
             for j in sides.left.keys() | sides.right.keys()}
     holds = all(r.is_zero() for r in diff.values())
