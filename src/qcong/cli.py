@@ -126,7 +126,7 @@ def _transform_span(length: int, family: str) -> int:
 
 def _horner_span(n: int) -> int:
     """n x-coefficients of 2*phi(n) each, what a side built by Horner in x holds
-    (theorems._horner); n alone once that passes MAX_SPAN."""
+    (congruence.horner); n alone once that passes MAX_SPAN."""
     return n if n > MAX_SPAN or n < 2 else n * 2 * totient(n)
 
 

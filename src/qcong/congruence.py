@@ -30,7 +30,11 @@ c*q^(k*n + b) adds the shifted copies c*w_j*a at b + j*n, j < m, where
 q^(k*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m is the same binomial series,
 and the sum is divided once.  So a factor such as 1 - q^e or a monomial
 costs O(m * m*phi(n)) operations before the division, whatever e is.
-dot sums products of residues with a single division.
+dot sums products of residues with a single division.  horner forms the
+x-coefficients of Sum_k g_k (x q^c; q^e)_k, n^2/2 monomial shifts; its
+working coefficients are reduced by the sparse stages of the tower alone,
+at most m*n of them each, and the dense stage runs once per coefficient
+at the end.
 
 The working ring for rational inputs is Q[q] localized at polynomials
 coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
@@ -70,6 +75,7 @@ __all__ = [
     "invert",
     "congruent",
     "dot",
+    "horner",
     "reduce_by_degree",
     "residual",
 ]
@@ -150,12 +156,12 @@ class _Ring:
                 out[b + j * n] += c * w
         return out
 
-    def divide(self, vec: list) -> list:
+    def divide(self, vec: list, stages=None) -> list:
         """Remainder of the dense vec by Phi_n^m, computed in place, stage by
         stage: the rows from m*n up by the sparse (q^n - 1)^m, which Phi_n^m
         divides, and the rows left above m*phi(n) by Phi_n^m, after a sparse
-        middle stage when n has one."""
-        for modulus, deg in self.stages:
+        middle stage when n has one.  Given stages, only those run."""
+        for modulus, deg in self.stages if stages is None else stages:
             for i in range(len(vec) - 1, deg - 1, -1):
                 c = vec[i]
                 if c:
@@ -186,9 +192,14 @@ class _Ring:
         terms = p.terms
         if len(terms) > self.dim:
             return self.mul(self.divide(self.fold(terms.items())), a)
+        return self.divide(self.copies(a, terms.items()))
+
+    def copies(self, a: list, terms) -> list:
+        """Sum c*w_j*a at b + j*n over the (e, c) pairs of terms, e = k*n + b,
+        undivided: a times a sparse polynomial, below degree m*n + len(a)."""
         n, m = self.n, self.m
-        out = [0] * (self.span + self.dim - 1)
-        for e, c in terms.items():
+        out = [0] * (self.span + len(a) - 1)
+        for e, c in terms:
             k, b = divmod(e, n)
             if 0 <= k < m:  # q^e itself is below m*n: one copy, no series
                 for i, y in enumerate(a, e):
@@ -199,7 +210,26 @@ class _Ring:
                     cw = c * w
                     for i, y in enumerate(a, b + j * n):
                         out[i] += cw * y
-        return self.divide(out)
+        return out
+
+    def horner(self, g: list, c: int, e: int) -> list:
+        """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residue lists g, by
+        Horner in x from the last k down: S <- g_k + (1 - x q^(c + k*e)) S.
+
+        Each step shifts every coefficient by the one monomial.  The
+        coefficients are kept reduced by the sparse stages of the tower alone,
+        a ring whose modulus Phi_n^m divides, and each is divided by Phi_n^m
+        once at the end."""
+        sparse = self.stages[:-1]
+        y = [list(g[-1])]
+        for k in range(len(g) - 2, -1, -1):
+            shifted = [self.divide(self.copies(b, ((c + k * e, 1),)), sparse) for b in y]
+            head = list(y[0])
+            for i, x in enumerate(g[k]):
+                head[i] += x
+            y = [head] + [[x - z for x, z in zip_longest(a, b, fillvalue=0)]
+                          for a, b in zip(y[1:], shifted)] + [[-z for z in shifted[-1]]]
+        return [self.divide(v) for v in y]
 
     def inverse(self, a: list) -> tuple:
         """(s, scale) with s*scale the inverse of the residue list a: s is an
@@ -370,6 +400,15 @@ def dot(pairs) -> Residue:
     if any(r is not ring for _, _, r in pairs):
         raise ValueError("mixed moduli in Residue arithmetic")
     return Residue(ring, ring.dot((a, b) for a, b, _ in pairs))
+
+
+def horner(g: list, c: int, e: int) -> list:
+    """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residues g_k mod one
+    Phi_n^m, as residues (_Ring.horner)."""
+    ring = g[0]._ring
+    if any(r._ring is not ring for r in g):
+        raise ValueError("mixed moduli in Residue arithmetic")
+    return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], c, e)]
 
 
 def reduce_by_degree(num, n: int, m: int) -> dict[int, Residue]:

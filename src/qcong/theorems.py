@@ -36,7 +36,7 @@ fastest in a sweep.  A check lifts each f_j(q^d) once and transforms
 nothing.
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
-and _horner gives its x-coefficients from the last j down,
+and congruence.horner gives its x-coefficients from the last j down,
 S <- g_j + (1 - x q^(c + j*e)) S: monomial shifts again, with no BiPoly,
 no lift and no dense product per x-degree.  sun_p and the right side of
 guo_zeng take g_j = u_j.  For sun_p_x, with Q = q^d,
@@ -69,7 +69,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
-from .congruence import NoncoprimeDenominatorError, Residue, _residual_of, dot, reduce, reduce_by_degree
+from .congruence import NoncoprimeDenominatorError, Residue, _residual_of, dot, horner, reduce, reduce_by_degree
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
 from .qcalc import qbinom_int, qpoch, qpoch_x_prefixes
@@ -447,17 +447,6 @@ def _ring_weights(n: int, spec: tuple) -> tuple:
     return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, step, power))
 
 
-def _horner(g: list, c: int, e: int) -> list:
-    """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, by Horner in x from the
-    last k down: S <- g_k + (1 - x q^(c + k*e)) S.  Every product is by a
-    monomial, a shift through the fold when the g_k are residues."""
-    y = g[-1:]
-    for k in range(len(g) - 2, -1, -1):
-        m = qpow(c + k * e)
-        y = [y[0] + g[k]] + [a - b * m for a, b in zip(y[1:], y)] + [-(y[-1] * m)]
-    return y
-
-
 @lru_cache(maxsize=4)
 def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     """The u_j with Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2
@@ -473,7 +462,7 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     v = _ring_weights(n, spec)[0]
     if step:
         v = [wk * qpow(step * k) for k, wk in enumerate(v)]
-    return tuple(_horner(v, t * d, t * d) if t else v)
+    return tuple(horner(v, t * d, t * d) if t else v)
 
 
 class _RingSides(NamedTuple):
@@ -496,7 +485,7 @@ def _ring_sides(st: _Statement) -> _RingSides:
     entry is transformed, and each f_j(q^d) is lifted once.  A side in
     Pochhammer form is Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or
     u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j), the
-    cached tails: _horner gives its x-coefficients, and no entry is formed
+    cached tails: horner gives its x-coefficients, and no entry is formed
     or lifted.  A denominator that is not a unit mod Phi_n raises the error
     congruent raises on the full sides, with the full denominator.
     """
@@ -517,7 +506,7 @@ def _ring_sides(st: _Statement) -> _RingSides:
             if sd.rescaled:
                 H = _ring_tails(n, sd.d, 1)
                 u = [uj * Hj * qpow(sd.d * j) for j, (uj, Hj) in enumerate(zip(u, H))]
-            sums = dict(enumerate(_horner(u, sd.poch * sd.d, sd.d)))
+            sums = dict(enumerate(horner(u, sd.poch * sd.d, sd.d)))
         else:
             sums = {j: dot((f[j], uk) for f, uk in zip(lifted, u) if j in f)
                     for j in sorted(set().union(*lifted))}

@@ -15,6 +15,7 @@ from qcong.congruence import (
     _ring,
     congruent,
     dot,
+    horner,
     invert,
     reduce,
     residual,
@@ -305,7 +306,7 @@ def test_residue_times_sparse_polynomial_matches_long_division(n, m, a, terms):
 @settings(max_examples=40, deadline=None)
 @given(ring_ns, st.integers(min_value=1, max_value=3), st.data())
 def test_divide_matches_long_division(n, m, data):
-    """_Ring.divide on vectors longer than m*n, so both of its stages run."""
+    """_Ring.divide on vectors longer than m*n, so every stage of its tower runs."""
     length = data.draw(st.integers(min_value=m * n + 1, max_value=3 * m * n))
     vec = data.draw(st.lists(coefficients, min_size=length, max_size=length))
     assert _ring(n, m).divide(list(vec)) == residue_by_long_division(dict(enumerate(vec)), n, m)
@@ -323,6 +324,27 @@ def test_dot_matches_long_division(n, m, pairs):
     for a, b in pairs:
         total = ref_add(total, ref_mul(terms_of(a), b))
     assert list(got.coeffs) == residue_by_long_division(total, n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_ns, st.integers(min_value=1, max_value=3), st.lists(polys, min_size=1, max_size=5),
+       st.integers(min_value=-12, max_value=12), st.integers(min_value=-12, max_value=12))
+def test_horner_matches_long_division(n, m, g, c, e):
+    """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, against the sum expanded
+    on dicts, x-degree by x-degree, and reduced by the oracle."""
+    total, poch = {}, {0: {0: Fraction(1)}}  # x-degree -> q-dict; poch = (x q^c; q^e)_k
+    for k, gk in enumerate(g):
+        for j, coeff in poch.items():
+            total[j] = ref_add(total.get(j, {}), ref_mul(terms_of(gk), coeff))
+        step = {}
+        for j, coeff in poch.items():
+            step[j] = ref_add(step.get(j, {}), coeff)
+            step[j + 1] = ref_add(step.get(j + 1, {}), ref_mul(coeff, {c + k * e: Fraction(-1)}))
+        poch = step
+    got = horner([reduce(gk, n, m) for gk in g], c, e)
+    assert len(got) == len(g)
+    for j, r in enumerate(got):
+        assert list(r.coeffs) == residue_by_long_division(total.get(j, {}), n, m), j
 
 
 def test_dot_rejects_mixed_moduli():
