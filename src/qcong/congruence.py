@@ -198,18 +198,21 @@ class _Ring:
         """Sum c*w_j*a at b + j*n over the (e, c) pairs of terms, e = k*n + b,
         undivided: a times a sparse polynomial, below degree m*n + len(a)."""
         n, m = self.n, self.m
-        out = [0] * (self.span + len(a) - 1)
+        out, top = [0] * (self.span + len(a) - 1), 0
         for e, c in terms:
             k, b = divmod(e, n)
             if 0 <= k < m:  # q^e itself is below m*n: one copy, no series
                 for i, y in enumerate(a, e):
                     out[i] += c * y
+                top = max(top, e)
                 continue
             for j, w in enumerate(_shift(m, k)):
                 if w:
                     cw = c * w
                     for i, y in enumerate(a, b + j * n):
                         out[i] += cw * y
+                    top = max(top, b + j * n)
+        del out[top + len(a):]  # zero above the last copy: no division row scans it
         return out
 
     def horner(self, g: list, c: int, e: int) -> list:
