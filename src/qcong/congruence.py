@@ -221,8 +221,8 @@ class _Ring:
 
         Each step shifts every coefficient by the one monomial.  The
         coefficients are kept reduced by the sparse stages of the tower alone,
-        a ring whose modulus Phi_n^m divides, and each is divided by Phi_n^m
-        once at the end."""
+        modulo a multiple of Phi_n^m, and each is divided by Phi_n^m once at
+        the end."""
         sparse = self.stages[:-1]
         y = [list(g[-1])]
         for k in range(len(g) - 2, -1, -1):
