@@ -6,7 +6,6 @@ from .congruence import (
     NotInvertibleError,
     Residue,
     congruent,
-    invert,
     reduce,
     residual,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "gauss_binomial",
     "generate",
     "hat",
-    "invert",
     "load_config",
     "one",
     "q",

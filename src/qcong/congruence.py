@@ -72,7 +72,6 @@ __all__ = [
     "NotInvertibleError",
     "Residue",
     "reduce",
-    "invert",
     "congruent",
     "dot",
     "horner",
@@ -269,8 +268,8 @@ def _reduce_poly(p: LaurentPoly, n: int, m: int) -> list:
 
 class Residue:
     """An element of Q[q]/(Phi_n^m) by the m*phi(n) coefficients of its
-    canonical representative, lowest degree first.  Made by reduce(),
-    invert() and arithmetic on residues.
+    canonical representative, lowest degree first.  Made by reduce() and
+    arithmetic on residues.
 
     The coefficients are kept in a list that no operation mutates: CPython
     keeps up to 2000 freed tuples of each small length for reuse, and the
@@ -364,6 +363,14 @@ class Residue:
         s, scale = self._ring.inverse(self._coeffs)
         return Residue(self._ring, [x * scale for x in s])
 
+    def reflect(self) -> "Residue":
+        """The image under q -> 1/q: the reversed coefficients times
+        q^-(m*phi(n) - 1), reduced.  q -> 1/q maps Phi_n^m to a unit times
+        itself, since Phi_n is self-reciprocal for n >= 2, so this is a ring
+        automorphism, and it costs shifted copies, no dense product."""
+        a = self._coeffs[::-1]
+        return Residue(self._ring, self._ring.mul_poly(a, qpow(1 - len(a))))
+
     def is_unit(self) -> bool:
         """True iff gcd(self, Phi_n) = 1, that is the residue is nonzero mod Phi_n."""
         return any(_ring(self.n, 1).divide(list(self._coeffs)))
@@ -378,11 +385,6 @@ def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     if not isinstance(p, LaurentPoly):
         p = LaurentPoly.const(p)
     return Residue(_ring(n, m), _reduce_poly(p, n, m))
-
-
-def invert(p: LaurentPoly, n: int, m: int = 1) -> Residue:
-    """Residue u with u*p == 1 mod Phi_n^m; raises NotInvertibleError otherwise."""
-    return reduce(p, n, m).inverse()
 
 
 def _certify_den(den: LaurentPoly, n: int, m: int) -> Residue:

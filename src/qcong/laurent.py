@@ -103,9 +103,6 @@ class LaurentPoly:
             raise ValueError("valuation of the zero polynomial is undefined")
         return min(self._terms)
 
-    def leading_coeff(self) -> Scalar:
-        return self._terms[self.degree()]
-
     def coeff(self, exponent: int) -> Scalar:
         return self._terms.get(exponent, 0)
 
@@ -231,16 +228,6 @@ class LaurentPoly:
         if t == 1:
             return self
         return LaurentPoly._raw({e * t: c for e, c in self._terms.items()})
-
-    def evaluate(self, point: Scalar) -> Scalar:
-        """Exact value at a rational point (nonzero if negative exponents occur)."""
-        point = Fraction(point)
-        if self.is_laurent() and point == 0:
-            raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * point ** e
-        return _norm_scalar(total)
 
     # -- canonical text form ---------------------------------------------
 

@@ -31,9 +31,20 @@ hat and tilde transposed on the ring weights, with monomial shifts only.
 Ring tails G_k (per (n, step, power)), weights (per (n, spec)) and kernels
 (per (n, spec, t, d, step)) are memoized in bounded caches.  The tails
 depend on neither r nor alpha, so every r of a cell and every alpha of
-thm2.1 share them; weights and kernels are kept since the family varies
-fastest in a sweep.  A check lifts each f_j(q^d) once and transforms
-nothing.
+thm2.1 share them.  A spec is keyed on min(r, d - r) (_spec), since the
+weights are symmetric under r <-> d - r.  sun_p's right weights, of
+negative step, are its left ones under q -> 1/q (Residue.reflect), a ring
+automorphism mod Phi_n^2 since Phi_n is self-reciprocal.
+
+thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries,
+so each side is Sum_j u_j f_j(q^d) times its scale, and the statement holds
+for every family when lscale*u^L_j == rscale*u^R_j for every j.
+_kernels_agree decides that once per cell, in a bounded cache keyed on n,
+both specs, both sides without their entries and both scales.  A check of
+a cell whose kernels agree then lifts no entry and forms no dot; one whose
+kernels differ is decided on its ring sides, so every failing verdict and
+residual comes from those.  The denominator is certified on every check.
+A check on the ring sides lifts each f_j(q^d) once and transforms nothing.
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
 and congruence.horner gives its x-coefficients from the last j down,
@@ -285,6 +296,14 @@ def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool, G=N
     return w, G[0]
 
 
+def _spec(r: int, d: int, step: int, power: int, tri: bool) -> tuple:
+    """The spec (r, d, step, power, tri) of _weights with r replaced by
+    min(r, d - r).  P_k is symmetric under r <-> d - r (alpha <-> -1 - alpha
+    for thm2.1), so the two spellings share one set of ring weights and
+    kernels."""
+    return min(r, d - r), d, step, power, tri
+
+
 # -- the statements -----------------------------------------------------------
 
 
@@ -335,7 +354,7 @@ def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
-    spec = (p.r, p.d, p.d, 2, False)
+    spec = _spec(p.r, p.d, p.d, 2, False)
     fs = tuple(seq)
     return _Statement(p, spec, spec, _Side(fs, 0, p.d, p.d), _Side(fs, 1, p.d, p.d),
                       qpow(p.E), LaurentPoly.const(p.sign))
@@ -349,7 +368,7 @@ def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
     """
     _require_length(p, seq)
     entries, fden = common_denominator(seq.entries) if seq.kind == RATIONAL else (seq, one)
-    spec = (p.r, p.d, p.d, 2, False)
+    spec = _spec(p.r, p.d, p.d, 2, False)
     fs = tuple(entries)
     return _Statement(p, spec, spec, _Side(fs, 0, p.d, 0), _Side(fs, -1, p.d, 0),
                       one, p.sign * qpow(p.E), _subs(fden, p.d))
@@ -360,7 +379,7 @@ def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
     [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
-    spec = (p.alpha, -1, 1, 2, True)
+    spec = _spec(p.alpha, -1, 1, 2, True)
     fs = tuple(seq)
     return _Statement(p, spec, spec, _Side(fs, 0, 1, 0), _Side(fs, 1, 1, 0),
                       p.sign * qpow(p.F), one)
@@ -373,7 +392,7 @@ def _sun_p_x(p: SymParams) -> _Statement:
     """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
     Pochhammer form of its numerators over (q;q)_(n-1): the statement
     _thm_1_2 makes of generate("sun_p_x") by common_denominator."""
-    spec = (p.r, p.d, p.d, 2, False)
+    spec = _spec(p.r, p.d, p.d, 2, False)
     side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
     return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E),
                       qpoch(p.d, p.d, p.n - 1))
@@ -395,7 +414,7 @@ def _sun_p(p: SymParams) -> _Statement:
     left one times a monomial, which rscale takes.
     """
     _require(_odd_n(p.n))
-    return _Statement(p, (-p.r, -p.d, p.d, 3, True), (p.r, p.d, -p.d, 3, True),
+    return _Statement(p, _spec(-p.r, -p.d, p.d, 3, True), _spec(p.r, p.d, -p.d, 3, True),
                       _Side(None, 0, p.d, 0, poch=0), _Side(None, 0, -p.d, 0, poch=1),
                       one, p.sign * qpow(p.E + 3 * p.d * _tri(p.n)))
 
@@ -442,8 +461,15 @@ def _ring_tails(n: int, step: int, power: int) -> tuple:
 
 @lru_cache(maxsize=4)
 def _ring_weights(n: int, spec: tuple) -> tuple:
-    """The weights of a spec mod Phi_n^2, kept across the families of a cell."""
-    _, _, step, power, _ = spec
+    """The weights of a spec mod Phi_n^2, kept across the families of a cell.
+
+    A spec with negative step (sun_p's right one) has the weights and G_0 of
+    (-r, -d, -step, power, tri) under q -> 1/q, each by Residue.reflect:
+    shifted copies in place of the dense products P_k G_k."""
+    r, d, step, power, tri = spec
+    if step < 0:
+        w, den = _ring_weights(n, _spec(-r, -d, -step, power, tri))
+        return [wk.reflect() for wk in w], den.reflect()
     return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, step, power))
 
 
@@ -463,6 +489,40 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     if step:
         v = [wk * qpow(step * k) for k, wk in enumerate(v)]
     return tuple(horner(v, t * d, t * d) if t else v)
+
+
+def _linear(st: _Statement) -> bool:
+    """Whether both sides read the same entries f_j(q^d): thm1.1, thm1.2 and
+    thm2.1, whose sides are then Sum_j u_j f_j(q^d) times a scale."""
+    return st.left.entries is not None and st.right.entries is st.left.entries and st.right.d == st.left.d
+
+
+@lru_cache(maxsize=16)
+def _kernels_agree(n: int, lspec: tuple, rspec: tuple, left: _Side, right: _Side,
+                   lscale: LaurentPoly, rscale: LaurentPoly) -> bool:
+    """Whether lscale*u^L_j == rscale*u^R_j mod Phi_n^2 for every j, for the
+    kernels of the two sides of a linear statement, given without entries.
+    Then the statement holds for every family, so this is decided once per
+    cell while the family varies fastest in a sweep."""
+
+    def scaled(spec, side, scale):
+        u = _ring_kernel(n, spec, side.t, side.d, side.step)
+        return u if scale == one else [uj * scale for uj in u]
+
+    return all(a == b for a, b in zip(scaled(lspec, left, lscale), scaled(rspec, right, rscale)))
+
+
+def _ring_den(st: _Statement) -> Residue:
+    """The one denominator of both sides in Q[q]/(Phi_n^2).  One that is not a
+    unit mod Phi_n raises the error congruent raises on the full sides, with
+    the full denominator."""
+    n = st.p.n
+    den = _ring_weights(n, st.lweights)[1]
+    if st.fden != one:
+        den = den * st.fden
+    if not den.is_unit():
+        raise NoncoprimeDenominatorError(_full_sides(st)[0].den, n)
+    return den
 
 
 class _RingSides(NamedTuple):
@@ -486,15 +546,10 @@ def _ring_sides(st: _Statement) -> _RingSides:
     Pochhammer form is Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or
     u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j), the
     cached tails: horner gives its x-coefficients, and no entry is formed
-    or lifted.  A denominator that is not a unit mod Phi_n raises the error
-    congruent raises on the full sides, with the full denominator.
+    or lifted.  The denominator is _ring_den's.
     """
     n = st.p.n
-    den = _ring_weights(n, st.lweights)[1]
-    if st.fden != one:
-        den = den * st.fden
-    if not den.is_unit():
-        raise NoncoprimeDenominatorError(_full_sides(st)[0].den, n)
+    den = _ring_den(st)
 
     def lift(side):
         if side.poch is None:
@@ -513,8 +568,7 @@ def _ring_sides(st: _Statement) -> _RingSides:
         return sums if scale == one else {j: s * scale for j, s in sums.items()}
 
     left = lift(st.left)
-    same = st.right.entries is st.left.entries and st.right.d == st.left.d
-    right = left if same else lift(st.right)
+    right = left if _linear(st) else lift(st.right)
     bivariate = any(sd.poch is not None or any(isinstance(f, BiPoly) for f in sd.entries)
                     for sd in (st.left, st.right))
     return _RingSides(side(st.left, left, st.lweights, st.lscale),
@@ -566,15 +620,30 @@ def _residual_text(res) -> str:
 
 
 def _report(check: str, params: dict, st: _Statement, started: float) -> CheckReport:
-    """Decide a statement on its ring sides and report it: it holds when every
+    """Decide a statement and report it.
+
+    A linear statement holds for every family when its scaled kernels agree
+    (_kernels_agree, once per cell); it is then reported as holding with no
+    entry lifted and no dot formed.  Every other statement, and a linear one
+    whose kernels differ, is decided on its ring sides: it holds when every
     x-coefficient of the numerators agrees, and a failing one gets the
-    residual of the same residues."""
+    residual of the same residues.  The denominator is certified on every
+    call either way.
+    """
     p = st.p
-    sides = _ring_sides(st)
-    zero = reduce(0, p.n, 2)
-    diff = {j: sides.left.get(j, zero) - sides.right.get(j, zero)
-            for j in sides.left.keys() | sides.right.keys()}
-    holds = all(r.is_zero() for r in diff.values())
+    holds, residual = False, None
+    if _linear(st):
+        _ring_den(st)
+        holds = _kernels_agree(p.n, st.lweights, st.rweights, st.left._replace(entries=None),
+                               st.right._replace(entries=None), st.lscale, st.rscale)
+    if not holds:
+        sides = _ring_sides(st)
+        zero = reduce(0, p.n, 2)
+        diff = {j: sides.left.get(j, zero) - sides.right.get(j, zero)
+                for j in sides.left.keys() | sides.right.keys()}
+        holds = all(r.is_zero() for r in diff.values())
+        if not holds:
+            residual = _residual_text(_residual_of(diff, sides.den, sides.bivariate))
     return CheckReport(
         check=check,
         params=params,
@@ -584,7 +653,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
         sign=p.sign,
         branch=p.branch,
         wall_time=time.perf_counter() - started,
-        residual=None if holds else _residual_text(_residual_of(diff, sides.den, sides.bivariate)),
+        residual=residual,
     )
 
 

@@ -2,10 +2,11 @@ import dataclasses
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from helpers import transform_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcong import theorems
@@ -27,6 +28,7 @@ from qcong.theorems import (
     _ring_kernel,
     _ring_sides,
     _ring_weights,
+    _spec,
     _sun_p,
     _sun_p_x,
     _thm_1_1,
@@ -357,6 +359,66 @@ def test_ring_check_reports_a_noncoprime_family_denominator():
     assert str(ring.value) == str(full.value)
 
 
+def test_a_decided_cell_still_reports_a_noncoprime_family_denominator():
+    assert check_thm_1_2(SymParams.create(5, 2, 1), "ones").holds
+    test_ring_check_reports_a_noncoprime_family_denominator()
+
+
+@st.composite
+def linear_cases(draw):
+    """(check, sides, params, families): thm1.1, thm1.2 or thm2.1 at n <= 15 and
+    two families drawn from polynomial ones, monomial_x and, for thm1.2, the
+    rational sun_p_x entries as a PolySeq (so not in Pochhammer form)."""
+    n = draw(st.integers(min_value=2, max_value=15))
+    name = draw(st.sampled_from(["thm1.1", "thm1.2", "thm2.1"]))
+    if name == "thm2.1":
+        p = AlphaParams.create(n, draw(st.integers(0, n - 1)), draw(st.integers(-3, 3)))
+        check, sides = check_thm_2_1, thm_2_1_sides
+    else:
+        d = draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1))
+        p = SymParams.create(n, d, draw(st.integers(-5, 5)))
+        check, sides = (check_thm_1_1, thm_1_1_sides) if name == "thm1.1" else (check_thm_1_2, thm_1_2_sides)
+    pool = ["ones", f"delta:{draw(st.integers(0, n - 1))}", f"monomial_q:{draw(st.integers(1, 3))}",
+            f"random_poly:{draw(st.integers(0, 99))}:3", "monomial_x"]
+    if name == "thm1.2":
+        pool.append(generate("sun_p_x", n))
+    return check, sides, p, draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(linear_cases())
+def test_linear_checks_match_the_full_sides(case):
+    """thm1.1, thm1.2 and thm2.1, decided once per cell by their scaled kernels
+    and on their ring sides when those differ, give the (holds, residual) of
+    the full sides, on the cell and under each perturbation, for two families
+    in a row: the second meets its cell already decided."""
+    check, sides, cell, families = case
+    for name, perturb in PERTURBATIONS.items():
+        p = perturb(cell)
+        for fam in families:
+            seq = fam if isinstance(fam, PolySeq) else generate(fam, p.n)
+            rep = check(p, fam)
+            assert (rep.holds, rep.residual) == _full_verdict(*sides(p, seq), p.n), (name, rep.params)
+
+
+def test_a_decided_cell_lifts_no_second_family(monkeypatch):
+    """Once a true cell is decided, another family's check reports it holding
+    without reducing a single entry."""
+    p, alpha = SymParams.create(7, 3, 2), AlphaParams.create(7, 4, -2)
+    cells = [(check_thm_1_1, p), (check_thm_1_2, p), (check_thm_2_1, alpha)]
+    for check, params in cells:
+        assert check(params, "ones").holds
+
+    def lift(*args):
+        raise AssertionError("an entry was lifted")
+
+    monkeypatch.setattr(theorems, "reduce_by_degree", lift)
+    for check, params in cells:
+        for fam in ("random_poly:4:3", "monomial_x"):
+            assert check(params, fam).holds, (check, fam)
+    assert check_thm_1_2(p, generate("sun_p_x", 7)).holds
+
+
 # -- the one weight formula ---------------------------------------------------
 
 # (r, d) -> the (r, d, step, power, tri) spec of each statement side
@@ -382,6 +444,38 @@ def test_weights_are_the_pochhammer_formula(shape):
                     pairs = qpoch(r_, d_, k) * qpoch(d_ - r_, d_, k)
                     scale = qpow(step * (k * k + k)) if tri else one
                     assert wk * qpoch(step, step, k) ** power == scale * pairs * den, (spec, n, k)
+
+
+@pytest.mark.parametrize("shape", SPEC_SHAPES)
+def test_r_and_d_minus_r_share_one_weight_set(shape):
+    """Both spellings r and d - r of a spec have one canonical spec, whose ring
+    weights and denominator are each spelling's full weights reduced mod Phi_n^2."""
+    for n in (2, 5, 6, 9):
+        for r in (-3, 0, 2, 5):
+            for d in (1, 2, 3):
+                r_, d_, *rest = SPEC_SHAPES[shape](r, d)
+                spellings = [(r_, d_, *rest), (d_ - r_, d_, *rest)]
+                assert _spec(*spellings[0]) == _spec(*spellings[1])
+                ring_w, ring_den = _ring_weights(n, _spec(*spellings[0]))
+                for spelling in spellings:
+                    w, den = _weights(lambda f: f, n, *spelling)
+                    assert ring_w == [reduce(wk, n, 2) for wk in w], (spelling, n)
+                    assert ring_den == reduce(den, n, 2), (spelling, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=15),
+       st.tuples(st.integers(-6, 6), st.integers(-7, 7).filter(bool), st.integers(-7, -1),
+                 st.sampled_from([2, 3]), st.booleans()))
+@example(7, (1, 2, -2, 3, True))  # sun_p's right specs at (n, d, r) = (7, 2, 1),
+@example(9, (-2, 4, -4, 3, True))  # (9, 4, -2),
+@example(13, (5, 3, -3, 3, True))  # (13, 3, 5)
+@example(15, (0, 2, -2, 3, True))  # and (15, 2, 0)
+def test_weights_of_a_negative_step_are_the_reflected_ones(n, spec):
+    """The ring weights of a spec with negative step, made by q -> 1/q from the
+    spec (-r, -d, -step, power, tri), equal the weights built factor by factor
+    in the ring."""
+    assert _ring_weights(n, spec) == _weights(partial(reduce, n=n, m=2), n, *spec)
 
 
 def test_thm_2_1_weights_are_the_q_binomial_products():
