@@ -2,16 +2,21 @@
 
 Every decision is computed in the residue ring Q[q]/(Phi_n^m), whose
 elements are dense coefficient lists of length m*phi(n), lowest degree
-first.  A Laurent polynomial enters the ring in two steps.  First each
-term is folded below degree m*n by the closed form
+first.  Below them sits Q[q]/(q^n - 1)^m, which Phi_n^m divides, in
+eps-coordinates: with eps = q^n - 1, every element is Sum_{i<m} eps^i T_i
+for blocks T_i of n coefficients, and
 
-    q^(a*n + b) == q^b * Sum_{i<m} C(a, i) * (q^n - 1)^i   (mod (q^n - 1)^m),
+    q^(a*n + b) == q^b * (1 + eps)^a == q^b * Sum_{i<m} C(a, i) eps^i   (mod eps^m),
 
-the binomial series of (1 + (q^n - 1))^a, which holds for a of either sign
-because q^n is a unit; Phi_n divides q^n - 1, so it holds mod Phi_n^m too.
-This costs O(terms) whatever the exponents, so q^(10^9) and q^(-10^9)
-never become dense lists.  Then one division leaves the canonical
-representative.
+the binomial series of (1 + eps)^a, which holds for a of either sign
+because q^n is a unit.  A Laurent polynomial enters the ring in two
+steps.  First it is folded: one pass over its terms adds C(a, i)*c to
+T_i[b] for each term c*q^(a*n + b), so every residue class b mod n keeps
+m running sums, and the T_i are taken back to coefficients in q once, a
+Taylor shift of the blocks (_taylor) that leaves the unique representative
+of degree below m*n.  This costs O(terms) whatever the exponents, so
+q^(10^9) and q^(-10^9) never become dense lists.  Then one division leaves
+the canonical representative.
 
 A division is a remainder tower (von zur Gathen and Gerhard, "Modern
 Computer Algebra", section 9): each stage divides by a monic multiple of
@@ -31,10 +36,13 @@ q^(k*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m is the same binomial series,
 and the sum is divided once.  So a factor such as 1 - q^e or a monomial
 costs O(m * m*phi(n)) operations before the division, whatever e is.
 dot sums products of residues with a single division.  horner forms the
-x-coefficients of Sum_k g_k (x q^c; q^e)_k, n^2/2 monomial shifts; its
-working coefficients are reduced by the sparse stages of the tower alone,
-at most m*n of them each, and the dense stage runs once per coefficient
-at the end.
+x-coefficients of Sum_k g_k (x q^c; q^e)_k, n^2/2 monomial shifts, in
+eps-coordinates: q^(K*n + b) times an element rotates each block T_i by b
+and multiplies by (1 + eps)^K, or (1 + eps)^(K+1) for the b coefficients
+that wrap past q^n, which adds C(K, d) times T_(i-d) to T_i.  So a shift
+is a block rotation and one combination per level below, m*n coefficients
+a working x-coefficient whatever n is; each g_k is taken into
+eps-coordinates once, and each result out once and divided by the tower.
 
 The working ring for rational inputs is Q[q] localized at polynomials
 coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
@@ -58,10 +66,8 @@ Bivariate inputs are handled coefficient-wise in x.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
@@ -104,18 +110,35 @@ def _check_modulus_params(n: int, m: int) -> None:
         raise ValueError("modulus requires m >= 1")
 
 
+def _binomials(m: int, a: int) -> list:
+    """C(a, i) for i < m, the generalized binomials for a < 0: the
+    eps-coordinates of (1 + eps)^a mod eps^m."""
+    out, binom = [], 1
+    for i in range(m):
+        out.append(binom)
+        binom = binom * (a - i) // (i + 1)
+    return out
+
+
+def _taylor(levels: list, t: int) -> list:
+    """The coefficients T_0..T_(m-1), equal-length lists, of p(x) = Sum_i x^i T_i,
+    rewritten in place as those of p(x + t), t = +-1.  With x = q^n and
+    eps = q^n - 1, t = 1 takes blocks of coefficients in q to
+    eps-coordinates and t = -1 takes them back."""
+    m = len(levels)
+    for i in range(m - 1):
+        for j in range(m - 2, i - 1, -1):  # T_j += t * T_(j+1), top down
+            lo, hi = levels[j], levels[j + 1]
+            levels[j] = [x + y for x, y in zip(lo, hi)] if t > 0 else [x - y for x, y in zip(lo, hi)]
+    return levels
+
+
 @lru_cache(maxsize=1024)
 def _shift(m: int, a: int) -> tuple:
     """The w_j, j < m, with q^(a*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m for
     every n: the binomial series Sum_{i<m} C(a, i) (q^n - 1)^i of
     (1 + (q^n - 1))^a, for a of either sign."""
-    w = [0] * m
-    binom = 1  # C(a, i), the generalized binomial for a < 0
-    for i in range(m):
-        for j in range(i + 1):
-            w[j] += binom * math.comb(i, j) * (-1) ** (i - j)
-        binom = binom * (a - i) // (i + 1)
-    return tuple(w)
+    return tuple(level[0] for level in _taylor([[x] for x in _binomials(m, a)], -1))
 
 
 def _below_lead(p: LaurentPoly) -> tuple:
@@ -143,16 +166,30 @@ class _Ring:
 
     def fold(self, terms) -> list:
         """Dense coefficients, below degree m*n, of a polynomial == Sum c*q^e mod
-        (q^n - 1)^m, over the (e, c) pairs of terms."""
-        n, m, span = self.n, self.m, self.span
-        out = [0] * span
+        (q^n - 1)^m, over the (e, c) pairs of terms.
+
+        With eps = q^n - 1, q^(a*n + b) == q^b * Sum_{i<m} C(a, i) eps^i, so in
+        one pass over the terms each adds C(a, i)*c to T_i[b], i < m, and the
+        element Sum_i eps^i T_i is taken out of eps-coordinates once at the
+        end (_taylor).  No term looks up a table or branches on its exponent."""
+        n, span = self.n, self.span
+        out = [0] * (span + n)  # T_0..T_(m-1), and one block more, which takes T_1 when m = 1
+        higher = range(2 * n, span, n)
         for e, c in terms:
-            if 0 <= e < span:
-                out[e] += c
-                continue
             a, b = divmod(e, n)
-            for j, w in enumerate(_shift(m, a)):
-                out[b + j * n] += c * w
+            out[b] += c
+            out[n + b] += a * c
+            if higher:
+                binom = a * (a - 1) // 2
+                for i, j in enumerate(higher, 2):  # T_i[b] += C(a, i) * c
+                    out[j + b] += binom * c
+                    binom = binom * (a - i) // (i + 1)
+        del out[span:]
+        if not any(out[n:]):  # T_0 alone: it is the element
+            return out
+        out, levels = [], _taylor([out[i:i + n] for i in range(0, span, n)], -1)
+        for level in levels:
+            out += level
         return out
 
     def divide(self, vec: list, stages=None) -> list:
@@ -186,19 +223,15 @@ class _Ring:
 
     def mul_poly(self, a: list, p: LaurentPoly) -> list:
         """a * p by shifted copies of a, then one division: a term c*q^(k*n + b)
-        adds c*w_j*a at b + j*n for the w of _shift(m, k).  A p with more terms
-        than the ring dimension is reduced first."""
+        adds c*w_j*a at b + j*n for the w of _shift(m, k), or c*a at k*n + b
+        when 0 <= k < m.  A p with more terms than the ring dimension is
+        reduced first."""
         terms = p.terms
         if len(terms) > self.dim:
             return self.mul(self.divide(self.fold(terms.items())), a)
-        return self.divide(self.copies(a, terms.items()))
-
-    def copies(self, a: list, terms) -> list:
-        """Sum c*w_j*a at b + j*n over the (e, c) pairs of terms, e = k*n + b,
-        undivided: a times a sparse polynomial, below degree m*n + len(a)."""
         n, m = self.n, self.m
         out, top = [0] * (self.span + len(a) - 1), 0
-        for e, c in terms:
+        for e, c in terms.items():
             k, b = divmod(e, n)
             if 0 <= k < m:  # q^e itself is below m*n: one copy, no series
                 for i, y in enumerate(a, e):
@@ -212,26 +245,60 @@ class _Ring:
                         out[i] += cw * y
                     top = max(top, b + j * n)
         del out[top + len(a):]  # zero above the last copy: no division row scans it
-        return out
+        return self.divide(out)
 
     def horner(self, g: list, c: int, e: int) -> list:
         """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residue lists g, by
         Horner in x from the last k down: S <- g_k + (1 - x q^(c + k*e)) S.
 
-        Each step shifts every coefficient by the one monomial.  The
-        coefficients are kept reduced by the sparse stages of the tower alone,
-        modulo a multiple of Phi_n^m, and each is divided by Phi_n^m once at
-        the end."""
-        sparse = self.stages[:-1]
-        y = [list(g[-1])]
+        The work is in eps-coordinates, eps = q^n - 1, exact mod eps^m, which
+        Phi_n^m divides: an element is Sum_{i<m} eps^i T_i with blocks T_i of
+        n coefficients.  y[i] holds level i of every x-coefficient, x^j in
+        block j.  q^(K*n + b) times an element rotates each block by b; the b
+        coefficients that wrap past q^n are times (1 + eps)^(K+1), the rest
+        times (1 + eps)^K, which adds C(., d) times level i - d to level i.
+        The g_k are taken into eps-coordinates in one pass, the results out
+        in one, and each is divided by the tower, whose first stage is then
+        empty."""
+        n, m, span = self.n, self.m, self.span
+        pad, zero = [0] * (span - self.dim), [0] * n
+        g, G = [r + pad for r in g], [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
+        for i, level in enumerate(G):
+            for r in g:
+                level += r[i * n:(i + 1) * n]
+        y = [level[-n:] for level in _taylor(G, 1)]
         for k in range(len(g) - 2, -1, -1):
-            shifted = [self.divide(self.copies(b, ((c + k * e, 1),)), sparse) for b in y]
-            head = list(y[0])
-            for i, x in enumerate(g[k]):
-                head[i] += x
-            y = [head] + [[x - z for x, z in zip_longest(a, b, fillvalue=0)]
-                          for a, b in zip(y[1:], shifted)] + [[-z for z in shifted[-1]]]
-        return [self.divide(v) for v in y]
+            K, b = divmod(c + k * e, n)
+            # each block rotated by b: the whole level, then the columns that crossed a block edge
+            cut, wrong = (-b, range(b)) if 2 * b <= n else (n - b, range(b, n))
+            r = []
+            for level in y:
+                rot = level[cut:] + level[:cut]
+                for o in wrong:
+                    rot[o::n] = level[(o - b) % n::n]
+                r.append(rot)
+            # W[d - 1]: C(K + 1, d) = C(K, d) + C(K, d - 1) at the offsets below b, C(K, d) above
+            binom = _binomials(m, K)
+            W = [([u + v] * b + [u] * (n - b)) * (len(y[0]) // n) for u, v in zip(binom[1:], binom)]
+            new = []
+            for i, level in enumerate(y):  # x^0: y_0 + g_k; x^j: y_j - q^(K*n + b) y_(j-1)
+                above = level[n:] + zero
+                if i:
+                    above = [x - z - w * u for x, z, u, w in zip(above, r[i], r[i - 1], W[0])]
+                    for d in range(2, i + 1):
+                        above = [x - w * u for x, u, w in zip(above, r[i - d], W[d - 1])]
+                else:
+                    above = [x - z for x, z in zip(above, r[0])]
+                new.append([x + z for x, z in zip(level[:n], G[i][k * n:(k + 1) * n])] + above)
+            y = new
+        out = []
+        _taylor(y, -1)
+        for j in range(0, len(y[0]), n):  # x^j: its block of each level
+            v = []
+            for level in y:
+                v += level[j:j + n]
+            out.append(self.divide(v))
+        return out
 
     def inverse(self, a: list) -> tuple:
         """(s, scale) with s*scale the inverse of the residue list a: s is an

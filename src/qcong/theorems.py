@@ -84,7 +84,7 @@ from .congruence import NoncoprimeDenominatorError, Residue, _residual_of, dot, 
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
 from .qcalc import qbinom_int, qpoch, qpoch_x_prefixes
-from .transforms import RATIONAL, PolySeq, common_denominator, hat, tilde
+from .transforms import RATIONAL, PolySeq, common_denominator, hat, shared_denominator, tilde
 
 
 def _tri(x: int) -> int:
@@ -363,13 +363,14 @@ def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
 def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
     """Sum T_k f_k(q^d)  vs  sign * q^E * Sum T_k tilde(f)_k(q^d).
 
-    A rational sequence is rewritten over a common denominator first, which
-    then multiplies the shared T_k denominator.
+    A rational sequence keeps its entries; their shared denominator
+    multiplies the T_k denominator, and the numerators over it are built
+    only where a side is lifted or expanded (_numerators).
     """
     _require_length(p, seq)
-    entries, fden = common_denominator(seq.entries) if seq.kind == RATIONAL else (seq, one)
+    fden = shared_denominator(seq.entries) if seq.kind == RATIONAL else one
     spec = _spec(p.r, p.d, p.d, 2, False)
-    fs = tuple(entries)
+    fs = tuple(seq)
     return _Statement(p, spec, spec, _Side(fs, 0, p.d, 0), _Side(fs, -1, p.d, 0),
                       one, p.sign * qpow(p.E), _subs(fden, p.d))
 
@@ -390,8 +391,8 @@ _SUN_P_X = FamilySpec("sun_p_x")
 
 def _sun_p_x(p: SymParams) -> _Statement:
     """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
-    Pochhammer form of its numerators over (q;q)_(n-1): the statement
-    _thm_1_2 makes of generate("sun_p_x") by common_denominator."""
+    Pochhammer form of its numerators over (q;q)_(n-1), the fden that
+    _thm_1_2 finds for generate("sun_p_x")."""
     spec = _spec(p.r, p.d, p.d, 2, False)
     side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
     return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E),
@@ -425,14 +426,21 @@ def _sum(weights, entries):
     return sum(terms[1:], terms[0])
 
 
+def _numerators(fs: tuple) -> tuple:
+    """Polynomial entries as they are; rational ones as their numerators over
+    the family's shared denominator, the fden of the statement."""
+    return tuple(common_denominator(fs)[0]) if isinstance(fs[0], RatExpr) else fs
+
+
 def _entries(side: _Side, n: int) -> tuple:
-    """The f_k of a side.  A Pochhammer form is expanded by running products;
-    a rescaled one is sun_p_x brought to its common denominator, as
-    _thm_1_2 does, so the H_k of _ring_sides are not built here."""
+    """The f_k of a side, as polynomials (_numerators).  A Pochhammer form is
+    expanded by running products; a rescaled one is sun_p_x over its common
+    denominator, as _thm_1_2 has it, so the H_k of _ring_sides are not
+    built here."""
     if side.poch is None:
-        return side.entries
+        return _numerators(side.entries)
     if side.rescaled:
-        return tuple(common_denominator(generate(_SUN_P_X, n).entries)[0])
+        return _numerators(generate(_SUN_P_X, n).entries)
     return tuple(qpoch_x_prefixes(side.poch, n))
 
 
@@ -553,7 +561,7 @@ def _ring_sides(st: _Statement) -> _RingSides:
 
     def lift(side):
         if side.poch is None:
-            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in side.entries]
+            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.entries)]
 
     def side(sd, lifted, spec, scale) -> dict:
         u = _ring_kernel(n, spec, sd.t, sd.d, sd.step)
@@ -569,7 +577,8 @@ def _ring_sides(st: _Statement) -> _RingSides:
 
     left = lift(st.left)
     right = left if _linear(st) else lift(st.right)
-    bivariate = any(sd.poch is not None or any(isinstance(f, BiPoly) for f in sd.entries)
+    bivariate = any(sd.poch is not None
+                    or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.entries)
                     for sd in (st.left, st.right))
     return _RingSides(side(st.left, left, st.lweights, st.lscale),
                       side(st.right, right, st.rweights, st.rscale), den, bivariate)

@@ -74,29 +74,39 @@ def _pascal(fs: Sequence, sign: int) -> list:
     return out
 
 
-def common_denominator(fs: Sequence[RatExpr]) -> tuple[list, LaurentPoly]:
-    """Rewrite f_j = num_j / den with one shared denominator.
+def shared_denominator(fs: Sequence[RatExpr]) -> LaurentPoly:
+    """The one denominator of common_denominator, without the numerators.
 
-    Folds the entry denominators left to right, dividing exactly whenever
-    one denominator divides the running one (the usual case: nested
-    Pochhammer denominators) and falling back to the product otherwise.
+    Folds the entry denominators left to right, taking the entry's whenever
+    the running one divides it (the usual case: nested Pochhammer
+    denominators), keeping the running one when the entry's divides it,
+    and falling back to the product otherwise.
     """
     den = LaurentPoly.const(1)
-    nums: list = []
+    for f in fs:
+        if f.den == den:
+            continue
+        if divides(den, f.den):
+            den = f.den
+        elif not divides(f.den, den):
+            den = den * f.den
+    return den
+
+
+def common_denominator(fs: Sequence[RatExpr]) -> tuple[list, LaurentPoly]:
+    """Rewrite f_j = num_j / den with one shared denominator, that of
+    shared_denominator: num_j = f_j.num * (den / f_j.den).  Every f_j.den
+    divides den up to a power of q, so the quotient is taken with both at
+    valuation 0 and shifted back."""
+    den = shared_denominator(fs)
+    v = den.valuation()
+    nums = []
     for f in fs:
         if f.den == den:
             nums.append(f.num)
-        elif divides(den, f.den):
-            scale = exact_div(f.den, den)
-            nums = [nm * scale for nm in nums]
-            den = f.den
-            nums.append(f.num)
-        elif divides(f.den, den):
-            nums.append(f.num * exact_div(den, f.den))
         else:
-            nums = [nm * f.den for nm in nums]
-            nums.append(f.num * den)
-            den = den * f.den
+            w = f.den.valuation()
+            nums.append(f.num * exact_div(den.shift(-v), f.den.shift(-w)).shift(v - w))
     return nums, den
 
 

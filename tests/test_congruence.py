@@ -276,6 +276,35 @@ def test_reduce_poly_matches_long_division(n, m, terms):
     assert list(got) == residue_by_long_division(terms, n, m)
 
 
+@st.composite
+def dense_runs(draw):
+    """(n, m, terms): one or two runs of consecutive exponents, each longer
+    than n, so that every residue class mod n sums several terms, starting
+    near 0, below 0, or near +-10^6."""
+    n, m = draw(st.integers(min_value=2, max_value=15)), draw(st.integers(min_value=1, max_value=3))
+    starts = st.one_of(
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=-200, max_value=-1),
+        st.integers(min_value=10**6 - 50, max_value=10**6 + 50),
+        st.integers(min_value=-10**6 - 50, max_value=-10**6 + 50),
+    )
+    terms: dict = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        start = draw(starts)
+        for i, c in enumerate(draw(st.lists(coefficients, min_size=n + 1, max_size=3 * m * n))):
+            terms[start + i] = terms.get(start + i, 0) + c
+    return n, m, terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_runs())
+def test_dense_fold_matches_long_division(case):
+    """_Ring.fold sums each residue class in eps-coordinates; dense runs put
+    many terms in every class."""
+    n, m, terms = case
+    assert list(_reduce_poly(LaurentPoly(terms), n, m)) == residue_by_long_division(terms, n, m)
+
+
 sparse = st.dictionaries(st.integers(min_value=-10**6, max_value=10**6), coefficients, max_size=9)
 
 # n up to 12, and the primes up to 31: for prime n a product of two residues
@@ -325,12 +354,21 @@ def test_dot_matches_long_division(n, m, pairs):
     assert list(got.coeffs) == residue_by_long_division(total, n, m)
 
 
-@settings(max_examples=30, deadline=None)
-@given(ring_ns, st.integers(min_value=1, max_value=3), st.lists(polys, min_size=1, max_size=5),
-       st.integers(min_value=-12, max_value=12), st.integers(min_value=-12, max_value=12))
+# small, or far: |c| up to about 10^6 and |e| above every m*n drawn (m*n <= 93),
+# so the shift q^(c + k*e) = q^(K*n + b) has large K of either sign
+horner_offsets = st.one_of(st.integers(min_value=-12, max_value=12),
+                           st.integers(min_value=-10**6 - 100, max_value=10**6 + 100))
+horner_steps = st.one_of(st.integers(min_value=-12, max_value=12), st.integers(min_value=94, max_value=400),
+                         st.integers(min_value=-400, max_value=-94))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
+       st.lists(polys, min_size=1, max_size=5), horner_offsets, horner_steps)
 def test_horner_matches_long_division(n, m, g, c, e):
     """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, against the sum expanded
-    on dicts, x-degree by x-degree, and reduced by the oracle."""
+    on dicts, x-degree by x-degree, and reduced by the oracle.  n = 15, 21
+    and 30 have a middle stage in the tower above n = 12."""
     total, poch = {}, {0: {0: Fraction(1)}}  # x-degree -> q-dict; poch = (x q^c; q^e)_k
     for k, gk in enumerate(g):
         for j, coeff in poch.items():

@@ -403,7 +403,8 @@ def test_linear_checks_match_the_full_sides(case):
 
 def test_a_decided_cell_lifts_no_second_family(monkeypatch):
     """Once a true cell is decided, another family's check reports it holding
-    without reducing a single entry."""
+    without reducing a single entry, and a rational family's numerators over
+    its shared denominator are never formed."""
     p, alpha = SymParams.create(7, 3, 2), AlphaParams.create(7, 4, -2)
     cells = [(check_thm_1_1, p), (check_thm_1_2, p), (check_thm_2_1, alpha)]
     for check, params in cells:
@@ -413,6 +414,7 @@ def test_a_decided_cell_lifts_no_second_family(monkeypatch):
         raise AssertionError("an entry was lifted")
 
     monkeypatch.setattr(theorems, "reduce_by_degree", lift)
+    monkeypatch.setattr(theorems, "common_denominator", lift)
     for check, params in cells:
         for fam in ("random_poly:4:3", "monomial_x"):
             assert check(params, fam).holds, (check, fam)
