@@ -192,12 +192,12 @@ class _Ring:
             out += level
         return out
 
-    def divide(self, vec: list, stages=None) -> list:
+    def divide(self, vec: list) -> list:
         """Remainder of the dense vec by Phi_n^m, computed in place, stage by
         stage: the rows from m*n up by the sparse (q^n - 1)^m, which Phi_n^m
         divides, and the rows left above m*phi(n) by Phi_n^m, after a sparse
-        middle stage when n has one.  Given stages, only those run."""
-        for modulus, deg in self.stages if stages is None else stages:
+        middle stage when n has one."""
+        for modulus, deg in self.stages:
             for i in range(len(vec) - 1, deg - 1, -1):
                 c = vec[i]
                 if c:
@@ -271,12 +271,12 @@ class _Ring:
             K, b = divmod(c + k * e, n)
             # each block rotated by b: the whole level, then the columns that crossed a block edge
             cut, wrong = (-b, range(b)) if 2 * b <= n else (n - b, range(b, n))
-            r = []
+            rots = []
             for level in y:
                 rot = level[cut:] + level[:cut]
                 for o in wrong:
                     rot[o::n] = level[(o - b) % n::n]
-                r.append(rot)
+                rots.append(rot)
             # W[d - 1]: C(K + 1, d) = C(K, d) + C(K, d - 1) at the offsets below b, C(K, d) above
             binom = _binomials(m, K)
             W = [([u + v] * b + [u] * (n - b)) * (len(y[0]) // n) for u, v in zip(binom[1:], binom)]
@@ -284,15 +284,15 @@ class _Ring:
             for i, level in enumerate(y):  # x^0: y_0 + g_k; x^j: y_j - q^(K*n + b) y_(j-1)
                 above = level[n:] + zero
                 if i:
-                    above = [x - z - w * u for x, z, u, w in zip(above, r[i], r[i - 1], W[0])]
+                    above = [x - z - w * u for x, z, u, w in zip(above, rots[i], rots[i - 1], W[0])]
                     for d in range(2, i + 1):
-                        above = [x - w * u for x, u, w in zip(above, r[i - d], W[d - 1])]
+                        above = [x - w * u for x, u, w in zip(above, rots[i - d], W[d - 1])]
                 else:
-                    above = [x - z for x, z in zip(above, r[0])]
+                    above = [x - z for x, z in zip(above, rots[0])]
                 new.append([x + z for x, z in zip(level[:n], G[i][k * n:(k + 1) * n])] + above)
             y = new
-        out = []
         _taylor(y, -1)
+        out = []
         for j in range(0, len(y[0]), n):  # x^j: its block of each level
             v = []
             for level in y:
