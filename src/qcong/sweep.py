@@ -265,6 +265,8 @@ def render_csv(records: list[dict]) -> str:
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
     started = time.perf_counter()
     tasks, skipped = expand_tasks(cfg)
+    # run each ring cell's tasks together, while its weights and kernels are cached
+    tasks.sort(key=lambda task: CHECKS[task[0]].key(*task[1]))
     if cfg.workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (cfg.workers * 8))
         with get_context().Pool(cfg.workers) as pool:

@@ -74,9 +74,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
@@ -238,12 +238,32 @@ class CheckReport:
     residual: "str | None" = None
 
 
-def _resolve_family(fam, n: int) -> tuple[PolySeq, str]:
+class _Family:
+    """A named family of length n as the statements read it: its kind and
+    length at once, its entries only when a side is lifted or expanded, and
+    then generated once.  A PolySeq reads the same way (kind, len, entries),
+    so the statement builders take either."""
+
+    def __init__(self, fam: FamilySpec, n: int):
+        self.kind, self._fam, self._n = fam.kind, fam, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    @cached_property
+    def entries(self) -> tuple:
+        return generate(self._fam, self._n).entries
+
+
+def _resolve_family(fam, n: int) -> tuple:
+    """The sequence a check reads and its report label: a custom PolySeq as it
+    is, a label or FamilySpec as a _Family, so a check whose cell
+    _kernels_agree decides generates nothing."""
     if isinstance(fam, PolySeq):
         return fam, "custom"
     if isinstance(fam, str):
         fam = FamilySpec.parse(fam)
-    return generate(fam, n), fam.label()
+    return _Family(fam, n), fam.label()
 
 
 def _subs(entry, d: int):
@@ -304,20 +324,40 @@ def _spec(r: int, d: int, step: int, power: int, tri: bool) -> tuple:
     return min(r, d - r), d, step, power, tri
 
 
+# The left weight spec of each statement, from the check's arguments alone: the
+# statement builders use them, and CHECKS keys sweep tasks by them.
+
+
+def _sym_spec(r: int, d: int) -> tuple:
+    """thm1.1, thm1.2 (sun_p_x included) and guo_zeng."""
+    return _spec(r, d, d, 2, False)
+
+
+def _sun_p_spec(r: int, d: int) -> tuple:
+    return _spec(-r, -d, d, 3, True)
+
+
+def _alpha_spec(alpha: int) -> tuple:
+    """thm2.1, alpha = a + s*n."""
+    return _spec(alpha, -1, 1, 2, True)
+
+
 # -- the statements -----------------------------------------------------------
 
 
 class _Side(NamedTuple):
     """The entries X_k = q^(step*k) T(f)_k(q^d) of a statement side, where T
-    is the identity (t = 0), hat (t = 1) or tilde (t = -1).
+    is the identity (t = 0), hat (t = 1) or tilde (t = -1), and f is seq, a
+    PolySeq or a _Family: its entries are read only where the side is lifted
+    (_ring_sides) or expanded (_full_sides).
 
-    A side in Pochhammer form stores no entries (entries is None): its f_k
-    is (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
+    A side in Pochhammer form has no sequence (seq is None): its f_k is
+    (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
     A rescaled side (poch = 0) has f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k,
     the numerators of sun_p_x over (q;q)_(n-1).
     """
 
-    entries: "tuple | None"
+    seq: "PolySeq | _Family | None"
     t: int
     d: int
     step: int
@@ -329,8 +369,9 @@ class _Side(NamedTuple):
 class _Statement:
     """lscale * Sum_k wl_k L_k / (den * fden)  vs  rscale * Sum_k wr_k R_k / (den * fden).
 
-    left, right     _Side records: the untransformed entries f, full Laurent
-                    or bivariate polynomials, and the L_k, R_k made of them
+    left, right     _Side records: the sequence f of untransformed entries,
+                    full Laurent or bivariate polynomials or rational
+                    functions, and the L_k, R_k made of them
     lweights        the specs (r, d, step, power, tri) of _weights for each
     rweights        side, giving wl, den and wr in any carrier; both sides are
                     over the den of lweights, so a statement whose right
@@ -354,9 +395,8 @@ def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
-    spec = _spec(p.r, p.d, p.d, 2, False)
-    fs = tuple(seq)
-    return _Statement(p, spec, spec, _Side(fs, 0, p.d, p.d), _Side(fs, 1, p.d, p.d),
+    spec = _sym_spec(p.r, p.d)
+    return _Statement(p, spec, spec, _Side(seq, 0, p.d, p.d), _Side(seq, 1, p.d, p.d),
                       qpow(p.E), LaurentPoly.const(p.sign))
 
 
@@ -369,9 +409,8 @@ def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
     """
     _require_length(p, seq)
     fden = shared_denominator(seq.entries) if seq.kind == RATIONAL else one
-    spec = _spec(p.r, p.d, p.d, 2, False)
-    fs = tuple(seq)
-    return _Statement(p, spec, spec, _Side(fs, 0, p.d, 0), _Side(fs, -1, p.d, 0),
+    spec = _sym_spec(p.r, p.d)
+    return _Statement(p, spec, spec, _Side(seq, 0, p.d, 0), _Side(seq, -1, p.d, 0),
                       one, p.sign * qpow(p.E), _subs(fden, p.d))
 
 
@@ -380,29 +419,33 @@ def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
     [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
-    spec = _spec(p.alpha, -1, 1, 2, True)
-    fs = tuple(seq)
-    return _Statement(p, spec, spec, _Side(fs, 0, 1, 0), _Side(fs, 1, 1, 0),
+    spec = _alpha_spec(p.alpha)
+    return _Statement(p, spec, spec, _Side(seq, 0, 1, 0), _Side(seq, 1, 1, 0),
                       p.sign * qpow(p.F), one)
 
 
 _SUN_P_X = FamilySpec("sun_p_x")
+_MONOMIAL_X = FamilySpec("monomial_x")
 
 
 def _sun_p_x(p: SymParams) -> _Statement:
     """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
     Pochhammer form of its numerators over (q;q)_(n-1), the fden that
     _thm_1_2 finds for generate("sun_p_x")."""
-    spec = _spec(p.r, p.d, p.d, 2, False)
+    spec = _sym_spec(p.r, p.d)
     side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
     return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E),
                       qpoch(p.d, p.d, p.n - 1))
 
 
 def _guo_zeng(p: SymParams) -> _Statement:
-    """Theorem 1.1 at f_k = x^k, with hat(x^k) = (xq;q)_k as the right entries."""
-    right = _Side(None, 0, p.d, p.d, poch=1)
-    return replace(_thm_1_1(p, generate("monomial_x", p.n)), right=right)
+    """Theorem 1.1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k.
+
+    It is _thm_1_1's statement, so _report decides it by thm1.1's kernels:
+    the kernel of the hat side is Horner on (x q^d; q^d)_k, which is what a
+    Pochhammer right side would build.  Only _full_sides expands hat(x^k).
+    """
+    return _thm_1_1(p, _Family(_MONOMIAL_X, p.n))
 
 
 def _sun_p(p: SymParams) -> _Statement:
@@ -415,7 +458,7 @@ def _sun_p(p: SymParams) -> _Statement:
     left one times a monomial, which rscale takes.
     """
     _require(_odd_n(p.n))
-    return _Statement(p, _spec(-p.r, -p.d, p.d, 3, True), _spec(p.r, p.d, -p.d, 3, True),
+    return _Statement(p, _sun_p_spec(p.r, p.d), _spec(p.r, p.d, -p.d, 3, True),
                       _Side(None, 0, p.d, 0, poch=0), _Side(None, 0, -p.d, 0, poch=1),
                       one, p.sign * qpow(p.E + 3 * p.d * _tri(p.n)))
 
@@ -438,7 +481,7 @@ def _entries(side: _Side, n: int) -> tuple:
     denominator, as _thm_1_2 has it, so the H_k of _ring_sides are not
     built here."""
     if side.poch is None:
-        return _numerators(side.entries)
+        return _numerators(side.seq.entries)
     if side.rescaled:
         return _numerators(generate(_SUN_P_X, n).entries)
     return tuple(qpoch_x_prefixes(side.poch, n))
@@ -502,7 +545,7 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
 def _linear(st: _Statement) -> bool:
     """Whether both sides read the same entries f_j(q^d): thm1.1, thm1.2 and
     thm2.1, whose sides are then Sum_j u_j f_j(q^d) times a scale."""
-    return st.left.entries is not None and st.right.entries is st.left.entries and st.right.d == st.left.d
+    return st.left.seq is not None and st.right.seq is st.left.seq and st.right.d == st.left.d
 
 
 @lru_cache(maxsize=16)
@@ -561,7 +604,7 @@ def _ring_sides(st: _Statement) -> _RingSides:
 
     def lift(side):
         if side.poch is None:
-            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.entries)]
+            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.seq.entries)]
 
     def side(sd, lifted, spec, scale) -> dict:
         u = _ring_kernel(n, spec, sd.t, sd.d, sd.step)
@@ -578,7 +621,7 @@ def _ring_sides(st: _Statement) -> _RingSides:
     left = lift(st.left)
     right = left if _linear(st) else lift(st.right)
     bivariate = any(sd.poch is not None
-                    or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.entries)
+                    or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.seq.entries)
                     for sd in (st.left, st.right))
     return _RingSides(side(st.left, left, st.lweights, st.lscale),
                       side(st.right, right, st.rweights, st.rscale), den, bivariate)
@@ -643,8 +686,8 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
     holds, residual = False, None
     if _linear(st):
         _ring_den(st)
-        holds = _kernels_agree(p.n, st.lweights, st.rweights, st.left._replace(entries=None),
-                               st.right._replace(entries=None), st.lscale, st.rscale)
+        holds = _kernels_agree(p.n, st.lweights, st.rweights, st.left._replace(seq=None),
+                               st.right._replace(seq=None), st.lscale, st.rscale)
     if not holds:
         sides = _ring_sides(st)
         zero = reduce(0, p.n, 2)
@@ -698,6 +741,7 @@ def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:
 def check_s0_identity(n: int, a: int, fam) -> bool:
     """At s = 0 both sides of Theorem 2.1 are equal exactly, not just congruent."""
     seq, _ = _resolve_family(fam, n)
+    seq.entries  # every entry is read, and a family too short for n reports first
     p = AlphaParams.create(n, a, 0)
     _require(_polynomial(seq.kind, _RATIONAL_S0))
     lhs, rhs = thm_2_1_sides(p, seq)
@@ -821,11 +865,16 @@ class Check:
     args     argument names, in the order sweep records sort by
     invalid  (*args) -> why a sweep skips the cell (a hypothesis fails), or None
     run      (*args) -> CheckReport; ill-posed arguments raise ValueError
+    key      (*args) -> (n, left weight spec) of the statement run builds, by
+             the spec helper its builder uses, or () for a check without
+             ring weights; sweeps run tasks grouped by it.  Pure arithmetic
+             on the arguments, so it never raises.
     """
 
     args: tuple[str, ...]
     invalid: Callable[..., "str | None"]
     run: Callable[..., CheckReport]
+    key: Callable[..., tuple] = lambda *args: ()
 
 
 def _kind(family: str) -> str:
@@ -853,16 +902,19 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1),
         lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
+        lambda n, d, r, family: (n, _sym_spec(r, d)),
     ),
     "thm1.2": Check(
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d),
         lambda n, d, r, family: check_thm_1_2(SymParams.create(n, d, r), family),
+        lambda n, d, r, family: (n, _sym_spec(r, d)),
     ),
     "thm2.1": Check(
         ("n", "a", "s", "family"),
         lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)),
         lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
+        lambda n, a, s, family: (n, _alpha_spec(a + s * n)),
     ),
     "s0": Check(
         ("n", "a", "family"),
@@ -873,11 +925,13 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d),
         lambda n, d, r: check_guo_zeng(SymParams.create(n, d, r)),
+        lambda n, d, r: (n, _sym_spec(r, d)),
     ),
     "sun_p": Check(
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d) or _odd_n(n),
         lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
+        lambda n, d, r: (n, _sun_p_spec(r, d)),
     ),
     "lemma-sn": Check(
         ("n", "s", "j"),

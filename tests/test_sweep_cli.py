@@ -1,12 +1,16 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcong import cli
+from qcong import cli, theorems
 from qcong.families import FamilySpec
 from qcong.qcalc import qbinom_base, qpoch
 from qcong.sweep import (
@@ -202,6 +206,93 @@ def test_sweep_output_independent_of_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert s1.failed == s2.failed == 0
     assert s1.total == s2.total
+
+
+# Sweeps run tasks grouped by CHECKS[id].key, the (n, left weight spec) of the
+# statement a check builds; these are the checks that build one.
+KEYED_CHECKS = ("thm1.1", "thm1.2", "thm2.1", "guo_zeng", "sun_p")
+
+
+@st.composite
+def check_arguments(draw):
+    """(check id, args): valid arguments for any check, its family drawn from
+    polynomial, bivariate and rational labels."""
+    check_id = draw(st.sampled_from(sorted(CHECKS)))
+    n = draw(st.integers(min_value=2, max_value=15))
+    values = {
+        "n": n, "p": draw(st.sampled_from((3, 5, 7, 11))),
+        "d": draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1)),
+        "r": draw(st.integers(-5, 5)), "a": draw(st.integers(0, n - 1)), "s": draw(st.integers(-3, 3)),
+        "j": draw(st.integers(1, n - 1)), "alpha": draw(st.sampled_from(("2", "1/2", "-1/3"))),
+        "seed": draw(st.integers(0, 9)), "bound": 9,
+        "family": draw(st.sampled_from(("ones", "delta:1", "monomial_q:2", "random_poly:3:3",
+                                        "monomial_x", "sun_p_x"))),
+    }
+    if check_id == "sun_p":
+        values["n"] = n | 1
+        values["d"] = draw(st.integers(1, 7).filter(lambda d: math.gcd(n | 1, d) == 1))
+    args = tuple(values[name] for name in CHECKS[check_id].args)
+    return check_id, args
+
+
+@settings(max_examples=60, deadline=None)
+@given(check_arguments())
+def test_the_sweep_key_is_the_statement_a_check_builds(case):
+    """A keyed check's key is (n, lweights) of the statement its run builds,
+    and a check without a key builds no statement."""
+    check_id, args = case
+    check = CHECKS[check_id]
+    if check.invalid(*args):
+        return
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "_report", lambda check, params, statement, started: built.append(statement))
+        check.run(*args)
+    if check_id in KEYED_CHECKS:
+        assert check.key(*args) == (built[0].p.n, built[0].lweights)
+    else:
+        assert (check.key(*args), built) == ((), [])
+
+
+def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
+    """Tasks run in the reverse of their key order give the same JSONL and CSV
+    bytes at one and two workers, with an n = 1 task raising."""
+    raw = {
+        "theorems": ["1.1", "1.2", "2.1", "guo_zeng", "sun_p", "lemmas"],
+        "n": ["1..6"], "d": ["1..3"], "r": ["-2", "1"], "s": ["-1", "2"],
+        "families": ["ones", "random_poly:3:2", "monomial_x", "sun_p_x"],
+    }
+    tasks, _ = expand_tasks(build_config(raw))
+    keyed = sorted(tasks, key=lambda task: CHECKS[task[0]].key(*task[1]))
+    rank = {task: i for i, task in enumerate(keyed)}
+    outputs = {}
+    for order in ("key", "reversed"):
+        if order == "reversed":
+            for check_id, check in CHECKS.items():
+                reverse = lambda *args, check_id=check_id: (-rank[check_id, args],)
+                monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, key=reverse))
+        for fmt in ("jsonl", "csv"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"{order}-{workers}.{fmt}"
+                summary = run_sweep(build_config(dict(raw, workers=[workers], format=[fmt], output=[str(out)])))
+                assert summary.errors and not summary.failed
+                outputs[order, fmt, workers] = out.read_bytes()
+    for fmt in ("jsonl", "csv"):
+        assert len({outputs[order, fmt, workers] for order in ("key", "reversed") for workers in "12"}) == 1
+
+
+def test_tasks_run_grouped_by_their_key(monkeypatch):
+    """At one worker the tasks run in key order: every thm1.1, thm1.2 and
+    guo_zeng task of one (n, spec) cell in one run."""
+    ran = []
+    monkeypatch.setattr("qcong.sweep.run_task", lambda task: ran.append(task) or {"check": task[0]})
+    raw = {"theorems": ["1.1", "1.2", "guo_zeng", "lemmas"], "n": ["3..5"], "d": ["1..2"], "r": ["-1..2"],
+           "families": ["ones", "delta:1"], "output": ["/dev/null"]}
+    run_sweep(build_config(raw))
+    keys = [CHECKS[check_id].key(*args) for check_id, args in ran]
+    assert keys == sorted(keys)
+    cells = [key for i, key in enumerate(keys) if key and (i == 0 or keys[i - 1] != key)]
+    assert len(cells) == len(set(cells))
 
 
 # -- command line -------------------------------------------------------------

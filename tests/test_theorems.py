@@ -421,6 +421,84 @@ def test_a_decided_cell_lifts_no_second_family(monkeypatch):
     assert check_thm_1_2(p, generate("sun_p_x", 7)).holds
 
 
+# (check, cell, family) -> the residual string of the sign-flipped cell
+FLIPPED_RESIDUALS = {
+    ("thm1.1", "ones"): "-2*q^2 + 4*q^7",
+    ("thm1.1", "random_poly:4:3"): "-68*q^0 + -120*q^1 + -176*q^2 + -176*q^3 + -218*q^4 + -140*q^5"
+                                   " + -74*q^6 + -4*q^7",
+    ("thm1.2", "ones"): "-8*q^0 + -12*q^1 + -16*q^2 + -20*q^3 + -18*q^4 + -12*q^5 + -8*q^6 + -4*q^7",
+    ("thm1.2", "random_poly:4:3"): "14*q^0 + 4*q^1 + 76*q^2 + 72*q^3 + 56*q^4 + 56*q^5 + 68*q^6 + 28*q^7",
+    ("thm2.1", "ones"): "-2*q^6",
+    ("thm2.1", "random_poly:4:3"): "22*q^0 + 34*q^1 + 46*q^2 + 54*q^3 + 36*q^4 + 46*q^5 + 6*q^6 + 32*q^7",
+    ("guo_zeng", "monomial_x"): "x^0: 2*q^6; x^1: 6*q^0 + 8*q^1 + 12*q^2 + 16*q^3 + 18*q^4 + 12*q^5 + 8*q^6"
+                                " + 8*q^7; x^2: -6*q^0 + -8*q^1 + -14*q^2 + -16*q^3 + -18*q^4 + -12*q^5"
+                                " + -10*q^6 + -4*q^7",
+}
+
+
+def test_a_decided_cell_generates_no_family(monkeypatch):
+    """A check whose cell _kernels_agree decides never generates its family,
+    the first family of the cell included; one whose kernels differ (the sign
+    flipped) generates its entries once and reports the residual of the full
+    sides, the pinned string at (5, 2, 1)."""
+    cells = [(SymParams.create(n, d, r), AlphaParams.create(n, a, s))
+             for n, d, r, a, s in ((5, 2, 1, 2, 1), (11, 4, -3, 6, -2))]
+
+    def refuse(fam, n):
+        raise AssertionError(f"{fam.label()} was generated")
+
+    monkeypatch.setattr(theorems, "generate", refuse)
+    for p, alpha in cells:
+        for check, params in ((check_thm_1_1, p), (check_thm_1_2, p), (check_thm_2_1, alpha)):
+            for fam in ("ones", "random_poly:4:3", "monomial_x"):
+                assert check(params, fam).holds, (check, params, fam)
+        assert check_thm_1_2(p, "sun_p_x").holds
+        assert check_guo_zeng(p).holds
+
+    generated = []
+
+    def counted(fam, n):
+        generated.append(fam.label())
+        return generate(fam, n)
+
+    monkeypatch.setattr(theorems, "generate", counted)
+    p, alpha = (dataclasses.replace(params, sign=-params.sign) for params in cells[0])
+    runs = [("thm1.1", partial(check_thm_1_1, p), partial(thm_1_1_sides, p), p.n),
+            ("thm1.2", partial(check_thm_1_2, p), partial(thm_1_2_sides, p), p.n),
+            ("thm2.1", partial(check_thm_2_1, alpha), partial(thm_2_1_sides, alpha), alpha.n)]
+    for name, check, sides, n in runs:
+        for fam in ("ones", "random_poly:4:3"):
+            generated.clear()
+            rep = check(fam)
+            assert generated == [fam]
+            assert (rep.holds, rep.residual) == _full_verdict(*sides(generate(fam, n)), n)
+            assert rep.residual == FLIPPED_RESIDUALS[name, fam]
+    generated.clear()
+    assert check_guo_zeng(p).residual == FLIPPED_RESIDUALS["guo_zeng", "monomial_x"]
+    assert generated == ["monomial_x"]
+
+
+@pytest.mark.parametrize("name", ["true", "flipped sign", "E+1"])
+def test_guo_zeng_is_thm_1_1_at_x_powers(name):
+    """_report on _guo_zeng(p) and on _thm_1_1(p, monomial_x), each decided
+    afresh, gives the same verdict, residual and parameters."""
+    perturb = PERTURBATIONS[name]
+    failing = 0
+    for n in range(2, 13):
+        xs = generate("monomial_x", n)
+        for d in (d for d in range(1, 6) if math.gcd(n, d) == 1):
+            for r in (-3, 0, 2):
+                p = perturb(SymParams.create(n, d, r))
+                reports = []
+                for st_ in (_guo_zeng(p), _thm_1_1(p, xs)):
+                    theorems._kernels_agree.cache_clear()
+                    rep = theorems._report("x", {}, st_, 0.0)
+                    reports.append((rep.holds, rep.residual, rep.a, rep.exponent, rep.sign, rep.branch))
+                assert reports[0] == reports[1], (n, d, r)
+                failing += not reports[0][0]
+    assert failing == 0 if name == "true" else failing > 100
+
+
 # -- the one weight formula ---------------------------------------------------
 
 # (r, d) -> the (r, d, step, power, tri) spec of each statement side
