@@ -1,11 +1,14 @@
 """Grid sweeps over theorem checks with byte-deterministic reports.
 
-A sweep expands its config into independent check tasks, runs them (in a
-process pool when workers > 1), sorts the records by a fixed key, and
-renders them to JSON-lines or CSV.  Records never contain timing, so the
-emitted file depends only on the config, not on the worker count or
-machine load.  Grid cells outside a check's hypotheses (CHECKS[id].invalid)
-are counted as skipped, not errored.  A task that raises ValueError or
+A sweep expands its config into independent check tasks, runs them in
+cell order (in a process pool when workers > 1), sorts the records by a
+fixed key, and renders them to JSON-lines or CSV.  Cell order is the
+CHECKS[id].key of each task, the n and weight spec of the statement it
+builds, so the tasks that read one cell's ring weights and kernels run
+together while those are cached.  Records never contain timing, so the
+emitted file depends only on the config, not on the worker count, the run
+order or machine load.  Grid cells outside a check's hypotheses
+(CHECKS[id].invalid) are counted as skipped, not errored.  A task that raises ValueError or
 ArithmeticError (an ill-posed cell, such as n = 1) becomes an error record
 carrying its arguments and the message; the other records are still
 written, and the sweep counts it under errors.

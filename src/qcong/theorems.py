@@ -1,15 +1,19 @@
 """Both sides of each symmetric-congruence statement, assembled and decided.
 
 Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
-_thm_2_1, _sun_p_x, _guo_zeng or _sun_p; guo_zeng is Theorem 1.1 at
-f_k = x^k, its right entries written out as hat(x^k) = (xq;q)_k, and
-_sun_p_x is Theorem 1.2 on the sun_p_x label) comparing
+_thm_2_1, _sun_p_x, _guo_zeng or _sun_p; guo_zeng is _thm_1_1 at
+f_k = x^k, whose right entries hat(x^k) are (xq;q)_k, and _sun_p_x is
+Theorem 1.2 on the sun_p_x label) comparing
 lscale * Sum wl_k L_k / den with rscale * Sum wr_k R_k / den mod Phi_n^2.
-Each side keeps its untransformed entries f and how it uses them, as
-(entries, t, d, step): X_k = q^(step*k) T(f)_k(q^d), with T the identity
-(t = 0), hat (t = 1) or tilde (t = -1).  _weights builds the weights of
-each side from an integer spec, in the carrier of a lift function.  A side
-in Pochhammer form stores no entries: its f_k(q^d) is (x q^c; q^e)_k.
+Each side keeps its sequence f of untransformed entries and how it uses
+them, as (seq, t, d, step): X_k = q^(step*k) T(f)_k(q^d), with T the
+identity (t = 0), hat (t = 1) or tilde (t = -1).  _weights builds the
+weights of each side from an integer spec, in the carrier of a lift
+function.  A side in Pochhammer form has no sequence: its f_k(q^d) is
+(x q^c; q^e)_k.  A named family is a _Family, whose kind and length are
+known at once and whose entries are generated on first read, so they are
+generated only where a side is lifted or expanded, and at most once per
+check.
 
 Both sides of a statement are over one denominator, that of its left
 weights (times the family's).  sun_p's right weights have the denominator
@@ -40,23 +44,32 @@ thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries,
 so each side is Sum_j u_j f_j(q^d) times its scale, and the statement holds
 for every family when lscale*u^L_j == rscale*u^R_j for every j.
 _kernels_agree decides that once per cell, in a bounded cache keyed on n,
-both specs, both sides without their entries and both scales.  A check of
-a cell whose kernels agree then lifts no entry and forms no dot; one whose
-kernels differ is decided on its ring sides, so every failing verdict and
-residual comes from those.  The denominator is certified on every check.
-A check on the ring sides lifts each f_j(q^d) once and transforms nothing.
+both specs, both sides without their sequence and both scales.  A check of
+a cell whose kernels agree then generates no family, lifts no entry and
+forms no dot; one whose kernels differ is decided on its ring sides, so
+every failing verdict and residual comes from those.  The denominator is
+certified on every check.  A check on the ring sides lifts each f_j(q^d)
+once and transforms nothing.  guo_zeng, being thm1.1 at x^k, shares the
+weights, kernels and decision of thm1.1 at its (n, d, r).
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
 and congruence.horner gives its x-coefficients from the last j down,
 S <- g_j + (1 - x q^(c + j*e)) S: monomial shifts again, with no BiPoly,
-no lift and no dense product per x-degree.  sun_p and the right side of
-guo_zeng take g_j = u_j.  For sun_p_x, with Q = q^d,
+no lift and no dense product per x-degree.  sun_p takes g_j = u_j.  For
+sun_p_x, with Q = q^d,
 1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
 G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
 (Q;Q)_(n-1), and no common denominator is formed.  The
 transposed recurrence of _ring_kernel is the same Horner, in a variable
-that stands for the index of f.  The lemma checks decide mod Phi_n on
-Pochhammer products, one factor at a time.
+that stands for the index of f; the hat kernel of thm1.1 is Horner on
+(x q^d; q^d)_k, the Pochhammer right side guo_zeng would otherwise need.
+The lemma checks decide mod Phi_n on Pochhammer products, one factor at a
+time.
+
+CHECKS keys each check that builds a statement by (n, its left weight
+spec), from the spec helpers its builder uses (_sym_spec, _sun_p_spec,
+_alpha_spec); a sweep runs its tasks grouped by that key, so the weights
+and kernels of a cell are built once while the bounded caches hold them.
 
 Parameter conventions:
 
@@ -255,7 +268,7 @@ class _Family:
         return generate(self._fam, self._n).entries
 
 
-def _resolve_family(fam, n: int) -> tuple:
+def _resolve_family(fam, n: int) -> "tuple[PolySeq | _Family, str]":
     """The sequence a check reads and its report label: a custom PolySeq as it
     is, a label or FamilySpec as a _Family, so a check whose cell
     _kernels_agree decides generates nothing."""
@@ -334,6 +347,7 @@ def _sym_spec(r: int, d: int) -> tuple:
 
 
 def _sun_p_spec(r: int, d: int) -> tuple:
+    """sun_p's left side; its right weights are these under q -> 1/q."""
     return _spec(-r, -d, d, 3, True)
 
 
@@ -391,7 +405,7 @@ class _Statement:
     fden: LaurentPoly = one
 
 
-def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
+def _thm_1_1(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
@@ -400,7 +414,7 @@ def _thm_1_1(p: SymParams, seq: PolySeq) -> _Statement:
                       qpow(p.E), LaurentPoly.const(p.sign))
 
 
-def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
+def _thm_1_2(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
     """Sum T_k f_k(q^d)  vs  sign * q^E * Sum T_k tilde(f)_k(q^d).
 
     A rational sequence keeps its entries; their shared denominator
@@ -414,7 +428,7 @@ def _thm_1_2(p: SymParams, seq: PolySeq) -> _Statement:
                       one, p.sign * qpow(p.E), _subs(fden, p.d))
 
 
-def _thm_2_1(p: AlphaParams, seq: PolySeq) -> _Statement:
+def _thm_2_1(p: AlphaParams, seq: "PolySeq | _Family") -> _Statement:
     """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum, where
     [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
