@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
@@ -125,11 +126,10 @@ def _taylor(levels: list, t: int) -> list:
     rewritten in place as those of p(x + t), t = +-1.  With x = q^n and
     eps = q^n - 1, t = 1 takes blocks of coefficients in q to
     eps-coordinates and t = -1 takes them back."""
-    m = len(levels)
+    m, op = len(levels), add if t > 0 else sub
     for i in range(m - 1):
         for j in range(m - 2, i - 1, -1):  # T_j += t * T_(j+1), top down
-            lo, hi = levels[j], levels[j + 1]
-            levels[j] = [x + y for x, y in zip(lo, hi)] if t > 0 else [x - y for x, y in zip(lo, hi)]
+            levels[j] = list(map(op, levels[j], levels[j + 1]))
     return levels
 
 
@@ -164,18 +164,30 @@ class _Ring:
         sparse = [(qpow(n) - 1) ** m, LaurentPoly({i * (n // p): 1 for i in range(p)}) ** m]
         self.stages = [_below_lead(t) for t in sparse if t.degree() > self.dim] + [_below_lead(modulus)]
 
-    def fold(self, terms) -> list:
+    def fold(self, terms: dict) -> list:
         """Dense coefficients, below degree m*n, of a polynomial == Sum c*q^e mod
-        (q^n - 1)^m, over the (e, c) pairs of terms.
+        (q^n - 1)^m, over the exponent -> coefficient map terms.
 
         With eps = q^n - 1, q^(a*n + b) == q^b * Sum_{i<m} C(a, i) eps^i, so in
         one pass over the terms each adds C(a, i)*c to T_i[b], i < m, and the
         element Sum_i eps^i T_i is taken out of eps-coordinates once at the
-        end (_taylor).  No term looks up a table or branches on its exponent."""
+        end (_taylor).  No term looks up a table or branches on its exponent.
+        A single term is placed directly: c*q^e itself when e < m*n, else
+        the series c*q^b * Sum_j w_j q^(j*n) of _shift."""
         n, span = self.n, self.span
+        if len(terms) <= 1:  # zero, reduce(one) and monomials
+            out = [0] * span
+            for e, c in terms.items():
+                if 0 <= e < span:
+                    out[e] = c
+                else:
+                    a, b = divmod(e, n)
+                    for j, w in enumerate(_shift(self.m, a)):
+                        out[b + j * n] = c * w
+            return out
         out = [0] * (span + n)  # T_0..T_(m-1), and one block more, which takes T_1 when m = 1
         higher = range(2 * n, span, n)
-        for e, c in terms:
+        for e, c in terms.items():
             a, b = divmod(e, n)
             out[b] += c
             out[n + b] += a * c
@@ -226,9 +238,9 @@ class _Ring:
         adds c*w_j*a at b + j*n for the w of _shift(m, k), or c*a at k*n + b
         when 0 <= k < m.  A p with more terms than the ring dimension is
         reduced first."""
-        terms = p.terms
+        terms = p._terms  # the map itself: LaurentPoly.terms would copy it
         if len(terms) > self.dim:
-            return self.mul(self.divide(self.fold(terms.items())), a)
+            return self.mul(self.divide(self.fold(terms)), a)
         n, m = self.n, self.m
         out, top = [0] * (self.span + len(a) - 1), 0
         for e, c in terms.items():
@@ -261,10 +273,13 @@ class _Ring:
         in one, and each is divided by the tower, whose first stage is then
         empty."""
         n, m, span = self.n, self.m, self.span
+        if len(g) == 1:  # no step: g_0, already reduced, is the x^0 coefficient
+            return [list(g[0])]
         pad, zero = [0] * (span - self.dim), [0] * n
-        g, G = [r + pad for r in g], [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
-        for i, level in enumerate(G):
-            for r in g:
+        G = [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
+        for r in g:
+            r = r + pad
+            for i, level in enumerate(G):
                 level += r[i * n:(i + 1) * n]
         y = [level[-n:] for level in _taylor(G, 1)]
         for k in range(len(g) - 2, -1, -1):
@@ -277,19 +292,14 @@ class _Ring:
                 for o in wrong:
                     rot[o::n] = level[(o - b) % n::n]
                 rots.append(rot)
-            # W[d - 1]: C(K + 1, d) = C(K, d) + C(K, d - 1) at the offsets below b, C(K, d) above
-            binom = _binomials(m, K)
-            W = [([u + v] * b + [u] * (n - b)) * (len(y[0]) // n) for u, v in zip(binom[1:], binom)]
+            binom, blocks = _binomials(m, K), len(y[0]) // n
             new = []
             for i, level in enumerate(y):  # x^0: y_0 + g_k; x^j: y_j - q^(K*n + b) y_(j-1)
-                above = level[n:] + zero
-                if i:
-                    above = [x - z - w * u for x, z, u, w in zip(above, rots[i], rots[i - 1], W[0])]
-                    for d in range(2, i + 1):
-                        above = [x - w * u for x, u, w in zip(above, rots[i - d], W[d - 1])]
-                else:
-                    above = [x - z for x, z in zip(above, rots[0])]
-                new.append([x + z for x, z in zip(level[:n], G[i][k * n:(k + 1) * n])] + above)
+                above = map(sub, level[n:] + zero, rots[i])
+                for d in range(1, i + 1):  # C(K + 1, d) = C(K, d) + C(K, d - 1) at the offsets below b
+                    w = ([binom[d] + binom[d - 1]] * b + [binom[d]] * (n - b)) * blocks
+                    above = map(sub, above, map(mul, w, rots[i - d]))
+                new.append(list(map(add, level[:n], G[i][k * n:(k + 1) * n])) + list(above))
             y = new
         _taylor(y, -1)
         out = []
@@ -330,7 +340,7 @@ def _ring(n: int, m: int) -> _Ring:
 def _reduce_poly(p: LaurentPoly, n: int, m: int) -> list:
     """Coefficients of the canonical representative of p mod Phi_n^m: fold, then divide."""
     ring = _ring(n, m)
-    return ring.divide(ring.fold(p.terms.items()))
+    return ring.divide(ring.fold(p._terms))  # the map itself: LaurentPoly.terms would copy it
 
 
 class Residue:

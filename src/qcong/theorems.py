@@ -40,6 +40,16 @@ weights are symmetric under r <-> d - r.  sun_p's right weights, of
 negative step, are its left ones under q -> 1/q (Residue.reflect), a ring
 automorphism mod Phi_n^2 since Phi_n is self-reciprocal.
 
+Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
+exactly when n divides e, so, with a*d + r == 0 (mod n), the pair product
+(q^r;q^d)_k (q^(d-r);q^d)_k gains one factor Phi_n at k = a + 1 and a second
+at k = n - a: every weight past K = max(a, n - 1 - a) is 0 mod Phi_n^2, and
+a factor 1 - q^0 makes one 0 sooner.  _pairs stops at the first pair product
+that is zero in its carrier, every later one being a multiple of it, so the
+weights, the kernels and the lifted entries of a cell are w_0..w_K, u_0..u_K
+and f_0..f_K, and Horner costs about K^2 shifts.  The stop is read off the
+residues, not set by a cutoff; the tails still run to G_0.
+
 thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries,
 so each side is Sum_j u_j f_j(q^d) times its scale, and the statement holds
 for every family when lscale*u^L_j == rscale*u^R_j for every j.
@@ -305,11 +315,16 @@ def _tails(lift, step: int, n: int, power: int) -> list:
 
 
 def _pairs(lift, r: int, d: int, n: int) -> list:
-    """P_k = (q^r;q^d)_k (q^(d-r);q^d)_k for k < n."""
+    """P_k = (q^r;q^d)_k (q^(d-r);q^d)_k for k < n, up to the last one that is
+    nonzero in the carrier of lift: every later P_k is a multiple of the
+    first zero one."""
     P = [lift(one)]
     for k in range(1, n):
         e = d * (k - 1)
-        P.append(P[-1] * ((one - qpow(r + e)) * (one - qpow(d - r + e))))
+        Pk = P[-1] * ((one - qpow(r + e)) * (one - qpow(d - r + e)))
+        if Pk.is_zero():
+            break
+        P.append(Pk)
     return P
 
 
@@ -317,6 +332,12 @@ def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool, G=N
     """w_k = Q^(k^2+k if tri) P_k G_k over G_0, Q = q^step: the weight
     Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^power of every statement.
     G, the tails _tails(lift, step, n, power), is built here unless given.
+
+    The weights stop where _pairs does, at w_K with P_(K+1) zero in the
+    carrier, so every later weight is zero there too.  Mod Phi_n^2, with
+    a*d + r == 0 (mod n), P_k gains a factor Phi_n at k = a + 1 and a second
+    at k = n - a, so K <= max(a, n - 1 - a); a factor 1 - q^0 stops it
+    sooner, in any carrier.  The tails run to G_0 all the same.
 
     Every factor is a sparse polynomial, so a residue carrier multiplies it
     by shifted copies; only P_k G_k is a dense product.
@@ -549,11 +570,16 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     y <- B_k^T y + v_(k-1) e_0, where (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].
     That is Horner in a variable x that stands for the index m: u_j is the
     coefficient of x^j in Sum_k v_k (x q^(t*d); q^(t*d))_k.
+
+    The weights end at w_K (_weights), so u has K + 1 entries and every u_j
+    past them is zero: Horner costs about K^2 shifts, not n^2.  The kernel
+    at t != 0 is Horner on the cached t = 0 kernel, the v_k themselves, so
+    the two sides of a cell shift the weights by q^(step*k) once.
     """
+    if t:
+        return tuple(horner(_ring_kernel(n, spec, 0, d, step), t * d, t * d))
     v = _ring_weights(n, spec)[0]
-    if step:
-        v = [wk * qpow(step * k) for k, wk in enumerate(v)]
-    return tuple(horner(v, t * d, t * d) if t else v)
+    return tuple([wk * qpow(step * k) for k, wk in enumerate(v)] if step else v)
 
 
 def _linear(st: _Statement) -> bool:
@@ -568,13 +594,22 @@ def _kernels_agree(n: int, lspec: tuple, rspec: tuple, left: _Side, right: _Side
     """Whether lscale*u^L_j == rscale*u^R_j mod Phi_n^2 for every j, for the
     kernels of the two sides of a linear statement, given without entries.
     Then the statement holds for every family, so this is decided once per
-    cell while the family varies fastest in a sweep."""
+    cell while the family varies fastest in a sweep.
 
-    def scaled(spec, side, scale):
-        u = _ring_kernel(n, spec, side.t, side.d, side.step)
-        return u if scale == one else [uj * scale for uj in u]
-
-    return all(a == b for a, b in zip(scaled(lspec, left, lscale), scaled(rspec, right, rscale)))
+    Both scales are monomials, units mod Phi_n^2, so this compares u^L with
+    (rscale/lscale)*u^R: one signed monomial on one side, a negation when it
+    is -1 and nothing when it is 1.  An entry past either kernel's end is
+    zero (_ring_kernel)."""
+    e = rscale.valuation() - lscale.valuation()
+    c = Fraction(rscale.coeff(rscale.valuation()), lscale.coeff(lscale.valuation()))
+    ul = _ring_kernel(n, lspec, left.t, left.d, left.step)
+    ur = _ring_kernel(n, rspec, right.t, right.d, right.step)
+    if e or abs(c) != 1:
+        ratio = LaurentPoly.monomial(e, c)
+        ur = [uj * ratio for uj in ur]
+    elif c == -1:
+        ur = [-uj for uj in ur]
+    return all(a == b for a, b in zip(ul, ur)) and all(u.is_zero() for u in (*ul[len(ur):], *ur[len(ul):]))
 
 
 def _ring_den(st: _Statement) -> Residue:
@@ -612,16 +647,21 @@ def _ring_sides(st: _Statement) -> _RingSides:
     u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j), the
     cached tails: horner gives its x-coefficients, and no entry is formed
     or lifted.  The denominator is _ring_den's.
+
+    A kernel ends at u_K (_ring_kernel), so only f_0..f_K are lifted and
+    dotted, and a Horner side has K + 1 x-coefficients: the ones above were
+    zero.
     """
     n = st.p.n
     den = _ring_den(st)
+    kernels = [_ring_kernel(n, spec, sd.t, sd.d, sd.step)
+               for sd, spec in ((st.left, st.lweights), (st.right, st.rweights))]
 
-    def lift(side):
+    def lift(side, length):
         if side.poch is None:
-            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.seq.entries)]
+            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.seq.entries)[:length]]
 
-    def side(sd, lifted, spec, scale) -> dict:
-        u = _ring_kernel(n, spec, sd.t, sd.d, sd.step)
+    def side(sd, lifted, u, scale) -> dict:
         if sd.poch is not None:
             if sd.rescaled:
                 H = _ring_tails(n, sd.d, 1)
@@ -632,13 +672,13 @@ def _ring_sides(st: _Statement) -> _RingSides:
                     for j in sorted(set().union(*lifted))}
         return sums if scale == one else {j: s * scale for j, s in sums.items()}
 
-    left = lift(st.left)
-    right = left if _linear(st) else lift(st.right)
+    left = lift(st.left, len(kernels[0]))  # a linear statement's kernels have one spec, so one length
+    right = left if _linear(st) else lift(st.right, len(kernels[1]))
     bivariate = any(sd.poch is not None
                     or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.seq.entries)
                     for sd in (st.left, st.right))
-    return _RingSides(side(st.left, left, st.lweights, st.lscale),
-                      side(st.right, right, st.rweights, st.rscale), den, bivariate)
+    return _RingSides(side(st.left, left, kernels[0], st.lscale),
+                      side(st.right, right, kernels[1], st.rscale), den, bivariate)
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:

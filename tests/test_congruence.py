@@ -369,6 +369,13 @@ def test_horner_matches_long_division(n, m, g, c, e):
     """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, against the sum expanded
     on dicts, x-degree by x-degree, and reduced by the oracle.  n = 15, 21
     and 30 have a middle stage in the tower above n = 12."""
+    got = horner([reduce(gk, n, m) for gk in g], c, e)
+    assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, c, e, n, m)
+
+
+def _horner_by_long_division(g, c, e, n, m):
+    """The len(g) x-coefficients of Sum_k g_k (x q^c; q^e)_k, expanded on dicts
+    and each reduced by the oracle."""
     total, poch = {}, {0: {0: Fraction(1)}}  # x-degree -> q-dict; poch = (x q^c; q^e)_k
     for k, gk in enumerate(g):
         for j, coeff in poch.items():
@@ -378,10 +385,30 @@ def test_horner_matches_long_division(n, m, g, c, e):
             step[j] = ref_add(step.get(j, {}), coeff)
             step[j + 1] = ref_add(step.get(j + 1, {}), ref_mul(coeff, {c + k * e: Fraction(-1)}))
         poch = step
-    got = horner([reduce(gk, n, m) for gk in g], c, e)
-    assert len(got) == len(g)
-    for j, r in enumerate(got):
-        assert list(r.coeffs) == residue_by_long_division(total.get(j, {}), n, m), j
+    return [residue_by_long_division(total.get(j, {}), n, m) for j in range(len(g))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
+       st.lists(polys, max_size=3), polys, st.integers(min_value=1, max_value=3), horner_offsets, horner_steps)
+def test_horner_on_one_g_and_on_trailing_zeros(n, m, head, last, zeros, c, e):
+    """A single g_0 is its own x^0 coefficient, and g_k that end in zeros (a
+    kernel cut where its weights vanish) leave the top x-coefficients zero:
+    both against the expanded sum reduced by the oracle."""
+    for g in ([last], head + [last] + [LaurentPoly()] * zeros):
+        got = horner([reduce(gk, n, m) for gk in g], c, e)
+        assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, c, e, n, m)
+    assert all(r.is_zero() for r in got[len(g) - zeros:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_ns, st.integers(min_value=1, max_value=3),
+       st.dictionaries(st.one_of(st.integers(min_value=-8, max_value=100), shift_exponents), coefficients,
+                       max_size=1))
+def test_one_term_fold_matches_long_division(n, m, terms):
+    """reduce(0), reduce(c) and a monomial, placed without the level split,
+    whether q^e lies below m*n or is the binomial series of q^(a*n)."""
+    assert _reduce_poly(LaurentPoly(terms), n, m) == residue_by_long_division(terms, n, m)
 
 
 def test_dot_rejects_mixed_moduli():

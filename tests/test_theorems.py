@@ -28,12 +28,14 @@ from qcong.theorems import (
     _ring_kernel,
     _ring_sides,
     _ring_weights,
+    _alpha_spec,
     _spec,
     _sun_p,
     _sun_p_x,
     _thm_1_1,
     _thm_1_2,
     _subs,
+    _sym_spec,
     _weights,
     check_classical_sun,
     check_even_sign_fact,
@@ -478,6 +480,44 @@ def test_a_decided_cell_generates_no_family(monkeypatch):
     assert generated == ["monomial_x"]
 
 
+def test_a_trimmed_cell_lifts_only_its_prefix(monkeypatch):
+    """The sign-flipped cell (5, 2, 1), a = 2, has ring weights w_0..w_2 (K = 2
+    < n - 1), and at r = 0 the factor 1 - q^0 leaves w_0 alone.  A failing
+    check there lifts f_0..f_K only, once for both sides, and reports the
+    residual of the full sides, the pinned string at (5, 2, 1)."""
+    lifted = []
+
+    def counted(num, n, m):
+        lifted.append(num)
+        return reduce_by_degree(num, n, m)
+
+    monkeypatch.setattr(theorems, "reduce_by_degree", counted)
+    for r, K in ((1, 2), (0, 0)):
+        cell = SymParams.create(5, 2, r)
+        p = dataclasses.replace(cell, sign=-cell.sign)
+        alpha = AlphaParams.create(5, 2, r)
+        alpha = dataclasses.replace(alpha, sign=-alpha.sign)
+        assert len(_ring_weights(5, _sym_spec(r, 2))[0]) == K + 1
+        runs = [("thm1.1", partial(check_thm_1_1, p), partial(thm_1_1_sides, p), K),
+                ("thm1.2", partial(check_thm_1_2, p), partial(thm_1_2_sides, p), K),
+                ("thm2.1", partial(check_thm_2_1, alpha), partial(thm_2_1_sides, alpha),
+                 len(_ring_weights(5, _alpha_spec(alpha.alpha))[0]) - 1)]
+        for name, check, sides, k in runs:
+            for fam in ("ones", "random_poly:4:3"):
+                lifted.clear()
+                rep = check(fam)
+                assert len(lifted) == k + 1 < 5, (name, r, fam)
+                assert (rep.holds, rep.residual) == _full_verdict(*sides(generate(fam, 5)), 5)
+                if r == 1:
+                    assert rep.residual == FLIPPED_RESIDUALS[name, fam]
+        lifted.clear()
+        rep = check_guo_zeng(p)
+        assert len(lifted) == K + 1
+        assert (rep.holds, rep.residual) == _full_verdict(*thm_1_1_sides(p, generate("monomial_x", 5)), 5)
+        if r == 1:
+            assert rep.residual == FLIPPED_RESIDUALS["guo_zeng", "monomial_x"]
+
+
 @pytest.mark.parametrize("name", ["true", "flipped sign", "E+1"])
 def test_guo_zeng_is_thm_1_1_at_x_powers(name):
     """_report on _guo_zeng(p) and on _thm_1_1(p, monomial_x), each decided
@@ -510,37 +550,66 @@ SPEC_SHAPES = {
 }
 
 
+def _formula_weights(n: int, spec: tuple) -> tuple:
+    """Every w_k, k < n, and den of a spec, by the formula alone:
+    Q^(k^2+k if tri) (q^r;q^d)_k (q^(d-r);q^d)_k (Q^(k+1);Q)_(n-1-k)^power
+    over (Q;Q)_(n-1)^power, Q = q^step, on full polynomials."""
+    r, d, step, power, tri = spec
+    w = [(qpow(step * (k * k + k)) if tri else one) * qpoch(r, d, k) * qpoch(d - r, d, k)
+         * qpoch(step * (k + 1), step, n - 1 - k) ** power for k in range(n)]
+    return w, qpoch(step, step, n - 1) ** power
+
+
 @pytest.mark.parametrize("shape", SPEC_SHAPES)
 def test_weights_are_the_pochhammer_formula(shape):
-    """w_k (Q;Q)_k^power == Q^(k^2+k if tri) (q^r;q^d)_k (q^(d-r);q^d)_k * den."""
+    """w_k (Q;Q)_k^power == Q^(k^2+k if tri) (q^r;q^d)_k (q^(d-r);q^d)_k * den
+    for every weight _weights returns on full polynomials, none of them 0.
+    The list stops only before a pair product that is exactly 0 (a factor
+    1 - q^0), and every pair product past it is 0 too."""
     for n in range(2, 10):
         for r in (-3, -1, 0, 2, 5):
             for d in (1, 2, 3):
                 spec = SPEC_SHAPES[shape](r, d)
                 r_, d_, step, power, tri = spec
                 w, den = _weights(lambda f: f, n, *spec)
-                assert len(w) == n
-                for k, wk in enumerate(w):
+                assert 1 <= len(w) <= n
+                for k in range(n):
                     pairs = qpoch(r_, d_, k) * qpoch(d_ - r_, d_, k)
+                    if k >= len(w):
+                        assert pairs.is_zero(), (spec, n, k)
+                        continue
                     scale = qpow(step * (k * k + k)) if tri else one
-                    assert wk * qpoch(step, step, k) ** power == scale * pairs * den, (spec, n, k)
+                    assert not w[k].is_zero(), (spec, n, k)
+                    assert w[k] * qpoch(step, step, k) ** power == scale * pairs * den, (spec, n, k)
 
 
 @pytest.mark.parametrize("shape", SPEC_SHAPES)
 def test_r_and_d_minus_r_share_one_weight_set(shape):
-    """Both spellings r and d - r of a spec have one canonical spec, whose ring
-    weights and denominator are each spelling's full weights reduced mod Phi_n^2."""
-    for n in (2, 5, 6, 9):
+    """Both spellings r and d - r of a spec have one canonical spec.  Its ring
+    weights w_0..w_K are each spelling's weights by the formula reduced mod
+    Phi_n^2, every later weight reduces to 0, and the denominator is the
+    formula's.  For d coprime to n, with a*d + r == 0 (mod n),
+    K <= max(a, n - 1 - a): the two factors Phi_n of the pair products."""
+    bounded = 0
+    for n in (2, 5, 6, 7, 9):
         for r in (-3, 0, 2, 5):
             for d in (1, 2, 3):
                 r_, d_, *rest = SPEC_SHAPES[shape](r, d)
                 spellings = [(r_, d_, *rest), (d_ - r_, d_, *rest)]
                 assert _spec(*spellings[0]) == _spec(*spellings[1])
                 ring_w, ring_den = _ring_weights(n, _spec(*spellings[0]))
+                K = len(ring_w) - 1
                 for spelling in spellings:
-                    w, den = _weights(lambda f: f, n, *spelling)
-                    assert ring_w == [reduce(wk, n, 2) for wk in w], (spelling, n)
+                    w, den = _formula_weights(n, spelling)
+                    reduced = [reduce(wk, n, 2) for wk in w]
+                    assert ring_w == reduced[:K + 1], (spelling, n)
+                    assert all(wk.is_zero() for wk in reduced[K + 1:]), (spelling, n)
                     assert ring_den == reduce(den, n, 2), (spelling, n)
+                if math.gcd(n, d_) == 1:
+                    a = next(a for a in range(n) if (a * d_ + r_) % n == 0)
+                    assert K <= max(a, n - 1 - a), (spellings[0], n)
+                    bounded += K < n - 1
+    assert bounded  # some weight sets do stop early
 
 
 @settings(max_examples=30, deadline=None)
@@ -565,8 +634,9 @@ def test_thm_2_1_weights_are_the_q_binomial_products():
             for s in range(-3, 4):
                 alpha = a + s * n
                 w, den = _weights(lambda f: f, n, alpha, -1, 1, 2, True)
-                for k, wk in enumerate(w):
+                for k in range(n):
                     binoms = qbinom_int(alpha, k) * qbinom_int(-1 - alpha, k)
+                    wk = w[k] if k < len(w) else LaurentPoly()
                     assert wk == qpow(k * k + k) * binoms * den, (n, a, s, k)
 
 
@@ -597,9 +667,11 @@ def kernel_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases())
 def test_ring_kernel_is_the_transposed_transform(case):
-    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, T from the matrix."""
+    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, T from the
+    matrix and every w_k, k < n, from the formula.  u has one entry per ring
+    weight, so the f_j past it are never read."""
     n, spec, t, d, step, entries = case
-    w, _ = _weights(lambda f: f, n, *spec)
+    w, _ = _formula_weights(n, spec)
     matrix = transform_matrix("hat" if t == 1 else "tilde", n) if t else None
     total = LaurentPoly()
     for k in range(n):
@@ -608,6 +680,7 @@ def test_ring_kernel_is_the_transposed_transform(case):
             tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
         total = _subs(tk, d) * qpow(step * k) * w[k] + total
     u = _ring_kernel(n, spec, t, d, step)
+    assert len(u) == len(_ring_weights(n, spec)[0]) <= n
     lifted = [reduce_by_degree(_subs(f, d), n, 2) for f in entries]
     expected = reduce_by_degree(total, n, 2)
     for j in set(expected) | set().union(*lifted):
