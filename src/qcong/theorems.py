@@ -41,7 +41,8 @@ negative step, are its left ones under q -> 1/q (Residue.reflect), a ring
 automorphism mod Phi_n^2 since Phi_n is self-reciprocal.
 
 Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
-exactly when n divides e, so, with a*d + r == 0 (mod n), the pair product
+exactly when n divides e, so, with a*d + r == 0 (mod n) in the spec's r and
+d (a = alpha mod n for thm2.1, whose d is -1), the pair product
 (q^r;q^d)_k (q^(d-r);q^d)_k gains one factor Phi_n at k = a + 1 and a second
 at k = n - a: every weight past K = max(a, n - 1 - a) is 0 mod Phi_n^2, and
 a factor 1 - q^0 makes one 0 sooner.  _pairs stops at the first pair product
@@ -334,10 +335,8 @@ def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool, G=N
     G, the tails _tails(lift, step, n, power), is built here unless given.
 
     The weights stop where _pairs does, at w_K with P_(K+1) zero in the
-    carrier, so every later weight is zero there too.  Mod Phi_n^2, with
-    a*d + r == 0 (mod n), P_k gains a factor Phi_n at k = a + 1 and a second
-    at k = n - a, so K <= max(a, n - 1 - a); a factor 1 - q^0 stops it
-    sooner, in any carrier.  The tails run to G_0 all the same.
+    carrier, so every later weight is zero there too: mod Phi_n^2,
+    K <= max(a, n - 1 - a) for a*d + r == 0 (mod n).  G runs to G_0.
 
     Every factor is a sparse polynomial, so a residue carrier multiplies it
     by shifted copies; only P_k G_k is a dense product.
