@@ -22,16 +22,17 @@ rscale carries q^(3d*C(n,2)) and the sides are never cross-multiplied.
 
 _full_sides expands the sides on full polynomials: the public *_sides
 builders, which the negative-control tests perturb, and the oracle of the
-checks.  The checks decide on _ring_sides in Q[q]/(Phi_n^2), and never form
-anything above degree 2*phi(n), however large the exponents.  _ring_sides
-yields residues, each numerator by x-degree over the one denominator, and
-_report decides on them: the statement holds when every x-coefficient of
-the two numerators agrees.  No residue goes back to a polynomial, and
+checks.  The checks decide in Q[q]/(Phi_n^2), and never form anything above
+degree 2*phi(n), however large the exponents.  _ring_diff yields the
+numerator of left minus right, by x-degree, as residues over the one
+denominator of _ring_den, and _report decides on it: the statement holds
+when every x-coefficient is zero.  No residue goes back to a polynomial, and
 nothing is reduced or certified twice; a failing check gets its residual
 from the same residues (congruence._residual_of, which residual uses too).
 A side is linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel
 u that does not depend on f: _ring_kernel runs the q-Pascal recurrence of
-hat and tilde transposed on the ring weights, with monomial shifts only.
+hat and tilde transposed on the ring weights, with monomial shifts only,
+and _ring_side maps a kernel to its side.
 Ring tails G_k (per (n, step, power)), weights (per (n, spec)) and kernels
 (per (n, spec, t, d, step)) are memoized in bounded caches.  The tails
 depend on neither r nor alpha, so every r of a cell and every alpha of
@@ -51,16 +52,19 @@ weights, the kernels and the lifted entries of a cell are w_0..w_K, u_0..u_K
 and f_0..f_K, and Horner costs about K^2 shifts.  The stop is read off the
 residues, not set by a cutoff; the tails still run to G_0.
 
-thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries,
-so each side is Sum_j u_j f_j(q^d) times its scale, and the statement holds
-for every family when lscale*u^L_j == rscale*u^R_j for every j.
-_kernels_agree decides that once per cell, in a bounded cache keyed on n,
-both specs, both sides without their sequence and both scales.  A check of
-a cell whose kernels agree then generates no family, lifts no entry and
-forms no dot; one whose kernels differ is decided on its ring sides, so
-every failing verdict and residual comes from those.  The denominator is
-certified on every check.  A check on the ring sides lifts each f_j(q^d)
-once and transforms nothing.  guo_zeng, being thm1.1 at x^k, shares the
+thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries
+(the sun_p_x Pochhammer form reads none, on both sides alike), so the
+difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j) f_j(q^d), and
+the statement holds for every family when that kernel difference is zero.
+_kernel_diff builds it once per cell, in a bounded cache keyed on n, both
+specs, each side's (t, d, step) and both scales, so sun_p_x and every other
+thm1.2 family of a cell share one entry.  A check of a cell whose
+difference is empty then generates no family, lifts no entry, forms no dot
+and runs no Horner; one whose difference is not maps it once, lifting each
+f_j(q^d) once and transforming nothing, so every failing verdict and
+residual comes from that.  Only sun_p, whose sides are Pochhammer products
+at q^d and q^-d, maps each side's kernel and subtracts.  The denominator is
+certified on every check.  guo_zeng, being thm1.1 at x^k, shares the
 weights, kernels and decision of thm1.1 at its (n, d, r).
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
@@ -70,8 +74,8 @@ no lift and no dense product per x-degree.  sun_p takes g_j = u_j.  For
 sun_p_x, with Q = q^d,
 1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
 G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
-(Q;Q)_(n-1), and no common denominator is formed.  The
-transposed recurrence of _ring_kernel is the same Horner, in a variable
+(Q;Q)_(n-1) = H_0, and no common denominator is expanded.  The transposed
+recurrence of _ring_kernel is the same Horner, in a variable
 that stands for the index of f; the hat kernel of thm1.1 is Horner on
 (x q^d; q^d)_k, the Pochhammer right side guo_zeng would otherwise need.
 The lemma checks decide mod Phi_n on Pochhammer products, one factor at a
@@ -101,6 +105,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
@@ -281,8 +286,8 @@ class _Family:
 
 def _resolve_family(fam, n: int) -> "tuple[PolySeq | _Family, str]":
     """The sequence a check reads and its report label: a custom PolySeq as it
-    is, a label or FamilySpec as a _Family, so a check whose cell
-    _kernels_agree decides generates nothing."""
+    is, a label or FamilySpec as a _Family, so a check whose cell has an
+    empty _kernel_diff generates nothing."""
     if isinstance(fam, PolySeq):
         return fam, "custom"
     if isinstance(fam, str):
@@ -383,12 +388,17 @@ class _Side(NamedTuple):
     """The entries X_k = q^(step*k) T(f)_k(q^d) of a statement side, where T
     is the identity (t = 0), hat (t = 1) or tilde (t = -1), and f is seq, a
     PolySeq or a _Family: its entries are read only where the side is lifted
-    (_ring_sides) or expanded (_full_sides).
+    (_ring_side) or expanded (_full_sides).
 
     A side in Pochhammer form has no sequence (seq is None): its f_k is
     (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
     A rescaled side (poch = 0) has f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k,
-    the numerators of sun_p_x over (q;q)_(n-1).
+    the numerators of sun_p_x over (q;q)_(n-1), a denominator that the side
+    carries in place of the statement's fden (_ring_den, _full_sides).
+
+    The map from a kernel to the side reads seq, d, poch and rescaled only
+    (_ring_side), so two sides with the same seq object and the same
+    (d, step, poch, rescaled) map their kernels alike.
     """
 
     seq: "PolySeq | _Family | None"
@@ -412,7 +422,8 @@ class _Statement:
                     weights have another denominator puts the ratio, a
                     monomial, into rscale
     lscale, rscale  monomials, the sign included
-    fden            the family's common denominator, 1 unless the family is rational
+    fden            the family's common denominator, 1 unless the family is rational;
+                    a rescaled side carries its own (_Side)
     """
 
     p: "SymParams | AlphaParams"
@@ -465,11 +476,12 @@ _MONOMIAL_X = FamilySpec("monomial_x")
 def _sun_p_x(p: SymParams) -> _Statement:
     """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
     Pochhammer form of its numerators over (q;q)_(n-1), the fden that
-    _thm_1_2 finds for generate("sun_p_x")."""
+    _thm_1_2 finds for generate("sun_p_x").  The rescaled sides carry that
+    denominator at q -> q^d: its residue is a cached tail (_ring_den), and
+    only _full_sides expands it."""
     spec = _sym_spec(p.r, p.d)
     side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
-    return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E),
-                      qpoch(p.d, p.d, p.n - 1))
+    return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E))
 
 
 def _guo_zeng(p: SymParams) -> _Statement:
@@ -510,10 +522,10 @@ def _numerators(fs: tuple) -> tuple:
 
 
 def _entries(side: _Side, n: int) -> tuple:
-    """The f_k of a side, as polynomials (_numerators).  A Pochhammer form is
-    expanded by running products; a rescaled one is sun_p_x over its common
-    denominator, as _thm_1_2 has it, so the H_k of _ring_sides are not
-    built here."""
+    """The f_k of a side, as polynomials (_numerators), for _full_sides.  A
+    Pochhammer form is expanded by running products; a rescaled one is
+    sun_p_x over its common denominator, as _thm_1_2 has it, so the H_k of
+    _ring_side are not built here."""
     if side.poch is None:
         return _numerators(side.seq.entries)
     if side.rescaled:
@@ -533,6 +545,8 @@ def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
     (wl, den), (wr, _) = built[st.lweights], built[st.rweights]
     den = den * st.fden
+    if st.left.rescaled:
+        den = den * qpoch(st.left.d, st.left.d, st.p.n - 1)
     return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * st.lscale, den),
             RatExpr(_sum(wr, _expand(st.right, st.p.n)) * st.rscale, den))
 
@@ -581,103 +595,93 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     return tuple([wk * qpow(step * k) for k, wk in enumerate(v)] if step else v)
 
 
-def _linear(st: _Statement) -> bool:
-    """Whether both sides read the same entries f_j(q^d): thm1.1, thm1.2 and
-    thm2.1, whose sides are then Sum_j u_j f_j(q^d) times a scale."""
-    return st.left.seq is not None and st.right.seq is st.left.seq and st.right.d == st.left.d
+def _times_ratio(u, lscale: LaurentPoly, rscale: LaurentPoly):
+    """The residues of u times rscale/lscale, a signed monomial since both
+    scales are: u itself when it is 1, negated when it is -1."""
+    e = rscale.valuation() - lscale.valuation()
+    ratio = LaurentPoly.monomial(e, Fraction(rscale.coeff(rscale.valuation()), lscale.coeff(lscale.valuation())))
+    if ratio == one:
+        return u
+    return [-uj for uj in u] if ratio == -1 else [uj * ratio for uj in u]
 
 
 @lru_cache(maxsize=16)
-def _kernels_agree(n: int, lspec: tuple, rspec: tuple, left: _Side, right: _Side,
-                   lscale: LaurentPoly, rscale: LaurentPoly) -> bool:
-    """Whether lscale*u^L_j == rscale*u^R_j mod Phi_n^2 for every j, for the
-    kernels of the two sides of a linear statement, given without entries.
-    Then the statement holds for every family, so this is decided once per
-    cell while the family varies fastest in a sweep.
-
-    Both scales are monomials, units mod Phi_n^2, so this compares u^L with
-    (rscale/lscale)*u^R: one signed monomial on one side, a negation when it
-    is -1 and nothing when it is 1.  An entry past either kernel's end is
-    zero (_ring_kernel)."""
-    e = rscale.valuation() - lscale.valuation()
-    c = Fraction(rscale.coeff(rscale.valuation()), lscale.coeff(lscale.valuation()))
-    ul = _ring_kernel(n, lspec, left.t, left.d, left.step)
-    ur = _ring_kernel(n, rspec, right.t, right.d, right.step)
-    if e or abs(c) != 1:
-        ratio = LaurentPoly.monomial(e, c)
-        ur = [uj * ratio for uj in ur]
-    elif c == -1:
-        ur = [-uj for uj in ur]
-    return all(a == b for a, b in zip(ul, ur)) and all(u.is_zero() for u in (*ul[len(ur):], *ur[len(ul):]))
+def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple,
+                 lscale: LaurentPoly, rscale: LaurentPoly) -> tuple:
+    """u^L - (rscale/lscale)*u^R mod Phi_n^2 without its trailing zeros, for
+    the kernels of two sides (t, d, step) that map their kernels alike
+    (_ring_diff): empty exactly when the statement holds for every family.
+    The key holds no sequence, so every family of a cell, the sun_p_x
+    Pochhammer form included, shares one entry.  An entry past either
+    kernel's end is zero (_ring_kernel)."""
+    ul = _ring_kernel(n, lspec, *lside)
+    ur = _times_ratio(_ring_kernel(n, rspec, *rside), lscale, rscale)
+    diff = [a - b for a, b in zip_longest(ul, ur, fillvalue=reduce(0, n, 2))]
+    while diff and diff[-1].is_zero():
+        diff.pop()
+    return tuple(diff)
 
 
 def _ring_den(st: _Statement) -> Residue:
-    """The one denominator of both sides in Q[q]/(Phi_n^2).  One that is not a
-    unit mod Phi_n raises the error congruent raises on the full sides, with
-    the full denominator."""
+    """The one denominator of both sides in Q[q]/(Phi_n^2): the left weights'
+    times fden, or for a rescaled side times the cached tail
+    H_0 = (q^d;q^d)_(n-1).  One that is not a unit mod Phi_n raises the error
+    congruent raises on the full sides, with the full denominator."""
     n = st.p.n
     den = _ring_weights(n, st.lweights)[1]
-    if st.fden != one:
+    if st.left.rescaled:
+        den = den * _ring_tails(n, st.left.d, 1)[0]
+    elif st.fden != one:
         den = den * st.fden
     if not den.is_unit():
         raise NoncoprimeDenominatorError(_full_sides(st)[0].den, n)
     return den
 
 
-class _RingSides(NamedTuple):
-    """Both sides of a statement in Q[q]/(Phi_n^2): each numerator as an
-    x-degree -> residue map (x^0 alone when univariate), over one denominator."""
+def _ring_side(side: _Side, u, n: int) -> dict:
+    """Sum_j u_j f_j(q^d) mod Phi_n^2 by x-degree (x^0 alone when univariate),
+    for a kernel u of the side.
 
-    left: dict
-    right: dict
-    den: Residue
-    bivariate: bool
+    A sequence side lifts f_0..f_(len(u)-1), each once, and forms one dot per
+    x-degree; no entry is transformed.  A Pochhammer side is
+    Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or u_j q^(d*j) H_j when rescaled
+    (H_j the cached tails at (n, d, 1)), and horner gives its x-coefficients:
+    no entry is formed or lifted."""
+    if side.poch is None:
+        lifted = [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.seq.entries)[:len(u)]]
+        return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
+    if side.rescaled:
+        u = [uj * Hj * qpow(side.d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, side.d, 1)))]
+    return dict(enumerate(horner(u, side.poch * side.d, side.d)))
 
 
-def _ring_sides(st: _Statement) -> _RingSides:
-    """The sides assembled in Q[q]/(Phi_n^2).
+def _ring_diff(st: _Statement) -> dict:
+    """The numerator of left minus right mod Phi_n^2 by x-degree, over
+    _ring_den: lscale * (Sum u^L_j f_j - (rscale/lscale) Sum u^R_j f_j).
 
-    Numerators and the denominator are replaced by their canonical residues,
-    so the verdict and the residual are those of the full sides.  A side is
-    linear in its entries: per x-degree it is one sum of products of the
-    lifted f_j(q^d) with the kernel u_j, then times the scale monomial.  No
-    entry is transformed, and each f_j(q^d) is lifted once.  A side in
-    Pochhammer form is Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or
-    u_j q^(d*j) H_j(q^d) when rescaled, H_j = (q^(j+1);q)_(n-1-j), the
-    cached tails: horner gives its x-coefficients, and no entry is formed
-    or lifted.  The denominator is _ring_den's.
+    Two sides with one seq object and one (d, step, poch, rescaled) map their
+    kernels alike, so the difference is the map of _kernel_diff: thm1.1,
+    thm1.2 (sun_p_x too), thm2.1 and guo_zeng.  A cell whose kernels agree
+    maps nothing: no family generated, no entry lifted, no Horner run.  sun_p's
+    sides, Pochhammer products at q^d and q^-d, each map their own kernel."""
+    n, left, right = st.p.n, st.left, st.right
+    if right.seq is left.seq and right[2:] == left[2:]:
+        u = _kernel_diff(n, st.lweights, st.rweights, left[1:4], right[1:4], st.lscale, st.rscale)
+        diff = _ring_side(left, u, n) if u else {}
+    else:
+        lsum = _ring_side(left, _ring_kernel(n, st.lweights, *left[1:4]), n)
+        rsum = _ring_side(right, _times_ratio(_ring_kernel(n, st.rweights, *right[1:4]), st.lscale, st.rscale), n)
+        zero = reduce(0, n, 2)
+        diff = {j: lsum.get(j, zero) - rsum.get(j, zero) for j in lsum.keys() | rsum.keys()}
+    return diff if st.lscale == one else {j: s * st.lscale for j, s in diff.items()}
 
-    A kernel ends at u_K (_ring_kernel), so only f_0..f_K are lifted and
-    dotted, and a Horner side has K + 1 x-coefficients: the ones above were
-    zero.
-    """
-    n = st.p.n
-    den = _ring_den(st)
-    kernels = [_ring_kernel(n, spec, sd.t, sd.d, sd.step)
-               for sd, spec in ((st.left, st.lweights), (st.right, st.rweights))]
 
-    def lift(side, length):
-        if side.poch is None:
-            return [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.seq.entries)[:length]]
-
-    def side(sd, lifted, u, scale) -> dict:
-        if sd.poch is not None:
-            if sd.rescaled:
-                H = _ring_tails(n, sd.d, 1)
-                u = [uj * Hj * qpow(sd.d * j) for j, (uj, Hj) in enumerate(zip(u, H))]
-            sums = dict(enumerate(horner(u, sd.poch * sd.d, sd.d)))
-        else:
-            sums = {j: dot((f[j], uk) for f, uk in zip(lifted, u) if j in f)
-                    for j in sorted(set().union(*lifted))}
-        return sums if scale == one else {j: s * scale for j, s in sums.items()}
-
-    left = lift(st.left, len(kernels[0]))  # a linear statement's kernels have one spec, so one length
-    right = left if _linear(st) else lift(st.right, len(kernels[1]))
-    bivariate = any(sd.poch is not None
-                    or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.seq.entries)
-                    for sd in (st.left, st.right))
-    return _RingSides(side(st.left, left, kernels[0], st.lscale),
-                      side(st.right, right, kernels[1], st.rscale), den, bivariate)
+def _bivariate(st: _Statement) -> bool:
+    """Whether a statement's residual is reported by x-degree: a side in
+    Pochhammer form, or an entry with x in it."""
+    return any(sd.poch is not None
+               or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.seq.entries)
+               for sd in (st.left, st.right))
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -725,30 +729,13 @@ def _residual_text(res) -> str:
 
 
 def _report(check: str, params: dict, st: _Statement, started: float) -> CheckReport:
-    """Decide a statement and report it.
-
-    A linear statement holds for every family when its scaled kernels agree
-    (_kernels_agree, once per cell); it is then reported as holding with no
-    entry lifted and no dot formed.  Every other statement, and a linear one
-    whose kernels differ, is decided on its ring sides: it holds when every
-    x-coefficient of the numerators agrees, and a failing one gets the
-    residual of the same residues.  The denominator is certified on every
-    call either way.
-    """
+    """Decide a statement and report it: it holds when every x-coefficient of
+    the ring difference of its sides (_ring_diff) is zero, and a failing one
+    gets the residual of the same residues over the certified denominator."""
     p = st.p
-    holds, residual = False, None
-    if _linear(st):
-        _ring_den(st)
-        holds = _kernels_agree(p.n, st.lweights, st.rweights, st.left._replace(seq=None),
-                               st.right._replace(seq=None), st.lscale, st.rscale)
-    if not holds:
-        sides = _ring_sides(st)
-        zero = reduce(0, p.n, 2)
-        diff = {j: sides.left.get(j, zero) - sides.right.get(j, zero)
-                for j in sides.left.keys() | sides.right.keys()}
-        holds = all(r.is_zero() for r in diff.values())
-        if not holds:
-            residual = _residual_text(_residual_of(diff, sides.den, sides.bivariate))
+    den = _ring_den(st)
+    diff = _ring_diff(st)
+    holds = all(r.is_zero() for r in diff.values())
     return CheckReport(
         check=check,
         params=params,
@@ -758,7 +745,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
         sign=p.sign,
         branch=p.branch,
         wall_time=time.perf_counter() - started,
-        residual=residual,
+        residual=None if holds else _residual_text(_residual_of(diff, den, _bivariate(st))),
     )
 
 

@@ -25,10 +25,12 @@ from qcong.theorems import (
     _full_sides,
     _guo_zeng,
     _residual_text,
+    _ring_den,
     _ring_kernel,
-    _ring_sides,
+    _ring_side,
     _ring_weights,
     _alpha_spec,
+    _bivariate,
     _spec,
     _sun_p,
     _sun_p_x,
@@ -254,15 +256,18 @@ def _full_verdict(lhs, rhs, n):
 
 
 def _ring_ratexprs(statement):
-    """The residues of _ring_sides as two RatExpr over their one denominator."""
-    sides = _ring_sides(statement)
+    """Each side in the ring, its own kernel times its own scale mapped by
+    _ring_side, as two RatExpr over the one denominator of _ring_den."""
+    n, den = statement.p.n, _ring_den(statement).rep
 
-    def num(residues):
-        if sides.bivariate:
-            return BiPoly({j: r.rep for j, r in residues.items()})
-        return residues[0].rep
+    def side(sd, spec, scale):
+        residues = _ring_side(sd, [uj * scale for uj in _ring_kernel(n, spec, sd.t, sd.d, sd.step)], n)
+        if _bivariate(statement):
+            return RatExpr(BiPoly({j: r.rep for j, r in residues.items()}), den)
+        return RatExpr(residues[0].rep, den)
 
-    return RatExpr(num(sides.left), sides.den.rep), RatExpr(num(sides.right), sides.den.rep)
+    return side(statement.left, statement.lweights, statement.lscale), \
+        side(statement.right, statement.rweights, statement.rscale)
 
 
 @pytest.mark.parametrize("cell", RING_CELLS)
@@ -332,8 +337,8 @@ def horner_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(horner_cases())
 def test_horner_sides_match_the_full_sides(case):
-    """guo_zeng, sun_p and thm1.2 sun_p_x decided by Horner in x (_ring_sides)
-    give the verdict and residual string of the same statement on full
+    """guo_zeng, sun_p and thm1.2 sun_p_x, each side mapped in the ring by
+    _ring_side (Horner in x for a Pochhammer side), give the verdict and residual string of the same statement on full
     polynomials (_full_sides: BiPoly entries by running products, transformed
     by hat or tilde), on the true sides and with the lhs bumped off them.
     Each ring side is congruent to its full side, so a change that scales
@@ -390,8 +395,8 @@ def linear_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(linear_cases())
 def test_linear_checks_match_the_full_sides(case):
-    """thm1.1, thm1.2 and thm2.1, decided once per cell by their scaled kernels
-    and on their ring sides when those differ, give the (holds, residual) of
+    """thm1.1, thm1.2 and thm2.1, decided by the map of their cell's kernel
+    difference, which is empty on a true cell, give the (holds, residual) of
     the full sides, on the cell and under each perturbation, for two families
     in a row: the second meets its cell already decided."""
     check, sides, cell, families = case
@@ -435,11 +440,15 @@ FLIPPED_RESIDUALS = {
     ("guo_zeng", "monomial_x"): "x^0: 2*q^6; x^1: 6*q^0 + 8*q^1 + 12*q^2 + 16*q^3 + 18*q^4 + 12*q^5 + 8*q^6"
                                 " + 8*q^7; x^2: -6*q^0 + -8*q^1 + -14*q^2 + -16*q^3 + -18*q^4 + -12*q^5"
                                 " + -10*q^6 + -4*q^7",
+    ("thm1.2", "sun_p_x"): "x^0: -14/25*q^0 + 44/25*q^1 + -8/5*q^2 + 4/5*q^3 + -8/5*q^4 + 44/25*q^5"
+                           " + -14/25*q^6; x^1: 156/25*q^0 + 96/25*q^1 + 248/25*q^2 + 48/5*q^3 + 12*q^4"
+                           " + 144/25*q^5 + 144/25*q^6 + 72/25*q^7; x^2: -92/25*q^0 + -28/5*q^1"
+                           " + -208/25*q^2 + -52/5*q^3 + -52/5*q^4 + -188/25*q^5 + -26/5*q^6 + -72/25*q^7",
 }
 
 
 def test_a_decided_cell_generates_no_family(monkeypatch):
-    """A check whose cell _kernels_agree decides never generates its family,
+    """A check whose cell has an empty _kernel_diff never generates its family,
     the first family of the cell included; one whose kernels differ (the sign
     flipped) generates its entries once and reports the residual of the full
     sides, the pinned string at (5, 2, 1)."""
@@ -518,6 +527,47 @@ def test_a_trimmed_cell_lifts_only_its_prefix(monkeypatch):
             assert rep.residual == FLIPPED_RESIDUALS["guo_zeng", "monomial_x"]
 
 
+def _refuse(*args):
+    raise AssertionError("called on the decided path")
+
+
+@pytest.mark.parametrize("cell", [(7, 2, -3), (11, 3, 2)])
+def test_a_decided_cell_decides_sun_p_x_without_its_sides(cell, monkeypatch):
+    """Once thm1.2 has decided a cell on another family, the sun_p_x label
+    holds there with no Horner run and no full Pochhammer product formed: its
+    sides map the cell's empty kernel difference, and its denominator
+    (q^d;q^d)_(n-1) is the cached tail H_0."""
+    p = SymParams.create(*cell)
+    assert check_thm_1_2(p, "ones").holds
+    monkeypatch.setattr(theorems, "horner", _refuse)
+    monkeypatch.setattr(theorems, "qpoch", _refuse)
+    assert check_thm_1_2(p, "sun_p_x").holds
+
+
+def test_sun_p_x_shares_the_kernel_diff_of_its_cell():
+    """sun_p_x, then two other families at one thm1.2 cell: one _kernel_diff
+    entry serves all three."""
+    theorems._kernel_diff.cache_clear()
+    p = SymParams.create(9, 4, -2)
+    for fam in ("sun_p_x", "ones", "random_poly:4:3"):
+        assert check_thm_1_2(p, fam).holds, fam
+    info = theorems._kernel_diff.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_a_failing_sun_p_x_check_forms_no_full_denominator(monkeypatch):
+    """The sign-flipped sun_p_x cell (5, 2, 1) gets its residual from the ring
+    difference alone, with no full Pochhammer product formed: the pinned
+    string, which is that of the full sides."""
+    cell = SymParams.create(5, 2, 1)
+    p = dataclasses.replace(cell, sign=-cell.sign)
+    monkeypatch.setattr(theorems, "qpoch", _refuse)
+    rep = check_thm_1_2(p, "sun_p_x")
+    monkeypatch.undo()
+    assert rep.residual == FLIPPED_RESIDUALS["thm1.2", "sun_p_x"]
+    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_sun_p_x(p)), 5)
+
+
 @pytest.mark.parametrize("name", ["true", "flipped sign", "E+1"])
 def test_guo_zeng_is_thm_1_1_at_x_powers(name):
     """_report on _guo_zeng(p) and on _thm_1_1(p, monomial_x), each decided
@@ -531,7 +581,7 @@ def test_guo_zeng_is_thm_1_1_at_x_powers(name):
                 p = perturb(SymParams.create(n, d, r))
                 reports = []
                 for st_ in (_guo_zeng(p), _thm_1_1(p, xs)):
-                    theorems._kernels_agree.cache_clear()
+                    theorems._kernel_diff.cache_clear()
                     rep = theorems._report("x", {}, st_, 0.0)
                     reports.append((rep.holds, rep.residual, rep.a, rep.exponent, rep.sign, rep.branch))
                 assert reports[0] == reports[1], (n, d, r)
