@@ -616,6 +616,8 @@ def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple,
     kernel's end is zero (_ring_kernel)."""
     ul = _ring_kernel(n, lspec, *lside)
     ur = _times_ratio(_ring_kernel(n, rspec, *rside), lscale, rscale)
+    if tuple(ur) == ul:  # a true cell: no subtraction
+        return ()
     diff = [a - b for a, b in zip_longest(ul, ur, fillvalue=reduce(0, n, 2))]
     while diff and diff[-1].is_zero():
         diff.pop()
@@ -736,6 +738,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
     den = _ring_den(st)
     diff = _ring_diff(st)
     holds = all(r.is_zero() for r in diff.values())
+    residual = None if holds else _residual_text(_residual_of(diff, den, _bivariate(st)))
     return CheckReport(
         check=check,
         params=params,
@@ -745,7 +748,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
         sign=p.sign,
         branch=p.branch,
         wall_time=time.perf_counter() - started,
-        residual=None if holds else _residual_text(_residual_of(diff, den, _bivariate(st))),
+        residual=residual,
     )
 
 
