@@ -105,7 +105,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
@@ -608,20 +607,17 @@ def _times_ratio(u, lscale: LaurentPoly, rscale: LaurentPoly):
 @lru_cache(maxsize=16)
 def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple,
                  lscale: LaurentPoly, rscale: LaurentPoly) -> tuple:
-    """u^L - (rscale/lscale)*u^R mod Phi_n^2 without its trailing zeros, for
-    the kernels of two sides (t, d, step) that map their kernels alike
-    (_ring_diff): empty exactly when the statement holds for every family.
-    The key holds no sequence, so every family of a cell, the sun_p_x
-    Pochhammer form included, shares one entry.  An entry past either
-    kernel's end is zero (_ring_kernel)."""
+    """u^L - (rscale/lscale)*u^R mod Phi_n^2, for the kernels of two sides
+    (t, d, step) that map their kernels alike (_ring_diff), or () when the
+    two agree: exactly when the statement holds for every family.  Both
+    sides of a linear statement have one weight spec, so the kernels have one
+    length.  The key holds no sequence, so every family of a cell, the
+    sun_p_x Pochhammer form included, shares one entry."""
     ul = _ring_kernel(n, lspec, *lside)
     ur = _times_ratio(_ring_kernel(n, rspec, *rside), lscale, rscale)
-    if tuple(ur) == ul:  # a true cell: no subtraction
+    if tuple(ur) == ul:
         return ()
-    diff = [a - b for a, b in zip_longest(ul, ur, fillvalue=reduce(0, n, 2))]
-    while diff and diff[-1].is_zero():
-        diff.pop()
-    return tuple(diff)
+    return tuple(a - b for a, b in zip(ul, ur, strict=True))
 
 
 def _ring_den(st: _Statement) -> Residue:
