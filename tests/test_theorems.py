@@ -338,9 +338,10 @@ def horner_cases(draw):
 @given(horner_cases())
 def test_horner_sides_match_the_full_sides(case):
     """guo_zeng, sun_p and thm1.2 sun_p_x, each side mapped in the ring by
-    _ring_side (Horner in x for a Pochhammer side), give the verdict and residual string of the same statement on full
-    polynomials (_full_sides: BiPoly entries by running products, transformed
-    by hat or tilde), on the true sides and with the lhs bumped off them.
+    _ring_side (Horner in x for a Pochhammer side), give the verdict and
+    residual string of the same statement on full polynomials (_full_sides:
+    BiPoly entries by running products, transformed by hat or tilde), on the
+    true sides and with the lhs bumped off them.
     Each ring side is congruent to its full side, so a change that scales
     both alike is caught too."""
     st_, bump = case
