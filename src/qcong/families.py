@@ -20,6 +20,7 @@ as (next() mod (2*BOUND+1)) - BOUND.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bivariate import BiPoly, RatExpr
 from .laurent import LaurentPoly, one, qpow, zero
@@ -94,7 +95,11 @@ class FamilySpec:
                 raise ValueError("random_poly coefficient bound must be at least 1")
 
     @classmethod
+    @lru_cache(maxsize=256)
     def parse(cls, text: str) -> "FamilySpec":
+        """The spec of a label.  Memoized: a spec is immutable, so every check
+        of one label shares one; a malformed label is not cached and raises on
+        every call."""
         parts = text.strip().split(":")
         name = parts[0]
         try:

@@ -64,8 +64,10 @@ and runs no Horner; one whose difference is not maps it once, lifting each
 f_j(q^d) once and transforming nothing, so every failing verdict and
 residual comes from that.  Only sun_p, whose sides are Pochhammer products
 at q^d and q^-d, maps each side's kernel and subtracts.  The denominator is
-certified on every check.  guo_zeng, being thm1.1 at x^k, shares the
-weights, kernels and decision of thm1.1 at its (n, d, r).
+certified once per cell, in a bounded cache (_cell_den) keyed on n, the left
+spec, the rescaled side's d and fden, which also keeps the fact that it is
+not a unit, so such a cell raises on every check.  guo_zeng, being thm1.1 at
+x^k, shares the weights, kernels and decision of thm1.1 at its (n, d, r).
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
 and congruence.horner gives its x-coefficients from the last j down,
@@ -211,13 +213,16 @@ class SymParams:
     branch: str
 
     @classmethod
+    @lru_cache(maxsize=256)
     def create(cls, n: int, d: int, r: int) -> "SymParams":
+        """The parameters of a cell.  Memoized, as is AlphaParams.create: the
+        record is immutable, and ill-posed arguments raise on every call."""
         if n < 2:
             raise ValueError("n must be at least 2")
         if d < 1:
             raise ValueError("d must be at least 1")
         _require(_coprime(n, d))
-        a = next(a for a in range(n) if (a * d + r) % n == 0)
+        a = -r * pow(d, -1, n) % n
         prod = (a * d + r) * (n - 1 - 2 * a)
         if prod % 2:
             raise ArithmeticError(f"exponent not integral at n={n} d={d} r={r}")
@@ -240,6 +245,7 @@ class AlphaParams:
     branch: str
 
     @classmethod
+    @lru_cache(maxsize=256)
     def create(cls, n: int, a: int, s: int) -> "AlphaParams":
         if n < 2:
             raise ValueError("n must be at least 2")
@@ -393,7 +399,7 @@ class _Side(NamedTuple):
     (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
     A rescaled side (poch = 0) has f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k,
     the numerators of sun_p_x over (q;q)_(n-1), a denominator that the side
-    carries in place of the statement's fden (_ring_den, _full_sides).
+    carries in place of the statement's fden (_cell_den, _full_den).
 
     The map from a kernel to the side reads seq, d, poch and rescaled only
     (_ring_side), so two sides with the same seq object and the same
@@ -408,8 +414,7 @@ class _Side(NamedTuple):
     rescaled: bool = False
 
 
-@dataclass(frozen=True)
-class _Statement:
+class _Statement(NamedTuple):
     """lscale * Sum_k wl_k L_k / (den * fden)  vs  rscale * Sum_k wr_k R_k / (den * fden).
 
     left, right     _Side records: the sequence f of untransformed entries,
@@ -476,8 +481,8 @@ def _sun_p_x(p: SymParams) -> _Statement:
     """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
     Pochhammer form of its numerators over (q;q)_(n-1), the fden that
     _thm_1_2 finds for generate("sun_p_x").  The rescaled sides carry that
-    denominator at q -> q^d: its residue is a cached tail (_ring_den), and
-    only _full_sides expands it."""
+    denominator at q -> q^d: its residue is a cached tail (_cell_den), and
+    only _full_den expands it."""
     spec = _sym_spec(p.r, p.d)
     side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
     return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E))
@@ -540,12 +545,20 @@ def _expand(side: _Side, n: int) -> tuple:
                  for k, f in enumerate(fs))
 
 
-def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
-    built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
-    (wl, den), (wr, _) = built[st.lweights], built[st.rweights]
-    den = den * st.fden
+def _full_den(st: _Statement, G0: LaurentPoly) -> LaurentPoly:
+    """The one denominator of both full sides, from G0, the left weights'
+    (Q;Q)_(n-1)^power with Q = q^step: G0 times fden, or times
+    (q^d;q^d)_(n-1) for a rescaled side."""
+    den = G0 * st.fden
     if st.left.rescaled:
         den = den * qpoch(st.left.d, st.left.d, st.p.n - 1)
+    return den
+
+
+def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
+    built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
+    (wl, G0), (wr, _) = built[st.lweights], built[st.rweights]
+    den = _full_den(st, G0)
     return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * st.lscale, den),
             RatExpr(_sum(wr, _expand(st.right, st.p.n)) * st.rscale, den))
 
@@ -620,19 +633,31 @@ def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple,
     return tuple(a - b for a, b in zip(ul, ur, strict=True))
 
 
-def _ring_den(st: _Statement) -> Residue:
+@lru_cache(maxsize=16)
+def _cell_den(n: int, lspec: tuple, rescaled_d: int, fden: LaurentPoly) -> "Residue | None":
     """The one denominator of both sides in Q[q]/(Phi_n^2): the left weights'
-    times fden, or for a rescaled side times the cached tail
-    H_0 = (q^d;q^d)_(n-1).  One that is not a unit mod Phi_n raises the error
-    congruent raises on the full sides, with the full denominator."""
+    times fden, or, for a side rescaled at q -> q^d (rescaled_d = d, else 0),
+    times the cached tail H_0 = (q^d;q^d)_(n-1).  None when it is not a unit
+    mod Phi_n.  It is certified once per key, so every family of a cell with
+    one fden shares one certification."""
+    den = _ring_weights(n, lspec)[1]
+    if rescaled_d:
+        den = den * _ring_tails(n, rescaled_d, 1)[0]
+    elif fden != one:
+        den = den * fden
+    return den if den.is_unit() else None
+
+
+def _ring_den(st: _Statement) -> Residue:
+    """The certified denominator of a statement's cell (_cell_den).  One that
+    is not a unit mod Phi_n raises, on every check, the error congruent raises
+    on the full sides, with the full denominator (_full_den); no side is
+    built for it."""
     n = st.p.n
-    den = _ring_weights(n, st.lweights)[1]
-    if st.left.rescaled:
-        den = den * _ring_tails(n, st.left.d, 1)[0]
-    elif st.fden != one:
-        den = den * st.fden
-    if not den.is_unit():
-        raise NoncoprimeDenominatorError(_full_sides(st)[0].den, n)
+    den = _cell_den(n, st.lweights, st.left.d if st.left.rescaled else 0, st.fden)
+    if den is None:
+        _, _, step, power, _ = st.lweights
+        raise NoncoprimeDenominatorError(_full_den(st, qpoch(step, step, n - 1) ** power), n)
     return den
 
 

@@ -56,6 +56,7 @@ def test_parse_and_label_round_trip(text, spec):
     assert FamilySpec.parse(text) == spec
     assert spec.label() == text
     assert FamilySpec.parse(spec.label()) == spec
+    assert FamilySpec.parse(text) == FamilySpec.parse(text) == spec
 
 
 BAD_SPECS = ["nope", "delta", "delta:1:2", "delta:-1", "ones:3",
@@ -65,8 +66,10 @@ BAD_SPECS = ["nope", "delta", "delta:1:2", "delta:-1", "ones:3",
 
 @pytest.mark.parametrize("text", BAD_SPECS)
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        FamilySpec.parse(text)
+    """On every call: parse is memoized, and its errors are not."""
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            FamilySpec.parse(text)
 
 
 def test_kinds():

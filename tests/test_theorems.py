@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qcong import theorems
 from qcong.bivariate import BiPoly, RatExpr
-from qcong.congruence import NoncoprimeDenominatorError, congruent, reduce, reduce_by_degree, residual
+from qcong.congruence import NoncoprimeDenominatorError, Residue, congruent, reduce, reduce_by_degree, residual
 from qcong.cyclotomic import cyclotomic
 from qcong.families import generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, q, qpow
@@ -75,14 +75,16 @@ def test_sym_params_known_cells(ndr, expected):
 
 
 def test_sym_params_defining_property():
-    for n in range(2, 13):
-        for d in range(1, 7):
+    """a, found from the inverse of d mod n, is the residue a scan of
+    [0, n-1] for a*d + r == 0 (mod n) finds, on every coprime (n, d) with
+    n, d <= 30."""
+    for n in range(2, 31):
+        for d in range(1, 31):
             if math.gcd(n, d) != 1:
                 continue
             for r in range(-5, 6):
                 p = SymParams.create(n, d, r)
-                assert 0 <= p.a < n
-                assert (p.a * d + r) % n == 0
+                assert p.a == next(a for a in range(n) if (a * d + r) % n == 0), (n, d, r)
 
 
 ALPHA_CASES = [
@@ -100,16 +102,16 @@ def test_alpha_params_known_cells(nas, expected):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SymParams.create(6, 3, 1)
-    with pytest.raises(ValueError):
-        SymParams.create(1, 1, 0)
-    with pytest.raises(ValueError):
-        SymParams.create(5, 0, 1)
-    with pytest.raises(ValueError):
-        AlphaParams.create(5, 5, 0)
-    with pytest.raises(ValueError):
-        AlphaParams.create(1, 0, 1)
+    """Ill-posed arguments raise on every call: the factories are memoized,
+    and their errors are not.  Valid calls return equal records."""
+    bad = [(SymParams.create, (6, 3, 1)), (SymParams.create, (1, 1, 0)), (SymParams.create, (5, 0, 1)),
+           (AlphaParams.create, (5, 5, 0)), (AlphaParams.create, (1, 0, 1))]
+    for _ in range(3):
+        for create, args in bad:
+            with pytest.raises(ValueError):
+                create(*args)
+    assert SymParams.create(6, 5, 2) == SymParams.create(6, 5, 2)
+    assert AlphaParams.create(6, 3, 2) == AlphaParams.create(6, 3, 2)
 
 
 # -- the symmetric congruences ----------------------------------------------
@@ -357,9 +359,13 @@ def test_horner_sides_match_the_full_sides(case):
     assert verdicts[0][0] == (bump is None)
 
 
+def _noncoprime_family(n: int) -> PolySeq:
+    """q^k / Phi_n: a rational family whose denominator is not a unit mod Phi_n."""
+    return PolySeq(tuple(RatExpr(qpow(k), cyclotomic(n)) for k in range(n)), RATIONAL)
+
+
 def test_ring_check_reports_a_noncoprime_family_denominator():
-    p = SymParams.create(5, 2, 1)
-    bad = PolySeq(tuple(RatExpr(qpow(k), cyclotomic(5)) for k in range(5)), RATIONAL)
+    p, bad = SymParams.create(5, 2, 1), _noncoprime_family(5)
     with pytest.raises(NoncoprimeDenominatorError) as ring:
         check_thm_1_2(p, bad)
     with pytest.raises(NoncoprimeDenominatorError) as full:
@@ -370,6 +376,50 @@ def test_ring_check_reports_a_noncoprime_family_denominator():
 def test_a_decided_cell_still_reports_a_noncoprime_family_denominator():
     assert check_thm_1_2(SymParams.create(5, 2, 1), "ones").holds
     test_ring_check_reports_a_noncoprime_family_denominator()
+
+
+@pytest.mark.parametrize("n", [5, 9, 13])
+def test_a_noncoprime_family_denominator_builds_no_side(n, monkeypatch):
+    """The error names the full denominator of the sides, the one congruent
+    names on them, but neither side is built or transformed for it."""
+    p, bad = SymParams.create(n, 2, 1), _noncoprime_family(n)
+    with pytest.raises(NoncoprimeDenominatorError) as full:
+        congruent(*thm_1_2_sides(p, bad), n, 2)
+    for name in ("hat", "tilde", "_full_sides"):
+        monkeypatch.setattr(theorems, name, _refuse)
+    with pytest.raises(NoncoprimeDenominatorError) as ring:
+        check_thm_1_2(p, bad)
+    assert str(ring.value) == str(full.value)
+
+
+def test_one_certification_serves_every_family_of_a_cell(monkeypatch):
+    """thm1.1, thm1.2 and guo_zeng on every family of one (n, spec) share one
+    certified denominator: Residue.is_unit runs once."""
+    calls = []
+    is_unit = Residue.is_unit
+    monkeypatch.setattr(Residue, "is_unit", lambda res: calls.append(res.n) or is_unit(res))
+    theorems._cell_den.cache_clear()
+    p = SymParams.create(13, 5, 3)
+    for fam in ("ones", "delta:2", "monomial_q:1", "random_poly:7:3", "monomial_x"):
+        assert check_thm_1_1(p, fam).holds and check_thm_1_2(p, fam).holds, fam
+    assert check_guo_zeng(p).holds
+    assert calls == [13]
+
+
+def test_a_noncoprime_family_denominator_raises_on_every_check():
+    """The cached fact that a denominator is not a unit raises on every check,
+    before and after a named family decides the same (n, spec), and that
+    family's cell still holds after the error."""
+    theorems._cell_den.cache_clear()
+    p, bad = SymParams.create(7, 3, 2), _noncoprime_family(7)
+    for fam in (bad, bad, "ones", bad, bad, "random_poly:3:2"):
+        if fam is bad:
+            with pytest.raises(NoncoprimeDenominatorError):
+                check_thm_1_2(p, bad)
+        else:
+            assert check_thm_1_2(p, fam).holds and check_thm_1_1(p, fam).holds
+    info = theorems._cell_den.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
 
 
 @st.composite
