@@ -20,7 +20,7 @@ as (next() mod (2*BOUND+1)) - BOUND.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bivariate import BiPoly, RatExpr
 from .laurent import LaurentPoly, one, qpow, zero
@@ -109,6 +109,12 @@ class FamilySpec:
         return cls(name, args)
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        """The label, joined on first read: parse shares one spec per label, so
+        every check of a sweep cell reads it from here."""
         return ":".join([self.name, *map(str, self.args)])
 
     @property

@@ -30,7 +30,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 from pathlib import Path
 
 from .families import DEFAULT_COEFF_BOUND, FamilySpec
@@ -271,6 +270,9 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     # run each ring cell's tasks together, while its weights and kernels are cached
     tasks.sort(key=lambda task: CHECKS[task[0]].key(*task[1]))
     if cfg.workers > 1 and len(tasks) > 1:
+        # imported here, so that importing qcong loads no multiprocessing
+        from multiprocessing import get_context
+
         chunk = max(1, len(tasks) // (cfg.workers * 8))
         with get_context().Pool(cfg.workers) as pool:
             records = pool.map(run_task, tasks, chunksize=chunk)

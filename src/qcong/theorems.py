@@ -57,17 +57,19 @@ thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries
 difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j) f_j(q^d), and
 the statement holds for every family when that kernel difference is zero.
 _kernel_diff builds it once per cell, in a bounded cache keyed on n, both
-specs, each side's (t, d, step) and both scales, so sun_p_x and every other
-thm1.2 family of a cell share one entry.  A check of a cell whose
-difference is empty then generates no family, lifts no entry, forms no dot
-and runs no Horner; one whose difference is not maps it once, lifting each
-f_j(q^d) once and transforming nothing, so every failing verdict and
-residual comes from that.  Only sun_p, whose sides are Pochhammer products
-at q^d and q^-d, maps each side's kernel and subtracts.  The denominator is
-certified once per cell, in a bounded cache (_cell_den) keyed on n, the left
-spec, the rescaled side's d and fden, which also keeps the fact that it is
-not a unit, so such a cell raises on every check.  guo_zeng, being thm1.1 at
-x^k, shares the weights, kernels and decision of thm1.1 at its (n, d, r).
+specs, each side's (t, d, step) and the ratio's exponent and sign, so
+sun_p_x and every other thm1.2 family of a cell share one entry.  The
+scales are signed monomials kept as (exponent, sign) pairs, so the key holds
+plain ints.  A check of a cell whose difference is empty then generates no
+family, lifts no entry, forms no dot and runs no Horner; one whose
+difference is not maps it once, lifting each f_j(q^d) once and transforming
+nothing, so every failing verdict and residual comes from that.  Only
+sun_p, whose sides are Pochhammer products at q^d and q^-d, maps each side's
+kernel and subtracts.  The denominator is certified once per cell, in a
+bounded cache (_cell_den) keyed on n, the left spec, the rescaled side's d
+and fden, which also keeps the fact that it is not a unit, so such a cell
+raises on every check.  guo_zeng, being thm1.1 at x^k, shares the weights,
+kernels and decision of thm1.1 at its (n, d, r).
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
 and congruence.horner gives its x-coefficients from the last j down,
@@ -272,6 +274,19 @@ class CheckReport:
     residual: "str | None" = None
 
 
+def _new_report(check: str, params: dict, holds: bool, a: "int | None" = None, exponent: "int | None" = None,
+                sign: "int | None" = None, branch: "str | None" = None, wall_time: float = 0.0,
+                residual: "str | None" = None) -> CheckReport:
+    """CheckReport(...) with the same fields and defaults, its instance dict
+    filled in one step where the frozen __init__ sets each field by
+    object.__setattr__ in turn."""
+    rep = object.__new__(CheckReport)
+    object.__setattr__(rep, "__dict__", {
+        "check": check, "params": params, "holds": holds, "a": a, "exponent": exponent,
+        "sign": sign, "branch": branch, "wall_time": wall_time, "residual": residual})
+    return rep
+
+
 class _Family:
     """A named family of length n as the statements read it: its kind and
     length at once, its entries only when a side is lifted or expanded, and
@@ -425,7 +440,9 @@ class _Statement(NamedTuple):
                     over the den of lweights, so a statement whose right
                     weights have another denominator puts the ratio, a
                     monomial, into rscale
-    lscale, rscale  monomials, the sign included
+    lscale, rscale  (exponent, sign) pairs, each the signed monomial
+                    sign * q^exponent; a polynomial is built from one only
+                    where a side is expanded or a difference rescaled
     fden            the family's common denominator, 1 unless the family is rational;
                     a rescaled side carries its own (_Side)
     """
@@ -435,9 +452,17 @@ class _Statement(NamedTuple):
     rweights: tuple
     left: _Side
     right: _Side
-    lscale: LaurentPoly
-    rscale: LaurentPoly
+    lscale: tuple
+    rscale: tuple
     fden: LaurentPoly = one
+
+
+_UNIT = (0, 1)  # the scale 1 = +q^0
+
+
+def _ratio(st: _Statement) -> tuple:
+    """rscale/lscale as an (exponent, sign) pair."""
+    return st.rscale[0] - st.lscale[0], st.rscale[1] * st.lscale[1]
 
 
 def _thm_1_1(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
@@ -445,8 +470,7 @@ def _thm_1_1(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
     spec = _sym_spec(p.r, p.d)
-    return _Statement(p, spec, spec, _Side(seq, 0, p.d, p.d), _Side(seq, 1, p.d, p.d),
-                      qpow(p.E), LaurentPoly.const(p.sign))
+    return _Statement(p, spec, spec, _Side(seq, 0, p.d, p.d), _Side(seq, 1, p.d, p.d), (p.E, 1), (0, p.sign))
 
 
 def _thm_1_2(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
@@ -460,7 +484,7 @@ def _thm_1_2(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
     fden = shared_denominator(seq.entries) if seq.kind == RATIONAL else one
     spec = _sym_spec(p.r, p.d)
     return _Statement(p, spec, spec, _Side(seq, 0, p.d, 0), _Side(seq, -1, p.d, 0),
-                      one, p.sign * qpow(p.E), _subs(fden, p.d))
+                      _UNIT, (p.E, p.sign), _subs(fden, p.d))
 
 
 def _thm_2_1(p: AlphaParams, seq: "PolySeq | _Family") -> _Statement:
@@ -469,8 +493,7 @@ def _thm_2_1(p: AlphaParams, seq: "PolySeq | _Family") -> _Statement:
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
     spec = _alpha_spec(p.alpha)
-    return _Statement(p, spec, spec, _Side(seq, 0, 1, 0), _Side(seq, 1, 1, 0),
-                      p.sign * qpow(p.F), one)
+    return _Statement(p, spec, spec, _Side(seq, 0, 1, 0), _Side(seq, 1, 1, 0), (p.F, p.sign), _UNIT)
 
 
 _SUN_P_X = FamilySpec("sun_p_x")
@@ -485,7 +508,7 @@ def _sun_p_x(p: SymParams) -> _Statement:
     only _full_den expands it."""
     spec = _sym_spec(p.r, p.d)
     side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
-    return _Statement(p, spec, spec, side(t=0), side(t=-1), one, p.sign * qpow(p.E))
+    return _Statement(p, spec, spec, side(t=0), side(t=-1), _UNIT, (p.E, p.sign))
 
 
 def _guo_zeng(p: SymParams) -> _Statement:
@@ -510,7 +533,7 @@ def _sun_p(p: SymParams) -> _Statement:
     _require(_odd_n(p.n))
     return _Statement(p, _sun_p_spec(p.r, p.d), _spec(p.r, p.d, -p.d, 3, True),
                       _Side(None, 0, p.d, 0, poch=0), _Side(None, 0, -p.d, 0, poch=1),
-                      one, p.sign * qpow(p.E + 3 * p.d * _tri(p.n)))
+                      _UNIT, (p.E + 3 * p.d * _tri(p.n), p.sign))
 
 
 def _sum(weights, entries):
@@ -559,8 +582,8 @@ def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
     built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
     (wl, G0), (wr, _) = built[st.lweights], built[st.rweights]
     den = _full_den(st, G0)
-    return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * st.lscale, den),
-            RatExpr(_sum(wr, _expand(st.right, st.p.n)) * st.rscale, den))
+    return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * LaurentPoly.monomial(*st.lscale), den),
+            RatExpr(_sum(wr, _expand(st.right, st.p.n)) * LaurentPoly.monomial(*st.rscale), den))
 
 
 @lru_cache(maxsize=8)
@@ -607,27 +630,26 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     return tuple([wk * qpow(step * k) for k, wk in enumerate(v)] if step else v)
 
 
-def _times_ratio(u, lscale: LaurentPoly, rscale: LaurentPoly):
-    """The residues of u times rscale/lscale, a signed monomial since both
-    scales are: u itself when it is 1, negated when it is -1."""
-    e = rscale.valuation() - lscale.valuation()
-    ratio = LaurentPoly.monomial(e, Fraction(rscale.coeff(rscale.valuation()), lscale.coeff(lscale.valuation())))
-    if ratio == one:
-        return u
-    return [-uj for uj in u] if ratio == -1 else [uj * ratio for uj in u]
+def _times_ratio(u, e: int, sign: int):
+    """The residues of u times the ratio sign * q^e of two scales: u itself
+    when it is 1, negated when it is -1."""
+    if e:
+        ratio = LaurentPoly.monomial(e, sign)
+        return [uj * ratio for uj in u]
+    return u if sign == 1 else [-uj for uj in u]
 
 
 @lru_cache(maxsize=16)
-def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple,
-                 lscale: LaurentPoly, rscale: LaurentPoly) -> tuple:
-    """u^L - (rscale/lscale)*u^R mod Phi_n^2, for the kernels of two sides
-    (t, d, step) that map their kernels alike (_ring_diff), or () when the
-    two agree: exactly when the statement holds for every family.  Both
-    sides of a linear statement have one weight spec, so the kernels have one
-    length.  The key holds no sequence, so every family of a cell, the
-    sun_p_x Pochhammer form included, shares one entry."""
+def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple, e: int, sign: int) -> tuple:
+    """u^L - (rscale/lscale)*u^R mod Phi_n^2, the ratio being sign * q^e
+    (_ratio), for the kernels of two sides (t, d, step) that map their
+    kernels alike (_ring_diff), or () when the two agree: exactly when the
+    statement holds for every family.  Both sides of a linear statement have
+    one weight spec, so the kernels have one length.  The key holds no
+    sequence and no polynomial, so every family of a cell, the sun_p_x
+    Pochhammer form included, shares one entry."""
     ul = _ring_kernel(n, lspec, *lside)
-    ur = _times_ratio(_ring_kernel(n, rspec, *rside), lscale, rscale)
+    ur = _times_ratio(_ring_kernel(n, rspec, *rside), e, sign)
     if tuple(ur) == ul:
         return ()
     return tuple(a - b for a, b in zip(ul, ur, strict=True))
@@ -689,14 +711,19 @@ def _ring_diff(st: _Statement) -> dict:
     sides, Pochhammer products at q^d and q^-d, each map their own kernel."""
     n, left, right = st.p.n, st.left, st.right
     if right.seq is left.seq and right[2:] == left[2:]:
-        u = _kernel_diff(n, st.lweights, st.rweights, left[1:4], right[1:4], st.lscale, st.rscale)
-        diff = _ring_side(left, u, n) if u else {}
+        u = _kernel_diff(n, st.lweights, st.rweights, left[1:4], right[1:4], *_ratio(st))
+        if not u:
+            return {}
+        diff = _ring_side(left, u, n)
     else:
         lsum = _ring_side(left, _ring_kernel(n, st.lweights, *left[1:4]), n)
-        rsum = _ring_side(right, _times_ratio(_ring_kernel(n, st.rweights, *right[1:4]), st.lscale, st.rscale), n)
+        rsum = _ring_side(right, _times_ratio(_ring_kernel(n, st.rweights, *right[1:4]), *_ratio(st)), n)
         zero = reduce(0, n, 2)
         diff = {j: lsum.get(j, zero) - rsum.get(j, zero) for j in lsum.keys() | rsum.keys()}
-    return diff if st.lscale == one else {j: s * st.lscale for j, s in diff.items()}
+    if st.lscale == _UNIT:
+        return diff
+    lscale = LaurentPoly.monomial(*st.lscale)
+    return {j: s * lscale for j, s in diff.items()}
 
 
 def _bivariate(st: _Statement) -> bool:
@@ -730,7 +757,8 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     """
     st = _thm_2_1(p, seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return _sum(w, _expand(st.left, p.n)) * st.lscale, _sum(w, _expand(st.right, p.n)) * st.rscale
+    return (_sum(w, _expand(st.left, p.n)) * LaurentPoly.monomial(*st.lscale),
+            _sum(w, _expand(st.right, p.n)) * LaurentPoly.monomial(*st.rscale))
 
 
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
@@ -760,17 +788,8 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
     diff = _ring_diff(st)
     holds = all(r.is_zero() for r in diff.values())
     residual = None if holds else _residual_text(_residual_of(diff, den, _bivariate(st)))
-    return CheckReport(
-        check=check,
-        params=params,
-        holds=holds,
-        a=p.a,
-        exponent=p.E if isinstance(p, SymParams) else p.F,
-        sign=p.sign,
-        branch=p.branch,
-        wall_time=time.perf_counter() - started,
-        residual=residual,
-    )
+    return _new_report(check, params, holds, p.a, p.E if isinstance(p, SymParams) else p.F, p.sign, p.branch,
+                       time.perf_counter() - started, residual)
 
 
 def check_thm_1_1(p: SymParams, fam) -> CheckReport:
@@ -949,7 +968,7 @@ def _bool_report(check: str, holds, **params) -> CheckReport:
     """Time a bool-valued check and report it with its arguments as params."""
     started = time.perf_counter()
     result = holds(*params.values())
-    return CheckReport(check, params, result, wall_time=time.perf_counter() - started)
+    return _new_report(check, params, result, wall_time=time.perf_counter() - started)
 
 
 def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
@@ -958,7 +977,7 @@ def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
     _require(_odd_prime(p) or _p_integral(p, alpha) or _p_bounded(p))
     holds = _classical_sun(p, alpha, random_int_sequence(seed, p, bound))
     params = {"p": p, "alpha": str(alpha), "seed": seed}
-    return CheckReport("classical", params, holds, wall_time=time.perf_counter() - started)
+    return _new_report("classical", params, holds, wall_time=time.perf_counter() - started)
 
 
 CHECKS: dict[str, Check] = {

@@ -404,6 +404,15 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip() == "1*q^0 + 1*q^1 + 1*q^2 + 1*q^3 + 1*q^4 + 1*q^5 + 1*q^6"
 
 
+def test_importing_qcong_loads_no_multiprocessing():
+    """run_sweep imports the pool where it makes one, so neither `import qcong`
+    nor the CLI module loads multiprocessing.  A fresh interpreter, since
+    pytest may have loaded it already."""
+    code = "import sys, qcong, qcong.cli; assert 'multiprocessing' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("p,error", [
     ("1000000000000000001", "error: p must be an odd prime"),  # 101 * 9901 * ...
     ("2305843009213693951", f"error: p must be at most {MAX_CLASSICAL_P}"),  # 2^61 - 1

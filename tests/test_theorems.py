@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -258,11 +259,13 @@ def _full_verdict(lhs, rhs, n):
 
 
 def _ring_ratexprs(statement):
-    """Each side in the ring, its own kernel times its own scale mapped by
-    _ring_side, as two RatExpr over the one denominator of _ring_den."""
+    """Each side in the ring, its own kernel times the monomial of its own
+    (exponent, sign) scale mapped by _ring_side, as two RatExpr over the one
+    denominator of _ring_den."""
     n, den = statement.p.n, _ring_den(statement).rep
 
     def side(sd, spec, scale):
+        scale = LaurentPoly.monomial(*scale)
         residues = _ring_side(sd, [uj * scale for uj in _ring_kernel(n, spec, sd.t, sd.d, sd.step)], n)
         if _bivariate(statement):
             return RatExpr(BiPoly({j: r.rep for j, r in residues.items()}), den)
@@ -617,6 +620,81 @@ def test_a_failing_sun_p_x_check_forms_no_full_denominator(monkeypatch):
     monkeypatch.undo()
     assert rep.residual == FLIPPED_RESIDUALS["thm1.2", "sun_p_x"]
     assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_sun_p_x(p)), 5)
+
+
+def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
+    """One _kernel_diff miss serves three thm1.1 families of a cell.  The same
+    (n, d, r) with its sign flipped, or with E moved, has another ratio of
+    scales, so each is a new miss that fails: a key without the ratio's sign
+    or exponent would report them holding."""
+    theorems._kernel_diff.cache_clear()
+    cell = SymParams.create(9, 4, -2)
+    for p, holds in ((cell, True), (dataclasses.replace(cell, sign=-cell.sign), False),
+                     (_bump_exponent(cell, 1), False)):
+        for fam in ("ones", "delta:2", "random_poly:4:3"):
+            assert check_thm_1_1(p, fam).holds == holds, (p, fam)
+    info = theorems._kernel_diff.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_a_warm_report_equals_the_cold_one(flipped):
+    """Each check, run cold (every ring cache cleared) and then twice warm (its
+    cell decided, its kernel difference and denominator cached), gives
+    reports equal in every field but wall_time: thm1.1, thm1.2 on the
+    sun_p_x label and on the same entries as a rational PolySeq, thm2.1,
+    guo_zeng and sun_p, at the true cell and with its sign flipped.  The
+    flipped cells give the pinned residuals."""
+    p, alpha = SymParams.create(5, 2, 1), AlphaParams.create(5, 2, 1)
+    if flipped:
+        p, alpha = (dataclasses.replace(params, sign=-params.sign) for params in (p, alpha))
+    runs = [(("thm1.1", fam), partial(check_thm_1_1, p, fam)) for fam in ("ones", "random_poly:4:3")]
+    runs += [(("thm1.2", fam), partial(check_thm_1_2, p, fam)) for fam in ("ones", "random_poly:4:3", "sun_p_x")]
+    runs += [(("thm1.2", "sun_p_x"), partial(check_thm_1_2, p, generate("sun_p_x", 5))),
+             (("guo_zeng", "monomial_x"), partial(check_guo_zeng, p)),
+             (("sun_p", "sun_p_x"), partial(check_sun_p_analogue, p))]
+    runs += [(("thm2.1", fam), partial(check_thm_2_1, alpha, fam)) for fam in ("ones", "random_poly:4:3")]
+    caches = (theorems._ring_tails, theorems._ring_weights, theorems._ring_kernel,
+              theorems._kernel_diff, theorems._cell_den)
+    for key, check in runs:
+        for cache in caches:
+            cache.cache_clear()
+        cold = dataclasses.replace(check(), wall_time=0.0)
+        for _ in range(2):
+            warm = dataclasses.replace(check(), wall_time=0.0)
+            assert warm == cold and repr(warm) == repr(cold), key
+        assert cold.holds != flipped, key
+        if flipped and key in FLIPPED_RESIDUALS:
+            assert cold.residual == FLIPPED_RESIDUALS[key], key
+
+
+def test_the_one_step_report_is_the_dataclass_report():
+    """_new_report builds the CheckReport that the dataclass constructor
+    builds from the same arguments: the same signature and defaults, equal,
+    with the same repr, instance dict and hash, frozen, and usable by
+    dataclasses.replace and dataclasses.fields."""
+    signature = inspect.signature(theorems._new_report).parameters
+    assert [(f.name, f.default) for f in dataclasses.fields(CheckReport)] == \
+        [(name, dataclasses.MISSING if par.default is par.empty else par.default) for name, par in signature.items()]
+    full = {"check": "thm1.1", "params": {"n": 5, "d": 3, "r": 1, "family": "ones"}, "holds": False, "a": 3,
+            "exponent": 8, "sign": -1, "branch": "odd", "wall_time": 0.01, "residual": "1*q^0"}
+    for kwargs in (full, {"check": "even-sign", "params": {"n": 4}, "holds": True, "wall_time": 0.5}):
+        made, built = theorems._new_report(**kwargs), CheckReport(**kwargs)
+        assert type(made) is CheckReport
+        assert made == built and repr(made) == repr(built)
+        assert list(vars(made).items()) == list(vars(built).items())
+        for rep in (made, built):  # the params dict makes both unhashable alike
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(rep)
+        frozen = {**kwargs, "params": tuple(kwargs["params"].items())}
+        assert hash(theorems._new_report(**frozen)) == hash(CheckReport(**frozen))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.holds = not made.holds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del made.residual
+        assert dataclasses.fields(made) == dataclasses.fields(built)
+        assert dataclasses.replace(made, wall_time=0.0) == dataclasses.replace(built, wall_time=0.0)
+        assert dataclasses.asdict(made) == dataclasses.asdict(built)
 
 
 @pytest.mark.parametrize("name", ["true", "flipped sign", "E+1"])
