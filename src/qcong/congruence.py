@@ -188,8 +188,7 @@ class _Ring:
         out = [0] * (span + n)  # T_0..T_(m-1), and one block more, which takes T_1 when m = 1
         higher = range(2 * n, span, n)
         for e, c in terms.items():
-            b = e % n  # e = a*n + b, 0 <= b < n: two operators cost less than a divmod call
-            a = e // n
+            a, b = divmod(e, n)
             out[b] += c
             out[n + b] += a * c
             if higher:

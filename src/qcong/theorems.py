@@ -261,7 +261,7 @@ class AlphaParams:
         return cls(n, a, s, alpha, F, -1 if parity % 2 else 1, branch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckReport:
     check: str
     params: dict
@@ -273,18 +273,14 @@ class CheckReport:
     wall_time: float = 0.0
     residual: "str | None" = None
 
-
-def _new_report(check: str, params: dict, holds: bool, a: "int | None" = None, exponent: "int | None" = None,
-                sign: "int | None" = None, branch: "str | None" = None, wall_time: float = 0.0,
-                residual: "str | None" = None) -> CheckReport:
-    """CheckReport(...) with the same fields and defaults, its instance dict
-    filled in one step where the frozen __init__ sets each field by
-    object.__setattr__ in turn."""
-    rep = object.__new__(CheckReport)
-    object.__setattr__(rep, "__dict__", {
-        "check": check, "params": params, "holds": holds, "a": a, "exponent": exponent,
-        "sign": sign, "branch": branch, "wall_time": wall_time, "residual": residual})
-    return rep
+    def __init__(self, check: str, params: dict, holds: bool, a: "int | None" = None,
+                 exponent: "int | None" = None, sign: "int | None" = None, branch: "str | None" = None,
+                 wall_time: float = 0.0, residual: "str | None" = None):
+        # the generated frozen __init__ sets each field by object.__setattr__
+        # in turn; filling the instance dict in one step costs about half
+        object.__setattr__(self, "__dict__", {
+            "check": check, "params": params, "holds": holds, "a": a, "exponent": exponent,
+            "sign": sign, "branch": branch, "wall_time": wall_time, "residual": residual})
 
 
 class _Family:
@@ -788,7 +784,7 @@ def _report(check: str, params: dict, st: _Statement, started: float) -> CheckRe
     diff = _ring_diff(st)
     holds = all(r.is_zero() for r in diff.values())
     residual = None if holds else _residual_text(_residual_of(diff, den, _bivariate(st)))
-    return _new_report(check, params, holds, p.a, p.E if isinstance(p, SymParams) else p.F, p.sign, p.branch,
+    return CheckReport(check, params, holds, p.a, p.E if isinstance(p, SymParams) else p.F, p.sign, p.branch,
                        time.perf_counter() - started, residual)
 
 
@@ -968,7 +964,7 @@ def _bool_report(check: str, holds, **params) -> CheckReport:
     """Time a bool-valued check and report it with its arguments as params."""
     started = time.perf_counter()
     result = holds(*params.values())
-    return _new_report(check, params, result, wall_time=time.perf_counter() - started)
+    return CheckReport(check, params, result, wall_time=time.perf_counter() - started)
 
 
 def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
@@ -977,7 +973,7 @@ def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
     _require(_odd_prime(p) or _p_integral(p, alpha) or _p_bounded(p))
     holds = _classical_sun(p, alpha, random_int_sequence(seed, p, bound))
     params = {"p": p, "alpha": str(alpha), "seed": seed}
-    return _new_report("classical", params, holds, wall_time=time.perf_counter() - started)
+    return CheckReport("classical", params, holds, wall_time=time.perf_counter() - started)
 
 
 CHECKS: dict[str, Check] = {

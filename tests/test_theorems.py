@@ -668,33 +668,33 @@ def test_a_warm_report_equals_the_cold_one(flipped):
             assert cold.residual == FLIPPED_RESIDUALS[key], key
 
 
-def test_the_one_step_report_is_the_dataclass_report():
-    """_new_report builds the CheckReport that the dataclass constructor
-    builds from the same arguments: the same signature and defaults, equal,
-    with the same repr, instance dict and hash, frozen, and usable by
-    dataclasses.replace and dataclasses.fields."""
-    signature = inspect.signature(theorems._new_report).parameters
-    assert [(f.name, f.default) for f in dataclasses.fields(CheckReport)] == \
-        [(name, dataclasses.MISSING if par.default is par.empty else par.default) for name, par in signature.items()]
+def test_check_report_init_keeps_the_dataclass_behavior():
+    """CheckReport's own __init__ takes the fields in order with their
+    declared defaults, and the frozen dataclass around it keeps its
+    equality, hash, repr, frozenness, replace and asdict."""
+    signature = inspect.signature(CheckReport.__init__).parameters
+    assert [(f.name, repr(f.default)) for f in dataclasses.fields(CheckReport)] == \
+        [(name, repr(dataclasses.MISSING if par.default is par.empty else par.default))
+         for name, par in list(signature.items())[1:]]
     full = {"check": "thm1.1", "params": {"n": 5, "d": 3, "r": 1, "family": "ones"}, "holds": False, "a": 3,
             "exponent": 8, "sign": -1, "branch": "odd", "wall_time": 0.01, "residual": "1*q^0"}
     for kwargs in (full, {"check": "even-sign", "params": {"n": 4}, "holds": True, "wall_time": 0.5}):
-        made, built = theorems._new_report(**kwargs), CheckReport(**kwargs)
-        assert type(made) is CheckReport
-        assert made == built and repr(made) == repr(built)
-        assert list(vars(made).items()) == list(vars(built).items())
-        for rep in (made, built):  # the params dict makes both unhashable alike
-            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(rep)
+        rep = CheckReport(**kwargs)
+        values = tuple(getattr(rep, f.name) for f in dataclasses.fields(CheckReport))
+        assert CheckReport(*values) == rep and list(vars(rep)) == [f.name for f in dataclasses.fields(rep)]
+        assert repr(rep) == "CheckReport(" + ", ".join(
+            f"{f.name}={getattr(rep, f.name)!r}" for f in dataclasses.fields(rep)) + ")"
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(rep)
         frozen = {**kwargs, "params": tuple(kwargs["params"].items())}
-        assert hash(theorems._new_report(**frozen)) == hash(CheckReport(**frozen))
+        assert hash(CheckReport(**frozen)) == hash(tuple(frozen.get(f.name, f.default) for f in dataclasses.fields(rep)))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            made.holds = not made.holds
+            rep.holds = not rep.holds
         with pytest.raises(dataclasses.FrozenInstanceError):
-            del made.residual
-        assert dataclasses.fields(made) == dataclasses.fields(built)
-        assert dataclasses.replace(made, wall_time=0.0) == dataclasses.replace(built, wall_time=0.0)
-        assert dataclasses.asdict(made) == dataclasses.asdict(built)
+            del rep.residual
+        moved = dataclasses.replace(rep, wall_time=0.0)
+        assert moved != rep and moved == CheckReport(**{**kwargs, "wall_time": 0.0})
+        assert dataclasses.asdict(rep) == {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
 
 
 @pytest.mark.parametrize("name", ["true", "flipped sign", "E+1"])
