@@ -1,19 +1,19 @@
 """Both sides of each symmetric-congruence statement, assembled and decided.
 
-Every statement is one _Statement record (made by _thm_1_1, _thm_1_2,
-_thm_2_1, _sun_p_x, _guo_zeng or _sun_p; guo_zeng is _thm_1_1 at
-f_k = x^k, whose right entries hat(x^k) are (xq;q)_k, and _sun_p_x is
-Theorem 1.2 on the sun_p_x label) comparing
+Every statement is one _Statement record comparing
 lscale * Sum wl_k L_k / den with rscale * Sum wr_k R_k / den mod Phi_n^2.
-Each side keeps its sequence f of untransformed entries and how it uses
-them, as (seq, t, d, step): X_k = q^(step*k) T(f)_k(q^d), with T the
-identity (t = 0), hat (t = 1) or tilde (t = -1).  _weights builds the
-weights of each side from an integer spec, in the carrier of a lift
-function.  A side in Pochhammer form has no sequence: its f_k(q^d) is
-(x q^c; q^e)_k.  A named family is a _Family, whose kind and length are
-known at once and whose entries are generated on first read, so they are
-generated only where a side is lifted or expanded, and at most once per
-check.
+Its builder (_thm_1_1, _thm_1_2, _thm_2_1, _sun_p_x or _sun_p; guo_zeng is
+_thm_1_1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k, and
+_sun_p_x is Theorem 1.2 on the sun_p_x label) checks the family's
+hypotheses and returns the cell: every field but the sequence f, as plain
+tuples and ints.  Each side is (t, d, step, poch, rescaled):
+X_k = q^(step*k) T(f)_k(q^d), with T the identity (t = 0), hat (t = 1) or
+tilde (t = -1).  _weights builds the weights of each side from an integer
+spec, in the carrier of a lift function.  A side in Pochhammer form reads
+no sequence: its f_k(q^d) is (x q^c; q^e)_k.  A named family stays a
+FamilySpec, whose kind is known at once; it is generated, and the record
+built with it, only where a difference is mapped or a side expanded, and
+then once per check.
 
 Both sides of a statement are over one denominator, that of its left
 weights (times the family's).  sun_p's right weights have the denominator
@@ -60,10 +60,14 @@ _kernel_diff builds it once per cell, in a bounded cache keyed on n, both
 specs, each side's (t, d, step) and the ratio's exponent and sign, so
 sun_p_x and every other thm1.2 family of a cell share one entry.  The
 scales are signed monomials kept as (exponent, sign) pairs, so the key holds
-plain ints.  A check of a cell whose difference is empty then generates no
-family, lifts no entry, forms no dot and runs no Horner; one whose
-difference is not maps it once, lifting each f_j(q^d) once and transforming
-nothing, so every failing verdict and residual comes from that.  Only
+plain ints.  _report reads both keys off the cell, which the builder made
+from the params record it was given (E or F, sign and alpha included), so a
+perturbed record has keys of its own.  A check of a cell whose difference is
+empty is answered there: it builds no record, generates no family, lifts no
+entry, forms no dot and runs no Horner.  One whose difference is not
+attaches the family and maps the difference once, lifting each f_j(q^d) once
+and transforming nothing, so every failing verdict and residual comes from
+that.  Only
 sun_p, whose sides are Pochhammer products at q^d and q^-d, maps each side's
 kernel and subtracts.  The denominator is certified once per cell, in a
 bounded cache (_cell_den) keyed on n, the left spec, the rescaled side's d
@@ -108,7 +112,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
@@ -283,32 +287,21 @@ class CheckReport:
             "sign": sign, "branch": branch, "wall_time": wall_time, "residual": residual})
 
 
-class _Family:
-    """A named family of length n as the statements read it: its kind and
-    length at once, its entries only when a side is lifted or expanded, and
-    then generated once.  A PolySeq reads the same way (kind, len, entries),
-    so the statement builders take either."""
-
-    def __init__(self, fam: FamilySpec, n: int):
-        self.kind, self._fam, self._n = fam.kind, fam, n
-
-    def __len__(self) -> int:
-        return self._n
-
-    @cached_property
-    def entries(self) -> tuple:
-        return generate(self._fam, self._n).entries
-
-
-def _resolve_family(fam, n: int) -> "tuple[PolySeq | _Family, str]":
-    """The sequence a check reads and its report label: a custom PolySeq as it
-    is, a label or FamilySpec as a _Family, so a check whose cell has an
-    empty _kernel_diff generates nothing."""
+def _resolve_family(fam) -> "tuple[PolySeq | FamilySpec, str]":
+    """The family a check reads and its report label: a custom PolySeq as it
+    is, a label as its FamilySpec, generated only where a difference is
+    mapped (_sequence)."""
     if isinstance(fam, PolySeq):
         return fam, "custom"
     if isinstance(fam, str):
         fam = FamilySpec.parse(fam)
-    return _Family(fam, n), fam.label()
+    return fam, fam.label()
+
+
+def _sequence(fam, n: int) -> "PolySeq | None":
+    """The entries a family stands for: a FamilySpec generated at length n, a
+    PolySeq (or None, for sides in Pochhammer form) as it is."""
+    return generate(fam, n) if isinstance(fam, FamilySpec) else fam
 
 
 def _subs(entry, d: int):
@@ -319,8 +312,9 @@ def _subs(entry, d: int):
     return entry.substitute_power(d)
 
 
-def _require_length(p, seq: PolySeq) -> None:
-    if len(seq) != p.n:
+def _require_length(p, seq: "PolySeq | FamilySpec") -> None:
+    """A custom PolySeq needs n entries; a named family is generated at n."""
+    if isinstance(seq, PolySeq) and len(seq) != p.n:
         raise ValueError(f"need exactly n={p.n} entries, got {len(seq)}")
 
 
@@ -400,76 +394,70 @@ def _alpha_spec(alpha: int) -> tuple:
 # -- the statements -----------------------------------------------------------
 
 
-class _Side(NamedTuple):
-    """The entries X_k = q^(step*k) T(f)_k(q^d) of a statement side, where T
-    is the identity (t = 0), hat (t = 1) or tilde (t = -1), and f is seq, a
-    PolySeq or a _Family: its entries are read only where the side is lifted
-    (_ring_side) or expanded (_full_sides).
-
-    A side in Pochhammer form has no sequence (seq is None): its f_k is
-    (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with (c, e) = (poch*d, d).
-    A rescaled side (poch = 0) has f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k,
-    the numerators of sun_p_x over (q;q)_(n-1), a denominator that the side
-    carries in place of the statement's fden (_cell_den, _full_den).
-
-    The map from a kernel to the side reads seq, d, poch and rescaled only
-    (_ring_side), so two sides with the same seq object and the same
-    (d, step, poch, rescaled) map their kernels alike.
-    """
-
-    seq: "PolySeq | _Family | None"
-    t: int
-    d: int
-    step: int
-    poch: "int | None" = None
-    rescaled: bool = False
-
-
 class _Statement(NamedTuple):
     """lscale * Sum_k wl_k L_k / (den * fden)  vs  rscale * Sum_k wr_k R_k / (den * fden).
 
-    left, right     _Side records: the sequence f of untransformed entries,
-                    full Laurent or bivariate polynomials or rational
-                    functions, and the L_k, R_k made of them
+    A builder (_thm_1_1, _thm_1_2, _thm_2_1, _sun_p_x, _sun_p) returns the
+    fields from lweights to fden, the cell of the statement, as a plain
+    tuple.  They hold no sequence, so _report certifies the denominator and
+    looks up the kernel difference from them alone; the family is attached
+    as seq, and the record built, only where a difference is mapped or a
+    side expanded.
+
     lweights        the specs (r, d, step, power, tri) of _weights for each
     rweights        side, giving wl, den and wr in any carrier; both sides are
                     over the den of lweights, so a statement whose right
                     weights have another denominator puts the ratio, a
                     monomial, into rscale
+    left, right     (t, d, step, poch, rescaled), the entries
+                    X_k = q^(step*k) T(f)_k(q^d) of a side, where T is the
+                    identity (t = 0), hat (t = 1) or tilde (t = -1).  A side
+                    in Pochhammer form (poch not None) reads no sequence: its
+                    f_k is (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with
+                    (c, e) = (poch*d, d).  A rescaled side (poch = 0) has
+                    f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k, the numerators of
+                    sun_p_x over (q;q)_(n-1), a denominator that the side
+                    carries in place of fden (_cell_den, _full_den).  The map
+                    from a kernel to the side reads seq, d, poch and rescaled
+                    only (_ring_side), so two sides with one
+                    (d, step, poch, rescaled) map their kernels alike.
     lscale, rscale  (exponent, sign) pairs, each the signed monomial
                     sign * q^exponent; a polynomial is built from one only
                     where a side is expanded or a difference rescaled
-    fden            the family's common denominator, 1 unless the family is rational;
-                    a rescaled side carries its own (_Side)
+    fden            the family's common denominator, 1 unless the family is rational
+    seq             the f of both sides, a PolySeq of untransformed entries
+                    (full Laurent or bivariate polynomials or rational
+                    functions); None for sides in Pochhammer form
     """
 
     p: "SymParams | AlphaParams"
     lweights: tuple
     rweights: tuple
-    left: _Side
-    right: _Side
+    left: tuple
+    right: tuple
     lscale: tuple
     rscale: tuple
-    fden: LaurentPoly = one
+    fden: LaurentPoly
+    seq: "PolySeq | None"
 
 
 _UNIT = (0, 1)  # the scale 1 = +q^0
 
 
-def _ratio(st: _Statement) -> tuple:
+def _ratio(lscale: tuple, rscale: tuple) -> tuple:
     """rscale/lscale as an (exponent, sign) pair."""
-    return st.rscale[0] - st.lscale[0], st.rscale[1] * st.lscale[1]
+    return rscale[0] - lscale[0], rscale[1] * lscale[1]
 
 
-def _thm_1_1(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
+def _thm_1_1(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
     spec = _sym_spec(p.r, p.d)
-    return _Statement(p, spec, spec, _Side(seq, 0, p.d, p.d), _Side(seq, 1, p.d, p.d), (p.E, 1), (0, p.sign))
+    return spec, spec, (0, p.d, p.d, None, False), (1, p.d, p.d, None, False), (p.E, 1), (0, p.sign), one
 
 
-def _thm_1_2(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
+def _thm_1_2(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """Sum T_k f_k(q^d)  vs  sign * q^E * Sum T_k tilde(f)_k(q^d).
 
     A rational sequence keeps its entries; their shared denominator
@@ -477,47 +465,35 @@ def _thm_1_2(p: SymParams, seq: "PolySeq | _Family") -> _Statement:
     only where a side is lifted or expanded (_numerators).
     """
     _require_length(p, seq)
-    fden = shared_denominator(seq.entries) if seq.kind == RATIONAL else one
+    fden = _subs(shared_denominator(seq.entries), p.d) if seq.kind == RATIONAL else one
     spec = _sym_spec(p.r, p.d)
-    return _Statement(p, spec, spec, _Side(seq, 0, p.d, 0), _Side(seq, -1, p.d, 0),
-                      _UNIT, (p.E, p.sign), _subs(fden, p.d))
+    return spec, spec, (0, p.d, 0, None, False), (-1, p.d, 0, None, False), _UNIT, (p.E, p.sign), fden
 
 
-def _thm_2_1(p: AlphaParams, seq: "PolySeq | _Family") -> _Statement:
+def _thm_2_1(p: AlphaParams, seq: "PolySeq | FamilySpec") -> tuple:
     """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum, where
     [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
     spec = _alpha_spec(p.alpha)
-    return _Statement(p, spec, spec, _Side(seq, 0, 1, 0), _Side(seq, 1, 1, 0), (p.F, p.sign), _UNIT)
+    return spec, spec, (0, 1, 0, None, False), (1, 1, 0, None, False), (p.F, p.sign), _UNIT, one
 
 
 _SUN_P_X = FamilySpec("sun_p_x")
 _MONOMIAL_X = FamilySpec("monomial_x")
 
 
-def _sun_p_x(p: SymParams) -> _Statement:
+def _sun_p_x(p: SymParams) -> tuple:
     """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
     Pochhammer form of its numerators over (q;q)_(n-1), the fden that
     _thm_1_2 finds for generate("sun_p_x").  The rescaled sides carry that
     denominator at q -> q^d: its residue is a cached tail (_cell_den), and
     only _full_den expands it."""
     spec = _sym_spec(p.r, p.d)
-    side = partial(_Side, None, d=p.d, step=0, poch=0, rescaled=True)
-    return _Statement(p, spec, spec, side(t=0), side(t=-1), _UNIT, (p.E, p.sign))
+    return spec, spec, (0, p.d, 0, 0, True), (-1, p.d, 0, 0, True), _UNIT, (p.E, p.sign), one
 
 
-def _guo_zeng(p: SymParams) -> _Statement:
-    """Theorem 1.1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k.
-
-    It is _thm_1_1's statement, so _report decides it by thm1.1's kernels:
-    the kernel of the hat side is Horner on (x q^d; q^d)_k, which is what a
-    Pochhammer right side would build.  Only _full_sides expands hat(x^k).
-    """
-    return _thm_1_1(p, _Family(_MONOMIAL_X, p.n))
-
-
-def _sun_p(p: SymParams) -> _Statement:
+def _sun_p(p: SymParams) -> tuple:
     """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
 
     With Q = q^step, step = +-d, the binomial numerators are the pair products
@@ -527,9 +503,8 @@ def _sun_p(p: SymParams) -> _Statement:
     left one times a monomial, which rscale takes.
     """
     _require(_odd_n(p.n))
-    return _Statement(p, _sun_p_spec(p.r, p.d), _spec(p.r, p.d, -p.d, 3, True),
-                      _Side(None, 0, p.d, 0, poch=0), _Side(None, 0, -p.d, 0, poch=1),
-                      _UNIT, (p.E + 3 * p.d * _tri(p.n), p.sign))
+    return (_sun_p_spec(p.r, p.d), _spec(p.r, p.d, -p.d, 3, True), (0, p.d, 0, 0, False), (0, -p.d, 0, 1, False),
+            _UNIT, (p.E + 3 * p.d * _tri(p.n), p.sign), one)
 
 
 def _sum(weights, entries):
@@ -544,42 +519,43 @@ def _numerators(fs: tuple) -> tuple:
     return tuple(common_denominator(fs)[0]) if isinstance(fs[0], RatExpr) else fs
 
 
-def _entries(side: _Side, n: int) -> tuple:
+def _entries(side: tuple, seq: "PolySeq | None", n: int) -> tuple:
     """The f_k of a side, as polynomials (_numerators), for _full_sides.  A
     Pochhammer form is expanded by running products; a rescaled one is
     sun_p_x over its common denominator, as _thm_1_2 has it, so the H_k of
     _ring_side are not built here."""
-    if side.poch is None:
-        return _numerators(side.seq.entries)
-    if side.rescaled:
+    _, _, _, poch, rescaled = side
+    if poch is None:
+        return _numerators(seq.entries)
+    if rescaled:
         return _numerators(generate(_SUN_P_X, n).entries)
-    return tuple(qpoch_x_prefixes(side.poch, n))
+    return tuple(qpoch_x_prefixes(poch, n))
 
 
-def _expand(side: _Side, n: int) -> tuple:
+def _expand(side: tuple, seq: "PolySeq | None", n: int) -> tuple:
     """The entries q^(step*k) T(f)_k(q^d) of a side, as full polynomials."""
-    fs = _entries(side, n)
-    fs = (hat if side.t == 1 else tilde)(fs) if side.t else fs
-    return tuple(_subs(f, side.d) * qpow(side.step * k) if side.step else _subs(f, side.d)
-                 for k, f in enumerate(fs))
+    t, d, step, _, _ = side
+    fs = _entries(side, seq, n)
+    fs = (hat if t == 1 else tilde)(fs) if t else fs
+    return tuple(_subs(f, d) * qpow(step * k) if step else _subs(f, d) for k, f in enumerate(fs))
 
 
-def _full_den(st: _Statement, G0: LaurentPoly) -> LaurentPoly:
+def _full_den(n: int, left: tuple, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
     """The one denominator of both full sides, from G0, the left weights'
     (Q;Q)_(n-1)^power with Q = q^step: G0 times fden, or times
-    (q^d;q^d)_(n-1) for a rescaled side."""
-    den = G0 * st.fden
-    if st.left.rescaled:
-        den = den * qpoch(st.left.d, st.left.d, st.p.n - 1)
-    return den
+    (q^d;q^d)_(n-1) for a rescaled left side."""
+    _, d, _, _, rescaled = left
+    den = G0 * fden
+    return den * qpoch(d, d, n - 1) if rescaled else den
 
 
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
-    built = {spec: _weights(lambda f: f, st.p.n, *spec) for spec in {st.lweights, st.rweights}}
+    n = st.p.n
+    built = {spec: _weights(lambda f: f, n, *spec) for spec in {st.lweights, st.rweights}}
     (wl, G0), (wr, _) = built[st.lweights], built[st.rweights]
-    den = _full_den(st, G0)
-    return (RatExpr(_sum(wl, _expand(st.left, st.p.n)) * LaurentPoly.monomial(*st.lscale), den),
-            RatExpr(_sum(wr, _expand(st.right, st.p.n)) * LaurentPoly.monomial(*st.rscale), den))
+    den = _full_den(n, st.left, st.fden, G0)
+    return (RatExpr(_sum(wl, _expand(st.left, st.seq, n)) * LaurentPoly.monomial(*st.lscale), den),
+            RatExpr(_sum(wr, _expand(st.right, st.seq, n)) * LaurentPoly.monomial(*st.rscale), den))
 
 
 @lru_cache(maxsize=8)
@@ -639,7 +615,7 @@ def _times_ratio(u, e: int, sign: int):
 def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple, e: int, sign: int) -> tuple:
     """u^L - (rscale/lscale)*u^R mod Phi_n^2, the ratio being sign * q^e
     (_ratio), for the kernels of two sides (t, d, step) that map their
-    kernels alike (_ring_diff), or () when the two agree: exactly when the
+    kernels alike (_report), or () when the two agree: exactly when the
     statement holds for every family.  Both sides of a linear statement have
     one weight spec, so the kernels have one length.  The key holds no
     sequence and no polynomial, so every family of a cell, the sun_p_x
@@ -666,20 +642,20 @@ def _cell_den(n: int, lspec: tuple, rescaled_d: int, fden: LaurentPoly) -> "Resi
     return den if den.is_unit() else None
 
 
-def _ring_den(st: _Statement) -> Residue:
-    """The certified denominator of a statement's cell (_cell_den).  One that
-    is not a unit mod Phi_n raises, on every check, the error congruent raises
-    on the full sides, with the full denominator (_full_den); no side is
-    built for it."""
-    n = st.p.n
-    den = _cell_den(n, st.lweights, st.left.d if st.left.rescaled else 0, st.fden)
+def _ring_den(n: int, lspec: tuple, left: tuple, fden: LaurentPoly) -> Residue:
+    """The certified denominator of a cell (_cell_den).  One that is not a
+    unit mod Phi_n raises, on every check, the error congruent raises on the
+    full sides, with the full denominator (_full_den); no side is built for
+    it."""
+    _, d, _, _, rescaled = left
+    den = _cell_den(n, lspec, d if rescaled else 0, fden)
     if den is None:
-        _, _, step, power, _ = st.lweights
-        raise NoncoprimeDenominatorError(_full_den(st, qpoch(step, step, n - 1) ** power), n)
+        _, _, step, power, _ = lspec
+        raise NoncoprimeDenominatorError(_full_den(n, left, fden, qpoch(step, step, n - 1) ** power), n)
     return den
 
 
-def _ring_side(side: _Side, u, n: int) -> dict:
+def _ring_side(side: tuple, seq: "PolySeq | None", u, n: int) -> dict:
     """Sum_j u_j f_j(q^d) mod Phi_n^2 by x-degree (x^0 alone when univariate),
     for a kernel u of the side.
 
@@ -688,32 +664,30 @@ def _ring_side(side: _Side, u, n: int) -> dict:
     Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or u_j q^(d*j) H_j when rescaled
     (H_j the cached tails at (n, d, 1)), and horner gives its x-coefficients:
     no entry is formed or lifted."""
-    if side.poch is None:
-        lifted = [reduce_by_degree(_subs(f, side.d), n, 2) for f in _numerators(side.seq.entries)[:len(u)]]
+    _, d, _, poch, rescaled = side
+    if poch is None:
+        lifted = [reduce_by_degree(_subs(f, d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
         return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
-    if side.rescaled:
-        u = [uj * Hj * qpow(side.d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, side.d, 1)))]
-    return dict(enumerate(horner(u, side.poch * side.d, side.d)))
+    if rescaled:
+        u = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
+    return dict(enumerate(horner(u, poch * d, d)))
 
 
-def _ring_diff(st: _Statement) -> dict:
+def _ring_diff(st: _Statement, u) -> dict:
     """The numerator of left minus right mod Phi_n^2 by x-degree, over
     _ring_den: lscale * (Sum u^L_j f_j - (rscale/lscale) Sum u^R_j f_j).
 
-    Two sides with one seq object and one (d, step, poch, rescaled) map their
-    kernels alike, so the difference is the map of _kernel_diff: thm1.1,
-    thm1.2 (sun_p_x too), thm2.1 and guo_zeng.  A cell whose kernels agree
-    maps nothing: no family generated, no entry lifted, no Horner run.  sun_p's
-    sides, Pochhammer products at q^d and q^-d, each map their own kernel."""
+    u is the cell's nonempty _kernel_diff when the two sides map their
+    kernels alike (_report), and the difference is its map: thm1.1, thm1.2
+    (sun_p_x too), thm2.1 and guo_zeng.  u is None for sun_p, whose sides,
+    Pochhammer products at q^d and q^-d, each map their own kernel."""
     n, left, right = st.p.n, st.left, st.right
-    if right.seq is left.seq and right[2:] == left[2:]:
-        u = _kernel_diff(n, st.lweights, st.rweights, left[1:4], right[1:4], *_ratio(st))
-        if not u:
-            return {}
-        diff = _ring_side(left, u, n)
+    if u is not None:
+        diff = _ring_side(left, st.seq, u, n)
     else:
-        lsum = _ring_side(left, _ring_kernel(n, st.lweights, *left[1:4]), n)
-        rsum = _ring_side(right, _times_ratio(_ring_kernel(n, st.rweights, *right[1:4]), *_ratio(st)), n)
+        lsum = _ring_side(left, st.seq, _ring_kernel(n, st.lweights, *left[:3]), n)
+        rsum = _ring_side(right, st.seq, _times_ratio(_ring_kernel(n, st.rweights, *right[:3]),
+                                                      *_ratio(st.lscale, st.rscale)), n)
         zero = reduce(0, n, 2)
         diff = {j: lsum.get(j, zero) - rsum.get(j, zero) for j in lsum.keys() | rsum.keys()}
     if st.lscale == _UNIT:
@@ -723,16 +697,15 @@ def _ring_diff(st: _Statement) -> dict:
 
 
 def _bivariate(st: _Statement) -> bool:
-    """Whether a statement's residual is reported by x-degree: a side in
+    """Whether a statement's residual is reported by x-degree: sides in
     Pochhammer form, or an entry with x in it."""
-    return any(sd.poch is not None
-               or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate() for f in sd.seq.entries)
-               for sd in (st.left, st.right))
+    return st.seq is None or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
+                                 for f in st.seq.entries)
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
-    return _full_sides(_thm_1_1(p, seq))
+    return _full_sides(_Statement(p, *_thm_1_1(p, seq), seq))
 
 
 def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -741,7 +714,7 @@ def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     Rational families are allowed: the sequence is rewritten over a common
     denominator first, which then multiplies the shared T_k denominator.
     """
-    return _full_sides(_thm_1_2(p, seq))
+    return _full_sides(_Statement(p, *_thm_1_2(p, seq), seq))
 
 
 def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
@@ -751,10 +724,10 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     Laurent polynomials of qbinom_int, not the check's pair products, so these
     sides are an independent reference for that identity.
     """
-    st = _thm_2_1(p, seq)
+    st = _Statement(p, *_thm_2_1(p, seq), seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return (_sum(w, _expand(st.left, p.n)) * LaurentPoly.monomial(*st.lscale),
-            _sum(w, _expand(st.right, p.n)) * LaurentPoly.monomial(*st.rscale))
+    return (_sum(w, _expand(st.left, seq, p.n)) * LaurentPoly.monomial(*st.lscale),
+            _sum(w, _expand(st.right, seq, p.n)) * LaurentPoly.monomial(*st.rscale))
 
 
 def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
@@ -765,7 +738,7 @@ def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
     numerators become ordinary Pochhammer products with step +-d.  Each
     side is built over the denominator (Q;Q)_{n-1}^3.
     """
-    return _full_sides(_sun_p(p))
+    return _full_sides(_Statement(p, *_sun_p(p), None))
 
 
 def _residual_text(res) -> str:
@@ -775,24 +748,34 @@ def _residual_text(res) -> str:
     return str(res)
 
 
-def _report(check: str, params: dict, st: _Statement, started: float) -> CheckReport:
-    """Decide a statement and report it: it holds when every x-coefficient of
-    the ring difference of its sides (_ring_diff) is zero, and a failing one
-    gets the residual of the same residues over the certified denominator."""
-    p = st.p
-    den = _ring_den(st)
-    diff = _ring_diff(st)
-    holds = all(r.is_zero() for r in diff.values())
-    residual = None if holds else _residual_text(_residual_of(diff, den, _bivariate(st)))
+def _report(check: str, params: dict, p, cell: tuple, fam, started: float) -> CheckReport:
+    """Decide a statement from its cell (the tuple its builder returns,
+    _Statement) and family, and report it.  The cell's denominator is
+    certified first (_ring_den).  Two sides that map their kernels alike make
+    the statement linear in f: it holds for every family when the cell's
+    _kernel_diff is empty, and is answered then, with no family generated and
+    no record built.  Otherwise the family is attached (_sequence) and the
+    difference mapped (_ring_diff): the statement holds when every
+    x-coefficient is zero, and a failing one gets the residual of the same
+    residues over the certified denominator."""
+    lspec, rspec, left, right, lscale, rscale, fden = cell
+    den = _ring_den(p.n, lspec, left, fden)
+    u = _kernel_diff(p.n, lspec, rspec, left[:3], right[:3], *_ratio(lscale, rscale)) if left[1:] == right[1:] else None
+    holds, residual = u == (), None
+    if not holds:
+        st = _Statement(p, *cell, _sequence(fam, p.n))
+        diff = _ring_diff(st, u)
+        holds = all(r.is_zero() for r in diff.values())
+        residual = None if holds else _residual_text(_residual_of(diff, den, _bivariate(st)))
     return CheckReport(check, params, holds, p.a, p.E if isinstance(p, SymParams) else p.F, p.sign, p.branch,
                        time.perf_counter() - started, residual)
 
 
 def check_thm_1_1(p: SymParams, fam) -> CheckReport:
     started = time.perf_counter()
-    seq, label = _resolve_family(fam, p.n)
+    fam, label = _resolve_family(fam)
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.1", params, _thm_1_1(p, seq), started)
+    return _report("thm1.1", params, p, _thm_1_1(p, fam), fam, started)
 
 
 def check_thm_1_2(p: SymParams, fam) -> CheckReport:
@@ -800,27 +783,25 @@ def check_thm_1_2(p: SymParams, fam) -> CheckReport:
     the family is built.  Every other family, a custom PolySeq of the same
     entries included, goes through _thm_1_2."""
     started = time.perf_counter()
-    fam = FamilySpec.parse(fam) if isinstance(fam, str) else fam
+    fam, label = _resolve_family(fam)
     if fam == _SUN_P_X:
-        st, label = _sun_p_x(p), fam.label()
+        fam, cell = None, _sun_p_x(p)
     else:
-        seq, label = _resolve_family(fam, p.n)
-        st = _thm_1_2(p, seq)
+        cell = _thm_1_2(p, fam)
     params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.2", params, st, started)
+    return _report("thm1.2", params, p, cell, fam, started)
 
 
 def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:
     started = time.perf_counter()
-    seq, label = _resolve_family(fam, p.n)
+    fam, label = _resolve_family(fam)
     params = {"n": p.n, "a": p.a, "s": p.s, "family": label}
-    return _report("thm2.1", params, _thm_2_1(p, seq), started)
+    return _report("thm2.1", params, p, _thm_2_1(p, fam), fam, started)
 
 
 def check_s0_identity(n: int, a: int, fam) -> bool:
     """At s = 0 both sides of Theorem 2.1 are equal exactly, not just congruent."""
-    seq, _ = _resolve_family(fam, n)
-    seq.entries  # every entry is read, and a family too short for n reports first
+    seq = _sequence(_resolve_family(fam)[0], n)  # a family too short for n reports first
     p = AlphaParams.create(n, a, 0)
     _require(_polynomial(seq.kind, _RATIONAL_S0))
     lhs, rhs = thm_2_1_sides(p, seq)
@@ -875,15 +856,22 @@ def check_even_sign_fact(n: int) -> bool:
 
 
 def check_guo_zeng(p: SymParams) -> CheckReport:
+    """Theorem 1.1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k.
+
+    It is _thm_1_1's statement on monomial_x, so _report decides it by
+    thm1.1's kernels: the kernel of the hat side is Horner on
+    (x q^d; q^d)_k, which is what a Pochhammer right side would build.  Only
+    _full_sides expands hat(x^k).
+    """
     started = time.perf_counter()
     params = {"n": p.n, "d": p.d, "r": p.r, "family": "monomial_x"}
-    return _report("guo_zeng", params, _guo_zeng(p), started)
+    return _report("guo_zeng", params, p, _thm_1_1(p, _MONOMIAL_X), _MONOMIAL_X, started)
 
 
 def check_sun_p_analogue(p: SymParams) -> CheckReport:
     started = time.perf_counter()
     params = {"n": p.n, "d": p.d, "r": p.r, "family": "sun_p_x"}
-    return _report("sun_p", params, _sun_p(p), started)
+    return _report("sun_p", params, p, _sun_p(p), None, started)
 
 
 def _binom_frac(alpha: Fraction, k: int) -> Fraction:

@@ -238,20 +238,26 @@ def check_arguments(draw):
 @settings(max_examples=60, deadline=None)
 @given(check_arguments())
 def test_the_sweep_key_is_the_statement_a_check_builds(case):
-    """A keyed check's key is (n, lweights) of the statement its run builds,
-    and a check without a key builds no statement."""
+    """A keyed check's key is (n, lweights) of the statement its run decides:
+    the n of its params and the left weight spec of the cell that _report
+    decides it from.  A check without a key decides no statement."""
     check_id, args = case
     check = CHECKS[check_id]
     if check.invalid(*args):
         return
-    built = []
+    decided, report = [], theorems._report
+
+    def spy(name, params, p, cell, fam, started):
+        decided.append((p.n, cell[0]))
+        return report(name, params, p, cell, fam, started)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theorems, "_report", lambda check, params, statement, started: built.append(statement))
+        mp.setattr(theorems, "_report", spy)
         check.run(*args)
     if check_id in KEYED_CHECKS:
-        assert check.key(*args) == (built[0].p.n, built[0].lweights)
+        assert [check.key(*args)] == decided
     else:
-        assert (check.key(*args), built) == ((), [])
+        assert (check.key(*args), decided) == ((), [])
 
 
 def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ from qcong.theorems import (
     SymParams,
     _odd_prime,
     _full_sides,
-    _guo_zeng,
     _residual_text,
     _ring_den,
     _ring_kernel,
@@ -33,6 +32,7 @@ from qcong.theorems import (
     _alpha_spec,
     _bivariate,
     _spec,
+    _Statement,
     _sun_p,
     _sun_p_x,
     _thm_1_1,
@@ -258,15 +258,22 @@ def _full_verdict(lhs, rhs, n):
     return holds, None if holds else _residual_text(residual(lhs, rhs, n, 2))
 
 
+def _statement(build, p, seq=None):
+    """The _Statement of a builder's cell at p with the sequence seq attached
+    (None for sides in Pochhammer form), as a check attaches it."""
+    return _Statement(p, *(build(p) if seq is None else build(p, seq)), seq)
+
+
 def _ring_ratexprs(statement):
     """Each side in the ring, its own kernel times the monomial of its own
     (exponent, sign) scale mapped by _ring_side, as two RatExpr over the one
     denominator of _ring_den."""
-    n, den = statement.p.n, _ring_den(statement).rep
+    n = statement.p.n
+    den = _ring_den(n, statement.lweights, statement.left, statement.fden).rep
 
     def side(sd, spec, scale):
         scale = LaurentPoly.monomial(*scale)
-        residues = _ring_side(sd, [uj * scale for uj in _ring_kernel(n, spec, sd.t, sd.d, sd.step)], n)
+        residues = _ring_side(sd, statement.seq, [uj * scale for uj in _ring_kernel(n, spec, *sd[:3])], n)
         if _bivariate(statement):
             return RatExpr(BiPoly({j: r.rep for j, r in residues.items()}), den)
         return RatExpr(residues[0].rep, den)
@@ -315,7 +322,7 @@ def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
         statement, sides = _thm_1_1, thm_1_1_sides
     bump = qpow(cell[2] % p.n) * cyclotomic(p.n) * 3
     verdicts = []
-    for lhs, rhs in (_ring_ratexprs(statement(p, seq)), sides(p, seq)):
+    for lhs, rhs in (_ring_ratexprs(_statement(statement, p, seq)), sides(p, seq)):
         bumped = RatExpr(lhs.num + bump * lhs.den, lhs.den)
         verdicts.append(_full_verdict(bumped, rhs, p.n))
     assert verdicts[0] == verdicts[1]
@@ -329,8 +336,8 @@ def horner_cases(draw):
     n = draw(st.integers(min_value=2, max_value=15))
     d = draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1))
     p = SymParams.create(n, d, draw(st.integers(min_value=-5, max_value=5)))
-    statements = [_guo_zeng, _sun_p_x] + [_sun_p] * (n % 2 and n >= 3)
-    st_ = draw(st.sampled_from(statements))(p)
+    statements = [partial(_statement, _thm_1_1, seq=generate("monomial_x", n)), partial(_statement, _sun_p_x)]
+    st_ = draw(st.sampled_from(statements + [partial(_statement, _sun_p)] * (n % 2 and n >= 3)))(p=p)
     bump = None
     if draw(st.booleans()):
         c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
@@ -619,7 +626,7 @@ def test_a_failing_sun_p_x_check_forms_no_full_denominator(monkeypatch):
     rep = check_thm_1_2(p, "sun_p_x")
     monkeypatch.undo()
     assert rep.residual == FLIPPED_RESIDUALS["thm1.2", "sun_p_x"]
-    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_sun_p_x(p)), 5)
+    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_statement(_sun_p_x, p)), 5)
 
 
 def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
@@ -637,14 +644,19 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
     assert (info.misses, info.hits) == (3, 6)
 
 
+RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._ring_kernel,
+               theorems._kernel_diff, theorems._cell_den)
+
+
 @pytest.mark.parametrize("flipped", [False, True])
 def test_a_warm_report_equals_the_cold_one(flipped):
     """Each check, run cold (every ring cache cleared) and then twice warm (its
     cell decided, its kernel difference and denominator cached), gives
     reports equal in every field but wall_time: thm1.1, thm1.2 on the
     sun_p_x label and on the same entries as a rational PolySeq, thm2.1,
-    guo_zeng and sun_p, at the true cell and with its sign flipped.  The
-    flipped cells give the pinned residuals."""
+    guo_zeng and sun_p, and thm1.1, thm1.2 and thm2.1 on a named family and
+    on its entries as a PolySeq, at the true cell and with its sign flipped.
+    The flipped cells give the pinned residuals."""
     p, alpha = SymParams.create(5, 2, 1), AlphaParams.create(5, 2, 1)
     if flipped:
         p, alpha = (dataclasses.replace(params, sign=-params.sign) for params in (p, alpha))
@@ -654,10 +666,12 @@ def test_a_warm_report_equals_the_cold_one(flipped):
              (("guo_zeng", "monomial_x"), partial(check_guo_zeng, p)),
              (("sun_p", "sun_p_x"), partial(check_sun_p_analogue, p))]
     runs += [(("thm2.1", fam), partial(check_thm_2_1, alpha, fam)) for fam in ("ones", "random_poly:4:3")]
-    caches = (theorems._ring_tails, theorems._ring_weights, theorems._ring_kernel,
-              theorems._kernel_diff, theorems._cell_den)
+    custom = generate("random_poly:4:3", 5)
+    runs += [(("thm1.1", "random_poly:4:3"), partial(check_thm_1_1, p, custom)),
+             (("thm1.2", "random_poly:4:3"), partial(check_thm_1_2, p, custom)),
+             (("thm2.1", "random_poly:4:3"), partial(check_thm_2_1, alpha, custom))]
     for key, check in runs:
-        for cache in caches:
+        for cache in RING_CACHES:
             cache.cache_clear()
         cold = dataclasses.replace(check(), wall_time=0.0)
         for _ in range(2):
@@ -666,6 +680,81 @@ def test_a_warm_report_equals_the_cold_one(flipped):
         assert cold.holds != flipped, key
         if flipped and key in FLIPPED_RESIDUALS:
             assert cold.residual == FLIPPED_RESIDUALS[key], key
+
+
+def _linear_runs(p, alpha):
+    """(check, full sides) for each linear check of the cells p and alpha:
+    thm1.1, thm1.2 on a named family and on the sun_p_x label, thm2.1 and
+    guo_zeng, and thm1.1, thm1.2 and thm2.1 on a polynomial PolySeq."""
+    n, custom = p.n, generate("random_poly:4:3", p.n)
+    return [(partial(check_thm_1_1, p, "ones"), partial(thm_1_1_sides, p, generate("ones", n))),
+            (partial(check_thm_1_2, p, "monomial_q:1"), partial(thm_1_2_sides, p, generate("monomial_q:1", n))),
+            (partial(check_thm_1_2, p, "sun_p_x"), lambda: _full_sides(_statement(_sun_p_x, p))),
+            (partial(check_thm_2_1, alpha, "ones"), partial(thm_2_1_sides, alpha, generate("ones", n))),
+            (partial(check_guo_zeng, p), partial(thm_1_1_sides, p, generate("monomial_x", n))),
+            (partial(check_thm_1_1, p, custom), partial(thm_1_1_sides, p, custom)),
+            (partial(check_thm_1_2, p, custom), partial(thm_1_2_sides, p, custom)),
+            (partial(check_thm_2_1, alpha, custom), partial(thm_2_1_sides, alpha, custom))]
+
+
+@pytest.mark.parametrize("cells", [((7, 3, 2), (7, 4, -2)), ((10, 3, -1), (10, 3, 1))])
+def test_a_decided_cell_is_answered_before_any_record_is_built(cells, monkeypatch):
+    """Once its cell is decided, every linear check holds with no statement
+    record built, no family generated, no side mapped and no Horner run: it
+    is answered from its params record alone.  The same cells with the sign
+    flipped or E (F) moved by 1, records the early answer must not confuse
+    with the true one, fail on every check, cold and warm, with the
+    (holds, residual) of the full sides."""
+    p, alpha = SymParams.create(*cells[0]), AlphaParams.create(*cells[1])
+    for check, _ in _linear_runs(p, alpha):
+        assert check().holds
+    with monkeypatch.context() as mp:
+        for name in ("_Statement", "_sequence", "generate", "_ring_diff", "_ring_side", "horner", "_full_sides"):
+            mp.setattr(theorems, name, _refuse)
+        for check, _ in _linear_runs(p, alpha):
+            assert check().holds
+    for name in ("flipped sign", "E+1"):
+        perturb = PERTURBATIONS[name]
+        for check, sides in _linear_runs(perturb(p), perturb(alpha)):
+            full = _full_verdict(*sides(), p.n)
+            assert not full[0], name
+            for _ in range(2):
+                rep = check()
+                assert (rep.holds, rep.residual) == full, (name, rep.check, rep.params)
+
+
+def test_errors_keep_their_order_on_a_decided_cell():
+    """Each ill-posed family raises its error with its message, cold (every
+    ring cache cleared) and again once a named family has decided the cell:
+    a rational family under thm1.1 and thm2.1, before its length or its
+    denominator is looked at; a PolySeq of the wrong length, before its
+    denominator is; a malformed label; and a family denominator that is not
+    a unit mod Phi_n, with the message congruent gives on the full sides."""
+    p, alpha = SymParams.create(7, 3, 2), AlphaParams.create(7, 4, -2)
+    bad, short = _noncoprime_family(7), PolySeq((one,) * 6, UNIVARIATE)
+    short_bad = PolySeq(bad.entries[:6], RATIONAL)
+    with pytest.raises(NoncoprimeDenominatorError) as full:
+        congruent(*thm_1_2_sides(p, bad), 7, 2)
+    rational_1_1 = "rational families are out of hypothesis here; use thm_1_2"
+    cases = [(partial(check_thm_1_1, p, fam), ValueError, rational_1_1) for fam in ("sun_p_x", bad, short_bad)]
+    cases += [(partial(check_thm_2_1, alpha, fam), ValueError, "rational families are out of hypothesis here")
+              for fam in ("sun_p_x", bad, short_bad)]
+    cases += [(partial(check, params, seq), ValueError, "need exactly n=7 entries, got 6")
+              for check, params in ((check_thm_1_1, p), (check_thm_1_2, p), (check_thm_2_1, alpha))
+              for seq in (short, short_bad) if check is check_thm_1_2 or seq is short]
+    cases += [(partial(check_thm_1_1, p, "delta:x"), ValueError, "malformed family parameter in 'delta:x'"),
+              (partial(check_thm_1_2, p, "bogus"), ValueError, "unknown family 'bogus'"),
+              (partial(check_thm_2_1, alpha, "delta"), ValueError, "family delta takes 1..1 parameters, got 0"),
+              (partial(check_thm_1_2, p, bad), NoncoprimeDenominatorError, str(full.value))]
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    for state in ("cold", "decided"):
+        for run, error, message in cases:
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert (type(raised.value), str(raised.value)) == (error, message), state
+        for check in (partial(check_thm_1_1, p), partial(check_thm_1_2, p), partial(check_thm_2_1, alpha)):
+            assert check("ones").holds
 
 
 def test_check_report_init_keeps_the_dataclass_behavior():
@@ -699,8 +788,9 @@ def test_check_report_init_keeps_the_dataclass_behavior():
 
 @pytest.mark.parametrize("name", ["true", "flipped sign", "E+1"])
 def test_guo_zeng_is_thm_1_1_at_x_powers(name):
-    """_report on _guo_zeng(p) and on _thm_1_1(p, monomial_x), each decided
-    afresh, gives the same verdict, residual and parameters."""
+    """check_guo_zeng and check_thm_1_1 on the monomial_x entries as a
+    PolySeq, each decided afresh, give the same verdict, residual and
+    parameters."""
     perturb = PERTURBATIONS[name]
     failing = 0
     for n in range(2, 13):
@@ -709,9 +799,9 @@ def test_guo_zeng_is_thm_1_1_at_x_powers(name):
             for r in (-3, 0, 2):
                 p = perturb(SymParams.create(n, d, r))
                 reports = []
-                for st_ in (_guo_zeng(p), _thm_1_1(p, xs)):
+                for check in (check_guo_zeng, partial(check_thm_1_1, fam=xs)):
                     theorems._kernel_diff.cache_clear()
-                    rep = theorems._report("x", {}, st_, 0.0)
+                    rep = check(p)
                     reports.append((rep.holds, rep.residual, rep.a, rep.exponent, rep.sign, rep.branch))
                 assert reports[0] == reports[1], (n, d, r)
                 failing += not reports[0][0]
@@ -969,8 +1059,8 @@ def test_sun_p_right_denominator_is_the_left_times_a_monomial():
     for n in range(3, 16, 2):
         for d in (d for d in range(1, 8) if math.gcd(n, d) == 1):
             for r in range(-3, 4):
-                st_ = _sun_p(SymParams.create(n, d, r))
-                left, right = (_ring_weights(n, spec)[1] for spec in (st_.lweights, st_.rweights))
+                lspec, rspec = _sun_p(SymParams.create(n, d, r))[:2]
+                left, right = (_ring_weights(n, spec)[1] for spec in (lspec, rspec))
                 assert right == left * qpow(-3 * d * math.comb(n, 2)), (n, d, r)
 
 
