@@ -153,8 +153,10 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def subs_power(self, t: int) -> "BiPoly":
-        """q ↦ q**t on every coefficient; x untouched."""
+    def substitute_power(self, t: int) -> "BiPoly":
+        """q ↦ q**t on every coefficient, as LaurentPoly.substitute_power; x untouched."""
+        if t == 1:
+            return self
         return BiPoly._raw({j: c.substitute_power(t) for j, c in self._coeffs.items()})
 
     def __str__(self) -> str:

@@ -15,7 +15,8 @@ canonical text form ("3/2*q^0 + 1*q^3"); a second line, when present, is a
 denominator.  Exit codes: 0 success/holds, 1 check failed, 2 bad usage or
 an ill-posed input (for instance a denominator sharing a factor with the
 modulus, a sweep cell whose check raised, or a request whose exponent span
-exceeds MAX_SPAN).
+exceeds MAX_SPAN, worked out from the arguments alone: a verify request
+is charged its check's Check.cost, so this module names no check).
 
 A flag value may be negative, a fraction or a range (``--alpha -3/4``,
 ``--r -2..2``): such a value is attached to its flag before parsing, since
@@ -25,18 +26,17 @@ argparse reads only plain negative numbers as values.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 
 from .bivariate import RatExpr
 from .congruence import congruent, residual
-from .cyclotomic import cyclotomic, totient
+from .cyclotomic import cyclotomic
 from .families import DEFAULT_COEFF_BOUND, FamilySpec, generate
 from .laurent import LaurentPoly
 from .qcalc import qbinom_base, qpoch
 from .sweep import CONFIG_KEYS, format_summary, load_config, run_sweep
-from .theorems import CHECKS
+from .theorems import CHECKS, MAX_SPAN, _poch_span, _qbinom_span, _transform_span
 from .transforms import hat, tilde
 
 # verify flags other than required integers; each check needs the flags of its args
@@ -95,52 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The widest exponent span a request may work over.  It bounds memory, not time:
-# on a 2-core host `qbinom 200 100` takes 12 s (its exact division is dense).
-MAX_SPAN = 20_000
-
-
-def _poch_span(r: int, d: int, k: int) -> int:
-    """Sum_{j<k} |r + j*d|, the exponent span of (q^r;q^d)_k, counted until it passes MAX_SPAN."""
-    span = 0
-    for j in range(k if d else 0):
-        span += abs(r + j * d)
-        if span > MAX_SPAN:
-            break
-    return span
-
-
-def _qbinom_span(alpha: int, k: int) -> int:
-    """The span of [alpha over k]: its numerator (q^(alpha-k+1);q)_k is the widest product."""
-    k = min(k, alpha - k) if alpha >= 0 else k
-    return _poch_span(alpha - k + 1, 1, k)
-
-
-def _transform_span(length: int, family: str) -> int:
-    """C(L+1,4) = Sum_{k<L} (L-1-k) C(k+1,2), the summed span of the row entries the
-    transform forms before the last column (row_k[m] spans C(k+1,2), m + k < L - 1),
-    plus the L*(D+1) dense coefficients of a random_poly:S:D prefix."""
-    length, fam = max(length, 0), FamilySpec.parse(family)
-    return math.comb(length + 1, 4) + length * (fam.args[1] + 1 if fam.name == "random_poly" else 0)
-
-
-def _horner_span(n: int) -> int:
-    """n x-coefficients of 2*phi(n) each, what a side built by Horner in x holds
-    (congruence.horner); n alone once that passes MAX_SPAN."""
-    return n if n > MAX_SPAN or n < 2 else n * 2 * totient(n)
-
-
-# The span of each verify check that does not transform n entries, from its arguments.
-_VERIFY_SPANS = {
-    "guo_zeng": lambda n, d, r: _horner_span(n),
-    "sun_p": lambda n, d, r: _horner_span(n),
-    "lemma-sn": lambda n, s, j: _qbinom_span(s * n, j),
-    "lemma-sn-minus1": lambda n, s, j: _qbinom_span(s * n - 1, j - 1),
-    "even-sign": lambda n: n,  # reduced mod Phi_n, like cyclotomic N
-    "classical": lambda p, alpha, seed, bound: 0,  # p is bounded by MAX_CLASSICAL_P
-}
-
-
 def _span(args: argparse.Namespace) -> int:
     """The exponent span a request works over, from its arguments alone."""
     if args.command == "cyclotomic":  # Phi_n is divided out of q^n - 1
@@ -154,9 +108,9 @@ def _span(args: argparse.Namespace) -> int:
     if args.command == "transform":
         return _transform_span(args.length, args.family)
     if args.command == "verify":  # a missing flag spans 0, so _cmd_verify reports it
-        values = {name: getattr(args, name) for name in CHECKS[args.theorem].args}
-        span = _VERIFY_SPANS.get(args.theorem, lambda n, family="ones", **_: _transform_span(n, family))
-        return 0 if None in values.values() else span(**values)
+        check = CHECKS[args.theorem]
+        values = [getattr(args, name) for name in check.args]
+        return 0 if None in values else check.cost(*values)
     return 0
 
 

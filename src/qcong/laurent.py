@@ -124,7 +124,7 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         t = self._terms
-        if t.keys() <= {0}:  # a constant equals its scalar, so it hashes as one
+        if len(t) < 2 and (0 in t or not t):  # a constant equals its scalar, so it hashes as one
             return hash(t.get(0, 0))
         return hash(frozenset(t.items()))
 

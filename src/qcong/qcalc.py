@@ -64,8 +64,12 @@ def gauss_binomial(n: int, k: int) -> LaurentPoly:
         raise ValueError("gauss_binomial requires n >= 0; use qbinom_int for negative tops")
     if k < 0 or k > n:
         return zero
-    k = min(k, n - k)
-    num = qpoch(n - k + 1, 1, k)
+    return _poch_quotient(n, min(k, n - k))
+
+
+def _poch_quotient(alpha: int, k: int) -> LaurentPoly:
+    """(q^(alpha-k+1); q)_k / (q; q)_k, the division asserted exact."""
+    num = qpoch(alpha - k + 1, 1, k)
     if num.is_zero():
         return zero
     return exact_div(num, qpoch(1, 1, k))
@@ -83,15 +87,11 @@ def qbinom_int(alpha: int, k: int) -> LaurentPoly:
         return one
     if alpha >= 0:
         return gauss_binomial(alpha, k)
-    num = qpoch(alpha - k + 1, 1, k)
-    if num.is_zero():
-        return zero
-    return exact_div(num, qpoch(1, 1, k))
+    return _poch_quotient(alpha, k)
 
 
 def qbinom_base(alpha: int, k: int, d: int) -> LaurentPoly:
     """[alpha over k] in base q^d: qbinom_int followed by q -> q^d."""
     if d == 0:
         raise ValueError("base exponent must be nonzero")
-    b = qbinom_int(alpha, k)
-    return b if d == 1 else b.substitute_power(d)
+    return qbinom_int(alpha, k).substitute_power(d)

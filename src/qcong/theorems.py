@@ -110,13 +110,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
 from .congruence import NoncoprimeDenominatorError, Residue, _residual_of, dot, horner, reduce, reduce_by_degree
+from .cyclotomic import totient
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
 from .qcalc import qbinom_int, qpoch, qpoch_x_prefixes
@@ -139,12 +140,20 @@ def _require(reason: "str | None") -> None:
         raise ValueError(reason)
 
 
+def _n_at_least_2(n: int) -> "str | None":
+    return None if n >= 2 else "n must be at least 2"
+
+
 def _coprime(n: int, d: int) -> "str | None":
     return None if math.gcd(n, d) == 1 else f"n and d must be coprime, gcd({n},{d}) != 1"
 
 
 def _a_in_range(n: int, a: int) -> "str | None":
     return None if 0 <= a < n else f"a must lie in [0, {n - 1}]"
+
+
+def _j_in_range(n: int, j: int) -> "str | None":
+    return None if 1 <= j <= n - 1 else f"j must lie in [1, {n - 1}]"
 
 
 def _odd_n(n: int) -> "str | None":
@@ -200,12 +209,14 @@ def _odd_prime(p: int) -> "str | None":
 MAX_CLASSICAL_P = 1000
 
 
-def _p_bounded(p: int) -> "str | None":
-    return None if p <= MAX_CLASSICAL_P else f"p must be at most {MAX_CLASSICAL_P}"
-
-
 def _p_integral(p: int, alpha: "Fraction | str") -> "str | None":
     return "alpha must be p-integral" if Fraction(alpha).denominator % p == 0 else None
+
+
+def _classical_p(p: int, alpha: Fraction) -> "str | None":
+    """check_classical_sun's hypotheses; sweeps skip a cell on the first two only."""
+    bounded = None if p <= MAX_CLASSICAL_P else f"p must be at most {MAX_CLASSICAL_P}"
+    return _odd_prime(p) or _p_integral(p, alpha) or bounded
 
 
 @dataclass(frozen=True)
@@ -223,8 +234,7 @@ class SymParams:
     def create(cls, n: int, d: int, r: int) -> "SymParams":
         """The parameters of a cell.  Memoized, as is AlphaParams.create: the
         record is immutable, and ill-posed arguments raise on every call."""
-        if n < 2:
-            raise ValueError("n must be at least 2")
+        _require(_n_at_least_2(n))
         if d < 1:
             raise ValueError("d must be at least 1")
         _require(_coprime(n, d))
@@ -253,9 +263,7 @@ class AlphaParams:
     @classmethod
     @lru_cache(maxsize=256)
     def create(cls, n: int, a: int, s: int) -> "AlphaParams":
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        _require(_a_in_range(n, a))
+        _require(_n_at_least_2(n) or _a_in_range(n, a))
         alpha = a + s * n
         F = _tri(a + 1) + s * n * a - s * _tri(n)
         if n % 2:
@@ -302,14 +310,6 @@ def _sequence(fam, n: int) -> "PolySeq | None":
     """The entries a family stands for: a FamilySpec generated at length n, a
     PolySeq (or None, for sides in Pochhammer form) as it is."""
     return generate(fam, n) if isinstance(fam, FamilySpec) else fam
-
-
-def _subs(entry, d: int):
-    if d == 1:
-        return entry
-    if isinstance(entry, BiPoly):
-        return entry.subs_power(d)
-    return entry.substitute_power(d)
 
 
 def _require_length(p, seq: "PolySeq | FamilySpec") -> None:
@@ -465,7 +465,7 @@ def _thm_1_2(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     only where a side is lifted or expanded (_numerators).
     """
     _require_length(p, seq)
-    fden = _subs(shared_denominator(seq.entries), p.d) if seq.kind == RATIONAL else one
+    fden = shared_denominator(seq.entries).substitute_power(p.d) if seq.kind == RATIONAL else one
     spec = _sym_spec(p.r, p.d)
     return spec, spec, (0, p.d, 0, None, False), (-1, p.d, 0, None, False), _UNIT, (p.E, p.sign), fden
 
@@ -537,7 +537,7 @@ def _expand(side: tuple, seq: "PolySeq | None", n: int) -> tuple:
     t, d, step, _, _ = side
     fs = _entries(side, seq, n)
     fs = (hat if t == 1 else tilde)(fs) if t else fs
-    return tuple(_subs(f, d) * qpow(step * k) if step else _subs(f, d) for k, f in enumerate(fs))
+    return tuple(f.substitute_power(d) * qpow(step * k) if step else f.substitute_power(d) for k, f in enumerate(fs))
 
 
 def _full_den(n: int, left: tuple, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
@@ -666,7 +666,7 @@ def _ring_side(side: tuple, seq: "PolySeq | None", u, n: int) -> dict:
     no entry is formed or lifted."""
     _, d, _, poch, rescaled = side
     if poch is None:
-        lifted = [reduce_by_degree(_subs(f, d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
+        lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
         return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
     if rescaled:
         u = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
@@ -823,11 +823,7 @@ def check_lemma_sn_binom(n: int, s: int, j: int) -> bool:
     divides 1 - q^i only when n divides i, so for j < n the denominator
     (q;q)_j is a unit mod Phi_n and the numerator decides.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    _require(_nonzero_s(s))
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"j must lie in [1, {n - 1}]")
+    _require(_n_at_least_2(n) or _nonzero_s(s) or _j_in_range(n, j))
     return _poch_mod(n, s * n - j + 1, j).is_zero()
 
 
@@ -838,10 +834,7 @@ def check_lemma_sn_minus1(n: int, s: int, j: int) -> bool:
     a unit mod Phi_n for j < n (see check_lemma_sn_binom), so the
     cross-multiplied difference decides.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"j must lie in [1, {n - 1}]")
+    _require(_n_at_least_2(n) or _j_in_range(n, j))
     closed = qpow(-_tri(j)) * (-1 if (j - 1) % 2 else 1)
     return (_poch_mod(n, s * n - j + 1, j - 1) - _poch_mod(n, 1, j - 1) * closed).is_zero()
 
@@ -890,7 +883,7 @@ def check_classical_sun(p: int, alpha: "Fraction | int | str", fs) -> bool:
     needs at least p entries.
     """
     alpha = Fraction(alpha)
-    _require(_odd_prime(p) or _p_integral(p, alpha) or _p_bounded(p))
+    _require(_classical_p(p, alpha))
     fs = list(fs)
     if len(fs) < p:
         raise ValueError(f"need at least p={p} sequence entries")
@@ -925,6 +918,41 @@ def _classical_sun(p: int, alpha: Fraction, fs: list) -> bool:
 # -- the check registry -------------------------------------------------------
 
 
+# The widest exponent span a request may work over.  It bounds memory, not time:
+# on a 2-core host `qbinom 200 100` takes 12 s (its exact division is dense).
+MAX_SPAN = 20_000
+
+
+def _poch_span(r: int, d: int, k: int) -> int:
+    """Sum_{j<k} |r + j*d|, the exponent span of (q^r;q^d)_k, counted until it passes MAX_SPAN."""
+    span = 0
+    for j in range(k if d else 0):
+        span += abs(r + j * d)
+        if span > MAX_SPAN:
+            break
+    return span
+
+
+def _qbinom_span(alpha: int, k: int) -> int:
+    """The span of [alpha over k]: its numerator (q^(alpha-k+1);q)_k is the widest product."""
+    k = min(k, alpha - k) if alpha >= 0 else k
+    return _poch_span(alpha - k + 1, 1, k)
+
+
+def _transform_span(length: int, family: str) -> int:
+    """C(L+1,4) = Sum_{k<L} (L-1-k) C(k+1,2), the summed span of the row entries the
+    transform forms before the last column (row_k[m] spans C(k+1,2), m + k < L - 1),
+    plus the L*(D+1) dense coefficients of a random_poly:S:D prefix."""
+    length, fam = max(length, 0), FamilySpec.parse(family)
+    return math.comb(length + 1, 4) + length * (fam.args[1] + 1 if fam.name == "random_poly" else 0)
+
+
+def _horner_span(n: int) -> int:
+    """n x-coefficients of 2*phi(n) each, what a side built by Horner in x holds
+    (congruence.horner); n alone once that passes MAX_SPAN."""
+    return n if n > MAX_SPAN or n < 2 else n * 2 * totient(n)
+
+
 @dataclass(frozen=True)
 class Check:
     """One statement as `qcong verify` and the sweep see it.
@@ -936,12 +964,16 @@ class Check:
              the spec helper its builder uses, or () for a check without
              ring weights; sweeps run tasks grouped by it.  Pure arithmetic
              on the arguments, so it never raises.
+    cost     (*args) -> the exponent span run works over, from the arguments
+             alone; `qcong verify` refuses a request above MAX_SPAN before it
+             runs.  Required, so every entry states its charge.
     """
 
     args: tuple[str, ...]
     invalid: Callable[..., "str | None"]
     run: Callable[..., CheckReport]
     key: Callable[..., tuple] = lambda *args: ()
+    cost: Callable[..., int] = field(kw_only=True)
 
 
 def _kind(family: str) -> str:
@@ -958,7 +990,7 @@ def _bool_report(check: str, holds, **params) -> CheckReport:
 def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
     started = time.perf_counter()
     alpha = Fraction(alpha)
-    _require(_odd_prime(p) or _p_integral(p, alpha) or _p_bounded(p))
+    _require(_classical_p(p, alpha))
     holds = _classical_sun(p, alpha, random_int_sequence(seed, p, bound))
     params = {"p": p, "alpha": str(alpha), "seed": seed}
     return CheckReport("classical", params, holds, wall_time=time.perf_counter() - started)
@@ -970,55 +1002,65 @@ CHECKS: dict[str, Check] = {
         lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1),
         lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
         lambda n, d, r, family: (n, _sym_spec(r, d)),
+        cost=lambda n, d, r, family: _transform_span(n, family),  # its full sides transform n entries
     ),
     "thm1.2": Check(
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d),
         lambda n, d, r, family: check_thm_1_2(SymParams.create(n, d, r), family),
         lambda n, d, r, family: (n, _sym_spec(r, d)),
+        cost=lambda n, d, r, family: _transform_span(n, family),
     ),
     "thm2.1": Check(
         ("n", "a", "s", "family"),
         lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)),
         lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
         lambda n, a, s, family: (n, _alpha_spec(a + s * n)),
+        cost=lambda n, a, s, family: _transform_span(n, family),
     ),
     "s0": Check(
         ("n", "a", "family"),
         lambda n, a, family: _a_in_range(n, a) or _polynomial(_kind(family), _RATIONAL_S0),
         lambda n, a, family: _bool_report("s0", check_s0_identity, n=n, a=a, family=family),
+        cost=lambda n, a, family: _transform_span(n, family),
     ),
     "guo_zeng": Check(
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d),
         lambda n, d, r: check_guo_zeng(SymParams.create(n, d, r)),
         lambda n, d, r: (n, _sym_spec(r, d)),
+        cost=lambda n, d, r: _horner_span(n),
     ),
     "sun_p": Check(
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d) or _odd_n(n),
         lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
         lambda n, d, r: (n, _sun_p_spec(r, d)),
+        cost=lambda n, d, r: _horner_span(n),
     ),
     "lemma-sn": Check(
         ("n", "s", "j"),
         lambda n, s, j: _nonzero_s(s),
         lambda n, s, j: _bool_report("lemma-sn", check_lemma_sn_binom, n=n, s=s, j=j),
+        cost=lambda n, s, j: _qbinom_span(s * n, j),
     ),
     # holds at s = 0 as well, but sweeps pair it with lemma-sn and skip both there
     "lemma-sn-minus1": Check(
         ("n", "s", "j"),
         lambda n, s, j: _nonzero_s(s),
         lambda n, s, j: _bool_report("lemma-sn-minus1", check_lemma_sn_minus1, n=n, s=s, j=j),
+        cost=lambda n, s, j: _qbinom_span(s * n - 1, j - 1),
     ),
     "even-sign": Check(
         ("n",),
         _even_n,
         lambda n: _bool_report("even-sign", check_even_sign_fact, n=n),
+        cost=lambda n: n,  # reduced mod Phi_n, like cyclotomic N
     ),
     "classical": Check(
         ("p", "alpha", "seed", "bound"),
         lambda p, alpha, seed, bound: _odd_prime(p) or _p_integral(p, alpha),
         _classical,
+        cost=lambda p, alpha, seed, bound: 0,  # p is bounded by MAX_CLASSICAL_P
     ),
 }

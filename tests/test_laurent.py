@@ -137,10 +137,13 @@ def test_shift_multiplies_by_monomial(a, e):
 
 @given(laurent_polys, st.integers(min_value=-3, max_value=3).filter(bool))
 def test_substitute_power_is_a_homomorphism(a, t):
-    b = a * a + 3 * a
-    assert b.substitute_power(t) == (
-        a.substitute_power(t) * a.substitute_power(t) + 3 * a.substitute_power(t)
-    )
+    """On a LaurentPoly and on a BiPoly (q only, x untouched) alike; t = 1 is the identity."""
+    for p in (a, BiPoly({0: a, 2: a * q + one})):
+        b = p * p + 3 * p
+        assert b.substitute_power(t) == (
+            p.substitute_power(t) * p.substitute_power(t) + 3 * p.substitute_power(t)
+        )
+        assert p.substitute_power(1) is p
 
 
 @given(int_polys, nonzero_int_polys)
@@ -273,9 +276,17 @@ mixed_values = st.dictionaries(st.integers(min_value=-1, max_value=1), coeffs, m
 @example(BiPoly.const(2), LaurentPoly.const(2))
 @example(BiPoly.const(q), q)
 @example(BiPoly(), 0)
+@example(LaurentPoly.const(-7), -7)
+@example(LaurentPoly.const(2**70), 2**70)
+@example(LaurentPoly.const(Fraction(-5, 3)), Fraction(-5, 3))
+@example(q, q)
+@example(LaurentPoly({-1: Fraction(1, 2), 0: 4}), 4)
 def test_hash_consistent_with_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
+    if isinstance(a, LaurentPoly):  # a constant (zero too) hashes as its scalar, the rest as their terms
+        t = a.terms
+        assert hash(a) == (hash(t.get(0, 0)) if t.keys() <= {0} else hash(frozenset(t.items())))
 
 
 def test_equality_against_scalars():

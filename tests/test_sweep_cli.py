@@ -560,6 +560,9 @@ def test_transform_and_verify_spans():
         assert span("verify", "thm1.2", "--n", str(length), "--d=1", "--r=0", "--family=sun_p_x") == kernels
         assert span("verify", "thm1.1", "--n", str(length), "--d=1", "--r=0",
                     "--family=random_poly:4:3") == kernels + max(length, 0) * 4
+        assert span("verify", "thm2.1", "--n", str(length), "--a=0", "--s=1") == kernels
+        assert span("verify", "s0", "--n", str(length), "--a=0",
+                    "--family=random_poly:4:3") == kernels + max(length, 0) * 4
     for n, phi in ((2, 1), (27, 18), (41, 40), (97, 96), (105, 48), (180, 48)):  # n * 2*phi(n)
         assert span("verify", "guo_zeng", f"--n={n}", "--d=1", "--r=0") == n * 2 * phi
         assert span("verify", "sun_p", f"--n={n}", "--d=1", "--r=0") == n * 2 * phi
@@ -568,6 +571,26 @@ def test_transform_and_verify_spans():
     assert span("verify", "even-sign", "--n=20000") == 20_000
     assert span("verify", "classical", "--p=7", "--alpha=1/2") == 0
     assert span("verify", "thm1.1", "--n=100000") == 0  # --d and --r missing: the usage error comes first
+
+
+def test_verify_charges_a_check_by_its_own_cost(monkeypatch, capsys):
+    """One CHECKS entry is the whole of a check, its charge included: a check
+    whose args lack n is charged by its cost, and refused above MAX_SPAN
+    before it runs."""
+    ran = []
+
+    def run(p):
+        ran.append(p)
+        return theorems.CheckReport("probe", {"p": p}, True)
+
+    monkeypatch.setitem(CHECKS, "probe", theorems.Check(("p",), lambda p: None, run, cost=lambda p: 2 * p))
+    half = cli.MAX_SPAN // 2
+    assert cli.main(["verify", "probe", "--p", str(half)]) == 0
+    assert capsys.readouterr().out == f"PASS probe p={half} [0.0 ms]\n"
+    assert cli.main(["verify", "probe", "--p", str(half + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.strip()) == ("", f"error: verify would span more than {cli.MAX_SPAN} exponents")
+    assert ran == [half]
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,7 +37,6 @@ from qcong.theorems import (
     _sun_p_x,
     _thm_1_1,
     _thm_1_2,
-    _subs,
     _sym_spec,
     _weights,
     check_classical_sun,
@@ -947,10 +946,10 @@ def test_ring_kernel_is_the_transposed_transform(case):
         tk = entries[k]
         if t:
             tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
-        total = _subs(tk, d) * qpow(step * k) * w[k] + total
+        total = tk.substitute_power(d) * qpow(step * k) * w[k] + total
     u = _ring_kernel(n, spec, t, d, step)
     assert len(u) == len(_ring_weights(n, spec)[0]) <= n
-    lifted = [reduce_by_degree(_subs(f, d), n, 2) for f in entries]
+    lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in entries]
     expected = reduce_by_degree(total, n, 2)
     for j in set(expected) | set().union(*lifted):
         got = sum((f[j] * uk for f, uk in zip(lifted, u) if j in f), reduce(0, n, 2))
