@@ -30,7 +30,7 @@ import re
 import sys
 
 from .bivariate import RatExpr
-from .congruence import congruent, residual
+from .congruence import residual
 from .cyclotomic import cyclotomic
 from .families import DEFAULT_COEFF_BOUND, FamilySpec, generate
 from .laurent import LaurentPoly
@@ -206,13 +206,12 @@ def main(argv=None) -> int:
                 print(f"{k}: {entry}")
             return 0
         if args.command == "congruent":
-            lhs = _read_expr(args.lhs)
-            rhs = _read_expr(args.rhs)
-            if congruent(lhs, rhs, args.n, args.m):
+            res = residual(_read_expr(args.lhs), _read_expr(args.rhs), args.n, args.m)
+            if not res:  # zero exactly when the congruence holds
                 print("CONGRUENT")
                 return 0
             print("NOT CONGRUENT")
-            print(f"residual: {residual(lhs, rhs, args.n, args.m)}")
+            print(f"residual: {res}")
             return 1
         if args.command == "verify":
             return _cmd_verify(parser, args)

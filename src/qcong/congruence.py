@@ -50,16 +50,22 @@ Phi_n^m there exactly when Phi_n^m divides u, so a congruence of two RatExpr
 is decided on residues: numerators and denominators are reduced first and
 only then cross-multiplied (or merely subtracted when the denominators
 coincide).  A denominator is certified coprime to Phi_n by its residue mod
-Phi_n being nonzero.  _residual_of is the residual of sides already in the
-ring, a numerator difference by x-degree over one unit denominator:
-residual uses it after _difference, and the theorem checks use it on their
-residues directly.  Residuals and Residue.inverse invert a reduced
-element by the extended Euclidean algorithm over Z[q] against the monic
-Phi_n^m (laurent._int_euclid, shared with ext_gcd): the element's
+Phi_n being nonzero.  A denominator of 1 is neither certified nor inverted;
+any other is certified once per (den, n, m) (_certify_den, a bounded cache
+that also keeps the fact that den is not a unit, so that it raises on every
+call), since every family and every r of an (n, d) share the theorem
+sides' (q^d;q^d)_(n-1)^2.  _residual_of is the residual of sides already
+in the ring, a numerator difference by x-degree over one unit denominator
+or over 1: residual uses it after _difference, and the theorem checks use
+it on their residues directly.  Residuals and Residue.inverse invert a
+reduced element by the extended Euclidean algorithm over Z[q] against the
+monic Phi_n^m (laurent._int_euclid, shared with ext_gcd): the element's
 denominators are cleared first, every remainder and cofactor is kept
 primitive, and the sequence ends at a constant D, so the inverse is an
-integer cofactor times one rational scale.  A residual multiplies by the
-integer cofactor and applies the scale last.
+integer cofactor times one rational scale.  A residual takes that pair
+from a second bounded cache (_inverse), keyed on the certified residue,
+multiplies by the integer cofactor and applies the scale last; a zero
+difference needs no inverse, and one over 1 is its own representative.
 
 Bivariate inputs are handled coefficient-wise in x.
 """
@@ -72,7 +78,7 @@ from operator import add, mul, sub
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
-from .laurent import LaurentPoly, _int_euclid, qpow
+from .laurent import LaurentPoly, _int_euclid, one, qpow
 
 __all__ = [
     "NoncoprimeDenominatorError",
@@ -464,12 +470,34 @@ def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     return Residue(_ring(n, m), _reduce_poly(p, n, m))
 
 
-def _certify_den(den: LaurentPoly, n: int, m: int) -> Residue:
-    """The residue of den mod Phi_n^m, once den is certified coprime to Phi_n."""
+@lru_cache(maxsize=64)
+def _certify_den(den: LaurentPoly, n: int, m: int) -> "Residue | None":
+    """The residue of den mod Phi_n^m when den is coprime to Phi_n, else None.
+    Kept per (den, n, m), so a denominator that every family and every r of
+    an (n, d) share is reduced and certified once.  64 entries hold every
+    distinct denominator of a decide benchmark round (31) with room to
+    spare; an entry holds den and m*phi(n) coefficients."""
     res = reduce(den, n, m)
-    if not res.is_unit():
+    return res if res.is_unit() else None
+
+
+def _certified(den: LaurentPoly, n: int, m: int) -> "Residue | None":
+    """den's certified residue (_certify_den), or None for den = 1, which is
+    neither reduced nor cached.  A den that is not a unit raises, on every
+    call."""
+    if den == one:
+        return None
+    res = _certify_den(den, n, m)
+    if res is None:
         raise NoncoprimeDenominatorError(den, n)
     return res
+
+
+@lru_cache(maxsize=64)
+def _inverse(den: Residue) -> tuple:
+    """_Ring.inverse of a certified denominator, (s, scale), kept per residue:
+    residual and the failing theorem checks invert each denominator once."""
+    return den._ring.inverse(den._coeffs)
 
 
 def dot(pairs) -> Residue:
@@ -501,20 +529,27 @@ def reduce_by_degree(num, n: int, m: int) -> dict[int, Residue]:
 
 
 def _difference(lhs, rhs, n: int, m: int, who: str):
-    """Residues of lhs - rhs: (x-degree -> numerator, denominator, bivariate?)."""
+    """Residues of lhs - rhs: (x-degree -> numerator, denominator, bivariate?).
+
+    The denominator is the certified residue of the sides' denominators
+    (_certified), their product when they differ, and None when both are 1:
+    polynomial and scalar sides are then neither certified nor inverted."""
     _check_modulus_params(n, m)
     left, right = as_ratexpr(lhs), as_ratexpr(rhs)
     if left is None or right is None:
         raise TypeError(f"{who} expects polynomial or rational operands")
     bivariate = left.is_bivariate() or right.is_bivariate()
-    den = _certify_den(left.den, n, m)
     if left.den == right.den:
-        return reduce_by_degree(left.num - right.num, n, m), den, bivariate
-    rden = _certify_den(right.den, n, m)
+        return reduce_by_degree(left.num - right.num, n, m), _certified(left.den, n, m), bivariate
+    lden, rden = _certified(left.den, n, m), _certified(right.den, n, m)
     lnum, rnum = reduce_by_degree(left.num, n, m), reduce_by_degree(right.num, n, m)
     zero = reduce(0, n, m)
-    diff = {j: lnum.get(j, zero) * rden - rnum.get(j, zero) * den for j in lnum.keys() | rnum.keys()}
-    return diff, den * rden, bivariate
+
+    def over(num: Residue, den: "Residue | None") -> Residue:
+        return num if den is None else num * den
+
+    diff = {j: over(lnum.get(j, zero), rden) - over(rnum.get(j, zero), lden) for j in lnum.keys() | rnum.keys()}
+    return diff, rden if lden is None else lden if rden is None else lden * rden, bivariate
 
 
 def congruent(lhs, rhs, n: int, m: int) -> bool:
@@ -539,16 +574,28 @@ def residual(lhs, rhs, n: int, m: int):
     return _residual_of(*_difference(lhs, rhs, n, m, "residual"))
 
 
-def _residual_of(diff: dict, den: Residue, bivariate: bool):
+def _residual_of(diff: dict, den: "Residue | None", bivariate: bool):
     """residual's answer for the difference of two sides already in the ring:
-    diff maps x-degree -> numerator residue, over the unit residue den."""
-    ring = den._ring
-    s, scale = ring.inverse(den._coeffs)
+    diff maps x-degree -> numerator residue, over the unit residue den, or
+    over 1 when den is None.
 
-    def times_inverse(r: Residue) -> LaurentPoly:
-        a = r._coeffs  # the factor with more zero coefficients goes first
-        pair = (a, s) if a.count(0) >= s.count(0) else (s, a)
-        return LaurentPoly((e, c * scale) for e, c in enumerate(ring.dot((pair,))))
+    When every x-coefficient is zero the answer is zero, with no inverse.
+    Over 1 it is each coefficient's canonical representative, with no
+    inverse and no product.  Otherwise each coefficient is multiplied by the
+    integer inverse of den (_inverse, computed once per denominator) and then
+    by its scale."""
+    if all(r.is_zero() for r in diff.values()):
+        return {} if bivariate else LaurentPoly()
+    if den is None:
+        def times_inverse(r: Residue) -> LaurentPoly:
+            return r.rep
+    else:
+        ring, (s, scale) = den._ring, _inverse(den)
+
+        def times_inverse(r: Residue) -> LaurentPoly:
+            a = r._coeffs  # the factor with more zero coefficients goes first
+            pair = (a, s) if a.count(0) >= s.count(0) else (s, a)
+            return LaurentPoly((e, c * scale) for e, c in enumerate(ring.dot((pair,))))
 
     if bivariate:
         return {j: times_inverse(r) for j, r in sorted(diff.items()) if not r.is_zero()}

@@ -28,7 +28,8 @@ numerator of left minus right, by x-degree, as residues over the one
 denominator of _ring_den, and _report decides on it: the statement holds
 when every x-coefficient is zero.  No residue goes back to a polynomial, and
 nothing is reduced or certified twice; a failing check gets its residual
-from the same residues (congruence._residual_of, which residual uses too).
+from the same residues (congruence._residual_of, which residual uses too),
+and the cell's denominator is inverted once (congruence._inverse).
 A side is linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel
 u that does not depend on f: _ring_kernel runs the q-Pascal recurrence of
 hat and tilde transposed on the ring weights, with monomial shifts only,
