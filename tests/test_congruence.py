@@ -3,10 +3,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import inverse_by_ext_gcd, ref_add, ref_mul, residue_by_long_division, terms_of
+from helpers import dense_mul, inverse_by_ext_gcd, ref_add, ref_mul, residue_by_long_division, terms_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong import congruence
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import (
     NoncoprimeDenominatorError,
@@ -459,3 +460,141 @@ def test_residue_of_a_rational_is_its_numerator_times_the_inverse():
     den = one - qpow(3)
     lhs = RatExpr(qpow(10**6) + q, den)
     assert residual(lhs, 0, 5, 2) == (reduce(qpow(10**6) + q, 5, 2) * reduce(den, 5, 2).inverse()).rep
+
+
+def _oracle_residual(lhs: RatExpr, rhs: RatExpr, n: int, m: int) -> "LaurentPoly | None":
+    """lhs - rhs mod Phi_n^m from tests/helpers alone: the numerator
+    lnum*rden - rnum*lden by long division, times the inverse of lden*rden by
+    the Euclidean algorithm over Q; None when lden*rden shares a factor with
+    Phi_n."""
+    _, inverse = inverse_by_ext_gcd(lhs.den * rhs.den, n, m)
+    if inverse is None:
+        return None
+    num = residue_by_long_division((lhs.num * rhs.den - rhs.num * lhs.den).terms, n, m)
+    return LaurentPoly(enumerate(residue_by_long_division(dict(enumerate(dense_mul(num, inverse))), n, m)))
+
+
+def _clear_denominator_caches():
+    congruence._certify_den.cache_clear()
+    congruence._inverse.cache_clear()
+
+
+denominators = inverse_inputs.map(lambda a: a if isinstance(a, LaurentPoly) else LaurentPoly.const(a)).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3), polys, polys,
+       denominators, denominators, st.sampled_from(["same object", "equal copy", "other"]))
+def test_congruent_and_residual_match_the_oracles_cold_and_warm(n, m, a, b, lden, other, pairing):
+    """congruent and residual on RatExpr sides agree with the long-division
+    and Euclid-over-Q oracles, first with empty denominator caches and then
+    with the same denominators cached: one denominator object on both sides,
+    an equal one built separately, or two different ones.  The denominators
+    have integer or Fraction coefficients and are units or not; a non-unit
+    raises on every call."""
+    rden = {"same object": lden, "equal copy": LaurentPoly(lden.terms), "other": other}[pairing]
+    lhs, rhs = RatExpr(a, lden), RatExpr(b, rden)
+    expected = _oracle_residual(lhs, rhs, n, m)
+    _clear_denominator_caches()
+    for _ in ("cold", "warm"):
+        if expected is None:
+            for call in (congruent, residual):
+                with pytest.raises(NoncoprimeDenominatorError):
+                    call(lhs, rhs, n, m)
+        else:
+            assert residual(lhs, rhs, n, m) == expected
+            assert congruent(lhs, rhs, n, m) == expected.is_zero()
+
+
+def _numerator(v):
+    return v.num if isinstance(v, RatExpr) else LaurentPoly.const(v) if isinstance(v, (int, Fraction)) else v
+
+
+DENOMINATOR_ONE_CASES = {
+    "LaurentPoly": (qpow(7) + Fraction(2, 3) * qpow(-4), one + q),
+    "BiPoly": (BiPoly.x_power(2, qpow(6)) + BiPoly.x_power(1, q) + BiPoly.x_power(3, qpow(11)),
+               BiPoly.x_power(1, q) + BiPoly.x_power(3, q)),
+    "scalar": (Fraction(3, 2), 4),
+    "one-line RatExpr": (RatExpr(qpow(-3) + 2), RatExpr(q)),
+    "BiPoly/LaurentPoly mix": (BiPoly.x_power(1, qpow(5)) + BiPoly.const(q), qpow(5)),
+    "congruent": (qpow(12) + BiPoly.x_power(1, qpow(7)), one + BiPoly.x_power(1, q)),
+}
+
+
+@pytest.mark.parametrize("case", DENOMINATOR_ONE_CASES)
+@pytest.mark.parametrize("n,m", [(5, 1), (5, 2), (6, 2), (7, 3)])
+def test_a_denominator_of_one_enters_no_cache(case, n, m):
+    """Over denominator 1 the residual is the canonical representative of the
+    numerator difference by long division, coefficient by coefficient in x,
+    and neither denominator cache is looked up."""
+    lhs, rhs = DENOMINATOR_ONE_CASES[case]
+    diff = _numerator(lhs) - _numerator(rhs)
+    coeffs = diff.coeffs if isinstance(diff, BiPoly) else {0: diff}
+    by_degree = {j: LaurentPoly(enumerate(residue_by_long_division(c.terms, n, m))) for j, c in coeffs.items()}
+    bivariate = any(isinstance(v, BiPoly) for v in (_numerator(lhs), _numerator(rhs)))
+    expected = {j: r for j, r in by_degree.items() if r} if bivariate else by_degree.get(0, LaurentPoly())
+    _clear_denominator_caches()
+    for _ in range(2):
+        assert residual(lhs, rhs, n, m) == expected
+        assert congruent(lhs, rhs, n, m) == (not expected)
+    for cache in (congruence._certify_den, congruence._inverse):
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_a_non_unit_denominator_raises_on_every_call():
+    """A denominator divisible by Phi_5 raises on every call and for every m,
+    also after the same polynomial, a unit mod Phi_7, was certified and
+    inverted at (7, 2), and that certification still serves."""
+    den = cyclotomic(5) * (3 - q)
+    lhs = RatExpr(qpow(3) + 1, den)
+    _clear_denominator_caches()
+    expected = _oracle_residual(lhs, RatExpr(one), 7, 2)
+    assert residual(lhs, one, 7, 2) == expected
+    for n, m in ((5, 1), (5, 2), (5, 1), (5, 2)):
+        for call in (congruent, residual):
+            for copy in (den, LaurentPoly(den.terms)):
+                with pytest.raises(NoncoprimeDenominatorError) as info:
+                    call(RatExpr(qpow(3) + 1, copy), one, n, m)
+                assert str(info.value) == f"denominator shares a factor with Phi_5: {den}"
+                with pytest.raises(NoncoprimeDenominatorError):
+                    call(q, RatExpr(q, copy), n, m)
+    assert residual(lhs, one, 7, 2) == expected
+    info = congruence._certify_den.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert congruence._inverse.cache_info().misses == 1
+
+
+def test_one_certification_and_one_inverse_per_denominator():
+    """congruent then residual, and residual again on an equal denominator
+    built separately, certify (den, n, m) once and invert it once; a zero
+    difference inverts nothing; another m is another entry of each cache."""
+    den = qpoch(2, 2, 6) ** 2 * Fraction(3, 5)
+    lhs, rhs = RatExpr(qpow(4) + 2, den), RatExpr(q, LaurentPoly(den.terms))
+    _clear_denominator_caches()
+    assert residual(lhs, RatExpr(qpow(4) + 2 + cyclotomic(7) ** 2 * q * den, den), 7, 2) == LaurentPoly()
+    assert congruence._inverse.cache_info().misses == 0
+    congruence._certify_den.cache_clear()
+    assert not congruent(lhs, rhs, 7, 2)
+    res = residual(lhs, rhs, 7, 2)
+    assert residual(RatExpr(qpow(4) + 2, LaurentPoly(den.terms)), RatExpr(q, den), 7, 2) == res
+    assert res == _oracle_residual(lhs, rhs, 7, 2)
+    certify, inverse = congruence._certify_den.cache_info(), congruence._inverse.cache_info()
+    assert (certify.misses, certify.hits, inverse.misses, inverse.hits) == (1, 2, 1, 1)
+    residual(lhs, rhs, 7, 1)
+    certify, inverse = congruence._certify_den.cache_info(), congruence._inverse.cache_info()
+    assert (certify.misses, certify.currsize, inverse.misses, inverse.currsize) == (2, 2, 2, 2)
+
+
+def test_more_denominators_than_the_bound_keep_each_cache_at_its_bound():
+    """Each denominator cache holds at most its bound, however many distinct
+    denominators pass through it."""
+    _clear_denominator_caches()
+    bound = max(cache.cache_info().maxsize for cache in (congruence._certify_den, congruence._inverse))
+    for k in range(1, bound + 11):
+        lhs = RatExpr(qpow(k), one + k * q)
+        assert residual(lhs, 0, 5, 2) == _oracle_residual(lhs, RatExpr(0), 5, 2)
+    for cache in (congruence._certify_den, congruence._inverse):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
+        assert info.misses == bound + 10

@@ -10,7 +10,7 @@ from helpers import transform_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcong import theorems
+from qcong import congruence, theorems
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import NoncoprimeDenominatorError, Residue, congruent, reduce, reduce_by_degree, residual
 from qcong.cyclotomic import cyclotomic
@@ -431,6 +431,20 @@ def test_a_noncoprime_family_denominator_raises_on_every_check():
     assert (info.misses, info.hits) == (2, 6)
 
 
+
+def test_two_failing_checks_of_one_cell_invert_its_denominator_once():
+    """Two failing checks of one sign-flipped cell, on two families, get
+    their residuals over the cell's one certified denominator: it is
+    inverted once (congruence._inverse), and the second check's residual
+    reads the cached inverse."""
+    cell = SymParams.create(7, 3, 2)
+    p = dataclasses.replace(cell, sign=-cell.sign)
+    congruence._inverse.cache_clear()
+    reports = [check_thm_1_1(p, fam) for fam in ("random_poly:4:3", "random_poly:5:3")]
+    assert not any(rep.holds for rep in reports) and reports[0].residual != reports[1].residual
+    info = congruence._inverse.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
 @st.composite
 def linear_cases(draw):
     """(check, sides, params, families): thm1.1, thm1.2 or thm2.1 at n <= 15 and
@@ -644,7 +658,7 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
 
 
 RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._ring_kernel,
-               theorems._kernel_diff, theorems._cell_den)
+               theorems._kernel_diff, theorems._cell_den, congruence._inverse)
 
 
 @pytest.mark.parametrize("flipped", [False, True])
