@@ -72,8 +72,9 @@ Bivariate inputs are handled coefficient-wise in x.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import add, mul, sub
 
 from .bivariate import BiPoly, as_ratexpr
@@ -338,8 +339,11 @@ class _Ring:
         return s + [0] * (self.dim - len(s)), scale.numerator if scale.denominator == 1 else scale
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _ring(n: int, m: int) -> _Ring:
+    """The tables of Q[q]/(Phi_n^m), kept for 256 moduli: the test suite
+    reads 91, a benchmark round at most 22.  A ring built again after its
+    eviction is another object, so dot and horner compare rings by (n, m)."""
     return _Ring(n, m)
 
 
@@ -470,13 +474,78 @@ def reduce(p: LaurentPoly, n: int, m: int = 1) -> Residue:
     return Residue(_ring(n, m), _reduce_poly(p, n, m))
 
 
-@lru_cache(maxsize=64)
+RING_BUDGET = 1 << 18
+"""Coefficients that the tables kept by _budgeted hold together."""
+
+BudgetInfo = namedtuple("BudgetInfo", "hits misses maxsize currsize cost")
+
+_held = OrderedDict()  # (table, args) -> (value, cost, the table's counts), least recently used first
+_spent = 0  # the total cost of _held
+
+
+def _budgeted(cost):
+    """Memoize a ring table, on positional arguments, under one budget in
+    coefficients (RING_BUDGET) that every table it keeps shares.
+
+    An entry costs cost(value, *args) coefficients, known from its shape
+    without measuring memory.  A hit is a dict lookup and a move to the end.
+    A miss stores the new entry, then evicts least recently used entries,
+    of any table, until the total is within the budget; the new entry stays
+    even when it alone is over it.  Each table keeps lru_cache's surface:
+    cache_info() (hits, misses, maxsize = the budget, currsize and the
+    table's cost) and cache_clear()."""
+    def decorate(fn):
+        counts = [0, 0, 0, 0]  # hits, misses, entries, cost
+
+        @wraps(fn)
+        def table(*args):
+            global _spent
+            key = (table, args)
+            try:
+                value = _held[key][0]
+            except KeyError:
+                pass
+            else:
+                _held.move_to_end(key)
+                counts[0] += 1
+                return value
+            value = fn(*args)
+            c = cost(value, *args)
+            _held[key] = value, c, counts
+            counts[1] += 1
+            counts[2] += 1
+            counts[3] += c
+            _spent += c
+            while _spent > RING_BUDGET and len(_held) > 1:
+                _, (_, old, owner) = _held.popitem(last=False)
+                owner[2] -= 1
+                owner[3] -= old
+                _spent -= old
+            return value
+
+        def cache_info() -> BudgetInfo:
+            return BudgetInfo(counts[0], counts[1], RING_BUDGET, counts[2], counts[3])
+
+        def cache_clear() -> None:
+            global _spent
+            for key in [key for key in _held if key[0] is table]:
+                _spent -= _held.pop(key)[1]
+            counts[:] = [0, 0, 0, 0]
+
+        table.cache_info, table.cache_clear = cache_info, cache_clear
+        return table
+
+    return decorate
+
+
+@_budgeted(lambda res, den, n, m: len(den) + _ring(n, m).dim)
 def _certify_den(den: LaurentPoly, n: int, m: int) -> "Residue | None":
     """The residue of den mod Phi_n^m when den is coprime to Phi_n, else None.
     Kept per (den, n, m), so a denominator that every family and every r of
-    an (n, d) share is reduced and certified once.  64 entries hold every
-    distinct denominator of a decide benchmark round (31) with room to
-    spare; an entry holds den and m*phi(n) coefficients."""
+    an (n, d) share is reduced and certified once.  An entry holds den, so
+    it costs den's terms and m*phi(n) coefficients of the budget
+    (_budgeted); the 31 distinct denominators of a decide benchmark round
+    cost about 1 500 in all."""
     res = reduce(den, n, m)
     return res if res.is_unit() else None
 
@@ -493,10 +562,12 @@ def _certified(den: LaurentPoly, n: int, m: int) -> "Residue | None":
     return res
 
 
-@lru_cache(maxsize=64)
+@_budgeted(lambda inverse, den: 2 * den._ring.dim)
 def _inverse(den: Residue) -> tuple:
     """_Ring.inverse of a certified denominator, (s, scale), kept per residue:
-    residual and the failing theorem checks invert each denominator once."""
+    residual and the failing theorem checks invert each denominator once.
+    An entry holds the residue and s, 2*m*phi(n) coefficients of the budget
+    (_budgeted)."""
     return den._ring.inverse(den._coeffs)
 
 
@@ -507,7 +578,7 @@ def dot(pairs) -> Residue:
     """
     pairs = [(a._coeffs, b._coeffs, b._ring) for a, b in pairs]
     ring = pairs[0][2]
-    if any(r is not ring for _, _, r in pairs):
+    if any(r is not ring and (r.n, r.m) != (ring.n, ring.m) for _, _, r in pairs):
         raise ValueError("mixed moduli in Residue arithmetic")
     return Residue(ring, ring.dot((a, b) for a, b, _ in pairs))
 
@@ -516,7 +587,7 @@ def horner(g: list, c: int, e: int) -> list:
     """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residues g_k mod one
     Phi_n^m, as residues (_Ring.horner)."""
     ring = g[0]._ring
-    if any(r._ring is not ring for r in g):
+    if any(r._ring is not ring and (r.n, r.m) != (ring.n, ring.m) for r in g):
         raise ValueError("mixed moduli in Residue arithmetic")
     return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], c, e)]
 

@@ -48,7 +48,7 @@ def _norm_scalar(c: Scalar) -> Scalar:
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in q with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")  # _hash: set by the first __hash__ call
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -123,10 +123,16 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        try:  # computed once: the terms never change, and a large key's frozenset costs ms
+            return self._hash
+        except AttributeError:
+            pass
         t = self._terms
         if len(t) < 2 and (0 in t or not t):  # a constant equals its scalar, so it hashes as one
-            return hash(t.get(0, 0))
-        return hash(frozenset(t.items()))
+            self._hash = hash(t.get(0, 0))
+        else:
+            self._hash = hash(frozenset(t.items()))
+        return self._hash
 
     # -- ring operations ------------------------------------------------
 

@@ -57,9 +57,11 @@ def qpoch_x_prefixes(shift: int, n: int) -> list[BiPoly]:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def gauss_binomial(n: int, k: int) -> LaurentPoly:
-    """The Gaussian binomial [n over k]_q for n >= 0; zero outside 0 <= k <= n."""
+    """The Gaussian binomial [n over k]_q for n >= 0; zero outside 0 <= k <= n.
+    Kept for the last 512 (n, k): the test suite reads 406, three decide
+    benchmark rounds 99."""
     if n < 0:
         raise ValueError("gauss_binomial requires n >= 0; use qbinom_int for negative tops")
     if k < 0 or k > n:

@@ -117,7 +117,8 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
-from .congruence import NoncoprimeDenominatorError, Residue, _residual_of, dot, horner, reduce, reduce_by_degree
+from .congruence import (NoncoprimeDenominatorError, Residue, _budgeted, _residual_of, dot, horner, reduce,
+                         reduce_by_degree)
 from .cyclotomic import totient
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
@@ -559,10 +560,14 @@ def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
             RatExpr(_sum(wr, _expand(st.right, st.seq, n)) * LaurentPoly.monomial(*st.rscale), den))
 
 
-@lru_cache(maxsize=8)
+@_budgeted(lambda G, n, step, power: len(G) * len(G[0]._coeffs))
 def _ring_tails(n: int, step: int, power: int) -> tuple:
     """The tails G_k of _tails mod Phi_n^2.  They depend on neither r nor
-    alpha, so every r of a cell and every alpha of thm2.1 share them."""
+    alpha, so every r of a cell, every round of a grid and every alpha of
+    thm2.1 share them.  A set costs its n residues of 2*phi(n) coefficients
+    of the ring budget (congruence._budgeted): 96 at n = 12, 20 200 at
+    n = 101, so the 40 sets of a sym_grid benchmark round (about 3 200) stay
+    while a set at n = 401 (320 800) is held alone."""
     return tuple(_tails(partial(reduce, n=n, m=2), step, n, power))
 
 

@@ -3,15 +3,17 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import dense_mul, inverse_by_ext_gcd, ref_add, ref_mul, residue_by_long_division, terms_of
+from helpers import (cyclotomic_by_mobius, dense_mul, inverse_by_ext_gcd, qpascal, ref_add, ref_mul,
+                     residue_by_long_division, terms_of)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcong import congruence
+from qcong import congruence, theorems
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import (
     NoncoprimeDenominatorError,
     NotInvertibleError,
+    Residue,
     _reduce_poly,
     _ring,
     congruent,
@@ -22,7 +24,7 @@ from qcong.congruence import (
 )
 from qcong.cyclotomic import cyclotomic, cyclotomic_power, totient
 from qcong.laurent import LaurentPoly, one, q, qpow
-from qcong.qcalc import qpoch
+from qcong.qcalc import gauss_binomial, qpoch
 
 moduli = st.tuples(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=2))
 
@@ -586,15 +588,60 @@ def test_one_certification_and_one_inverse_per_denominator():
     assert (certify.misses, certify.currsize, inverse.misses, inverse.currsize) == (2, 2, 2, 2)
 
 
-def test_more_denominators_than_the_bound_keep_each_cache_at_its_bound():
-    """Each denominator cache holds at most its bound, however many distinct
-    denominators pass through it."""
-    _clear_denominator_caches()
-    bound = max(cache.cache_info().maxsize for cache in (congruence._certify_den, congruence._inverse))
-    for k in range(1, bound + 11):
+BUDGETED = (theorems._ring_tails, congruence._certify_den, congruence._inverse)
+
+
+def test_more_denominators_than_the_bound_keep_each_cache_at_its_bound(monkeypatch):
+    """The denominator caches hold at most the ring budget between them,
+    however many distinct denominators pass through: at a budget of 400
+    coefficients, where a certified 1 + k*q costs 2 + 8 and its inverse 16
+    at (5, 2), 74 denominators evict the least recently used entries after
+    each miss, and every residual still matches the oracle."""
+    monkeypatch.setattr(congruence, "RING_BUDGET", 400)
+    for table in BUDGETED:
+        table.cache_clear()
+    for k in range(1, 75):
         lhs = RatExpr(qpow(k), one + k * q)
         assert residual(lhs, 0, 5, 2) == _oracle_residual(lhs, RatExpr(0), 5, 2)
-    for cache in (congruence._certify_den, congruence._inverse):
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize == info.maxsize
-        assert info.misses == bound + 10
+        infos = [table.cache_info() for table in BUDGETED]
+        assert sum(info.cost for info in infos) <= 400 and {info.maxsize for info in infos} == {400}
+    certify, inverse = congruence._certify_den.cache_info(), congruence._inverse.cache_info()
+    assert (certify.misses, inverse.misses) == (74, 74)
+    assert (certify.cost, inverse.cost) == (10 * certify.currsize, 16 * inverse.currsize)
+    assert certify.currsize + inverse.currsize < 2 * 74 and 10 * certify.currsize + 16 * inverse.currsize > 400 - 26
+    residual(RatExpr(qpow(74), one + 74 * q), 0, 5, 2)  # the newest entries are kept
+    assert congruence._certify_den.cache_info().hits == certify.hits + 1
+
+
+@pytest.mark.parametrize("cache,keys,expected", [
+    (_ring, [(n, m) for n in range(2, 135) for m in (1, 2)],
+     lambda ring, n, m: ring.dim == m * totient(n) and (ring.n, ring.m) == (n, m)),
+    (cyclotomic, [(n,) for n in range(1, 267)], lambda phi, n: n % 16 or phi == cyclotomic_by_mobius(n)),
+    (cyclotomic_power, [(n, m) for n in range(1, 134) for m in (1, 2)],
+     lambda power, n, m: power == cyclotomic(n) ** m),
+    (gauss_binomial, [(n, k) for n in range(33) for k in range(n + 1)],
+     lambda binom, n, k: n % 11 or k % 4 or binom.terms == qpascal(n, k)),
+], ids=["_ring", "cyclotomic", "cyclotomic_power", "gauss_binomial"])
+def test_more_keys_than_an_entry_bound_keep_the_cache_full_and_the_results(cache, keys, expected):
+    """congruence._ring, cyclotomic, cyclotomic_power and gauss_binomial are
+    lru_caches bounded by entry count: more distinct keys than the bound
+    leave currsize at maxsize, each result is right, and a key looked up
+    again after its entry was evicted gives an equal result.  A residue of
+    an evicted ring still combines with one of its rebuilt ring."""
+    def value(result):
+        return (result.n, result.m, result.dim, result.stages) if cache is _ring else result
+
+    cache.cache_clear()
+    held = cache.cache_info().maxsize
+    assert held is not None and len(keys) > held
+    first = [cache(*key) for key in keys]
+    assert all(expected(result, *key) for result, key in zip(first, keys))
+    info = cache.cache_info()
+    assert info.currsize == held and info.misses >= len(keys)  # cyclotomic also misses on evicted divisors
+    assert [value(cache(*key)) for key in keys] == [value(result) for result in first]
+    assert cache.cache_info().currsize == held
+    if cache is _ring:
+        old, new = Residue(first[keys.index((3, 2))], [1, 2, 0, 0]), reduce(q + 1, 3, 2)
+        assert old._ring is not new._ring and old == reduce(1 + 2 * q, 3, 2)
+        assert dot([(new, old), (new, new)]) == new * old + new * new
+        assert horner([old, new], 1, 1) == horner([reduce(1 + 2 * q, 3, 2), new], 1, 1)

@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import inspect
 import math
 import time
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from helpers import transform_matrix
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from qcong import congruence, theorems
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import NoncoprimeDenominatorError, Residue, congruent, reduce, reduce_by_degree, residual
-from qcong.cyclotomic import cyclotomic
+from qcong.cyclotomic import cyclotomic, totient
 from qcong.families import generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, q, qpow
 from qcong.qcalc import qbinom_int, qpoch
@@ -659,6 +661,72 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
 
 RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._ring_kernel,
                theorems._kernel_diff, theorems._cell_den, congruence._inverse)
+BUDGETED = (theorems._ring_tails, congruence._certify_den, congruence._inverse)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 9), st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=14),
+       st.integers(40, 400))
+def test_the_ring_tails_stay_within_the_budget(lookups, budget):
+    """Tail sets looked up under a small ring budget follow a least recently
+    used model of their costs, n residues of 2*phi(n) coefficients: a hit
+    where the model holds the key, a miss where not, and after each lookup
+    the model's entries and cost, within the budget unless one newest entry
+    alone is over it.  Every returned set equals a fresh _tails build."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(congruence, "RING_BUDGET", budget)
+        for table in BUDGETED:
+            table.cache_clear()
+        model = {}  # key -> cost, least recently used first
+        for key in lookups:
+            n, step, power = key
+            before = theorems._ring_tails.cache_info()
+            assert theorems._ring_tails(*key) == tuple(theorems._tails(partial(reduce, n=n, m=2), step, n, power))
+            info = theorems._ring_tails.cache_info()
+            assert (info.hits - before.hits, info.misses - before.misses) == ((1, 0) if key in model else (0, 1))
+            model[key] = model.pop(key, n * 2 * totient(n))
+            while sum(model.values()) > budget and len(model) > 1:
+                del model[next(iter(model))]
+            assert (info.currsize, info.cost) == (len(model), sum(model.values()))
+            total = [table.cache_info() for table in BUDGETED]
+            assert sum(t.cost for t in total) <= budget or sum(t.currsize for t in total) == 1
+
+
+SYM_GRID_PAIRS = [(n, d) for n in range(2, 13) for d in range(1, 7) if math.gcd(n, d) == 1]
+
+
+def test_three_sym_grid_rounds_build_each_tail_set_once():
+    """Three rounds over the 40 coprime (n, d) of the sym_grid benchmark,
+    thm1.1 and thm1.2 at an r that changes every round, rebuild the weights
+    of each cell (a few entries are kept) but build each tail set
+    (n, d, 2) once: the 40 sets cost about 3 200 coefficients and stay."""
+    assert len(SYM_GRID_PAIRS) == 40
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    for r in (1, -2, 4):
+        for n, d in SYM_GRID_PAIRS:
+            assert check_thm_1_1(SymParams.create(n, d, r), "ones").holds
+            assert check_thm_1_2(SymParams.create(n, d, r - 1), "ones").holds
+    info = theorems._ring_tails.cache_info()
+    assert (info.misses, info.currsize) == (40, 40) and info.hits >= 80
+    assert info.cost == sum(n * 2 * totient(n) for n, _ in SYM_GRID_PAIRS) == 3156
+
+
+def test_the_bench_cache_scan_finds_the_budgeted_tables():
+    """bench/run.py finds qcong's caches by their cache_info (all_lru_caches),
+    clears them all between passes and reads hit counts: the budgeted tables
+    answer to all three like lru_cache, under their own qualified names."""
+    spec = importlib.util.spec_from_file_location("bench_run", Path(__file__).parents[1] / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    found = run.all_lru_caches()
+    names = {"qcong.theorems._ring_tails", "qcong.congruence._certify_den", "qcong.congruence._inverse"}
+    assert names <= found.keys() and {found[name] for name in names} == set(BUDGETED)
+    theorems._ring_tails(5, 2, 2)
+    run.clear_caches(found)
+    for cache in found.values():
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("flipped", [False, True])
