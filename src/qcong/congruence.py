@@ -51,10 +51,10 @@ is decided on residues: numerators and denominators are reduced first and
 only then cross-multiplied (or merely subtracted when the denominators
 coincide).  A denominator is certified coprime to Phi_n by its residue mod
 Phi_n being nonzero.  A denominator of 1 is neither certified nor inverted;
-any other is certified once per (den, n, m) (_certify_den, a bounded cache
-that also keeps the fact that den is not a unit, so that it raises on every
-call), since every family and every r of an (n, d) share the theorem
-sides' (q^d;q^d)_(n-1)^2.  _residual_of is the residual of sides already
+any other is certified once per (den, n, m) (_certify_den, which also keeps
+the fact that den is not a unit, so that it raises on every call), since
+every family and every r of an (n, d) share the theorem sides'
+(q^d;q^d)_(n-1)^2.  _residual_of is the residual of sides already
 in the ring, a numerator difference by x-degree over one unit denominator
 or over 1: residual uses it after _difference, and the theorem checks use
 it on their residues directly.  Residuals and Residue.inverse invert a
@@ -63,9 +63,16 @@ monic Phi_n^m (laurent._int_euclid, shared with ext_gcd): the element's
 denominators are cleared first, every remainder and cofactor is kept
 primitive, and the sequence ends at a constant D, so the inverse is an
 integer cofactor times one rational scale.  A residual takes that pair
-from a second bounded cache (_inverse), keyed on the certified residue,
-multiplies by the integer cofactor and applies the scale last; a zero
-difference needs no inverse, and one over 1 is its own representative.
+from a second cache (_inverse), keyed on the certified residue, multiplies
+by the integer cofactor and applies the scale last; a zero difference needs
+no inverse, and one over 1 is its own representative.
+
+Both caches, and theorems._ring_tails, are kept by _budgeted under one
+budget in coefficients (RING_BUDGET = 2^18, about 13 MB at 45-50 bytes a
+coefficient), least recently used first: an entry's cost is known from its
+shape, and the newest entry stays even when it alone is over the budget.
+So small moduli keep every entry a workload reads, and a large one holds a
+few.  The rings themselves are kept for 256 moduli (_ring).
 
 Bivariate inputs are handled coefficient-wise in x.
 """
@@ -479,7 +486,7 @@ RING_BUDGET = 1 << 18
 
 BudgetInfo = namedtuple("BudgetInfo", "hits misses maxsize currsize cost")
 
-_held = OrderedDict()  # (table, args) -> (value, cost, the table's counts), least recently used first
+_held = OrderedDict()  # (table, args) -> (value, cost), least recently used first
 _spent = 0  # the total cost of _held
 
 
@@ -495,7 +502,7 @@ def _budgeted(cost):
     cache_info() (hits, misses, maxsize = the budget, currsize and the
     table's cost) and cache_clear()."""
     def decorate(fn):
-        counts = [0, 0, 0, 0]  # hits, misses, entries, cost
+        counts = [0, 0]  # hits, misses
 
         @wraps(fn)
         def table(*args):
@@ -511,26 +518,22 @@ def _budgeted(cost):
                 return value
             value = fn(*args)
             c = cost(value, *args)
-            _held[key] = value, c, counts
+            _held[key] = value, c
             counts[1] += 1
-            counts[2] += 1
-            counts[3] += c
             _spent += c
             while _spent > RING_BUDGET and len(_held) > 1:
-                _, (_, old, owner) = _held.popitem(last=False)
-                owner[2] -= 1
-                owner[3] -= old
-                _spent -= old
+                _spent -= _held.popitem(last=False)[1][1]
             return value
 
         def cache_info() -> BudgetInfo:
-            return BudgetInfo(counts[0], counts[1], RING_BUDGET, counts[2], counts[3])
+            mine = [c for (owner, _), (_, c) in _held.items() if owner is table]
+            return BudgetInfo(counts[0], counts[1], RING_BUDGET, len(mine), sum(mine))
 
         def cache_clear() -> None:
             global _spent
             for key in [key for key in _held if key[0] is table]:
                 _spent -= _held.pop(key)[1]
-            counts[:] = [0, 0, 0, 0]
+            counts[:] = [0, 0]
 
         table.cache_info, table.cache_clear = cache_info, cache_clear
         return table

@@ -36,8 +36,10 @@ hat and tilde transposed on the ring weights, with monomial shifts only,
 and _ring_side maps a kernel to its side.
 Ring tails G_k (per (n, step, power)), weights (per (n, spec)) and kernels
 (per (n, spec, t, d, step)) are memoized in bounded caches.  The tails
-depend on neither r nor alpha, so every r of a cell and every alpha of
-thm2.1 share them.  A spec is keyed on min(r, d - r) (_spec), since the
+depend on neither r nor alpha, so every r of a cell, every round of a grid
+and every alpha of thm2.1 share them; they are kept under the ring budget
+in coefficients (congruence._budgeted), with the certified denominators
+and their inverses, and the caches keyed per r keep entry counts.  A spec is keyed on min(r, d - r) (_spec), since the
 weights are symmetric under r <-> d - r.  sun_p's right weights, of
 negative step, are its left ones under q -> 1/q (Residue.reflect), a ring
 automorphism mod Phi_n^2 since Phi_n is self-reciprocal.

@@ -672,7 +672,8 @@ def test_the_ring_tails_stay_within_the_budget(lookups, budget):
     used model of their costs, n residues of 2*phi(n) coefficients: a hit
     where the model holds the key, a miss where not, and after each lookup
     the model's entries and cost, within the budget unless one newest entry
-    alone is over it.  Every returned set equals a fresh _tails build."""
+    alone is over it.  Every returned set equals a fresh _tails build, and
+    clearing another budgeted table leaves the tails where they are."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(congruence, "RING_BUDGET", budget)
         for table in BUDGETED:
@@ -690,6 +691,9 @@ def test_the_ring_tails_stay_within_the_budget(lookups, budget):
             assert (info.currsize, info.cost) == (len(model), sum(model.values()))
             total = [table.cache_info() for table in BUDGETED]
             assert sum(t.cost for t in total) <= budget or sum(t.currsize for t in total) == 1
+        congruence._inverse.cache_clear()  # clears its own entries only
+        theorems._ring_tails(*lookups[-1])
+        assert theorems._ring_tails.cache_info().hits == info.hits + 1
 
 
 SYM_GRID_PAIRS = [(n, d) for n in range(2, 13) for d in range(1, 7) if math.gcd(n, d) == 1]
