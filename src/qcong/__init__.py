@@ -12,7 +12,7 @@ from .congruence import (
 from .cyclotomic import cyclotomic, cyclotomic_power, totient
 from .families import DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate, random_int_sequence
 from .laurent import LaurentPoly, divides, divrem, divrem_laurent, exact_div, ext_gcd, one, q, qpow, zero
-from .qcalc import gauss_binomial, q_int, qbinom_base, qbinom_int, qpoch, qpoch_x
+from .qcalc import gauss_binomial, qbinom_base, qbinom_int, qpoch
 from .sweep import SweepConfig, SweepSummary, load_config, run_sweep
 from .theorems import (
     AlphaParams,
@@ -74,11 +74,9 @@ __all__ = [
     "load_config",
     "one",
     "q",
-    "q_int",
     "qbinom_base",
     "qbinom_int",
     "qpoch",
-    "qpoch_x",
     "qpow",
     "random_int_sequence",
     "reduce",

@@ -92,9 +92,9 @@ class BiPoly:
 
     def __hash__(self) -> int:
         c = self._coeffs
-        if c.keys() <= {0}:  # equal to its x^0 coefficient, so hashed as that
+        if len(c) < 2 and (0 in c or not c):  # equal to its x^0 coefficient, so hashed as that
             return hash(c.get(0, _ZERO))
-        return hash(frozenset((j, frozenset(p.terms.items())) for j, p in c.items()))
+        return hash(frozenset(c.items()))  # each coefficient's hash is cached on it
 
     # -- arithmetic -----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""q-integers, q-Pochhammer products, and q-binomial coefficients.
+"""q-Pochhammer products and q-binomial coefficients.
 
 The binomial with an arbitrary integer top is computed the same way for
 every top: as the Pochhammer quotient (q^(alpha-k+1); q)_k / (q; q)_k,
@@ -15,19 +15,6 @@ from .bivariate import BiPoly
 from .laurent import LaurentPoly, exact_div, one, qpow, zero
 
 
-def q_int(n: int) -> LaurentPoly:
-    """The q-integer [n]_q = (1 - q^n)/(1 - q) as a Laurent polynomial.
-
-    For n >= 0 this is 1 + q + ... + q^(n-1); for negative n it equals
-    -q^n - q^(n+1) - ... - q^(-1).
-    """
-    if n == 0:
-        return zero
-    if n > 0:
-        return LaurentPoly({e: 1 for e in range(n)})
-    return LaurentPoly({e: -1 for e in range(n, 0)})
-
-
 def qpoch(r_exp: int, d: int, k: int) -> LaurentPoly:
     """The product (q^r_exp; q^d)_k = prod_{j=0..k-1} (1 - q^(r_exp + j*d))."""
     if k < 0:
@@ -40,13 +27,6 @@ def qpoch(r_exp: int, d: int, k: int) -> LaurentPoly:
         acc = acc * (one - qpow(e))
         e += d
     return acc
-
-
-def qpoch_x(shift: int, k: int) -> BiPoly:
-    """(x*q^shift; q)_k = prod_{j=0..k-1} (1 - x*q^(shift+j)) as a BiPoly."""
-    if k < 0:
-        raise ValueError("qpoch_x length must be non-negative")
-    return qpoch_x_prefixes(shift, k + 1)[k]
 
 
 def qpoch_x_prefixes(shift: int, n: int) -> list[BiPoly]:

@@ -1,7 +1,8 @@
 """Grid sweeps over theorem checks with byte-deterministic reports.
 
 A sweep expands its config into independent check tasks, runs them in
-cell order (in a process pool when workers > 1), sorts the records by a
+cell order (in a process pool when workers > 1, of at most as many
+processes as there are tasks and cores), sorts the records by a
 fixed key, and renders them to JSON-lines or CSV.  Cell order is the
 CHECKS[id].key of each task, the n and weight spec of the statement it
 builds, so the tasks that read one cell's ring weights and kernels run
@@ -25,6 +26,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
 import sys
 import time
@@ -269,12 +271,14 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     tasks, skipped = expand_tasks(cfg)
     # run each ring cell's tasks together, while its weights and kernels are cached
     tasks.sort(key=lambda task: CHECKS[task[0]].key(*task[1]))
-    if cfg.workers > 1 and len(tasks) > 1:
+    # no more processes than tasks or cores, whatever workers asks for
+    processes = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
         # imported here, so that importing qcong loads no multiprocessing
         from multiprocessing import get_context
 
-        chunk = max(1, len(tasks) // (cfg.workers * 8))
-        with get_context().Pool(cfg.workers) as pool:
+        chunk = max(1, len(tasks) // (processes * 8))
+        with get_context().Pool(processes) as pool:
             records = pool.map(run_task, tasks, chunksize=chunk)
     else:
         records = [run_task(t) for t in tasks]

@@ -25,7 +25,7 @@ builders, which the negative-control tests perturb, and the oracle of the
 checks.  The checks decide in Q[q]/(Phi_n^2), and never form anything above
 degree 2*phi(n), however large the exponents.  _ring_diff yields the
 numerator of left minus right, by x-degree, as residues over the one
-denominator of _ring_den, and _report decides on it: the statement holds
+denominator of _cell_den, and _report decides on it: the statement holds
 when every x-coefficient is zero.  No residue goes back to a polynomial, and
 nothing is reduced or certified twice; a failing check gets its residual
 from the same residues (congruence._residual_of, which residual uses too),
@@ -34,15 +34,18 @@ A side is linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel
 u that does not depend on f: _ring_kernel runs the q-Pascal recurrence of
 hat and tilde transposed on the ring weights, with monomial shifts only,
 and _ring_side maps a kernel to its side.
-Ring tails G_k (per (n, step, power)), weights (per (n, spec)) and kernels
-(per (n, spec, t, d, step)) are memoized in bounded caches.  The tails
-depend on neither r nor alpha, so every r of a cell, every round of a grid
-and every alpha of thm2.1 share them; they are kept under the ring budget
-in coefficients (congruence._budgeted), with the certified denominators
-and their inverses, and the caches keyed per r keep entry counts.  A spec is keyed on min(r, d - r) (_spec), since the
-weights are symmetric under r <-> d - r.  sun_p's right weights, of
-negative step, are its left ones under q -> 1/q (Residue.reflect), a ring
-automorphism mod Phi_n^2 since Phi_n is self-reciprocal.
+Each ring cache is keyed on what it reads.  The tails G_k (per
+(n, step, power)) and the certified cell denominators (_cell_den, per
+(n, step, power, rescaled d, fden)) depend on neither r nor alpha, so every
+r of a cell, every round of a grid and every alpha of thm2.1 share them;
+they are kept under the ring budget in coefficients (congruence._budgeted),
+with the certified denominators of congruence and their inverses.  The
+weights (per (n, spec)) and the kernel differences (_kernel_diff) are keyed
+per r and keep entry counts; a kernel is not kept apart from its
+difference.  A spec is keyed on min(r, d - r) (_spec), since the weights
+are symmetric under r <-> d - r.  sun_p's right weights, of negative step,
+are its left ones under q -> 1/q (Residue.reflect), a ring automorphism
+mod Phi_n^2 since Phi_n is self-reciprocal.
 
 Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
 exactly when n divides e, so, with a*d + r == 0 (mod n) in the spec's r and
@@ -59,24 +62,29 @@ thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries
 (the sun_p_x Pochhammer form reads none, on both sides alike), so the
 difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j) f_j(q^d), and
 the statement holds for every family when that kernel difference is zero.
-_kernel_diff builds it once per cell, in a bounded cache keyed on n, both
-specs, each side's (t, d, step) and the ratio's exponent and sign, so
-sun_p_x and every other thm1.2 family of a cell share one entry.  The
-scales are signed monomials kept as (exponent, sign) pairs, so the key holds
-plain ints.  _report reads both keys off the cell, which the builder made
-from the params record it was given (E or F, sign and alpha included), so a
-perturbed record has keys of its own.  A check of a cell whose difference is
-empty is answered there: it builds no record, generates no family, lifts no
-entry, forms no dot and runs no Horner.  One whose difference is not
-attaches the family and maps the difference once, lifting each f_j(q^d) once
-and transforming nothing, so every failing verdict and residual comes from
-that.  Only
-sun_p, whose sides are Pochhammer products at q^d and q^-d, maps each side's
-kernel and subtracts.  The denominator is certified once per cell, in a
-bounded cache (_cell_den) keyed on n, the left spec, the rescaled side's d
-and fden, which also keeps the fact that it is not a unit, so such a cell
-raises on every check.  guo_zeng, being thm1.1 at x^k, shares the weights,
-kernels and decision of thm1.1 at its (n, d, r).
+Every linear cell has one weight spec for both sides, an untransformed
+left side (t = 0) and one (d, step) for both, so _kernel_diff builds the
+difference once per cell, forming the t = 0 kernel once and running Horner
+on it once for the right side's t, in a bounded cache keyed on n, the spec,
+d, step, the right side's t and the ratio's exponent and sign: sun_p_x and
+every other thm1.2 family of a cell share one entry.  The scales are signed
+monomials kept as (exponent, sign) pairs, so the key holds plain ints.
+_report reads both keys off the cell, which the builder made from the
+params record it was given (E or F, sign and alpha included), so a
+perturbed record has keys of its own.  A check of a cell whose difference
+is empty is answered there: it builds no record, generates no family,
+lifts no entry, forms no dot and runs no Horner.  One whose difference is
+not attaches the family and maps the difference once, lifting each
+f_j(q^d) once and transforming nothing, so every failing verdict and
+residual comes from that.  Only sun_p, whose sides are Pochhammer products
+at q^d and q^-d, maps each side's kernel and subtracts: with t = 0 and
+step = 0, its kernels are its weights.  The denominator, the left spec's
+(q^step;q^step)_(n-1)^power times fden or times the rescaled side's
+(q^d;q^d)_(n-1), is certified once per (n, step, power) and family
+denominator, not per r (_cell_den); the cache also keeps the fact that it
+is not a unit, so such a cell raises on every check.  guo_zeng, being
+thm1.1 at x^k, shares the weights, kernels and decision of thm1.1 at its
+(n, d, r).
 
 A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
 and congruence.horner gives its x-coefficients from the last j down,
@@ -574,23 +582,23 @@ def _ring_tails(n: int, step: int, power: int) -> tuple:
 
 
 @lru_cache(maxsize=4)
-def _ring_weights(n: int, spec: tuple) -> tuple:
+def _ring_weights(n: int, spec: tuple) -> list:
     """The weights of a spec mod Phi_n^2, kept across the families of a cell.
+    Their denominator G_0 is not kept here: it depends on the spec's step and
+    power alone, and _cell_den reads it off _ring_tails.
 
-    A spec with negative step (sun_p's right one) has the weights and G_0 of
+    A spec with negative step (sun_p's right one) has the weights of
     (-r, -d, -step, power, tri) under q -> 1/q, each by Residue.reflect:
     shifted copies in place of the dense products P_k G_k."""
     r, d, step, power, tri = spec
     if step < 0:
-        w, den = _ring_weights(n, _spec(-r, -d, -step, power, tri))
-        return [wk.reflect() for wk in w], den.reflect()
-    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, step, power))
+        return [wk.reflect() for wk in _ring_weights(n, _spec(-r, -d, -step, power, tri))]
+    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, step, power))[0]
 
 
-@lru_cache(maxsize=4)
 def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     """The u_j with Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2
-    for every sequence f, kept, like the weights, across the families of a cell.
+    for every sequence f.
 
     At q -> q^d, row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1],
     and T(f)_k is entry 0 of B_k...B_1 f.  So with v_k = w_k q^(step*k), u is
@@ -600,14 +608,14 @@ def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
     coefficient of x^j in Sum_k v_k (x q^(t*d); q^(t*d))_k.
 
     The weights end at w_K (_weights), so u has K + 1 entries and every u_j
-    past them is zero: Horner costs about K^2 shifts, not n^2.  The kernel
-    at t != 0 is Horner on the cached t = 0 kernel, the v_k themselves, so
-    the two sides of a cell shift the weights by q^(step*k) once.
+    past them is zero: Horner costs about K^2 shifts, not n^2.  Nothing is
+    kept here: _kernel_diff, which keeps the difference of a cell, forms the
+    t = 0 kernel, the v_k themselves, once and runs Horner on it once.
     """
-    if t:
-        return tuple(horner(_ring_kernel(n, spec, 0, d, step), t * d, t * d))
-    v = _ring_weights(n, spec)[0]
-    return tuple([wk * qpow(step * k) for k, wk in enumerate(v)] if step else v)
+    v = _ring_weights(n, spec)
+    if step:
+        v = [wk * qpow(step * k) for k, wk in enumerate(v)]
+    return tuple(horner(v, t * d, t * d) if t else v)
 
 
 def _times_ratio(u, e: int, sign: int):
@@ -620,47 +628,38 @@ def _times_ratio(u, e: int, sign: int):
 
 
 @lru_cache(maxsize=16)
-def _kernel_diff(n: int, lspec: tuple, rspec: tuple, lside: tuple, rside: tuple, e: int, sign: int) -> tuple:
+def _kernel_diff(n: int, spec: tuple, d: int, step: int, t: int, e: int, sign: int) -> tuple:
     """u^L - (rscale/lscale)*u^R mod Phi_n^2, the ratio being sign * q^e
-    (_ratio), for the kernels of two sides (t, d, step) that map their
-    kernels alike (_report), or () when the two agree: exactly when the
-    statement holds for every family.  Both sides of a linear statement have
-    one weight spec, so the kernels have one length.  The key holds no
-    sequence and no polynomial, so every family of a cell, the sun_p_x
-    Pochhammer form included, shares one entry."""
-    ul = _ring_kernel(n, lspec, *lside)
-    ur = _times_ratio(_ring_kernel(n, rspec, *rside), e, sign)
+    (_ratio), for a linear cell (_report), or () when the two agree: exactly
+    when the statement holds for every family.  Both sides of a linear cell
+    have one weight spec and one (d, step); the left side is untransformed
+    (t = 0) and the right one transformed by t (hat or tilde), so u^L is the
+    t = 0 kernel and u^R one Horner on it.  The key holds no sequence and no
+    polynomial, so every family of a cell, the sun_p_x Pochhammer form
+    included, shares one entry."""
+    ul = _ring_kernel(n, spec, 0, d, step)
+    ur = _times_ratio(horner(ul, t * d, t * d), e, sign)
     if tuple(ur) == ul:
         return ()
     return tuple(a - b for a, b in zip(ul, ur, strict=True))
 
 
-@lru_cache(maxsize=16)
-def _cell_den(n: int, lspec: tuple, rescaled_d: int, fden: LaurentPoly) -> "Residue | None":
+@_budgeted(lambda den, n, step, power, rescaled_d, fden: len(fden) + 2 * totient(n))
+def _cell_den(n: int, step: int, power: int, rescaled_d: int, fden: LaurentPoly) -> "Residue | None":
     """The one denominator of both sides in Q[q]/(Phi_n^2): the left weights'
-    times fden, or, for a side rescaled at q -> q^d (rescaled_d = d, else 0),
-    times the cached tail H_0 = (q^d;q^d)_(n-1).  None when it is not a unit
-    mod Phi_n.  It is certified once per key, so every family of a cell with
-    one fden shares one certification."""
-    den = _ring_weights(n, lspec)[1]
+    G_0 = (q^step;q^step)_(n-1)^power (_ring_tails), times fden, or, for a
+    side rescaled at q -> q^d (rescaled_d = d, else 0), times the tail
+    H_0 = (q^d;q^d)_(n-1).  None when it is not a unit mod Phi_n.  It depends
+    on neither r nor alpha, so every r of an (n, d) and every family with
+    one fden share one certification, kept under the ring budget
+    (congruence._budgeted) at fden's terms and 2*phi(n) coefficients, like a
+    congruence._certify_den entry."""
+    den = _ring_tails(n, step, power)[0]
     if rescaled_d:
         den = den * _ring_tails(n, rescaled_d, 1)[0]
     elif fden != one:
         den = den * fden
     return den if den.is_unit() else None
-
-
-def _ring_den(n: int, lspec: tuple, left: tuple, fden: LaurentPoly) -> Residue:
-    """The certified denominator of a cell (_cell_den).  One that is not a
-    unit mod Phi_n raises, on every check, the error congruent raises on the
-    full sides, with the full denominator (_full_den); no side is built for
-    it."""
-    _, d, _, _, rescaled = left
-    den = _cell_den(n, lspec, d if rescaled else 0, fden)
-    if den is None:
-        _, _, step, power, _ = lspec
-        raise NoncoprimeDenominatorError(_full_den(n, left, fden, qpoch(step, step, n - 1) ** power), n)
-    return den
 
 
 def _ring_side(side: tuple, seq: "PolySeq | None", u, n: int) -> dict:
@@ -683,19 +682,19 @@ def _ring_side(side: tuple, seq: "PolySeq | None", u, n: int) -> dict:
 
 def _ring_diff(st: _Statement, u) -> dict:
     """The numerator of left minus right mod Phi_n^2 by x-degree, over
-    _ring_den: lscale * (Sum u^L_j f_j - (rscale/lscale) Sum u^R_j f_j).
+    _cell_den: lscale * (Sum u^L_j f_j - (rscale/lscale) Sum u^R_j f_j).
 
     u is the cell's nonempty _kernel_diff when the two sides map their
     kernels alike (_report), and the difference is its map: thm1.1, thm1.2
     (sun_p_x too), thm2.1 and guo_zeng.  u is None for sun_p, whose sides,
-    Pochhammer products at q^d and q^-d, each map their own kernel."""
+    Pochhammer products at q^d and q^-d, each map their own kernel: with
+    t = 0 and step = 0, that kernel is the side's weights."""
     n, left, right = st.p.n, st.left, st.right
     if u is not None:
         diff = _ring_side(left, st.seq, u, n)
     else:
-        lsum = _ring_side(left, st.seq, _ring_kernel(n, st.lweights, *left[:3]), n)
-        rsum = _ring_side(right, st.seq, _times_ratio(_ring_kernel(n, st.rweights, *right[:3]),
-                                                      *_ratio(st.lscale, st.rscale)), n)
+        lsum = _ring_side(left, st.seq, _ring_weights(n, st.lweights), n)
+        rsum = _ring_side(right, st.seq, _times_ratio(_ring_weights(n, st.rweights), *_ratio(st.lscale, st.rscale)), n)
         zero = reduce(0, n, 2)
         diff = {j: lsum.get(j, zero) - rsum.get(j, zero) for j in lsum.keys() | rsum.keys()}
     if st.lscale == _UNIT:
@@ -759,16 +758,21 @@ def _residual_text(res) -> str:
 def _report(check: str, params: dict, p, cell: tuple, fam, started: float) -> CheckReport:
     """Decide a statement from its cell (the tuple its builder returns,
     _Statement) and family, and report it.  The cell's denominator is
-    certified first (_ring_den).  Two sides that map their kernels alike make
-    the statement linear in f: it holds for every family when the cell's
-    _kernel_diff is empty, and is answered then, with no family generated and
-    no record built.  Otherwise the family is attached (_sequence) and the
-    difference mapped (_ring_diff): the statement holds when every
-    x-coefficient is zero, and a failing one gets the residual of the same
-    residues over the certified denominator."""
-    lspec, rspec, left, right, lscale, rscale, fden = cell
-    den = _ring_den(p.n, lspec, left, fden)
-    u = _kernel_diff(p.n, lspec, rspec, left[:3], right[:3], *_ratio(lscale, rscale)) if left[1:] == right[1:] else None
+    certified first (_cell_den); one that is not a unit mod Phi_n raises, on
+    every check, the error congruent raises on the full sides, with the full
+    denominator (_full_den), and no side is built for it.  Two sides that
+    map their kernels alike make the statement linear in f: it holds for
+    every family when the cell's _kernel_diff is empty, and is answered
+    then, with no family generated and no record built.  Otherwise the
+    family is attached (_sequence) and the difference mapped (_ring_diff):
+    the statement holds when every x-coefficient is zero, and a failing one
+    gets the residual of the same residues over the certified denominator."""
+    lspec, _, left, right, lscale, rscale, fden = cell
+    n, (_, _, step, power, _), (_, d, side_step, _, rescaled) = p.n, lspec, left
+    den = _cell_den(n, step, power, d if rescaled else 0, fden)
+    if den is None:
+        raise NoncoprimeDenominatorError(_full_den(n, left, fden, qpoch(step, step, n - 1) ** power), n)
+    u = _kernel_diff(n, lspec, d, side_step, right[0], *_ratio(lscale, rscale)) if left[1:] == right[1:] else None
     holds, residual = u == (), None
     if not holds:
         st = _Statement(p, *cell, _sequence(fam, p.n))

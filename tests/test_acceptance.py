@@ -13,7 +13,7 @@ from qcong.congruence import congruent
 from qcong.cyclotomic import cyclotomic, divisors, totient
 from qcong.families import FamilySpec, SplitMix64, generate, random_int_sequence
 from qcong.laurent import LaurentPoly, divrem, ext_gcd, one, qpow
-from qcong.qcalc import qbinom_int, qpoch_x
+from qcong.qcalc import qbinom_int, qpoch_x_prefixes
 from qcong.sweep import build_config, run_sweep
 from qcong.theorems import (
     AlphaParams,
@@ -112,7 +112,7 @@ def test_acceptance_04_bivariate_remark_and_hat_of_x_powers():
     hat_x = hat([BiPoly.x_power(k) for k in range(13)])
     for k in range(13):
         total += 1
-        if hat_x[k] != qpoch_x(1, k):
+        if hat_x[k] != qpoch_x_prefixes(1, k + 1)[k]:
             failures.append(("hat_x", k))
     _verdict("criterion 4: bivariate congruence grid and hat of x-powers",
              not failures, f"{total - len(failures)}/{total} cells")

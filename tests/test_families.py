@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.families import DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, qpow, zero
-from qcong.qcalc import qpoch, qpoch_x
+from qcong.qcalc import qpoch, qpoch_x_prefixes
 from qcong.transforms import BIVARIATE, RATIONAL, UNIVARIATE
 
 
@@ -114,7 +114,7 @@ def test_generate_sun_p_x_entries():
     assert seq.kind == RATIONAL
     assert seq[0] == RatExpr(BiPoly.const(1))
     k = 2
-    assert seq[k] == RatExpr(qpoch_x(0, k) * qpow(k), qpoch(1, 1, k))
+    assert seq[k] == RatExpr(qpoch_x_prefixes(0, k + 1)[k] * qpow(k), qpoch(1, 1, k))
 
 
 def test_generate_guards():

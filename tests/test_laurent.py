@@ -269,7 +269,15 @@ mixed_values = st.dictionaries(st.integers(min_value=-1, max_value=1), coeffs, m
 ).flatmap(lambda p: st.sampled_from(_equal_forms(p)))
 
 
-@given(st.one_of(laurent_polys, mixed_values), mixed_values)
+# x-degrees 0..1 over the same small polynomials, so a draw is often x-free
+bi_values = st.dictionaries(
+    st.integers(min_value=0, max_value=1),
+    st.dictionaries(st.integers(min_value=-1, max_value=1), coeffs, max_size=2).map(LaurentPoly),
+    max_size=2,
+).map(BiPoly)
+
+
+@given(st.one_of(laurent_polys, mixed_values, bi_values), st.one_of(mixed_values, bi_values))
 @example(LaurentPoly.const(2), 2)
 @example(LaurentPoly.const(Fraction(1, 2)), Fraction(1, 2))
 @example(zero, 0)
@@ -281,12 +289,20 @@ mixed_values = st.dictionaries(st.integers(min_value=-1, max_value=1), coeffs, m
 @example(LaurentPoly.const(Fraction(-5, 3)), Fraction(-5, 3))
 @example(q, q)
 @example(LaurentPoly({-1: Fraction(1, 2), 0: 4}), 4)
+@example(BiPoly({0: q + 3}), q + 3)
+@example(BiPoly({0: LaurentPoly.const(Fraction(-5, 3))}), Fraction(-5, 3))
+@example(BiPoly({1: q}), BiPoly.x_power(1, q))
+@example(BiPoly({0: q, 1: one}), BiPoly.x_power(1) + q)
+@example(BiPoly({0: zero, 1: zero}), 0)
 def test_hash_consistent_with_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
     if isinstance(a, LaurentPoly):  # a constant (zero too) hashes as its scalar, the rest as their terms
         t = a.terms
         assert hash(a) == (hash(t.get(0, 0)) if t.keys() <= {0} else hash(frozenset(t.items())))
+    if isinstance(a, BiPoly):  # one with an x^0 part alone hashes as that LaurentPoly, the rest by x-degree
+        c = a.coeffs
+        assert hash(a) == (hash(a.coeff(0)) if c.keys() <= {0} else hash(frozenset(c.items())))
 
 
 def test_equality_against_scalars():

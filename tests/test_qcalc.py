@@ -6,20 +6,9 @@ from hypothesis import strategies as st
 
 from qcong.bivariate import BiPoly
 from qcong.laurent import LaurentPoly, one, q, qpow
-from qcong.qcalc import gauss_binomial, q_int, qbinom_base, qbinom_int, qpoch, qpoch_x
+from qcong.qcalc import gauss_binomial, qbinom_base, qbinom_int, qpoch, qpoch_x_prefixes
 
 from helpers import negative_top_qbinom, qpascal, terms_of
-
-
-def test_q_int_small():
-    assert q_int(0) == 0
-    assert q_int(1) == one
-    assert q_int(4) == LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1})
-
-
-@given(st.integers(min_value=-20, max_value=20))
-def test_q_int_telescopes(n):
-    assert q_int(n) * (one - q) == one - qpow(n)
 
 
 def test_qpoch_direct_product():
@@ -39,17 +28,17 @@ def test_qpoch_recurrence(r, d, k):
 
 
 def test_qpoch_x_is_bivariate_product():
-    p = qpoch_x(0, 2)
+    p = qpoch_x_prefixes(0, 3)[2]
     assert isinstance(p, BiPoly)
     # (1 - x)(1 - x q) = 1 - (1 + q) x + q x^2
     assert p.coeff(0) == one
     assert p.coeff(1) == -(one + q)
     assert p.coeff(2) == q
-    assert qpoch_x(0, 0) == BiPoly.const(1)
+    assert qpoch_x_prefixes(0, 1)[0] == BiPoly.const(1)
 
 
 def test_qpoch_x_shift_offsets_every_factor():
-    p = qpoch_x(2, 2)
+    p = qpoch_x_prefixes(2, 3)[2]
     assert p.coeff(1) == -(qpow(2) + qpow(3))
     assert p.coeff(2) == qpow(5)
 
@@ -57,7 +46,7 @@ def test_qpoch_x_shift_offsets_every_factor():
 GAUSS_KNOWN = [
     (0, 0, one),
     (4, 2, LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})),
-    (5, 1, q_int(5)),
+    (5, 1, LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1, 4: 1})),
     (6, 6, one),
 ]
 

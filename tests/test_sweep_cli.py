@@ -208,6 +208,56 @@ def test_sweep_output_independent_of_workers(tmp_path):
     assert s1.total == s2.total
 
 
+class _SerialContext:
+    """A stand-in for multiprocessing.get_context(): Pool(k) records k and maps
+    in this process, so no process is started."""
+
+    def __init__(self):
+        self.pools = []
+
+    def Pool(self, processes):
+        self.pools.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        assert 1 <= chunksize <= max(1, len(tasks))
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("workers,cores,tasks,pool", [
+    (1_000_000, 2, 14, 2),  # capped by the cores
+    (1_000_000, 64, 14, 14),  # capped by the tasks
+    (3, 64, 14, 3),
+    (1_000_000, 1, 14, None),  # one core: in-process, no pool
+    (1_000_000, None, 14, None),  # the core count unknown
+    (1_000_000, 64, 1, None),  # one task
+])
+def test_the_sweep_pool_is_capped_by_tasks_and_cores(workers, cores, tasks, pool, tmp_path, monkeypatch):
+    """A sweep starts min(workers, tasks, cores) processes, and none when that
+    is 1, however many workers it is asked for; its records and summary are
+    those of a one-worker run."""
+    import multiprocessing
+    import os
+
+    grid = {"d": ["1", "2"], "r": ["0..6"]} if tasks > 1 else {"d": ["1"], "r": ["0"]}
+    raw = {"theorems": ["1.1"], "n": ["5"], **grid, "families": ["ones"], "output": [str(tmp_path / "one.jsonl")]}
+    one = run_sweep(build_config(raw))
+    context = _SerialContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    raw.update(workers=[str(workers)], output=[str(tmp_path / "many.jsonl")])
+    many = run_sweep(build_config(raw))
+    assert context.pools == ([] if pool is None else [pool])
+    assert one.total == tasks and (tmp_path / "many.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+    assert dataclasses.replace(many, wall_time=0) == dataclasses.replace(one, wall_time=0)
+
+
 # Sweeps run tasks grouped by CHECKS[id].key, the (n, left weight spec) of the
 # statement a check builds; these are the checks that build one.
 KEYED_CHECKS = ("thm1.1", "thm1.2", "thm2.1", "guo_zeng", "sun_p")

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from qcong import congruence, theorems
 from qcong.bivariate import BiPoly, RatExpr
-from qcong.congruence import NoncoprimeDenominatorError, Residue, congruent, reduce, reduce_by_degree, residual
+from qcong.congruence import (NoncoprimeDenominatorError, Residue, congruent, horner, reduce, reduce_by_degree,
+                              residual)
 from qcong.cyclotomic import cyclotomic, totient
-from qcong.families import generate, random_int_sequence
+from qcong.families import FamilySpec, generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, q, qpow
 from qcong.qcalc import qbinom_int, qpoch
 from qcong.theorems import (
@@ -27,7 +28,7 @@ from qcong.theorems import (
     _odd_prime,
     _full_sides,
     _residual_text,
-    _ring_den,
+    _cell_den,
     _ring_kernel,
     _ring_side,
     _ring_weights,
@@ -268,9 +269,9 @@ def _statement(build, p, seq=None):
 def _ring_ratexprs(statement):
     """Each side in the ring, its own kernel times the monomial of its own
     (exponent, sign) scale mapped by _ring_side, as two RatExpr over the one
-    denominator of _ring_den."""
-    n = statement.p.n
-    den = _ring_den(n, statement.lweights, statement.left, statement.fden).rep
+    denominator of _cell_den."""
+    n, (_, _, step, power, _), (_, d, _, _, rescaled) = statement.p.n, statement.lweights, statement.left
+    den = _cell_den(n, step, power, d if rescaled else 0, statement.fden).rep
 
     def side(sd, spec, scale):
         scale = LaurentPoly.monomial(*scale)
@@ -582,11 +583,11 @@ def test_a_trimmed_cell_lifts_only_its_prefix(monkeypatch):
         p = dataclasses.replace(cell, sign=-cell.sign)
         alpha = AlphaParams.create(5, 2, r)
         alpha = dataclasses.replace(alpha, sign=-alpha.sign)
-        assert len(_ring_weights(5, _sym_spec(r, 2))[0]) == K + 1
+        assert len(_ring_weights(5, _sym_spec(r, 2))) == K + 1
         runs = [("thm1.1", partial(check_thm_1_1, p), partial(thm_1_1_sides, p), K),
                 ("thm1.2", partial(check_thm_1_2, p), partial(thm_1_2_sides, p), K),
                 ("thm2.1", partial(check_thm_2_1, alpha), partial(thm_2_1_sides, alpha),
-                 len(_ring_weights(5, _alpha_spec(alpha.alpha))[0]) - 1)]
+                 len(_ring_weights(5, _alpha_spec(alpha.alpha))) - 1)]
         for name, check, sides, k in runs:
             for fam in ("ones", "random_poly:4:3"):
                 lifted.clear()
@@ -659,9 +660,9 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
     assert (info.misses, info.hits) == (3, 6)
 
 
-RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._ring_kernel,
-               theorems._kernel_diff, theorems._cell_den, congruence._inverse)
-BUDGETED = (theorems._ring_tails, congruence._certify_den, congruence._inverse)
+RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._kernel_diff, theorems._cell_den,
+               congruence._inverse)
+BUDGETED = (theorems._ring_tails, theorems._cell_den, congruence._certify_den, congruence._inverse)
 
 
 @settings(max_examples=40, deadline=None)
@@ -699,11 +700,9 @@ def test_the_ring_tails_stay_within_the_budget(lookups, budget):
 SYM_GRID_PAIRS = [(n, d) for n in range(2, 13) for d in range(1, 7) if math.gcd(n, d) == 1]
 
 
-def test_three_sym_grid_rounds_build_each_tail_set_once():
-    """Three rounds over the 40 coprime (n, d) of the sym_grid benchmark,
-    thm1.1 and thm1.2 at an r that changes every round, rebuild the weights
-    of each cell (a few entries are kept) but build each tail set
-    (n, d, 2) once: the 40 sets cost about 3 200 coefficients and stay."""
+def _three_sym_grid_rounds():
+    """Three rounds over the 40 coprime (n, d) of the sym_grid benchmark from
+    cold ring caches, thm1.1 and thm1.2 at an r that changes every round."""
     assert len(SYM_GRID_PAIRS) == 40
     for cache in RING_CACHES:
         cache.cache_clear()
@@ -711,9 +710,73 @@ def test_three_sym_grid_rounds_build_each_tail_set_once():
         for n, d in SYM_GRID_PAIRS:
             assert check_thm_1_1(SymParams.create(n, d, r), "ones").holds
             assert check_thm_1_2(SymParams.create(n, d, r - 1), "ones").holds
+
+
+def test_three_sym_grid_rounds_build_each_tail_set_once():
+    """Three sym_grid rounds rebuild the weights of each cell (a few entries
+    are kept) but build each tail set (n, d, 2) once: the 40 sets cost about
+    3 200 coefficients and stay."""
+    _three_sym_grid_rounds()
     info = theorems._ring_tails.cache_info()
     assert (info.misses, info.currsize) == (40, 40) and info.hits >= 80
     assert info.cost == sum(n * 2 * totient(n) for n, _ in SYM_GRID_PAIRS) == 3156
+
+
+def test_three_sym_grid_rounds_certify_each_denominator_once():
+    """The cell denominator depends on (n, d), not on r: three sym_grid rounds
+    certify each of the 40 once, and every other check of an (n, d), at any
+    r and under either theorem, hits.  An entry costs the one term of the
+    family denominator 1 and 2*phi(n) coefficients."""
+    _three_sym_grid_rounds()
+    info = theorems._cell_den.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (40, 6 * 40 - 40, 40)
+    assert info.cost == sum(1 + 2 * totient(n) for n, _ in SYM_GRID_PAIRS)
+
+
+@pytest.mark.parametrize("check", [check_thm_1_1, check_thm_1_2])
+def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
+    """A cold thm1.1 or thm1.2 cell forms its untransformed kernel once and
+    runs Horner once, for the transformed side; a second family of the cell
+    runs none."""
+    calls = []
+
+    def counted(g, c, e):
+        calls.append((len(g), c, e))
+        return horner(g, c, e)
+
+    monkeypatch.setattr(theorems, "horner", counted)
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    p = SymParams.create(11, 3, 2)
+    for fam in ("ones", "random_poly:4:3"):
+        assert check(p, fam).holds
+    t = 1 if check is check_thm_1_1 else -1
+    assert calls == [(len(_ring_weights(11, _sym_spec(2, 3))), 3 * t, 3 * t)]
+
+
+def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
+    """_report keys a linear cell's _kernel_diff on one spec, the sides'
+    (d, step) and the right side's t: every builder's cell whose sides map
+    their kernels alike (left[1:] == right[1:]) has lspec == rspec, an
+    untransformed left side and a transformed right one.  sun_p's sides,
+    mapped apart, have t = 0 and step = 0, so their kernels are the
+    weights."""
+    linear = 0
+    for n in range(2, 10):
+        for d in (d for d in range(1, 5) if math.gcd(n, d) == 1):
+            for r in range(-3, 5):
+                p = SymParams.create(n, d, r)
+                cells = [_thm_1_1(p, FamilySpec.parse("ones")), _thm_1_2(p, FamilySpec.parse("ones")),
+                         _thm_1_2(p, generate("sun_p_x", n)), _sun_p_x(p),
+                         theorems._thm_2_1(AlphaParams.create(n, r % n, d - 2), FamilySpec.parse("ones"))]
+                if n % 2:
+                    left, right = _sun_p(p)[2:4]
+                    assert left[1:] != right[1:] and left[0] == right[0] == 0 and left[2] == right[2] == 0
+                for lspec, rspec, left, right, *_ in cells:
+                    assert left[1:] == right[1:], (n, d, r)
+                    assert lspec == rspec and left[0] == 0 and right[0] in (1, -1), (n, d, r)
+                    linear += 1
+    assert linear > 500
 
 
 def test_the_bench_cache_scan_finds_the_budgeted_tables():
@@ -724,7 +787,8 @@ def test_the_bench_cache_scan_finds_the_budgeted_tables():
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     found = run.all_lru_caches()
-    names = {"qcong.theorems._ring_tails", "qcong.congruence._certify_den", "qcong.congruence._inverse"}
+    names = {"qcong.theorems._ring_tails", "qcong.theorems._cell_den", "qcong.congruence._certify_den",
+             "qcong.congruence._inverse"}
     assert names <= found.keys() and {found[name] for name in names} == set(BUDGETED)
     theorems._ring_tails(5, 2, 2)
     run.clear_caches(found)
@@ -951,7 +1015,8 @@ def test_r_and_d_minus_r_share_one_weight_set(shape):
                 r_, d_, *rest = SPEC_SHAPES[shape](r, d)
                 spellings = [(r_, d_, *rest), (d_ - r_, d_, *rest)]
                 assert _spec(*spellings[0]) == _spec(*spellings[1])
-                ring_w, ring_den = _ring_weights(n, _spec(*spellings[0]))
+                ring_w = _ring_weights(n, _spec(*spellings[0]))
+                ring_den = theorems._ring_tails(n, *rest[:2])[0]
                 K = len(ring_w) - 1
                 for spelling in spellings:
                     w, den = _formula_weights(n, spelling)
@@ -978,7 +1043,7 @@ def test_weights_of_a_negative_step_are_the_reflected_ones(n, spec):
     """The ring weights of a spec with negative step, made by q -> 1/q from the
     spec (-r, -d, -step, power, tri), equal the weights built factor by factor
     in the ring."""
-    assert _ring_weights(n, spec) == _weights(partial(reduce, n=n, m=2), n, *spec)
+    assert _ring_weights(n, spec) == _weights(partial(reduce, n=n, m=2), n, *spec)[0]
 
 
 def test_thm_2_1_weights_are_the_q_binomial_products():
@@ -1034,7 +1099,7 @@ def test_ring_kernel_is_the_transposed_transform(case):
             tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
         total = tk.substitute_power(d) * qpow(step * k) * w[k] + total
     u = _ring_kernel(n, spec, t, d, step)
-    assert len(u) == len(_ring_weights(n, spec)[0]) <= n
+    assert len(u) == len(_ring_weights(n, spec)) <= n
     lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in entries]
     expected = reduce_by_degree(total, n, 2)
     for j in set(expected) | set().union(*lifted):
@@ -1145,7 +1210,7 @@ def test_sun_p_right_denominator_is_the_left_times_a_monomial():
         for d in (d for d in range(1, 8) if math.gcd(n, d) == 1):
             for r in range(-3, 4):
                 lspec, rspec = _sun_p(SymParams.create(n, d, r))[:2]
-                left, right = (_ring_weights(n, spec)[1] for spec in (lspec, rspec))
+                left, right = (theorems._ring_tails(n, step, power)[0] for _, _, step, power, _ in (lspec, rspec))
                 assert right == left * qpow(-3 * d * math.comb(n, 2)), (n, d, r)
 
 

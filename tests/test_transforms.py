@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.laurent import LaurentPoly, one, q, qpow
-from qcong.qcalc import qpoch, qpoch_x
+from qcong.qcalc import qpoch, qpoch_x_prefixes
 from qcong.transforms import (
     BIVARIATE,
     UNIVARIATE,
@@ -57,7 +57,7 @@ def test_hat_of_x_powers_matches_shifted_pochhammer():
     fs = [BiPoly.x_power(k) for k in range(7)]
     out = hat(fs)
     for k in range(7):
-        assert out[k] == qpoch_x(1, k), k
+        assert out[k] == qpoch_x_prefixes(1, k + 1)[k], k
 
 
 @given(poly_lists)
@@ -168,7 +168,7 @@ def test_rational_sequence_transform_matches_scaled_numerators():
 
 
 def test_bivariate_sequence_transform():
-    fs = PolySeq(tuple(qpoch_x(0, k) for k in range(4)), BIVARIATE)
+    fs = PolySeq(tuple(qpoch_x_prefixes(0, k + 1)[k] for k in range(4)), BIVARIATE)
     out = tilde(fs)
     assert out.kind == BIVARIATE
     M = transform_matrix("tilde", 4)
