@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .bivariate import BiPoly, RatExpr
 from .laurent import LaurentPoly, one, qpow, zero
-from .qcalc import qpoch, qpoch_x_prefixes
+from .qcalc import qpoch_x_prefixes
 from .transforms import BIVARIATE, RATIONAL, UNIVARIATE, PolySeq
 
 DEFAULT_COEFF_BOUND = 9
@@ -146,7 +148,10 @@ def generate(fam: "FamilySpec | str", n: int) -> PolySeq:
     elif name == "monomial_x":
         entries = [BiPoly.x_power(k) for k in range(n)]
     elif name == "sun_p_x":
-        entries = [RatExpr(px * qpow(k), qpoch(1, 1, k)) for k, px in enumerate(qpoch_x_prefixes(0, n))]
+        # (q;q)_k as prefix products, one factor (1 - q^k) times the one before
+        dens = accumulate((one - qpow(k) for k in range(1, n)), mul, initial=one)
+        entries = [RatExpr(px * qpow(k), den)
+                   for k, (px, den) in enumerate(zip(qpoch_x_prefixes(0, n), dens))]
     else:  # unreachable, __post_init__ validated the name
         raise ValueError(f"unknown family {name!r}")
     return PolySeq(tuple(entries), fam.kind)

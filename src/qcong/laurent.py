@@ -8,13 +8,16 @@ values are therefore equal iff their term maps are equal.
 
 Values are immutable after construction and safe to share across threads.
 
-Large products of integer-coefficient polynomials are multiplied by packing
-the coefficients into a single big integer (Kronecker substitution), which
-moves the inner loop into CPython's native bignum multiply; it serves the
-full-polynomial statement sides, not the residue ring.  The sparse dict
-product is kept for small or rational-coefficient operands; the two paths
-are checked against each other in the test suite.  ext_gcd and the ring's
-inverse share one integer remainder sequence, _int_euclid.
+Products of integer polynomials with at least _KRONECKER_CUTOFF terms each
+pack each operand into one signed integer (Kronecker substitution); one
+bignum multiply does the inner loop, and the product's coefficients come
+back as its balanced digits.  This serves the full-polynomial statement
+sides, not the residue ring.  Packing costs time linear in the span, so it
+loses to the dict product against a short operand such as 1 - q^e, and it
+is refused when the span exceeds the term pairs, which a sparse operand
+such as 1 + q^(10^9) would make 10^9 digits.  The dict product serves the
+rest; the test suite checks both paths.  ext_gcd and the ring's inverse
+share one integer remainder sequence, _int_euclid.
 
 The canonical text form sorts terms by ascending exponent and writes every
 coefficient and exponent explicitly, e.g. ``-1*q^-2 + 3/2*q^0 + 1*q^3``.
@@ -30,8 +33,9 @@ from typing import Iterable, Mapping
 
 Scalar = int | Fraction
 
-# term-pair count above which integer packing beats the sparse dict product
-_KRONECKER_CUTOFF = 2048
+# shorter operand's term count from which integer packing beats the sparse
+# dict product: measured ties at 4 terms times a long operand and at 10 x 10
+_KRONECKER_CUTOFF = 12
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/-?\d+)?)\*q\^(-?\d+)$")
 
@@ -194,7 +198,7 @@ class LaurentPoly:
             (e, c), = b.items()
             return self.shift(e) if c == 1 else LaurentPoly._raw(
                 {ea + e: _norm_scalar(ca * c) for ea, ca in a.items()})
-        if len(a) * len(b) > _KRONECKER_CUTOFF:
+        if min(len(a), len(b)) >= _KRONECKER_CUTOFF:
             packed = _mul_kronecker(a, b)
             if packed is not None:
                 return LaurentPoly._raw(packed)
@@ -281,60 +285,45 @@ def _mul_dict(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
 
 
 def _mul_kronecker(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar] | None:
-    """Integer-packed product; None when a coefficient is not an int."""
-    maxa = maxb = 0
-    for c in a.values():
-        if not isinstance(c, int):
-            return None
-        if c < 0:
-            c = -c
-        if c > maxa:
-            maxa = c
-    for c in b.values():
-        if not isinstance(c, int):
-            return None
-        if c < 0:
-            c = -c
-        if c > maxb:
-            maxb = c
-    va, da = min(a), max(a)
-    vb, db = min(b), max(b)
-    span = (da - va) + (db - vb) + 1
-    # any output digit is a sum of <= min(len) products, split into two
-    # nonnegative parts, so 2*min(len)*maxa*maxb bounds every packed digit
-    bound = 2 * min(len(a), len(b)) * maxa * maxb + 1
-    wbytes = (bound.bit_length() + 7) // 8
-    apos, aneg = _pack_split(a, va, da, wbytes)
-    bpos, bneg = _pack_split(b, vb, db, wbytes)
-    plus = apos * bpos + aneg * bneg
-    minus = apos * bneg + aneg * bpos
-    out: dict[int, Scalar] = {}
-    nbytes = span * wbytes
-    pb = plus.to_bytes(nbytes, "little")
-    mb = minus.to_bytes(nbytes, "little")
-    base = va + vb
+    """The product by packing each operand into one signed integer
+    (Kronecker substitution; Harvey, JSC 2009): one bignum multiply of
+    a(2^(8w)) and b(2^(8w)), its coefficients read back as digits of w bytes.
+
+    Each is a sum of at most min(len) terms, so it lies strictly within half
+    a digit of zero once 2^(8w-1) exceeds min(len)*max|a|*max|b|; adding
+    half a digit to every digit (_bias) makes them plain digits, read with
+    no borrow.  None when a coefficient is a Fraction, or when the packed
+    span exceeds the term pairs: packing then costs more than the dict
+    product, and 1 + q^(10^9) would pack 10^9 digits.
+    """
+    if Fraction in set(map(type, a.values())) or Fraction in set(map(type, b.values())):
+        return None
+    va, vb = min(a), min(b)
+    na, nb = max(a) - va + 1, max(b) - vb + 1
+    span = na + nb - 1
+    if span > len(a) * len(b):
+        return None
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    product = _pack(a, va, na, w) * _pack(b, vb, nb, w) + _bias(span, w)
+    digits = product.to_bytes(span * w, "little")
     from_bytes = int.from_bytes
-    for i in range(span):
-        lo = i * wbytes
-        hi = lo + wbytes
-        c = from_bytes(pb[lo:hi], "little") - from_bytes(mb[lo:hi], "little")
-        if c:
-            out[base + i] = c
-    return out
+    base = va + vb
+    return {base + i: c for i in range(span)
+            if (c := from_bytes(digits[i * w:i * w + w], "little") - half)}
 
 
-def _pack_split(terms: dict[int, Scalar], val: int, deg: int, wbytes: int) -> tuple[int, int]:
-    # split into nonnegative/negative parts, each packed little-endian
-    pos = bytearray((deg - val + 1) * wbytes)
-    neg = bytearray((deg - val + 1) * wbytes)
-    for e, c in terms.items():
-        off = (e - val) * wbytes
-        if c > 0:
-            pos[off:off + (c.bit_length() + 7) // 8] = c.to_bytes((c.bit_length() + 7) // 8, "little")
-        else:
-            c = -c
-            neg[off:off + (c.bit_length() + 7) // 8] = c.to_bytes((c.bit_length() + 7) // 8, "little")
-    return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+def _pack(terms: dict[int, Scalar], val: int, n: int, w: int) -> int:
+    # the n coefficients from exponent val up, each written plus half a digit
+    get, half = terms.get, 1 << (8 * w - 1)
+    biased = b"".join([(get(e, 0) + half).to_bytes(w, "little") for e in range(val, val + n)])
+    return int.from_bytes(biased, "little") - _bias(n, w)
+
+
+def _bias(n: int, w: int) -> int:
+    """Half a digit, 2^(8w-1), in each of n digits of w bytes."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little")
 
 
 _ZERO = LaurentPoly._raw({})

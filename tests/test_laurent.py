@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qcong import laurent
 from qcong.bivariate import BiPoly
 from qcong.congruence import reduce
 from qcong.cyclotomic import cyclotomic_power
@@ -102,11 +103,91 @@ def test_negation_and_scalar_ops(a):
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
 
 
-def test_kronecker_path_agrees_with_schoolbook():
+@pytest.fixture
+def packed(monkeypatch):
+    """The products that took the packed path, as (len a, len b) pairs."""
+    calls = []
+
+    def counting(a, b):
+        out = real(a, b)
+        if out is not None:
+            calls.append((len(a), len(b)))
+        return out
+
+    real = laurent._mul_kronecker
+    monkeypatch.setattr(laurent, "_mul_kronecker", counting)
+    return calls
+
+
+def test_kronecker_path_agrees_with_schoolbook(packed):
     # polynomials big enough that the packed-integer multiply kicks in
     a = LaurentPoly({i: (i * 7919) % 113 - 56 for i in range(90)})
     b = LaurentPoly({i: (i * 104729) % 97 - 48 for i in range(-40, 50)})
     assert terms_of(a * b) == ref_mul(terms_of(a), terms_of(b))
+    assert packed == [(len(a), len(b))]
+
+
+def _int_laurent(min_size, max_size, top):
+    coefficient = st.integers(min_value=-(2**200), max_value=2**200) | st.integers(-9, 9)
+    return st.dictionaries(st.integers(-40, top), coefficient,
+                           min_size=min_size, max_size=max_size).map(LaurentPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(_int_laurent(1, 20, 40), _int_laurent(12, 80, 120)),  # short x long
+    st.tuples(_int_laurent(8, 16, 0), _int_laurent(8, 16, 0)),       # dense, near the cutoff
+    st.tuples(_int_laurent(12, 30, 2000), _int_laurent(12, 30, 40)),  # sparse: wide spans
+))
+def test_products_on_both_sides_of_the_packing_rule_match_the_schoolbook(pair):
+    a, b = pair
+    assert terms_of(a * b) == ref_mul(terms_of(a), terms_of(b))
+    assert terms_of(b * a) == ref_mul(terms_of(a), terms_of(b))
+
+
+@pytest.mark.parametrize("k", [7, 8, 15, 63, 64, 127])
+def test_packed_digits_at_the_edge_of_their_width(k, packed):
+    # times a unit monomial every digit is +-(2^k - 1), the most a width of
+    # (k + 8) // 8 bytes holds when k + 1 is a multiple of 8
+    top = 2**k - 1
+    for a in ({i: -top for i in range(40)}, {i: (1 - 2 * (i % 2)) * top for i in range(-20, 20)},
+              {i: (1 - 2 * (i // 3 % 2)) * top for i in range(30)}):
+        for b in ({0: 1}, {0: -1}, {7: -1}):
+            assert laurent._mul_kronecker(a, b) == ref_mul(a, b)
+    # mixed signs through the public product: a_i * a_(j-i) = (-1)^j, so the
+    # middle digit of this square is 127 = 2^7 - 1, the edge of one byte
+    alt = LaurentPoly({i: (-1) ** i for i in range(127)})
+    square = alt * alt
+    assert square.coeff(126) == 127 and terms_of(square) == ref_mul(terms_of(alt), terms_of(alt))
+    assert packed[-1] == (127, 127)
+
+
+def test_a_two_term_factor_takes_the_dict_product_at_every_length(packed):
+    # the shape of every qpoch, qbinom and tail loop: a running product
+    # times 1 - q^e, which packing makes about twice as slow at 256..4096 terms
+    acc = one
+    for e in range(1, 70):
+        acc = acc * (one - qpow(e))
+    assert len(acc) > 2048 and packed == []
+    # the shorter operand's term count decides, whichever side it is on
+    cutoff = laurent._KRONECKER_CUTOFF
+    below = LaurentPoly({i: 1 for i in range(-1, cutoff - 2)})
+    assert terms_of(acc * below) == ref_mul(terms_of(acc), terms_of(below)) and packed == []
+    at = below + qpow(cutoff - 2)
+    assert terms_of(at * acc) == ref_mul(terms_of(acc), terms_of(at))
+    assert packed == [(cutoff, len(acc))]
+
+
+@pytest.mark.parametrize("wide", [qpow(10**9) + one, LaurentPoly({k * 10**8: 1 - 2 * (k % 2) for k in range(12)})],
+                         ids=["two-term", "twelve-term"])
+def test_a_wide_sparse_operand_is_not_packed(wide):
+    # packing would spend a digit on each of the 10^9 exponents between terms
+    p = LaurentPoly({i: i + 1 for i in range(2049)})
+    start = time.perf_counter()
+    product = wide * p
+    assert time.perf_counter() - start < 1.0
+    assert len(product) == len(wide) * 2049
+    assert terms_of(product) == ref_mul(terms_of(wide), terms_of(p))
 
 
 def test_kronecker_declined_for_fractions():
