@@ -67,10 +67,11 @@ from a second cache (_inverse), keyed on the certified residue, multiplies
 by the integer cofactor and applies the scale last; a zero difference needs
 no inverse, and one over 1 is its own representative.
 
-Both caches, and theorems._ring_tails, are kept by _budgeted under one
-budget in coefficients (RING_BUDGET = 2^18, about 13 MB at 45-50 bytes a
-coefficient), least recently used first: an entry's cost is known from its
-shape, and the newest entry stays even when it alone is over the budget.
+Both caches, and theorems._ring_tails and theorems._cell_den, are kept by
+_budgeted under one budget in coefficients (RING_BUDGET = 2^18, about 13 MB
+at 45-50 bytes a coefficient), least recently used first: an entry's cost
+is known from its shape, and the newest entry stays even when it alone is
+over the budget.
 So small moduli keep every entry a workload reads, and a large one holds a
 few.  The rings themselves are kept for 256 moduli (_ring).
 
@@ -456,14 +457,6 @@ class Residue:
         monic, when that gcd is not 1."""
         s, scale = self._ring.inverse(self._coeffs)
         return Residue(self._ring, [x * scale for x in s])
-
-    def reflect(self) -> "Residue":
-        """The image under q -> 1/q: the reversed coefficients times
-        q^-(m*phi(n) - 1), reduced.  q -> 1/q maps Phi_n^m to a unit times
-        itself, since Phi_n is self-reciprocal for n >= 2, so this is a ring
-        automorphism, and it costs shifted copies, no dense product."""
-        a = self._coeffs[::-1]
-        return Residue(self._ring, self._ring.mul_poly(a, qpow(1 - len(a))))
 
     def is_unit(self) -> bool:
         """True iff gcd(self, Phi_n) = 1, that is the residue is nonzero mod Phi_n."""

@@ -105,6 +105,14 @@ def parse_config_text(text: str) -> dict[str, list[str]]:
     return data
 
 
+def _parse(convert, atom: str, key: str, expected: str):
+    """convert(atom), or a ValueError that names the key and the atom."""
+    try:
+        return convert(atom)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key}: expected {expected}, got {atom!r}") from None
+
+
 def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
     out: list[int] = []
     for atom in atoms:
@@ -115,10 +123,7 @@ def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
                 raise ValueError(f"{key}: empty range {atom!r}")
             out.extend(range(lo, hi + 1))
         else:
-            try:
-                out.append(int(atom))
-            except ValueError:
-                raise ValueError(f"{key}: expected integer or range, got {atom!r}") from None
+            out.append(_parse(int, atom, key, "integer or range"))
     return tuple(out)
 
 
@@ -151,20 +156,20 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
     if "families" in raw:
         cfg.families = tuple(FamilySpec.parse(a) for a in raw["families"])
     if "alphas" in raw:
-        cfg.alphas = tuple(Fraction(a) for a in raw["alphas"])
+        cfg.alphas = tuple(_parse(Fraction, a, "alphas", "a fraction") for a in raw["alphas"])
     seeds = single("classical_seeds")
     if seeds is not None:
-        cfg.classical_seeds = int(seeds)
+        cfg.classical_seeds = _parse(int, seeds, "classical_seeds", "an integer")
         if cfg.classical_seeds < 1:
             raise ValueError("classical_seeds must be at least 1")
     bound = single("classical_bound")
     if bound is not None:
-        cfg.classical_bound = int(bound)
+        cfg.classical_bound = _parse(int, bound, "classical_bound", "an integer")
         if cfg.classical_bound < 1:
             raise ValueError("classical_bound must be at least 1")
     workers = single("workers")
     if workers is not None:
-        cfg.workers = int(workers)
+        cfg.workers = _parse(int, workers, "workers", "an integer")
     if cfg.workers < 1:
         raise ValueError("workers must be at least 1")
     output = single("output")

@@ -1,24 +1,28 @@
 """Both sides of each symmetric-congruence statement, assembled and decided.
 
 Every statement is one _Statement record comparing
-lscale * Sum wl_k L_k / den with rscale * Sum wr_k R_k / den mod Phi_n^2.
-Its builder (_thm_1_1, _thm_1_2, _thm_2_1, _sun_p_x or _sun_p; guo_zeng is
-_thm_1_1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k, and
-_sun_p_x is Theorem 1.2 on the sun_p_x label) checks the family's
-hypotheses and returns the cell: every field but the sequence f, as plain
-tuples and ints.  Each side is (t, d, step, poch, rescaled):
-X_k = q^(step*k) T(f)_k(q^d), with T the identity (t = 0), hat (t = 1) or
-tilde (t = -1).  _weights builds the weights of each side from an integer
-spec, in the carrier of a lift function.  A side in Pochhammer form reads
-no sequence: its f_k(q^d) is (x q^c; q^e)_k.  A named family stays a
-FamilySpec, whose kind is known at once; it is generated, and the record
-built with it, only where a difference is mapped or a side expanded, and
-then once per check.
+lscale * Sum w_k X_k / den with rscale * Sum w_k T(X)_k / den mod Phi_n^2:
+one set of weights, one side X_k = q^(step*k) f_k(q^d), and the right
+side's transform T, hat (t = 1) or tilde (t = -1), applied to f before the
+substitution.  Its builder (_thm_1_1, _thm_1_2, _thm_2_1 or _sun_p_x;
+guo_zeng is _thm_1_1 at f_k = x^k, whose right entries hat(x^k) are
+(xq;q)_k, and _sun_p_x is Theorem 1.2 on the sun_p_x label) checks the
+family's hypotheses and returns the cell: every field but the sequence f,
+as plain tuples and ints.  _weights builds the weights from an integer
+spec, in the carrier of a lift function.  The side is (d, step, rescaled):
+a rescaled side reads no sequence, its f_k being the numerators
+q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1).  A named
+family stays a FamilySpec, whose kind is known at once; it is generated,
+and the record built with it, only where a difference is mapped or a side
+expanded, and then once per check.
 
-Both sides of a statement are over one denominator, that of its left
-weights (times the family's).  sun_p's right weights have the denominator
-(q^-d;q^-d)_(n-1)^3 = q^(-3d*C(n,2)) (q^d;q^d)_(n-1)^3 for odd n, so its
-rscale carries q^(3d*C(n,2)) and the sides are never cross-multiplied.
+sun_p, the q-analogue of Sun's congruence,
+P_n(-r/d, x; q^d) == sign * q^E * P_n(-r/d, x q^-d; q^-d) (mod Phi_n^2) for
+odd n, with P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q
+(x;Q)_k / (Q;Q)_k, is Theorem 1.2 at sun_p_x: each of its sides equals the
+thm1.2 side there as a rational function, not only mod Phi_n^2.  So
+check_sun_p_analogue decides the _sun_p_x cell, and shares its kernel
+difference.
 
 _full_sides expands the sides on full polynomials: the public *_sides
 builders, which the negative-control tests perturb, and the oracle of the
@@ -30,10 +34,6 @@ when every x-coefficient is zero.  No residue goes back to a polynomial, and
 nothing is reduced or certified twice; a failing check gets its residual
 from the same residues (congruence._residual_of, which residual uses too),
 and the cell's denominator is inverted once (congruence._inverse).
-A side is linear in f, so Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel
-u that does not depend on f: _ring_kernel runs the q-Pascal recurrence of
-hat and tilde transposed on the ring weights, with monomial shifts only,
-and _ring_side maps a kernel to its side.
 Each ring cache is keyed on what it reads.  The tails G_k (per
 (n, step, power)) and the certified cell denominators (_cell_den, per
 (n, step, power, rescaled d, fden)) depend on neither r nor alpha, so every
@@ -43,9 +43,7 @@ with the certified denominators of congruence and their inverses.  The
 weights (per (n, spec)) and the kernel differences (_kernel_diff) are keyed
 per r and keep entry counts; a kernel is not kept apart from its
 difference.  A spec is keyed on min(r, d - r) (_spec), since the weights
-are symmetric under r <-> d - r.  sun_p's right weights, of negative step,
-are its left ones under q -> 1/q (Residue.reflect), a ring automorphism
-mod Phi_n^2 since Phi_n is self-reciprocal.
+are symmetric under r <-> d - r.
 
 Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
 exactly when n divides e, so, with a*d + r == 0 (mod n) in the spec's r and
@@ -58,27 +56,25 @@ weights, the kernels and the lifted entries of a cell are w_0..w_K, u_0..u_K
 and f_0..f_K, and Horner costs about K^2 shifts.  The stop is read off the
 residues, not set by a cutoff; the tails still run to G_0.
 
-thm1.1, thm1.2 and thm2.1 are linear: both sides read the same entries
-(the sun_p_x Pochhammer form reads none, on both sides alike), so the
-difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j) f_j(q^d), and
-the statement holds for every family when that kernel difference is zero.
-Every linear cell has one weight spec for both sides, an untransformed
-left side (t = 0) and one (d, step) for both, so _kernel_diff builds the
-difference once per cell, forming the t = 0 kernel once and running Horner
-on it once for the right side's t, in a bounded cache keyed on n, the spec,
-d, step, the right side's t and the ratio's exponent and sign: sun_p_x and
-every other thm1.2 family of a cell share one entry.  The scales are signed
-monomials kept as (exponent, sign) pairs, so the key holds plain ints.
-_report reads both keys off the cell, which the builder made from the
-params record it was given (E or F, sign and alpha included), so a
-perturbed record has keys of its own.  A check of a cell whose difference
-is empty is answered there: it builds no record, generates no family,
-lifts no entry, forms no dot and runs no Horner.  One whose difference is
-not attaches the family and maps the difference once, lifting each
-f_j(q^d) once and transforming nothing, so every failing verdict and
-residual comes from that.  Only sun_p, whose sides are Pochhammer products
-at q^d and q^-d, maps each side's kernel and subtracts: with t = 0 and
-step = 0, its kernels are its weights.  The denominator, the left spec's
+Every statement is linear: both sides read the same entries (the rescaled
+sun_p_x side reads none, on both sides alike).  A side is linear in f, so
+Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does not depend on
+f, and the difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j)
+f_j(q^d): the statement holds for every family when that kernel difference
+is zero.  _kernel_diff builds it once per cell, forming the untransformed
+kernel u^L, the weights times q^(step*k), and running Horner on it once for
+the right side's t (the transposed q-Pascal recurrence of hat and tilde),
+in a bounded cache keyed on n, the spec, d, step, t and the ratio's exponent
+and sign: sun_p, sun_p_x and every other thm1.2 family of a cell share one
+entry.  The scales are signed monomials kept as (exponent, sign) pairs, so
+the key holds plain ints.  _report reads the key off the cell, which the
+builder made from the params record it was given (E or F, sign and alpha
+included), so a perturbed record has a key of its own.  A check of a cell
+whose difference is empty is answered there: it builds no record,
+generates no family, lifts no entry, forms no dot and runs no Horner.  One
+whose difference is not attaches the family and maps the difference once
+(_ring_side), lifting each f_j(q^d) once and transforming nothing, so every
+failing verdict and residual comes from that.  The denominator, the spec's
 (q^step;q^step)_(n-1)^power times fden or times the rescaled side's
 (q^d;q^d)_(n-1), is certified once per (n, step, power) and family
 denominator, not per r (_cell_den); the cache also keeps the fact that it
@@ -86,24 +82,23 @@ is not a unit, so such a cell raises on every check.  guo_zeng, being
 thm1.1 at x^k, shares the weights, kernels and decision of thm1.1 at its
 (n, d, r).
 
-A Pochhammer side is Sum_j g_j (x q^c; q^e)_j with ring coefficients g_j,
-and congruence.horner gives its x-coefficients from the last j down,
-S <- g_j + (1 - x q^(c + j*e)) S: monomial shifts again, with no BiPoly,
-no lift and no dense product per x-degree.  sun_p takes g_j = u_j.  For
-sun_p_x, with Q = q^d,
+The rescaled side is Sum_j g_j (x; q^d)_j with ring coefficients g_j, and
+congruence.horner gives its x-coefficients from the last j down,
+S <- g_j + (1 - x q^(j*d)) S: monomial shifts again, with no BiPoly, no lift
+and no dense product per x-degree.  With Q = q^d,
 1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
 G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
 (Q;Q)_(n-1) = H_0, and no common denominator is expanded.  The transposed
-recurrence of _ring_kernel is the same Horner, in a variable
-that stands for the index of f; the hat kernel of thm1.1 is Horner on
-(x q^d; q^d)_k, the Pochhammer right side guo_zeng would otherwise need.
+recurrence of _kernel_diff is the same Horner, in a variable that stands
+for the index of f; the hat kernel of thm1.1 is Horner on (x q^d; q^d)_k,
+the Pochhammer right side guo_zeng would otherwise need.
 The lemma checks decide mod Phi_n on Pochhammer products, one factor at a
 time.
 
-CHECKS keys each check that builds a statement by (n, its left weight
-spec), from the spec helpers its builder uses (_sym_spec, _sun_p_spec,
-_alpha_spec); a sweep runs its tasks grouped by that key, so the weights
-and kernels of a cell are built once while the bounded caches hold them.
+CHECKS keys each check that builds a statement by (n, its weight spec),
+from the spec helpers its builder uses (_sym_spec, _alpha_spec); a sweep
+runs its tasks grouped by that key, so the weights and kernels of a cell
+are built once while the bounded caches hold them.
 
 Parameter conventions:
 
@@ -132,7 +127,7 @@ from .congruence import (NoncoprimeDenominatorError, Residue, _budgeted, _residu
 from .cyclotomic import totient
 from .families import FamilySpec, generate, random_int_sequence
 from .laurent import LaurentPoly, one, qpow
-from .qcalc import qbinom_int, qpoch, qpoch_x_prefixes
+from .qcalc import qbinom_int, qpoch
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, shared_denominator, tilde
 
 
@@ -384,18 +379,13 @@ def _spec(r: int, d: int, step: int, power: int, tri: bool) -> tuple:
     return min(r, d - r), d, step, power, tri
 
 
-# The left weight spec of each statement, from the check's arguments alone: the
+# The weight spec of each statement, from the check's arguments alone: the
 # statement builders use them, and CHECKS keys sweep tasks by them.
 
 
 def _sym_spec(r: int, d: int) -> tuple:
-    """thm1.1, thm1.2 (sun_p_x included) and guo_zeng."""
+    """thm1.1, thm1.2 (sun_p_x included), guo_zeng and sun_p."""
     return _spec(r, d, d, 2, False)
-
-
-def _sun_p_spec(r: int, d: int) -> tuple:
-    """sun_p's left side; its right weights are these under q -> 1/q."""
-    return _spec(-r, -d, d, 3, True)
 
 
 def _alpha_spec(alpha: int) -> tuple:
@@ -407,46 +397,36 @@ def _alpha_spec(alpha: int) -> tuple:
 
 
 class _Statement(NamedTuple):
-    """lscale * Sum_k wl_k L_k / (den * fden)  vs  rscale * Sum_k wr_k R_k / (den * fden).
+    """lscale * Sum_k w_k X_k / (den * fden)  vs  rscale * Sum_k w_k T(X)_k / (den * fden).
 
-    A builder (_thm_1_1, _thm_1_2, _thm_2_1, _sun_p_x, _sun_p) returns the
-    fields from lweights to fden, the cell of the statement, as a plain
-    tuple.  They hold no sequence, so _report certifies the denominator and
-    looks up the kernel difference from them alone; the family is attached
-    as seq, and the record built, only where a difference is mapped or a
-    side expanded.
+    A builder (_thm_1_1, _thm_1_2, _thm_2_1, _sun_p_x) returns the fields
+    from spec to fden, the cell of the statement, as a plain tuple.  They
+    hold no sequence, so _report certifies the denominator and looks up the
+    kernel difference from them alone; the family is attached as seq, and
+    the record built, only where a difference is mapped or a side expanded.
 
-    lweights        the specs (r, d, step, power, tri) of _weights for each
-    rweights        side, giving wl, den and wr in any carrier; both sides are
-                    over the den of lweights, so a statement whose right
-                    weights have another denominator puts the ratio, a
-                    monomial, into rscale
-    left, right     (t, d, step, poch, rescaled), the entries
-                    X_k = q^(step*k) T(f)_k(q^d) of a side, where T is the
-                    identity (t = 0), hat (t = 1) or tilde (t = -1).  A side
-                    in Pochhammer form (poch not None) reads no sequence: its
-                    f_k is (x q^poch; q)_k, so f_k(q^d) = (x q^c; q^e)_k with
-                    (c, e) = (poch*d, d).  A rescaled side (poch = 0) has
-                    f_k = q^k (q^(k+1);q)_(n-1-k) (x;q)_k, the numerators of
-                    sun_p_x over (q;q)_(n-1), a denominator that the side
-                    carries in place of fden (_cell_den, _full_den).  The map
-                    from a kernel to the side reads seq, d, poch and rescaled
-                    only (_ring_side), so two sides with one
-                    (d, step, poch, rescaled) map their kernels alike.
+    spec            the (r, d, step, power, tri) of _weights, giving w and den
+                    in any carrier
+    side            (d, step, rescaled): X_k = q^(step*k) f_k(q^d) on the left
+                    and q^(step*k) T(f)_k(q^d) on the right.  A rescaled side
+                    reads no sequence: its f_k are
+                    q^k (q^(k+1);q)_(n-1-k) (x;q)_k, the numerators of sun_p_x
+                    over (q;q)_(n-1), a denominator that the side carries in
+                    place of fden (_cell_den, _full_den)
+    t               the right side's transform T: hat (1) or tilde (-1)
     lscale, rscale  (exponent, sign) pairs, each the signed monomial
                     sign * q^exponent; a polynomial is built from one only
                     where a side is expanded or a difference rescaled
     fden            the family's common denominator, 1 unless the family is rational
     seq             the f of both sides, a PolySeq of untransformed entries
                     (full Laurent or bivariate polynomials or rational
-                    functions); None for sides in Pochhammer form
+                    functions); None for a rescaled side
     """
 
     p: "SymParams | AlphaParams"
-    lweights: tuple
-    rweights: tuple
-    left: tuple
-    right: tuple
+    spec: tuple
+    side: tuple
+    t: int
     lscale: tuple
     rscale: tuple
     fden: LaurentPoly
@@ -465,8 +445,7 @@ def _thm_1_1(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
-    spec = _sym_spec(p.r, p.d)
-    return spec, spec, (0, p.d, p.d, None, False), (1, p.d, p.d, None, False), (p.E, 1), (0, p.sign), one
+    return _sym_spec(p.r, p.d), (p.d, p.d, False), 1, (p.E, 1), (0, p.sign), one
 
 
 def _thm_1_2(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
@@ -478,8 +457,7 @@ def _thm_1_2(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """
     _require_length(p, seq)
     fden = shared_denominator(seq.entries).substitute_power(p.d) if seq.kind == RATIONAL else one
-    spec = _sym_spec(p.r, p.d)
-    return spec, spec, (0, p.d, 0, None, False), (-1, p.d, 0, None, False), _UNIT, (p.E, p.sign), fden
+    return _sym_spec(p.r, p.d), (p.d, 0, False), -1, _UNIT, (p.E, p.sign), fden
 
 
 def _thm_2_1(p: AlphaParams, seq: "PolySeq | FamilySpec") -> tuple:
@@ -487,8 +465,7 @@ def _thm_2_1(p: AlphaParams, seq: "PolySeq | FamilySpec") -> tuple:
     [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
-    spec = _alpha_spec(p.alpha)
-    return spec, spec, (0, 1, 0, None, False), (1, 1, 0, None, False), (p.F, p.sign), _UNIT, one
+    return _alpha_spec(p.alpha), (1, 0, False), 1, (p.F, p.sign), _UNIT, one
 
 
 _SUN_P_X = FamilySpec("sun_p_x")
@@ -496,27 +473,12 @@ _MONOMIAL_X = FamilySpec("monomial_x")
 
 
 def _sun_p_x(p: SymParams) -> tuple:
-    """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, in the
-    Pochhammer form of its numerators over (q;q)_(n-1), the fden that
-    _thm_1_2 finds for generate("sun_p_x").  The rescaled sides carry that
-    denominator at q -> q^d: its residue is a cached tail (_cell_den), and
-    only _full_den expands it."""
-    spec = _sym_spec(p.r, p.d)
-    return spec, spec, (0, p.d, 0, 0, True), (-1, p.d, 0, 0, True), _UNIT, (p.E, p.sign), one
-
-
-def _sun_p(p: SymParams) -> tuple:
-    """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
-
-    With Q = q^step, step = +-d, the binomial numerators are the pair products
-    at r -> step*alpha, d -> -step.  The entries are (x;q)_k at q -> q^d and
-    (xq;q)_k at q -> q^-d, which is (x q^-d; q^-d)_k.  For odd n the right
-    denominator (q^-d;q^-d)_(n-1)^3 is q^(-3d*C(n,2)) (q^d;q^d)_(n-1)^3, the
-    left one times a monomial, which rscale takes.
-    """
-    _require(_odd_n(p.n))
-    return (_sun_p_spec(p.r, p.d), _spec(p.r, p.d, -p.d, 3, True), (0, p.d, 0, 0, False), (0, -p.d, 0, 1, False),
-            _UNIT, (p.E + 3 * p.d * _tri(p.n), p.sign), one)
+    """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, on the
+    numerators of the family over (q;q)_(n-1), the fden that _thm_1_2 finds
+    for generate("sun_p_x").  The rescaled side carries that denominator at
+    q -> q^d: its residue is a cached tail (_cell_den), and only _full_den
+    expands it."""
+    return _sym_spec(p.r, p.d), (p.d, 0, True), -1, _UNIT, (p.E, p.sign), one
 
 
 def _sum(weights, entries):
@@ -533,41 +495,33 @@ def _numerators(fs: tuple) -> tuple:
 
 def _entries(side: tuple, seq: "PolySeq | None", n: int) -> tuple:
     """The f_k of a side, as polynomials (_numerators), for _full_sides.  A
-    Pochhammer form is expanded by running products; a rescaled one is
-    sun_p_x over its common denominator, as _thm_1_2 has it, so the H_k of
-    _ring_side are not built here."""
-    _, _, _, poch, rescaled = side
-    if poch is None:
-        return _numerators(seq.entries)
-    if rescaled:
-        return _numerators(generate(_SUN_P_X, n).entries)
-    return tuple(qpoch_x_prefixes(poch, n))
+    rescaled side is sun_p_x over its common denominator, as _thm_1_2 has
+    it, so the H_k of _ring_side are not built here."""
+    return _numerators((generate(_SUN_P_X, n) if side[2] else seq).entries)
 
 
-def _expand(side: tuple, seq: "PolySeq | None", n: int) -> tuple:
+def _expand(fs: tuple, t: int, d: int, step: int) -> tuple:
     """The entries q^(step*k) T(f)_k(q^d) of a side, as full polynomials."""
-    t, d, step, _, _ = side
-    fs = _entries(side, seq, n)
     fs = (hat if t == 1 else tilde)(fs) if t else fs
     return tuple(f.substitute_power(d) * qpow(step * k) if step else f.substitute_power(d) for k, f in enumerate(fs))
 
 
-def _full_den(n: int, left: tuple, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
-    """The one denominator of both full sides, from G0, the left weights'
+def _full_den(n: int, side: tuple, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
+    """The one denominator of both full sides, from G0, the weights'
     (Q;Q)_(n-1)^power with Q = q^step: G0 times fden, or times
-    (q^d;q^d)_(n-1) for a rescaled left side."""
-    _, d, _, _, rescaled = left
+    (q^d;q^d)_(n-1) for a rescaled side."""
+    d, _, rescaled = side
     den = G0 * fden
     return den * qpoch(d, d, n - 1) if rescaled else den
 
 
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
-    n = st.p.n
-    built = {spec: _weights(lambda f: f, n, *spec) for spec in {st.lweights, st.rweights}}
-    (wl, G0), (wr, _) = built[st.lweights], built[st.rweights]
-    den = _full_den(n, st.left, st.fden, G0)
-    return (RatExpr(_sum(wl, _expand(st.left, st.seq, n)) * LaurentPoly.monomial(*st.lscale), den),
-            RatExpr(_sum(wr, _expand(st.right, st.seq, n)) * LaurentPoly.monomial(*st.rscale), den))
+    n, (d, step, _) = st.p.n, st.side
+    w, G0 = _weights(lambda f: f, n, *st.spec)
+    den = _full_den(n, st.side, st.fden, G0)
+    fs = _entries(st.side, st.seq, n)
+    return tuple(RatExpr(_sum(w, _expand(fs, t, d, step)) * LaurentPoly.monomial(*scale), den)
+                 for t, scale in ((0, st.lscale), (st.t, st.rscale)))
 
 
 @_budgeted(lambda G, n, step, power: len(G) * len(G[0]._coeffs))
@@ -585,68 +539,47 @@ def _ring_tails(n: int, step: int, power: int) -> tuple:
 def _ring_weights(n: int, spec: tuple) -> list:
     """The weights of a spec mod Phi_n^2, kept across the families of a cell.
     Their denominator G_0 is not kept here: it depends on the spec's step and
-    power alone, and _cell_den reads it off _ring_tails.
-
-    A spec with negative step (sun_p's right one) has the weights of
-    (-r, -d, -step, power, tri) under q -> 1/q, each by Residue.reflect:
-    shifted copies in place of the dense products P_k G_k."""
-    r, d, step, power, tri = spec
-    if step < 0:
-        return [wk.reflect() for wk in _ring_weights(n, _spec(-r, -d, -step, power, tri))]
-    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, step, power))[0]
-
-
-def _ring_kernel(n: int, spec: tuple, t: int, d: int, step: int) -> tuple:
-    """The u_j with Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2
-    for every sequence f.
-
-    At q -> q^d, row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1],
-    and T(f)_k is entry 0 of B_k...B_1 f.  So with v_k = w_k q^(step*k), u is
-    the transposed recurrence run from k = n-1 down:
-    y <- B_k^T y + v_(k-1) e_0, where (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].
-    That is Horner in a variable x that stands for the index m: u_j is the
-    coefficient of x^j in Sum_k v_k (x q^(t*d); q^(t*d))_k.
-
-    The weights end at w_K (_weights), so u has K + 1 entries and every u_j
-    past them is zero: Horner costs about K^2 shifts, not n^2.  Nothing is
-    kept here: _kernel_diff, which keeps the difference of a cell, forms the
-    t = 0 kernel, the v_k themselves, once and runs Horner on it once.
-    """
-    v = _ring_weights(n, spec)
-    if step:
-        v = [wk * qpow(step * k) for k, wk in enumerate(v)]
-    return tuple(horner(v, t * d, t * d) if t else v)
-
-
-def _times_ratio(u, e: int, sign: int):
-    """The residues of u times the ratio sign * q^e of two scales: u itself
-    when it is 1, negated when it is -1."""
-    if e:
-        ratio = LaurentPoly.monomial(e, sign)
-        return [uj * ratio for uj in u]
-    return u if sign == 1 else [-uj for uj in u]
+    power alone, and _cell_den reads it off _ring_tails."""
+    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, spec[2], spec[3]))[0]
 
 
 @lru_cache(maxsize=16)
 def _kernel_diff(n: int, spec: tuple, d: int, step: int, t: int, e: int, sign: int) -> tuple:
     """u^L - (rscale/lscale)*u^R mod Phi_n^2, the ratio being sign * q^e
-    (_ratio), for a linear cell (_report), or () when the two agree: exactly
-    when the statement holds for every family.  Both sides of a linear cell
-    have one weight spec and one (d, step); the left side is untransformed
-    (t = 0) and the right one transformed by t (hat or tilde), so u^L is the
-    t = 0 kernel and u^R one Horner on it.  The key holds no sequence and no
-    polynomial, so every family of a cell, the sun_p_x Pochhammer form
-    included, shares one entry."""
-    ul = _ring_kernel(n, spec, 0, d, step)
-    ur = _times_ratio(horner(ul, t * d, t * d), e, sign)
-    if tuple(ur) == ul:
+    (_ratio), or () when the two agree: exactly when the statement holds for
+    every family.  u^L and u^R are the kernels of the two sides, the u_j with
+    Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2 for
+    every sequence f, T the identity on the left and the transform t on the
+    right.  The key holds no sequence and no polynomial, so every family of
+    a cell, sun_p_x and sun_p included, shares one entry.
+
+    On the left, u^L_k = v_k = w_k q^(step*k).  At q -> q^d,
+    row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1], and T(f)_k
+    is entry 0 of B_k...B_1 f.  So u^R is the transposed recurrence run from
+    k = n-1 down: y <- B_k^T y + v_(k-1) e_0, where
+    (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].  That is Horner in a variable x
+    that stands for the index m: u^R_j is the coefficient of x^j in
+    Sum_k v_k (x q^(t*d); q^(t*d))_k.
+
+    The weights end at w_K (_weights), so both kernels have K + 1 entries and
+    every u_j past them is zero: Horner costs about K^2 shifts, not n^2."""
+    ul = _ring_weights(n, spec)
+    if step:
+        ul = [wk * qpow(step * k) for k, wk in enumerate(ul)]
+    ur = horner(ul, t * d, t * d)
+    if e:  # times the ratio; a ratio of +-1 costs no product
+        ratio = LaurentPoly.monomial(e, sign)
+        ur = [uj * ratio for uj in ur]
+    elif sign == -1:
+        ur = [-uj for uj in ur]
+    if ur == ul:
         return ()
     return tuple(a - b for a, b in zip(ul, ur, strict=True))
 
 
 @_budgeted(lambda den, n, step, power, rescaled_d, fden: len(fden) + 2 * totient(n))
 def _cell_den(n: int, step: int, power: int, rescaled_d: int, fden: LaurentPoly) -> "Residue | None":
-    """The one denominator of both sides in Q[q]/(Phi_n^2): the left weights'
+    """The one denominator of both sides in Q[q]/(Phi_n^2): the weights'
     G_0 = (q^step;q^step)_(n-1)^power (_ring_tails), times fden, or, for a
     side rescaled at q -> q^d (rescaled_d = d, else 0), times the tail
     H_0 = (q^d;q^d)_(n-1).  None when it is not a unit mod Phi_n.  It depends
@@ -667,36 +600,23 @@ def _ring_side(side: tuple, seq: "PolySeq | None", u, n: int) -> dict:
     for a kernel u of the side.
 
     A sequence side lifts f_0..f_(len(u)-1), each once, and forms one dot per
-    x-degree; no entry is transformed.  A Pochhammer side is
-    Sum_j g_j (x q^c; q^e)_j with g_j = u_j, or u_j q^(d*j) H_j when rescaled
-    (H_j the cached tails at (n, d, 1)), and horner gives its x-coefficients:
-    no entry is formed or lifted."""
-    _, d, _, poch, rescaled = side
-    if poch is None:
-        lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
-        return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
+    x-degree; no entry is transformed.  A rescaled side is
+    Sum_j g_j (x; q^d)_j with g_j = u_j q^(d*j) H_j (H_j the cached tails at
+    (n, d, 1)), and horner gives its x-coefficients: no entry is formed or
+    lifted."""
+    d, _, rescaled = side
     if rescaled:
-        u = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
-    return dict(enumerate(horner(u, poch * d, d)))
+        g = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
+        return dict(enumerate(horner(g, 0, d)))
+    lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
+    return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
 
 
 def _ring_diff(st: _Statement, u) -> dict:
     """The numerator of left minus right mod Phi_n^2 by x-degree, over
-    _cell_den: lscale * (Sum u^L_j f_j - (rscale/lscale) Sum u^R_j f_j).
-
-    u is the cell's nonempty _kernel_diff when the two sides map their
-    kernels alike (_report), and the difference is its map: thm1.1, thm1.2
-    (sun_p_x too), thm2.1 and guo_zeng.  u is None for sun_p, whose sides,
-    Pochhammer products at q^d and q^-d, each map their own kernel: with
-    t = 0 and step = 0, that kernel is the side's weights."""
-    n, left, right = st.p.n, st.left, st.right
-    if u is not None:
-        diff = _ring_side(left, st.seq, u, n)
-    else:
-        lsum = _ring_side(left, st.seq, _ring_weights(n, st.lweights), n)
-        rsum = _ring_side(right, st.seq, _times_ratio(_ring_weights(n, st.rweights), *_ratio(st.lscale, st.rscale)), n)
-        zero = reduce(0, n, 2)
-        diff = {j: lsum.get(j, zero) - rsum.get(j, zero) for j in lsum.keys() | rsum.keys()}
+    _cell_den: lscale * Sum_j u_j f_j(q^d), the map of the cell's nonempty
+    _kernel_diff u."""
+    diff = _ring_side(st.side, st.seq, u, st.p.n)
     if st.lscale == _UNIT:
         return diff
     lscale = LaurentPoly.monomial(*st.lscale)
@@ -704,8 +624,8 @@ def _ring_diff(st: _Statement, u) -> dict:
 
 
 def _bivariate(st: _Statement) -> bool:
-    """Whether a statement's residual is reported by x-degree: sides in
-    Pochhammer form, or an entry with x in it."""
+    """Whether a statement's residual is reported by x-degree: a rescaled
+    side, or an entry with x in it."""
     return st.seq is None or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
                                  for f in st.seq.entries)
 
@@ -731,21 +651,10 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     Laurent polynomials of qbinom_int, not the check's pair products, so these
     sides are an independent reference for that identity.
     """
-    st = _Statement(p, *_thm_2_1(p, seq), seq)
+    _, (d, step, _), t, lscale, rscale, _ = _thm_2_1(p, seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return (_sum(w, _expand(st.left, seq, p.n)) * LaurentPoly.monomial(*st.lscale),
-            _sum(w, _expand(st.right, seq, p.n)) * LaurentPoly.monomial(*st.rscale))
-
-
-def sun_p_sides(p: SymParams) -> tuple[RatExpr, RatExpr]:
-    """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
-
-    P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q (x;Q)_k / (Q;Q)_k.
-    With alpha = -r/d every q-exponent is an integer: the binomial
-    numerators become ordinary Pochhammer products with step +-d.  Each
-    side is built over the denominator (Q;Q)_{n-1}^3.
-    """
-    return _full_sides(_Statement(p, *_sun_p(p), None))
+    return (_sum(w, _expand(seq.entries, 0, d, step)) * LaurentPoly.monomial(*lscale),
+            _sum(w, _expand(seq.entries, t, d, step)) * LaurentPoly.monomial(*rscale))
 
 
 def _residual_text(res) -> str:
@@ -760,19 +669,19 @@ def _report(check: str, params: dict, p, cell: tuple, fam, started: float) -> Ch
     _Statement) and family, and report it.  The cell's denominator is
     certified first (_cell_den); one that is not a unit mod Phi_n raises, on
     every check, the error congruent raises on the full sides, with the full
-    denominator (_full_den), and no side is built for it.  Two sides that
-    map their kernels alike make the statement linear in f: it holds for
-    every family when the cell's _kernel_diff is empty, and is answered
-    then, with no family generated and no record built.  Otherwise the
-    family is attached (_sequence) and the difference mapped (_ring_diff):
-    the statement holds when every x-coefficient is zero, and a failing one
-    gets the residual of the same residues over the certified denominator."""
-    lspec, _, left, right, lscale, rscale, fden = cell
-    n, (_, _, step, power, _), (_, d, side_step, _, rescaled) = p.n, lspec, left
+    denominator (_full_den), and no side is built for it.  The statement
+    holds for every family when the cell's _kernel_diff is empty, and is
+    answered then, with no family generated and no record built.  Otherwise
+    the family is attached (_sequence) and the difference mapped
+    (_ring_diff): the statement holds when every x-coefficient is zero, and
+    a failing one gets the residual of the same residues over the certified
+    denominator."""
+    spec, side, t, lscale, rscale, fden = cell
+    n, (_, _, step, power, _), (d, side_step, rescaled) = p.n, spec, side
     den = _cell_den(n, step, power, d if rescaled else 0, fden)
     if den is None:
-        raise NoncoprimeDenominatorError(_full_den(n, left, fden, qpoch(step, step, n - 1) ** power), n)
-    u = _kernel_diff(n, lspec, d, side_step, right[0], *_ratio(lscale, rscale)) if left[1:] == right[1:] else None
+        raise NoncoprimeDenominatorError(_full_den(n, side, fden, qpoch(step, step, n - 1) ** power), n)
+    u = _kernel_diff(n, spec, d, side_step, t, *_ratio(lscale, rscale))
     holds, residual = u == (), None
     if not holds:
         st = _Statement(p, *cell, _sequence(fam, p.n))
@@ -791,8 +700,8 @@ def check_thm_1_1(p: SymParams, fam) -> CheckReport:
 
 
 def check_thm_1_2(p: SymParams, fam) -> CheckReport:
-    """The sun_p_x label is decided in Pochhammer form (_sun_p_x): no entry of
-    the family is built.  Every other family, a custom PolySeq of the same
+    """The sun_p_x label is decided on its rescaled side (_sun_p_x): no entry
+    of the family is built.  Every other family, a custom PolySeq of the same
     entries included, goes through _thm_1_2."""
     started = time.perf_counter()
     fam, label = _resolve_family(fam)
@@ -874,9 +783,17 @@ def check_guo_zeng(p: SymParams) -> CheckReport:
 
 
 def check_sun_p_analogue(p: SymParams) -> CheckReport:
+    """P_n(-r/d, x; q^d)  vs  sign * q^E * P_n(-r/d, x q^(-d); q^(-d)), odd n.
+
+    P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q (x;Q)_k / (Q;Q)_k.
+    With alpha = -r/d, each side equals the side of Theorem 1.2 at the
+    sun_p_x family f_k = q^k (x;q)_k / (q;q)_k as a rational function, so
+    this is decided as that cell (_sun_p_x), by thm1.2's kernel difference.
+    """
     started = time.perf_counter()
+    _require(_odd_n(p.n))
     params = {"n": p.n, "d": p.d, "r": p.r, "family": "sun_p_x"}
-    return _report("sun_p", params, p, _sun_p(p), None, started)
+    return _report("sun_p", params, p, _sun_p_x(p), None, started)
 
 
 def _binom_frac(alpha: Fraction, k: int) -> Fraction:
@@ -972,7 +889,7 @@ class Check:
     args     argument names, in the order sweep records sort by
     invalid  (*args) -> why a sweep skips the cell (a hypothesis fails), or None
     run      (*args) -> CheckReport; ill-posed arguments raise ValueError
-    key      (*args) -> (n, left weight spec) of the statement run builds, by
+    key      (*args) -> (n, weight spec) of the statement run builds, by
              the spec helper its builder uses, or () for a check without
              ring weights; sweeps run tasks grouped by it.  Pure arithmetic
              on the arguments, so it never raises.
@@ -1047,7 +964,7 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d) or _odd_n(n),
         lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
-        lambda n, d, r: (n, _sun_p_spec(r, d)),
+        lambda n, d, r: (n, _sym_spec(r, d)),
         cost=lambda n, d, r: _horner_span(n),
     ),
     "lemma-sn": Check(

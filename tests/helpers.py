@@ -9,7 +9,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from qcong.laurent import LaurentPoly
+from qcong.bivariate import BiPoly, RatExpr
+from qcong.laurent import LaurentPoly, one, qpow
+from qcong.qcalc import qpoch
 
 
 def terms_of(p: LaurentPoly) -> dict:
@@ -222,6 +224,26 @@ def transform_matrix(kind: str, length: int) -> list:
         ]
         for k in range(length)
     ]
+
+
+def sun_p_by_definition(p) -> tuple:
+    """Both sides of the q-analogue of Sun's congruence at the cell p (odd n),
+    from P_n(alpha, x; Q) = Sum_(k<n) Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q
+    (x;Q)_k / (Q;Q)_k at alpha = -r/d: P_n(alpha, x; q^d) and
+    sign * q^E * P_n(alpha, x q^-d; q^-d), each over its (Q;Q)_(n-1)^3.
+
+    [alpha,k]_Q = (Q^alpha;Q^-1)_k / (Q;Q)_k, and Q^alpha = q^-r at Q = q^d
+    and q^r at Q = q^-d, so every exponent is an integer."""
+    sides = []
+    for e, x_shift in ((p.d, 0), (-p.d, -p.d)):  # Q = q^e, x -> x q^x_shift
+        a = -p.r if e > 0 else p.r  # Q^alpha = q^a
+        num, x_poch = BiPoly(), BiPoly.const(one)
+        for k in range(p.n):
+            binoms = qpoch(a, -e, k) * qpoch(-e - a, -e, k)
+            num = num + x_poch * (qpow(e * (k * k + k)) * binoms * qpoch(e * (k + 1), e, p.n - 1 - k) ** 3)
+            x_poch = x_poch * BiPoly({0: one, 1: -qpow(x_shift + e * k)})
+        sides.append(RatExpr(num, qpoch(e, e, p.n - 1) ** 3))
+    return sides[0], sides[1] * (qpow(p.E) * p.sign)
 
 
 def dense_of(p: LaurentPoly) -> list:

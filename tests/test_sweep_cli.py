@@ -288,8 +288,8 @@ def check_arguments(draw):
 @settings(max_examples=60, deadline=None)
 @given(check_arguments())
 def test_the_sweep_key_is_the_statement_a_check_builds(case):
-    """A keyed check's key is (n, lweights) of the statement its run decides:
-    the n of its params and the left weight spec of the cell that _report
+    """A keyed check's key is (n, spec) of the statement its run decides:
+    the n of its params and the weight spec of the cell that _report
     decides it from.  A check without a key decides no statement."""
     check_id, args = case
     check = CHECKS[check_id]
@@ -494,6 +494,20 @@ def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
     assert recs[0] == {"check": "thm1.1", "n": 1, "d": 1, "r": 0, "family": "ones",
                        "error": "n must be at least 2"}
     assert [(rec["n"], rec["holds"]) for rec in recs[1:]] == [(2, True), (3, True)]
+
+
+@pytest.mark.parametrize("flag,error", [
+    ("--workers=two", "workers: expected an integer, got 'two'"),
+    ("--classical-bound=1.5", "classical_bound: expected an integer, got '1.5'"),
+    ("--classical-seeds=", "classical_seeds takes a single value"),
+    ("--classical-seeds=3e2", "classical_seeds: expected an integer, got '3e2'"),
+    ("--alphas=1/0", "alphas: expected a fraction, got '1/0'"),
+    ("--alphas=1/2,half", "alphas: expected a fraction, got 'half'"),
+    ("--n=3,x", "n: expected integer or range, got 'x'"),
+])
+def test_cli_sweep_names_the_key_of_a_malformed_value(flag, error, capsys):
+    assert cli.main(["sweep", "--theorems=classical", "--n=3", flag]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {error}"
 
 
 def test_cli_accepts_negative_flag_values(capsys):

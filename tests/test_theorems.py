@@ -8,7 +8,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from helpers import transform_matrix
+from helpers import sun_p_by_definition, transform_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,14 +29,12 @@ from qcong.theorems import (
     _full_sides,
     _residual_text,
     _cell_den,
-    _ring_kernel,
     _ring_side,
     _ring_weights,
     _alpha_spec,
     _bivariate,
     _spec,
     _Statement,
-    _sun_p,
     _sun_p_x,
     _thm_1_1,
     _thm_1_2,
@@ -52,7 +50,6 @@ from qcong.theorems import (
     check_thm_1_1,
     check_thm_1_2,
     check_thm_2_1,
-    sun_p_sides,
     thm_1_1_sides,
     thm_1_2_sides,
     thm_2_1_sides,
@@ -262,26 +259,33 @@ def _full_verdict(lhs, rhs, n):
 
 def _statement(build, p, seq=None):
     """The _Statement of a builder's cell at p with the sequence seq attached
-    (None for sides in Pochhammer form), as a check attaches it."""
+    (None for a rescaled side), as a check attaches it."""
     return _Statement(p, *(build(p) if seq is None else build(p, seq)), seq)
+
+
+def _kernel(n, spec, t, d, step):
+    """The kernel of a side as _kernel_diff forms it: the weights times
+    q^(step*k), and Horner on them for a side transformed by t."""
+    v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec))]
+    return horner(v, t * d, t * d) if t else v
 
 
 def _ring_ratexprs(statement):
     """Each side in the ring, its own kernel times the monomial of its own
     (exponent, sign) scale mapped by _ring_side, as two RatExpr over the one
     denominator of _cell_den."""
-    n, (_, _, step, power, _), (_, d, _, _, rescaled) = statement.p.n, statement.lweights, statement.left
+    n, (_, _, step, power, _), (d, side_step, rescaled) = statement.p.n, statement.spec, statement.side
     den = _cell_den(n, step, power, d if rescaled else 0, statement.fden).rep
 
-    def side(sd, spec, scale):
+    def side(t, scale):
         scale = LaurentPoly.monomial(*scale)
-        residues = _ring_side(sd, statement.seq, [uj * scale for uj in _ring_kernel(n, spec, *sd[:3])], n)
+        kernel = _kernel(n, statement.spec, t, d, side_step)
+        residues = _ring_side(statement.side, statement.seq, [uj * scale for uj in kernel], n)
         if _bivariate(statement):
             return RatExpr(BiPoly({j: r.rep for j, r in residues.items()}), den)
         return RatExpr(residues[0].rep, den)
 
-    return side(statement.left, statement.lweights, statement.lscale), \
-        side(statement.right, statement.rweights, statement.rscale)
+    return side(0, statement.lscale), side(statement.t, statement.rscale)
 
 
 @pytest.mark.parametrize("cell", RING_CELLS)
@@ -306,7 +310,7 @@ def test_ring_check_matches_full_sides(cell, name):
             compare(check_thm_2_1(alpha, fam), thm_2_1_sides(alpha, seq))
     compare(check_guo_zeng(p), thm_1_1_sides(p, generate("monomial_x", p.n)))
     if p.n % 2:
-        compare(check_sun_p_analogue(p), sun_p_sides(p))
+        compare(check_sun_p_analogue(p), sun_p_by_definition(p))
     if name != "true" and p.n > 2:
         assert all(failures.values()), f"the perturbation went unnoticed: {failures}"
     elif name == "true":
@@ -333,13 +337,14 @@ def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
 
 @st.composite
 def horner_cases(draw):
-    """(statement, bumped): a side in Pochhammer form at n <= 15, d coprime to
-    n, r in -5..5, and whether its lhs is bumped by c*q^j*Phi_n at x^i."""
+    """(statement, bumped): guo_zeng's statement or a rescaled side at n <= 15,
+    d coprime to n, r in -5..5, and whether its lhs is bumped by c*q^j*Phi_n
+    at x^i."""
     n = draw(st.integers(min_value=2, max_value=15))
     d = draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1))
     p = SymParams.create(n, d, draw(st.integers(min_value=-5, max_value=5)))
     statements = [partial(_statement, _thm_1_1, seq=generate("monomial_x", n)), partial(_statement, _sun_p_x)]
-    st_ = draw(st.sampled_from(statements + [partial(_statement, _sun_p)] * (n % 2 and n >= 3)))(p=p)
+    st_ = draw(st.sampled_from(statements))(p=p)
     bump = None
     if draw(st.booleans()):
         c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
@@ -351,11 +356,11 @@ def horner_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(horner_cases())
 def test_horner_sides_match_the_full_sides(case):
-    """guo_zeng, sun_p and thm1.2 sun_p_x, each side mapped in the ring by
-    _ring_side (Horner in x for a Pochhammer side), give the verdict and
-    residual string of the same statement on full polynomials (_full_sides:
-    BiPoly entries by running products, transformed by hat or tilde), on the
-    true sides and with the lhs bumped off them.
+    """guo_zeng and thm1.2 sun_p_x (which sun_p decides), each side mapped in
+    the ring by _ring_side (Horner in x for the rescaled side), give the
+    verdict and residual string of the same statement on full polynomials
+    (_full_sides: BiPoly entries by running products, transformed by hat or
+    tilde), on the true sides and with the lhs bumped off them.
     Each ring side is congruent to its full side, so a change that scales
     both alike is caught too."""
     st_, bump = case
@@ -755,28 +760,27 @@ def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
 
 
 def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
-    """_report keys a linear cell's _kernel_diff on one spec, the sides'
-    (d, step) and the right side's t: every builder's cell whose sides map
-    their kernels alike (left[1:] == right[1:]) has lspec == rspec, an
-    untransformed left side and a transformed right one.  sun_p's sides,
-    mapped apart, have t = 0 and step = 0, so their kernels are the
-    weights."""
-    linear = 0
+    """_report keys a cell's _kernel_diff on its one spec, its side's
+    (d, step) and the right side's t: every builder's cell is
+    (spec, (d, step, rescaled), t, lscale, rscale, fden), with the spec of its
+    CHECKS key, the cell's d (1 for thm2.1) and t = 1 (hat) or -1 (tilde); the
+    left side is untransformed by construction."""
+    cells = 0
     for n in range(2, 10):
         for d in (d for d in range(1, 5) if math.gcd(n, d) == 1):
             for r in range(-3, 5):
-                p = SymParams.create(n, d, r)
-                cells = [_thm_1_1(p, FamilySpec.parse("ones")), _thm_1_2(p, FamilySpec.parse("ones")),
-                         _thm_1_2(p, generate("sun_p_x", n)), _sun_p_x(p),
-                         theorems._thm_2_1(AlphaParams.create(n, r % n, d - 2), FamilySpec.parse("ones"))]
-                if n % 2:
-                    left, right = _sun_p(p)[2:4]
-                    assert left[1:] != right[1:] and left[0] == right[0] == 0 and left[2] == right[2] == 0
-                for lspec, rspec, left, right, *_ in cells:
-                    assert left[1:] == right[1:], (n, d, r)
-                    assert lspec == rspec and left[0] == 0 and right[0] in (1, -1), (n, d, r)
-                    linear += 1
-    assert linear > 500
+                p, alpha = SymParams.create(n, d, r), AlphaParams.create(n, r % n, d - 2)
+                ones = FamilySpec.parse("ones")
+                built = [(_thm_1_1(p, ones), _sym_spec(r, d), (d, d, False), 1),
+                         (_thm_1_2(p, ones), _sym_spec(r, d), (d, 0, False), -1),
+                         (_thm_1_2(p, generate("sun_p_x", n)), _sym_spec(r, d), (d, 0, False), -1),
+                         (_sun_p_x(p), _sym_spec(r, d), (d, 0, True), -1),
+                         (theorems._thm_2_1(alpha, ones), _alpha_spec(alpha.alpha), (1, 0, False), 1)]
+                for cell, spec, side, t in built:
+                    assert cell[:3] == (spec, side, t), (n, d, r)
+                    assert all(sign in (1, -1) for _, sign in cell[3:5]), (n, d, r)
+                    cells += 1
+    assert cells > 500
 
 
 def test_the_bench_cache_scan_finds_the_budgeted_tables():
@@ -959,7 +963,8 @@ def test_guo_zeng_is_thm_1_1_at_x_powers(name):
 
 # -- the one weight formula ---------------------------------------------------
 
-# (r, d) -> the (r, d, step, power, tri) spec of each statement side
+# (r, d) -> the (r, d, step, power, tri) spec of each weight shape: the
+# statements', and those of P_n, Sun's sums, at Q = q^d and Q = q^-d
 SPEC_SHAPES = {
     "thm1.1/thm1.2/guo_zeng": lambda r, d: (r, d, d, 2, False),
     "thm2.1": lambda r, d: (r, -1, 1, 2, True),  # r plays alpha
@@ -1031,21 +1036,6 @@ def test_r_and_d_minus_r_share_one_weight_set(shape):
     assert bounded  # some weight sets do stop early
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=2, max_value=15),
-       st.tuples(st.integers(-6, 6), st.integers(-7, 7).filter(bool), st.integers(-7, -1),
-                 st.sampled_from([2, 3]), st.booleans()))
-@example(7, (1, 2, -2, 3, True))  # sun_p's right specs at (n, d, r) = (7, 2, 1),
-@example(9, (-2, 4, -4, 3, True))  # (9, 4, -2),
-@example(13, (5, 3, -3, 3, True))  # (13, 3, 5)
-@example(15, (0, 2, -2, 3, True))  # and (15, 2, 0)
-def test_weights_of_a_negative_step_are_the_reflected_ones(n, spec):
-    """The ring weights of a spec with negative step, made by q -> 1/q from the
-    spec (-r, -d, -step, power, tri), equal the weights built factor by factor
-    in the ring."""
-    assert _ring_weights(n, spec) == _weights(partial(reduce, n=n, m=2), n, *spec)[0]
-
-
 def test_thm_2_1_weights_are_the_q_binomial_products():
     """q^(k^2+k) [alpha,k][-1-alpha,k] from qbinom_int equals w_k / den, alpha = a + s*n."""
     for n in range(2, 10):
@@ -1087,8 +1077,10 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_ring_kernel_is_the_transposed_transform(case):
     """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, T from the
-    matrix and every w_k, k < n, from the formula.  u has one entry per ring
-    weight, so the f_j past it are never read."""
+    matrix and every w_k, k < n, from the formula, for the kernel u that
+    _kernel_diff forms: Horner at (t*d, t*d) on the weights times
+    q^(step*k).  u has one entry per ring weight, so the f_j past it are
+    never read."""
     n, spec, t, d, step, entries = case
     w, _ = _formula_weights(n, spec)
     matrix = transform_matrix("hat" if t == 1 else "tilde", n) if t else None
@@ -1098,7 +1090,7 @@ def test_ring_kernel_is_the_transposed_transform(case):
         if t:
             tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
         total = tk.substitute_power(d) * qpow(step * k) * w[k] + total
-    u = _ring_kernel(n, spec, t, d, step)
+    u = _kernel(n, spec, t, d, step)
     assert len(u) == len(_ring_weights(n, spec)) <= n
     lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in entries]
     expected = reduce_by_degree(total, n, 2)
@@ -1198,20 +1190,53 @@ def test_sun_p_analogue_needs_odd_n():
 
 def test_sun_p_sides_are_rational_with_coprime_denominator():
     p = SymParams.create(5, 2, 1)
-    lhs, rhs = sun_p_sides(p)
+    lhs, rhs = sun_p_by_definition(p)
     assert congruent(lhs, rhs, 5, 2)
 
 
-def test_sun_p_right_denominator_is_the_left_times_a_monomial():
-    """(q^-d;q^-d)_(n-1)^3 = q^(-3d*C(n,2)) (q^d;q^d)_(n-1)^3 for odd n, the
-    monomial that _sun_p moves into rscale so that both sides share one
-    denominator."""
-    for n in range(3, 16, 2):
-        for d in (d for d in range(1, 8) if math.gcd(n, d) == 1):
-            for r in range(-3, 4):
-                lspec, rspec = _sun_p(SymParams.create(n, d, r))[:2]
-                left, right = (theorems._ring_tails(n, step, power)[0] for _, _, step, power, _ in (lspec, rspec))
-                assert right == left * qpow(-3 * d * math.comb(n, 2)), (n, d, r)
+@pytest.mark.parametrize("cell", [(3, 1, 1), (5, 2, -1), (7, 3, 2), (9, 4, -3), (11, 2, 4), (13, 5, 0),
+                                  (15, 4, -2)])
+def test_sun_p_is_theorem_1_2_at_sun_p_x(cell):
+    """Each side of sun_p, built from the paper's P_n at Q = q^d and q^-d
+    over (Q;Q)_(n-1)^3, equals the thm1.2 side on the sun_p_x entries as a
+    rational function, not only mod Phi_n^2; with the sign flipped the right
+    sides differ."""
+    p = SymParams.create(*cell)
+    sides = thm_1_2_sides(p, generate("sun_p_x", p.n))
+    assert sun_p_by_definition(p) == sides
+    assert sun_p_by_definition(dataclasses.replace(p, sign=-p.sign))[1] != sides[1]
+
+
+@pytest.mark.parametrize("name", PERTURBATIONS)
+def test_sun_p_reports_thm_1_2_on_sun_p_x(name):
+    """check_sun_p_analogue and check_thm_1_2 on the sun_p_x label, each
+    decided cold, give reports equal in every field but check and
+    wall_time, on the true records and on perturbed ones."""
+    perturb, failing = PERTURBATIONS[name], 0
+    for n in range(3, 14, 2):
+        for d in (d for d in range(1, 6) if math.gcd(n, d) == 1):
+            for r in (-4, -1, 0, 3):
+                p = perturb(SymParams.create(n, d, r))
+                reports = []
+                for check in (check_sun_p_analogue, partial(check_thm_1_2, fam="sun_p_x")):
+                    theorems._kernel_diff.cache_clear()
+                    reports.append(dataclasses.replace(check(p), check="", wall_time=0.0))
+                assert reports[0] == reports[1], (n, d, r)
+                failing += not reports[0].holds
+    assert failing == 0 if name == "true" else failing > 50
+
+
+def test_sun_p_after_thm_1_2_adds_no_kernel_diff_miss():
+    """A sun_p check of a cell that thm1.2 has decided reads thm1.2's kernel
+    difference: true, or with the sign flipped, it adds a hit and no miss."""
+    cell = SymParams.create(11, 3, 2)
+    for p in (cell, dataclasses.replace(cell, sign=-cell.sign)):
+        theorems._kernel_diff.cache_clear()
+        holds = check_thm_1_2(p, "ones").holds
+        before = theorems._kernel_diff.cache_info()
+        assert check_sun_p_analogue(p).holds == holds
+        after = theorems._kernel_diff.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
 
 
 # -- the classical rational-number congruence --------------------------------
