@@ -53,8 +53,9 @@ coincide).  A denominator is certified coprime to Phi_n by its residue mod
 Phi_n being nonzero.  A denominator of 1 is neither certified nor inverted;
 any other is certified once per (den, n, m) (_certify_den, which also keeps
 the fact that den is not a unit, so that it raises on every call), since
-every family and every r of an (n, d) share the theorem sides'
-(q^d;q^d)_(n-1)^2.  _residual_of is the residual of sides already
+every family and every r of an (n, d) share the full theorem sides'
+(q^d;q^d)_(n-1)^2, and the theorem checks certify a rational family's
+denominator there.  _residual_of is the residual of sides already
 in the ring, a numerator difference by x-degree over one unit denominator
 or over 1: residual uses it after _difference, and the theorem checks use
 it on their residues directly.  Residuals and Residue.inverse invert a
@@ -67,11 +68,10 @@ from a second cache (_inverse), keyed on the certified residue, multiplies
 by the integer cofactor and applies the scale last; a zero difference needs
 no inverse, and one over 1 is its own representative.
 
-Both caches, and theorems._ring_tails and theorems._cell_den, are kept by
-_budgeted under one budget in coefficients (RING_BUDGET = 2^18, about 13 MB
-at 45-50 bytes a coefficient), least recently used first: an entry's cost
-is known from its shape, and the newest entry stays even when it alone is
-over the budget.
+Both caches, and theorems._ring_tails, are kept by _budgeted under one
+budget in coefficients (RING_BUDGET = 2^18, about 13 MB at 45-50 bytes a
+coefficient), least recently used first: an entry's cost is known from its
+shape, and the newest entry stays even when it alone is over the budget.
 So small moduli keep every entry a workload reads, and a large one holds a
 few.  The rings themselves are kept for 256 moduli (_ring).
 

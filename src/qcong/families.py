@@ -53,7 +53,10 @@ class SplitMix64:
 
 
 def random_int_sequence(seed: int, length: int, bound: int = DEFAULT_COEFF_BOUND) -> list[int]:
-    """Deterministic integer sequence for the classical-congruence checks."""
+    """Deterministic integer sequence for the classical-congruence checks,
+    each entry in [-bound, bound]; bound must be at least 1."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     rng = SplitMix64(seed)
     return [rng.next_int(bound) for _ in range(length)]
 

@@ -2,48 +2,50 @@
 
 Every statement is one _Statement record comparing
 lscale * Sum w_k X_k / den with rscale * Sum w_k T(X)_k / den mod Phi_n^2:
-one set of weights, one side X_k = q^(step*k) f_k(q^d), and the right
+one set of weights, one side X_k = q^(step*k) f_k(q^|d|), and the right
 side's transform T, hat (t = 1) or tilde (t = -1), applied to f before the
-substitution.  Its builder (_thm_1_1, _thm_1_2, _thm_2_1 or _sun_p_x;
-guo_zeng is _thm_1_1 at f_k = x^k, whose right entries hat(x^k) are
-(xq;q)_k, and _sun_p_x is Theorem 1.2 on the sun_p_x label) checks the
-family's hypotheses and returns the cell: every field but the sequence f,
-as plain tuples and ints.  _weights builds the weights from an integer
-spec, in the carrier of a lift function.  The side is (d, step, rescaled):
-a rescaled side reads no sequence, its f_k being the numerators
-q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1).  A named
-family stays a FamilySpec, whose kind is known at once; it is generated,
-and the record built with it, only where a difference is mapped or a side
-expanded, and then once per check.
+substitution.  Its builder (_thm_1_1, _thm_1_2 or _thm_2_1; guo_zeng is
+_thm_1_1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k) checks
+the family's hypotheses and returns the cell: every field but the sequence
+f, as plain tuples and ints.  The weight spec is (min(r, d - r), d), d = -1
+for thm2.1 (_spec), and _weights builds the weights from it, in the carrier
+of a lift function: Q = q^|d|, power 2, and the factor Q^(k^2+k) exactly
+when d < 0.  The side is (step, rescaled): _thm_1_2 returns the rescaled
+side for the sun_p_x label, which reads no sequence, its f_k being the
+numerators q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1).  A
+named family stays a FamilySpec, whose kind is known at once; it is
+generated, and the record built with it, only where a difference is mapped
+or a side expanded, and then once per check.
 
 sun_p, the q-analogue of Sun's congruence,
 P_n(-r/d, x; q^d) == sign * q^E * P_n(-r/d, x q^-d; q^-d) (mod Phi_n^2) for
 odd n, with P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q
 (x;Q)_k / (Q;Q)_k, is Theorem 1.2 at sun_p_x: each of its sides equals the
 thm1.2 side there as a rational function, not only mod Phi_n^2.  So
-check_sun_p_analogue decides the _sun_p_x cell, and shares its kernel
-difference.
+check_sun_p_analogue decides the rescaled thm1.2 cell, and shares its
+kernel difference.
 
 _full_sides expands the sides on full polynomials: the public *_sides
 builders, which the negative-control tests perturb, and the oracle of the
 checks.  The checks decide in Q[q]/(Phi_n^2), and never form anything above
-degree 2*phi(n), however large the exponents.  _ring_diff yields the
-numerator of left minus right, by x-degree, as residues over the one
-denominator of _cell_den, and _report decides on it: the statement holds
-when every x-coefficient is zero.  No residue goes back to a polynomial, and
-nothing is reduced or certified twice; a failing check gets its residual
-from the same residues (congruence._residual_of, which residual uses too),
-and the cell's denominator is inverted once (congruence._inverse).
+degree 2*phi(n), however large the exponents.  Each of the five ring checks
+is one _check call, which certifies the cell's denominator, looks up its
+kernel difference and, when that is not empty, maps it (_ring_diff: the
+numerator of left minus right, by x-degree, as residues over the cell's one
+denominator): the statement holds when every x-coefficient is zero.  No
+residue goes back to a polynomial, and nothing is reduced or certified
+twice; a failing check gets its residual from the same residues
+(congruence._residual_of, which residual uses too), and the cell's
+denominator is inverted once (congruence._inverse).
 Each ring cache is keyed on what it reads.  The tails G_k (per
-(n, step, power)) and the certified cell denominators (_cell_den, per
-(n, step, power, rescaled d, fden)) depend on neither r nor alpha, so every
-r of a cell, every round of a grid and every alpha of thm2.1 share them;
-they are kept under the ring budget in coefficients (congruence._budgeted),
-with the certified denominators of congruence and their inverses.  The
-weights (per (n, spec)) and the kernel differences (_kernel_diff) are keyed
-per r and keep entry counts; a kernel is not kept apart from its
-difference.  A spec is keyed on min(r, d - r) (_spec), since the weights
-are symmetric under r <-> d - r.
+(n, |d|, power)) depend on neither r nor alpha, so every r of a cell,
+every round of a grid and every alpha of thm2.1 share them; they are kept
+under the ring budget in coefficients (congruence._budgeted), with the
+certified denominators of congruence and their inverses.  The weights (per
+(n, spec)) and the kernel differences (_kernel_diff) are keyed per r and
+keep entry counts; a kernel is not kept apart from its difference.  A spec
+is keyed on min(r, d - r), since the weights are symmetric under
+r <-> d - r.
 
 Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
 exactly when n divides e, so, with a*d + r == 0 (mod n) in the spec's r and
@@ -58,29 +60,31 @@ residues, not set by a cutoff; the tails still run to G_0.
 
 Every statement is linear: both sides read the same entries (the rescaled
 sun_p_x side reads none, on both sides alike).  A side is linear in f, so
-Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does not depend on
+Sum_k w_k X_k = Sum_j u_j f_j(q^|d|) for a kernel u that does not depend on
 f, and the difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j)
-f_j(q^d): the statement holds for every family when that kernel difference
-is zero.  _kernel_diff builds it once per cell, forming the untransformed
-kernel u^L, the weights times q^(step*k), and running Horner on it once for
-the right side's t (the transposed q-Pascal recurrence of hat and tilde),
-in a bounded cache keyed on n, the spec, d, step, t and the ratio's exponent
-and sign: sun_p, sun_p_x and every other thm1.2 family of a cell share one
-entry.  The scales are signed monomials kept as (exponent, sign) pairs, so
-the key holds plain ints.  _report reads the key off the cell, which the
-builder made from the params record it was given (E or F, sign and alpha
-included), so a perturbed record has a key of its own.  A check of a cell
-whose difference is empty is answered there: it builds no record,
+f_j(q^|d|): the statement holds for every family when that kernel
+difference is zero.  _kernel_diff builds it once per cell, forming the
+untransformed kernel u^L, the weights times q^(step*k), and running Horner
+on it once for the right side's t (the transposed q-Pascal recurrence of hat
+and tilde), in a bounded cache keyed on n, the spec, step, t and the ratio's
+exponent and sign: sun_p, sun_p_x and every other thm1.2 family of a cell
+share one entry.  The scales are signed monomials kept as (exponent, sign)
+pairs, so the key holds plain ints.  _check reads the key off the cell,
+which the builder made from the params record it was given (E or F, sign
+and alpha included), so a perturbed record has a key of its own.  A check
+of a cell whose difference is empty is answered there: it builds no record,
 generates no family, lifts no entry, forms no dot and runs no Horner.  One
 whose difference is not attaches the family and maps the difference once
-(_ring_side), lifting each f_j(q^d) once and transforming nothing, so every
-failing verdict and residual comes from that.  The denominator, the spec's
-(q^step;q^step)_(n-1)^power times fden or times the rescaled side's
-(q^d;q^d)_(n-1), is certified once per (n, step, power) and family
-denominator, not per r (_cell_den); the cache also keeps the fact that it
-is not a unit, so such a cell raises on every check.  guo_zeng, being
-thm1.1 at x^k, shares the weights, kernels and decision of thm1.1 at its
-(n, d, r).
+(_ring_side), lifting each f_j(q^|d|) once and transforming nothing, so
+every failing verdict and residual comes from that.  The denominator is
+G_0 = (Q;Q)_(n-1)^2 times fden, or times the rescaled side's
+H_0 = (Q;Q)_(n-1).  G_0 and H_0 are units mod Phi_n exactly when
+gcd(n, d) = 1, which SymParams.create requires, so only a family
+denominator is certified, once (congruence._certify_den, which also keeps
+the fact that it is not a unit, so such a cell raises on every check); the
+product is formed only on a failing cell, for its residual.  guo_zeng,
+being thm1.1 at x^k, shares the weights, kernels and decision of thm1.1 at
+its (n, d, r).
 
 The rescaled side is Sum_j g_j (x; q^d)_j with ring coefficients g_j, and
 congruence.horner gives its x-coefficients from the last j down,
@@ -96,9 +100,9 @@ The lemma checks decide mod Phi_n on Pochhammer products, one factor at a
 time.
 
 CHECKS keys each check that builds a statement by (n, its weight spec),
-from the spec helpers its builder uses (_sym_spec, _alpha_spec); a sweep
-runs its tasks grouped by that key, so the weights and kernels of a cell
-are built once while the bounded caches hold them.
+the _spec its builder uses; a sweep runs its tasks grouped by that key, so
+the weights and kernels of a cell are built once while the bounded caches
+hold them.
 
 Parameter conventions:
 
@@ -122,7 +126,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bivariate import BiPoly, RatExpr
-from .congruence import (NoncoprimeDenominatorError, Residue, _budgeted, _residual_of, dot, horner, reduce,
+from .congruence import (NoncoprimeDenominatorError, _budgeted, _certify_den, _residual_of, dot, horner, reduce,
                          reduce_by_degree)
 from .cyclotomic import totient
 from .families import FamilySpec, generate, random_int_sequence
@@ -351,10 +355,11 @@ def _pairs(lift, r: int, d: int, n: int) -> list:
     return P
 
 
-def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool, G=None) -> tuple:
-    """w_k = Q^(k^2+k if tri) P_k G_k over G_0, Q = q^step: the weight
-    Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^power of every statement.
-    G, the tails _tails(lift, step, n, power), is built here unless given.
+def _weights(lift, n: int, r: int, d: int, G=None) -> tuple:
+    """w_k = Q^(k^2+k if d < 0) P_k G_k over G_0, Q = q^|d|: the weight
+    Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^2 of every statement,
+    the factor Q^(k^2+k) being thm2.1's (d = -1).  G, the tails
+    _tails(lift, |d|, n, 2), is built here unless given.
 
     The weights stop where _pairs does, at w_K with P_(K+1) zero in the
     carrier, so every later weight is zero there too: mod Phi_n^2,
@@ -363,34 +368,22 @@ def _weights(lift, n: int, r: int, d: int, step: int, power: int, tri: bool, G=N
     Every factor is a sparse polynomial, so a residue carrier multiplies it
     by shifted copies; only P_k G_k is a dense product.
     """
+    step = abs(d)
     if G is None:
-        G = _tails(lift, step, n, power)
+        G = _tails(lift, step, n, 2)
     w = [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))]
-    if tri:
+    if d < 0:
         w = [wk * qpow(step * (k * k + k)) for k, wk in enumerate(w)]
     return w, G[0]
 
 
-def _spec(r: int, d: int, step: int, power: int, tri: bool) -> tuple:
-    """The spec (r, d, step, power, tri) of _weights with r replaced by
-    min(r, d - r).  P_k is symmetric under r <-> d - r (alpha <-> -1 - alpha
-    for thm2.1), so the two spellings share one set of ring weights and
-    kernels."""
-    return min(r, d - r), d, step, power, tri
-
-
-# The weight spec of each statement, from the check's arguments alone: the
-# statement builders use them, and CHECKS keys sweep tasks by them.
-
-
-def _sym_spec(r: int, d: int) -> tuple:
-    """thm1.1, thm1.2 (sun_p_x included), guo_zeng and sun_p."""
-    return _spec(r, d, d, 2, False)
-
-
-def _alpha_spec(alpha: int) -> tuple:
-    """thm2.1, alpha = a + s*n."""
-    return _spec(alpha, -1, 1, 2, True)
+def _spec(r: int, d: int) -> tuple:
+    """The weight spec (r, d) of _weights with r replaced by min(r, d - r):
+    (r, d) for thm1.1, thm1.2, guo_zeng and sun_p, (alpha, -1) for thm2.1.
+    P_k is symmetric under r <-> d - r (alpha <-> -1 - alpha for thm2.1), so
+    the two spellings share one set of ring weights and kernels.  The
+    statement builders use it, and CHECKS keys sweep tasks by it."""
+    return min(r, d - r), d
 
 
 # -- the statements -----------------------------------------------------------
@@ -399,20 +392,20 @@ def _alpha_spec(alpha: int) -> tuple:
 class _Statement(NamedTuple):
     """lscale * Sum_k w_k X_k / (den * fden)  vs  rscale * Sum_k w_k T(X)_k / (den * fden).
 
-    A builder (_thm_1_1, _thm_1_2, _thm_2_1, _sun_p_x) returns the fields
-    from spec to fden, the cell of the statement, as a plain tuple.  They
-    hold no sequence, so _report certifies the denominator and looks up the
-    kernel difference from them alone; the family is attached as seq, and
-    the record built, only where a difference is mapped or a side expanded.
+    A builder (_thm_1_1, _thm_1_2, _thm_2_1) returns the fields from spec to
+    fden, the cell of the statement, as a plain tuple.  They hold no
+    sequence, so _check certifies the denominator and looks up the kernel
+    difference from them alone; the family is attached as seq, and the
+    record built, only where a difference is mapped or a side expanded.
 
-    spec            the (r, d, step, power, tri) of _weights, giving w and den
-                    in any carrier
-    side            (d, step, rescaled): X_k = q^(step*k) f_k(q^d) on the left
-                    and q^(step*k) T(f)_k(q^d) on the right.  A rescaled side
-                    reads no sequence: its f_k are
+    spec            the (r, d) of _weights, giving w and den in any carrier;
+                    both sides substitute q -> q^|d|
+    side            (step, rescaled): X_k = q^(step*k) f_k(q^|d|) on the left
+                    and q^(step*k) T(f)_k(q^|d|) on the right.  A rescaled
+                    side reads no sequence: its f_k are
                     q^k (q^(k+1);q)_(n-1-k) (x;q)_k, the numerators of sun_p_x
                     over (q;q)_(n-1), a denominator that the side carries in
-                    place of fden (_cell_den, _full_den)
+                    place of fden (_full_den)
     t               the right side's transform T: hat (1) or tilde (-1)
     lscale, rscale  (exponent, sign) pairs, each the signed monomial
                     sign * q^exponent; a polynomial is built from one only
@@ -434,6 +427,9 @@ class _Statement(NamedTuple):
 
 
 _UNIT = (0, 1)  # the scale 1 = +q^0
+# parse's own specs, so that a label and sun_p or guo_zeng pass the same object
+_SUN_P_X = FamilySpec.parse("sun_p_x")
+_MONOMIAL_X = FamilySpec.parse("monomial_x")
 
 
 def _ratio(lscale: tuple, rscale: tuple) -> tuple:
@@ -445,19 +441,26 @@ def _thm_1_1(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
     _require_length(p, seq)
-    return _sym_spec(p.r, p.d), (p.d, p.d, False), 1, (p.E, 1), (0, p.sign), one
+    return _spec(p.r, p.d), (p.d, False), 1, (p.E, 1), (0, p.sign), one
 
 
 def _thm_1_2(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """Sum T_k f_k(q^d)  vs  sign * q^E * Sum T_k tilde(f)_k(q^d).
 
-    A rational sequence keeps its entries; their shared denominator
-    multiplies the T_k denominator, and the numerators over it are built
-    only where a side is lifted or expanded (_numerators).
+    The sun_p_x label, f_k = q^k (x;q)_k / (q;q)_k, gives the rescaled side:
+    the numerators of the family over (q;q)_(n-1), the fden found below for
+    generate("sun_p_x"), which the side carries at q -> q^d.  Its residue is
+    a cached tail, only _full_den expands it, and no entry is built.  Every
+    other family, a custom PolySeq of the same entries included, keeps its
+    entries: a rational sequence's shared denominator multiplies the T_k
+    denominator, and the numerators over it are built only where a side is
+    lifted or expanded (_numerators).
     """
+    if seq is _SUN_P_X or seq == _SUN_P_X:  # identity first: sun_p and a parsed label pay no __eq__
+        return _spec(p.r, p.d), (0, True), -1, _UNIT, (p.E, p.sign), one
     _require_length(p, seq)
     fden = shared_denominator(seq.entries).substitute_power(p.d) if seq.kind == RATIONAL else one
-    return _sym_spec(p.r, p.d), (p.d, 0, False), -1, _UNIT, (p.E, p.sign), fden
+    return _spec(p.r, p.d), (0, False), -1, _UNIT, (p.E, p.sign), fden
 
 
 def _thm_2_1(p: AlphaParams, seq: "PolySeq | FamilySpec") -> tuple:
@@ -465,20 +468,7 @@ def _thm_2_1(p: AlphaParams, seq: "PolySeq | FamilySpec") -> tuple:
     [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
-    return _alpha_spec(p.alpha), (1, 0, False), 1, (p.F, p.sign), _UNIT, one
-
-
-_SUN_P_X = FamilySpec("sun_p_x")
-_MONOMIAL_X = FamilySpec("monomial_x")
-
-
-def _sun_p_x(p: SymParams) -> tuple:
-    """Theorem 1.2 at the sun_p_x family f_k = q^k (x;q)_k / (q;q)_k, on the
-    numerators of the family over (q;q)_(n-1), the fden that _thm_1_2 finds
-    for generate("sun_p_x").  The rescaled side carries that denominator at
-    q -> q^d: its residue is a cached tail (_cell_den), and only _full_den
-    expands it."""
-    return _sym_spec(p.r, p.d), (p.d, 0, True), -1, _UNIT, (p.E, p.sign), one
+    return _spec(p.alpha, -1), (0, False), 1, (p.F, p.sign), _UNIT, one
 
 
 def _sum(weights, entries):
@@ -493,11 +483,11 @@ def _numerators(fs: tuple) -> tuple:
     return tuple(common_denominator(fs)[0]) if isinstance(fs[0], RatExpr) else fs
 
 
-def _entries(side: tuple, seq: "PolySeq | None", n: int) -> tuple:
+def _entries(rescaled: bool, seq: "PolySeq | None", n: int) -> tuple:
     """The f_k of a side, as polynomials (_numerators), for _full_sides.  A
     rescaled side is sun_p_x over its common denominator, as _thm_1_2 has
     it, so the H_k of _ring_side are not built here."""
-    return _numerators((generate(_SUN_P_X, n) if side[2] else seq).entries)
+    return _numerators((generate(_SUN_P_X, n) if rescaled else seq).entries)
 
 
 def _expand(fs: tuple, t: int, d: int, step: int) -> tuple:
@@ -506,20 +496,19 @@ def _expand(fs: tuple, t: int, d: int, step: int) -> tuple:
     return tuple(f.substitute_power(d) * qpow(step * k) if step else f.substitute_power(d) for k, f in enumerate(fs))
 
 
-def _full_den(n: int, side: tuple, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
+def _full_den(n: int, d: int, rescaled: bool, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
     """The one denominator of both full sides, from G0, the weights'
-    (Q;Q)_(n-1)^power with Q = q^step: G0 times fden, or times
-    (q^d;q^d)_(n-1) for a rescaled side."""
-    d, _, rescaled = side
+    (Q;Q)_(n-1)^2 with Q = q^d: G0 times fden, or times (Q;Q)_(n-1) for a
+    rescaled side."""
     den = G0 * fden
     return den * qpoch(d, d, n - 1) if rescaled else den
 
 
 def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
-    n, (d, step, _) = st.p.n, st.side
+    n, d, (step, rescaled) = st.p.n, abs(st.spec[1]), st.side
     w, G0 = _weights(lambda f: f, n, *st.spec)
-    den = _full_den(n, st.side, st.fden, G0)
-    fs = _entries(st.side, st.seq, n)
+    den = _full_den(n, d, rescaled, st.fden, G0)
+    fs = _entries(rescaled, st.seq, n)
     return tuple(RatExpr(_sum(w, _expand(fs, t, d, step)) * LaurentPoly.monomial(*scale), den)
                  for t, scale in ((0, st.lscale), (st.t, st.rscale)))
 
@@ -538,20 +527,20 @@ def _ring_tails(n: int, step: int, power: int) -> tuple:
 @lru_cache(maxsize=4)
 def _ring_weights(n: int, spec: tuple) -> list:
     """The weights of a spec mod Phi_n^2, kept across the families of a cell.
-    Their denominator G_0 is not kept here: it depends on the spec's step and
-    power alone, and _cell_den reads it off _ring_tails."""
-    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, spec[2], spec[3]))[0]
+    Their denominator G_0 is not kept here: it depends on |d| alone, and a
+    failing check reads it off _ring_tails."""
+    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, abs(spec[1]), 2))[0]
 
 
 @lru_cache(maxsize=16)
-def _kernel_diff(n: int, spec: tuple, d: int, step: int, t: int, e: int, sign: int) -> tuple:
+def _kernel_diff(n: int, spec: tuple, step: int, t: int, e: int, sign: int) -> tuple:
     """u^L - (rscale/lscale)*u^R mod Phi_n^2, the ratio being sign * q^e
     (_ratio), or () when the two agree: exactly when the statement holds for
     every family.  u^L and u^R are the kernels of the two sides, the u_j with
     Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2 for
-    every sequence f, T the identity on the left and the transform t on the
-    right.  The key holds no sequence and no polynomial, so every family of
-    a cell, sun_p_x and sun_p included, shares one entry.
+    every sequence f, d = |spec d|, T the identity on the left and the
+    transform t on the right.  The key holds no sequence and no polynomial,
+    so every family of a cell, sun_p_x and sun_p included, shares one entry.
 
     On the left, u^L_k = v_k = w_k q^(step*k).  At q -> q^d,
     row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1], and T(f)_k
@@ -566,7 +555,8 @@ def _kernel_diff(n: int, spec: tuple, d: int, step: int, t: int, e: int, sign: i
     ul = _ring_weights(n, spec)
     if step:
         ul = [wk * qpow(step * k) for k, wk in enumerate(ul)]
-    ur = horner(ul, t * d, t * d)
+    td = t * abs(spec[1])
+    ur = horner(ul, td, td)
     if e:  # times the ratio; a ratio of +-1 costs no product
         ratio = LaurentPoly.monomial(e, sign)
         ur = [uj * ratio for uj in ur]
@@ -577,46 +567,28 @@ def _kernel_diff(n: int, spec: tuple, d: int, step: int, t: int, e: int, sign: i
     return tuple(a - b for a, b in zip(ul, ur, strict=True))
 
 
-@_budgeted(lambda den, n, step, power, rescaled_d, fden: len(fden) + 2 * totient(n))
-def _cell_den(n: int, step: int, power: int, rescaled_d: int, fden: LaurentPoly) -> "Residue | None":
-    """The one denominator of both sides in Q[q]/(Phi_n^2): the weights'
-    G_0 = (q^step;q^step)_(n-1)^power (_ring_tails), times fden, or, for a
-    side rescaled at q -> q^d (rescaled_d = d, else 0), times the tail
-    H_0 = (q^d;q^d)_(n-1).  None when it is not a unit mod Phi_n.  It depends
-    on neither r nor alpha, so every r of an (n, d) and every family with
-    one fden share one certification, kept under the ring budget
-    (congruence._budgeted) at fden's terms and 2*phi(n) coefficients, like a
-    congruence._certify_den entry."""
-    den = _ring_tails(n, step, power)[0]
-    if rescaled_d:
-        den = den * _ring_tails(n, rescaled_d, 1)[0]
-    elif fden != one:
-        den = den * fden
-    return den if den.is_unit() else None
-
-
-def _ring_side(side: tuple, seq: "PolySeq | None", u, n: int) -> dict:
+def _ring_side(st: _Statement, u) -> dict:
     """Sum_j u_j f_j(q^d) mod Phi_n^2 by x-degree (x^0 alone when univariate),
-    for a kernel u of the side.
+    for a kernel u of the statement's side, d = |spec d|.
 
     A sequence side lifts f_0..f_(len(u)-1), each once, and forms one dot per
     x-degree; no entry is transformed.  A rescaled side is
     Sum_j g_j (x; q^d)_j with g_j = u_j q^(d*j) H_j (H_j the cached tails at
     (n, d, 1)), and horner gives its x-coefficients: no entry is formed or
     lifted."""
-    d, _, rescaled = side
-    if rescaled:
+    n, d = st.p.n, abs(st.spec[1])
+    if st.side[1]:
         g = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
         return dict(enumerate(horner(g, 0, d)))
-    lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
+    lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(st.seq.entries)[:len(u)]]
     return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
 
 
 def _ring_diff(st: _Statement, u) -> dict:
-    """The numerator of left minus right mod Phi_n^2 by x-degree, over
-    _cell_den: lscale * Sum_j u_j f_j(q^d), the map of the cell's nonempty
-    _kernel_diff u."""
-    diff = _ring_side(st.side, st.seq, u, st.p.n)
+    """The numerator of left minus right mod Phi_n^2 by x-degree, over the
+    cell's denominator: lscale * Sum_j u_j f_j(q^d), the map of the cell's
+    nonempty _kernel_diff u."""
+    diff = _ring_side(st, u)
     if st.lscale == _UNIT:
         return diff
     lscale = LaurentPoly.monomial(*st.lscale)
@@ -626,8 +598,8 @@ def _ring_diff(st: _Statement, u) -> dict:
 def _bivariate(st: _Statement) -> bool:
     """Whether a statement's residual is reported by x-degree: a rescaled
     side, or an entry with x in it."""
-    return st.seq is None or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
-                                 for f in st.seq.entries)
+    return st.side[1] or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
+                             for f in st.seq.entries)
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -651,10 +623,10 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
     Laurent polynomials of qbinom_int, not the check's pair products, so these
     sides are an independent reference for that identity.
     """
-    _, (d, step, _), t, lscale, rscale, _ = _thm_2_1(p, seq)
+    _, (step, _), t, lscale, rscale, _ = _thm_2_1(p, seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return (_sum(w, _expand(seq.entries, 0, d, step)) * LaurentPoly.monomial(*lscale),
-            _sum(w, _expand(seq.entries, t, d, step)) * LaurentPoly.monomial(*rscale))
+    return (_sum(w, _expand(seq.entries, 0, 1, step)) * LaurentPoly.monomial(*lscale),
+            _sum(w, _expand(seq.entries, t, 1, step)) * LaurentPoly.monomial(*rscale))
 
 
 def _residual_text(res) -> str:
@@ -664,60 +636,64 @@ def _residual_text(res) -> str:
     return str(res)
 
 
-def _report(check: str, params: dict, p, cell: tuple, fam, started: float) -> CheckReport:
-    """Decide a statement from its cell (the tuple its builder returns,
-    _Statement) and family, and report it.  The cell's denominator is
-    certified first (_cell_den); one that is not a unit mod Phi_n raises, on
-    every check, the error congruent raises on the full sides, with the full
-    denominator (_full_den), and no side is built for it.  The statement
-    holds for every family when the cell's _kernel_diff is empty, and is
-    answered then, with no family generated and no record built.  Otherwise
-    the family is attached (_sequence) and the difference mapped
-    (_ring_diff): the statement holds when every x-coefficient is zero, and
-    a failing one gets the residual of the same residues over the certified
-    denominator."""
-    spec, side, t, lscale, rscale, fden = cell
-    n, (_, _, step, power, _), (d, side_step, rescaled) = p.n, spec, side
-    den = _cell_den(n, step, power, d if rescaled else 0, fden)
-    if den is None:
-        raise NoncoprimeDenominatorError(_full_den(n, side, fden, qpoch(step, step, n - 1) ** power), n)
-    u = _kernel_diff(n, spec, d, side_step, t, *_ratio(lscale, rscale))
+def _check(name: str, p, fam, build) -> CheckReport:
+    """Decide the statement that build (_thm_1_1, _thm_1_2 or _thm_2_1) makes
+    of the params record p and a family, and report it as the check name.
+
+    The cell's denominator is certified first, with no ring product: the
+    weights' G_0 = (Q;Q)_(n-1)^2, Q = q^|d|, and the rescaled side's
+    H_0 = (Q;Q)_(n-1) are units mod Phi_n exactly when gcd(n, d) = 1 (Phi_n
+    divides 1 - q^(d*j) only when n divides d*j), and a family denominator
+    is certified by congruence._certify_den, once per denominator.  One that
+    is not a unit raises, on every check, the error congruent raises on the
+    full sides, with the full denominator (_full_den), and no side is built
+    for it.  The statement holds for every family when the cell's
+    _kernel_diff is empty, and is answered then, with no family generated
+    and no record built.  Otherwise the family is attached (_sequence) and
+    the difference mapped (_ring_diff): the statement holds when every
+    x-coefficient is zero, and a failing one gets the residual of the same
+    residues over G_0 times H_0 or times the certified fden, formed only
+    there."""
+    started = time.perf_counter()
+    fam, label = _resolve_family(fam)
+    cell = build(p, fam)
+    spec, (step, rescaled), t, lscale, rscale, fden = cell
+    n, d = p.n, abs(spec[1])
+    rational = fden is not one and fden != one  # a polynomial family's fden is one itself
+    if math.gcd(n, d) != 1 or rational and _certify_den(fden, n, 2) is None:
+        raise NoncoprimeDenominatorError(_full_den(n, d, rescaled, fden, qpoch(d, d, n - 1) ** 2), n)
+    u = _kernel_diff(n, spec, step, t, *_ratio(lscale, rscale))
     holds, residual = u == (), None
     if not holds:
-        st = _Statement(p, *cell, _sequence(fam, p.n))
+        st = _Statement(p, *cell, None if rescaled else _sequence(fam, n))
         diff = _ring_diff(st, u)
         holds = all(r.is_zero() for r in diff.values())
-        residual = None if holds else _residual_text(_residual_of(diff, den, _bivariate(st)))
-    return CheckReport(check, params, holds, p.a, p.E if isinstance(p, SymParams) else p.F, p.sign, p.branch,
-                       time.perf_counter() - started, residual)
+        if not holds:
+            den = _ring_tails(n, d, 2)[0]
+            if rescaled:
+                den = den * _ring_tails(n, d, 1)[0]
+            elif rational:
+                den = den * _certify_den(fden, n, 2)
+            residual = _residual_text(_residual_of(diff, den, _bivariate(st)))
+    if isinstance(p, SymParams):
+        params, exponent = {"n": n, "d": p.d, "r": p.r, "family": label}, p.E
+    else:
+        params, exponent = {"n": n, "a": p.a, "s": p.s, "family": label}, p.F
+    return CheckReport(name, params, holds, p.a, exponent, p.sign, p.branch, time.perf_counter() - started, residual)
 
 
 def check_thm_1_1(p: SymParams, fam) -> CheckReport:
-    started = time.perf_counter()
-    fam, label = _resolve_family(fam)
-    params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.1", params, p, _thm_1_1(p, fam), fam, started)
+    return _check("thm1.1", p, fam, _thm_1_1)
 
 
 def check_thm_1_2(p: SymParams, fam) -> CheckReport:
-    """The sun_p_x label is decided on its rescaled side (_sun_p_x): no entry
-    of the family is built.  Every other family, a custom PolySeq of the same
-    entries included, goes through _thm_1_2."""
-    started = time.perf_counter()
-    fam, label = _resolve_family(fam)
-    if fam == _SUN_P_X:
-        fam, cell = None, _sun_p_x(p)
-    else:
-        cell = _thm_1_2(p, fam)
-    params = {"n": p.n, "d": p.d, "r": p.r, "family": label}
-    return _report("thm1.2", params, p, cell, fam, started)
+    """The sun_p_x label is decided on its rescaled side (_thm_1_2): no entry
+    of the family is built."""
+    return _check("thm1.2", p, fam, _thm_1_2)
 
 
 def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:
-    started = time.perf_counter()
-    fam, label = _resolve_family(fam)
-    params = {"n": p.n, "a": p.a, "s": p.s, "family": label}
-    return _report("thm2.1", params, p, _thm_2_1(p, fam), fam, started)
+    return _check("thm2.1", p, fam, _thm_2_1)
 
 
 def check_s0_identity(n: int, a: int, fam) -> bool:
@@ -772,14 +748,12 @@ def check_even_sign_fact(n: int) -> bool:
 def check_guo_zeng(p: SymParams) -> CheckReport:
     """Theorem 1.1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k.
 
-    It is _thm_1_1's statement on monomial_x, so _report decides it by
-    thm1.1's kernels: the kernel of the hat side is Horner on
-    (x q^d; q^d)_k, which is what a Pochhammer right side would build.  Only
-    _full_sides expands hat(x^k).
+    It is _thm_1_1's statement on monomial_x, so it is decided by thm1.1's
+    kernels: the kernel of the hat side is Horner on (x q^d; q^d)_k, which
+    is what a Pochhammer right side would build.  Only _full_sides expands
+    hat(x^k).
     """
-    started = time.perf_counter()
-    params = {"n": p.n, "d": p.d, "r": p.r, "family": "monomial_x"}
-    return _report("guo_zeng", params, p, _thm_1_1(p, _MONOMIAL_X), _MONOMIAL_X, started)
+    return _check("guo_zeng", p, _MONOMIAL_X, _thm_1_1)
 
 
 def check_sun_p_analogue(p: SymParams) -> CheckReport:
@@ -788,12 +762,11 @@ def check_sun_p_analogue(p: SymParams) -> CheckReport:
     P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q (x;Q)_k / (Q;Q)_k.
     With alpha = -r/d, each side equals the side of Theorem 1.2 at the
     sun_p_x family f_k = q^k (x;q)_k / (q;q)_k as a rational function, so
-    this is decided as that cell (_sun_p_x), by thm1.2's kernel difference.
+    this is decided as that cell, the rescaled side of _thm_1_2, by thm1.2's
+    kernel difference.
     """
-    started = time.perf_counter()
     _require(_odd_n(p.n))
-    params = {"n": p.n, "d": p.d, "r": p.r, "family": "sun_p_x"}
-    return _report("sun_p", params, p, _sun_p_x(p), None, started)
+    return _check("sun_p", p, _SUN_P_X, _thm_1_2)
 
 
 def _binom_frac(alpha: Fraction, k: int) -> Fraction:
@@ -890,7 +863,7 @@ class Check:
     invalid  (*args) -> why a sweep skips the cell (a hypothesis fails), or None
     run      (*args) -> CheckReport; ill-posed arguments raise ValueError
     key      (*args) -> (n, weight spec) of the statement run builds, by
-             the spec helper its builder uses, or () for a check without
+             the _spec its builder uses, or () for a check without
              ring weights; sweeps run tasks grouped by it.  Pure arithmetic
              on the arguments, so it never raises.
     cost     (*args) -> the exponent span run works over, from the arguments
@@ -930,21 +903,21 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1),
         lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
-        lambda n, d, r, family: (n, _sym_spec(r, d)),
+        lambda n, d, r, family: (n, _spec(r, d)),
         cost=lambda n, d, r, family: _transform_span(n, family),  # its full sides transform n entries
     ),
     "thm1.2": Check(
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d),
         lambda n, d, r, family: check_thm_1_2(SymParams.create(n, d, r), family),
-        lambda n, d, r, family: (n, _sym_spec(r, d)),
+        lambda n, d, r, family: (n, _spec(r, d)),
         cost=lambda n, d, r, family: _transform_span(n, family),
     ),
     "thm2.1": Check(
         ("n", "a", "s", "family"),
         lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)),
         lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
-        lambda n, a, s, family: (n, _alpha_spec(a + s * n)),
+        lambda n, a, s, family: (n, _spec(a + s * n, -1)),
         cost=lambda n, a, s, family: _transform_span(n, family),
     ),
     "s0": Check(
@@ -957,14 +930,14 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d),
         lambda n, d, r: check_guo_zeng(SymParams.create(n, d, r)),
-        lambda n, d, r: (n, _sym_spec(r, d)),
+        lambda n, d, r: (n, _spec(r, d)),
         cost=lambda n, d, r: _horner_span(n),
     ),
     "sun_p": Check(
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d) or _odd_n(n),
         lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
-        lambda n, d, r: (n, _sym_spec(r, d)),
+        lambda n, d, r: (n, _spec(r, d)),
         cost=lambda n, d, r: _horner_span(n),
     ),
     "lemma-sn": Check(

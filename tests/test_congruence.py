@@ -588,7 +588,7 @@ def test_one_certification_and_one_inverse_per_denominator():
     assert (certify.misses, certify.currsize, inverse.misses, inverse.currsize) == (2, 2, 2, 2)
 
 
-BUDGETED = (theorems._ring_tails, theorems._cell_den, congruence._certify_den, congruence._inverse)
+BUDGETED = (theorems._ring_tails, congruence._certify_den, congruence._inverse)
 
 
 def test_more_denominators_than_the_bound_keep_each_cache_at_its_bound(monkeypatch):

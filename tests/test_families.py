@@ -39,6 +39,15 @@ def test_random_int_sequence_deterministic():
     assert all(isinstance(v, int) and abs(v) <= DEFAULT_COEFF_BOUND for v in a)
 
 
+@pytest.mark.parametrize("bound", [0, -1, -5])
+def test_random_int_sequence_refuses_a_bound_below_1(bound):
+    """A bound of 0 would draw only zeros, and a negative one would reduce
+    modulo a negative number."""
+    with pytest.raises(ValueError, match="^bound must be at least 1$"):
+        random_int_sequence(0, 7, bound)
+    assert set(random_int_sequence(0, 50, 1)) == {-1, 0, 1}
+
+
 PARSE_CASES = [
     ("ones", FamilySpec("ones")),
     ("delta:0", FamilySpec("delta", (0,))),

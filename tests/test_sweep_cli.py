@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcong import cli, theorems
+from qcong import cli, sweep, theorems
 from qcong.families import FamilySpec
 from qcong.qcalc import qbinom_base, qpoch
 from qcong.sweep import (
+    MAX_TASKS,
     SweepConfig,
     build_config,
     expand_ints,
@@ -289,25 +291,71 @@ def check_arguments(draw):
 @given(check_arguments())
 def test_the_sweep_key_is_the_statement_a_check_builds(case):
     """A keyed check's key is (n, spec) of the statement its run decides:
-    the n of its params and the weight spec of the cell that _report
-    decides it from.  A check without a key decides no statement."""
+    the n of its params and the weight spec of the cell that the builder
+    passed to _check makes.  A check without a key decides no statement."""
     check_id, args = case
     check = CHECKS[check_id]
     if check.invalid(*args):
         return
-    decided, report = [], theorems._report
+    decided, decide = [], theorems._check
 
-    def spy(name, params, p, cell, fam, started):
-        decided.append((p.n, cell[0]))
-        return report(name, params, p, cell, fam, started)
+    def spy(name, p, fam, build):
+        def built(p, seq):
+            cell = build(p, seq)
+            decided.append((p.n, cell[0]))
+            return cell
+
+        return decide(name, p, fam, built)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theorems, "_report", spy)
+        mp.setattr(theorems, "_check", spy)
         check.run(*args)
     if check_id in KEYED_CHECKS:
         assert [check.key(*args)] == decided
     else:
         assert (check.key(*args), decided) == ((), [])
+
+
+@st.composite
+def sweep_cells(draw):
+    """(check_id, args): any CHECKS entry at arguments a sweep can expand
+    to, the ill-posed ones aside: n >= 2 and d >= 1 (below them a cell is an
+    error record, not a skip) and j on the sweep's axis [1, n-1].  d is
+    coprime to n or not, a in range or not, s zero or not; the family labels
+    are univariate, bivariate and rational; p is at most MAX_CLASSICAL_P,
+    prime or not, and alpha p-integral or not."""
+    check_id = draw(st.sampled_from(sorted(CHECKS)))
+    n = draw(st.integers(min_value=2, max_value=15))
+    values = {
+        "n": n, "d": draw(st.integers(1, 8)), "r": draw(st.integers(-5, 5)), "a": draw(st.integers(-2, n + 2)),
+        "s": draw(st.integers(-3, 3)), "j": draw(st.integers(1, n - 1)),
+        "p": draw(st.integers(-2, 40) | st.sampled_from((999, MAX_CLASSICAL_P))),
+        "alpha": draw(st.sampled_from(("2", "1/2", "-1/3", "2/5", "5/7", "-3/4"))),
+        "seed": draw(st.integers(0, 9)), "bound": draw(st.integers(1, 9)),
+        "family": draw(st.sampled_from(("ones", "delta:1", "monomial_q:2", "random_poly:3:3",
+                                        "monomial_x", "sun_p_x"))),
+    }
+    return check_id, tuple(values[name] for name in CHECKS[check_id].args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cells())
+def test_the_sweep_skip_rule_is_the_check_hypothesis(case):
+    """A sweep skips a cell exactly when its check refuses it: invalid(*args)
+    is the message run(*args) raises as ValueError, and None when run
+    returns.  The one exception is lemma-sn-minus1 at s = 0, which holds and
+    which sweeps skip there with lemma-sn (the comment on its CHECKS entry)."""
+    check_id, args = case
+    check = CHECKS[check_id]
+    try:
+        check.run(*args)
+        raised = None
+    except ValueError as exc:
+        raised = str(exc)
+    if check_id == "lemma-sn-minus1" and args[1] == 0:
+        assert (check.invalid(*args), raised) == ("s must be nonzero", None)
+    else:
+        assert check.invalid(*args) == raised
 
 
 def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
@@ -508,6 +556,43 @@ def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
 def test_cli_sweep_names_the_key_of_a_malformed_value(flag, error, capsys):
     assert cli.main(["sweep", "--theorems=classical", "--n=3", flag]) == 2
     assert capsys.readouterr().err.strip() == f"error: {error}"
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--theorems=lemmas", "--n=2..1000000000000"], f"n: more than {MAX_TASKS} values"),
+    (["--theorems=1.1", "--n=5", "--d=1..100000000000"], f"d: more than {MAX_TASKS} values"),
+    (["--theorems=1.1", "--n=5", "--r=0..99999999999999999999999999"], f"r: more than {MAX_TASKS} values"),
+    (["--theorems=1.1", "--n=5", f"--r=1..{MAX_TASKS},0"], f"r: more than {MAX_TASKS} values"),
+    (["--theorems=1.1", "--n=5", "--d=1..1000", "--r=1..1000"], f"the sweep grid has more than {MAX_TASKS} cells"),
+    (["--theorems=classical", "--n=3", "--classical-seeds=1000000000000"],
+     f"the sweep grid has more than {MAX_TASKS} cells"),
+])
+def test_cli_sweep_refuses_a_grid_past_the_task_bound(flags, error, tmp_path, capsys):
+    """A range, or a key's values together, past MAX_TASKS values, and a grid
+    past MAX_TASKS cells, exit 2 naming the key or the bound, at once and
+    before any record is written."""
+    out = tmp_path / "refused.jsonl"
+    started = time.perf_counter()
+    assert cli.main(["sweep", *flags, f"--output={out}"]) == 2
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err.strip() == f"error: {error}" and not out.exists()
+
+
+def test_a_grid_just_inside_the_task_bound_runs(monkeypatch):
+    """A grid of exactly MAX_TASKS cells, skipped ones counted, expands and
+    runs; one cell more, or one value more in a key, is refused."""
+    raw = {"theorems": ["1.1"], "n": ["4"], "d": ["1..4"], "r": ["0..2"]}  # 6 tasks, 6 skipped
+    monkeypatch.setattr(sweep, "MAX_TASKS", 12)
+    tasks, skipped = expand_tasks(build_config(raw))
+    assert (len(tasks), skipped) == (6, 6)
+    summary = run_sweep(build_config(dict(raw, output=[os.devnull])))
+    assert (summary.total, summary.passed, summary.skipped) == (6, 6, 6)
+    assert expand_ints(["1..10", "11", "12"], "r") == tuple(range(1, 13))
+    monkeypatch.setattr(sweep, "MAX_TASKS", 11)
+    with pytest.raises(ValueError, match="^the sweep grid has more than 11 cells$"):
+        expand_tasks(build_config(raw))
+    with pytest.raises(ValueError, match="^r: more than 11 values$"):
+        expand_ints(["1..10", "11", "12"], "r")
 
 
 def test_cli_accepts_negative_flag_values(capsys):

@@ -21,6 +21,7 @@ from qcong.families import FamilySpec, generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, q, qpow
 from qcong.qcalc import qbinom_int, qpoch
 from qcong.theorems import (
+    CHECKS,
     MAX_CLASSICAL_P,
     AlphaParams,
     CheckReport,
@@ -28,17 +29,14 @@ from qcong.theorems import (
     _odd_prime,
     _full_sides,
     _residual_text,
-    _cell_den,
     _ring_side,
     _ring_weights,
-    _alpha_spec,
     _bivariate,
     _spec,
     _Statement,
-    _sun_p_x,
     _thm_1_1,
     _thm_1_2,
-    _sym_spec,
+    _thm_2_1,
     _weights,
     check_classical_sun,
     check_even_sign_fact,
@@ -257,30 +255,38 @@ def _full_verdict(lhs, rhs, n):
     return holds, None if holds else _residual_text(residual(lhs, rhs, n, 2))
 
 
-def _statement(build, p, seq=None):
+SUN_P_X = FamilySpec.parse("sun_p_x")
+
+
+def _statement(build, p, seq):
     """The _Statement of a builder's cell at p with the sequence seq attached
-    (None for a rescaled side), as a check attaches it."""
-    return _Statement(p, *(build(p) if seq is None else build(p, seq)), seq)
+    as _check attaches it: None for a rescaled side (the sun_p_x label)."""
+    cell = build(p, seq)
+    return _Statement(p, *cell, None if cell[1][1] else seq)
 
 
-def _kernel(n, spec, t, d, step):
+def _kernel(n, spec, t, step):
     """The kernel of a side as _kernel_diff forms it: the weights times
-    q^(step*k), and Horner on them for a side transformed by t."""
+    q^(step*k), and Horner on them at (t*|d|, t*|d|) for a side transformed
+    by t."""
     v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec))]
-    return horner(v, t * d, t * d) if t else v
+    td = t * abs(spec[1])
+    return horner(v, td, td) if t else v
 
 
 def _ring_ratexprs(statement):
     """Each side in the ring, its own kernel times the monomial of its own
-    (exponent, sign) scale mapped by _ring_side, as two RatExpr over the one
-    denominator of _cell_den."""
-    n, (_, _, step, power, _), (d, side_step, rescaled) = statement.p.n, statement.spec, statement.side
-    den = _cell_den(n, step, power, d if rescaled else 0, statement.fden).rep
+    (exponent, sign) scale mapped by _ring_side, as two RatExpr over the
+    cell's denominator in the ring: the tail G_0 at (n, |d|, 2) times the
+    rescaled side's H_0 or the family's fden."""
+    n, d, (step, rescaled) = statement.p.n, abs(statement.spec[1]), statement.side
+    den = theorems._ring_tails(n, d, 2)[0] * (theorems._ring_tails(n, d, 1)[0] if rescaled else statement.fden)
+    den = den.rep
 
     def side(t, scale):
         scale = LaurentPoly.monomial(*scale)
-        kernel = _kernel(n, statement.spec, t, d, side_step)
-        residues = _ring_side(statement.side, statement.seq, [uj * scale for uj in kernel], n)
+        kernel = _kernel(n, statement.spec, t, step)
+        residues = _ring_side(statement, [uj * scale for uj in kernel])
         if _bivariate(statement):
             return RatExpr(BiPoly({j: r.rep for j, r in residues.items()}), den)
         return RatExpr(residues[0].rep, den)
@@ -343,7 +349,8 @@ def horner_cases(draw):
     n = draw(st.integers(min_value=2, max_value=15))
     d = draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1))
     p = SymParams.create(n, d, draw(st.integers(min_value=-5, max_value=5)))
-    statements = [partial(_statement, _thm_1_1, seq=generate("monomial_x", n)), partial(_statement, _sun_p_x)]
+    statements = [partial(_statement, _thm_1_1, seq=generate("monomial_x", n)),
+                  partial(_statement, _thm_1_2, seq=SUN_P_X)]
     st_ = draw(st.sampled_from(statements))(p=p)
     bump = None
     if draw(st.booleans()):
@@ -395,6 +402,32 @@ def test_a_decided_cell_still_reports_a_noncoprime_family_denominator():
     test_ring_check_reports_a_noncoprime_family_denominator()
 
 
+@pytest.mark.parametrize("n,d", [(6, 3), (9, 3), (10, 4)])
+def test_a_hand_built_noncoprime_cell_raises_its_full_denominator(n, d, monkeypatch):
+    """SymParams.create refuses gcd(n, d) > 1, but a record built by hand
+    reaches the checks.  Its (q^d;q^d)_(n-1) is then not a unit mod Phi_n,
+    so every check raises, twice in a row, the error congruent raises on
+    the full sides, naming (q^d;q^d)_(n-1)^2, times (q^d;q^d)_(n-1) on the
+    rescaled sun_p_x side, with no side built for it."""
+    p = SymParams(n, d, 1, 0, d + 1, 1, "odd" if n % 2 else "even")
+    runs = [(partial(check_thm_1_1, p, "ones"), thm_1_1_sides(p, generate("ones", n))),
+            (partial(check_thm_1_2, p, "random_poly:4:3"), thm_1_2_sides(p, generate("random_poly:4:3", n))),
+            (partial(check_thm_1_2, p, "sun_p_x"), _full_sides(_statement(_thm_1_2, p, SUN_P_X))),
+            (partial(check_guo_zeng, p), thm_1_1_sides(p, generate("monomial_x", n)))]
+    if n % 2:
+        runs.append((partial(check_sun_p_analogue, p), _full_sides(_statement(_thm_1_2, p, SUN_P_X))))
+    for check, sides in runs:
+        with pytest.raises(NoncoprimeDenominatorError) as full:
+            congruent(*sides, n, 2)
+        with monkeypatch.context() as mp:
+            for name in ("hat", "tilde", "_full_sides", "_ring_diff"):
+                mp.setattr(theorems, name, _refuse)
+            for _ in range(2):
+                with pytest.raises(NoncoprimeDenominatorError) as ring:
+                    check()
+                assert str(ring.value) == str(full.value)
+
+
 @pytest.mark.parametrize("n", [5, 9, 13])
 def test_a_noncoprime_family_denominator_builds_no_side(n, monkeypatch):
     """The error names the full denominator of the sides, the one congruent
@@ -411,23 +444,30 @@ def test_a_noncoprime_family_denominator_builds_no_side(n, monkeypatch):
 
 def test_one_certification_serves_every_family_of_a_cell(monkeypatch):
     """thm1.1, thm1.2 and guo_zeng on every family of one (n, spec) share one
-    certified denominator: Residue.is_unit runs once."""
+    certified denominator: Residue.is_unit runs once, for the family
+    denominator of the sun_p_x entries as a PolySeq, checked twice.  The
+    weights' (q^d;q^d)_(n-1)^2, and the rescaled side's (q^d;q^d)_(n-1) of
+    the sun_p_x label, are units by gcd(n, d) = 1 alone."""
     calls = []
     is_unit = Residue.is_unit
     monkeypatch.setattr(Residue, "is_unit", lambda res: calls.append(res.n) or is_unit(res))
-    theorems._cell_den.cache_clear()
-    p = SymParams.create(13, 5, 3)
+    congruence._certify_den.cache_clear()
+    p, rational = SymParams.create(13, 5, 3), generate("sun_p_x", 13)
     for fam in ("ones", "delta:2", "monomial_q:1", "random_poly:7:3", "monomial_x"):
         assert check_thm_1_1(p, fam).holds and check_thm_1_2(p, fam).holds, fam
-    assert check_guo_zeng(p).holds
+    assert check_guo_zeng(p).holds and check_thm_1_2(p, "sun_p_x").holds
+    assert calls == []
+    for _ in range(2):
+        assert check_thm_1_2(p, rational).holds
     assert calls == [13]
 
 
 def test_a_noncoprime_family_denominator_raises_on_every_check():
     """The cached fact that a denominator is not a unit raises on every check,
     before and after a named family decides the same (n, spec), and that
-    family's cell still holds after the error."""
-    theorems._cell_den.cache_clear()
+    family's cell still holds after the error.  The fact is kept by
+    congruence._certify_den; the polynomial families read no entry."""
+    congruence._certify_den.cache_clear()
     p, bad = SymParams.create(7, 3, 2), _noncoprime_family(7)
     for fam in (bad, bad, "ones", bad, bad, "random_poly:3:2"):
         if fam is bad:
@@ -435,8 +475,8 @@ def test_a_noncoprime_family_denominator_raises_on_every_check():
                 check_thm_1_2(p, bad)
         else:
             assert check_thm_1_2(p, fam).holds and check_thm_1_1(p, fam).holds
-    info = theorems._cell_den.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
+    info = congruence._certify_den.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 
@@ -588,11 +628,11 @@ def test_a_trimmed_cell_lifts_only_its_prefix(monkeypatch):
         p = dataclasses.replace(cell, sign=-cell.sign)
         alpha = AlphaParams.create(5, 2, r)
         alpha = dataclasses.replace(alpha, sign=-alpha.sign)
-        assert len(_ring_weights(5, _sym_spec(r, 2))) == K + 1
+        assert len(_ring_weights(5, _spec(r, 2))) == K + 1
         runs = [("thm1.1", partial(check_thm_1_1, p), partial(thm_1_1_sides, p), K),
                 ("thm1.2", partial(check_thm_1_2, p), partial(thm_1_2_sides, p), K),
                 ("thm2.1", partial(check_thm_2_1, alpha), partial(thm_2_1_sides, alpha),
-                 len(_ring_weights(5, _alpha_spec(alpha.alpha))) - 1)]
+                 len(_ring_weights(5, _spec(alpha.alpha, -1))) - 1)]
         for name, check, sides, k in runs:
             for fam in ("ones", "random_poly:4:3"):
                 lifted.clear()
@@ -647,7 +687,7 @@ def test_a_failing_sun_p_x_check_forms_no_full_denominator(monkeypatch):
     rep = check_thm_1_2(p, "sun_p_x")
     monkeypatch.undo()
     assert rep.residual == FLIPPED_RESIDUALS["thm1.2", "sun_p_x"]
-    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_statement(_sun_p_x, p)), 5)
+    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_statement(_thm_1_2, p, SUN_P_X)), 5)
 
 
 def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
@@ -665,9 +705,9 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
     assert (info.misses, info.hits) == (3, 6)
 
 
-RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._kernel_diff, theorems._cell_den,
+RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._kernel_diff, congruence._certify_den,
                congruence._inverse)
-BUDGETED = (theorems._ring_tails, theorems._cell_den, congruence._certify_den, congruence._inverse)
+BUDGETED = (theorems._ring_tails, congruence._certify_den, congruence._inverse)
 
 
 @settings(max_examples=40, deadline=None)
@@ -727,15 +767,17 @@ def test_three_sym_grid_rounds_build_each_tail_set_once():
     assert info.cost == sum(n * 2 * totient(n) for n, _ in SYM_GRID_PAIRS) == 3156
 
 
-def test_three_sym_grid_rounds_certify_each_denominator_once():
-    """The cell denominator depends on (n, d), not on r: three sym_grid rounds
-    certify each of the 40 once, and every other check of an (n, d), at any
-    r and under either theorem, hits.  An entry costs the one term of the
-    family denominator 1 and 2*phi(n) coefficients."""
+def test_three_sym_grid_rounds_certify_no_denominator(monkeypatch):
+    """The cell denominator of a polynomial family is (q^d;q^d)_(n-1)^2, a
+    unit mod Phi_n because gcd(n, d) = 1: three sym_grid rounds certify each
+    of the 40 by that gcd alone, with no residue tested for a unit, no
+    denominator certified or cached and none inverted."""
+    calls = []
+    is_unit = Residue.is_unit
+    monkeypatch.setattr(Residue, "is_unit", lambda res: calls.append(res.n) or is_unit(res))
     _three_sym_grid_rounds()
-    info = theorems._cell_den.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (40, 6 * 40 - 40, 40)
-    assert info.cost == sum(1 + 2 * totient(n) for n, _ in SYM_GRID_PAIRS)
+    infos = [congruence._certify_den.cache_info(), congruence._inverse.cache_info()]
+    assert calls == [] and [(info.misses, info.hits, info.currsize) for info in infos] == [(0, 0, 0)] * 2
 
 
 @pytest.mark.parametrize("check", [check_thm_1_1, check_thm_1_2])
@@ -756,28 +798,29 @@ def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
     for fam in ("ones", "random_poly:4:3"):
         assert check(p, fam).holds
     t = 1 if check is check_thm_1_1 else -1
-    assert calls == [(len(_ring_weights(11, _sym_spec(2, 3))), 3 * t, 3 * t)]
+    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3 * t, 3 * t)]
 
 
 def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
-    """_report keys a cell's _kernel_diff on its one spec, its side's
-    (d, step) and the right side's t: every builder's cell is
-    (spec, (d, step, rescaled), t, lscale, rscale, fden), with the spec of its
-    CHECKS key, the cell's d (1 for thm2.1) and t = 1 (hat) or -1 (tilde); the
-    left side is untransformed by construction."""
+    """_check keys a cell's _kernel_diff on its one spec, its side's step and
+    the right side's t: every builder's cell is
+    (spec, (step, rescaled), t, lscale, rscale, fden), with the (r, d) spec of
+    its CHECKS key (d = -1 for thm2.1), a rescaled side for the sun_p_x label
+    alone and t = 1 (hat) or -1 (tilde); the left side is untransformed by
+    construction."""
     cells = 0
     for n in range(2, 10):
         for d in (d for d in range(1, 5) if math.gcd(n, d) == 1):
             for r in range(-3, 5):
                 p, alpha = SymParams.create(n, d, r), AlphaParams.create(n, r % n, d - 2)
                 ones = FamilySpec.parse("ones")
-                built = [(_thm_1_1(p, ones), _sym_spec(r, d), (d, d, False), 1),
-                         (_thm_1_2(p, ones), _sym_spec(r, d), (d, 0, False), -1),
-                         (_thm_1_2(p, generate("sun_p_x", n)), _sym_spec(r, d), (d, 0, False), -1),
-                         (_sun_p_x(p), _sym_spec(r, d), (d, 0, True), -1),
-                         (theorems._thm_2_1(alpha, ones), _alpha_spec(alpha.alpha), (1, 0, False), 1)]
-                for cell, spec, side, t in built:
-                    assert cell[:3] == (spec, side, t), (n, d, r)
+                built = [(_thm_1_1(p, ones), CHECKS["thm1.1"].key(n, d, r, "ones"), (d, False), 1),
+                         (_thm_1_2(p, ones), CHECKS["thm1.2"].key(n, d, r, "ones"), (0, False), -1),
+                         (_thm_1_2(p, generate("sun_p_x", n)), (n, _spec(r, d)), (0, False), -1),
+                         (_thm_1_2(p, SUN_P_X), CHECKS["sun_p"].key(n, d, r), (0, True), -1),
+                         (_thm_2_1(alpha, ones), CHECKS["thm2.1"].key(n, alpha.a, alpha.s, "ones"), (0, False), 1)]
+                for cell, key, side, t in built:
+                    assert (n, *cell[:3]) == (*key, side, t), (n, d, r)
                     assert all(sign in (1, -1) for _, sign in cell[3:5]), (n, d, r)
                     cells += 1
     assert cells > 500
@@ -791,8 +834,7 @@ def test_the_bench_cache_scan_finds_the_budgeted_tables():
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     found = run.all_lru_caches()
-    names = {"qcong.theorems._ring_tails", "qcong.theorems._cell_den", "qcong.congruence._certify_den",
-             "qcong.congruence._inverse"}
+    names = {"qcong.theorems._ring_tails", "qcong.congruence._certify_den", "qcong.congruence._inverse"}
     assert names <= found.keys() and {found[name] for name in names} == set(BUDGETED)
     theorems._ring_tails(5, 2, 2)
     run.clear_caches(found)
@@ -842,7 +884,7 @@ def _linear_runs(p, alpha):
     n, custom = p.n, generate("random_poly:4:3", p.n)
     return [(partial(check_thm_1_1, p, "ones"), partial(thm_1_1_sides, p, generate("ones", n))),
             (partial(check_thm_1_2, p, "monomial_q:1"), partial(thm_1_2_sides, p, generate("monomial_q:1", n))),
-            (partial(check_thm_1_2, p, "sun_p_x"), lambda: _full_sides(_statement(_sun_p_x, p))),
+            (partial(check_thm_1_2, p, "sun_p_x"), lambda: _full_sides(_statement(_thm_1_2, p, SUN_P_X))),
             (partial(check_thm_2_1, alpha, "ones"), partial(thm_2_1_sides, alpha, generate("ones", n))),
             (partial(check_guo_zeng, p), partial(thm_1_1_sides, p, generate("monomial_x", n))),
             (partial(check_thm_1_1, p, custom), partial(thm_1_1_sides, p, custom)),
@@ -963,29 +1005,27 @@ def test_guo_zeng_is_thm_1_1_at_x_powers(name):
 
 # -- the one weight formula ---------------------------------------------------
 
-# (r, d) -> the (r, d, step, power, tri) spec of each weight shape: the
-# statements', and those of P_n, Sun's sums, at Q = q^d and Q = q^-d
+# (r, d) -> the (r, d) spec of each weight shape
 SPEC_SHAPES = {
-    "thm1.1/thm1.2/guo_zeng": lambda r, d: (r, d, d, 2, False),
-    "thm2.1": lambda r, d: (r, -1, 1, 2, True),  # r plays alpha
-    "sun_p left": lambda r, d: (-r, -d, d, 3, True),
-    "sun_p right": lambda r, d: (r, d, -d, 3, True),
+    "thm1.1/thm1.2/guo_zeng": lambda r, d: (r, d),  # sun_p too, as thm1.2
+    "thm2.1": lambda r, d: (r, -1),  # r plays alpha
 }
 
 
 def _formula_weights(n: int, spec: tuple) -> tuple:
-    """Every w_k, k < n, and den of a spec, by the formula alone:
-    Q^(k^2+k if tri) (q^r;q^d)_k (q^(d-r);q^d)_k (Q^(k+1);Q)_(n-1-k)^power
-    over (Q;Q)_(n-1)^power, Q = q^step, on full polynomials."""
-    r, d, step, power, tri = spec
-    w = [(qpow(step * (k * k + k)) if tri else one) * qpoch(r, d, k) * qpoch(d - r, d, k)
-         * qpoch(step * (k + 1), step, n - 1 - k) ** power for k in range(n)]
-    return w, qpoch(step, step, n - 1) ** power
+    """Every w_k, k < n, and den of a spec (r, d), by the formula alone:
+    Q^(k^2+k if d < 0) (q^r;q^d)_k (q^(d-r);q^d)_k (Q^(k+1);Q)_(n-1-k)^2
+    over (Q;Q)_(n-1)^2, Q = q^|d|, on full polynomials."""
+    r, d = spec
+    step = abs(d)
+    w = [(qpow(step * (k * k + k)) if d < 0 else one) * qpoch(r, d, k) * qpoch(d - r, d, k)
+         * qpoch(step * (k + 1), step, n - 1 - k) ** 2 for k in range(n)]
+    return w, qpoch(step, step, n - 1) ** 2
 
 
 @pytest.mark.parametrize("shape", SPEC_SHAPES)
 def test_weights_are_the_pochhammer_formula(shape):
-    """w_k (Q;Q)_k^power == Q^(k^2+k if tri) (q^r;q^d)_k (q^(d-r);q^d)_k * den
+    """w_k (Q;Q)_k^2 == Q^(k^2+k if d < 0) (q^r;q^d)_k (q^(d-r);q^d)_k * den
     for every weight _weights returns on full polynomials, none of them 0.
     The list stops only before a pair product that is exactly 0 (a factor
     1 - q^0), and every pair product past it is 0 too."""
@@ -993,7 +1033,8 @@ def test_weights_are_the_pochhammer_formula(shape):
         for r in (-3, -1, 0, 2, 5):
             for d in (1, 2, 3):
                 spec = SPEC_SHAPES[shape](r, d)
-                r_, d_, step, power, tri = spec
+                r_, d_ = spec
+                step = abs(d_)
                 w, den = _weights(lambda f: f, n, *spec)
                 assert 1 <= len(w) <= n
                 for k in range(n):
@@ -1001,9 +1042,9 @@ def test_weights_are_the_pochhammer_formula(shape):
                     if k >= len(w):
                         assert pairs.is_zero(), (spec, n, k)
                         continue
-                    scale = qpow(step * (k * k + k)) if tri else one
+                    scale = qpow(step * (k * k + k)) if d_ < 0 else one
                     assert not w[k].is_zero(), (spec, n, k)
-                    assert w[k] * qpoch(step, step, k) ** power == scale * pairs * den, (spec, n, k)
+                    assert w[k] * qpoch(step, step, k) ** 2 == scale * pairs * den, (spec, n, k)
 
 
 @pytest.mark.parametrize("shape", SPEC_SHAPES)
@@ -1017,11 +1058,11 @@ def test_r_and_d_minus_r_share_one_weight_set(shape):
     for n in (2, 5, 6, 7, 9):
         for r in (-3, 0, 2, 5):
             for d in (1, 2, 3):
-                r_, d_, *rest = SPEC_SHAPES[shape](r, d)
-                spellings = [(r_, d_, *rest), (d_ - r_, d_, *rest)]
+                r_, d_ = SPEC_SHAPES[shape](r, d)
+                spellings = [(r_, d_), (d_ - r_, d_)]
                 assert _spec(*spellings[0]) == _spec(*spellings[1])
                 ring_w = _ring_weights(n, _spec(*spellings[0]))
-                ring_den = theorems._ring_tails(n, *rest[:2])[0]
+                ring_den = theorems._ring_tails(n, abs(d_), 2)[0]
                 K = len(ring_w) - 1
                 for spelling in spellings:
                     w, den = _formula_weights(n, spelling)
@@ -1042,7 +1083,7 @@ def test_thm_2_1_weights_are_the_q_binomial_products():
         for a in range(n):
             for s in range(-3, 4):
                 alpha = a + s * n
-                w, den = _weights(lambda f: f, n, alpha, -1, 1, 2, True)
+                w, den = _weights(lambda f: f, n, alpha, -1)
                 for k in range(n):
                     binoms = qbinom_int(alpha, k) * qbinom_int(-1 - alpha, k)
                     wk = w[k] if k < len(w) else LaurentPoly()
@@ -1056,7 +1097,8 @@ small_polys = st.dictionaries(
 
 @st.composite
 def kernel_cases(draw):
-    """(n, spec, t, d, step, entries): Laurent, bivariate or common-denominator entries."""
+    """(n, spec, t, step, entries): Laurent, bivariate or common-denominator
+    entries, and a step of 0 or |d| for the spec's (r, d)."""
     n = draw(st.integers(min_value=2, max_value=8))
     d = draw(st.integers(min_value=1, max_value=5).filter(lambda d: math.gcd(n, d) == 1))
     spec = SPEC_SHAPES[draw(st.sampled_from(sorted(SPEC_SHAPES)))](draw(st.integers(-3, 5)), d)
@@ -1070,18 +1112,19 @@ def kernel_cases(draw):
         dens = st.integers(min_value=1, max_value=4).map(lambda i: one - qpow(i))
         fs = draw(st.lists(st.tuples(small_polys, dens), min_size=n, max_size=n))
         entries, _ = common_denominator([RatExpr(num, den) for num, den in fs])
-    return n, spec, draw(st.sampled_from([-1, 0, 1])), d, draw(st.sampled_from([0, d])), entries
+    return n, spec, draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([0, abs(spec[1])])), entries
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases())
 def test_ring_kernel_is_the_transposed_transform(case):
-    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, T from the
-    matrix and every w_k, k < n, from the formula, for the kernel u that
-    _kernel_diff forms: Horner at (t*d, t*d) on the weights times
+    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, d = |spec d|,
+    T from the matrix and every w_k, k < n, from the formula, for the kernel
+    u that _kernel_diff forms: Horner at (t*d, t*d) on the weights times
     q^(step*k).  u has one entry per ring weight, so the f_j past it are
     never read."""
-    n, spec, t, d, step, entries = case
+    n, spec, t, step, entries = case
+    d = abs(spec[1])
     w, _ = _formula_weights(n, spec)
     matrix = transform_matrix("hat" if t == 1 else "tilde", n) if t else None
     total = LaurentPoly()
@@ -1090,7 +1133,7 @@ def test_ring_kernel_is_the_transposed_transform(case):
         if t:
             tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
         total = tk.substitute_power(d) * qpow(step * k) * w[k] + total
-    u = _kernel(n, spec, t, d, step)
+    u = _kernel(n, spec, t, step)
     assert len(u) == len(_ring_weights(n, spec)) <= n
     lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in entries]
     expected = reduce_by_degree(total, n, 2)
