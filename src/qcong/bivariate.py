@@ -10,7 +10,7 @@ congruence checks cross-multiply instead of normalizing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly
 
@@ -166,9 +166,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({str(self)!r})"
-
-
-PolyLike = Union[LaurentPoly, BiPoly]
 
 
 class RatExpr:

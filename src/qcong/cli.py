@@ -15,8 +15,14 @@ canonical text form ("3/2*q^0 + 1*q^3"); a second line, when present, is a
 denominator.  Exit codes: 0 success/holds, 1 check failed, 2 bad usage or
 an ill-posed input (for instance a denominator sharing a factor with the
 modulus, a sweep cell whose check raised, or a request whose exponent span
-exceeds MAX_SPAN, worked out from the arguments alone: a verify request
-is charged its check's Check.cost, so this module names no check).
+exceeds MAX_SPAN).
+
+Each subcommand is defined once, where build_parser adds its subparser:
+set_defaults gives it a span, the exponent span the request works over
+from its arguments alone, and a run, which returns the exit code.  A verify
+request is charged its check's Check.cost, so this module names no check.
+main parses, refuses a request whose span exceeds MAX_SPAN before it runs,
+runs it, and maps ValueError, ArithmeticError and OSError to exit 2.
 
 A flag value may be negative, a fraction or a range (``--alpha -3/4``,
 ``--r -2..2``): such a value is attached to its flag before parsing, since
@@ -28,11 +34,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import partial
 
 from .bivariate import RatExpr
 from .congruence import residual
 from .cyclotomic import cyclotomic
-from .families import DEFAULT_COEFF_BOUND, FamilySpec, generate
+from .families import DEFAULT_COEFF_BOUND, generate
 from .laurent import LaurentPoly
 from .qcalc import qbinom_base, qpoch
 from .sweep import CONFIG_KEYS, format_summary, load_config, run_sweep
@@ -58,60 +65,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cyclotomic", help="print the n-th cyclotomic polynomial")
     p.add_argument("n", type=int)
+    # Phi_n is divided out of q^n - 1
+    p.set_defaults(span=lambda args: args.n, run=lambda args: _show(cyclotomic(args.n)))
 
     p = sub.add_parser("qbinom", help="print a Gaussian binomial coefficient")
     p.add_argument("alpha", type=int, help="top index, any integer")
     p.add_argument("k", type=int)
     p.add_argument("--base", type=int, default=1, metavar="D",
                    help="evaluate at q^D (default 1)")
+    p.set_defaults(span=lambda args: abs(args.base) * _qbinom_span(args.alpha, args.k),
+                   run=lambda args: _show(qbinom_base(args.alpha, args.k, args.base)))
 
     p = sub.add_parser("qpoch", help="print prod_{j<k} (1 - q^(r + j*d))")
     p.add_argument("r", type=int)
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
+    p.set_defaults(span=lambda args: _poch_span(args.r, args.d, args.k),
+                   run=lambda args: _show(qpoch(args.r, args.d, args.k)))
 
     p = sub.add_parser("transform", help="apply hat or tilde to a family prefix")
     p.add_argument("--kind", required=True, choices=("hat", "tilde"))
     p.add_argument("--family", required=True, metavar="NAME",
                    help="family label, e.g. ones, delta:1, random_poly:7:3")
     p.add_argument("--length", required=True, type=int, metavar="L")
+    p.set_defaults(span=lambda args: _transform_span(args.length, args.family), run=partial(_cmd_transform, parser))
 
     p = sub.add_parser("congruent", help="decide lhs = rhs mod Phi_n(q)^m")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--lhs", required=True, metavar="FILE")
     p.add_argument("--rhs", required=True, metavar="FILE")
+    # every term is folded below degree m*n
+    p.set_defaults(span=lambda args: args.n * args.m, run=_cmd_congruent)
 
     p = sub.add_parser("verify", help="run a single check")
     p.add_argument("theorem", choices=tuple(CHECKS))
     names = dict.fromkeys(arg for check in CHECKS.values() for arg in check.args)
     for name in sorted(names, key=lambda name: name in _VERIFY_FLAGS):  # integers first
         p.add_argument(f"--{name}", **_VERIFY_FLAGS.get(name, {"type": int}))
+    p.set_defaults(span=_verify_span, run=partial(_cmd_verify, parser))
 
     p = sub.add_parser("sweep", help="run a parameter grid from a config file")
     p.add_argument("--config", metavar="FILE")
     for key in CONFIG_KEYS:
         p.add_argument("--" + key.replace("_", "-"), metavar="V[,V...]")
+    p.set_defaults(span=lambda args: 0, run=partial(_cmd_sweep, parser))
     return parser
-
-
-def _span(args: argparse.Namespace) -> int:
-    """The exponent span a request works over, from its arguments alone."""
-    if args.command == "cyclotomic":  # Phi_n is divided out of q^n - 1
-        return args.n
-    if args.command == "qbinom":
-        return abs(args.base) * _qbinom_span(args.alpha, args.k)
-    if args.command == "qpoch":
-        return _poch_span(args.r, args.d, args.k)
-    if args.command == "congruent":  # every term is folded below degree m*n
-        return args.n * args.m
-    if args.command == "transform":
-        return _transform_span(args.length, args.family)
-    if args.command == "verify":  # a missing flag spans 0, so _cmd_verify reports it
-        check = CHECKS[args.theorem]
-        values = [getattr(args, name) for name in check.args]
-        return 0 if None in values else check.cost(*values)
-    return 0
 
 
 _NEGATIVE = re.compile(r"-\d")
@@ -160,6 +159,37 @@ def _print_report(rep) -> int:
     return 0 if rep.holds else 1
 
 
+def _show(value) -> int:
+    print(value)
+    return 0
+
+
+def _cmd_transform(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.length < 2:
+        parser.error("--length must be at least 2")
+    fs = generate(args.family, args.length)
+    for k, entry in enumerate(hat(fs) if args.kind == "hat" else tilde(fs)):
+        print(f"{k}: {entry}")
+    return 0
+
+
+def _cmd_congruent(args: argparse.Namespace) -> int:
+    res = residual(_read_expr(args.lhs), _read_expr(args.rhs), args.n, args.m)
+    if not res:  # zero exactly when the congruence holds
+        print("CONGRUENT")
+        return 0
+    print("NOT CONGRUENT")
+    print(f"residual: {res}")
+    return 1
+
+
+def _verify_span(args: argparse.Namespace) -> int:
+    """The check's own Check.cost; a missing flag spans 0, so _cmd_verify reports it."""
+    check = CHECKS[args.theorem]
+    values = [getattr(args, name) for name in check.args]
+    return 0 if None in values else check.cost(*values)
+
+
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     check = CHECKS[args.theorem]
     values = [getattr(args, name) for name in check.args]
@@ -185,42 +215,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if _span(args) > MAX_SPAN:
+        if args.span(args) > MAX_SPAN:
             raise ValueError(f"{args.command} would span more than {MAX_SPAN} exponents")
-        if args.command == "cyclotomic":
-            print(cyclotomic(args.n))
-            return 0
-        if args.command == "qbinom":
-            print(qbinom_base(args.alpha, args.k, args.base))
-            return 0
-        if args.command == "qpoch":
-            print(qpoch(args.r, args.d, args.k))
-            return 0
-        if args.command == "transform":
-            fam = FamilySpec.parse(args.family)
-            if args.length < 2:
-                parser.error("--length must be at least 2")
-            fs = generate(fam, args.length)
-            out = hat(fs) if args.kind == "hat" else tilde(fs)
-            for k, entry in enumerate(out):
-                print(f"{k}: {entry}")
-            return 0
-        if args.command == "congruent":
-            res = residual(_read_expr(args.lhs), _read_expr(args.rhs), args.n, args.m)
-            if not res:  # zero exactly when the congruence holds
-                print("CONGRUENT")
-                return 0
-            print("NOT CONGRUENT")
-            print(f"residual: {res}")
-            return 1
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        if args.command == "sweep":
-            return _cmd_sweep(parser, args)
+        return args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ Family grammar (used verbatim on the command line and in reports):
     monomial_x                    f_k = x^k                      (bivariate)
     sun_p_x                       f_k = q^k (x;q)_k / (q;q)_k    (rational)
 
+Each family is defined by its one _FAMILIES row: the least and most number
+of parameters, the kind, and entries(n, *args), which builds f_0..f_{n-1}.
+FamilySpec checks a label against the row, and generate calls its entries.
+
 Random coefficients come from SplitMix64, a fixed 64-bit generator chosen
 for its platform-independent definition: the sequence below is part of the
 report format, not an implementation detail free to drift.  Coefficients
@@ -61,22 +65,25 @@ def random_int_sequence(seed: int, length: int, bound: int = DEFAULT_COEFF_BOUND
     return [rng.next_int(bound) for _ in range(length)]
 
 
-_ARITY = {
-    "ones": (0, 0),
-    "delta": (1, 1),
-    "monomial_q": (1, 1),
-    "random_poly": (2, 3),
-    "monomial_x": (0, 0),
-    "sun_p_x": (0, 0),
-}
+def _random_poly(n: int, seed: int, degmax: int, bound: int = DEFAULT_COEFF_BOUND) -> list:
+    rng = SplitMix64(seed)
+    return [LaurentPoly({i: rng.next_int(bound) for i in range(degmax + 1)}) for _ in range(n)]
 
-_KINDS = {
-    "ones": UNIVARIATE,
-    "delta": UNIVARIATE,
-    "monomial_q": UNIVARIATE,
-    "random_poly": UNIVARIATE,
-    "monomial_x": BIVARIATE,
-    "sun_p_x": RATIONAL,
+
+def _sun_p_x(n: int) -> list:
+    # (q;q)_k as prefix products, one factor (1 - q^k) times the one before
+    dens = accumulate((one - qpow(k) for k in range(1, n)), mul, initial=one)
+    return [RatExpr(px * qpow(k), den) for k, (px, den) in enumerate(zip(qpoch_x_prefixes(0, n), dens))]
+
+
+# name -> (least parameters, most parameters, kind, entries(n, *args))
+_FAMILIES = {
+    "ones": (0, 0, UNIVARIATE, lambda n: [one] * n),
+    "delta": (1, 1, UNIVARIATE, lambda n, m: [one if k == m else zero for k in range(n)]),
+    "monomial_q": (1, 1, UNIVARIATE, lambda n, c: [qpow(c * k) for k in range(n)]),
+    "random_poly": (2, 3, UNIVARIATE, _random_poly),
+    "monomial_x": (0, 0, BIVARIATE, lambda n: [BiPoly.x_power(k) for k in range(n)]),
+    "sun_p_x": (0, 0, RATIONAL, _sun_p_x),
 }
 
 
@@ -86,9 +93,9 @@ class FamilySpec:
     args: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.name not in _ARITY:
+        if self.name not in _FAMILIES:
             raise ValueError(f"unknown family {self.name!r}")
-        lo, hi = _ARITY[self.name]
+        lo, hi = _FAMILIES[self.name][:2]
         if not lo <= len(self.args) <= hi:
             raise ValueError(f"family {self.name} takes {lo}..{hi} parameters, got {len(self.args)}")
         if self.name == "delta" and self.args[0] < 0:
@@ -124,7 +131,7 @@ class FamilySpec:
 
     @property
     def kind(self) -> str:
-        return _KINDS[self.name]
+        return _FAMILIES[self.name][2]
 
 
 def generate(fam: "FamilySpec | str", n: int) -> PolySeq:
@@ -133,28 +140,4 @@ def generate(fam: "FamilySpec | str", n: int) -> PolySeq:
         fam = FamilySpec.parse(fam)
     if n < 2:
         raise ValueError("families generate sequences of length n >= 2")
-    name, args = fam.name, fam.args
-    if name == "ones":
-        entries = [one] * n
-    elif name == "delta":
-        entries = [one if k == args[0] else zero for k in range(n)]
-    elif name == "monomial_q":
-        entries = [qpow(args[0] * k) for k in range(n)]
-    elif name == "random_poly":
-        seed, degmax = args[0], args[1]
-        bound = args[2] if len(args) == 3 else DEFAULT_COEFF_BOUND
-        rng = SplitMix64(seed)
-        entries = [
-            LaurentPoly({i: rng.next_int(bound) for i in range(degmax + 1)})
-            for _ in range(n)
-        ]
-    elif name == "monomial_x":
-        entries = [BiPoly.x_power(k) for k in range(n)]
-    elif name == "sun_p_x":
-        # (q;q)_k as prefix products, one factor (1 - q^k) times the one before
-        dens = accumulate((one - qpow(k) for k in range(1, n)), mul, initial=one)
-        entries = [RatExpr(px * qpow(k), den)
-                   for k, (px, den) in enumerate(zip(qpoch_x_prefixes(0, n), dens))]
-    else:  # unreachable, __post_init__ validated the name
-        raise ValueError(f"unknown family {name!r}")
-    return PolySeq(tuple(entries), fam.kind)
+    return PolySeq(tuple(_FAMILIES[fam.name][3](n, *fam.args)), fam.kind)

@@ -9,12 +9,13 @@ builds, so the tasks that read one cell's ring weights and kernels run
 together while those are cached.  Records never contain timing, so the
 emitted file depends only on the config, not on the worker count, the run
 order or machine load.  Grid cells outside a check's hypotheses
-(CHECKS[id].invalid) are counted as skipped, not errored.  A task that raises ValueError or
-ArithmeticError (an ill-posed cell, such as n = 1) becomes an error record
-carrying its arguments and the message; the other records are still
-written, and the sweep counts it under errors.  A grid of more than
-MAX_TASKS cells, or a key of more than MAX_TASKS values, is refused with a
-ValueError before any task runs or any record is written.
+(CHECKS[id].invalid) are counted as skipped, not errored.  A task that
+raises ValueError or ArithmeticError (an ill-posed cell, such as n = 1 or
+d = 0, which invalid never skips) becomes an error record carrying its
+arguments and the message; the other records are still written, and the
+sweep counts it under errors.  A grid of more than MAX_TASKS cells, a key
+of more than MAX_TASKS values, or a list-valued key with none, is refused
+with a ValueError before any task runs or any record is written.
 
 Config files are flat ``key = value`` lines; '#' starts a comment.  Values
 are comma-separated atoms, each an integer, a fraction, an inclusive range
@@ -163,6 +164,9 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
             raise ValueError(f"unknown theorem {t!r}; choices: {', '.join(SWEEP_GROUPS)}")
     if "n" not in raw:
         raise ValueError("config needs an 'n' key")
+    for key in ("n", "d", "r", "s", "a", "families", "alphas"):  # an empty one would drop its cells
+        if raw.get(key) == []:
+            raise ValueError(f"{key}: expected at least one value")
 
     cfg = SweepConfig(theorems=theorems, n_values=expand_ints(raw["n"], "n"))
     for key in ("d", "r", "s", "a"):

@@ -1,21 +1,24 @@
 """Both sides of each symmetric-congruence statement, assembled and decided.
 
-Every statement is one _Statement record comparing
-lscale * Sum w_k X_k / den with rscale * Sum w_k T(X)_k / den mod Phi_n^2:
-one set of weights, one side X_k = q^(step*k) f_k(q^|d|), and the right
-side's transform T, hat (t = 1) or tilde (t = -1), applied to f before the
-substitution.  Its builder (_thm_1_1, _thm_1_2 or _thm_2_1; guo_zeng is
-_thm_1_1 at f_k = x^k, whose right entries hat(x^k) are (xq;q)_k) checks
-the family's hypotheses and returns the cell: every field but the sequence
-f, as plain tuples and ints.  The weight spec is (min(r, d - r), d), d = -1
-for thm2.1 (_spec), and _weights builds the weights from it, in the carrier
-of a lift function: Q = q^|d|, power 2, and the factor Q^(k^2+k) exactly
-when d < 0.  The side is (step, rescaled): _thm_1_2 returns the rescaled
-side for the sun_p_x label, which reads no sequence, its f_k being the
-numerators q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1).  A
-named family stays a FamilySpec, whose kind is known at once; it is
-generated, and the record built with it, only where a difference is mapped
-or a side expanded, and then once per check.
+Every statement compares lscale * Sum w_k X_k / (den * fden) with
+rscale * Sum w_k T(X)_k / (den * fden) mod Phi_n^2: one set of weights, one
+side X_k = q^(step*k) f_k(q^|d|), and the right side's transform T, hat
+(t = 1) or tilde (t = -1), applied to f before the substitution.  Its
+builder (_thm_1_1, _thm_1_2 or _thm_2_1; guo_zeng is _thm_1_1 at
+f_k = x^k, whose right entries hat(x^k) are (xq;q)_k) checks the family's
+hypotheses and returns the cell, the statement's only record: the tuple
+(spec, (step, rescaled), t, lscale, rscale, fden) of plain tuples, ints
+and the family denominator fden (1 unless the family is rational).  The
+scales are (exponent, sign) pairs, each the signed monomial
+sign * q^exponent.  The weight spec is (min(r, d - r), d), d = -1 for
+thm2.1 (_spec), and _weights builds the weights from it, in the carrier of
+a lift function: Q = q^|d|, power 2, and the factor Q^(k^2+k) exactly when
+d < 0.  _thm_1_2 returns the rescaled side for the sun_p_x label, which
+reads no sequence, its f_k being the numerators
+q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1), a denominator
+the side carries in place of fden.  A named family stays a FamilySpec,
+whose kind is known at once; it is generated only where a difference is
+mapped or a side expanded, and then once per check.
 
 sun_p, the q-analogue of Sun's congruence,
 P_n(-r/d, x; q^d) == sign * q^E * P_n(-r/d, x q^-d; q^-d) (mod Phi_n^2) for
@@ -25,14 +28,15 @@ thm1.2 side there as a rational function, not only mod Phi_n^2.  So
 check_sun_p_analogue decides the rescaled thm1.2 cell, and shares its
 kernel difference.
 
-_full_sides expands the sides on full polynomials: the public *_sides
-builders, which the negative-control tests perturb, and the oracle of the
-checks.  The checks decide in Q[q]/(Phi_n^2), and never form anything above
-degree 2*phi(n), however large the exponents.  Each of the five ring checks
-is one _check call, which certifies the cell's denominator, looks up its
-kernel difference and, when that is not empty, maps it (_ring_diff: the
-numerator of left minus right, by x-degree, as residues over the cell's one
-denominator): the statement holds when every x-coefficient is zero.  No
+_full_sides(p, cell, seq) expands the sides on full polynomials: the
+public *_sides builders, which the negative-control tests perturb, and the
+oracle of the checks.  The checks decide in Q[q]/(Phi_n^2), and never form
+anything above degree 2*phi(n), however large the exponents.  Each of the
+five ring checks is one _check call, which certifies the cell's
+denominator, looks up its kernel difference and, when that is not empty,
+maps it (_ring_diff: the numerator of left minus right, by x-degree, as
+residues over the cell's one denominator): the statement holds when every
+x-coefficient is zero.  No
 residue goes back to a polynomial, and nothing is reduced or certified
 twice; a failing check gets its residual from the same residues
 (congruence._residual_of, which residual uses too), and the cell's
@@ -68,15 +72,15 @@ untransformed kernel u^L, the weights times q^(step*k), and running Horner
 on it once for the right side's t (the transposed q-Pascal recurrence of hat
 and tilde), in a bounded cache keyed on n, the spec, step, t and the ratio's
 exponent and sign: sun_p, sun_p_x and every other thm1.2 family of a cell
-share one entry.  The scales are signed monomials kept as (exponent, sign)
-pairs, so the key holds plain ints.  _check reads the key off the cell,
-which the builder made from the params record it was given (E or F, sign
-and alpha included), so a perturbed record has a key of its own.  A check
-of a cell whose difference is empty is answered there: it builds no record,
-generates no family, lifts no entry, forms no dot and runs no Horner.  One
-whose difference is not attaches the family and maps the difference once
-(_ring_side), lifting each f_j(q^|d|) once and transforming nothing, so
-every failing verdict and residual comes from that.  The denominator is
+share one entry.  The scales being (exponent, sign) pairs, the key holds
+plain ints.  _check reads the key off the cell, which the builder made from
+the params record it was given (E or F, sign and alpha included), so a
+perturbed record has a key of its own.  A check of a cell whose difference
+is empty is answered there: it generates no family, lifts no entry, forms
+no dot and runs no Horner.  One whose difference is not generates the
+family and maps the difference once (_ring_diff), lifting each f_j(q^|d|)
+once and transforming nothing, so every failing verdict and residual comes
+from that.  The denominator is
 G_0 = (Q;Q)_(n-1)^2 times fden, or times the rescaled side's
 H_0 = (Q;Q)_(n-1).  G_0 and H_0 are units mod Phi_n exactly when
 gcd(n, d) = 1, which SymParams.create requires, so only a family
@@ -123,7 +127,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .bivariate import BiPoly, RatExpr
 from .congruence import (NoncoprimeDenominatorError, _budgeted, _certify_den, _residual_of, dot, horner, reduce,
@@ -143,7 +147,9 @@ def _tri(x: int) -> int:
 # -- hypotheses ---------------------------------------------------------------
 # Each returns None when its hypothesis holds and the reason otherwise.  The
 # parameter constructors, side-builders and checks raise with the reason;
-# CHECKS uses the same functions to skip out-of-hypothesis sweep cells.
+# CHECKS uses the same functions to skip out-of-hypothesis sweep cells, but
+# only where _posed holds: below it run refuses the cell as ill-posed, and a
+# sweep reports it as an error record.
 
 
 def _require(reason: "str | None") -> None:
@@ -153,6 +159,11 @@ def _require(reason: "str | None") -> None:
 
 def _n_at_least_2(n: int) -> "str | None":
     return None if n >= 2 else "n must be at least 2"
+
+
+def _posed(n: int, d: int = 1) -> bool:
+    """n >= 2 and d >= 1: run raises on a cell below them before it tests a hypothesis."""
+    return n >= 2 and d >= 1
 
 
 def _coprime(n: int, d: int) -> "str | None":
@@ -171,11 +182,8 @@ def _odd_n(n: int) -> "str | None":
     return None if n % 2 and n >= 3 else "this statement is for odd n >= 3 only"
 
 
-_EVEN_N = "n must be even and at least 2"
-
-
 def _even_n(n: int) -> "str | None":
-    return None if n % 2 == 0 else _EVEN_N
+    return None if n % 2 == 0 and n >= 2 else "n must be even and at least 2"
 
 
 _RATIONAL = "rational families are out of hypothesis here"
@@ -319,7 +327,7 @@ def _resolve_family(fam) -> "tuple[PolySeq | FamilySpec, str]":
 
 def _sequence(fam, n: int) -> "PolySeq | None":
     """The entries a family stands for: a FamilySpec generated at length n, a
-    PolySeq (or None, for sides in Pochhammer form) as it is."""
+    PolySeq as it is."""
     return generate(fam, n) if isinstance(fam, FamilySpec) else fam
 
 
@@ -389,43 +397,6 @@ def _spec(r: int, d: int) -> tuple:
 # -- the statements -----------------------------------------------------------
 
 
-class _Statement(NamedTuple):
-    """lscale * Sum_k w_k X_k / (den * fden)  vs  rscale * Sum_k w_k T(X)_k / (den * fden).
-
-    A builder (_thm_1_1, _thm_1_2, _thm_2_1) returns the fields from spec to
-    fden, the cell of the statement, as a plain tuple.  They hold no
-    sequence, so _check certifies the denominator and looks up the kernel
-    difference from them alone; the family is attached as seq, and the
-    record built, only where a difference is mapped or a side expanded.
-
-    spec            the (r, d) of _weights, giving w and den in any carrier;
-                    both sides substitute q -> q^|d|
-    side            (step, rescaled): X_k = q^(step*k) f_k(q^|d|) on the left
-                    and q^(step*k) T(f)_k(q^|d|) on the right.  A rescaled
-                    side reads no sequence: its f_k are
-                    q^k (q^(k+1);q)_(n-1-k) (x;q)_k, the numerators of sun_p_x
-                    over (q;q)_(n-1), a denominator that the side carries in
-                    place of fden (_full_den)
-    t               the right side's transform T: hat (1) or tilde (-1)
-    lscale, rscale  (exponent, sign) pairs, each the signed monomial
-                    sign * q^exponent; a polynomial is built from one only
-                    where a side is expanded or a difference rescaled
-    fden            the family's common denominator, 1 unless the family is rational
-    seq             the f of both sides, a PolySeq of untransformed entries
-                    (full Laurent or bivariate polynomials or rational
-                    functions); None for a rescaled side
-    """
-
-    p: "SymParams | AlphaParams"
-    spec: tuple
-    side: tuple
-    t: int
-    lscale: tuple
-    rscale: tuple
-    fden: LaurentPoly
-    seq: "PolySeq | None"
-
-
 _UNIT = (0, 1)  # the scale 1 = +q^0
 # parse's own specs, so that a label and sun_p or guo_zeng pass the same object
 _SUN_P_X = FamilySpec.parse("sun_p_x")
@@ -483,13 +454,6 @@ def _numerators(fs: tuple) -> tuple:
     return tuple(common_denominator(fs)[0]) if isinstance(fs[0], RatExpr) else fs
 
 
-def _entries(rescaled: bool, seq: "PolySeq | None", n: int) -> tuple:
-    """The f_k of a side, as polynomials (_numerators), for _full_sides.  A
-    rescaled side is sun_p_x over its common denominator, as _thm_1_2 has
-    it, so the H_k of _ring_side are not built here."""
-    return _numerators((generate(_SUN_P_X, n) if rescaled else seq).entries)
-
-
 def _expand(fs: tuple, t: int, d: int, step: int) -> tuple:
     """The entries q^(step*k) T(f)_k(q^d) of a side, as full polynomials."""
     fs = (hat if t == 1 else tilde)(fs) if t else fs
@@ -504,13 +468,17 @@ def _full_den(n: int, d: int, rescaled: bool, fden: LaurentPoly, G0: LaurentPoly
     return den * qpoch(d, d, n - 1) if rescaled else den
 
 
-def _full_sides(st: _Statement) -> tuple[RatExpr, RatExpr]:
-    n, d, (step, rescaled) = st.p.n, abs(st.spec[1]), st.side
-    w, G0 = _weights(lambda f: f, n, *st.spec)
-    den = _full_den(n, d, rescaled, st.fden, G0)
-    fs = _entries(rescaled, st.seq, n)
-    return tuple(RatExpr(_sum(w, _expand(fs, t, d, step)) * LaurentPoly.monomial(*scale), den)
-                 for t, scale in ((0, st.lscale), (st.t, st.rscale)))
+def _full_sides(p, cell: tuple, seq: "PolySeq | None") -> tuple[RatExpr, RatExpr]:
+    """Both sides of the cell a builder made of p, on full polynomials, with
+    the f_k of seq as polynomials (_numerators); a rescaled side reads
+    sun_p_x over its common denominator, as _thm_1_2 has it, and not seq."""
+    spec, (step, rescaled), t, lscale, rscale, fden = cell
+    n, d = p.n, abs(spec[1])
+    w, G0 = _weights(lambda f: f, n, *spec)
+    den = _full_den(n, d, rescaled, fden, G0)
+    fs = _numerators((generate(_SUN_P_X, n) if rescaled else seq).entries)
+    return tuple(RatExpr(_sum(w, _expand(fs, tk, d, step)) * LaurentPoly.monomial(*scale), den)
+                 for tk, scale in ((0, lscale), (t, rscale)))
 
 
 @_budgeted(lambda G, n, step, power: len(G) * len(G[0]._coeffs))
@@ -567,44 +535,31 @@ def _kernel_diff(n: int, spec: tuple, step: int, t: int, e: int, sign: int) -> t
     return tuple(a - b for a, b in zip(ul, ur, strict=True))
 
 
-def _ring_side(st: _Statement, u) -> dict:
-    """Sum_j u_j f_j(q^d) mod Phi_n^2 by x-degree (x^0 alone when univariate),
-    for a kernel u of the statement's side, d = |spec d|.
+def _ring_diff(n: int, d: int, rescaled: bool, lscale: tuple, seq: "PolySeq | None", u) -> dict:
+    """The numerator of left minus right mod Phi_n^2 by x-degree (x^0 alone
+    when univariate), over the cell's denominator: lscale * Sum_j u_j f_j(q^d)
+    for the cell's nonempty _kernel_diff u.
 
-    A sequence side lifts f_0..f_(len(u)-1), each once, and forms one dot per
-    x-degree; no entry is transformed.  A rescaled side is
-    Sum_j g_j (x; q^d)_j with g_j = u_j q^(d*j) H_j (H_j the cached tails at
-    (n, d, 1)), and horner gives its x-coefficients: no entry is formed or
-    lifted."""
-    n, d = st.p.n, abs(st.spec[1])
-    if st.side[1]:
+    A sequence side lifts f_0..f_(len(u)-1) of seq, each once, and forms one
+    dot per x-degree; no entry is transformed.  A rescaled side reads no seq:
+    it is Sum_j g_j (x; q^d)_j with g_j = u_j q^(d*j) H_j (H_j the cached
+    tails at (n, d, 1)), and horner gives its x-coefficients, so no entry is
+    formed or lifted."""
+    if rescaled:
         g = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
-        return dict(enumerate(horner(g, 0, d)))
-    lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(st.seq.entries)[:len(u)]]
-    return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
-
-
-def _ring_diff(st: _Statement, u) -> dict:
-    """The numerator of left minus right mod Phi_n^2 by x-degree, over the
-    cell's denominator: lscale * Sum_j u_j f_j(q^d), the map of the cell's
-    nonempty _kernel_diff u."""
-    diff = _ring_side(st, u)
-    if st.lscale == _UNIT:
+        diff = dict(enumerate(horner(g, 0, d)))
+    else:
+        lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
+        diff = {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
+    if lscale == _UNIT:
         return diff
-    lscale = LaurentPoly.monomial(*st.lscale)
+    lscale = LaurentPoly.monomial(*lscale)
     return {j: s * lscale for j, s in diff.items()}
-
-
-def _bivariate(st: _Statement) -> bool:
-    """Whether a statement's residual is reported by x-degree: a rescaled
-    side, or an entry with x in it."""
-    return st.side[1] or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
-                             for f in st.seq.entries)
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
-    return _full_sides(_Statement(p, *_thm_1_1(p, seq), seq))
+    return _full_sides(p, _thm_1_1(p, seq), seq)
 
 
 def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
@@ -613,7 +568,7 @@ def thm_1_2_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
     Rational families are allowed: the sequence is rewritten over a common
     denominator first, which then multiplies the shared T_k denominator.
     """
-    return _full_sides(_Statement(p, *_thm_1_2(p, seq), seq))
+    return _full_sides(p, _thm_1_2(p, seq), seq)
 
 
 def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
@@ -648,12 +603,12 @@ def _check(name: str, p, fam, build) -> CheckReport:
     is not a unit raises, on every check, the error congruent raises on the
     full sides, with the full denominator (_full_den), and no side is built
     for it.  The statement holds for every family when the cell's
-    _kernel_diff is empty, and is answered then, with no family generated
-    and no record built.  Otherwise the family is attached (_sequence) and
-    the difference mapped (_ring_diff): the statement holds when every
-    x-coefficient is zero, and a failing one gets the residual of the same
-    residues over G_0 times H_0 or times the certified fden, formed only
-    there."""
+    _kernel_diff is empty, and is answered then, with no family generated.
+    Otherwise the family is generated (_sequence), unless the side is
+    rescaled, and the difference mapped (_ring_diff): the statement holds
+    when every x-coefficient is zero, and a failing one gets the residual of
+    the same residues over G_0 times H_0 or times the certified fden, formed
+    only there."""
     started = time.perf_counter()
     fam, label = _resolve_family(fam)
     cell = build(p, fam)
@@ -665,8 +620,8 @@ def _check(name: str, p, fam, build) -> CheckReport:
     u = _kernel_diff(n, spec, step, t, *_ratio(lscale, rscale))
     holds, residual = u == (), None
     if not holds:
-        st = _Statement(p, *cell, None if rescaled else _sequence(fam, n))
-        diff = _ring_diff(st, u)
+        seq = None if rescaled else _sequence(fam, n)
+        diff = _ring_diff(n, d, rescaled, lscale, seq, u)
         holds = all(r.is_zero() for r in diff.values())
         if not holds:
             den = _ring_tails(n, d, 2)[0]
@@ -674,7 +629,10 @@ def _check(name: str, p, fam, build) -> CheckReport:
                 den = den * _ring_tails(n, d, 1)[0]
             elif rational:
                 den = den * _certify_den(fden, n, 2)
-            residual = _residual_text(_residual_of(diff, den, _bivariate(st)))
+            # reported by x-degree for a rescaled side, or an entry with x in it
+            bivariate = rescaled or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
+                                        for f in seq.entries)
+            residual = _residual_text(_residual_of(diff, den, bivariate))
     if isinstance(p, SymParams):
         params, exponent = {"n": n, "d": p.d, "r": p.r, "family": label}, p.E
     else:
@@ -738,8 +696,6 @@ def check_lemma_sn_minus1(n: int, s: int, j: int) -> bool:
 
 def check_even_sign_fact(n: int) -> bool:
     """Phi_n divides (-1)^(n-1) q^C(n,2) - 1 for even n."""
-    if n < 2:
-        raise ValueError(_EVEN_N)
     _require(_even_n(n))
     value = qpow(_tri(n)) * (-1 if (n - 1) % 2 else 1) - one
     return reduce(value, n).is_zero()
@@ -860,7 +816,9 @@ class Check:
     """One statement as `qcong verify` and the sweep see it.
 
     args     argument names, in the order sweep records sort by
-    invalid  (*args) -> why a sweep skips the cell (a hypothesis fails), or None
+    invalid  (*args) -> why a sweep skips the cell (a hypothesis fails), or
+             None: also for an ill-posed cell (not _posed), which run
+             raises on and a sweep reports as an error record
     run      (*args) -> CheckReport; ill-posed arguments raise ValueError
     key      (*args) -> (n, weight spec) of the statement run builds, by
              the _spec its builder uses, or () for a check without
@@ -901,41 +859,41 @@ def _classical(p: int, alpha: str, seed: int, bound: int) -> CheckReport:
 CHECKS: dict[str, Check] = {
     "thm1.1": Check(
         ("n", "d", "r", "family"),
-        lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1),
+        lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1) if _posed(n, d) else None,
         lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
         lambda n, d, r, family: (n, _spec(r, d)),
         cost=lambda n, d, r, family: _transform_span(n, family),  # its full sides transform n entries
     ),
     "thm1.2": Check(
         ("n", "d", "r", "family"),
-        lambda n, d, r, family: _coprime(n, d),
+        lambda n, d, r, family: _coprime(n, d) if _posed(n, d) else None,
         lambda n, d, r, family: check_thm_1_2(SymParams.create(n, d, r), family),
         lambda n, d, r, family: (n, _spec(r, d)),
         cost=lambda n, d, r, family: _transform_span(n, family),
     ),
     "thm2.1": Check(
         ("n", "a", "s", "family"),
-        lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)),
+        lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)) if _posed(n) else None,
         lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
         lambda n, a, s, family: (n, _spec(a + s * n, -1)),
         cost=lambda n, a, s, family: _transform_span(n, family),
     ),
     "s0": Check(
         ("n", "a", "family"),
-        lambda n, a, family: _a_in_range(n, a) or _polynomial(_kind(family), _RATIONAL_S0),
+        lambda n, a, family: _a_in_range(n, a) or _polynomial(_kind(family), _RATIONAL_S0) if _posed(n) else None,
         lambda n, a, family: _bool_report("s0", check_s0_identity, n=n, a=a, family=family),
         cost=lambda n, a, family: _transform_span(n, family),
     ),
     "guo_zeng": Check(
         ("n", "d", "r"),
-        lambda n, d, r: _coprime(n, d),
+        lambda n, d, r: _coprime(n, d) if _posed(n, d) else None,
         lambda n, d, r: check_guo_zeng(SymParams.create(n, d, r)),
         lambda n, d, r: (n, _spec(r, d)),
         cost=lambda n, d, r: _horner_span(n),
     ),
     "sun_p": Check(
         ("n", "d", "r"),
-        lambda n, d, r: _coprime(n, d) or _odd_n(n),
+        lambda n, d, r: _coprime(n, d) or _odd_n(n) if _posed(n, d) else None,
         lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
         lambda n, d, r: (n, _spec(r, d)),
         cost=lambda n, d, r: _horner_span(n),
@@ -955,7 +913,7 @@ CHECKS: dict[str, Check] = {
     ),
     "even-sign": Check(
         ("n",),
-        _even_n,
+        lambda n: _even_n(n) if _posed(n) else None,
         lambda n: _bool_report("even-sign", check_even_sign_fact, n=n),
         cost=lambda n: n,  # reduced mod Phi_n, like cyclotomic N
     ),

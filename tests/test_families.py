@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcong.bivariate import BiPoly, RatExpr
-from qcong.families import DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate, random_int_sequence
+from qcong.families import _FAMILIES, DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate, random_int_sequence
 from qcong.laurent import LaurentPoly, one, qpow, zero
 from qcong.qcalc import qpoch, qpoch_x_prefixes
 from qcong.transforms import BIVARIATE, RATIONAL, UNIVARIATE
@@ -85,6 +85,24 @@ def test_kinds():
     assert FamilySpec.parse("ones").kind == UNIVARIATE
     assert FamilySpec.parse("monomial_x").kind == BIVARIATE
     assert FamilySpec.parse("sun_p_x").kind == RATIONAL
+
+
+# one sample label for each _FAMILIES row
+SAMPLE_LABELS = {"ones": "ones", "delta": "delta:1", "monomial_q": "monomial_q:2",
+                 "random_poly": "random_poly:7:3:4", "monomial_x": "monomial_x", "sun_p_x": "sun_p_x"}
+ENTRY_TYPES = {UNIVARIATE: LaurentPoly, BIVARIATE: BiPoly, RATIONAL: RatExpr}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_every_family_row_generates_entries_of_its_kind(name):
+    """Each _FAMILIES row, read through a sample label (a row without one
+    fails here), generates n entries of FamilySpec.kind at n = 2..6."""
+    spec = FamilySpec.parse(SAMPLE_LABELS[name])
+    assert spec.name == name and spec.kind == _FAMILIES[name][2]
+    for n in range(2, 7):
+        seq = generate(spec, n)
+        assert (len(seq), seq.kind) == (n, spec.kind)
+        assert all(isinstance(f, ENTRY_TYPES[spec.kind]) for f in seq.entries)
 
 
 def test_generate_ones_delta_monomial():

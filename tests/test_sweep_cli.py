@@ -319,16 +319,17 @@ def test_the_sweep_key_is_the_statement_a_check_builds(case):
 @st.composite
 def sweep_cells(draw):
     """(check_id, args): any CHECKS entry at arguments a sweep can expand
-    to, the ill-posed ones aside: n >= 2 and d >= 1 (below them a cell is an
-    error record, not a skip) and j on the sweep's axis [1, n-1].  d is
-    coprime to n or not, a in range or not, s zero or not; the family labels
-    are univariate, bivariate and rational; p is at most MAX_CLASSICAL_P,
-    prime or not, and alpha p-integral or not."""
+    to, ill-posed ones included: n in 0..15 and d in -2..8 (below n = 2 or
+    d = 1 a cell is an error record, not a skip), and j on the sweep's axis
+    [1, n-1], which is empty below n = 2.  d is coprime to n or not, a in
+    range or not, s zero or not; the family labels are univariate,
+    bivariate and rational; p is at most MAX_CLASSICAL_P, prime or not, and
+    alpha p-integral or not."""
     check_id = draw(st.sampled_from(sorted(CHECKS)))
-    n = draw(st.integers(min_value=2, max_value=15))
+    n = draw(st.integers(min_value=2 if "j" in CHECKS[check_id].args else 0, max_value=15))
     values = {
-        "n": n, "d": draw(st.integers(1, 8)), "r": draw(st.integers(-5, 5)), "a": draw(st.integers(-2, n + 2)),
-        "s": draw(st.integers(-3, 3)), "j": draw(st.integers(1, n - 1)),
+        "n": n, "d": draw(st.integers(-2, 8)), "r": draw(st.integers(-5, 5)), "a": draw(st.integers(-2, n + 2)),
+        "s": draw(st.integers(-3, 3)), "j": draw(st.integers(1, max(n - 1, 1))),
         "p": draw(st.integers(-2, 40) | st.sampled_from((999, MAX_CLASSICAL_P))),
         "alpha": draw(st.sampled_from(("2", "1/2", "-1/3", "2/5", "5/7", "-3/4"))),
         "seed": draw(st.integers(0, 9)), "bound": draw(st.integers(1, 9)),
@@ -341,18 +342,24 @@ def sweep_cells(draw):
 @settings(max_examples=300, deadline=None)
 @given(sweep_cells())
 def test_the_sweep_skip_rule_is_the_check_hypothesis(case):
-    """A sweep skips a cell exactly when its check refuses it: invalid(*args)
-    is the message run(*args) raises as ValueError, and None when run
-    returns.  The one exception is lemma-sn-minus1 at s = 0, which holds and
-    which sweeps skip there with lemma-sn (the comment on its CHECKS entry)."""
+    """A sweep skips a cell exactly when its check refuses it on a
+    hypothesis: invalid(*args) is the message run(*args) raises as
+    ValueError, and None when run returns.  An ill-posed cell, n < 2 or
+    d < 1, is never skipped: run raises on it, and invalid is None, so that
+    a sweep writes its error record.  The one exception is lemma-sn-minus1
+    at s = 0, which holds and which sweeps skip there with lemma-sn (the
+    comment on its CHECKS entry)."""
     check_id, args = case
     check = CHECKS[check_id]
+    values = dict(zip(check.args, args))
     try:
         check.run(*args)
         raised = None
     except ValueError as exc:
         raised = str(exc)
-    if check_id == "lemma-sn-minus1" and args[1] == 0:
+    if values.get("n", 2) < 2 or values.get("d", 1) < 1:
+        assert (check.invalid(*args), raised is None) == (None, False)
+    elif check_id == "lemma-sn-minus1" and args[1] == 0:
         assert (check.invalid(*args), raised) == ("s must be nonzero", None)
     else:
         assert check.invalid(*args) == raised
@@ -552,10 +559,24 @@ def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
     ("--alphas=1/0", "alphas: expected a fraction, got '1/0'"),
     ("--alphas=1/2,half", "alphas: expected a fraction, got 'half'"),
     ("--n=3,x", "n: expected integer or range, got 'x'"),
+    ("--n=", "n: expected at least one value"),
+    ("--d=", "d: expected at least one value"),
+    ("--a= ,", "a: expected at least one value"),
+    ("--families=", "families: expected at least one value"),
+    ("--alphas=", "alphas: expected at least one value"),
 ])
 def test_cli_sweep_names_the_key_of_a_malformed_value(flag, error, capsys):
     assert cli.main(["sweep", "--theorems=classical", "--n=3", flag]) == 2
     assert capsys.readouterr().err.strip() == f"error: {error}"
+
+
+def test_a_config_key_with_no_values_is_refused(tmp_path, capsys):
+    """A config line 'd =' would drop every cell of the grid, so it exits 2
+    before any record is written, as the empty flag --d= does."""
+    config, out = tmp_path / "empty.cfg", tmp_path / "records.jsonl"
+    config.write_text("theorems = 1.1\nn = 5\nd =\n")
+    assert cli.main(["sweep", f"--config={config}", f"--output={out}"]) == 2
+    assert capsys.readouterr().err.strip() == "error: d: expected at least one value" and not out.exists()
 
 
 @pytest.mark.parametrize("flags,error", [
@@ -663,14 +684,14 @@ def test_span_bounds_the_qpoch_and_qbinom_results():
             for k in range(7):
                 poly = qpoch(r, d, k)
                 args = cli.build_parser().parse_args(["qpoch", str(r), str(d), str(k)])
-                assert cli._span(args) >= _exponent_span(poly)
+                assert args.span(args) >= _exponent_span(poly)
                 if 0 not in range(r, r + k * d, d):  # no factor 1 - q^0
-                    assert cli._span(args) == _exponent_span(poly), (r, d, k)
+                    assert args.span(args) == _exponent_span(poly), (r, d, k)
     for alpha in range(-6, 11):
         for k in range(-1, 9):
             for base in (-2, 1, 3):
                 args = cli.build_parser().parse_args(["qbinom", f"--base={base}", f"{alpha}", f"{k}"])
-                assert cli._span(args) >= _exponent_span(qbinom_base(alpha, k, base)), (alpha, k, base)
+                assert args.span(args) >= _exponent_span(qbinom_base(alpha, k, base)), (alpha, k, base)
 
 
 @pytest.mark.parametrize("argv", [
@@ -699,7 +720,8 @@ def test_cli_rejects_an_oversized_transform_or_verify_at_once(argv, capsys):
 
 def test_transform_and_verify_spans():
     def span(*argv):
-        return cli._span(cli.build_parser().parse_args(list(argv)))
+        args = cli.build_parser().parse_args(list(argv))
+        return args.span(args)
 
     assert span("transform", "--kind=hat", "--family=ones", "--length=26") == 17_550
     assert span("transform", "--kind=hat", "--family=ones", "--length=27") == 20_475

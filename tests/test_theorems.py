@@ -29,11 +29,9 @@ from qcong.theorems import (
     _odd_prime,
     _full_sides,
     _residual_text,
-    _ring_side,
+    _ring_diff,
     _ring_weights,
-    _bivariate,
     _spec,
-    _Statement,
     _thm_1_1,
     _thm_1_2,
     _thm_2_1,
@@ -259,10 +257,10 @@ SUN_P_X = FamilySpec.parse("sun_p_x")
 
 
 def _statement(build, p, seq):
-    """The _Statement of a builder's cell at p with the sequence seq attached
-    as _check attaches it: None for a rescaled side (the sun_p_x label)."""
+    """(p, cell, seq): a builder's cell at p, with the sequence seq as _check
+    attaches it, None for a rescaled side (the sun_p_x label)."""
     cell = build(p, seq)
-    return _Statement(p, *cell, None if cell[1][1] else seq)
+    return p, cell, None if cell[1][1] else seq
 
 
 def _kernel(n, spec, t, step):
@@ -275,23 +273,24 @@ def _kernel(n, spec, t, step):
 
 
 def _ring_ratexprs(statement):
-    """Each side in the ring, its own kernel times the monomial of its own
-    (exponent, sign) scale mapped by _ring_side, as two RatExpr over the
-    cell's denominator in the ring: the tail G_0 at (n, |d|, 2) times the
-    rescaled side's H_0 or the family's fden."""
-    n, d, (step, rescaled) = statement.p.n, abs(statement.spec[1]), statement.side
-    den = theorems._ring_tails(n, d, 2)[0] * (theorems._ring_tails(n, d, 1)[0] if rescaled else statement.fden)
+    """Each side in the ring, its own kernel mapped by _ring_diff with its own
+    (exponent, sign) scale, as two RatExpr over the cell's denominator in the
+    ring: the tail G_0 at (n, |d|, 2) times the rescaled side's H_0 or the
+    family's fden."""
+    p, (spec, (step, rescaled), t, lscale, rscale, fden), seq = statement
+    n, d = p.n, abs(spec[1])
+    den = theorems._ring_tails(n, d, 2)[0] * (theorems._ring_tails(n, d, 1)[0] if rescaled else fden)
     den = den.rep
+    bivariate = rescaled or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
+                                        for f in seq.entries)
 
     def side(t, scale):
-        scale = LaurentPoly.monomial(*scale)
-        kernel = _kernel(n, statement.spec, t, step)
-        residues = _ring_side(statement, [uj * scale for uj in kernel])
-        if _bivariate(statement):
+        residues = _ring_diff(n, d, rescaled, scale, seq, _kernel(n, spec, t, step))
+        if bivariate:
             return RatExpr(BiPoly({j: r.rep for j, r in residues.items()}), den)
         return RatExpr(residues[0].rep, den)
 
-    return side(0, statement.lscale), side(statement.t, statement.rscale)
+    return side(0, lscale), side(t, rscale)
 
 
 @pytest.mark.parametrize("cell", RING_CELLS)
@@ -364,15 +363,15 @@ def horner_cases(draw):
 @given(horner_cases())
 def test_horner_sides_match_the_full_sides(case):
     """guo_zeng and thm1.2 sun_p_x (which sun_p decides), each side mapped in
-    the ring by _ring_side (Horner in x for the rescaled side), give the
+    the ring by _ring_diff (Horner in x for the rescaled side), give the
     verdict and residual string of the same statement on full polynomials
     (_full_sides: BiPoly entries by running products, transformed by hat or
     tilde), on the true sides and with the lhs bumped off them.
     Each ring side is congruent to its full side, so a change that scales
     both alike is caught too."""
     st_, bump = case
-    n = st_.p.n
-    ring, full = _ring_ratexprs(st_), _full_sides(st_)
+    n = st_[0].n
+    ring, full = _ring_ratexprs(st_), _full_sides(*st_)
     assert all(congruent(a, b, n, 2) for a, b in zip(ring, full))
     verdicts = []
     for lhs, rhs in (ring, full):
@@ -412,10 +411,10 @@ def test_a_hand_built_noncoprime_cell_raises_its_full_denominator(n, d, monkeypa
     p = SymParams(n, d, 1, 0, d + 1, 1, "odd" if n % 2 else "even")
     runs = [(partial(check_thm_1_1, p, "ones"), thm_1_1_sides(p, generate("ones", n))),
             (partial(check_thm_1_2, p, "random_poly:4:3"), thm_1_2_sides(p, generate("random_poly:4:3", n))),
-            (partial(check_thm_1_2, p, "sun_p_x"), _full_sides(_statement(_thm_1_2, p, SUN_P_X))),
+            (partial(check_thm_1_2, p, "sun_p_x"), _full_sides(*_statement(_thm_1_2, p, SUN_P_X))),
             (partial(check_guo_zeng, p), thm_1_1_sides(p, generate("monomial_x", n)))]
     if n % 2:
-        runs.append((partial(check_sun_p_analogue, p), _full_sides(_statement(_thm_1_2, p, SUN_P_X))))
+        runs.append((partial(check_sun_p_analogue, p), _full_sides(*_statement(_thm_1_2, p, SUN_P_X))))
     for check, sides in runs:
         with pytest.raises(NoncoprimeDenominatorError) as full:
             congruent(*sides, n, 2)
@@ -687,7 +686,7 @@ def test_a_failing_sun_p_x_check_forms_no_full_denominator(monkeypatch):
     rep = check_thm_1_2(p, "sun_p_x")
     monkeypatch.undo()
     assert rep.residual == FLIPPED_RESIDUALS["thm1.2", "sun_p_x"]
-    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(_statement(_thm_1_2, p, SUN_P_X)), 5)
+    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(*_statement(_thm_1_2, p, SUN_P_X)), 5)
 
 
 def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
@@ -884,7 +883,7 @@ def _linear_runs(p, alpha):
     n, custom = p.n, generate("random_poly:4:3", p.n)
     return [(partial(check_thm_1_1, p, "ones"), partial(thm_1_1_sides, p, generate("ones", n))),
             (partial(check_thm_1_2, p, "monomial_q:1"), partial(thm_1_2_sides, p, generate("monomial_q:1", n))),
-            (partial(check_thm_1_2, p, "sun_p_x"), lambda: _full_sides(_statement(_thm_1_2, p, SUN_P_X))),
+            (partial(check_thm_1_2, p, "sun_p_x"), lambda: _full_sides(*_statement(_thm_1_2, p, SUN_P_X))),
             (partial(check_thm_2_1, alpha, "ones"), partial(thm_2_1_sides, alpha, generate("ones", n))),
             (partial(check_guo_zeng, p), partial(thm_1_1_sides, p, generate("monomial_x", n))),
             (partial(check_thm_1_1, p, custom), partial(thm_1_1_sides, p, custom)),
@@ -904,7 +903,7 @@ def test_a_decided_cell_is_answered_before_any_record_is_built(cells, monkeypatc
     for check, _ in _linear_runs(p, alpha):
         assert check().holds
     with monkeypatch.context() as mp:
-        for name in ("_Statement", "_sequence", "generate", "_ring_diff", "_ring_side", "horner", "_full_sides"):
+        for name in ("_sequence", "generate", "_ring_diff", "horner", "_full_sides"):
             mp.setattr(theorems, name, _refuse)
         for check, _ in _linear_runs(p, alpha):
             assert check().holds
