@@ -351,8 +351,17 @@ class _Ring:
 def _ring(n: int, m: int) -> _Ring:
     """The tables of Q[q]/(Phi_n^m), kept for 256 moduli: the test suite
     reads 91, a benchmark round at most 22.  A ring built again after its
-    eviction is another object, so dot and horner compare rings by (n, m)."""
+    eviction is another object, so _ring_of compares rings by (n, m)."""
     return _Ring(n, m)
+
+
+def _ring_of(residues) -> _Ring:
+    """The ring of a nonempty sequence of residues mod one Phi_n^m; mixed
+    moduli raise ValueError."""
+    ring = residues[0]._ring
+    if any(r._ring is not ring and (r.n, r.m) != (ring.n, ring.m) for r in residues):
+        raise ValueError("mixed moduli in Residue arithmetic")
+    return ring
 
 
 def _reduce_poly(p: LaurentPoly, n: int, m: int) -> list:
@@ -406,8 +415,8 @@ class Residue:
 
     def _coerce(self, other) -> "list | None":
         if isinstance(other, Residue):
-            if (other.n, other.m) != (self.n, self.m):
-                raise ValueError("mixed moduli in Residue arithmetic")
+            if other._ring is not self._ring:  # the common case pays no _ring_of
+                _ring_of((self, other))
             return other._coeffs
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)
@@ -572,19 +581,15 @@ def dot(pairs) -> Residue:
 
     The zero coefficients of each a are skipped, so the sparser factor goes first.
     """
-    pairs = [(a._coeffs, b._coeffs, b._ring) for a, b in pairs]
-    ring = pairs[0][2]
-    if any(r is not ring and (r.n, r.m) != (ring.n, ring.m) for _, _, r in pairs):
-        raise ValueError("mixed moduli in Residue arithmetic")
-    return Residue(ring, ring.dot((a, b) for a, b, _ in pairs))
+    pairs = list(pairs)
+    ring = _ring_of([r for pair in pairs for r in pair])
+    return Residue(ring, ring.dot((a._coeffs, b._coeffs) for a, b in pairs))
 
 
 def horner(g: list, c: int, e: int) -> list:
     """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residues g_k mod one
     Phi_n^m, as residues (_Ring.horner)."""
-    ring = g[0]._ring
-    if any(r._ring is not ring and (r.n, r.m) != (ring.n, ring.m) for r in g):
-        raise ValueError("mixed moduli in Residue arithmetic")
+    ring = _ring_of(g)
     return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], c, e)]
 
 

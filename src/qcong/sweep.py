@@ -20,7 +20,11 @@ with a ValueError before any task runs or any record is written.
 Config files are flat ``key = value`` lines; '#' starts a comment.  Values
 are comma-separated atoms, each an integer, a fraction, an inclusive range
 ``lo..hi``, or a token such as a family label.  Every key can be overridden
-by the matching command-line flag.
+by the matching command-line flag.  Each key is one row of _KEYS: the
+SweepConfig field it sets and the rule that parses its atoms (integer
+ranges, family labels, fractions, or one value with a lower bound or a
+choice).  CONFIG_KEYS, and with it the CLI's sweep flags, is read off that
+table.  The acceptance grids are the configs in configs/acceptance/.
 """
 
 from __future__ import annotations
@@ -51,12 +55,6 @@ SWEEP_GROUPS = {
     "lemmas": ("lemma-sn", "lemma-sn-minus1", "even-sign"),
     "classical": ("classical",),
 }
-# config keys, in the order the CLI lists their flags (--key, '_' spelled '-')
-CONFIG_KEYS = (
-    "theorems", "n", "d", "r", "s", "a", "families", "alphas",
-    "classical_seeds", "classical_bound", "workers", "output", "format",
-)
-
 DEFAULT_ALPHAS = (Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
 
 # The most values a key may list, and the most grid cells, runnable or
@@ -143,63 +141,66 @@ def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _one(atoms: list[str], key: str) -> str:
+    """The atom of a key that takes a single value."""
+    if len(atoms) != 1:
+        raise ValueError(f"{key} takes a single value")
+    return atoms[0]
+
+
+def _positive(atoms: list[str], key: str) -> int:
+    value = _parse(int, _one(atoms, key), key, "an integer")
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1")
+    return value
+
+
+def _format(atoms: list[str], key: str) -> str:
+    if _one(atoms, key) not in ("jsonl", "csv"):
+        raise ValueError(f"format must be jsonl or csv, got {atoms[0]!r}")
+    return atoms[0]
+
+
+# key: (SweepConfig field, parse rule, list-valued?), in the order the CLI
+# lists their flags (--key, '_' spelled '-').  A rule maps the key's atoms
+# and the key's name to the field's value.
+_KEYS = {
+    "theorems": ("theorems", lambda atoms, key: tuple(atoms), True),
+    "n": ("n_values", expand_ints, True),
+    "d": ("d_values", expand_ints, True),
+    "r": ("r_values", expand_ints, True),
+    "s": ("s_values", expand_ints, True),
+    "a": ("a_values", expand_ints, True),
+    "families": ("families", lambda atoms, key: tuple(map(FamilySpec.parse, atoms)), True),
+    "alphas": ("alphas", lambda atoms, key: tuple(_parse(Fraction, a, key, "a fraction") for a in atoms), True),
+    "classical_seeds": ("classical_seeds", _positive, False),
+    "classical_bound": ("classical_bound", _positive, False),
+    "workers": ("workers", _positive, False),
+    "output": ("output", _one, False),
+    "format": ("format", _format, False),
+}
+CONFIG_KEYS = tuple(_KEYS)
+
+
 def build_config(raw: dict[str, list[str]]) -> SweepConfig:
-    unknown = set(raw) - set(CONFIG_KEYS)
+    """The SweepConfig of a key -> atoms map.  The required keys (theorems,
+    whose values must name SWEEP_GROUPS, and n) and the empty list keys are
+    refused before any key is parsed; then each key is parsed by its _KEYS
+    rule, in _KEYS order, so the first fault in that order is reported."""
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def single(key: str) -> "str | None":
-        atoms = raw.get(key)
-        if atoms is None:
-            return None
-        if len(atoms) != 1:
-            raise ValueError(f"{key} takes a single value")
-        return atoms[0]
-
-    theorems = tuple(raw.get("theorems", []))
-    if not theorems:
+    if not raw.get("theorems"):
         raise ValueError("config needs a 'theorems' key")
-    for t in theorems:
+    for t in raw["theorems"]:
         if t not in SWEEP_GROUPS:
             raise ValueError(f"unknown theorem {t!r}; choices: {', '.join(SWEEP_GROUPS)}")
     if "n" not in raw:
         raise ValueError("config needs an 'n' key")
-    for key in ("n", "d", "r", "s", "a", "families", "alphas"):  # an empty one would drop its cells
-        if raw.get(key) == []:
+    for key, (_, _, listed) in _KEYS.items():  # an empty list key would drop its cells
+        if listed and raw.get(key) == []:
             raise ValueError(f"{key}: expected at least one value")
-
-    cfg = SweepConfig(theorems=theorems, n_values=expand_ints(raw["n"], "n"))
-    for key in ("d", "r", "s", "a"):
-        if key in raw:
-            setattr(cfg, f"{key}_values", expand_ints(raw[key], key))
-    if "families" in raw:
-        cfg.families = tuple(FamilySpec.parse(a) for a in raw["families"])
-    if "alphas" in raw:
-        cfg.alphas = tuple(_parse(Fraction, a, "alphas", "a fraction") for a in raw["alphas"])
-    seeds = single("classical_seeds")
-    if seeds is not None:
-        cfg.classical_seeds = _parse(int, seeds, "classical_seeds", "an integer")
-        if cfg.classical_seeds < 1:
-            raise ValueError("classical_seeds must be at least 1")
-    bound = single("classical_bound")
-    if bound is not None:
-        cfg.classical_bound = _parse(int, bound, "classical_bound", "an integer")
-        if cfg.classical_bound < 1:
-            raise ValueError("classical_bound must be at least 1")
-    workers = single("workers")
-    if workers is not None:
-        cfg.workers = _parse(int, workers, "workers", "an integer")
-    if cfg.workers < 1:
-        raise ValueError("workers must be at least 1")
-    output = single("output")
-    if output is not None:
-        cfg.output = output
-    fmt = single("format")
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise ValueError(f"format must be jsonl or csv, got {fmt!r}")
-        cfg.format = fmt
-    return cfg
+    return SweepConfig(**{field: rule(raw[key], key) for key, (field, rule, _) in _KEYS.items() if key in raw})
 
 
 def load_config(path: "str | Path | None", overrides: "dict[str, str] | None" = None) -> SweepConfig:

@@ -656,10 +656,10 @@ def check_thm_2_1(p: AlphaParams, fam) -> CheckReport:
 
 def check_s0_identity(n: int, a: int, fam) -> bool:
     """At s = 0 both sides of Theorem 2.1 are equal exactly, not just congruent."""
-    seq = _sequence(_resolve_family(fam)[0], n)  # a family too short for n reports first
-    p = AlphaParams.create(n, a, 0)
-    _require(_polynomial(seq.kind, _RATIONAL_S0))
-    lhs, rhs = thm_2_1_sides(p, seq)
+    fam = _resolve_family(fam)[0]
+    p = AlphaParams.create(n, a, 0)  # n and a first, as for thm2.1
+    _require(_polynomial(fam.kind, _RATIONAL_S0))  # a FamilySpec's kind needs no entries
+    lhs, rhs = thm_2_1_sides(p, _sequence(fam, n))
     return lhs == rhs
 
 

@@ -419,6 +419,16 @@ def test_dot_rejects_mixed_moduli():
         dot([(reduce(q, 5, 2), reduce(q, 5, 2)), (reduce(q, 5, 1), reduce(q, 5, 1))])
 
 
+@pytest.mark.parametrize("left,right", [((3, 2), (5, 2)), ((5, 2), (3, 2)), ((5, 2), (5, 1))])
+def test_every_residue_product_rejects_mixed_moduli(left, right):
+    """Both factors of a dot pair are checked, whichever holds the odd modulus,
+    as Residue.__mul__ and horner check theirs."""
+    a, b = reduce(q**3 + 2, *left), reduce(q + 1, *right)
+    for product in (lambda: a * b, lambda: dot([(a, b)]), lambda: dot([(a, a), (b, b)]), lambda: horner([a, b], 1, 1)):
+        with pytest.raises(ValueError, match="^mixed moduli in Residue arithmetic$"):
+            product()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=12),

@@ -51,6 +51,7 @@ VERIFY_CASES = [
     ("classical --p 7 --alpha 1/2 --bound -5", 2, "", "error: bound must be at least 1"),
     ("thm2.1 --n 5 --a 5 --s 1", 2, "", "error: a must lie in [0, 4]"),
     ("s0 --n 5 --a 7", 2, "", "error: a must lie in [0, 4]"),
+    ("s0 --n 1 --a 0", 2, "", "error: n must be at least 2"),  # as thm2.1, not the family's message
     # missing flags are usage errors
     ("thm1.1 --n 5", 2, "", "qcong: error: verify thm1.1 needs --d, --r"),
     ("classical --alpha 1/2", 2, "", "qcong: error: verify classical needs --p"),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from qcong.sweep import (
     build_config,
     expand_ints,
     expand_tasks,
+    load_config,
     parse_config_text,
     render_csv,
     render_jsonl,
@@ -97,6 +99,30 @@ def test_config_workers_beats_env(monkeypatch):
 
 
 # -- task expansion and skip accounting --------------------------------------
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# runnable and skipped cells of each acceptance grid
+ACCEPTANCE_CELLS = {
+    "symmetric": (6160, 4004),
+    "integer_parameter": (1512, 0),
+    "bivariate_and_rational": (203, 189),
+    "lemmas": (798, 5),
+    "classical": (150, 10),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("**/*.cfg")), ids=lambda path: str(path.relative_to(CONFIGS)))
+def test_every_config_file_loads_and_expands(path):
+    """Each shipped config parses and expands to runnable tasks; no check runs."""
+    tasks, skipped = expand_tasks(load_config(path))
+    assert tasks
+    if path.parent.name == "acceptance":
+        assert (len(tasks), skipped) == ACCEPTANCE_CELLS[path.stem]
+
+
+def test_the_acceptance_configs_are_the_pinned_grids():
+    assert sorted(path.stem for path in (CONFIGS / "acceptance").glob("*.cfg")) == sorted(ACCEPTANCE_CELLS)
 
 
 def test_expand_tasks_counts_gcd_skips():
@@ -449,6 +475,27 @@ def test_cli_congruent_exit_codes(tmp_path, capsys):
     assert cli.main(["congruent", "--n", "5", "--m", "1", "--lhs", str(bad), "--rhs", str(rhs)]) == 2
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["transform", "--kind", "hat", "--family", "ones", "--length", "1"], "--length must be at least 2"),
+    (["sweep"], "sweep needs --config or at least --theorems/--n flags"),
+])
+def test_cli_usage_errors(argv, error, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == f"qcong: error: {error}"
+
+
+def test_cli_congruent_refuses_a_file_of_three_lines(tmp_path, capsys):
+    three, rhs = tmp_path / "three.txt", tmp_path / "rhs.txt"
+    three.write_text("1*q^0\n1*q^1\n# a comment is not a line\n1*q^2\n")
+    rhs.write_text("1*q^0\n")
+    assert cli.main(["congruent", "--n", "5", "--m", "1", "--lhs", str(three), "--rhs", str(rhs)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.strip()) == ("", f"error: {three}: expected one polynomial line or numerator/denominator pair")
+
+
 def test_cli_congruent_rational_files(tmp_path, capsys):
     lhs = tmp_path / "lhs.txt"
     rhs = tmp_path / "rhs.txt"
@@ -577,6 +624,31 @@ def test_a_config_key_with_no_values_is_refused(tmp_path, capsys):
     config.write_text("theorems = 1.1\nn = 5\nd =\n")
     assert cli.main(["sweep", f"--config={config}", f"--output={out}"]) == 2
     assert capsys.readouterr().err.strip() == "error: d: expected at least one value" and not out.exists()
+
+
+def test_a_sweep_without_n_is_refused(tmp_path, capsys):
+    config = tmp_path / "no-n.cfg"
+    config.write_text("theorems = 1.1\nd = 1\n")
+    for argv in (["--theorems=1.1"], [f"--config={config}"]):
+        assert cli.main(["sweep", *argv]) == 2
+        assert capsys.readouterr().err.strip() == "error: config needs an 'n' key"
+
+
+# the _KEYS rows of a single integer of at least 1
+BOUNDED_KEYS = [key for key, (_, rule, _) in sweep._KEYS.items() if rule is sweep._positive]
+
+
+def test_the_count_keys_are_the_bounded_ones():
+    assert BOUNDED_KEYS == ["classical_seeds", "classical_bound", "workers"]
+
+
+@pytest.mark.parametrize("key", BOUNDED_KEYS)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_bounded_key_below_one_is_refused(key, value, tmp_path, capsys):
+    out = tmp_path / "refused.jsonl"
+    flag = "--" + key.replace("_", "-")
+    assert cli.main(["sweep", "--theorems=classical", "--n=3", f"{flag}={value}", f"--output={out}"]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {key} must be at least 1" and not out.exists()
 
 
 @pytest.mark.parametrize("flags,error", [
@@ -762,6 +834,15 @@ def test_verify_charges_a_check_by_its_own_cost(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (out, err.strip()) == ("", f"error: verify would span more than {cli.MAX_SPAN} exponents")
     assert ran == [half]
+
+
+def test_verify_prints_the_residual_of_a_failing_report(monkeypatch, capsys):
+    def run(p):
+        return theorems.CheckReport("probe", {"p": p}, False, residual="x^0: 1*q^1; x^2: -3/2*q^0")
+
+    monkeypatch.setitem(CHECKS, "probe", theorems.Check(("p",), lambda p: None, run, cost=lambda p: p))
+    assert cli.main(["verify", "probe", "--p", "3"]) == 1
+    assert capsys.readouterr().out == "FAIL probe p=3 [0.0 ms]\nresidual: x^0: 1*q^1; x^2: -3/2*q^0\n"
 
 
 @pytest.mark.parametrize("argv", [
