@@ -260,7 +260,10 @@ class LaurentPoly:
             m = _TERM_RE.match(part.strip())
             if m is None:
                 raise ValueError(f"malformed polynomial term: {part!r}")
-            c = Fraction(m.group(1))
+            try:
+                c = Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in polynomial term: {part!r}") from None
             e = int(m.group(2))
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in polynomial text")

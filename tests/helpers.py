@@ -7,7 +7,7 @@ the package cannot hide itself by appearing on both sides of an assert.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.laurent import LaurentPoly, one, qpow
@@ -180,6 +180,20 @@ def padic_val(x: Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def classical_sun_by_rationals(p: int, alpha: Fraction, fs) -> bool:
+    """Sun's p^2 congruence on exact rationals: whether
+    Sum_(k<p) C(alpha,k) C(-1-alpha,k) f_k minus (-1)^<alpha>_p times the
+    same sum over hat(f)_k = Sum_(j<=k) (-1)^j C(k,j) f_j has p-adic
+    valuation at least 2.  About p^2 Fraction operations."""
+    a = alpha.numerator * pow(alpha.denominator, -1, p) % p
+    s_plain = s_hat = Fraction(0)
+    for k in range(p):
+        w = binom_frac(alpha, k) * binom_frac(-1 - alpha, k)
+        s_plain += w * fs[k]
+        s_hat += w * sum((-1) ** j * comb(k, j) * fs[j] for j in range(k + 1))
+    return padic_val(s_plain - (-1) ** a * s_hat, p) >= 2
 
 
 def solve_lower_triangular(matrix, gs):

@@ -496,6 +496,15 @@ def test_cli_congruent_refuses_a_file_of_three_lines(tmp_path, capsys):
     assert (out, err.strip()) == ("", f"error: {three}: expected one polynomial line or numerator/denominator pair")
 
 
+def test_cli_congruent_names_a_term_with_a_zero_denominator(tmp_path, capsys):
+    lhs, rhs = tmp_path / "lhs.txt", tmp_path / "rhs.txt"
+    lhs.write_text("1/0*q^1\n")
+    rhs.write_text("1*q^0\n")
+    assert cli.main(["congruent", "--n", "5", "--m", "2", "--lhs", str(lhs), "--rhs", str(rhs)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.strip()) == ("", "error: zero denominator in polynomial term: '1/0*q^1'")
+
+
 def test_cli_congruent_rational_files(tmp_path, capsys):
     lhs = tmp_path / "lhs.txt"
     rhs = tmp_path / "rhs.txt"

@@ -8,7 +8,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from helpers import sun_p_by_definition, transform_matrix
+from helpers import classical_sun_by_rationals, residue_by_long_division, sun_p_by_definition, transform_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1164,6 +1164,13 @@ def test_lemmas_detect_a_perturbed_binomial(monkeypatch):
     assert not check_lemma_sn_minus1(5, 1, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.integers(-40, 40), st.integers(0, 40))
+def test_poch_mod_matches_long_division(n, a, k):
+    """(q^a;q)_k mod Phi_n by rotation against the full qpoch product by long division."""
+    assert list(theorems._poch_mod(n, a, k).coeffs) == residue_by_long_division(qpoch(a, 1, k).terms, n, 1)
+
+
 def test_lemmas_match_the_dense_q_binomial():
     """The ring route against reduce(qbinom_int) for every j, n 2..13, s in {-3, -1, 1, 2}."""
     for n in range(2, 14):
@@ -1314,7 +1321,67 @@ def test_classical_sun_guards():
     with pytest.raises(ValueError):
         check_classical_sun(5, Fraction(1, 2), [1] * 4)
     with pytest.raises(ValueError, match="at most"):
-        check_classical_sun(1009, Fraction(1, 2), [1] * 1009)
+        check_classical_sun(80021, Fraction(1, 2), [1] * 80021)
+
+
+_SMALL_PRIMES = [p for p in range(3, 54) if _odd_prime(p) is None]
+
+
+@st.composite
+def classical_cases(draw):
+    """(p, alpha, fs): an odd prime p <= 53, a p-integral alpha of denominator
+    up to 12, and p entries, each an int or a p-integral Fraction; one entry
+    may be bumped by a multiple of p or p^2."""
+    p = draw(st.sampled_from(_SMALL_PRIMES))
+    den = draw(st.integers(1, 12).filter(lambda den: den % p))
+    alpha = Fraction(draw(st.integers(-60, 60)), den)
+    entry = st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9).filter(lambda d: d % p))
+    fs = draw(st.lists(entry, min_size=p, max_size=p))
+    k, bump = draw(st.integers(0, p - 1)), draw(st.sampled_from((0, 1, p, p * p)))
+    fs[k] += bump
+    return p, alpha, fs
+
+
+@settings(max_examples=150, deadline=None)
+@given(classical_cases())
+@example((53, Fraction(-7, 12), list(range(53))))
+def test_classical_sun_matches_the_rational_oracle(case):
+    """The Z/p^2 decision against the exact rational sums of the helper."""
+    p, alpha, fs = case
+    assert check_classical_sun(p, alpha, fs) == classical_sun_by_rationals(p, alpha, fs)
+
+
+@pytest.mark.parametrize("fs", [
+    [1, Fraction(1, 125), 1, 1, 1],
+    [1, Fraction(1, 5), 1, 1, 1],
+    [Fraction(1, 5), Fraction(-1, 5), 0, 0, 0],  # whose two terms cancel
+])
+def test_classical_sun_refuses_an_entry_that_is_not_p_integral(fs):
+    with pytest.raises(ValueError, match="sequence entries must be p-integral"):
+        check_classical_sun(5, Fraction(1, 2), fs)
+
+
+@pytest.mark.parametrize("case", ["alpha", "bound"])
+def test_classical_sun_decides_hostile_inputs_at_once(case):
+    """A 5 000-digit alpha numerator, and entries of up to 100 digits
+    (`verify classical --bound 10**100`), are reduced mod p^2 first."""
+    started = time.perf_counter()
+    if case == "alpha":
+        assert check_classical_sun(997, Fraction(10**4999 + 7, 3), random_int_sequence(1, 997))
+    else:
+        assert CHECKS["classical"].run(997, "1/2", 3, 10**100).holds
+    assert time.perf_counter() - started < 1
+
+
+def test_classical_p_bound_is_the_largest_accepted_prime():
+    """79 999 is the largest prime the check accepts and 80 021 the next one;
+    only the hypothesis is asked, neither check runs."""
+    primes = [p for p in range(MAX_CLASSICAL_P - 100, MAX_CLASSICAL_P + 100) if _odd_prime(p) is None]
+    largest = max(p for p in primes if p <= MAX_CLASSICAL_P)
+    past = min(p for p in primes if p > MAX_CLASSICAL_P)
+    assert (largest, past) == (79_999, 80_021)
+    assert theorems._classical_p(largest, Fraction(1, 2)) is None
+    assert theorems._classical_p(past, Fraction(1, 2)) == f"p must be at most {MAX_CLASSICAL_P}"
 
 
 def test_odd_prime_is_miller_rabin_exact():
