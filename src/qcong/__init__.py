@@ -10,7 +10,7 @@ from .congruence import (
     residual,
 )
 from .cyclotomic import cyclotomic, cyclotomic_power, totient
-from .families import DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate, random_int_sequence
+from .families import DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate
 from .laurent import LaurentPoly, divides, divrem, divrem_laurent, exact_div, ext_gcd, one, q, qpow, zero
 from .qcalc import gauss_binomial, qbinom_base, qbinom_int, qpoch
 from .sweep import SweepConfig, SweepSummary, load_config, run_sweep
@@ -78,7 +78,6 @@ __all__ = [
     "qbinom_int",
     "qpoch",
     "qpow",
-    "random_int_sequence",
     "reduce",
     "residual",
     "run_sweep",

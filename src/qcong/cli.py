@@ -39,7 +39,7 @@ from functools import partial
 from .bivariate import RatExpr
 from .congruence import residual
 from .cyclotomic import cyclotomic
-from .families import DEFAULT_COEFF_BOUND, generate
+from .families import generate
 from .laurent import LaurentPoly
 from .qcalc import qbinom_base, qpoch
 from .sweep import CONFIG_KEYS, format_summary, load_config, run_sweep
@@ -52,7 +52,6 @@ _VERIFY_FLAGS = {
     "p": {"type": int, "help": "odd prime (classical check)"},
     "alpha": {"help": "rational alpha (classical check)"},
     "seed": {"type": int, "default": 0},
-    "bound": {"type": int, "default": DEFAULT_COEFF_BOUND},
 }
 
 

@@ -56,15 +56,6 @@ class SplitMix64:
         return self.next_u64() % (2 * bound + 1) - bound
 
 
-def random_int_sequence(seed: int, length: int, bound: int = DEFAULT_COEFF_BOUND) -> list[int]:
-    """Deterministic integer sequence for the classical-congruence checks,
-    each entry in [-bound, bound]; bound must be at least 1."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    rng = SplitMix64(seed)
-    return [rng.next_int(bound) for _ in range(length)]
-
-
 def _random_poly(n: int, seed: int, degmax: int, bound: int = DEFAULT_COEFF_BOUND) -> list:
     rng = SplitMix64(seed)
     return [LaurentPoly({i: rng.next_int(bound) for i in range(degmax + 1)}) for _ in range(n)]

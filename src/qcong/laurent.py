@@ -37,7 +37,7 @@ Scalar = int | Fraction
 # dict product: measured ties at 4 terms times a long operand and at 10 x 10
 _KRONECKER_CUTOFF = 12
 
-_TERM_RE = re.compile(r"^(-?\d+(?:/-?\d+)?)\*q\^(-?\d+)$")
+_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*q\^(-?\d+)$")
 
 
 def _norm_scalar(c: Scalar) -> Scalar:

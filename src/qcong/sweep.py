@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .families import DEFAULT_COEFF_BOUND, FamilySpec
-from .theorems import CHECKS
+from .families import FamilySpec
+from .theorems import CHECKS, _alpha
 
 # config `theorems` value -> the CHECKS ids it sweeps
 SWEEP_GROUPS = {
@@ -79,7 +79,6 @@ class SweepConfig:
     families: tuple[FamilySpec, ...] = (FamilySpec("ones"),)
     alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS
     classical_seeds: int = 10
-    classical_bound: int = DEFAULT_COEFF_BOUND
     workers: int = 1
     output: "str | None" = None
     format: str = "jsonl"
@@ -172,9 +171,8 @@ _KEYS = {
     "s": ("s_values", expand_ints, True),
     "a": ("a_values", expand_ints, True),
     "families": ("families", lambda atoms, key: tuple(map(FamilySpec.parse, atoms)), True),
-    "alphas": ("alphas", lambda atoms, key: tuple(_parse(Fraction, a, key, "a fraction") for a in atoms), True),
+    "alphas": ("alphas", lambda atoms, key: tuple(_parse(_alpha, a, key, "a fraction") for a in atoms), True),
     "classical_seeds": ("classical_seeds", _positive, False),
-    "classical_bound": ("classical_bound", _positive, False),
     "workers": ("workers", _positive, False),
     "output": ("output", _one, False),
     "format": ("format", _format, False),
@@ -235,7 +233,7 @@ def expand_tasks(cfg: SweepConfig) -> tuple[list[tuple], int]:
                     "d": cfg.d_values, "r": cfg.r_values, "s": cfg.s_values,
                     "a": cfg.a_values if cfg.a_values is not None else range(n),
                     "j": range(1, n), "family": families, "alpha": alphas,
-                    "seed": range(cfg.classical_seeds), "bound": (cfg.classical_bound,),
+                    "seed": range(cfg.classical_seeds),
                 }
                 cells += math.prod(_size(axes[name]) for name in check.args[1:])
                 if cells > MAX_TASKS:

@@ -10,6 +10,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from qcong.bivariate import BiPoly, RatExpr
+from qcong.families import SplitMix64
 from qcong.laurent import LaurentPoly, one, qpow
 from qcong.qcalc import qpoch
 
@@ -180,6 +181,19 @@ def padic_val(x: Fraction, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def splitmix_ints(seed: int, length: int) -> list:
+    """length SplitMix64 draws in [-9, 9], a fixed sequence per seed."""
+    rng = SplitMix64(seed)
+    return [rng.next_int(9) for _ in range(length)]
+
+
+def classical_halves_by_rationals(p: int, alpha: Fraction) -> tuple:
+    """The two halves of the classical kernel as exact rationals, for j < p:
+    w_j = C(alpha,j) C(-1-alpha,j) and c_j = Sum_(j<=k<p) C(k,j) w_k."""
+    w = [binom_frac(alpha, k) * binom_frac(-1 - alpha, k) for k in range(p)]
+    return w, [sum(comb(k, j) * w[k] for k in range(j, p)) for j in range(p)]
 
 
 def classical_sun_by_rationals(p: int, alpha: Fraction, fs) -> bool:

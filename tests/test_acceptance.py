@@ -8,10 +8,12 @@ pytest with -s (or read the captured output on failure) to see them.
 import math
 from fractions import Fraction
 
+from helpers import splitmix_ints
+
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import congruent
 from qcong.cyclotomic import cyclotomic, divisors, totient
-from qcong.families import FamilySpec, SplitMix64, generate, random_int_sequence
+from qcong.families import FamilySpec, SplitMix64, generate
 from qcong.laurent import LaurentPoly, divrem, ext_gcd, one, qpow
 from qcong.qcalc import qbinom_int, qpoch_x_prefixes
 from qcong.sweep import build_config, run_sweep
@@ -173,7 +175,7 @@ def test_acceptance_07_classical_rational_oracle():
                 continue
             for seed in range(10):
                 total += 1
-                fs = random_int_sequence(seed, p)
+                fs = splitmix_ints(seed, p)
                 if not check_classical_sun(p, alpha, fs):
                     failures.append((p, alpha, seed))
     _verdict("criterion 7: classical rational congruence oracle",

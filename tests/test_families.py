@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcong.bivariate import BiPoly, RatExpr
-from qcong.families import _FAMILIES, DEFAULT_COEFF_BOUND, FamilySpec, SplitMix64, generate, random_int_sequence
+from qcong.families import _FAMILIES, FamilySpec, SplitMix64, generate
 from qcong.laurent import LaurentPoly, one, qpow, zero
 from qcong.qcalc import qpoch, qpoch_x_prefixes
 from qcong.transforms import BIVARIATE, RATIONAL, UNIVARIATE
@@ -29,23 +29,6 @@ def test_next_int_stays_in_range(seed, bound):
     for _ in range(20):
         v = g.next_int(bound)
         assert -bound <= v <= bound
-
-
-def test_random_int_sequence_deterministic():
-    a = random_int_sequence(42, 12)
-    b = random_int_sequence(42, 12)
-    assert a == b
-    assert random_int_sequence(43, 12) != a
-    assert all(isinstance(v, int) and abs(v) <= DEFAULT_COEFF_BOUND for v in a)
-
-
-@pytest.mark.parametrize("bound", [0, -1, -5])
-def test_random_int_sequence_refuses_a_bound_below_1(bound):
-    """A bound of 0 would draw only zeros, and a negative one would reduce
-    modulo a negative number."""
-    with pytest.raises(ValueError, match="^bound must be at least 1$"):
-        random_int_sequence(0, 7, bound)
-    assert set(random_int_sequence(0, 50, 1)) == {-1, 0, 1}
 
 
 PARSE_CASES = [

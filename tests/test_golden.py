@@ -47,8 +47,6 @@ VERIFY_CASES = [
     ("lemma-sn --n 5 --s 0 --j 1", 2, "", "error: s must be nonzero"),
     ("classical --p 9 --alpha 1/2", 2, "", "error: p must be an odd prime"),
     ("classical --p 5 --alpha 1/5", 2, "", "error: alpha must be p-integral"),
-    ("classical --p 7 --alpha 1/2 --bound 0", 2, "", "error: bound must be at least 1"),
-    ("classical --p 7 --alpha 1/2 --bound -5", 2, "", "error: bound must be at least 1"),
     ("thm2.1 --n 5 --a 5 --s 1", 2, "", "error: a must lie in [0, 4]"),
     ("s0 --n 5 --a 7", 2, "", "error: a must lie in [0, 4]"),
     ("s0 --n 1 --a 0", 2, "", "error: n must be at least 2"),  # as thm2.1, not the family's message

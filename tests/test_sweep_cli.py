@@ -190,7 +190,7 @@ def test_run_task_record_shapes():
     rec = run_task(("lemma-sn", (5, 1, 2)))
     assert rec == {"check": "lemma-sn", "n": 5, "s": 1, "j": 2, "holds": True}
 
-    rec = run_task(("classical", (5, "1/2", 0, 9)))
+    rec = run_task(("classical", (5, "1/2", 0)))
     assert rec == {"check": "classical", "p": 5, "alpha": "1/2", "seed": 0, "holds": True}
 
 
@@ -302,7 +302,7 @@ def check_arguments(draw):
         "d": draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1)),
         "r": draw(st.integers(-5, 5)), "a": draw(st.integers(0, n - 1)), "s": draw(st.integers(-3, 3)),
         "j": draw(st.integers(1, n - 1)), "alpha": draw(st.sampled_from(("2", "1/2", "-1/3"))),
-        "seed": draw(st.integers(0, 9)), "bound": 9,
+        "seed": draw(st.integers(0, 9)),
         "family": draw(st.sampled_from(("ones", "delta:1", "monomial_q:2", "random_poly:3:3",
                                         "monomial_x", "sun_p_x"))),
     }
@@ -358,7 +358,7 @@ def sweep_cells(draw):
         "s": draw(st.integers(-3, 3)), "j": draw(st.integers(1, max(n - 1, 1))),
         "p": draw(st.integers(-2, 40) | st.sampled_from((999, MAX_CLASSICAL_P))),
         "alpha": draw(st.sampled_from(("2", "1/2", "-1/3", "2/5", "5/7", "-3/4"))),
-        "seed": draw(st.integers(0, 9)), "bound": draw(st.integers(1, 9)),
+        "seed": draw(st.integers(0, 9)),
         "family": draw(st.sampled_from(("ones", "delta:1", "monomial_q:2", "random_poly:3:3",
                                         "monomial_x", "sun_p_x"))),
     }
@@ -505,6 +505,16 @@ def test_cli_congruent_names_a_term_with_a_zero_denominator(tmp_path, capsys):
     assert (out, err.strip()) == ("", "error: zero denominator in polynomial term: '1/0*q^1'")
 
 
+def test_cli_congruent_names_a_term_with_a_signed_denominator(tmp_path, capsys):
+    """The canonical form signs only the numerator, so 1/-2 is malformed."""
+    lhs, rhs = tmp_path / "lhs.txt", tmp_path / "rhs.txt"
+    lhs.write_text("1/-2*q^1\n")
+    rhs.write_text("1*q^0\n")
+    assert cli.main(["congruent", "--n", "5", "--m", "2", "--lhs", str(lhs), "--rhs", str(rhs)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.strip()) == ("", "error: malformed polynomial term: '1/-2*q^1'")
+
+
 def test_cli_congruent_rational_files(tmp_path, capsys):
     lhs = tmp_path / "lhs.txt"
     rhs = tmp_path / "rhs.txt"
@@ -591,6 +601,20 @@ def test_cli_classical_rejects_a_huge_p_at_once(p, error, capsys):
     assert capsys.readouterr().err.strip() == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "classical", "--p", "7", "--alpha", "1" * 5000 + "/3"],
+    ["sweep", "--theorems=classical", "--n=7", "--alphas=1/2," + "1" * 5000],
+])
+def test_cli_refuses_an_alpha_past_the_int_digit_limit(argv, tmp_path, capsys):
+    """Python reads no int of more than 4 300 digits from a string; the
+    refusal names alpha and the limit, not the call that lifts it."""
+    out = tmp_path / "refused.jsonl"
+    assert cli.main([*argv, f"--output={out}"] if argv[0] == "sweep" else argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: alpha's numerator and denominator must each have at most 4300 digits")
+    assert not out.exists()
+
+
 def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
     outputs = []
     for workers in (1, 2):
@@ -609,7 +633,7 @@ def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,error", [
     ("--workers=two", "workers: expected an integer, got 'two'"),
-    ("--classical-bound=1.5", "classical_bound: expected an integer, got '1.5'"),
+    ("--workers=1.5", "workers: expected an integer, got '1.5'"),
     ("--classical-seeds=", "classical_seeds takes a single value"),
     ("--classical-seeds=3e2", "classical_seeds: expected an integer, got '3e2'"),
     ("--alphas=1/0", "alphas: expected a fraction, got '1/0'"),
@@ -648,7 +672,7 @@ BOUNDED_KEYS = [key for key, (_, rule, _) in sweep._KEYS.items() if rule is swee
 
 
 def test_the_count_keys_are_the_bounded_ones():
-    assert BOUNDED_KEYS == ["classical_seeds", "classical_bound", "workers"]
+    assert BOUNDED_KEYS == ["classical_seeds", "workers"]
 
 
 @pytest.mark.parametrize("key", BOUNDED_KEYS)

@@ -8,7 +8,8 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from helpers import classical_sun_by_rationals, residue_by_long_division, sun_p_by_definition, transform_matrix
+from helpers import (classical_halves_by_rationals, classical_sun_by_rationals, residue_by_long_division, splitmix_ints,
+                     sun_p_by_definition, transform_matrix)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import (NoncoprimeDenominatorError, Residue, congruent, horner, reduce, reduce_by_degree,
                               residual)
 from qcong.cyclotomic import cyclotomic, totient
-from qcong.families import FamilySpec, generate, random_int_sequence
+from qcong.families import FamilySpec, generate
 from qcong.laurent import LaurentPoly, one, q, qpow
 from qcong.qcalc import qbinom_int, qpoch
 from qcong.theorems import (
@@ -1302,7 +1303,7 @@ def test_classical_sun_random_sequences():
             if alpha.denominator % p == 0:
                 continue
             for seed in range(4):
-                fs = random_int_sequence(seed, p)
+                fs = splitmix_ints(seed, p)
                 assert check_classical_sun(p, alpha, fs), (p, alpha, seed)
 
 
@@ -1351,6 +1352,24 @@ def test_classical_sun_matches_the_rational_oracle(case):
     assert check_classical_sun(p, alpha, fs) == classical_sun_by_rationals(p, alpha, fs)
 
 
+def _mod_p2(x: Fraction, p: int) -> int:
+    return x.numerator * pow(x.denominator, -1, p * p) % (p * p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SMALL_PRIMES), st.integers(-60, 60), st.integers(1, 12))
+@example(53, -7, 12)
+def test_classical_halves_match_the_rational_sums(p, num, den):
+    """Each half of the kernel, w_j and c_j mod p^2, against its exact
+    rational sum.  Neither is 0 in general, so unlike the verdict, which is
+    True on every input it accepts, this fails on a wrong weight or sum."""
+    if den % p == 0:
+        return
+    alpha = Fraction(num, den)
+    w, c = classical_halves_by_rationals(p, alpha)
+    assert theorems._classical_halves(p, alpha) == ([_mod_p2(x, p) for x in w], [_mod_p2(x, p) for x in c])
+
+
 @pytest.mark.parametrize("fs", [
     [1, Fraction(1, 125), 1, 1, 1],
     [1, Fraction(1, 5), 1, 1, 1],
@@ -1361,15 +1380,15 @@ def test_classical_sun_refuses_an_entry_that_is_not_p_integral(fs):
         check_classical_sun(5, Fraction(1, 2), fs)
 
 
-@pytest.mark.parametrize("case", ["alpha", "bound"])
+@pytest.mark.parametrize("case", ["alpha", "entries"])
 def test_classical_sun_decides_hostile_inputs_at_once(case):
-    """A 5 000-digit alpha numerator, and entries of up to 100 digits
-    (`verify classical --bound 10**100`), are reduced mod p^2 first."""
+    """A 5 000-digit alpha numerator is reduced mod p^2 first, and entries of
+    up to 100 digits are only checked to be p-integral."""
     started = time.perf_counter()
     if case == "alpha":
-        assert check_classical_sun(997, Fraction(10**4999 + 7, 3), random_int_sequence(1, 997))
+        assert check_classical_sun(997, Fraction(10**4999 + 7, 3), splitmix_ints(1, 997))
     else:
-        assert CHECKS["classical"].run(997, "1/2", 3, 10**100).holds
+        assert check_classical_sun(997, "1/2", [10**100 * (k + 1) for k in range(997)])
     assert time.perf_counter() - started < 1
 
 
