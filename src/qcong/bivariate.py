@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _hash_terms, _merge, _mul_dict
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly.const(1)
@@ -24,6 +24,13 @@ def _as_laurent(v) -> LaurentPoly | None:
     if isinstance(v, (int, Fraction)):
         return LaurentPoly.const(v)
     return None
+
+
+def _as_bipoly(v) -> "BiPoly | None":
+    if isinstance(v, BiPoly):
+        return v
+    lc = _as_laurent(v)
+    return None if lc is None else BiPoly.const(lc)
 
 
 class BiPoly:
@@ -83,36 +90,17 @@ class BiPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self._coeffs == other._coeffs
-        lc = _as_laurent(other)
-        if lc is not None:
-            return self._coeffs == ({0: lc} if lc else {})
-        return NotImplemented
+        other = _as_bipoly(other)
+        return NotImplemented if other is None else self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        c = self._coeffs
-        if len(c) < 2 and (0 in c or not c):  # equal to its x^0 coefficient, so hashed as that
-            return hash(c.get(0, _ZERO))
-        return hash(frozenset(c.items()))  # each coefficient's hash is cached on it
+        return _hash_terms(self._coeffs)  # each coefficient's hash is cached on it
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            lc = _as_laurent(other)
-            if lc is None:
-                return NotImplemented
-            other = BiPoly.const(lc)
-        out = dict(self._coeffs)
-        for j, c in other._coeffs.items():
-            s = out.get(j)
-            s = c if s is None else s + c
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-        return BiPoly._raw(out)
+        other = _as_bipoly(other)
+        return NotImplemented if other is None else BiPoly._raw(_merge(self._coeffs, other._coeffs))
 
     __radd__ = __add__
 
@@ -120,30 +108,15 @@ class BiPoly:
         return BiPoly._raw({j: -c for j, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            lc = _as_laurent(other)
-            if lc is None:
-                return NotImplemented
-            other = BiPoly.const(lc)
-        return self + (-other)
+        other = _as_bipoly(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "BiPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, BiPoly):
-            out: dict[int, LaurentPoly] = {}
-            for ja, ca in self._coeffs.items():
-                for jb, cb in other._coeffs.items():
-                    j = ja + jb
-                    prod = ca * cb
-                    s = out.get(j)
-                    s = prod if s is None else s + prod
-                    if s:
-                        out[j] = s
-                    else:
-                        del out[j]
-            return BiPoly._raw(out)
+            return BiPoly._raw(_mul_dict(self._coeffs, other._coeffs))
         lc = _as_laurent(other)
         if lc is None:
             return NotImplemented

@@ -424,25 +424,21 @@ class Residue:
             return _reduce_poly(other, self.n, self.m)
         return None
 
-    def __add__(self, other):
+    def _zip(self, other, op):
+        """op(x, y) for each coefficient x of self and y of other."""
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Residue(self._ring, [x + y for x, y in zip(self._coeffs, o)])
+        return NotImplemented if o is None else Residue(self._ring, list(map(op, self._coeffs, o)))
+
+    def __add__(self, other):
+        return self._zip(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Residue(self._ring, [x - y for x, y in zip(self._coeffs, o)])
+        return self._zip(other, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Residue(self._ring, [y - x for x, y in zip(self._coeffs, o)])
+        return self._zip(other, lambda x, y: y - x)
 
     def __neg__(self):
         return Residue(self._ring, [-x for x in self._coeffs])

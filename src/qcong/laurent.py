@@ -131,11 +131,7 @@ class LaurentPoly:
             return self._hash
         except AttributeError:
             pass
-        t = self._terms
-        if len(t) < 2 and (0 in t or not t):  # a constant equals its scalar, so it hashes as one
-            self._hash = hash(t.get(0, 0))
-        else:
-            self._hash = hash(frozenset(t.items()))
+        self._hash = _hash_terms(self._terms)
         return self._hash
 
     # -- ring operations ------------------------------------------------
@@ -145,17 +141,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
+        return LaurentPoly._raw(_merge(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -202,7 +188,7 @@ class LaurentPoly:
             packed = _mul_kronecker(a, b)
             if packed is not None:
                 return LaurentPoly._raw(packed)
-        return LaurentPoly._raw(_mul_dict(a, b))
+        return LaurentPoly._raw({e: _norm_scalar(c) for e, c in _mul_dict(a, b).items()})
 
     __rmul__ = __mul__
 
@@ -271,10 +257,37 @@ class LaurentPoly:
         return cls(terms)
 
 
-def _mul_dict(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
+# -- term maps {degree: nonzero coefficient}, shared with BiPoly ----------
+
+
+def _hash_terms(t: dict) -> int:
+    """The hash of a term map; a constant equals its x^0 or q^0 coefficient,
+    so it hashes as that."""
+    if len(t) < 2 and (0 in t or not t):
+        return hash(t.get(0, 0))
+    return hash(frozenset(t.items()))
+
+
+def _merge(a: dict, b: dict) -> dict:
+    """The sum of two term maps; a coefficient that cancels is dropped."""
     if len(a) < len(b):
         a, b = b, a
-    out: dict[int, Scalar] = {}
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _mul_dict(a: dict, b: dict) -> dict:
+    """The schoolbook product of two term maps, coefficients as they come
+    (an integral Fraction is not collapsed to int)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
     get = out.get
     for eb, cb in b.items():
         for ea, ca in a.items():
@@ -284,7 +297,7 @@ def _mul_dict(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
                 out[e] = s
             else:
                 del out[e]
-    return {e: _norm_scalar(c) for e, c in out.items()}
+    return out
 
 
 def _mul_kronecker(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar] | None:
