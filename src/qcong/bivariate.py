@@ -1,10 +1,14 @@
 """Polynomials in an auxiliary variable x over Laurent polynomials in q.
 
 BiPoly stores a sparse map {x-degree: LaurentPoly}; x commutes with q and
-is never substituted, so all arithmetic is coefficient-wise in x.  RatExpr
-is an unreduced fraction whose numerator is either univariate or bivariate
-and whose denominator is a nonzero LaurentPoly in q alone; equality and
-congruence checks cross-multiply instead of normalizing.
+is never substituted, so all arithmetic is coefficient-wise in x.  Its sum,
+product and hash are laurent's term-map rules (_merge, _mul_dict,
+_hash_terms) applied to that map; only negation and the scalar product
+are written here.
+
+RatExpr is an unreduced fraction whose numerator is either univariate or
+bivariate and whose denominator is a nonzero LaurentPoly in q alone;
+equality and congruence checks cross-multiply instead of normalizing.
 """
 
 from __future__ import annotations

@@ -40,18 +40,28 @@ from .bivariate import RatExpr
 from .congruence import residual
 from .cyclotomic import cyclotomic
 from .families import generate
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, digits_past_limit
 from .qcalc import qbinom_base, qpoch
 from .sweep import CONFIG_KEYS, format_summary, load_config, run_sweep
 from .theorems import CHECKS, MAX_SPAN, _poch_span, _qbinom_span, _transform_span
 from .transforms import hat, tilde
 
+
+def _int(text: str) -> int:
+    """int(text), for argparse, which names the argument in a refusal; a
+    number past the int-string digit limit is refused without its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(digits_past_limit(text) or f"invalid int value: {text!r}") from None
+
+
 # verify flags other than required integers; each check needs the flags of its args
 _VERIFY_FLAGS = {
     "family": {"default": "ones"},
-    "p": {"type": int, "help": "odd prime (classical check)"},
+    "p": {"type": _int, "help": "odd prime (classical check)"},
     "alpha": {"help": "rational alpha (classical check)"},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": _int, "default": 0},
 }
 
 
@@ -63,22 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cyclotomic", help="print the n-th cyclotomic polynomial")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     # Phi_n is divided out of q^n - 1
     p.set_defaults(span=lambda args: args.n, run=lambda args: _show(cyclotomic(args.n)))
 
     p = sub.add_parser("qbinom", help="print a Gaussian binomial coefficient")
-    p.add_argument("alpha", type=int, help="top index, any integer")
-    p.add_argument("k", type=int)
-    p.add_argument("--base", type=int, default=1, metavar="D",
+    p.add_argument("alpha", type=_int, help="top index, any integer")
+    p.add_argument("k", type=_int)
+    p.add_argument("--base", type=_int, default=1, metavar="D",
                    help="evaluate at q^D (default 1)")
     p.set_defaults(span=lambda args: abs(args.base) * _qbinom_span(args.alpha, args.k),
                    run=lambda args: _show(qbinom_base(args.alpha, args.k, args.base)))
 
     p = sub.add_parser("qpoch", help="print prod_{j<k} (1 - q^(r + j*d))")
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("r", type=_int)
+    p.add_argument("d", type=_int)
+    p.add_argument("k", type=_int)
     p.set_defaults(span=lambda args: _poch_span(args.r, args.d, args.k),
                    run=lambda args: _show(qpoch(args.r, args.d, args.k)))
 
@@ -86,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("hat", "tilde"))
     p.add_argument("--family", required=True, metavar="NAME",
                    help="family label, e.g. ones, delta:1, random_poly:7:3")
-    p.add_argument("--length", required=True, type=int, metavar="L")
+    p.add_argument("--length", required=True, type=_int, metavar="L")
     p.set_defaults(span=lambda args: _transform_span(args.length, args.family), run=partial(_cmd_transform, parser))
 
     p = sub.add_parser("congruent", help="decide lhs = rhs mod Phi_n(q)^m")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--n", required=True, type=_int)
+    p.add_argument("--m", required=True, type=_int)
     p.add_argument("--lhs", required=True, metavar="FILE")
     p.add_argument("--rhs", required=True, metavar="FILE")
     # every term is folded below degree m*n
@@ -101,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", choices=tuple(CHECKS))
     names = dict.fromkeys(arg for check in CHECKS.values() for arg in check.args)
     for name in sorted(names, key=lambda name: name in _VERIFY_FLAGS):  # integers first
-        p.add_argument(f"--{name}", **_VERIFY_FLAGS.get(name, {"type": int}))
+        p.add_argument(f"--{name}", **_VERIFY_FLAGS.get(name, {"type": _int}))
     p.set_defaults(span=_verify_span, run=partial(_cmd_verify, parser))
 
     p = sub.add_parser("sweep", help="run a parameter grid from a config file")

@@ -29,7 +29,7 @@ from itertools import accumulate
 from operator import mul
 
 from .bivariate import BiPoly, RatExpr
-from .laurent import LaurentPoly, one, qpow, zero
+from .laurent import LaurentPoly, digits_past_limit, one, qpow, zero
 from .qcalc import qpoch_x_prefixes
 from .transforms import BIVARIATE, RATIONAL, UNIVARIATE, PolySeq
 
@@ -108,7 +108,8 @@ class FamilySpec:
         try:
             args = tuple(int(p) for p in parts[1:])
         except ValueError:
-            raise ValueError(f"malformed family parameter in {text!r}") from None
+            long = digits_past_limit(":".join(parts[1:]))
+            raise ValueError(f"family {name}: {long}" if long else f"malformed family parameter in {text!r}") from None
         return cls(name, args)
 
     def label(self) -> str:

@@ -19,6 +19,13 @@ such as 1 + q^(10^9) would make 10^9 digits.  The dict product serves the
 rest; the test suite checks both paths.  ext_gcd and the ring's inverse
 share one integer remainder sequence, _int_euclid.
 
+The term-map rules live here once, for LaurentPoly and for
+bivariate.BiPoly, whose map {x-degree: LaurentPoly} obeys the same ones:
+_merge is the zero-dropping sum, _mul_dict the pair-product loop (its raw
+map; LaurentPoly.__mul__ collapses integral Fractions), and _hash_terms
+hashes a constant as its coefficient.  LaurentPoly.__sub__ keeps its own
+loop: a warm decision spends a quarter of its time there.
+
 The canonical text form sorts terms by ascending exponent and writes every
 coefficient and exponent explicitly, e.g. ``-1*q^-2 + 3/2*q^0 + 1*q^3``.
 The zero polynomial prints as ``0``.
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -38,6 +46,16 @@ Scalar = int | Fraction
 _KRONECKER_CUTOFF = 12
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*q\^(-?\d+)$")
+
+
+def digits_past_limit(text) -> "str | None":
+    """The refusal of a number in text past Python's limit on int-string
+    digits, or None when it has none: int() and Fraction() refuse one with a
+    message that echoes every digit, so callers name the value and use this."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", str(text))):
+        return f"a number past the limit of {limit} digits"
+    return None
 
 
 def _norm_scalar(c: Scalar) -> Scalar:
@@ -242,15 +260,16 @@ class LaurentPoly:
         if text == "0":
             return _ZERO
         terms: dict[int, Scalar] = {}
-        for part in text.split(" + "):
+        for i, part in enumerate(text.split(" + "), 1):
             m = _TERM_RE.match(part.strip())
             if m is None:
                 raise ValueError(f"malformed polynomial term: {part!r}")
             try:
-                c = Fraction(m.group(1))
+                c, e = Fraction(m.group(1)), int(m.group(2))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in polynomial term: {part!r}") from None
-            e = int(m.group(2))
+            except ValueError:  # the pattern admits no other malformed number
+                raise ValueError(f"polynomial term {i}: {digits_past_limit(part)}") from None
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in polynomial text")
             terms[e] = c

@@ -43,7 +43,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .families import FamilySpec
-from .theorems import CHECKS, _alpha
+from .laurent import digits_past_limit
+from .theorems import CHECKS
 
 # config `theorems` value -> the CHECKS ids it sweeps
 SWEEP_GROUPS = {
@@ -115,11 +116,12 @@ def parse_config_text(text: str) -> dict[str, list[str]]:
 
 
 def _parse(convert, atom: str, key: str, expected: str):
-    """convert(atom), or a ValueError that names the key and the atom."""
+    """convert(atom), or a ValueError that names the key and the atom (or,
+    for a number past the int-string digit limit, the limit)."""
     try:
         return convert(atom)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{key}: expected {expected}, got {atom!r}") from None
+        raise ValueError(f"{key}: {digits_past_limit(atom) or f'expected {expected}, got {atom!r}'}") from None
 
 
 def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
@@ -129,7 +131,7 @@ def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
     for atom in atoms:
         m = _RANGE_RE.match(atom)
         if m:
-            lo, hi = int(m.group(1)), int(m.group(2))
+            lo, hi = (_parse(int, end, key, "an integer") for end in m.groups())
             if lo > hi:
                 raise ValueError(f"{key}: empty range {atom!r}")
         else:
@@ -171,7 +173,7 @@ _KEYS = {
     "s": ("s_values", expand_ints, True),
     "a": ("a_values", expand_ints, True),
     "families": ("families", lambda atoms, key: tuple(map(FamilySpec.parse, atoms)), True),
-    "alphas": ("alphas", lambda atoms, key: tuple(_parse(_alpha, a, key, "a fraction") for a in atoms), True),
+    "alphas": ("alphas", lambda atoms, key: tuple(_parse(Fraction, a, key, "a fraction") for a in atoms), True),
     "classical_seeds": ("classical_seeds", _positive, False),
     "workers": ("workers", _positive, False),
     "output": ("output", _one, False),

@@ -123,7 +123,6 @@ Parameter conventions:
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,7 +134,7 @@ from .congruence import (NoncoprimeDenominatorError, Residue, _budgeted, _certif
                          horner, reduce, reduce_by_degree)
 from .cyclotomic import totient
 from .families import FamilySpec, generate
-from .laurent import LaurentPoly, one, qpow
+from .laurent import LaurentPoly, digits_past_limit, one, qpow
 from .qcalc import qbinom_int, qpoch
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, shared_denominator, tilde
 
@@ -232,17 +231,11 @@ MAX_CLASSICAL_P = 80_000
 
 
 def _alpha(alpha: "Fraction | int | str") -> Fraction:
-    """Fraction(alpha).  A numerator or denominator past Python's limit on
-    int-string digits raises OverflowError naming alpha and the limit, not
-    Fraction's own ValueError, which names a call to raise it; a sweep
-    reports it as is, and not as a malformed atom."""
+    """Fraction(alpha), refused as a sweep refuses a malformed alphas atom."""
     try:
         return Fraction(alpha)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and sum(ch.isdigit() for ch in str(alpha)) > limit:
-            raise OverflowError(f"alpha's numerator and denominator must each have at most {limit} digits") from None
-        raise
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"alpha: {digits_past_limit(alpha) or f'expected a fraction, got {alpha!r}'}") from None
 
 
 def _p_integral(p: int, alpha: "Fraction | str") -> "str | None":

@@ -335,6 +335,22 @@ def test_residue_times_sparse_polynomial_matches_long_division(n, m, a, terms):
 
 
 @settings(max_examples=40, deadline=None)
+@given(ring_ns, st.integers(min_value=1, max_value=3), polys, polys, coefficients)
+def test_residue_sums_and_differences_match_long_division(n, m, a, b, c):
+    """r + s, r - s, and the reflected differences 2 - r, c - r and p - r for
+    a scalar c and a LaurentPoly p, each against the long division of its
+    polynomial."""
+    r, s = reduce(a, n, m), reduce(b, n, m)
+    ta, tb = terms_of(a), terms_of(b)
+    minus_a, minus_b = ({e: -v for e, v in t.items()} for t in (ta, tb))
+    cases = [(r + s, ref_add(ta, tb)), (r - s, ref_add(ta, minus_b)), (2 - r, ref_add({0: 2}, minus_a)),
+             (c - r, ref_add({0: c}, minus_a)), (b - r, ref_add(tb, minus_a))]
+    for got, terms in cases:
+        assert isinstance(got, Residue)
+        assert list(got.coeffs) == residue_by_long_division(terms, n, m)
+
+
+@settings(max_examples=40, deadline=None)
 @given(ring_ns, st.integers(min_value=1, max_value=3), st.data())
 def test_divide_matches_long_division(n, m, data):
     """_Ring.divide on vectors longer than m*n, so every stage of its tower runs."""

@@ -22,7 +22,7 @@ from qcong.laurent import (
     zero,
 )
 
-from helpers import dense_ext_gcd, dense_of, ref_mul, terms_of
+from helpers import dense_ext_gcd, dense_of, ref_add, ref_mul, terms_of
 
 coeffs = st.one_of(
     st.integers(min_value=-50, max_value=50),
@@ -384,6 +384,64 @@ def test_hash_consistent_with_eq(a, b):
     if isinstance(a, BiPoly):  # one with an x^0 part alone hashes as that LaurentPoly, the rest by x-degree
         c = a.coeffs
         assert hash(a) == (hash(a.coeff(0)) if c.keys() <= {0} else hash(frozenset(c.items())))
+
+
+def _by_x_degree(v) -> dict:
+    """{x-degree: {exponent: Fraction}} of a BiPoly as stored (a zero kept
+    by mistake shows as an empty map), or of a LaurentPoly or scalar."""
+    if isinstance(v, BiPoly):
+        return {j: terms_of(c) for j, c in v.coeffs.items()}
+    t = terms_of(v if isinstance(v, LaurentPoly) else LaurentPoly.const(v))
+    return {0: t} if t else {}
+
+
+def _bi_ref_add(a: dict, b: dict) -> dict:
+    out = {j: ref_add(a.get(j, {}), b.get(j, {})) for j in a.keys() | b.keys()}
+    return {j: t for j, t in out.items() if t}
+
+
+def _bi_ref_neg(a: dict) -> dict:
+    return {j: {e: -c for e, c in t.items()} for j, t in a.items()}
+
+
+def _bi_ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ja, ta in a.items():
+        for jb, tb in b.items():
+            out = _bi_ref_add(out, {ja + jb: ref_mul(ta, tb)})
+    return out
+
+
+# coefficients from a small set on few exponents, so that sums and products cancel often
+cancelling = st.dictionaries(
+    st.integers(min_value=-1, max_value=1), st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2)]), max_size=3
+).map(LaurentPoly)
+cancelling_bi = st.dictionaries(st.integers(min_value=0, max_value=2), cancelling, max_size=3).map(BiPoly)
+
+
+@given(cancelling_bi, st.one_of(cancelling_bi, cancelling, st.sampled_from([0, 1, -2, Fraction(1, 2)])))
+@example(BiPoly({0: q, 1: one}), BiPoly({0: -q, 1: -one}))
+@example(BiPoly({1: one + q}), BiPoly({1: one - q}))
+@example(BiPoly({0: one + q}), -one - q)
+@example(BiPoly({0: 2 + q}), -2)
+def test_bipoly_arithmetic_matches_a_reference_per_x_degree(a, b):
+    """+, -, * with a BiPoly, LaurentPoly or scalar on either side, against
+    ref_add and ref_mul on each x-degree; every result stores no zero
+    coefficient, equals the BiPoly (and, when x-free, the LaurentPoly) of
+    its reference, and hashes as they do."""
+    ra, rb = _by_x_degree(a), _by_x_degree(b)
+    cases = [(a + b, _bi_ref_add(ra, rb)), (b + a, _bi_ref_add(ra, rb)),
+             (a - b, _bi_ref_add(ra, _bi_ref_neg(rb))), (b - a, _bi_ref_add(rb, _bi_ref_neg(ra))),
+             (a - a, {}), (a + (-a), {}),
+             (a * b, _bi_ref_mul(ra, rb)), (b * a, _bi_ref_mul(ra, rb))]
+    for got, want in cases:
+        assert isinstance(got, BiPoly)
+        assert _by_x_degree(got) == want
+        for equal in [BiPoly({j: LaurentPoly(t) for j, t in want.items()})] + (
+                [LaurentPoly(want.get(0, {}))] if want.keys() <= {0} else []):
+            assert got == equal and equal == got
+            assert hash(got) == hash(equal)
+    assert (a == b) == (ra == rb)
 
 
 def test_equality_against_scalars():

@@ -607,12 +607,73 @@ def test_cli_classical_rejects_a_huge_p_at_once(p, error, capsys):
 ])
 def test_cli_refuses_an_alpha_past_the_int_digit_limit(argv, tmp_path, capsys):
     """Python reads no int of more than 4 300 digits from a string; the
-    refusal names alpha and the limit, not the call that lifts it."""
+    refusal names the flag or key and the limit, not the call that lifts it."""
     out = tmp_path / "refused.jsonl"
     assert cli.main([*argv, f"--output={out}"] if argv[0] == "sweep" else argv) == 2
-    assert capsys.readouterr().err.strip() == (
-        "error: alpha's numerator and denominator must each have at most 4300 digits")
+    key = "alpha" if argv[0] == "verify" else "alphas"
+    assert capsys.readouterr().err.strip() == f"error: {key}: a number past the limit of 4300 digits"
     assert not out.exists()
+
+
+_LONG = "1" * 5000
+_PAST_LIMIT = "a number past the limit of 4300 digits"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["verify", "thm1.1", "--n", _LONG, "--d", "1", "--r", "1"], "--n"),
+    (["verify", "classical", "--p", "7", "--alpha", "1/2", "--seed", _LONG], "--seed"),
+    (["congruent", "--n", _LONG, "--m", "1", "--lhs", "a", "--rhs", "b"], "--n"),
+    (["qbinom", _LONG, "2"], "alpha"),
+    (["qbinom", "5", "2", "--base", _LONG], "--base"),
+    (["qpoch", "1", "1", _LONG], "k"),
+    (["cyclotomic", _LONG], "n"),
+    (["transform", "--kind", "hat", "--family", "ones", "--length", _LONG], "--length"),
+])
+def test_cli_argparse_refuses_an_over_long_integer_briefly(argv, name, capsys):
+    """argparse would echo all 5 000 digits; the refusal names the argument
+    and the limit in a few hundred bytes, usage line included."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2 and len(err.encode()) < 1000
+    assert err.rstrip().endswith(f"error: argument {name}: {_PAST_LIMIT}")
+
+
+def test_cli_argparse_keeps_its_message_for_a_malformed_integer(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["cyclotomic", "1.5"])
+    assert capsys.readouterr().err.rstrip().endswith("error: argument n: invalid int value: '1.5'")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["sweep", "--theorems=1.1", f"--n={_LONG}"], f"n: {_PAST_LIMIT}"),
+    (["sweep", "--theorems=1.1", f"--n=2..{_LONG}"], f"n: {_PAST_LIMIT}"),
+    (["sweep", "--theorems=1.1", f"--n=-{_LONG}..2"], f"n: {_PAST_LIMIT}"),
+    (["sweep", "--theorems=1.1", "--n=5", f"--workers={_LONG}"], f"workers: {_PAST_LIMIT}"),
+    (["sweep", "--theorems=1.1", "--n=5", f"--families=ones,delta:{_LONG}"], f"family delta: {_PAST_LIMIT}"),
+    (["verify", "thm1.1", "--n=5", "--d=1", "--r=1", f"--family=random_poly:3:{_LONG}"],
+     f"family random_poly: {_PAST_LIMIT}"),
+    (["transform", "--kind", "tilde", "--family", f"delta:{_LONG}", "--length", "3"], f"family delta: {_PAST_LIMIT}"),
+    (["verify", "classical", "--p", "7", "--alpha", "1/0"], "alpha: expected a fraction, got '1/0'"),
+    (["verify", "classical", "--p", "7", "--alpha", "abc"], "alpha: expected a fraction, got 'abc'"),
+])
+def test_cli_refuses_an_over_long_integer_or_malformed_alpha_briefly(argv, error, tmp_path, capsys):
+    """Exit 2 and one line naming the key, family or flag; the alpha cases are
+    worded as the sweep words a malformed alphas atom."""
+    out = tmp_path / "refused.jsonl"
+    assert cli.main([*argv, f"--output={out}"] if argv[0] == "sweep" else argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {error}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,term", [(f"1*q^0 + {_LONG}*q^1", 2), (f"1/{_LONG}*q^1", 1), (f"1*q^{_LONG}", 1)])
+def test_cli_congruent_names_a_term_with_an_over_long_number(text, term, tmp_path, capsys):
+    lhs, rhs = tmp_path / "lhs.txt", tmp_path / "rhs.txt"
+    lhs.write_text(text + "\n")
+    rhs.write_text("1*q^0\n")
+    assert cli.main(["congruent", "--n", "5", "--m", "2", "--lhs", str(lhs), "--rhs", str(rhs)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.strip()) == ("", f"error: polynomial term {term}: {_PAST_LIMIT}")
 
 
 def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
