@@ -265,7 +265,7 @@ class LaurentPoly:
             if m is None:
                 raise ValueError(f"malformed polynomial term: {part!r}")
             try:
-                c, e = Fraction(m.group(1)), int(m.group(2))
+                e, c = int(m.group(2)), Fraction(m.group(1))  # an over-long exponent before a zero denominator
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in polynomial term: {part!r}") from None
             except ValueError:  # the pattern admits no other malformed number
