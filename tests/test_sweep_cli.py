@@ -666,8 +666,9 @@ def test_cli_refuses_an_over_long_integer_or_malformed_alpha_briefly(argv, error
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text,term", [(f"1*q^0 + {_LONG}*q^1", 2), (f"1/{_LONG}*q^1", 1), (f"1*q^{_LONG}", 1),
-                                       (f"1/0*q^{_LONG}", 1), (f"{_LONG}/0*q^1", 1)])
+@pytest.mark.parametrize("text,term", [
+    (f"1*q^0 + {_LONG}*q^1", 2), (f"1/{_LONG}*q^1", 1), (f"1*q^{_LONG}", 1), (f"1/0*q^{_LONG}", 1), (f"{_LONG}/0*q^1", 1),
+], ids=["coefficient", "denominator", "exponent", "exponent-by-a-zero-denominator", "numerator-over-zero"])
 def test_cli_congruent_names_a_term_with_an_over_long_number(text, term, tmp_path, capsys):
     lhs, rhs = tmp_path / "lhs.txt", tmp_path / "rhs.txt"
     lhs.write_text(text + "\n")
