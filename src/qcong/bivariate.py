@@ -3,31 +3,23 @@
 BiPoly stores a sparse map {x-degree: LaurentPoly}; x commutes with q and
 is never substituted, so all arithmetic is coefficient-wise in x.  Its sum,
 product and hash are laurent's term-map rules (_merge, _mul_dict,
-_hash_terms) applied to that map; only negation and the scalar product
-are written here.
+_hash_terms) applied to that map, and a LaurentPoly or scalar operand is
+taken by laurent's one coercion (_as_laurent); only negation and the
+scalar product are written here.
 
 RatExpr is an unreduced fraction whose numerator is either univariate or
 bivariate and whose denominator is a nonzero LaurentPoly in q alone;
-equality and congruence checks cross-multiply instead of normalizing.
+equality and congruence checks cross-multiply instead of normalizing.  It
+supports +, * by a RatExpr, LaurentPoly or scalar, and ==; it has no
+subtraction, negation or BiPoly factor, since congruence subtracts the
+numerators of two sides itself.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, _hash_terms, _merge, _mul_dict
-
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly.const(1)
-
-
-def _as_laurent(v) -> LaurentPoly | None:
-    if isinstance(v, LaurentPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return LaurentPoly.const(v)
-    return None
+from .laurent import LaurentPoly, _as_laurent, _hash_terms, _merge, _mul_dict, one, zero
 
 
 def _as_bipoly(v) -> "BiPoly | None":
@@ -68,15 +60,13 @@ class BiPoly:
 
     @classmethod
     def const(cls, c) -> "BiPoly":
-        lc = _as_laurent(c)
-        return cls._raw({0: lc} if lc else {})
+        return cls.x_power(0, c)
 
     @classmethod
     def x_power(cls, j: int, coeff=1) -> "BiPoly":
-        lc = _as_laurent(coeff)
         if j < 0:
             raise ValueError("x-degrees must be non-negative")
-        return cls._raw({j: lc} if lc else {})
+        return cls({j: coeff})
 
     # -- inspection -----------------------------------------------------
 
@@ -85,7 +75,7 @@ class BiPoly:
         return dict(self._coeffs)
 
     def coeff(self, j: int) -> LaurentPoly:
-        return self._coeffs.get(j, _ZERO)
+        return self._coeffs.get(j, zero)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -150,23 +140,21 @@ class RatExpr:
 
     The numerator may be bivariate.  Addition cross-multiplies only when
     the denominators differ, so sums that share a denominator stay small.
-    Equality is the cross-multiplied exact test.
+    Equality is the cross-multiplied exact test; a LaurentPoly product on
+    one side and a BiPoly on the other compare by BiPoly.__eq__.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=_ONE):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
-        if not isinstance(num, (LaurentPoly, BiPoly)):
+    def __init__(self, num, den=one):
+        self.num = num if isinstance(num, BiPoly) else _as_laurent(num)
+        if self.num is None:
             raise TypeError(f"numerator must be LaurentPoly or BiPoly, got {type(num).__name__}")
-        den_l = _as_laurent(den)
-        if den_l is None:
+        self.den = _as_laurent(den)
+        if self.den is None:
             raise TypeError("denominator must be a LaurentPoly or scalar")
-        if den_l.is_zero():
+        if not self.den:
             raise ZeroDivisionError("zero denominator in RatExpr")
-        self.num = num
-        self.den = den_l
 
     def is_bivariate(self) -> bool:
         return isinstance(self.num, BiPoly)
@@ -175,12 +163,7 @@ class RatExpr:
         other = as_ratexpr(other)
         if other is None:
             return NotImplemented
-        a = self.num * other.den
-        b = other.num * self.den
-        if isinstance(a, BiPoly) != isinstance(b, BiPoly):
-            a = a if isinstance(a, BiPoly) else BiPoly.const(a)
-            b = b if isinstance(b, BiPoly) else BiPoly.const(b)
-        return a == b
+        return self.num * other.den == other.num * self.den
 
     def __hash__(self):
         raise TypeError("RatExpr is unhashable (equality is cross-multiplied)")
@@ -195,23 +178,9 @@ class RatExpr:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RatExpr":
-        return RatExpr(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatExpr":
-        other = as_ratexpr(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RatExpr":
-        return (-self) + other
-
     def __mul__(self, other) -> "RatExpr":
         if isinstance(other, RatExpr):
             return RatExpr(self.num * other.num, self.den * other.den)
-        if isinstance(other, BiPoly):
-            return RatExpr(self.num * other, self.den)
         lc = _as_laurent(other)
         if lc is None:
             return NotImplemented
@@ -230,8 +199,5 @@ def as_ratexpr(v) -> RatExpr | None:
     """View a polynomial or scalar as a RatExpr over denominator 1."""
     if isinstance(v, RatExpr):
         return v
-    if isinstance(v, (LaurentPoly, BiPoly)):
-        return RatExpr(v)
-    if isinstance(v, (int, Fraction)):
-        return RatExpr(LaurentPoly.const(v))
-    return None
+    num = v if isinstance(v, BiPoly) else _as_laurent(v)
+    return None if num is None else RatExpr(num)

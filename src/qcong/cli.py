@@ -40,7 +40,7 @@ from .bivariate import RatExpr
 from .congruence import residual
 from .cyclotomic import cyclotomic
 from .families import generate
-from .laurent import LaurentPoly, digits_past_limit
+from .laurent import LaurentPoly, clipped, digits_past_limit
 from .qcalc import qbinom_base, qpoch
 from .sweep import CONFIG_KEYS, format_summary, load_config, run_sweep
 from .theorems import CHECKS, MAX_SPAN, _poch_span, _qbinom_span, _transform_span
@@ -53,7 +53,8 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(digits_past_limit(text) or f"invalid int value: {text!r}") from None
+        message = digits_past_limit(text) or f"invalid int value: {clipped(repr(text))}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 # verify flags other than required integers; each check needs the flags of its args
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(span=lambda args: args.n * args.m, run=_cmd_congruent)
 
     p = sub.add_parser("verify", help="run a single check")
-    p.add_argument("theorem", choices=tuple(CHECKS))
+    p.add_argument("theorem", choices=tuple(CHECKS), type=clipped)  # argparse echoes an invalid choice
     names = dict.fromkeys(arg for check in CHECKS.values() for arg in check.args)
     for name in sorted(names, key=lambda name: name in _VERIFY_FLAGS):  # integers first
         p.add_argument(f"--{name}", **_VERIFY_FLAGS.get(name, {"type": _int}))

@@ -87,7 +87,7 @@ from operator import add, mul, sub
 
 from .bivariate import BiPoly, as_ratexpr
 from .cyclotomic import cyclotomic_power
-from .laurent import LaurentPoly, _int_euclid, one, qpow
+from .laurent import LaurentPoly, _as_laurent, _int_euclid, one, qpow
 
 __all__ = [
     "NoncoprimeDenominatorError",
@@ -207,10 +207,8 @@ class _Ring:
             out[b] += c
             out[n + b] += a * c
             if higher:
-                binom = a * (a - 1) // 2
-                for i, j in enumerate(higher, 2):  # T_i[b] += C(a, i) * c
+                for j, binom in zip(higher, _binomials(self.m, a)[2:]):  # T_i[b] += C(a, i) * c
                     out[j + b] += binom * c
-                    binom = binom * (a - i) // (i + 1)
         del out[span:]
         if not any(out[n:]):  # T_0 alone: it is the element
             return out
@@ -418,11 +416,8 @@ class Residue:
             if other._ring is not self._ring:  # the common case pays no _ring_of
                 _ring_of((self, other))
             return other._coeffs
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if isinstance(other, LaurentPoly):
-            return _reduce_poly(other, self.n, self.m)
-        return None
+        other = _as_laurent(other)
+        return None if other is None else _reduce_poly(other, self.n, self.m)
 
     def _zip(self, other, op):
         """op(x, y) for each coefficient x of self and y of other."""

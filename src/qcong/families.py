@@ -29,7 +29,7 @@ from itertools import accumulate
 from operator import mul
 
 from .bivariate import BiPoly, RatExpr
-from .laurent import LaurentPoly, digits_past_limit, one, qpow, zero
+from .laurent import LaurentPoly, clipped, digits_past_limit, one, qpow, zero
 from .qcalc import qpoch_x_prefixes
 from .transforms import BIVARIATE, RATIONAL, UNIVARIATE, PolySeq
 
@@ -85,7 +85,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.name not in _FAMILIES:
-            raise ValueError(f"unknown family {self.name!r}")
+            raise ValueError(f"unknown family {clipped(repr(self.name))}")
         lo, hi = _FAMILIES[self.name][:2]
         if not lo <= len(self.args) <= hi:
             raise ValueError(f"family {self.name} takes {lo}..{hi} parameters, got {len(self.args)}")
@@ -109,7 +109,8 @@ class FamilySpec:
             args = tuple(int(p) for p in parts[1:])
         except ValueError:
             long = digits_past_limit(":".join(parts[1:]))
-            raise ValueError(f"family {name}: {long}" if long else f"malformed family parameter in {text!r}") from None
+            raise ValueError(f"family {clipped(name)}: {long}" if long
+                             else f"malformed family parameter in {clipped(repr(text))}") from None
         return cls(name, args)
 
     def label(self) -> str:

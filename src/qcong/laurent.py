@@ -26,6 +26,16 @@ map; LaurentPoly.__mul__ collapses integral Fractions), and _hash_terms
 hashes a constant as its coefficient.  LaurentPoly.__sub__ keeps its own
 loop: a warm decision spends a quarter of its time there.
 
+One coercion, _as_laurent, serves every operand and constructor argument
+in this package that may be a scalar: a LaurentPoly stays itself, an int or
+Fraction becomes a constant, and anything else gives None, which an
+operator declines (NotImplemented) and a constructor refuses (TypeError).
+LaurentPoly, BiPoly, RatExpr and congruence.Residue all use it.
+
+A refusal of user input stays short: digits_past_limit stands for a number
+past Python's int-string digit limit, and clipped cuts any other echoed
+value past 100 characters to its head and its length.
+
 The canonical text form sorts terms by ascending exponent and writes every
 coefficient and exponent explicitly, e.g. ``-1*q^-2 + 3/2*q^0 + 1*q^3``.
 The zero polynomial prints as ``0``.
@@ -58,6 +68,13 @@ def digits_past_limit(text) -> "str | None":
     return None
 
 
+def clipped(text: str) -> str:
+    """text, or past 100 characters its first 60 and its length: a refusal
+    names the value it refuses (repr'd where it quotes it) without echoing
+    an input of any size."""
+    return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _norm_scalar(c: Scalar) -> Scalar:
     """Collapse integral Fractions to int; reject inexact types."""
     if isinstance(c, int):
@@ -65,6 +82,13 @@ def _norm_scalar(c: Scalar) -> Scalar:
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"exact rational coefficient required, got {type(c).__name__}")
+
+
+def _as_laurent(v) -> "LaurentPoly | None":
+    """v as a LaurentPoly: itself, a scalar as a constant, anything else None."""
+    if isinstance(v, LaurentPoly):
+        return v
+    return LaurentPoly.monomial(0, v) if isinstance(v, (int, Fraction)) else None
 
 
 class LaurentPoly:
@@ -94,8 +118,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: Scalar) -> "LaurentPoly":
-        c = _norm_scalar(c)
-        return cls._raw({0: c} if c else {})
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
@@ -155,11 +178,8 @@ class LaurentPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._raw(_merge(self._terms, other._terms))
+        other = _as_laurent(other)
+        return NotImplemented if other is None else LaurentPoly._raw(_merge(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -167,9 +187,8 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        elif not isinstance(other, LaurentPoly):
+        other = _as_laurent(other)
+        if other is None:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
@@ -263,15 +282,15 @@ class LaurentPoly:
         for i, part in enumerate(text.split(" + "), 1):
             m = _TERM_RE.match(part.strip())
             if m is None:
-                raise ValueError(f"malformed polynomial term: {part!r}")
+                raise ValueError(f"malformed polynomial term: {clipped(repr(part))}")
             try:
                 e, c = int(m.group(2)), Fraction(m.group(1))  # an over-long exponent before a zero denominator
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in polynomial term: {part!r}") from None
+                raise ValueError(f"zero denominator in polynomial term: {clipped(repr(part))}") from None
             except ValueError:  # the pattern admits no other malformed number
                 raise ValueError(f"polynomial term {i}: {digits_past_limit(part)}") from None
             if e in terms:
-                raise ValueError(f"duplicate exponent {e} in polynomial text")
+                raise ValueError(f"duplicate exponent {clipped(str(e))} in polynomial text")
             terms[e] = c
         return cls(terms)
 

@@ -51,10 +51,7 @@ def gauss_binomial(n: int, k: int) -> LaurentPoly:
 
 def _poch_quotient(alpha: int, k: int) -> LaurentPoly:
     """(q^(alpha-k+1); q)_k / (q; q)_k, the division asserted exact."""
-    num = qpoch(alpha - k + 1, 1, k)
-    if num.is_zero():
-        return zero
-    return exact_div(num, qpoch(1, 1, k))
+    return exact_div(qpoch(alpha - k + 1, 1, k), qpoch(1, 1, k))
 
 
 def qbinom_int(alpha: int, k: int) -> LaurentPoly:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .families import FamilySpec
-from .laurent import digits_past_limit
+from .laurent import clipped, digits_past_limit
 from .theorems import CHECKS
 
 # config `theorems` value -> the CHECKS ids it sweeps
@@ -110,7 +110,7 @@ def parse_config_text(text: str) -> dict[str, list[str]]:
         key, _, value = line.partition("=")
         key = key.strip()
         if key in data:
-            raise ValueError(f"config line {idx}: duplicate key {key!r}")
+            raise ValueError(f"config line {idx}: duplicate key {clipped(repr(key))}")
         data[key] = split_atoms(value)
     return data
 
@@ -121,7 +121,8 @@ def _parse(convert, atom: str, key: str, expected: str):
     try:
         return convert(atom)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{key}: {digits_past_limit(atom) or f'expected {expected}, got {atom!r}'}") from None
+        message = digits_past_limit(atom) or f"expected {expected}, got {clipped(repr(atom))}"
+        raise ValueError(f"{key}: {message}") from None
 
 
 def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
@@ -133,7 +134,7 @@ def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:
         if m:
             lo, hi = (_parse(int, end, key, "an integer") for end in m.groups())
             if lo > hi:
-                raise ValueError(f"{key}: empty range {atom!r}")
+                raise ValueError(f"{key}: empty range {clipped(repr(atom))}")
         else:
             lo = hi = _parse(int, atom, key, "integer or range")
         if len(out) + hi - lo + 1 > MAX_TASKS:
@@ -158,7 +159,7 @@ def _positive(atoms: list[str], key: str) -> int:
 
 def _format(atoms: list[str], key: str) -> str:
     if _one(atoms, key) not in ("jsonl", "csv"):
-        raise ValueError(f"format must be jsonl or csv, got {atoms[0]!r}")
+        raise ValueError(f"format must be jsonl or csv, got {clipped(repr(atoms[0]))}")
     return atoms[0]
 
 
@@ -189,12 +190,12 @@ def build_config(raw: dict[str, list[str]]) -> SweepConfig:
     rule, in _KEYS order, so the first fault in that order is reported."""
     unknown = set(raw) - set(_KEYS)
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(map(clipped, sorted(unknown)))}")
     if not raw.get("theorems"):
         raise ValueError("config needs a 'theorems' key")
     for t in raw["theorems"]:
         if t not in SWEEP_GROUPS:
-            raise ValueError(f"unknown theorem {t!r}; choices: {', '.join(SWEEP_GROUPS)}")
+            raise ValueError(f"unknown theorem {clipped(repr(t))}; choices: {', '.join(SWEEP_GROUPS)}")
     if "n" not in raw:
         raise ValueError("config needs an 'n' key")
     for key, (_, _, listed) in _KEYS.items():  # an empty list key would drop its cells

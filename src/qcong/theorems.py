@@ -134,7 +134,7 @@ from .congruence import (NoncoprimeDenominatorError, Residue, _budgeted, _certif
                          horner, reduce, reduce_by_degree)
 from .cyclotomic import totient
 from .families import FamilySpec, generate
-from .laurent import LaurentPoly, digits_past_limit, one, qpow
+from .laurent import LaurentPoly, clipped, digits_past_limit, one, qpow
 from .qcalc import qbinom_int, qpoch
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, shared_denominator, tilde
 
@@ -235,7 +235,8 @@ def _alpha(alpha: "Fraction | int | str") -> Fraction:
     try:
         return Fraction(alpha)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"alpha: {digits_past_limit(alpha) or f'expected a fraction, got {alpha!r}'}") from None
+        message = digits_past_limit(alpha) or f"expected a fraction, got {clipped(repr(alpha))}"
+        raise ValueError(f"alpha: {message}") from None
 
 
 def _p_integral(p: int, alpha: "Fraction | str") -> "str | None":
@@ -467,7 +468,7 @@ def _numerators(fs: tuple) -> tuple:
 def _expand(fs: tuple, t: int, d: int, step: int) -> tuple:
     """The entries q^(step*k) T(f)_k(q^d) of a side, as full polynomials."""
     fs = (hat if t == 1 else tilde)(fs) if t else fs
-    return tuple(f.substitute_power(d) * qpow(step * k) if step else f.substitute_power(d) for k, f in enumerate(fs))
+    return tuple(f.substitute_power(d) * qpow(step * k) for k, f in enumerate(fs))
 
 
 def _full_den(n: int, d: int, rescaled: bool, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
@@ -561,8 +562,6 @@ def _ring_diff(n: int, d: int, rescaled: bool, lscale: tuple, seq: "PolySeq | No
     else:
         lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
         diff = {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
-    if lscale == _UNIT:
-        return diff
     lscale = LaurentPoly.monomial(*lscale)
     return {j: s * lscale for j, s in diff.items()}
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -160,6 +161,40 @@ def test_residue_arithmetic_and_guards():
         a + reduce(q, 7)
     with pytest.raises(ValueError):
         a * reduce(q, 5, 2)
+
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: reduce(1.5, 5), "exact rational coefficient required, got float"),
+    (lambda: reduce(BiPoly.const(q), 5, 2), "exact rational coefficient required, got BiPoly"),
+    (lambda: congruent(1.5, q, 5, 2), "congruent expects polynomial or rational operands"),
+], ids=["reduce-float", "reduce-bipoly", "congruent-float"])
+def test_reduce_and_congruent_refuse_a_non_polynomial(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
+_STR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("value", [q, reduce(q, 5, 2)], ids=["LaurentPoly", "Residue"])
+@pytest.mark.parametrize("sym", list(_STR_OPS))
+def test_arithmetic_between_a_str_and_a_polynomial_or_residue_raises(value, sym):
+    """Each operand order raises TypeError: qcong's operators return
+    NotImplemented for a str, except that a scalar minus a LaurentPoly
+    coerces the scalar, so it names the str's type."""
+    name, op = type(value).__name__, _STR_OPS[sym]
+    left = {"+": f'can only concatenate str (not "{name}") to str',
+            "-": ("exact rational coefficient required, got str" if name == "LaurentPoly"
+                  else f"unsupported operand type(s) for -: 'str' and '{name}'"),
+            "*": f"can't multiply sequence by non-int of type '{name}'"}[sym]
+    right = (f"can't multiply sequence by non-int of type '{name}'" if sym == "*"
+             else f"unsupported operand type(s) for {sym}: '{name}' and 'str'")
+    for a, b, message in (("s", value, left), (value, "s", right)):
+        with pytest.raises(TypeError) as info:
+            op(a, b)
+        assert str(info.value) == message
 
 
 CONGRUENT_CASES = [

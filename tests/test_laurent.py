@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcong import laurent
-from qcong.bivariate import BiPoly
+from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import reduce
 from qcong.cyclotomic import cyclotomic_power
 from qcong.laurent import (
@@ -449,3 +449,53 @@ def test_equality_against_scalars():
     assert LaurentPoly.const(Fraction(1, 2)) == Fraction(1, 2)
     assert one != 2
     assert q != 1
+
+
+def test_constructors_drop_a_coefficient_that_cancels():
+    assert LaurentPoly([(1, 2), (0, 1), (1, -2)]).terms == {0: 1}
+    assert LaurentPoly([(3, Fraction(1, 2)), (3, Fraction(-1, 2))]).terms == {}
+    assert BiPoly([(1, q), (0, one), (1, -q), (0, q)]).coeffs == {0: one + q}
+    assert BiPoly([(2, q), (2, -q), (2, 1), (2, -1)]).coeffs == {}
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: LaurentPoly({0: 1.5}), TypeError, "exact rational coefficient required, got float"),
+    (lambda: LaurentPoly({1.0: 1}), TypeError, "exponents must be integers"),
+    (lambda: BiPoly({-1: q}), ValueError, "x-degrees must be non-negative integers"),
+    (lambda: BiPoly({0: 1.5}), TypeError, "coefficient must be LaurentPoly or scalar, got float"),
+    (lambda: BiPoly.x_power(-1), ValueError, "x-degrees must be non-negative"),
+    (lambda: RatExpr(1.5), TypeError, "numerator must be LaurentPoly or BiPoly, got float"),
+    (lambda: RatExpr(q, "1"), TypeError, "denominator must be a LaurentPoly or scalar"),
+    (lambda: RatExpr(q, BiPoly.const(q)), TypeError, "denominator must be a LaurentPoly or scalar"),
+    (lambda: RatExpr(q, 0), ZeroDivisionError, "zero denominator in RatExpr"),
+    (lambda: RatExpr(BiPoly.x_power(1), zero), ZeroDivisionError, "zero denominator in RatExpr"),
+], ids=["float-coefficient", "float-exponent", "negative-x-degree", "bipoly-float-coefficient", "negative-x-power",
+        "float-numerator", "str-denominator", "bipoly-denominator", "zero-scalar-denominator", "zero-denominator"])
+def test_algebra_constructors_refuse_ill_formed_input(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_ratexpr_equality_across_univariate_and_bivariate_numerators():
+    """A RatExpr over a BiPoly equals one over a LaurentPoly exactly when the
+    BiPoly is x-free and the cross products agree, in either order."""
+    uni = RatExpr(q + 1, one - q)
+    for equal in (RatExpr(BiPoly.const(q + 1), one - q), RatExpr(BiPoly.const(2 * q + 2), 2 - 2 * q)):
+        assert uni == equal and equal == uni
+    for unequal in (RatExpr(BiPoly.x_power(1, q + 1), one - q), RatExpr(BiPoly.const(q), one - q),
+                    RatExpr(BiPoly({0: q + 1, 1: one}), one - q)):
+        assert uni != unequal and unequal != uni
+        assert not (uni == unequal or unequal == uni)
+
+
+@pytest.mark.parametrize("op", [
+    lambda r: r - r, lambda r: r - 1, lambda r: 1 - r, lambda r: -r,
+    lambda r: r * BiPoly.x_power(1), lambda r: BiPoly.x_power(1) * r,
+], ids=["minus-ratexpr", "minus-scalar", "scalar-minus", "negation", "times-bipoly", "bipoly-times"])
+def test_ratexpr_has_no_subtraction_and_no_bipoly_product(op):
+    """RatExpr adds, multiplies by a RatExpr, LaurentPoly or scalar, and
+    compares; congruence subtracts the numerators of two sides itself, so
+    RatExpr has no subtraction, negation or BiPoly factor."""
+    with pytest.raises(TypeError):
+        op(RatExpr(q, one - q))

@@ -678,6 +678,60 @@ def test_cli_congruent_names_a_term_with_an_over_long_number(text, term, tmp_pat
     assert (out, err.strip()) == ("", f"error: polynomial term {term}: {_PAST_LIMIT}")
 
 
+_NAME = "z" * 5000
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "thm1.1", "--n=5", "--d=1", "--r=1", f"--family={_NAME}"], "error: unknown family 'zzz"),
+    (["transform", "--kind", "hat", "--family", _NAME, "--length", "3"], "error: unknown family 'zzz"),
+    (["sweep", "--theorems=1.1", "--n=3", f"--families={_NAME}"], "error: unknown family 'zzz"),
+    (["verify", "thm1.1", "--n=5", "--d=1", "--r=1", f"--family=delta:{_NAME}"],
+     "error: malformed family parameter in 'delta:zzz"),
+    (["transform", "--kind", "hat", "--family", f"delta:{_NAME}", "--length", "3"],
+     "error: malformed family parameter in 'delta:zzz"),
+    (["sweep", "--theorems=1.1", "--n=3", f"--families=delta:{_NAME}"], "error: malformed family parameter in 'delta:zzz"),
+    (["sweep", f"--theorems={_NAME}", "--n=3"], "error: unknown theorem 'zzz"),
+    (["sweep", "--theorems=1.1", f"--n={_NAME}"], "error: n: expected integer or range, got 'zzz"),
+    (["sweep", "--theorems=1.1", "--n=3", f"--format={_NAME}"], "error: format must be jsonl or csv, got 'zzz"),
+    (["sweep", "--theorems=classical", "--n=3", f"--alphas={_NAME}"], "error: alphas: expected a fraction, got 'zzz"),
+    (["verify", "classical", "--p", "7", "--alpha", _NAME], "error: alpha: expected a fraction, got 'zzz"),
+    (["verify", _NAME], "error: argument theorem: invalid choice: 'zzz"),
+    (["congruent", "--n", "5", "--m", "1", "--lhs", "LHS", "--rhs", "RHS"], "error: malformed polynomial term: 'zzz"),
+    (["sweep", "--config", "CFG"], "error: unknown config keys: zzz"),
+], ids=["verify-family", "transform-family", "sweep-families", "verify-family-parameter", "transform-family-parameter",
+        "sweep-families-parameter", "sweep-theorems", "sweep-n", "sweep-format", "sweep-alphas", "verify-alpha",
+        "verify-theorem", "congruent-term", "config-key"])
+def test_cli_refuses_a_long_value_without_echoing_it(argv, named, tmp_path, capsys):
+    """Each refusal of a 5 000-character value exits 2 with under 1 000
+    bytes that name the flag or key, the value cut to its head and length."""
+    files = {"LHS": f"1*q^0 + {_NAME}\n", "RHS": "1*q^0\n", "CFG": f"{_NAME} = 3\n"}
+    for token, text in files.items():
+        (tmp_path / token).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    try:
+        code = cli.main([*argv, f"--output={tmp_path / 'refused.jsonl'}"] if argv[0] == "sweep" else argv)
+    except SystemExit as exit_info:  # argparse's own refusal
+        code = exit_info.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1000 and named in err
+    assert "... (50" in err and " characters)" in err
+    assert not (tmp_path / "refused.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["verify", "thm1.1", "--n=5", "--d=1", "--r=1", f"--family={'z' * 98}"], f"unknown family '{'z' * 98}'"),
+    (["sweep", "--theorems=1.1", "--n=3", f"--format={'z' * 98}"], f"format must be jsonl or csv, got '{'z' * 98}'"),
+    (["sweep", "--theorems=1.1", "--n=3", f"--format={'z' * 99}"],
+     f"format must be jsonl or csv, got '{'z' * 59}... (101 characters)"),
+], ids=["family-at-the-limit", "format-at-the-limit", "format-past-the-limit"])
+def test_cli_echoes_a_value_up_to_the_quoting_limit_whole(argv, error, capsys):
+    """A quoted value of 100 characters is the longest echoed whole; past it,
+    its first 60 characters and its length stand for it."""
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {error}"
+
+
 def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
     outputs = []
     for workers in (1, 2):
