@@ -106,7 +106,8 @@ class BiPoly:
         return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other) -> "BiPoly":
-        return (-self) + other
+        other = _as_bipoly(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, BiPoly):

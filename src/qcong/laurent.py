@@ -200,7 +200,8 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
-        return LaurentPoly.const(other) - self
+        other = _as_laurent(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):

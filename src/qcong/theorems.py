@@ -2,31 +2,35 @@
 
 Every statement compares lscale * Sum w_k X_k / (den * fden) with
 rscale * Sum w_k T(X)_k / (den * fden) mod Phi_n^2: one set of weights, one
-side X_k = q^(step*k) f_k(q^|d|), and the right side's transform T, hat
+side X_k = q^(step*k) f_k(q^d), and the right side's transform T, hat
 (t = 1) or tilde (t = -1), applied to f before the substitution.  Its
-builder (_thm_1_1, _thm_1_2 or _thm_2_1; guo_zeng is _thm_1_1 at
-f_k = x^k, whose right entries hat(x^k) are (xq;q)_k) checks the family's
-hypotheses and returns the cell, the statement's only record: the tuple
+builder (_thm_1_1, _thm_1_2 or _thm_2_1) checks the family's hypotheses and
+returns the cell, the statement's only record: the tuple
 (spec, (step, rescaled), t, lscale, rscale, fden) of plain tuples, ints
 and the family denominator fden (1 unless the family is rational).  The
 scales are (exponent, sign) pairs, each the signed monomial
-sign * q^exponent.  The weight spec is (min(r, d - r), d), d = -1 for
-thm2.1 (_spec), and _weights builds the weights from it, in the carrier of
-a lift function: Q = q^|d|, power 2, and the factor Q^(k^2+k) exactly when
-d < 0.  _thm_1_2 returns the rescaled side for the sun_p_x label, which
-reads no sequence, its f_k being the numerators
+sign * q^exponent.  The weight spec is (min(r, d - r), d) (_spec), and
+_weights builds the weights from it, in the carrier of a lift function:
+Q = q^d, power 2.  _thm_1_2 returns the rescaled side for the sun_p_x
+label, which reads no sequence, its f_k being the numerators
 q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1), a denominator
 the side carries in place of fden.  A named family stays a FamilySpec,
 whose kind is known at once; it is generated only where a difference is
 mapped or a side expanded, and then once per check.
 
-sun_p, the q-analogue of Sun's congruence,
+Three statements are others in disguise, and are decided as those cells,
+sharing their kernel differences.  guo_zeng is Theorem 1.1 at f_k = x^k,
+whose right entries hat(x^k) are (xq;q)_k.  thm2.1 is Theorem 1.1 at d = 1,
+r = -alpha: its weight q^(k^2+k) [alpha,k][-1-alpha,k] is
+q^k (q^-alpha;q)_k (q^(1+alpha);q)_k / (q;q)_k^2, thm1.1's weight times its
+side's q^(dk) there, and its F, sign and branch are that cell's E, sign and
+branch (AlphaParams).  Only its scales are its own, so its residual is the
+sign times thm1.1's.  sun_p, the q-analogue of Sun's congruence,
 P_n(-r/d, x; q^d) == sign * q^E * P_n(-r/d, x q^-d; q^-d) (mod Phi_n^2) for
 odd n, with P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q
 (x;Q)_k / (Q;Q)_k, is Theorem 1.2 at sun_p_x: each of its sides equals the
 thm1.2 side there as a rational function, not only mod Phi_n^2.  So
-check_sun_p_analogue decides the rescaled thm1.2 cell, and shares its
-kernel difference.
+check_sun_p_analogue decides the rescaled thm1.2 cell.
 
 _full_sides(p, cell, seq) expands the sides on full polynomials: the
 public *_sides builders, which the negative-control tests perturb, and the
@@ -42,7 +46,7 @@ twice; a failing check gets its residual from the same residues
 (congruence._residual_of, which residual uses too), and the cell's
 denominator is inverted once (congruence._inverse).
 Each ring cache is keyed on what it reads.  The tails G_k (per
-(n, |d|, power)) depend on neither r nor alpha, so every r of a cell,
+(n, d, power)) depend on neither r nor alpha, so every r of a cell,
 every round of a grid and every alpha of thm2.1 share them; they are kept
 under the ring budget in coefficients (congruence._budgeted), with the
 certified denominators of congruence and their inverses.  The weights (per
@@ -53,7 +57,7 @@ r <-> d - r.
 
 Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
 exactly when n divides e, so, with a*d + r == 0 (mod n) in the spec's r and
-d (a = alpha mod n for thm2.1, whose d is -1), the pair product
+d, the pair product
 (q^r;q^d)_k (q^(d-r);q^d)_k gains one factor Phi_n at k = a + 1 and a second
 at k = n - a: every weight past K = max(a, n - 1 - a) is 0 mod Phi_n^2, and
 a factor 1 - q^0 makes one 0 sooner.  _pairs stops at the first pair product
@@ -64,21 +68,22 @@ residues, not set by a cutoff; the tails still run to G_0.
 
 Every statement is linear: both sides read the same entries (the rescaled
 sun_p_x side reads none, on both sides alike).  A side is linear in f, so
-Sum_k w_k X_k = Sum_j u_j f_j(q^|d|) for a kernel u that does not depend on
+Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does not depend on
 f, and the difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j)
-f_j(q^|d|): the statement holds for every family when that kernel
+f_j(q^d): the statement holds for every family when that kernel
 difference is zero.  _kernel_diff builds it once per cell, forming the
 untransformed kernel u^L, the weights times q^(step*k), and running Horner
 on it once for the right side's t (the transposed q-Pascal recurrence of hat
 and tilde), in a bounded cache keyed on n, the spec, step, t and the ratio's
 exponent and sign: sun_p, sun_p_x and every other thm1.2 family of a cell
-share one entry.  The scales being (exponent, sign) pairs, the key holds
+share one entry, and so do thm1.1, guo_zeng and thm2.1 at d = 1.  The
+scales being (exponent, sign) pairs, the key holds
 plain ints.  _check reads the key off the cell, which the builder made from
 the params record it was given (E or F, sign and alpha included), so a
 perturbed record has a key of its own.  A check of a cell whose difference
 is empty is answered there: it generates no family, lifts no entry, forms
 no dot and runs no Horner.  One whose difference is not generates the
-family and maps the difference once (_ring_diff), lifting each f_j(q^|d|)
+family and maps the difference once (_ring_diff), lifting each f_j(q^d)
 once and transforming nothing, so every failing verdict and residual comes
 from that.  The denominator is
 G_0 = (Q;Q)_(n-1)^2 times fden, or times the rescaled side's
@@ -86,9 +91,7 @@ H_0 = (Q;Q)_(n-1).  G_0 and H_0 are units mod Phi_n exactly when
 gcd(n, d) = 1, which SymParams.create requires, so only a family
 denominator is certified, once (congruence._certify_den, which also keeps
 the fact that it is not a unit, so such a cell raises on every check); the
-product is formed only on a failing cell, for its residual.  guo_zeng,
-being thm1.1 at x^k, shares the weights, kernels and decision of thm1.1 at
-its (n, d, r).
+product is formed only on a failing cell, for its residual.
 
 The rescaled side is Sum_j g_j (x; q^d)_j with ring coefficients g_j, and
 congruence.horner gives its x-coefficients from the last j down,
@@ -116,8 +119,10 @@ Parameter conventions:
       the second factor is even, for even n the first is a multiple of n);
       the sign is (-1)^a for odd n and (-1)^(a + (a*d+r)/n) for even n.
 
-  AlphaParams(n, a, s):  alpha = a + s*n, F = C(a+1,2) + s*n*a - s*C(n,2),
-      sign (-1)^a for odd n and (-1)^(a+s) for even n.
+  AlphaParams(n, a, s):  alpha = a + s*n, and F, the sign and the branch
+      are the E, sign and branch of SymParams(n, 1, -alpha):
+      F = C(a+1,2) + s*n*a - s*C(n,2), sign (-1)^a for odd n and (-1)^(a+s)
+      for even n.
 """
 
 from __future__ import annotations
@@ -293,14 +298,12 @@ class AlphaParams:
     @classmethod
     @lru_cache(maxsize=256)
     def create(cls, n: int, a: int, s: int) -> "AlphaParams":
+        """thm2.1 at alpha = a + s*n is thm1.1 at (n, 1, -alpha) (_thm_2_1), so
+        F, the sign and the branch are that cell's E, sign and branch."""
         _require(_n_at_least_2(n) or _a_in_range(n, a))
         alpha = a + s * n
-        F = _tri(a + 1) + s * n * a - s * _tri(n)
-        if n % 2:
-            branch, parity = "odd", a
-        else:
-            branch, parity = "even", a + s
-        return cls(n, a, s, alpha, F, -1 if parity % 2 else 1, branch)
+        cell = SymParams.create(n, 1, -alpha)
+        return cls(n, a, s, alpha, cell.E, cell.sign, cell.branch)
 
 
 @dataclass(frozen=True, init=False)
@@ -375,10 +378,11 @@ def _pairs(lift, r: int, d: int, n: int) -> list:
 
 
 def _weights(lift, n: int, r: int, d: int, G=None) -> tuple:
-    """w_k = Q^(k^2+k if d < 0) P_k G_k over G_0, Q = q^|d|: the weight
-    Q^(k^2+k) (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^2 of every statement,
-    the factor Q^(k^2+k) being thm2.1's (d = -1).  G, the tails
-    _tails(lift, |d|, n, 2), is built here unless given.
+    """w_k = P_k G_k over G_0, Q = q^d: the weight
+    (q^r;q^d)_k (q^(d-r);q^d)_k / (Q;Q)_k^2 of every statement, thm2.1's
+    q^(k^2+k) [alpha,k][-1-alpha,k] being q^k times it at d = 1,
+    r = -alpha (_thm_2_1).  G, the tails _tails(lift, d, n, 2), is built
+    here unless given.
 
     The weights stop where _pairs does, at w_K with P_(K+1) zero in the
     carrier, so every later weight is zero there too: mod Phi_n^2,
@@ -387,19 +391,15 @@ def _weights(lift, n: int, r: int, d: int, G=None) -> tuple:
     Every factor is a sparse polynomial, so a residue carrier multiplies it
     by shifted copies; only P_k G_k is a dense product.
     """
-    step = abs(d)
     if G is None:
-        G = _tails(lift, step, n, 2)
-    w = [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))]
-    if d < 0:
-        w = [wk * qpow(step * (k * k + k)) for k, wk in enumerate(w)]
-    return w, G[0]
+        G = _tails(lift, d, n, 2)
+    return [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))], G[0]
 
 
 def _spec(r: int, d: int) -> tuple:
     """The weight spec (r, d) of _weights with r replaced by min(r, d - r):
-    (r, d) for thm1.1, thm1.2, guo_zeng and sun_p, (alpha, -1) for thm2.1.
-    P_k is symmetric under r <-> d - r (alpha <-> -1 - alpha for thm2.1), so
+    (r, d) for thm1.1, thm1.2, guo_zeng and sun_p, and (-alpha, 1) for
+    thm2.1, which is thm1.1 there.  P_k is symmetric under r <-> d - r, so
     the two spellings share one set of ring weights and kernels.  The
     statement builders use it, and CHECKS keys sweep tasks by it."""
     return min(r, d - r), d
@@ -447,10 +447,16 @@ def _thm_1_2(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
 
 def _thm_2_1(p: AlphaParams, seq: "PolySeq | FamilySpec") -> tuple:
     """sign * q^F * Sum q^(k^2+k) [alpha,k][-1-alpha,k] f_k  vs  the hat sum, where
-    [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha."""
+    [alpha,k] = (q^alpha;q^-1)_k / (q;q)_k for every integer alpha.
+
+    (q^alpha;q^-1)_k = (-1)^k q^(k*alpha - C(k,2)) (q^-alpha;q)_k, so the
+    weight is q^k (q^-alpha;q)_k (q^(1+alpha);q)_k / (q;q)_k^2: thm1.1's
+    weight and side at (n, 1, -alpha).  So this is thm1.1's cell there, with
+    thm2.1's own scales; their ratio is thm1.1's, F and the sign being that
+    cell's E and sign, and the two share one kernel difference."""
     _require(_polynomial(seq.kind))
     _require_length(p, seq)
-    return _spec(p.alpha, -1), (0, False), 1, (p.F, p.sign), _UNIT, one
+    return _spec(-p.alpha, 1), (1, False), 1, (p.F, p.sign), _UNIT, one
 
 
 def _sum(weights, entries):
@@ -484,7 +490,7 @@ def _full_sides(p, cell: tuple, seq: "PolySeq | None") -> tuple[RatExpr, RatExpr
     the f_k of seq as polynomials (_numerators); a rescaled side reads
     sun_p_x over its common denominator, as _thm_1_2 has it, and not seq."""
     spec, (step, rescaled), t, lscale, rscale, fden = cell
-    n, d = p.n, abs(spec[1])
+    n, d = p.n, spec[1]
     w, G0 = _weights(lambda f: f, n, *spec)
     den = _full_den(n, d, rescaled, fden, G0)
     fs = _numerators((generate(_SUN_P_X, n) if rescaled else seq).entries)
@@ -506,9 +512,9 @@ def _ring_tails(n: int, step: int, power: int) -> tuple:
 @lru_cache(maxsize=4)
 def _ring_weights(n: int, spec: tuple) -> list:
     """The weights of a spec mod Phi_n^2, kept across the families of a cell.
-    Their denominator G_0 is not kept here: it depends on |d| alone, and a
+    Their denominator G_0 is not kept here: it depends on d alone, and a
     failing check reads it off _ring_tails."""
-    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, abs(spec[1]), 2))[0]
+    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, spec[1], 2))[0]
 
 
 @lru_cache(maxsize=16)
@@ -517,9 +523,10 @@ def _kernel_diff(n: int, spec: tuple, step: int, t: int, e: int, sign: int) -> t
     (_ratio), or () when the two agree: exactly when the statement holds for
     every family.  u^L and u^R are the kernels of the two sides, the u_j with
     Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2 for
-    every sequence f, d = |spec d|, T the identity on the left and the
+    every sequence f, d the spec's d, T the identity on the left and the
     transform t on the right.  The key holds no sequence and no polynomial,
-    so every family of a cell, sun_p_x and sun_p included, shares one entry.
+    so every family of a cell, sun_p_x and sun_p included, shares one entry,
+    and so do thm1.1 at d = 1 and thm2.1 at alpha = -r.
 
     On the left, u^L_k = v_k = w_k q^(step*k).  At q -> q^d,
     row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1], and T(f)_k
@@ -534,7 +541,7 @@ def _kernel_diff(n: int, spec: tuple, step: int, t: int, e: int, sign: int) -> t
     ul = _ring_weights(n, spec)
     if step:
         ul = [wk * qpow(step * k) for k, wk in enumerate(ul)]
-    td = t * abs(spec[1])
+    td = t * spec[1]
     ur = horner(ul, td, td)
     if e:  # times the ratio; a ratio of +-1 costs no product
         ratio = LaurentPoly.monomial(e, sign)
@@ -585,12 +592,14 @@ def thm_2_1_sides(p: AlphaParams, seq: PolySeq):
 
     Both sides are plain (Laurent or bivariate) polynomials: the weights are the
     Laurent polynomials of qbinom_int, not the check's pair products, so these
-    sides are an independent reference for that identity.
+    sides are an independent reference for that identity.  The factor
+    q^(k^2+k) is in these weights, so the entries take step 0 here, not the
+    step 1 of the check's cell.
     """
-    _, (step, _), t, lscale, rscale, _ = _thm_2_1(p, seq)
+    _, _, t, lscale, rscale, _ = _thm_2_1(p, seq)
     w = [qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k) * qpow(k * k + k) for k in range(p.n)]
-    return (_sum(w, _expand(seq.entries, 0, 1, step)) * LaurentPoly.monomial(*lscale),
-            _sum(w, _expand(seq.entries, t, 1, step)) * LaurentPoly.monomial(*rscale))
+    return (_sum(w, _expand(seq.entries, 0, 1, 0)) * LaurentPoly.monomial(*lscale),
+            _sum(w, _expand(seq.entries, t, 1, 0)) * LaurentPoly.monomial(*rscale))
 
 
 def _residual_text(res) -> str:
@@ -605,7 +614,7 @@ def _check(name: str, p, fam, build) -> CheckReport:
     of the params record p and a family, and report it as the check name.
 
     The cell's denominator is certified first, with no ring product: the
-    weights' G_0 = (Q;Q)_(n-1)^2, Q = q^|d|, and the rescaled side's
+    weights' G_0 = (Q;Q)_(n-1)^2, Q = q^d, and the rescaled side's
     H_0 = (Q;Q)_(n-1) are units mod Phi_n exactly when gcd(n, d) = 1 (Phi_n
     divides 1 - q^(d*j) only when n divides d*j), and a family denominator
     is certified by congruence._certify_den, once per denominator.  One that
@@ -622,7 +631,7 @@ def _check(name: str, p, fam, build) -> CheckReport:
     fam, label = _resolve_family(fam)
     cell = build(p, fam)
     spec, (step, rescaled), t, lscale, rscale, fden = cell
-    n, d = p.n, abs(spec[1])
+    n, d = p.n, spec[1]
     rational = fden is not one and fden != one  # a polynomial family's fden is one itself
     if math.gcd(n, d) != 1 or rational and _certify_den(fden, n, 2) is None:
         raise NoncoprimeDenominatorError(_full_den(n, d, rescaled, fden, qpoch(d, d, n - 1) ** 2), n)
@@ -904,7 +913,7 @@ CHECKS: dict[str, Check] = {
         ("n", "a", "s", "family"),
         lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)) if _posed(n) else None,
         lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
-        lambda n, a, s, family: (n, _spec(a + s * n, -1)),
+        lambda n, a, s, family: (n, _spec(-a - s * n, 1)),
         cost=lambda n, a, s, family: _transform_span(n, family),
     ),
     "s0": Check(

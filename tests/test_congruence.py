@@ -178,16 +178,14 @@ def test_reduce_and_congruent_refuse_a_non_polynomial(make, message):
 _STR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-@pytest.mark.parametrize("value", [q, reduce(q, 5, 2)], ids=["LaurentPoly", "Residue"])
+@pytest.mark.parametrize("value", [q, reduce(q, 5, 2), BiPoly.x_power(1)], ids=["LaurentPoly", "Residue", "BiPoly"])
 @pytest.mark.parametrize("sym", list(_STR_OPS))
 def test_arithmetic_between_a_str_and_a_polynomial_or_residue_raises(value, sym):
     """Each operand order raises TypeError: qcong's operators return
-    NotImplemented for a str, except that a scalar minus a LaurentPoly
-    coerces the scalar, so it names the str's type."""
+    NotImplemented for a str in either order, so Python names both types."""
     name, op = type(value).__name__, _STR_OPS[sym]
     left = {"+": f'can only concatenate str (not "{name}") to str',
-            "-": ("exact rational coefficient required, got str" if name == "LaurentPoly"
-                  else f"unsupported operand type(s) for -: 'str' and '{name}'"),
+            "-": f"unsupported operand type(s) for -: 'str' and '{name}'",
             "*": f"can't multiply sequence by non-int of type '{name}'"}[sym]
     right = (f"can't multiply sequence by non-int of type '{name}'" if sym == "*"
              else f"unsupported operand type(s) for {sym}: '{name}' and 'str'")

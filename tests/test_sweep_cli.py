@@ -432,6 +432,22 @@ def test_tasks_run_grouped_by_their_key(monkeypatch):
     assert len(cells) == len(set(cells))
 
 
+def test_thm_2_1_shares_the_kernel_differences_of_thm_1_1_at_d_1(tmp_path):
+    """A sweep of thm1.1 at d = 1 and of thm2.1 whose -alpha = -(a + s*n) lie
+    in thm1.1's r range builds each kernel difference once: thm2.1 at alpha
+    is thm1.1's cell at (n, 1, -alpha), so the _kernel_diff misses are the
+    distinct (n, spec, ratio of scales) of the thm1.1 cells alone."""
+    raw = {"theorems": ["1.1", "2.1"], "n": ["2..7"], "d": ["1"], "r": ["-13..7"], "s": ["-1..1"],
+           "families": ["ones", "random_poly:3:2"], "workers": ["1"], "output": [str(tmp_path / "out.jsonl")]}
+    cells = {(n, theorems._spec(r, 1), -p.E, p.sign)
+             for n in range(2, 8) for r in range(-13, 8) for p in [theorems.SymParams.create(n, 1, r)]}
+    theorems._kernel_diff.cache_clear()
+    summary = run_sweep(build_config(raw))
+    info = theorems._kernel_diff.cache_info()
+    assert summary.total == summary.passed == 2 * (6 * 21 + 3 * sum(range(2, 8)))
+    assert info.misses == len(cells) and info.hits == summary.total - len(cells)
+
+
 # -- command line -------------------------------------------------------------
 
 

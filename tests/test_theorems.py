@@ -266,20 +266,20 @@ def _statement(build, p, seq):
 
 def _kernel(n, spec, t, step):
     """The kernel of a side as _kernel_diff forms it: the weights times
-    q^(step*k), and Horner on them at (t*|d|, t*|d|) for a side transformed
+    q^(step*k), and Horner on them at (t*d, t*d) for a side transformed
     by t."""
     v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec))]
-    td = t * abs(spec[1])
+    td = t * spec[1]
     return horner(v, td, td) if t else v
 
 
 def _ring_ratexprs(statement):
     """Each side in the ring, its own kernel mapped by _ring_diff with its own
     (exponent, sign) scale, as two RatExpr over the cell's denominator in the
-    ring: the tail G_0 at (n, |d|, 2) times the rescaled side's H_0 or the
+    ring: the tail G_0 at (n, d, 2) times the rescaled side's H_0 or the
     family's fden."""
     p, (spec, (step, rescaled), t, lscale, rscale, fden), seq = statement
-    n, d = p.n, abs(spec[1])
+    n, d = p.n, spec[1]
     den = theorems._ring_tails(n, d, 2)[0] * (theorems._ring_tails(n, d, 1)[0] if rescaled else fden)
     den = den.rep
     bivariate = rescaled or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
@@ -632,7 +632,7 @@ def test_a_trimmed_cell_lifts_only_its_prefix(monkeypatch):
         runs = [("thm1.1", partial(check_thm_1_1, p), partial(thm_1_1_sides, p), K),
                 ("thm1.2", partial(check_thm_1_2, p), partial(thm_1_2_sides, p), K),
                 ("thm2.1", partial(check_thm_2_1, alpha), partial(thm_2_1_sides, alpha),
-                 len(_ring_weights(5, _spec(alpha.alpha, -1))) - 1)]
+                 len(_ring_weights(5, _spec(-alpha.alpha, 1))) - 1)]
         for name, check, sides, k in runs:
             for fam in ("ones", "random_poly:4:3"):
                 lifted.clear()
@@ -805,9 +805,10 @@ def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
     """_check keys a cell's _kernel_diff on its one spec, its side's step and
     the right side's t: every builder's cell is
     (spec, (step, rescaled), t, lscale, rscale, fden), with the (r, d) spec of
-    its CHECKS key (d = -1 for thm2.1), a rescaled side for the sun_p_x label
-    alone and t = 1 (hat) or -1 (tilde); the left side is untransformed by
-    construction."""
+    its CHECKS key, a rescaled side for the sun_p_x label alone and t = 1
+    (hat) or -1 (tilde); the left side is untransformed by construction.
+    thm2.1's spec, side and t are thm1.1's at d = 1, r = -alpha, and so is
+    its key."""
     cells = 0
     for n in range(2, 10):
         for d in (d for d in range(1, 5) if math.gcd(n, d) == 1):
@@ -818,7 +819,8 @@ def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
                          (_thm_1_2(p, ones), CHECKS["thm1.2"].key(n, d, r, "ones"), (0, False), -1),
                          (_thm_1_2(p, generate("sun_p_x", n)), (n, _spec(r, d)), (0, False), -1),
                          (_thm_1_2(p, SUN_P_X), CHECKS["sun_p"].key(n, d, r), (0, True), -1),
-                         (_thm_2_1(alpha, ones), CHECKS["thm2.1"].key(n, alpha.a, alpha.s, "ones"), (0, False), 1)]
+                         (_thm_2_1(alpha, ones), CHECKS["thm2.1"].key(n, alpha.a, alpha.s, "ones"), (1, False), 1),
+                         (_thm_2_1(alpha, ones), CHECKS["thm1.1"].key(n, 1, -alpha.alpha, "ones"), (1, False), 1)]
                 for cell, key, side, t in built:
                     assert (n, *cell[:3]) == (*key, side, t), (n, d, r)
                     assert all(sign in (1, -1) for _, sign in cell[3:5]), (n, d, r)
@@ -1003,30 +1005,82 @@ def test_guo_zeng_is_thm_1_1_at_x_powers(name):
     assert failing == 0 if name == "true" else failing > 100
 
 
+def test_alpha_params_are_the_sym_params_at_d_1():
+    """AlphaParams.create(n, a, s) is SymParams.create(n, 1, -alpha) in a,
+    exponent, sign and branch, and both are the closed forms of thm2.1:
+    F = C(a+1,2) + s*n*a - s*C(n,2), sign (-1)^a for odd n and (-1)^(a+s)
+    for even n."""
+    cells = 0
+    for n in range(2, 40):
+        for a in range(n):
+            for s in range(-6, 7):
+                p = AlphaParams.create(n, a, s)
+                cell = SymParams.create(n, 1, -p.alpha)
+                closed = (a, math.comb(a + 1, 2) + s * n * a - s * math.comb(n, 2), (-1) ** (a if n % 2 else a + s),
+                          "odd" if n % 2 else "even")
+                assert (p.a, p.F, p.sign, p.branch) == (cell.a, cell.E, cell.sign, cell.branch) == closed, (n, a, s)
+                cells += 1
+    assert cells == 10_127
+
+
+def _residual_by_degree(text: str) -> dict:
+    """A report's residual as {x-degree: LaurentPoly}, x^0 alone when univariate."""
+    if not text.startswith("x^"):
+        return {0: LaurentPoly.parse(text)}
+    return {int(head[2:]): LaurentPoly.parse(poly) for head, poly in (part.split(": ") for part in text.split("; "))}
+
+
+@pytest.mark.parametrize("name", PERTURBATIONS)
+def test_thm_2_1_is_thm_1_1_at_d_1(name):
+    """check_thm_2_1 at (n, a, s) and check_thm_1_1 at (n, 1, -alpha), the
+    same perturbation applied to both records and each decided afresh, give
+    the same verdict.  thm2.1's left scale is sign * q^F where thm1.1's is
+    q^E, so its residual is the record's sign times thm1.1's."""
+    perturb, failing, pairs = PERTURBATIONS[name], 0, 0
+    for n in range(2, 11):
+        for a in range(n):
+            for s in (-2, 1):
+                p = perturb(AlphaParams.create(n, a, s))
+                cell = perturb(SymParams.create(n, 1, -a - s * n))
+                for fam in ("ones", "random_poly:4:3", "monomial_x"):
+                    reports = []
+                    for check, params in ((check_thm_2_1, p), (check_thm_1_1, cell)):
+                        theorems._kernel_diff.cache_clear()
+                        reports.append(check(params, fam))
+                    thm21, thm11 = reports
+                    assert thm21.holds == thm11.holds, (n, a, s, fam)
+                    assert (thm21.a, thm21.exponent, thm21.sign, thm21.branch) == \
+                        (thm11.a, thm11.exponent, thm11.sign, thm11.branch)
+                    if not thm21.holds:
+                        by_degree = _residual_by_degree(thm11.residual)
+                        assert _residual_by_degree(thm21.residual) == {j: r * p.sign for j, r in by_degree.items()}
+                    failing += not thm21.holds
+                    pairs += 1
+    assert failing == (0 if name == "true" else pairs)
+
+
 # -- the one weight formula ---------------------------------------------------
 
 # (r, d) -> the (r, d) spec of each weight shape
 SPEC_SHAPES = {
     "thm1.1/thm1.2/guo_zeng": lambda r, d: (r, d),  # sun_p too, as thm1.2
-    "thm2.1": lambda r, d: (r, -1),  # r plays alpha
+    "thm2.1": lambda r, d: (-r, 1),  # r plays alpha: thm1.1 at d = 1, r = -alpha
 }
 
 
 def _formula_weights(n: int, spec: tuple) -> tuple:
     """Every w_k, k < n, and den of a spec (r, d), by the formula alone:
-    Q^(k^2+k if d < 0) (q^r;q^d)_k (q^(d-r);q^d)_k (Q^(k+1);Q)_(n-1-k)^2
-    over (Q;Q)_(n-1)^2, Q = q^|d|, on full polynomials."""
+    (q^r;q^d)_k (q^(d-r);q^d)_k (Q^(k+1);Q)_(n-1-k)^2 over (Q;Q)_(n-1)^2,
+    Q = q^d, on full polynomials."""
     r, d = spec
-    step = abs(d)
-    w = [(qpow(step * (k * k + k)) if d < 0 else one) * qpoch(r, d, k) * qpoch(d - r, d, k)
-         * qpoch(step * (k + 1), step, n - 1 - k) ** 2 for k in range(n)]
-    return w, qpoch(step, step, n - 1) ** 2
+    w = [qpoch(r, d, k) * qpoch(d - r, d, k) * qpoch(d * (k + 1), d, n - 1 - k) ** 2 for k in range(n)]
+    return w, qpoch(d, d, n - 1) ** 2
 
 
 @pytest.mark.parametrize("shape", SPEC_SHAPES)
 def test_weights_are_the_pochhammer_formula(shape):
-    """w_k (Q;Q)_k^2 == Q^(k^2+k if d < 0) (q^r;q^d)_k (q^(d-r);q^d)_k * den
-    for every weight _weights returns on full polynomials, none of them 0.
+    """w_k (Q;Q)_k^2 == (q^r;q^d)_k (q^(d-r);q^d)_k * den, Q = q^d, for
+    every weight _weights returns on full polynomials, none of them 0.
     The list stops only before a pair product that is exactly 0 (a factor
     1 - q^0), and every pair product past it is 0 too."""
     for n in range(2, 10):
@@ -1034,7 +1088,6 @@ def test_weights_are_the_pochhammer_formula(shape):
             for d in (1, 2, 3):
                 spec = SPEC_SHAPES[shape](r, d)
                 r_, d_ = spec
-                step = abs(d_)
                 w, den = _weights(lambda f: f, n, *spec)
                 assert 1 <= len(w) <= n
                 for k in range(n):
@@ -1042,9 +1095,8 @@ def test_weights_are_the_pochhammer_formula(shape):
                     if k >= len(w):
                         assert pairs.is_zero(), (spec, n, k)
                         continue
-                    scale = qpow(step * (k * k + k)) if d_ < 0 else one
                     assert not w[k].is_zero(), (spec, n, k)
-                    assert w[k] * qpoch(step, step, k) ** 2 == scale * pairs * den, (spec, n, k)
+                    assert w[k] * qpoch(d_, d_, k) ** 2 == pairs * den, (spec, n, k)
 
 
 @pytest.mark.parametrize("shape", SPEC_SHAPES)
@@ -1062,7 +1114,7 @@ def test_r_and_d_minus_r_share_one_weight_set(shape):
                 spellings = [(r_, d_), (d_ - r_, d_)]
                 assert _spec(*spellings[0]) == _spec(*spellings[1])
                 ring_w = _ring_weights(n, _spec(*spellings[0]))
-                ring_den = theorems._ring_tails(n, abs(d_), 2)[0]
+                ring_den = theorems._ring_tails(n, d_, 2)[0]
                 K = len(ring_w) - 1
                 for spelling in spellings:
                     w, den = _formula_weights(n, spelling)
@@ -1078,16 +1130,21 @@ def test_r_and_d_minus_r_share_one_weight_set(shape):
 
 
 def test_thm_2_1_weights_are_the_q_binomial_products():
-    """q^(k^2+k) [alpha,k][-1-alpha,k] from qbinom_int equals w_k / den, alpha = a + s*n."""
+    """q^(k^2+k) [alpha,k][-1-alpha,k] from qbinom_int equals q^(step*k) w_k / den
+    for the weights of the spec and the step of _thm_2_1's cell, alpha = a + s*n:
+    q^k times the d = 1 weights at r = -alpha."""
+    ones = FamilySpec.parse("ones")
     for n in range(2, 10):
         for a in range(n):
             for s in range(-3, 4):
-                alpha = a + s * n
-                w, den = _weights(lambda f: f, n, alpha, -1)
+                p = AlphaParams.create(n, a, s)
+                spec, (step, _), *_ = _thm_2_1(p, ones)
+                assert (spec, step) == (_spec(-p.alpha, 1), 1)
+                w, den = _weights(lambda f: f, n, *spec)
                 for k in range(n):
-                    binoms = qbinom_int(alpha, k) * qbinom_int(-1 - alpha, k)
+                    binoms = qbinom_int(p.alpha, k) * qbinom_int(-1 - p.alpha, k)
                     wk = w[k] if k < len(w) else LaurentPoly()
-                    assert wk == qpow(k * k + k) * binoms * den, (n, a, s, k)
+                    assert wk * qpow(step * k) == qpow(k * k + k) * binoms * den, (n, a, s, k)
 
 
 small_polys = st.dictionaries(
@@ -1098,7 +1155,7 @@ small_polys = st.dictionaries(
 @st.composite
 def kernel_cases(draw):
     """(n, spec, t, step, entries): Laurent, bivariate or common-denominator
-    entries, and a step of 0 or |d| for the spec's (r, d)."""
+    entries, and a step of 0 or d for the spec's (r, d)."""
     n = draw(st.integers(min_value=2, max_value=8))
     d = draw(st.integers(min_value=1, max_value=5).filter(lambda d: math.gcd(n, d) == 1))
     spec = SPEC_SHAPES[draw(st.sampled_from(sorted(SPEC_SHAPES)))](draw(st.integers(-3, 5)), d)
@@ -1112,19 +1169,19 @@ def kernel_cases(draw):
         dens = st.integers(min_value=1, max_value=4).map(lambda i: one - qpow(i))
         fs = draw(st.lists(st.tuples(small_polys, dens), min_size=n, max_size=n))
         entries, _ = common_denominator([RatExpr(num, den) for num, den in fs])
-    return n, spec, draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([0, abs(spec[1])])), entries
+    return n, spec, draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([0, spec[1]])), entries
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases())
 def test_ring_kernel_is_the_transposed_transform(case):
-    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, d = |spec d|,
+    """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, d the spec's d,
     T from the matrix and every w_k, k < n, from the formula, for the kernel
     u that _kernel_diff forms: Horner at (t*d, t*d) on the weights times
     q^(step*k).  u has one entry per ring weight, so the f_j past it are
     never read."""
     n, spec, t, step, entries = case
-    d = abs(spec[1])
+    d = spec[1]
     w, _ = _formula_weights(n, spec)
     matrix = transform_matrix("hat" if t == 1 else "tilde", n) if t else None
     total = LaurentPoly()
