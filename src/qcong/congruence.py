@@ -36,13 +36,17 @@ q^(k*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m is the same binomial series,
 and the sum is divided once.  So a factor such as 1 - q^e or a monomial
 costs O(m * m*phi(n)) operations before the division, whatever e is.
 dot sums products of residues with a single division.  horner forms the
-x-coefficients of Sum_k g_k (x q^c; q^e)_k, n^2/2 monomial shifts, in
-eps-coordinates: q^(K*n + b) times an element rotates each block T_i by b
-and multiplies by (1 + eps)^K, or (1 + eps)^(K+1) for the b coefficients
-that wrap past q^n, which adds C(K, d) times T_(i-d) to T_i.  So a shift
-is a block rotation and one combination per level below, m*n coefficients
-a working x-coefficient whatever n is; each g_k is taken into
-eps-coordinates once, and each result out once and divided by the tower.
+x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k, n^2/2
+monomial shifts, in eps-coordinates: q^(K*n + b) times an element rotates
+each block T_i by b and multiplies by (1 + eps)^K, or (1 + eps)^(K+1) for
+the b coefficients that wrap past q^n, which adds C(K, d) times T_(i-d) to
+T_i.  So a shift is a block rotation and one combination per level below,
+m*n coefficients a working x-coefficient whatever n is, and one helper
+(_Ring._times_qpow) makes every such shift: each Horner step's, each
+g_k's q^(step*k) right after the g_k are taken into eps-coordinates in one
+pass, and the scale sign * q^E on every result before they are taken out
+in one, each then divided by the tower.  So a side step and a scale cost
+no product of their own.
 
 The working ring for rational inputs is Q[q] localized at polynomials
 coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
@@ -272,21 +276,49 @@ class _Ring:
         del out[top + len(a):]  # zero above the last copy: no division row scans it
         return self.divide(out)
 
-    def horner(self, g: list, c: int, e: int) -> list:
-        """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residue lists g, by
-        Horner in x from the last k down: S <- g_k + (1 - x q^(c + k*e)) S.
+    def _times_qpow(self, y: list, a: int) -> list:
+        """The levels of q^a times the elements whose eps-coordinates are the
+        levels y, mod eps^m, one element in each block of n coefficients;
+        each level an iterable, for the caller to combine.  With
+        a = K*n + b, each block is rotated by b; the b coefficients that wrap
+        past q^n are times (1 + eps)^(K+1), the rest times (1 + eps)^K, which
+        adds C(., d) times rotated level i - d to level i."""
+        n = self.n
+        K, b = divmod(a, n)
+        binom, blocks = _binomials(len(y), K), len(y[0]) // n
+        # each block rotated by b: the whole level, then the columns that crossed a block edge
+        cut, wrong = (-b, range(b)) if 2 * b <= n else (n - b, range(b, n))
+        rots = []
+        for level in y:
+            rot = level[cut:] + level[:cut]
+            for o in wrong:
+                rot[o::n] = level[(o - b) % n::n]
+            rots.append(rot)
+        out = []
+        for i, rot in enumerate(rots):
+            for d in range(1, i + 1):  # C(K + 1, d) = C(K, d) + C(K, d - 1) at the offsets below b
+                w = ([binom[d] + binom[d - 1]] * b + [binom[d]] * (n - b)) * blocks
+                rot = map(add, rot, map(mul, w, rots[i - d]))
+            out.append(rot)
+        return out
+
+    def horner(self, g: list, c: int, e: int, step: int = 0, scale: tuple = (0, 1)) -> list:
+        """The x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k,
+        for residue lists g and scale = (E, sign), by Horner in x from the last
+        k down: S <- q^(step*k) g_k + (1 - x q^(c + k*e)) S.
 
         The work is in eps-coordinates, eps = q^n - 1, exact mod eps^m, which
         Phi_n^m divides: an element is Sum_{i<m} eps^i T_i with blocks T_i of
         n coefficients.  y[i] holds level i of every x-coefficient, x^j in
-        block j.  q^(K*n + b) times an element rotates each block by b; the b
-        coefficients that wrap past q^n are times (1 + eps)^(K+1), the rest
-        times (1 + eps)^K, which adds C(., d) times level i - d to level i.
-        The g_k are taken into eps-coordinates in one pass, the results out
-        in one, and each is divided by the tower, whose first stage is then
-        empty."""
+        block j.  Every monomial is a block rotation with binomial carries
+        (_times_qpow): each g_k is times q^(step*k) right after the one pass
+        that takes the g_k into eps-coordinates, each Horner step shifts S by
+        q^(c + k*e), and sign * q^E multiplies every x-coefficient at once
+        before the one pass that takes them out.  Each is then divided by the
+        tower, whose first stage is empty."""
         n, m, span = self.n, self.m, self.span
-        if len(g) == 1:  # no step: g_0, already reduced, is the x^0 coefficient
+        E, sign = scale
+        if len(g) == 1 and not E and sign == 1:  # no step: g_0, already reduced, is the x^0 coefficient
             return [list(g[0])]
         pad, zero = [0] * (span - self.dim), [0] * n
         G = [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
@@ -294,26 +326,16 @@ class _Ring:
             r = r + pad
             for i, level in enumerate(G):
                 level += r[i * n:(i + 1) * n]
-        y = [level[-n:] for level in _taylor(G, 1)]
-        for k in range(len(g) - 2, -1, -1):
-            K, b = divmod(c + k * e, n)
-            # each block rotated by b: the whole level, then the columns that crossed a block edge
-            cut, wrong = (-b, range(b)) if 2 * b <= n else (n - b, range(b, n))
-            rots = []
-            for level in y:
-                rot = level[cut:] + level[:cut]
-                for o in wrong:
-                    rot[o::n] = level[(o - b) % n::n]
-                rots.append(rot)
-            binom, blocks = _binomials(m, K), len(y[0]) // n
-            new = []
-            for i, level in enumerate(y):  # x^0: y_0 + g_k; x^j: y_j - q^(K*n + b) y_(j-1)
-                above = map(sub, level[n:] + zero, rots[i])
-                for d in range(1, i + 1):  # C(K + 1, d) = C(K, d) + C(K, d - 1) at the offsets below b
-                    w = ([binom[d] + binom[d - 1]] * b + [binom[d]] * (n - b)) * blocks
-                    above = map(sub, above, map(mul, w, rots[i - d]))
-                new.append(list(map(add, level[:n], G[i][k * n:(k + 1) * n])) + list(above))
-            y = new
+        _taylor(G, 1)
+        G = [[level[k * n:(k + 1) * n] for level in G] for k in range(len(g))]  # G[k][i]: level i of g_k
+        if step:
+            G = [[list(level) for level in self._times_qpow(gk, step * k)] if k else gk for k, gk in enumerate(G)]
+        y = G[-1]
+        for k in range(len(g) - 2, -1, -1):  # x^0: y_0 + g_k; x^j: y_j - q^(c + k*e) y_(j-1)
+            y = [list(map(add, level[:n], gk)) + list(map(sub, level[n:] + zero, shifted))
+                 for level, gk, shifted in zip(y, G[k], self._times_qpow(y, c + k * e))]
+        if E or sign != 1:
+            y = [list(level) if sign == 1 else [-x for x in level] for level in self._times_qpow(y, E)]
         _taylor(y, -1)
         out = []
         for j in range(0, len(y[0]), n):  # x^j: its block of each level
@@ -577,11 +599,12 @@ def dot(pairs) -> Residue:
     return Residue(ring, ring.dot((a._coeffs, b._coeffs) for a, b in pairs))
 
 
-def horner(g: list, c: int, e: int) -> list:
-    """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, for residues g_k mod one
-    Phi_n^m, as residues (_Ring.horner)."""
+def horner(g: list, c: int, e: int, step: int = 0, scale: tuple = (0, 1)) -> list:
+    """The x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k,
+    for residues g_k mod one Phi_n^m and scale = (E, sign), as residues
+    (_Ring.horner).  The defaults give Sum_k g_k (x q^c; q^e)_k."""
     ring = _ring_of(g)
-    return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], c, e)]
+    return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], c, e, step, scale)]
 
 
 def reduce_by_degree(num, n: int, m: int) -> dict[int, Residue]:

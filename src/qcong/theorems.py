@@ -71,10 +71,11 @@ sun_p_x side reads none, on both sides alike).  A side is linear in f, so
 Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does not depend on
 f, and the difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j)
 f_j(q^d): the statement holds for every family when that kernel
-difference is zero.  _kernel_diff builds it once per cell, forming the
-untransformed kernel u^L, the weights times q^(step*k), and running Horner
-on it once for the right side's t (the transposed q-Pascal recurrence of hat
-and tilde), in a bounded cache keyed on n, the spec, step, t and the ratio's
+difference is zero.  _kernel_diff builds it once per cell with one Horner
+pass over the weights for the right side's t (the transposed q-Pascal
+recurrence of hat and tilde), which applies the side's q^(step*k) and the
+ratio in eps-coordinates, so a holding cell forms no monomial product; it
+is kept in a bounded cache keyed on n, the spec, step, t and the ratio's
 exponent and sign: sun_p, sun_p_x and every other thm1.2 family of a cell
 share one entry, and so do thm1.1, guo_zeng and thm2.1 at d = 1.  The
 scales being (exponent, sign) pairs, the key holds
@@ -99,7 +100,8 @@ S <- g_j + (1 - x q^(j*d)) S: monomial shifts again, with no BiPoly, no lift
 and no dense product per x-degree.  With Q = q^d,
 1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
 G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
-(Q;Q)_(n-1) = H_0, and no common denominator is expanded.  The transposed
+(Q;Q)_(n-1) = H_0, and no common denominator is expanded; the Q^j is
+horner's step, applied in eps-coordinates.  The transposed
 recurrence of _kernel_diff is the same Horner, in a variable that stands
 for the index of f; the hat kernel of thm1.1 is Horner on (x q^d; q^d)_k,
 the Pochhammer right side guo_zeng would otherwise need.
@@ -528,29 +530,30 @@ def _kernel_diff(n: int, spec: tuple, step: int, t: int, e: int, sign: int) -> t
     so every family of a cell, sun_p_x and sun_p included, shares one entry,
     and so do thm1.1 at d = 1 and thm2.1 at alpha = -r.
 
-    On the left, u^L_k = v_k = w_k q^(step*k).  At q -> q^d,
+    On the left, u^L_k = w_k q^(step*k).  At q -> q^d,
     row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1], and T(f)_k
     is entry 0 of B_k...B_1 f.  So u^R is the transposed recurrence run from
-    k = n-1 down: y <- B_k^T y + v_(k-1) e_0, where
+    k = n-1 down: y <- B_k^T y + u^L_(k-1) e_0, where
     (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].  That is Horner in a variable x
     that stands for the index m: u^R_j is the coefficient of x^j in
-    Sum_k v_k (x q^(t*d); q^(t*d))_k.
+    F(x) = Sum_k q^(step*k) w_k (x q^(t*d); q^(t*d))_k.
+
+    Since [x^j] F(x q^-step) = q^(-step*j) [x^j] F(x), the ratio times u^R_j
+    is q^(step*j) out_j, where out holds the x-coefficients of
+    sign * q^e * F(x q^-step), one horner pass over the weights themselves
+    with the side step and the ratio applied in eps-coordinates.  So the
+    statement holds exactly when out_j = w_j for every j, which costs no
+    product; only a failing cell forms u_j = q^(step*j) (w_j - out_j).
 
     The weights end at w_K (_weights), so both kernels have K + 1 entries and
     every u_j past them is zero: Horner costs about K^2 shifts, not n^2."""
-    ul = _ring_weights(n, spec)
-    if step:
-        ul = [wk * qpow(step * k) for k, wk in enumerate(ul)]
+    w = _ring_weights(n, spec)
     td = t * spec[1]
-    ur = horner(ul, td, td)
-    if e:  # times the ratio; a ratio of +-1 costs no product
-        ratio = LaurentPoly.monomial(e, sign)
-        ur = [uj * ratio for uj in ur]
-    elif sign == -1:
-        ur = [-uj for uj in ur]
-    if ur == ul:
+    out = horner(w, td - step, td, step, (e, sign))
+    if out == w:
         return ()
-    return tuple(a - b for a, b in zip(ul, ur, strict=True))
+    u = [wj - oj for wj, oj in zip(w, out, strict=True)]
+    return tuple(uj * qpow(step * j) for j, uj in enumerate(u)) if step else tuple(u)
 
 
 def _ring_diff(n: int, d: int, rescaled: bool, lscale: tuple, seq: "PolySeq | None", u) -> dict:
@@ -560,17 +563,16 @@ def _ring_diff(n: int, d: int, rescaled: bool, lscale: tuple, seq: "PolySeq | No
 
     A sequence side lifts f_0..f_(len(u)-1) of seq, each once, and forms one
     dot per x-degree; no entry is transformed.  A rescaled side reads no seq:
-    it is Sum_j g_j (x; q^d)_j with g_j = u_j q^(d*j) H_j (H_j the cached
-    tails at (n, d, 1)), and horner gives its x-coefficients, so no entry is
-    formed or lifted."""
+    it is lscale * Sum_j q^(d*j) g_j (x; q^d)_j with g_j = u_j H_j (H_j the
+    cached tails at (n, d, 1)), and one horner pass gives its x-coefficients,
+    the q^(d*j) as its step and lscale as its scale, so no entry is formed or
+    lifted."""
     if rescaled:
-        g = [uj * Hj * qpow(d * j) for j, (uj, Hj) in enumerate(zip(u, _ring_tails(n, d, 1)))]
-        diff = dict(enumerate(horner(g, 0, d)))
-    else:
-        lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
-        diff = {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) for j in sorted(set().union(*lifted))}
+        g = [uj * Hj for uj, Hj in zip(u, _ring_tails(n, d, 1))]
+        return dict(enumerate(horner(g, 0, d, d, lscale)))
+    lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
     lscale = LaurentPoly.monomial(*lscale)
-    return {j: s * lscale for j, s in diff.items()}
+    return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) * lscale for j in sorted(set().union(*lifted))}
 
 
 def thm_1_1_sides(p: SymParams, seq: PolySeq) -> tuple[RatExpr, RatExpr]:

@@ -7,7 +7,7 @@ the package cannot hide itself by appearing on both sides of an assert.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.families import SplitMix64
@@ -331,18 +331,21 @@ def _squarings(n: int, m: int, negative: bool) -> list:
     return [[-c for c in modulus[1:]] if negative else [0, 1]]
 
 
-# exponents 0 .. _DENSE_BELOW - 1 are divided as one dense polynomial
-_DENSE_BELOW = 1024
+# a run of exponents v .. v + _DENSE_SPAN - 1 is divided as one dense polynomial
+_DENSE_SPAN = 4096
 
 
 def residue_by_long_division(terms: dict, n: int, m: int) -> list:
     """Coefficients of Sum c*q^e mod Phi_n^m, lowest degree first, padded to m*phi(n).
 
-    Phi_n^m comes from the Moebius product.  The terms of exponent 0 up to
-    _DENSE_BELOW are one dense polynomial, reduced by long division.  Every
-    other q^e is built by square-and-multiply on dense integer lists, from
-    the squarings of _squarings, and reduced by long division after every
-    product.
+    Phi_n^m comes from the Moebius product.  The terms are split, in order of
+    exponent, into runs of exponents v up to v + _DENSE_SPAN, v the least
+    one of its run: so a Laurent input's valuation is taken out once.  Each
+    run is q^v times one dense polynomial, sized to the run and reduced by
+    long division on integers, the coefficients' denominators cleared
+    first.  q^v is built by square-and-multiply on dense integer
+    lists, from the squarings of _squarings, and reduced by long division
+    after every product.
     """
     modulus = _int_modulus(n, m)
     dim = len(modulus) - 1
@@ -359,17 +362,21 @@ def residue_by_long_division(terms: dict, n: int, m: int) -> list:
             i += 1
         return acc
 
-    total = [Fraction(0)] * dim
-    dense = [Fraction(0)] * _DENSE_BELOW
-    for e, c in terms.items():
-        if 0 <= e < _DENSE_BELOW:
-            dense[e] += Fraction(c)
-            continue
-        for i, v in enumerate(power(e)):
-            total[i] += Fraction(c) * v
-    for i, v in enumerate(_remainder(dense, modulus)):
-        total[i] += v
-    return total
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))  # every division is on integers
+    runs = {}  # v -> {e - v: c * den}
+    for e in sorted(terms):
+        if not runs or e - v >= _DENSE_SPAN:
+            v = e
+            runs[v] = {}
+        runs[v][e - v] = int(terms[e] * den)
+    total = [0] * dim
+    for v, run in runs.items():
+        dense = [0] * (max(run) + 1)
+        for e, c in run.items():
+            dense[e] = c
+        low = _remainder(dense, modulus)
+        total = [a + b for a, b in zip(total, _mulmod(power(v), low, modulus) if v else low)]
+    return [Fraction(c, den) for c in total]
 
 
 def inverse_by_ext_gcd(a: LaurentPoly, n: int, m: int) -> tuple:

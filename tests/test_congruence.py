@@ -425,19 +425,50 @@ def test_horner_matches_long_division(n, m, g, c, e):
     assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, c, e, n, m)
 
 
-def _horner_by_long_division(g, c, e, n, m):
-    """The len(g) x-coefficients of Sum_k g_k (x q^c; q^e)_k, expanded on dicts
-    and each reduced by the oracle."""
+def _horner_by_long_division(g, c, e, n, m, step=0, scale=(0, 1)):
+    """The len(g) x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k,
+    scale = (E, sign), expanded on dicts and each reduced by the oracle."""
     total, poch = {}, {0: {0: Fraction(1)}}  # x-degree -> q-dict; poch = (x q^c; q^e)_k
     for k, gk in enumerate(g):
         for j, coeff in poch.items():
-            total[j] = ref_add(total.get(j, {}), ref_mul(terms_of(gk), coeff))
-        step = {}
+            total[j] = ref_add(total.get(j, {}), ref_mul(terms_of(gk), ref_mul(coeff, {step * k: Fraction(1)})))
+        step_k = {}
         for j, coeff in poch.items():
-            step[j] = ref_add(step.get(j, {}), coeff)
-            step[j + 1] = ref_add(step.get(j + 1, {}), ref_mul(coeff, {c + k * e: Fraction(-1)}))
-        poch = step
-    return [residue_by_long_division(total.get(j, {}), n, m) for j in range(len(g))]
+            step_k[j] = ref_add(step_k.get(j, {}), coeff)
+            step_k[j + 1] = ref_add(step_k.get(j + 1, {}), ref_mul(coeff, {c + k * e: Fraction(-1)}))
+        poch = step_k
+    scale = {scale[0]: Fraction(scale[1])}
+    return [residue_by_long_division(ref_mul(total.get(j, {}), scale), n, m) for j in range(len(g))]
+
+
+horner_scales = st.tuples(horner_offsets, st.sampled_from([1, -1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
+       st.lists(polys, min_size=1, max_size=4), horner_offsets, horner_steps, horner_steps, horner_scales)
+def test_horner_with_a_step_and_a_scale_matches_long_division(n, m, g, c, e, step, scale):
+    """sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k, the side step and the
+    scale ratio applied in eps-coordinates, against the sum expanded on dicts
+    and reduced by the oracle, for steps near and far, both signs and E of
+    either sign: on g, and on g_0 alone, which the one-g shortcut must still
+    scale."""
+    for gs in (g, g[:1]):
+        got = horner([reduce(gk, n, m) for gk in gs], c, e, step, scale)
+        assert [list(r.coeffs) for r in got] == _horner_by_long_division(gs, c, e, n, m, step, scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ring_ns, st.integers(min_value=1, max_value=3), st.lists(polys, min_size=1, max_size=4), horner_offsets,
+       horner_steps, horner_steps, horner_scales, horner_offsets)
+def test_horner_at_an_offset_moved_by_sigma_scales_x_to_the_j_by_q_to_the_minus_sigma_j(n, m, g, c, e, step,
+                                                                                        scale, sigma):
+    """[x^j] F(x q^-sigma) = q^(-sigma*j) [x^j] F(x): horner at c - sigma is
+    horner at c with its x^j coefficient times q^(-sigma*j), the identity
+    theorems._kernel_diff uses to fold its side step into the offset."""
+    rs = [reduce(gk, n, m) for gk in g]
+    moved, at_c = horner(rs, c - sigma, e, step, scale), horner(rs, c, e, step, scale)
+    assert moved == [r * qpow(-sigma * j) for j, r in enumerate(at_c)]
 
 
 @settings(max_examples=40, deadline=None)

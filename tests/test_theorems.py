@@ -782,14 +782,15 @@ def test_three_sym_grid_rounds_certify_no_denominator(monkeypatch):
 
 @pytest.mark.parametrize("check", [check_thm_1_1, check_thm_1_2])
 def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
-    """A cold thm1.1 or thm1.2 cell forms its untransformed kernel once and
-    runs Horner once, for the transformed side; a second family of the cell
-    runs none."""
+    """A cold thm1.1 or thm1.2 cell runs Horner once, on its weights, with
+    the side step and the scale ratio applied in it: at c = t*d - step,
+    which is 0 for thm1.1 (step d) and -d for thm1.2 (step 0).  A second
+    family of the cell runs none."""
     calls = []
 
-    def counted(g, c, e):
-        calls.append((len(g), c, e))
-        return horner(g, c, e)
+    def counted(g, c, e, step, scale):
+        calls.append((len(g), c, e, step))
+        return horner(g, c, e, step, scale)
 
     monkeypatch.setattr(theorems, "horner", counted)
     for cache in RING_CACHES:
@@ -797,8 +798,58 @@ def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
     p = SymParams.create(11, 3, 2)
     for fam in ("ones", "random_poly:4:3"):
         assert check(p, fam).holds
-    t = 1 if check is check_thm_1_1 else -1
-    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3 * t, 3 * t)]
+    t, step = (1, 3) if check is check_thm_1_1 else (-1, 0)
+    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3 * t - step, 3 * t, step)]
+
+
+def _kernel_diff_of_two_kernels(n, spec, step, t, e, sign):
+    """u^L - sign * q^e * u^R from the two kernels of _kernel, each formed on
+    its own with its shift products, then the ratio products, as the
+    difference was formed before one Horner pass decided it: () when zero."""
+    ratio = LaurentPoly.monomial(e, sign)
+    u = tuple(a - b * ratio for a, b in zip(_kernel(n, spec, 0, step), _kernel(n, spec, t, step), strict=True))
+    return () if all(uj.is_zero() for uj in u) else u
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_kernel_diff_matches_the_two_kernels_on_perturbed_records(n):
+    """Each kernel difference of a thm1.1 and a thm1.2 cell, d 1..6, r -8..8,
+    formed cold (not read from its cache) on the true record and on records
+    with E + 1, E - 1, the sign flipped or the side step 1: one Horner pass
+    with the step and the ratio in it against the two kernels formed apart.
+    No benchmark round reaches a failing cell, so this is where the failing
+    path, u_j = q^(step*j) (w_j - out_j), is checked."""
+    keys = set()
+    for d in (d for d in range(1, 7) if math.gcd(n, d) == 1):
+        for r in range(-8, 9):
+            p = SymParams.create(n, d, r)
+            for build in (_thm_1_1, _thm_1_2):
+                spec, (step, _), t, lscale, rscale, _ = build(p, FamilySpec.parse("ones"))
+                e, sign = theorems._ratio(lscale, rscale)
+                keys |= {(spec, step, t, e, sign), (spec, step, t, e + 1, sign), (spec, step, t, e - 1, sign),
+                         (spec, step, t, e, -sign), (spec, 1, t, e, sign)}
+    failing = 0
+    for key in sorted(keys):
+        got = theorems._kernel_diff.__wrapped__(n, *key)
+        assert got == _kernel_diff_of_two_kernels(n, *key), key
+        failing += got != ()
+    assert 0 < failing < len(keys)
+
+
+def test_a_cold_holding_cell_multiplies_by_sparse_factors_only_in_its_pair_chain(monkeypatch):
+    """A cold holding thm1.1 cell at n = 11, d = 4, r = -5 (K = 6), its tails
+    built: the pair chain calls _Ring.mul_poly K + 1 times, for the factors
+    (1 - q^(r + d*k)) (1 - q^(d - r + d*k)), and nothing else does.  The one
+    Horner pass applies the side step q^(d*k) and the ratio q^(-E) in
+    eps-coordinates, so no monomial product is formed."""
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    theorems._ring_tails(11, 4, 2)
+    calls, mul_poly = [], congruence._Ring.mul_poly
+    monkeypatch.setattr(congruence._Ring, "mul_poly", lambda ring, a, p: calls.append(p) or mul_poly(ring, a, p))
+    assert check_thm_1_1(SymParams.create(11, 4, -5), "ones").holds
+    (r, d), K = _spec(-5, 4), len(_ring_weights(11, _spec(-5, 4))) - 1
+    assert K == 6 and calls == [(one - qpow(r + d * k)) * (one - qpow(d - r + d * k)) for k in range(K + 1)]
 
 
 def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
