@@ -34,7 +34,9 @@ LaurentPoly, BiPoly, RatExpr and congruence.Residue all use it.
 
 A refusal of user input stays short: digits_past_limit stands for a number
 past Python's int-string digit limit, and clipped cuts any other echoed
-value past 100 characters to its head and its length.
+value past 100 characters to its head and its length.  _parse converts a
+user's value with both, naming the key it came from: a sweep's config
+values and the classical check's alpha.
 
 The canonical text form sorts terms by ascending exponent and writes every
 coefficient and exponent explicitly, e.g. ``-1*q^-2 + 3/2*q^0 + 1*q^3``.
@@ -73,6 +75,16 @@ def clipped(text: str) -> str:
     names the value it refuses (repr'd where it quotes it) without echoing
     an input of any size."""
     return text if len(text) <= 100 else f"{text[:60]}... ({len(text)} characters)"
+
+
+def _parse(convert, atom, key: str, expected: str):
+    """convert(atom), or a ValueError that names the key and the atom (or,
+    for a number past the int-string digit limit, the limit)."""
+    try:
+        return convert(atom)
+    except (ValueError, ZeroDivisionError):
+        message = digits_past_limit(atom) or f"expected {expected}, got {clipped(repr(atom))}"
+        raise ValueError(f"{key}: {message}") from None
 
 
 def _norm_scalar(c: Scalar) -> Scalar:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .families import FamilySpec
-from .laurent import clipped, digits_past_limit
+from .laurent import _parse, clipped
 from .theorems import CHECKS
 
 # config `theorems` value -> the CHECKS ids it sweeps
@@ -113,16 +113,6 @@ def parse_config_text(text: str) -> dict[str, list[str]]:
             raise ValueError(f"config line {idx}: duplicate key {clipped(repr(key))}")
         data[key] = split_atoms(value)
     return data
-
-
-def _parse(convert, atom: str, key: str, expected: str):
-    """convert(atom), or a ValueError that names the key and the atom (or,
-    for a number past the int-string digit limit, the limit)."""
-    try:
-        return convert(atom)
-    except (ValueError, ZeroDivisionError):
-        message = digits_past_limit(atom) or f"expected {expected}, got {clipped(repr(atom))}"
-        raise ValueError(f"{key}: {message}") from None
 
 
 def expand_ints(atoms: list[str], key: str) -> tuple[int, ...]:

@@ -141,7 +141,7 @@ from .congruence import (NoncoprimeDenominatorError, Residue, _budgeted, _certif
                          horner, reduce, reduce_by_degree)
 from .cyclotomic import totient
 from .families import FamilySpec, generate
-from .laurent import LaurentPoly, clipped, digits_past_limit, one, qpow
+from .laurent import LaurentPoly, _parse, one, qpow
 from .qcalc import qbinom_int, qpoch
 from .transforms import RATIONAL, PolySeq, common_denominator, hat, shared_denominator, tilde
 
@@ -230,30 +230,18 @@ def _odd_prime(p: int) -> "str | None":
     return None
 
 
-# _classical_sun decides in Z/p^2 by one Kronecker product of two p-term
+# check_classical_sun decides in Z/p^2 by one Kronecker product of two p-term
 # integer polynomials, which takes most of its time: on a shared 2-vCPU host,
 # `qcong verify classical` at the largest accepted prime, 79 999, takes
 # 2.8-3.3 s of CPU and 56 MB of RSS as a whole process.
 MAX_CLASSICAL_P = 80_000
 
 
-def _alpha(alpha: "Fraction | int | str") -> Fraction:
-    """Fraction(alpha), refused as a sweep refuses a malformed alphas atom."""
-    try:
-        return Fraction(alpha)
-    except (ValueError, ZeroDivisionError):
-        message = digits_past_limit(alpha) or f"expected a fraction, got {clipped(repr(alpha))}"
-        raise ValueError(f"alpha: {message}") from None
-
-
-def _p_integral(p: int, alpha: "Fraction | str") -> "str | None":
-    return "alpha must be p-integral" if Fraction(alpha).denominator % p == 0 else None
-
-
-def _classical_p(p: int, alpha: Fraction) -> "str | None":
-    """check_classical_sun's hypotheses; sweeps skip a cell on the first two only."""
-    bounded = None if p <= MAX_CLASSICAL_P else f"p must be at most {MAX_CLASSICAL_P}"
-    return _odd_prime(p) or _p_integral(p, alpha) or bounded
+def _classical_p(p: int, alpha: "Fraction | str") -> "str | None":
+    """The classical hypotheses, p an odd prime and alpha p-integral: a sweep
+    skips a cell on them, and check_classical_sun raises on them before it
+    refuses a p past MAX_CLASSICAL_P, which a sweep reports as an error record."""
+    return _odd_prime(p) or ("alpha must be p-integral" if Fraction(alpha).denominator % p == 0 else None)
 
 
 @dataclass(frozen=True)
@@ -752,29 +740,15 @@ def check_sun_p_analogue(p: SymParams) -> CheckReport:
     return _check("sun_p", p, _SUN_P_X, _thm_1_2)
 
 
-def check_classical_sun(p: int, alpha: "Fraction | int | str", fs) -> bool:
-    """The integer-side oracle: the p^2 congruence, decided in Z/p^2.
+def check_classical_sun(p: int, alpha: "Fraction | int | str") -> bool:
+    """Sun's p^2 congruence for every p-integral sequence, decided in Z/p^2.
 
     Decides whether Sum C(alpha,k) C(-1-alpha,k) f_k for k < p differs from
     (-1)^<alpha>_p times the hatted sum by a rational of p-adic valuation
-    at least 2.  alpha must be p-integral, p at most MAX_CLASSICAL_P, and f
-    needs at least p entries, each an int or a p-integral Fraction.  Both
-    sums are linear in f, so the verdict is _classical_sun's, which holds
-    for every such f or for none; f is only checked, never read further.
-    """
-    alpha = _alpha(alpha)
-    _require(_classical_p(p, alpha))
-    fs = list(fs)
-    if len(fs) < p:
-        raise ValueError(f"need at least p={p} sequence entries")
-    for j, fj in enumerate(fs[:p]):
-        if fj.denominator % p == 0:
-            raise ValueError(f"sequence entries must be p-integral, got f_{j} = {fj}")
-    return _classical_sun(p, alpha)
-
-
-def _classical_sun(p: int, alpha: Fraction) -> bool:
-    """The classical congruence for every p-integral sequence, decided on its kernel.
+    at least 2, for every sequence f of p-integral rationals at once: the
+    check reads no sequence.  alpha is refused as a sweep refuses a
+    malformed alphas atom; it must be p-integral, and p an odd prime of at
+    most MAX_CLASSICAL_P (_classical_p).
 
     With the halves w and c of _classical_halves, the plain sum is
     Sum_j w_j f_j and the hatted one Sum_k w_k hat(f)_k = Sum_j (-1)^j c_j f_j,
@@ -782,6 +756,9 @@ def _classical_sun(p: int, alpha: Fraction) -> bool:
     f_j is p-integral, so it is 0 mod p^2 for every sequence exactly when
     each kernel entry is (f = the j-th unit vector), and that exactly when
     the exact difference has valuation at least 2."""
+    alpha = _parse(Fraction, alpha, "alpha", "a fraction")
+    bounded = None if p <= MAX_CLASSICAL_P else f"p must be at most {MAX_CLASSICAL_P}"
+    _require(_classical_p(p, alpha) or bounded)
     a = alpha.numerator * pow(alpha.denominator, -1, p) % p  # <alpha>_p
     w, c = _classical_halves(p, alpha)
     return all((wj - (-1) ** (a + j) * cj) % (p * p) == 0 for j, (wj, cj) in enumerate(zip(w, c)))
@@ -889,13 +866,6 @@ def _bool_report(check: str, holds, **params) -> CheckReport:
     return CheckReport(check, params, result, wall_time=time.perf_counter() - started)
 
 
-def _classical(p: int, alpha: str, seed: int) -> bool:
-    """The classical cell; seed only names its record, as the check reads no sequence."""
-    alpha = Fraction(alpha)
-    _require(_classical_p(p, alpha))
-    return _classical_sun(p, alpha)
-
-
 CHECKS: dict[str, Check] = {
     "thm1.1": Check(
         ("n", "d", "r", "family"),
@@ -959,8 +929,10 @@ CHECKS: dict[str, Check] = {
     ),
     "classical": Check(
         ("p", "alpha", "seed"),
-        lambda p, alpha, seed: _odd_prime(p) or _p_integral(p, alpha),
-        lambda p, alpha, seed: _bool_report("classical", _classical, p=p, alpha=str(_alpha(alpha)), seed=seed),
+        lambda p, alpha, seed: _classical_p(p, alpha),
+        # seed names the record only: the check reads no sequence
+        lambda p, alpha, seed: _bool_report("classical", lambda p, alpha, _seed: check_classical_sun(p, alpha),
+                                            p=p, alpha=str(_parse(Fraction, alpha, "alpha", "a fraction")), seed=seed),
         cost=lambda p, alpha, seed: 0,  # p is bounded by MAX_CLASSICAL_P
     ),
 }

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from qcong import laurent
 from qcong.bivariate import BiPoly, RatExpr
 from qcong.congruence import reduce
-from qcong.cyclotomic import cyclotomic_power
+from qcong.qcalc import qpoch
+from qcong.cyclotomic import cyclotomic_power, divisors, totient
 from qcong.laurent import (
     LaurentPoly,
     divides,
@@ -499,3 +500,30 @@ def test_ratexpr_has_no_subtraction_and_no_bipoly_product(op):
     RatExpr has no subtraction, negation or BiPoly factor."""
     with pytest.raises(TypeError):
         op(RatExpr(q, one - q))
+
+
+_ORDINARY = "requires non-negative exponents; shift the Laurent input by its valuation first"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LaurentPoly.parse("1*q^2 + 3*q^2"), ValueError, "duplicate exponent 2 in polynomial text"),
+    (lambda: divrem(q, qpow(-1)), ValueError, "divrem " + _ORDINARY),
+    (lambda: divrem(q, zero), ZeroDivisionError, "division by the zero polynomial"),
+    (lambda: divrem_laurent(qpow(-3), zero), ZeroDivisionError, "division by the zero polynomial"),
+    (lambda: zero.valuation(), ValueError, "valuation of the zero polynomial is undefined"),
+    (lambda: q.substitute_power(0), ValueError, "substitute_power requires a nonzero power"),
+    (lambda: ext_gcd(zero, zero), ValueError, "ext_gcd(0, 0) is undefined"),
+    (lambda: qpoch(1, 1, -1), ValueError, "qpoch length must be non-negative"),
+    (lambda: qpoch(1, 0, 3), ValueError, "qpoch step must be nonzero"),
+    (lambda: divisors(0), ValueError, "divisors requires n >= 1"),
+    (lambda: totient(0), ValueError, "totient requires n >= 1"),
+    (lambda: cyclotomic_power(5, 0), ValueError, "cyclotomic_power requires m >= 1"),
+], ids=["parse-duplicate-exponent", "divrem-laurent-operand", "divrem-by-zero", "divrem_laurent-by-zero",
+        "valuation-of-zero", "substitute_power-0", "ext_gcd-0-0", "qpoch-negative-length", "qpoch-zero-step",
+        "divisors-0", "totient-0", "cyclotomic_power-m-0"])
+def test_degenerate_arguments_are_refused(call, error, message):
+    """Each refusal of an argument the operation is undefined at, with its
+    type and whole message."""
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -1402,7 +1402,7 @@ def test_sun_p_after_thm_1_2_adds_no_kernel_diff_miss():
 
 def test_classical_sun_constant_sequence():
     for p in (3, 5, 7, 11):
-        assert check_classical_sun(p, Fraction(1, 2), [1] * p)
+        assert check_classical_sun(p, Fraction(1, 2)) == classical_sun_by_rationals(p, Fraction(1, 2), [1] * p) is True
 
 
 def test_classical_sun_random_sequences():
@@ -1412,25 +1412,24 @@ def test_classical_sun_random_sequences():
                 continue
             for seed in range(4):
                 fs = splitmix_ints(seed, p)
-                assert check_classical_sun(p, alpha, fs), (p, alpha, seed)
+                assert check_classical_sun(p, alpha) == classical_sun_by_rationals(p, alpha, fs) is True, (p, alpha, seed)
 
 
 def test_classical_sun_accepts_fractional_sequences():
+    """The verdict covers sequences of p-integral fractions, not only integers."""
     fs = [Fraction(1, 2), Fraction(-3), Fraction(2, 3), 1, 0]
-    assert check_classical_sun(5, Fraction(1, 2), fs)
+    assert check_classical_sun(5, Fraction(1, 2)) == classical_sun_by_rationals(5, Fraction(1, 2), fs) is True
 
 
 def test_classical_sun_guards():
     with pytest.raises(ValueError):
-        check_classical_sun(4, Fraction(1, 2), [1] * 4)
+        check_classical_sun(4, Fraction(1, 2))
     with pytest.raises(ValueError):
-        check_classical_sun(2, 1, [1, 1])
+        check_classical_sun(2, 1)
     with pytest.raises(ValueError):
-        check_classical_sun(5, Fraction(1, 5), [1] * 5)
-    with pytest.raises(ValueError):
-        check_classical_sun(5, Fraction(1, 2), [1] * 4)
+        check_classical_sun(5, Fraction(1, 5))
     with pytest.raises(ValueError, match="at most"):
-        check_classical_sun(80021, Fraction(1, 2), [1] * 80021)
+        check_classical_sun(80021, Fraction(1, 2))
 
 
 _SMALL_PRIMES = [p for p in range(3, 54) if _odd_prime(p) is None]
@@ -1457,7 +1456,7 @@ def classical_cases(draw):
 def test_classical_sun_matches_the_rational_oracle(case):
     """The Z/p^2 decision against the exact rational sums of the helper."""
     p, alpha, fs = case
-    assert check_classical_sun(p, alpha, fs) == classical_sun_by_rationals(p, alpha, fs)
+    assert check_classical_sun(p, alpha) == classical_sun_by_rationals(p, alpha, fs)
 
 
 def _mod_p2(x: Fraction, p: int) -> int:
@@ -1478,37 +1477,24 @@ def test_classical_halves_match_the_rational_sums(p, num, den):
     assert theorems._classical_halves(p, alpha) == ([_mod_p2(x, p) for x in w], [_mod_p2(x, p) for x in c])
 
 
-@pytest.mark.parametrize("fs", [
-    [1, Fraction(1, 125), 1, 1, 1],
-    [1, Fraction(1, 5), 1, 1, 1],
-    [Fraction(1, 5), Fraction(-1, 5), 0, 0, 0],  # whose two terms cancel
-])
-def test_classical_sun_refuses_an_entry_that_is_not_p_integral(fs):
-    with pytest.raises(ValueError, match="sequence entries must be p-integral"):
-        check_classical_sun(5, Fraction(1, 2), fs)
-
-
-@pytest.mark.parametrize("case", ["alpha", "entries"])
+@pytest.mark.parametrize("case", ["alpha"])
 def test_classical_sun_decides_hostile_inputs_at_once(case):
-    """A 5 000-digit alpha numerator is reduced mod p^2 first, and entries of
-    up to 100 digits are only checked to be p-integral."""
+    """A 5 000-digit alpha numerator is reduced mod p^2 first."""
     started = time.perf_counter()
-    if case == "alpha":
-        assert check_classical_sun(997, Fraction(10**4999 + 7, 3), splitmix_ints(1, 997))
-    else:
-        assert check_classical_sun(997, "1/2", [10**100 * (k + 1) for k in range(997)])
+    assert check_classical_sun(997, Fraction(10**4999 + 7, 3))
     assert time.perf_counter() - started < 1
 
 
 def test_classical_p_bound_is_the_largest_accepted_prime():
-    """79 999 is the largest prime the check accepts and 80 021 the next one;
-    only the hypothesis is asked, neither check runs."""
+    """79 999 is the largest prime the check accepts and 80 021 the next one,
+    which it refuses before it decides anything; the largest is not run."""
     primes = [p for p in range(MAX_CLASSICAL_P - 100, MAX_CLASSICAL_P + 100) if _odd_prime(p) is None]
     largest = max(p for p in primes if p <= MAX_CLASSICAL_P)
     past = min(p for p in primes if p > MAX_CLASSICAL_P)
     assert (largest, past) == (79_999, 80_021)
     assert theorems._classical_p(largest, Fraction(1, 2)) is None
-    assert theorems._classical_p(past, Fraction(1, 2)) == f"p must be at most {MAX_CLASSICAL_P}"
+    with pytest.raises(ValueError, match=f"^p must be at most {MAX_CLASSICAL_P}$"):
+        check_classical_sun(past, Fraction(1, 2))
 
 
 def test_odd_prime_is_miller_rabin_exact():
