@@ -72,10 +72,11 @@ from a second cache (_inverse), keyed on the certified residue, multiplies
 by the integer cofactor and applies the scale last; a zero difference needs
 no inverse, and one over 1 is its own representative.
 
-Both caches, and theorems._ring_tails, are kept by _budgeted under one
-budget in coefficients (RING_BUDGET = 2^18, about 13 MB at 45-50 bytes a
-coefficient), least recently used first: an entry's cost is known from its
-shape, and the newest entry stays even when it alone is over the budget.
+Both caches, and theorems._ring_tails and theorems._poch_table, are kept
+by _budgeted under one budget in coefficients (RING_BUDGET = 2^18, about
+13 MB at 45-50 bytes a coefficient), least recently used first: an entry's
+cost is known from its shape, and the newest entry stays even when it
+alone is over the budget.
 So small moduli keep every entry a workload reads, and a large one holds a
 few.  The rings themselves are kept for 256 moduli (_ring).
 

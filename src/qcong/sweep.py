@@ -1,21 +1,27 @@
 """Grid sweeps over theorem checks with byte-deterministic reports.
 
 A sweep expands its config into independent check tasks, runs them in
-cell order (in a process pool when workers > 1, of at most as many
-processes as there are tasks and cores), sorts the records by a
-fixed key, and renders them to JSON-lines or CSV.  Cell order is the
-CHECKS[id].key of each task, the n and weight spec of the statement it
-builds, so the tasks that read one cell's ring weights and kernels run
-together while those are cached.  Records never contain timing, so the
-emitted file depends only on the config, not on the worker count, the run
-order or machine load.  Grid cells outside a check's hypotheses
-(CHECKS[id].invalid) are counted as skipped, not errored.  A task that
-raises ValueError or ArithmeticError (an ill-posed cell, such as n = 1 or
-d = 0, which invalid never skips) becomes an error record carrying its
-arguments and the message; the other records are still written, and the
-sweep counts it under errors.  A grid of more than MAX_TASKS cells, a key
-of more than MAX_TASKS values, or a list-valued key with none, is refused
-with a ValueError before any task runs or any record is written.
+ring order (in a process pool when workers > 1, of at most as many
+processes as there are tasks, chunks and cores), sorts the records by a
+fixed key, and renders them to JSON-lines or CSV.  Ring order sorts the
+tasks by the (n, d) block whose tails they read and then by CHECKS[id].key,
+the n and weight spec of the statement each builds, so the tasks that read
+one cell's ring weights and kernels run together while those are cached.
+The pool is handed chunks of whole (n, d) blocks (chunk_tasks), so each
+block's tails, weights and kernel differences are built in one worker; a
+block of more than a process's share of the tasks is cut at its (n, spec)
+cells instead, the tasks without a key (lemmas, even-sign, classical) are
+cut by size, and each worker calls run_task once per task.  Records never
+contain timing, so the emitted file depends only on the config, not on the
+worker count, the run order or machine load.  Grid cells outside a
+check's hypotheses (CHECKS[id].invalid) are counted as skipped, not
+errored.  A task that raises ValueError or ArithmeticError (an ill-posed
+cell, such as n = 1 or d = 0, which invalid never skips) becomes an error
+record carrying its arguments and the message; the other records are still
+written, and the sweep counts it under errors.  A grid of more than
+MAX_TASKS cells, a key of more than MAX_TASKS values, or a list-valued key
+with none, is refused with a ValueError before any task runs or any record
+is written.
 
 Config files are flat ``key = value`` lines; '#' starts a comment.  Values
 are comma-separated atoms, each an integer, a fraction, an inclusive range
@@ -38,6 +44,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -261,6 +268,44 @@ def run_task(task: tuple) -> dict:
         return {"check": check_id, **dict(zip(check.args, args)), "error": str(exc)}
 
 
+def _order(task: tuple) -> tuple:
+    """A task's place in ring order: (n, d, key) for a check whose
+    CHECKS[id].key is (n, (r, d)), the (n, d) block whose tails it reads
+    first, and () for a check without ring weights."""
+    key = CHECKS[task[0]].key(*task[1])
+    return (key[0], key[1][1], key) if key else ()
+
+
+def chunk_tasks(tasks: list, processes: int) -> list[list]:
+    """The tasks in ring order (_order), cut into the chunks a pool of
+    processes is handed, about 8 a process.  A chunk closes once it holds
+    size = len(tasks) // (8 * processes) tasks, but only where an (n, d)
+    block ends, so each block's tails, weights and kernel differences are
+    built in one worker.  A block of more than a process's share of the
+    tasks may also close a chunk where an (n, spec) cell ends, so that a
+    grid of few blocks still runs in every process, each building that
+    block's tails at most once; the tasks without a key are cut at size."""
+    ordered = sorted(((_order(task), task) for task in tasks), key=lambda pair: pair[0])
+    size = max(1, len(tasks) // (8 * max(processes, 1)))
+    blocks = Counter(order[:2] for order, _ in ordered)
+    chunks, last = [], None
+    for order, task in ordered:
+        # the unit a chunk may not split: the cell of a block beyond its share, else the block
+        unit = order if blocks[order[:2]] * processes > len(tasks) else order[:2]
+        if not chunks or len(chunks[-1]) >= size and (not unit or unit != last):
+            chunks.append([])
+        chunks[-1].append(task)
+        last = unit
+    return chunks
+
+
+def run_chunk(chunk: list) -> list:
+    """The records of a chunk's tasks, each by one call of run_task, looked
+    up by its module name, so a wrapper set on qcong.sweep.run_task (the
+    benchmark's task timer) sees every task in the pool workers too."""
+    return [run_task(task) for task in chunk]
+
+
 # -- rendering --------------------------------------------------------------
 
 CSV_COLUMNS = (
@@ -295,17 +340,18 @@ def render_csv(records: list[dict]) -> str:
 def run_sweep(cfg: SweepConfig) -> SweepSummary:
     started = time.perf_counter()
     tasks, skipped = expand_tasks(cfg)
-    # run each ring cell's tasks together, while its weights and kernels are cached
-    tasks.sort(key=lambda task: CHECKS[task[0]].key(*task[1]))
     # no more processes than tasks or cores, whatever workers asks for
     processes = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    # each (n, d) block, or each cell of one beyond its share, in one chunk, while its tables are cached
+    chunks = chunk_tasks(tasks, processes)
+    tasks = [task for chunk in chunks for task in chunk]
+    processes = min(processes, len(chunks))  # and no more than chunks
     if processes > 1:
         # imported here, so that importing qcong loads no multiprocessing
         from multiprocessing import get_context
 
-        chunk = max(1, len(tasks) // (processes * 8))
         with get_context().Pool(processes) as pool:
-            records = pool.map(run_task, tasks, chunksize=chunk)
+            records = [rec for recs in pool.map(run_chunk, chunks, chunksize=1) for rec in recs]
     else:
         records = [run_task(t) for t in tasks]
     # a task's (check_id, args) is its record's sort key

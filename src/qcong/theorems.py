@@ -106,12 +106,15 @@ recurrence of _kernel_diff is the same Horner, in a variable that stands
 for the index of f; the hat kernel of thm1.1 is Horner on (x q^d; q^d)_k,
 the Pochhammer right side guo_zeng would otherwise need.
 The lemma checks decide mod Phi_n on Pochhammer products, formed mod
-q^n - 1 by rotations and divided once (_poch_mod).
+q^n - 1 by rotations and divided once (_poch_mod).  Such a product reads
+its start a only mod n, so it is kept per (n, a mod n, k) under the ring
+budget: a lemma sweep forms each once per (n, j), whatever its s.
 
 CHECKS keys each check that builds a statement by (n, its weight spec),
-the _spec its builder uses; a sweep runs its tasks grouped by that key, so
-the weights and kernels of a cell are built once while the bounded caches
-hold them.
+the _spec its builder uses; a sweep runs its tasks grouped by the (n, d)
+of that spec and then by that key, and hands each (n, d) block to one
+worker, so the tails, weights and kernels of a cell are built once while
+the bounded caches hold them.
 
 Parameter conventions:
 
@@ -356,11 +359,13 @@ def _tails(lift, step: int, n: int, power: int) -> list:
 def _pairs(lift, r: int, d: int, n: int) -> list:
     """P_k = (q^r;q^d)_k (q^(d-r);q^d)_k for k < n, up to the last one that is
     nonzero in the carrier of lift: every later P_k is a multiple of the
-    first zero one."""
+    first zero one.  P_k is P_(k-1) times the pair factor
+    (1 - q^(r+e))(1 - q^(d-r+e)), e = d*(k-1), written out as its four
+    terms 1 - q^(r+e) - q^(d-r+e) + q^(d+2e)."""
     P = [lift(one)]
     for k in range(1, n):
         e = d * (k - 1)
-        Pk = P[-1] * ((one - qpow(r + e)) * (one - qpow(d - r + e)))
+        Pk = P[-1] * LaurentPoly(((0, 1), (r + e, -1), (d - r + e, -1), (d + 2 * e, 1)))
         if Pk.is_zero():
             break
         P.append(Pk)
@@ -379,11 +384,13 @@ def _weights(lift, n: int, r: int, d: int, G=None) -> tuple:
     K <= max(a, n - 1 - a) for a*d + r == 0 (mod n).  G runs to G_0.
 
     Every factor is a sparse polynomial, so a residue carrier multiplies it
-    by shifted copies; only P_k G_k is a dense product.
+    by shifted copies; only P_k G_k is a dense product, for k >= 1: P_0 is
+    1, so w_0 is G_0 itself.
     """
     if G is None:
         G = _tails(lift, d, n, 2)
-    return [P * G[k] for k, P in enumerate(_pairs(lift, r, d, n))], G[0]
+    P = _pairs(lift, r, d, n)
+    return [G[0]] + [Pk * Gk for Pk, Gk in zip(P[1:], G[1:])], G[0]
 
 
 def _spec(r: int, d: int) -> tuple:
@@ -674,7 +681,17 @@ def check_s0_identity(n: int, a: int, fam) -> bool:
 def _poch_mod(n: int, a: int, k: int) -> Residue:
     """(q^a;q)_k mod Phi_n.  It is formed mod q^n - 1, which Phi_n divides: there
     a list v of n coefficients times 1 - q^e is v minus v rotated by e mod n,
-    and 0 when n divides e.  The ring's tower divides it once, at the end."""
+    and 0 when n divides e.  The ring's tower divides it once, at the end.
+    So it reads a only mod n, and is kept per (n, a mod n, k) (_poch_table):
+    a lemma sweep forms each of its products once per (n, j), however many
+    values its s axis has."""
+    return _poch_table(n, a % n, k)
+
+
+@_budgeted(lambda res, n, a, k: res._ring.dim)
+def _poch_table(n: int, a: int, k: int) -> Residue:
+    """_poch_mod at 0 <= a < n, kept under the ring budget
+    (congruence._budgeted): a product costs its phi(n) coefficients."""
     v = [1] + [0] * (n - 1)
     for e in range(a, a + k):
         b = e % n

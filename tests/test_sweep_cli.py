@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -242,6 +243,7 @@ class _SerialContext:
 
     def __init__(self):
         self.pools = []
+        self.mapped = []
 
     def Pool(self, processes):
         self.pools.append(processes)
@@ -255,26 +257,42 @@ class _SerialContext:
 
     def map(self, fn, tasks, chunksize):
         assert 1 <= chunksize <= max(1, len(tasks))
+        self.mapped.extend(tasks)
         return [fn(task) for task in tasks]
+
+
+# thm1.1 grids by their task count: 14 tasks in 14 (n, d) blocks, one in
+# one, 21 in the 3 blocks (5, d), d = 1..3, of 17 (n, spec) cells, and 7 in
+# the one block (5, 1), of 6 cells (r and 1 - r share one)
+_POOL_GRIDS = {
+    14: {"n": ["2..15"], "d": ["1"], "r": ["0"]},
+    1: {"n": ["5"], "d": ["1"], "r": ["0"]},
+    21: {"n": ["5"], "d": ["1..3"], "r": ["0..6"]},
+    7: {"n": ["5"], "d": ["1"], "r": ["0..6"]},
+}
 
 
 @pytest.mark.parametrize("workers,cores,tasks,pool", [
     (1_000_000, 2, 14, 2),  # capped by the cores
-    (1_000_000, 64, 14, 14),  # capped by the tasks
+    (1_000_000, 64, 14, 14),  # capped by the tasks, each its own block
     (3, 64, 14, 3),
     (1_000_000, 1, 14, None),  # one core: in-process, no pool
     (1_000_000, None, 14, None),  # the core count unknown
     (1_000_000, 64, 1, None),  # one task
+    (1_000_000, 64, 21, 17),  # capped by the chunks: 17 (n, spec) cells
+    (1_000_000, 64, 7, 6),  # one block, cut at its 6 cells
+    (3, 64, 21, 3),  # 3 blocks of a process's share, each one chunk
 ])
 def test_the_sweep_pool_is_capped_by_tasks_and_cores(workers, cores, tasks, pool, tmp_path, monkeypatch):
-    """A sweep starts min(workers, tasks, cores) processes, and none when that
-    is 1, however many workers it is asked for; its records and summary are
-    those of a one-worker run."""
+    """A sweep starts min(workers, tasks, cores, chunks) processes, and none
+    when that is 1, however many workers it is asked for; a chunk splits an
+    (n, d) block only at its (n, spec) cells, and only a block of more than
+    a process's share of the tasks.  Its records and summary are those of a
+    one-worker run."""
     import multiprocessing
     import os
 
-    grid = {"d": ["1", "2"], "r": ["0..6"]} if tasks > 1 else {"d": ["1"], "r": ["0"]}
-    raw = {"theorems": ["1.1"], "n": ["5"], **grid, "families": ["ones"], "output": [str(tmp_path / "one.jsonl")]}
+    raw = {"theorems": ["1.1"], **_POOL_GRIDS[tasks], "families": ["ones"], "output": [str(tmp_path / "one.jsonl")]}
     one = run_sweep(build_config(raw))
     context = _SerialContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
@@ -393,7 +411,9 @@ def test_the_sweep_skip_rule_is_the_check_hypothesis(case):
 
 def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
     """Tasks run in the reverse of their key order give the same JSONL and CSV
-    bytes at one and two workers, with an n = 1 task raising."""
+    bytes at one and two workers, with an n = 1 task raising.  The reversed
+    key keeps the (n, spec) shape that a sweep reads its (n, d) block from,
+    each task in a block of its own."""
     raw = {
         "theorems": ["1.1", "1.2", "2.1", "guo_zeng", "sun_p", "lemmas"],
         "n": ["1..6"], "d": ["1..3"], "r": ["-2", "1"], "s": ["-1", "2"],
@@ -406,7 +426,7 @@ def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
     for order in ("key", "reversed"):
         if order == "reversed":
             for check_id, check in CHECKS.items():
-                reverse = lambda *args, check_id=check_id: (-rank[check_id, args],)
+                reverse = lambda *args, check_id=check_id: (-rank[check_id, args], (0, 0))
                 monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, key=reverse))
         for fmt in ("jsonl", "csv"):
             for workers in ("1", "2"):
@@ -418,18 +438,95 @@ def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
         assert len({outputs[order, fmt, workers] for order in ("key", "reversed") for workers in "12"}) == 1
 
 
+def _ring_block(task: tuple) -> tuple:
+    """The (n, d) of a task's key, or () when it has none."""
+    key = CHECKS[task[0]].key(*task[1])
+    return key and (key[0], key[1][1])
+
+
+def _runs(values: list) -> list:
+    """The first value of each run of equal values."""
+    return [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]
+
+
 def test_tasks_run_grouped_by_their_key(monkeypatch):
-    """At one worker the tasks run in key order: every thm1.1, thm1.2 and
-    guo_zeng task of one (n, spec) cell in one run."""
-    ran = []
+    """The tasks run in ring order, at one worker and, through run_chunk,
+    in a pool of two: each (n, d) block in one run, and within it every
+    thm1.1, thm1.2 and guo_zeng task of one (n, spec) cell in one run.  The
+    pool is handed each block in one chunk, and calls sweep.run_task by its
+    module name, so a replacement sees every task."""
+    import multiprocessing
+
+    ran, context = [], _SerialContext()
     monkeypatch.setattr("qcong.sweep.run_task", lambda task: ran.append(task) or {"check": task[0]})
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     raw = {"theorems": ["1.1", "1.2", "guo_zeng", "lemmas"], "n": ["3..5"], "d": ["1..2"], "r": ["-1..2"],
            "families": ["ones", "delta:1"], "output": ["/dev/null"]}
-    run_sweep(build_config(raw))
-    keys = [CHECKS[check_id].key(*args) for check_id, args in ran]
-    assert keys == sorted(keys)
-    cells = [key for i, key in enumerate(keys) if key and (i == 0 or keys[i - 1] != key)]
-    assert len(cells) == len(set(cells))
+    for workers in ("1", "2"):
+        ran.clear()
+        run_sweep(build_config(dict(raw, workers=[workers])))
+        assert len(ran) == len(expand_tasks(build_config(raw))[0])
+        keys = [CHECKS[check_id].key(*args) for check_id, args in ran]
+        keyed = [key for key in keys if key]
+        assert keys == [()] * (len(keys) - len(keyed)) + keyed  # the keyless tasks first
+        blocks = _runs([(n, spec[1]) for n, spec in keyed])
+        cells = _runs(keyed)
+        assert blocks == sorted(set(blocks)) and len(blocks) == 5 and len(cells) == len(set(cells))
+    chunks = [{_ring_block(task) for task in chunk} - {()} for chunk in context.mapped]
+    assert context.pools == [2] and len(chunks) > 2 and sum(map(len, chunks)) == len(set().union(*chunks)) == 5
+
+
+# a grid with every check kind of a sweep, its keyless lemma, even-sign and
+# classical tasks among them
+_CHUNK_GRID = {"theorems": list(sweep.SWEEP_GROUPS), "n": ["2..7"], "d": ["1..3"], "r": ["-1..1"], "s": ["-1..1"],
+               "families": ["ones"], "alphas": ["2", "1/2"], "classical_seeds": ["2"]}
+
+
+@pytest.mark.parametrize("processes", [1, 2, 8, 12, 40, 10**6])
+def test_chunks_split_only_a_block_beyond_its_share(processes):
+    """sweep.chunk_tasks: the chunks, joined, are the tasks sorted by (n, d)
+    and then by key, the keyless ones first.  A chunk closes once it holds
+    size tasks, where the unit it is filling ends: an (n, d) block of at most
+    a process's share of the tasks, which thus never spans two chunks, or
+    an (n, spec) cell of a larger block.  The keyless tasks are cut at size.
+    At 1, 2 and 8 processes the grid's 13 blocks (9 to 33 tasks of 321) stay
+    whole; at 12 some are cut at their cells, at 40 and more every one."""
+    tasks = expand_tasks(build_config(_CHUNK_GRID))[0][::-1]
+    chunks = sweep.chunk_tasks(tasks, processes)
+    size = max(1, len(tasks) // (8 * processes))
+    ring_order = sorted(tasks, key=lambda task: (_ring_block(task), CHECKS[task[0]].key(*task[1])))
+    assert [task for chunk in chunks for task in chunk] == ring_order
+    sizes = collections.Counter(map(_ring_block, tasks))
+
+    def unit(task):
+        block = _ring_block(task)
+        return block and (CHECKS[task[0]].key(*task[1]) if sizes[block] * processes > len(tasks) else block)
+
+    units = [{unit(task) for task in chunk} - {()} for chunk in chunks]
+    assert sum(map(len, units)) == len(set().union(*units))  # no unit spans two chunks
+    blocks = [{_ring_block(task) for task in chunk} - {()} for chunk in chunks]
+    whole = sum(map(len, blocks)) == len(set().union(*blocks)) == 13
+    assert whole == (processes <= 9)
+    assert all(len(chunk) >= size for chunk in chunks[:-1])
+    for chunk in chunks:
+        if len(chunk) > size:  # past size, it holds only the rest of the unit that filled it
+            assert len({unit(task) for task in chunk[size - 1:]}) == 1 and unit(chunk[-1])
+    keyless = [chunk for chunk in chunks if not _ring_block(chunk[0])]
+    assert all(len(chunk) == size and not any(map(_ring_block, chunk)) for chunk in keyless[:-1])
+    assert 0 < sum(not _ring_block(task) for task in keyless[-1]) <= size
+
+
+def test_a_one_block_grid_is_chunked_for_every_process():
+    """A grid whose tasks all read one (n, d) block, here thm2.1 at n = 101
+    with 21 values of s (2121 tasks, all at d = 1), is cut at its (n, spec)
+    cells into 7 to 8 chunks a process, not run in one chunk."""
+    tasks = expand_tasks(build_config({"theorems": ["2.1"], "n": ["101"], "s": ["-10..10"]}))[0]
+    assert {_ring_block(task) for task in tasks} == {(101, 1)}
+    assert len(sweep.chunk_tasks(tasks, 1)) == 1
+    for processes in (2, 8):
+        chunks = sweep.chunk_tasks(tasks, processes)
+        assert 7 * processes <= len(chunks) <= 8 * processes + 1
 
 
 def test_thm_2_1_shares_the_kernel_differences_of_thm_1_1_at_d_1(tmp_path):
@@ -762,6 +859,20 @@ def test_cli_sweep_keeps_the_records_around_a_raising_task(tmp_path, capsys):
     assert recs[0] == {"check": "thm1.1", "n": 1, "d": 1, "r": 0, "family": "ones",
                        "error": "n must be at least 2"}
     assert [(rec["n"], rec["holds"]) for rec in recs[1:]] == [(2, True), (3, True)]
+
+
+@pytest.mark.parametrize("argv,skipped", [
+    (["--theorems=1.1", "--n=4", "--d=2"], 1),  # no coprime (n, d)
+    (["--theorems=classical", "--n=4"], 40),  # no odd prime p
+])
+def test_cli_sweep_of_skipped_cells_only_writes_an_empty_report(argv, skipped, tmp_path, capsys):
+    """A grid whose every cell is skipped runs no task, at any worker count:
+    it writes an empty report, counts its cells as skipped and exits 0."""
+    for workers in (1, 2):
+        out = tmp_path / f"records-{workers}.jsonl"
+        assert cli.main(["sweep", *argv, f"--workers={workers}", f"--output={out}"]) == 0
+        assert out.read_bytes() == b""
+        assert f"total=0 passed=0 failed=0 skipped={skipped} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,error", [

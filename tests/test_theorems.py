@@ -1274,10 +1274,30 @@ def test_lemmas_detect_a_perturbed_binomial(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 30), st.integers(-40, 40), st.integers(0, 40))
-def test_poch_mod_matches_long_division(n, a, k):
-    """(q^a;q)_k mod Phi_n by rotation against the full qpoch product by long division."""
-    assert list(theorems._poch_mod(n, a, k).coeffs) == residue_by_long_division(qpoch(a, 1, k).terms, n, 1)
+@given(st.integers(2, 30), st.integers(-40, 40), st.integers(0, 40), st.integers(-10**6, 10**6))
+def test_poch_mod_matches_long_division(n, a, k, t):
+    """(q^a;q)_k mod Phi_n by rotation against the full qpoch product by long
+    division, at a and at a + t*n, which _poch_mod keys as a mod n."""
+    for start in (a, a + t * n):
+        assert list(theorems._poch_mod(n, start, k).coeffs) == residue_by_long_division(qpoch(start, 1, k).terms, n, 1)
+
+
+def test_a_lemma_sweep_forms_each_product_once(tmp_path):
+    """A lemmas sweep forms one _poch_mod product per distinct
+    (n, a mod n, k): [s*n, j] reads (q^(s*n-j+1);q)_j and [s*n-1, j-1] reads
+    (q^(s*n-j+1);q)_(j-1) and (q;q)_(j-1), whatever s is."""
+    from qcong.sweep import build_config, run_sweep
+
+    raw = {"theorems": ["lemmas"], "n": ["2..9"], "s": ["-3..3"], "workers": ["1"],
+           "output": [str(tmp_path / "lemmas.jsonl")]}
+    cases = [(n, s, j) for n in range(2, 10) for s in range(-3, 4) if s for j in range(1, n)]
+    keys = {key for n, s, j in cases
+            for key in ((n, (s * n - j + 1) % n, j), (n, (s * n - j + 1) % n, j - 1), (n, 1, j - 1))}
+    theorems._poch_table.cache_clear()
+    summary = run_sweep(build_config(raw))
+    info = theorems._poch_table.cache_info()
+    assert summary.total == summary.passed == 2 * len(cases) + 4  # and even-sign at n = 2, 4, 6, 8
+    assert info.misses == len(keys) < len(cases) and info.hits + info.misses == 3 * len(cases)
 
 
 def test_lemmas_match_the_dense_q_binomial():
