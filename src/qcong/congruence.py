@@ -36,17 +36,19 @@ q^(k*n) == Sum_j w_j q^(j*n) mod (q^n - 1)^m is the same binomial series,
 and the sum is divided once.  So a factor such as 1 - q^e or a monomial
 costs O(m * m*phi(n)) operations before the division, whatever e is.
 dot sums products of residues with a single division.  horner forms the
-x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k, n^2/2
+x-coefficients of sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k, d >= 1, n^2/2
 monomial shifts, in eps-coordinates: q^(K*n + b) times an element rotates
 each block T_i by b and multiplies by (1 + eps)^K, or (1 + eps)^(K+1) for
-the b coefficients that wrap past q^n, which adds C(K, d) times T_(i-d) to
+the b coefficients that wrap past q^n, which adds C(K, l) times T_(i-l) to
 T_i.  So a shift is a block rotation and one combination per level below,
 m*n coefficients a working x-coefficient whatever n is, and one helper
 (_Ring._times_qpow) makes every such shift: each Horner step's, each
-g_k's q^(step*k) right after the g_k are taken into eps-coordinates in one
-pass, and the scale sign * q^E on every result before they are taken out
-in one, each then divided by the tower.  So a side step and a scale cost
-no product of their own.
+g_k's side step q^(d*k) right after the g_k are taken into eps-coordinates
+in one pass, and the scale sign * q^E on every result before they are
+taken out in one, each then divided by the tower.  So a side step and a
+scale cost no product of their own.  Residue.mirror is the one map
+q -> 1/q: q^M times it, one fold and one division, by which a Theorem 1.2
+difference is read off a Theorem 1.1 one (theorems).
 
 The working ring for rational inputs is Q[q] localized at polynomials
 coprime to Phi_n.  A fraction u/s with gcd(s, Phi_n) = 1 is divisible by
@@ -303,23 +305,23 @@ class _Ring:
             out.append(rot)
         return out
 
-    def horner(self, g: list, c: int, e: int, step: int = 0, scale: tuple = (0, 1)) -> list:
-        """The x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k,
-        for residue lists g and scale = (E, sign), by Horner in x from the last
-        k down: S <- q^(step*k) g_k + (1 - x q^(c + k*e)) S.
+    def horner(self, g: list, d: int, scale: tuple = (0, 1)) -> list:
+        """The x-coefficients of sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k, for
+        residue lists g and scale = (E, sign), by Horner in x from the last k
+        down: S <- q^(d*k) g_k + (1 - x q^(d*k)) S.
 
         The work is in eps-coordinates, eps = q^n - 1, exact mod eps^m, which
         Phi_n^m divides: an element is Sum_{i<m} eps^i T_i with blocks T_i of
         n coefficients.  y[i] holds level i of every x-coefficient, x^j in
         block j.  Every monomial is a block rotation with binomial carries
-        (_times_qpow): each g_k is times q^(step*k) right after the one pass
+        (_times_qpow): each g_k is times q^(d*k) right after the one pass
         that takes the g_k into eps-coordinates, each Horner step shifts S by
-        q^(c + k*e), and sign * q^E multiplies every x-coefficient at once
-        before the one pass that takes them out.  Each is then divided by the
-        tower, whose first stage is empty."""
+        q^(d*k), and sign * q^E multiplies every x-coefficient at once before
+        the one pass that takes them out.  Each is then divided by the tower,
+        whose first stage is empty."""
         n, m, span = self.n, self.m, self.span
         E, sign = scale
-        if len(g) == 1 and not E and sign == 1:  # no step: g_0, already reduced, is the x^0 coefficient
+        if len(g) == 1 and not E and sign == 1:  # g_0, already reduced, is the x^0 coefficient
             return [list(g[0])]
         pad, zero = [0] * (span - self.dim), [0] * n
         G = [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
@@ -329,12 +331,11 @@ class _Ring:
                 level += r[i * n:(i + 1) * n]
         _taylor(G, 1)
         G = [[level[k * n:(k + 1) * n] for level in G] for k in range(len(g))]  # G[k][i]: level i of g_k
-        if step:
-            G = [[list(level) for level in self._times_qpow(gk, step * k)] if k else gk for k, gk in enumerate(G)]
+        G = [[list(level) for level in self._times_qpow(gk, d * k)] if k else gk for k, gk in enumerate(G)]
         y = G[-1]
-        for k in range(len(g) - 2, -1, -1):  # x^0: y_0 + g_k; x^j: y_j - q^(c + k*e) y_(j-1)
+        for k in range(len(g) - 2, -1, -1):  # x^0: y_0 + g_k; x^j: y_j - q^(d*k) y_(j-1)
             y = [list(map(add, level[:n], gk)) + list(map(sub, level[n:] + zero, shifted))
-                 for level, gk, shifted in zip(y, G[k], self._times_qpow(y, c + k * e))]
+                 for level, gk, shifted in zip(y, G[k], self._times_qpow(y, d * k))]
         if E or sign != 1:
             y = [list(level) if sign == 1 else [-x for x in level] for level in self._times_qpow(y, E)]
         _taylor(y, -1)
@@ -460,6 +461,14 @@ class Residue:
 
     def __neg__(self):
         return Residue(self._ring, [-x for x in self._coeffs])
+
+    def mirror(self, M: int) -> "Residue":
+        """q^M times the image of self under sigma: q -> 1/q, that is
+        Sum c_i q^(M - i) over the coefficients c_i of the representative,
+        by one fold and one division.  Phi_n is palindromic, so sigma maps
+        the ideal (Phi_n^m) to itself and is an automorphism of the ring;
+        mirroring twice at one M gives self back."""
+        return Residue(self._ring, self._ring.divide(self._ring.fold({M - i: c for i, c in enumerate(self._coeffs)})))
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):  # first: Fraction's isinstance goes through its ABC
@@ -600,12 +609,12 @@ def dot(pairs) -> Residue:
     return Residue(ring, ring.dot((a._coeffs, b._coeffs) for a, b in pairs))
 
 
-def horner(g: list, c: int, e: int, step: int = 0, scale: tuple = (0, 1)) -> list:
-    """The x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k,
-    for residues g_k mod one Phi_n^m and scale = (E, sign), as residues
-    (_Ring.horner).  The defaults give Sum_k g_k (x q^c; q^e)_k."""
+def horner(g: list, d: int, scale: tuple = (0, 1)) -> list:
+    """The x-coefficients of sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k, for
+    residues g_k mod one Phi_n^m and scale = (E, sign), as residues
+    (_Ring.horner)."""
     ring = _ring_of(g)
-    return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], c, e, step, scale)]
+    return [Residue(ring, v) for v in ring.horner([r._coeffs for r in g], d, scale)]
 
 
 def reduce_by_degree(num, n: int, m: int) -> dict[int, Residue]:

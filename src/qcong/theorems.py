@@ -18,14 +18,20 @@ the side carries in place of fden.  A named family stays a FamilySpec,
 whose kind is known at once; it is generated only where a difference is
 mapped or a side expanded, and then once per check.
 
-Three statements are others in disguise, and are decided as those cells,
+Four statements are others in disguise, and are decided as those cells,
 sharing their kernel differences.  guo_zeng is Theorem 1.1 at f_k = x^k,
 whose right entries hat(x^k) are (xq;q)_k.  thm2.1 is Theorem 1.1 at d = 1,
 r = -alpha: its weight q^(k^2+k) [alpha,k][-1-alpha,k] is
 q^k (q^-alpha;q)_k (q^(1+alpha);q)_k / (q;q)_k^2, thm1.1's weight times its
 side's q^(dk) there, and its F, sign and branch are that cell's E, sign and
 branch (AlphaParams).  Only its scales are its own, so its residual is the
-sign times thm1.1's.  sun_p, the q-analogue of Sun's congruence,
+sign times thm1.1's.  thm1.2 is Theorem 1.1 under sigma: q -> 1/q.  Phi_n is
+palindromic, so sigma maps (Phi_n^2) to itself; it maps tilde to hat, each
+weight T_k to q^(dk) T_k and G_0 = (Q;Q)_(n-1)^2 to q^-M G_0,
+M = d*n*(n-1).  So thm1.2's kernel difference at the ratio sign * q^E is
+q^M times sigma of thm1.1's at sign * q^-E, entry by entry
+(Residue.mirror), and thm1.2 holds on f exactly when thm1.1 holds on
+f(q^-1) at the same record.  sun_p, the q-analogue of Sun's congruence,
 P_n(-r/d, x; q^d) == sign * q^E * P_n(-r/d, x q^-d; q^-d) (mod Phi_n^2) for
 odd n, with P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q
 (x;Q)_k / (Q;Q)_k, is Theorem 1.2 at sun_p_x: each of its sides equals the
@@ -71,19 +77,18 @@ sun_p_x side reads none, on both sides alike).  A side is linear in f, so
 Sum_k w_k X_k = Sum_j u_j f_j(q^d) for a kernel u that does not depend on
 f, and the difference is lscale * Sum_j (u^L_j - (rscale/lscale) u^R_j)
 f_j(q^d): the statement holds for every family when that kernel
-difference is zero.  _kernel_diff builds it once per cell with one Horner
-pass over the weights for the right side's t (the transposed q-Pascal
-recurrence of hat and tilde), which applies the side's q^(step*k) and the
-ratio in eps-coordinates, so a holding cell forms no monomial product; it
-is kept in a bounded cache keyed on n, the spec, step, t and the ratio's
-exponent and sign: sun_p, sun_p_x and every other thm1.2 family of a cell
-share one entry, and so do thm1.1, guo_zeng and thm2.1 at d = 1.  The
-scales being (exponent, sign) pairs, the key holds
-plain ints.  _check reads the key off the cell, which the builder made from
-the params record it was given (E or F, sign and alpha included), so a
-perturbed record has a key of its own.  A check of a cell whose difference
-is empty is answered there: it generates no family, lifts no entry, forms
-no dot and runs no Horner.  One whose difference is not generates the
+difference is zero.  _kernel_diff builds Theorem 1.1's once per cell with
+one Horner pass over the weights (the transposed q-Pascal recurrence of
+hat), which applies the side's q^(dk) and the ratio in eps-coordinates, so
+a holding cell forms no monomial product; it is kept in a bounded cache
+keyed on n, the spec, -E and the sign, plain ints: thm1.1, guo_zeng,
+thm2.1 at d = 1 and every thm1.2 family of the same record, sun_p_x and
+sun_p included, share one entry.  _check reads the key off the params
+record it was given (E or F, and the sign), so a perturbed record has a key
+of its own, and a tilde cell (t = -1) mirrors a nonempty difference before
+it maps it.  A check of a cell whose difference is empty is answered
+there: it generates no family, lifts no entry, forms no dot and runs no
+Horner.  One whose difference is not generates the
 family and maps the difference once (_ring_diff), lifting each f_j(q^d)
 once and transforming nothing, so every failing verdict and residual comes
 from that.  The denominator is
@@ -101,10 +106,11 @@ and no dense product per x-degree.  With Q = q^d,
 1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
 G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
 (Q;Q)_(n-1) = H_0, and no common denominator is expanded; the Q^j is
-horner's step, applied in eps-coordinates.  The transposed
+horner's side step, applied in eps-coordinates.  The transposed
 recurrence of _kernel_diff is the same Horner, in a variable that stands
-for the index of f; the hat kernel of thm1.1 is Horner on (x q^d; q^d)_k,
-the Pochhammer right side guo_zeng would otherwise need.
+for the index of f: the hat kernel is Horner on (x q^d; q^d)_k, the
+Pochhammer right side guo_zeng would otherwise need.  Both run
+horner(g, d, scale), at base q^d with d >= 1.
 The lemma checks decide mod Phi_n on Pochhammer products, formed mod
 q^n - 1 by rotations and divided once (_poch_mod).  Such a product reads
 its start a only mod n, so it is kept per (n, a mod n, k) under the ring
@@ -411,11 +417,6 @@ _SUN_P_X = FamilySpec.parse("sun_p_x")
 _MONOMIAL_X = FamilySpec.parse("monomial_x")
 
 
-def _ratio(lscale: tuple, rscale: tuple) -> tuple:
-    """rscale/lscale as an (exponent, sign) pair."""
-    return rscale[0] - lscale[0], rscale[1] * lscale[1]
-
-
 def _thm_1_1(p: SymParams, seq: "PolySeq | FamilySpec") -> tuple:
     """q^E * Sum T_k q^(dk) f_k(q^d)  vs  sign * Sum T_k q^(dk) hat(f)_k(q^d)."""
     _require(_polynomial(seq.kind, _RATIONAL_1_1))
@@ -515,40 +516,38 @@ def _ring_weights(n: int, spec: tuple) -> list:
 
 
 @lru_cache(maxsize=16)
-def _kernel_diff(n: int, spec: tuple, step: int, t: int, e: int, sign: int) -> tuple:
-    """u^L - (rscale/lscale)*u^R mod Phi_n^2, the ratio being sign * q^e
-    (_ratio), or () when the two agree: exactly when the statement holds for
-    every family.  u^L and u^R are the kernels of the two sides, the u_j with
-    Sum_k w_k q^(step*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2 for
-    every sequence f, d the spec's d, T the identity on the left and the
-    transform t on the right.  The key holds no sequence and no polynomial,
-    so every family of a cell, sun_p_x and sun_p included, shares one entry,
-    and so do thm1.1 at d = 1 and thm2.1 at alpha = -r.
+def _kernel_diff(n: int, spec: tuple, e: int, sign: int) -> tuple:
+    """Theorem 1.1's u^L - sign * q^e * u^R mod Phi_n^2, or () when the two
+    agree: exactly when the statement holds for every family.  u^L and u^R
+    are the kernels of the two sides, the u_j with
+    Sum_k w_k q^(d*k) T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2 for every
+    sequence f, d the spec's d, T the identity on the left and hat on the
+    right.  The key holds no sequence and no polynomial, so every family of
+    a cell shares one entry, and so do thm1.1 at d = 1 and thm2.1 at
+    alpha = -r, and thm1.2 and sun_p at the same record (_check).
 
-    On the left, u^L_k = w_k q^(step*k).  At q -> q^d,
-    row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(t*d*k) y[m+1], and T(f)_k
+    On the left, u^L_k = w_k q^(d*k).  At q -> q^d,
+    row_k = B_k row_(k-1) with (B_k y)[m] = y[m] - q^(d*k) y[m+1], and hat(f)_k
     is entry 0 of B_k...B_1 f.  So u^R is the transposed recurrence run from
     k = n-1 down: y <- B_k^T y + u^L_(k-1) e_0, where
-    (B_k^T y)[m] = y[m] - q^(t*d*k) y[m-1].  That is Horner in a variable x
+    (B_k^T y)[m] = y[m] - q^(d*k) y[m-1].  That is Horner in a variable x
     that stands for the index m: u^R_j is the coefficient of x^j in
-    F(x) = Sum_k q^(step*k) w_k (x q^(t*d); q^(t*d))_k.
+    F(x) = Sum_k q^(d*k) w_k (x q^d; q^d)_k.
 
-    Since [x^j] F(x q^-step) = q^(-step*j) [x^j] F(x), the ratio times u^R_j
-    is q^(step*j) out_j, where out holds the x-coefficients of
-    sign * q^e * F(x q^-step), one horner pass over the weights themselves
-    with the side step and the ratio applied in eps-coordinates.  So the
+    Since [x^j] F(x q^-d) = q^(-d*j) [x^j] F(x), sign * q^e * u^R_j is
+    q^(d*j) out_j, where out holds the x-coefficients of
+    sign * q^e * F(x q^-d), one horner pass over the weights themselves with
+    the side step and the ratio applied in eps-coordinates.  So the
     statement holds exactly when out_j = w_j for every j, which costs no
-    product; only a failing cell forms u_j = q^(step*j) (w_j - out_j).
+    product; only a failing cell forms u_j = q^(d*j) (w_j - out_j).
 
     The weights end at w_K (_weights), so both kernels have K + 1 entries and
     every u_j past them is zero: Horner costs about K^2 shifts, not n^2."""
     w = _ring_weights(n, spec)
-    td = t * spec[1]
-    out = horner(w, td - step, td, step, (e, sign))
+    out = horner(w, spec[1], (e, sign))
     if out == w:
         return ()
-    u = [wj - oj for wj, oj in zip(w, out, strict=True)]
-    return tuple(uj * qpow(step * j) for j, uj in enumerate(u)) if step else tuple(u)
+    return tuple((wj - oj) * qpow(spec[1] * j) for j, (wj, oj) in enumerate(zip(w, out, strict=True)))
 
 
 def _ring_diff(n: int, d: int, rescaled: bool, lscale: tuple, seq: "PolySeq | None", u) -> dict:
@@ -564,7 +563,7 @@ def _ring_diff(n: int, d: int, rescaled: bool, lscale: tuple, seq: "PolySeq | No
     lifted."""
     if rescaled:
         g = [uj * Hj for uj, Hj in zip(u, _ring_tails(n, d, 1))]
-        return dict(enumerate(horner(g, 0, d, d, lscale)))
+        return dict(enumerate(horner(g, d, lscale)))
     lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in _numerators(seq.entries)[:len(u)]]
     lscale = LaurentPoly.monomial(*lscale)
     return {j: dot((f[j], uj) for f, uj in zip(lifted, u) if j in f) * lscale for j in sorted(set().union(*lifted))}
@@ -617,24 +616,32 @@ def _check(name: str, p, fam, build) -> CheckReport:
     is certified by congruence._certify_den, once per denominator.  One that
     is not a unit raises, on every check, the error congruent raises on the
     full sides, with the full denominator (_full_den), and no side is built
-    for it.  The statement holds for every family when the cell's
-    _kernel_diff is empty, and is answered then, with no family generated.
-    Otherwise the family is generated (_sequence), unless the side is
-    rescaled, and the difference mapped (_ring_diff): the statement holds
-    when every x-coefficient is zero, and a failing one gets the residual of
-    the same residues over G_0 times H_0 or times the certified fden, formed
-    only there."""
+    for it.  The statement holds for every family when Theorem 1.1's
+    _kernel_diff at (n, spec, -E or -F, sign), read off p, is empty, and is
+    answered then, with no family generated.  Otherwise a tilde cell
+    (thm1.2 and sun_p, t = -1) first turns each entry of that difference
+    into its own (Residue.mirror at M = d*n*(n-1)); the family is generated
+    (_sequence), unless the side is rescaled, and the difference mapped
+    (_ring_diff): the statement holds when every x-coefficient is zero, and
+    a failing one gets the residual of the same residues over G_0 times H_0
+    or times the certified fden, formed only there."""
     started = time.perf_counter()
     fam, label = _resolve_family(fam)
     cell = build(p, fam)
-    spec, (step, rescaled), t, lscale, rscale, fden = cell
+    spec, (_, rescaled), t, lscale, _, fden = cell
     n, d = p.n, spec[1]
     rational = fden is not one and fden != one  # a polynomial family's fden is one itself
     if math.gcd(n, d) != 1 or rational and _certify_den(fden, n, 2) is None:
         raise NoncoprimeDenominatorError(_full_den(n, d, rescaled, fden, qpoch(d, d, n - 1) ** 2), n)
-    u = _kernel_diff(n, spec, step, t, *_ratio(lscale, rscale))
+    if isinstance(p, SymParams):
+        params, exponent = {"n": n, "d": p.d, "r": p.r, "family": label}, p.E
+    else:
+        params, exponent = {"n": n, "a": p.a, "s": p.s, "family": label}, p.F
+    u = _kernel_diff(n, spec, -exponent, p.sign)
     holds, residual = u == (), None
     if not holds:
+        if t < 0:  # tilde: thm1.2's difference is q^M sigma(thm1.1's), sigma: q -> 1/q
+            u = [uj.mirror(d * n * (n - 1)) for uj in u]
         seq = None if rescaled else _sequence(fam, n)
         diff = _ring_diff(n, d, rescaled, lscale, seq, u)
         holds = all(r.is_zero() for r in diff.values())
@@ -648,10 +655,6 @@ def _check(name: str, p, fam, build) -> CheckReport:
             bivariate = rescaled or any(isinstance(f, BiPoly) or isinstance(f, RatExpr) and f.is_bivariate()
                                         for f in seq.entries)
             residual = _residual_text(_residual_of(diff, den, bivariate))
-    if isinstance(p, SymParams):
-        params, exponent = {"n": n, "d": p.d, "r": p.r, "family": label}, p.E
-    else:
-        params, exponent = {"n": n, "a": p.a, "s": p.s, "family": label}, p.F
     return CheckReport(name, params, holds, p.a, exponent, p.sign, p.branch, time.perf_counter() - started, residual)
 
 
@@ -750,8 +753,8 @@ def check_sun_p_analogue(p: SymParams) -> CheckReport:
     P_n(alpha, x; Q) = Sum Q^(k^2+k) [alpha,k]_Q [-1-alpha,k]_Q (x;Q)_k / (Q;Q)_k.
     With alpha = -r/d, each side equals the side of Theorem 1.2 at the
     sun_p_x family f_k = q^k (x;q)_k / (q;q)_k as a rational function, so
-    this is decided as that cell, the rescaled side of _thm_1_2, by thm1.2's
-    kernel difference.
+    this is decided as that cell, the rescaled side of _thm_1_2, by thm1.1's
+    kernel difference mirrored, as thm1.2 is.
     """
     _require(_odd_n(p.n))
     return _check("sun_p", p, _SUN_P_X, _thm_1_2)
@@ -889,7 +892,7 @@ CHECKS: dict[str, Check] = {
         lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1) if _posed(n, d) else None,
         lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
         lambda n, d, r, family: (n, _spec(r, d)),
-        cost=lambda n, d, r, family: _transform_span(n, family),  # its full sides transform n entries
+        cost=lambda n, d, r, family: _transform_span(n, family),  # the full sides' span: the check transforms no entry
     ),
     "thm1.2": Check(
         ("n", "d", "r", "family"),

@@ -137,19 +137,23 @@ def cyclotomic_by_mobius(n: int) -> LaurentPoly:
     return LaurentPoly({i: c for i, c in enumerate(quot) if c != 0})
 
 
+def qpascal_rows(length: int) -> list:
+    """The rows [m, 0..m] of Gaussian binomials for m < length, each by the
+    q-Pascal recurrence [m, j] = [m-1, j-1] + q^j [m-1, j] from the one
+    before, as dicts."""
+    rows = [[{0: Fraction(1)}]]
+    for m in range(1, length):
+        row = rows[-1]
+        rows.append([{0: Fraction(1)}] + [ref_add(row[j - 1], {e + j: c for e, c in row[j].items()})
+                                          for j in range(1, m)] + [{0: Fraction(1)}])
+    return rows[:length]
+
+
 def qpascal(n: int, k: int) -> dict:
     """Gaussian binomial by the q-Pascal recurrence, as a dict."""
     if k < 0 or k > n:
         return {}
-    row = [{0: Fraction(1)}]
-    for m in range(1, n + 1):
-        nxt = [{0: Fraction(1)}]
-        for j in range(1, m):
-            shifted = {e + j: c for e, c in row[j].items()}
-            nxt.append(ref_add(row[j - 1], shifted))
-        nxt.append({0: Fraction(1)})
-        row = nxt
-    return row[k]
+    return qpascal_rows(n + 1)[n][k]
 
 
 def negative_top_qbinom(m: int, k: int) -> LaurentPoly:
@@ -247,10 +251,10 @@ def transform_matrix(kind: str, length: int) -> list:
         raise ValueError(f"unknown transform kind {kind!r}")
     return [
         [
-            LaurentPoly({e + shift(k, j): (-1) ** j * c for e, c in qpascal(k, j).items()})
+            LaurentPoly({e + shift(k, j): (-1) ** j * c for e, c in row[j].items()}) if j <= k else LaurentPoly()
             for j in range(length)
         ]
-        for k in range(length)
+        for k, row in enumerate(qpascal_rows(length))
     ]
 
 

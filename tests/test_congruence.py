@@ -406,82 +406,83 @@ def test_dot_matches_long_division(n, m, pairs):
     assert list(got.coeffs) == residue_by_long_division(total, n, m)
 
 
-# small, or far: |c| up to about 10^6 and |e| above every m*n drawn (m*n <= 93),
-# so the shift q^(c + k*e) = q^(K*n + b) has large K of either sign
-horner_offsets = st.one_of(st.integers(min_value=-12, max_value=12),
-                           st.integers(min_value=-10**6 - 100, max_value=10**6 + 100))
-horner_steps = st.one_of(st.integers(min_value=-12, max_value=12), st.integers(min_value=94, max_value=400),
-                         st.integers(min_value=-400, max_value=-94))
+# near, or far: d above every m*n drawn (m*n <= 93), so that q^(d*k) = q^(K*n + b)
+# passes the span with a large K already at k = 1
+horner_ds = st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=94, max_value=400))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
-       st.lists(polys, min_size=1, max_size=5), horner_offsets, horner_steps)
-def test_horner_matches_long_division(n, m, g, c, e):
-    """The x-coefficients of Sum_k g_k (x q^c; q^e)_k, against the sum expanded
-    on dicts, x-degree by x-degree, and reduced by the oracle.  n = 15, 21
-    and 30 have a middle stage in the tower above n = 12."""
-    got = horner([reduce(gk, n, m) for gk in g], c, e)
-    assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, c, e, n, m)
+       st.lists(polys, min_size=1, max_size=5), horner_ds)
+def test_horner_matches_long_division(n, m, g, d):
+    """The x-coefficients of Sum_k q^(d*k) g_k (x; q^d)_k, against the sum
+    expanded on dicts, x-degree by x-degree, and reduced by the oracle.
+    n = 15, 21 and 30 have a middle stage in the tower above n = 12."""
+    got = horner([reduce(gk, n, m) for gk in g], d)
+    assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, d, n, m)
 
 
-def _horner_by_long_division(g, c, e, n, m, step=0, scale=(0, 1)):
-    """The len(g) x-coefficients of sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k,
+def _horner_by_long_division(g, d, n, m, scale=(0, 1)):
+    """The len(g) x-coefficients of sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k,
     scale = (E, sign), expanded on dicts and each reduced by the oracle."""
-    total, poch = {}, {0: {0: Fraction(1)}}  # x-degree -> q-dict; poch = (x q^c; q^e)_k
+    total, poch = {}, {0: {0: Fraction(1)}}  # x-degree -> q-dict; poch = (x; q^d)_k
     for k, gk in enumerate(g):
         for j, coeff in poch.items():
-            total[j] = ref_add(total.get(j, {}), ref_mul(terms_of(gk), ref_mul(coeff, {step * k: Fraction(1)})))
+            total[j] = ref_add(total.get(j, {}), ref_mul(terms_of(gk), ref_mul(coeff, {d * k: Fraction(1)})))
         step_k = {}
         for j, coeff in poch.items():
             step_k[j] = ref_add(step_k.get(j, {}), coeff)
-            step_k[j + 1] = ref_add(step_k.get(j + 1, {}), ref_mul(coeff, {c + k * e: Fraction(-1)}))
+            step_k[j + 1] = ref_add(step_k.get(j + 1, {}), ref_mul(coeff, {d * k: Fraction(-1)}))
         poch = step_k
     scale = {scale[0]: Fraction(scale[1])}
     return [residue_by_long_division(ref_mul(total.get(j, {}), scale), n, m) for j in range(len(g))]
 
 
-horner_scales = st.tuples(horner_offsets, st.sampled_from([1, -1]))
+# small, or far: |E| up to about 10^6, so that q^E = q^(K*n + b) has large K of either sign
+horner_scales = st.tuples(st.one_of(st.integers(min_value=-12, max_value=12),
+                                    st.integers(min_value=-10**6 - 100, max_value=10**6 + 100)),
+                          st.sampled_from([1, -1]))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
-       st.lists(polys, min_size=1, max_size=4), horner_offsets, horner_steps, horner_steps, horner_scales)
-def test_horner_with_a_step_and_a_scale_matches_long_division(n, m, g, c, e, step, scale):
-    """sign * q^E * Sum_k q^(step*k) g_k (x q^c; q^e)_k, the side step and the
-    scale ratio applied in eps-coordinates, against the sum expanded on dicts
-    and reduced by the oracle, for steps near and far, both signs and E of
-    either sign: on g, and on g_0 alone, which the one-g shortcut must still
-    scale."""
+       st.lists(polys, min_size=1, max_size=4), horner_ds, horner_scales)
+def test_horner_with_a_step_and_a_scale_matches_long_division(n, m, g, d, scale):
+    """sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k, the side step q^(d*k) and
+    the scale applied in eps-coordinates, against the sum expanded on dicts
+    and reduced by the oracle, for d near and far and E of either sign: on
+    g, and on g_0 alone, which the one-g shortcut must still scale."""
     for gs in (g, g[:1]):
-        got = horner([reduce(gk, n, m) for gk in gs], c, e, step, scale)
-        assert [list(r.coeffs) for r in got] == _horner_by_long_division(gs, c, e, n, m, step, scale)
-
-
-@settings(max_examples=30, deadline=None)
-@given(ring_ns, st.integers(min_value=1, max_value=3), st.lists(polys, min_size=1, max_size=4), horner_offsets,
-       horner_steps, horner_steps, horner_scales, horner_offsets)
-def test_horner_at_an_offset_moved_by_sigma_scales_x_to_the_j_by_q_to_the_minus_sigma_j(n, m, g, c, e, step,
-                                                                                        scale, sigma):
-    """[x^j] F(x q^-sigma) = q^(-sigma*j) [x^j] F(x): horner at c - sigma is
-    horner at c with its x^j coefficient times q^(-sigma*j), the identity
-    theorems._kernel_diff uses to fold its side step into the offset."""
-    rs = [reduce(gk, n, m) for gk in g]
-    moved, at_c = horner(rs, c - sigma, e, step, scale), horner(rs, c, e, step, scale)
-    assert moved == [r * qpow(-sigma * j) for j, r in enumerate(at_c)]
+        got = horner([reduce(gk, n, m) for gk in gs], d, scale)
+        assert [list(r.coeffs) for r in got] == _horner_by_long_division(gs, d, n, m, scale)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
-       st.lists(polys, max_size=3), polys, st.integers(min_value=1, max_value=3), horner_offsets, horner_steps)
-def test_horner_on_one_g_and_on_trailing_zeros(n, m, head, last, zeros, c, e):
+       st.lists(polys, max_size=3), polys, st.integers(min_value=1, max_value=3), horner_ds)
+def test_horner_on_one_g_and_on_trailing_zeros(n, m, head, last, zeros, d):
     """A single g_0 is its own x^0 coefficient, and g_k that end in zeros (a
     kernel cut where its weights vanish) leave the top x-coefficients zero:
     both against the expanded sum reduced by the oracle."""
     for g in ([last], head + [last] + [LaurentPoly()] * zeros):
-        got = horner([reduce(gk, n, m) for gk in g], c, e)
-        assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, c, e, n, m)
+        got = horner([reduce(gk, n, m) for gk in g], d)
+        assert [list(r.coeffs) for r in got] == _horner_by_long_division(g, d, n, m)
     assert all(r.is_zero() for r in got[len(g) - zeros:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ring_ns, st.sampled_from([15, 21, 30])), st.integers(min_value=1, max_value=3),
+       st.dictionaries(st.integers(min_value=-8, max_value=15), coefficients, max_size=6),
+       st.one_of(st.integers(min_value=-40, max_value=40), st.integers(min_value=-10**6, max_value=10**6)))
+def test_mirror_matches_long_division_and_is_an_involution(n, m, terms, M):
+    """Residue.mirror(M) is Sum c_i q^(M - i) over the coefficients c_i of
+    the representative, int or Fraction, against the oracle's residue of
+    that sum, for M near and far of either sign; mirroring twice at one M
+    gives the residue back."""
+    r = reduce(LaurentPoly(terms), n, m)
+    mirrored = r.mirror(M)
+    assert list(mirrored.coeffs) == residue_by_long_division({M - i: c for i, c in enumerate(r.coeffs)}, n, m)
+    assert mirrored.mirror(M) == r
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,7 +505,7 @@ def test_every_residue_product_rejects_mixed_moduli(left, right):
     """Both factors of a dot pair are checked, whichever holds the odd modulus,
     as Residue.__mul__ and horner check theirs."""
     a, b = reduce(q**3 + 2, *left), reduce(q + 1, *right)
-    for product in (lambda: a * b, lambda: dot([(a, b)]), lambda: dot([(a, a), (b, b)]), lambda: horner([a, b], 1, 1)):
+    for product in (lambda: a * b, lambda: dot([(a, b)]), lambda: dot([(a, a), (b, b)]), lambda: horner([a, b], 1)):
         with pytest.raises(ValueError, match="^mixed moduli in Residue arithmetic$"):
             product()
 
@@ -734,4 +735,4 @@ def test_more_keys_than_an_entry_bound_keep_the_cache_full_and_the_results(cache
         old, new = Residue(first[keys.index((3, 2))], [1, 2, 0, 0]), reduce(q + 1, 3, 2)
         assert old._ring is not new._ring and old == reduce(1 + 2 * q, 3, 2)
         assert dot([(new, old), (new, new)]) == new * old + new * new
-        assert horner([old, new], 1, 1) == horner([reduce(1 + 2 * q, 3, 2), new], 1, 1)
+        assert horner([old, new], 1) == horner([reduce(1 + 2 * q, 3, 2), new], 1)

@@ -4,7 +4,7 @@ import inspect
 import math
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from qcong import congruence, theorems
 from qcong.bivariate import BiPoly, RatExpr
-from qcong.congruence import (NoncoprimeDenominatorError, Residue, congruent, horner, reduce, reduce_by_degree,
-                              residual)
+from qcong.congruence import (NoncoprimeDenominatorError, Residue, congruent, dot, horner, reduce,
+                              reduce_by_degree, residual)
 from qcong.cyclotomic import cyclotomic, totient
 from qcong.families import FamilySpec, generate
 from qcong.laurent import LaurentPoly, one, q, qpow
@@ -51,7 +51,7 @@ from qcong.theorems import (
     thm_1_2_sides,
     thm_2_1_sides,
 )
-from qcong.transforms import RATIONAL, PolySeq, UNIVARIATE, common_denominator
+from qcong.transforms import BIVARIATE, RATIONAL, PolySeq, UNIVARIATE, common_denominator
 
 # -- parameter derivation ----------------------------------------------------
 
@@ -264,13 +264,25 @@ def _statement(build, p, seq):
     return p, cell, None if cell[1][1] else seq
 
 
+@lru_cache(maxsize=64)
 def _kernel(n, spec, t, step):
-    """The kernel of a side as _kernel_diff forms it: the weights times
-    q^(step*k), and Horner on them at (t*d, t*d) for a side transformed
-    by t."""
+    """The kernel of a side, d the spec's d: v_k = w_k q^(step*k) untransformed
+    (t = 0), and for a transformed side the u_j with
+    Sum_k v_k T(f)_k(q^d) == Sum_j u_j f_j(q^d) mod Phi_n^2.  hat (t = 1) is
+    the library's Horner pass, u_j = q^(d*j) [x^j] Sum_k q^(d*k) (v_k q^(-d*k)) (x; q^d)_k;
+    tilde (t = -1) is the transposed matrix of helpers.transform_matrix at
+    q -> q^d, u_j = Sum_k v_k M[k][j](q^d), which runs no library Horner.
+    The matrix needs only the rows k the weights reach.  Kept per key, as
+    the perturbed records of one cell read the same kernels."""
+    d = spec[1]
     v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec))]
-    td = t * spec[1]
-    return horner(v, td, td) if t else v
+    if t == 1:
+        return tuple(r * qpow(d * j) for j, r in enumerate(horner([vk * qpow(-d * k) for k, vk in enumerate(v)], d)))
+    if t == -1:
+        rows = transform_matrix("tilde", len(v))
+        return tuple(dot((vk, reduce(row[j].substitute_power(d), n, 2)) for vk, row in zip(v[j:], rows[j:]))
+                     for j in range(len(v)))
+    return tuple(v)
 
 
 def _ring_ratexprs(statement):
@@ -780,58 +792,133 @@ def test_three_sym_grid_rounds_certify_no_denominator(monkeypatch):
     assert calls == [] and [(info.misses, info.hits, info.currsize) for info in infos] == [(0, 0, 0)] * 2
 
 
+def _counted_horner(calls):
+    """congruence.horner, recording (len(g), d, scale) of each call in calls."""
+    def counted(g, *args):
+        calls.append((len(g), *args))
+        return horner(g, *args)
+
+    return counted
+
+
 @pytest.mark.parametrize("check", [check_thm_1_1, check_thm_1_2])
 def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
-    """A cold thm1.1 or thm1.2 cell runs Horner once, on its weights, with
-    the side step and the scale ratio applied in it: at c = t*d - step,
-    which is 0 for thm1.1 (step d) and -d for thm1.2 (step 0).  A second
-    family of the cell runs none."""
+    """A cold thm1.1 or thm1.2 cell runs Horner once, on its weights, at base
+    d with the side step q^(d*k) and the scale ratio applied in it: both
+    read Theorem 1.1's kernel difference, keyed on (n, spec, -E, sign).  A
+    second family of the cell runs none."""
     calls = []
-
-    def counted(g, c, e, step, scale):
-        calls.append((len(g), c, e, step))
-        return horner(g, c, e, step, scale)
-
-    monkeypatch.setattr(theorems, "horner", counted)
+    monkeypatch.setattr(theorems, "horner", _counted_horner(calls))
     for cache in RING_CACHES:
         cache.cache_clear()
     p = SymParams.create(11, 3, 2)
     for fam in ("ones", "random_poly:4:3"):
         assert check(p, fam).holds
-    t, step = (1, 3) if check is check_thm_1_1 else (-1, 0)
-    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3 * t - step, 3 * t, step)]
+    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3, (-p.E, p.sign))]
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_thm_1_2_and_sun_p_read_the_kernel_diff_of_thm_1_1(flipped, monkeypatch):
+    """thm1.2 and sun_p at the params of a decided thm1.1 cell add no
+    _kernel_diff miss and run no Horner pass on the weights: each reads
+    thm1.1's difference, its sign and E being the record's.  A sign-flipped
+    sun_p_x fails, and maps its mirrored difference by the one Horner in x
+    of its rescaled side, at base d with its own scale 1."""
+    calls = []
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    cell = SymParams.create(11, 3, 2)
+    p = dataclasses.replace(cell, sign=-cell.sign) if flipped else cell
+    assert check_thm_1_1(p, "ones").holds != flipped
+    before = theorems._kernel_diff.cache_info()
+    monkeypatch.setattr(theorems, "horner", _counted_horner(calls))
+    for fam in ("ones", "random_poly:4:3", "sun_p_x"):
+        assert check_thm_1_2(p, fam).holds != flipped, fam
+    rep = check_sun_p_analogue(p)
+    assert rep.holds != flipped and (rep.residual is not None) == flipped
+    after = theorems._kernel_diff.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3, (0, 1))] * (2 * flipped)
+
+
+def _mirrored(entries, kind) -> PolySeq:
+    """The custom PolySeq of f_k(q^-1): every coefficient in x mapped q -> 1/q."""
+    return PolySeq(tuple(f.substitute_power(-1) for f in entries), kind)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_thm_1_2_on_f_is_thm_1_1_on_f_at_one_over_q(n):
+    """sigma: q -> 1/q maps (Phi_n^2) to itself, Phi_n being palindromic, tilde
+    to hat, and each weight T_k to q^(d*k) T_k.  So Theorem 1.2 on f at a
+    record holds exactly when Theorem 1.1 on the custom PolySeq of f(q^-1)
+    holds at the same record, E and sign included, and where they fail
+    thm1.1's residual is q^E sigma(thm1.2's) mod Phi_n^2.  sun_p, Theorem 1.2
+    on sun_p_x = N/D, D = (q;q)_(n-1), is compared with Theorem 1.1 on the
+    mirrored numerators N(q^-1), its residual times sigma(D(q^d)).  On the
+    true, sign-flipped, E + 1, E - 1 and E + n records, d 1..6 and r -6..6:
+    the test reads the reports alone, no kernel, so it checks the identity
+    that the checks decide thm1.2 by apart from the code that uses it."""
+    records = {**PERTURBATIONS, "E+n": lambda p: _bump_exponent(p, p.n)}
+    families = [(fam, _mirrored(generate(fam, n).entries, UNIVARIATE)) for fam in ("ones", "random_poly:4:3")]
+    nums, den = common_denominator(generate("sun_p_x", n).entries)
+    sun_p = _mirrored(nums, BIVARIATE)
+    failing = agreed = 0
+    for d in (d for d in range(1, 7) if math.gcd(n, d) == 1):
+        for r in range(-6, 7):
+            for name, perturb in records.items():
+                p = perturb(SymParams.create(n, d, r))
+                runs = [(check_thm_1_2(p, fam), mirrored, one) for fam, mirrored in families]
+                if n % 2:
+                    runs.append((check_sun_p_analogue(p), sun_p, den.substitute_power(-d)))
+                for rep, mirrored, scale in runs:
+                    other = check_thm_1_1(p, mirrored)
+                    assert rep.holds == other.holds, (name, d, r, rep.check, rep.params)
+                    if not rep.holds:  # both times one integer, so the ring products are on integers
+                        mine, theirs = _residual_by_degree(rep.residual), _residual_by_degree(other.residual)
+                        clear = math.lcm(*(Fraction(c).denominator for res in mine.values()
+                                           for c in res.terms.values()))
+                        scale = reduce(scale, n, 2) * qpow(p.E)
+                        sigma = {j: reduce(res.substitute_power(-1) * clear, n, 2) * scale for j, res in mine.items()}
+                        assert sigma == {j: reduce(res * clear, n, 2) for j, res in theirs.items()}, (name, d, r)
+                    failing += not rep.holds
+                    agreed += 1
+    assert 0 < failing < agreed
 
 
 def _kernel_diff_of_two_kernels(n, spec, step, t, e, sign):
     """u^L - sign * q^e * u^R from the two kernels of _kernel, each formed on
-    its own with its shift products, then the ratio products, as the
-    difference was formed before one Horner pass decided it: () when zero."""
+    its own with its shift products, then the ratio products: () when zero."""
     ratio = LaurentPoly.monomial(e, sign)
     u = tuple(a - b * ratio for a, b in zip(_kernel(n, spec, 0, step), _kernel(n, spec, t, step), strict=True))
     return () if all(uj.is_zero() for uj in u) else u
 
 
-@pytest.mark.parametrize("n", range(2, 14))
+@pytest.mark.parametrize("n", [*range(2, 14), 41, 61])
 def test_kernel_diff_matches_the_two_kernels_on_perturbed_records(n):
-    """Each kernel difference of a thm1.1 and a thm1.2 cell, d 1..6, r -8..8,
-    formed cold (not read from its cache) on the true record and on records
-    with E + 1, E - 1, the sign flipped or the side step 1: one Horner pass
-    with the step and the ratio in it against the two kernels formed apart.
-    No benchmark round reaches a failing cell, so this is where the failing
-    path, u_j = q^(step*j) (w_j - out_j), is checked."""
+    """Each kernel difference of a cell, formed cold (not read from its
+    cache), at the keys (spec, e, sign) of the true record and of records
+    with E + 1, E - 1 or the sign flipped, against the two kernels formed
+    apart: as thm1.1's difference at the ratio sign * q^e, with the hat
+    kernel and the side step d, and mirrored (Residue.mirror at
+    M = d*n*(n-1)) as thm1.2's at the ratio sign * q^-e, whose tilde kernel
+    comes from the transform matrix, with no Horner.  d 1..6 and r -8..8 up
+    to n = 13; at n = 41 and 61, (d, r) = (1, -3), (3, -12) and (2, 1), the
+    last with K = (n - 1)/2.  No benchmark round reaches a failing cell, so
+    this is where the failing path, u_j = q^(d*j) (w_j - out_j), and its
+    mirror are checked."""
+    cells = [(1, -3), (3, -12), (2, 1)] if n > 13 else [(d, r) for d in range(1, 7) if math.gcd(n, d) == 1
+                                                        for r in range(-8, 9)]
     keys = set()
-    for d in (d for d in range(1, 7) if math.gcd(n, d) == 1):
-        for r in range(-8, 9):
-            p = SymParams.create(n, d, r)
-            for build in (_thm_1_1, _thm_1_2):
-                spec, (step, _), t, lscale, rscale, _ = build(p, FamilySpec.parse("ones"))
-                e, sign = theorems._ratio(lscale, rscale)
-                keys |= {(spec, step, t, e, sign), (spec, step, t, e + 1, sign), (spec, step, t, e - 1, sign),
-                         (spec, step, t, e, -sign), (spec, 1, t, e, sign)}
+    for d, r in cells:
+        p = SymParams.create(n, d, r)
+        keys |= {(_spec(r, d), by - p.E, sign) for by, sign in ((0, p.sign), (1, p.sign), (-1, p.sign), (0, -p.sign))}
     failing = 0
-    for key in sorted(keys):
-        got = theorems._kernel_diff.__wrapped__(n, *key)
-        assert got == _kernel_diff_of_two_kernels(n, *key), key
+    for spec, e, sign in sorted(keys):
+        d = spec[1]
+        got = theorems._kernel_diff.__wrapped__(n, spec, e, sign)
+        assert got == _kernel_diff_of_two_kernels(n, spec, d, 1, e, sign), (spec, e, sign)
+        mirrored = tuple(u.mirror(d * n * (n - 1)) for u in got)
+        assert mirrored == _kernel_diff_of_two_kernels(n, spec, 0, -1, -e, sign), (spec, e, sign)
         failing += got != ()
     assert 0 < failing < len(keys)
 
@@ -853,8 +940,7 @@ def test_a_cold_holding_cell_multiplies_by_sparse_factors_only_in_its_pair_chain
 
 
 def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
-    """_check keys a cell's _kernel_diff on its one spec, its side's step and
-    the right side's t: every builder's cell is
+    """Every builder's cell, the record _full_sides expands, is
     (spec, (step, rescaled), t, lscale, rscale, fden), with the (r, d) spec of
     its CHECKS key, a rescaled side for the sun_p_x label alone and t = 1
     (hat) or -1 (tilde); the left side is untransformed by construction.
@@ -1228,9 +1314,9 @@ def kernel_cases(draw):
 def test_ring_kernel_is_the_transposed_transform(case):
     """Sum_j u_j f_j(q^d) == Sum_k w_k q^(step*k) T(f)_k(q^d) mod Phi_n^2, d the spec's d,
     T from the matrix and every w_k, k < n, from the formula, for the kernel
-    u that _kernel_diff forms: Horner at (t*d, t*d) on the weights times
-    q^(step*k).  u has one entry per ring weight, so the f_j past it are
-    never read."""
+    u of _kernel: the library's Horner pass on the weights times
+    q^(step*k) for hat, the transposed matrix for tilde.  u has one entry
+    per ring weight, so the f_j past it are never read."""
     n, spec, t, step, entries = case
     d = spec[1]
     w, _ = _formula_weights(n, spec)
@@ -1405,8 +1491,9 @@ def test_sun_p_reports_thm_1_2_on_sun_p_x(name):
 
 
 def test_sun_p_after_thm_1_2_adds_no_kernel_diff_miss():
-    """A sun_p check of a cell that thm1.2 has decided reads thm1.2's kernel
-    difference: true, or with the sign flipped, it adds a hit and no miss."""
+    """A sun_p check of a cell that thm1.2 has decided reads the kernel
+    difference thm1.2 read: true, or with the sign flipped, it adds a hit
+    and no miss."""
     cell = SymParams.create(11, 3, 2)
     for p in (cell, dataclasses.replace(cell, sign=-cell.sign)):
         theorems._kernel_diff.cache_clear()
