@@ -55,11 +55,11 @@ Each ring cache is keyed on what it reads.  The tails G_k (per
 (n, d, power)) depend on neither r nor alpha, so every r of a cell,
 every round of a grid and every alpha of thm2.1 share them; they are kept
 under the ring budget in coefficients (congruence._budgeted), with the
-certified denominators of congruence and their inverses.  The weights (per
-(n, spec)) and the kernel differences (_kernel_diff) are keyed per r and
-keep entry counts; a kernel is not kept apart from its difference.  A spec
-is keyed on min(r, d - r), since the weights are symmetric under
-r <-> d - r.
+certified denominators of congruence and their inverses.  The kernel
+differences (_kernel_diff) are keyed per r and keep an entry count; the
+weights and the kernels are built only where a difference is, and are not
+kept apart from it.  A spec is keyed on min(r, d - r), since the weights
+are symmetric under r <-> d - r.
 
 Every sum stops where its weights vanish mod Phi_n^2.  Phi_n divides 1 - q^e
 exactly when n divides e, so, with a*d + r == 0 (mod n) in the spec's r and
@@ -99,6 +99,29 @@ denominator is certified, once (congruence._certify_den, which also keeps
 the fact that it is not a unit, so such a cell raises on every check); the
 product is formed only on a failing cell, for its residual.
 
+Along a period of r the kernel differences are affine, so a sweep builds at
+most two keys of each empty line.  Mod Phi_n^2, eps = q^n - 1 has
+eps^2 == 0, so q^(j + t*k*n) == q^j (1 + t*k*eps) is affine in t.  Take
+P = n for odd n and 2n for even n: r -> r + P keeps a and the sign of a
+record and moves E by dE = P*(n - 1 - 2a)/2, a multiple of n
+(n - 1 - 2a is even for odd n; with P = n at even n, dE would be an odd
+multiple of n/2 and the sign would flip).  So along the line of keys (n, (r + t*P, d), e - t*dE,
+sign), each pair factor 1 - q^(r + t*P + j*d), each weight, q^e and the
+Horner pass over them are affine in t: a product of terms whose t-parts are
+multiples of eps is.  The difference is too, and an affine function with
+two zeros is zero, so a line with two empty keys is empty at every t.  The
+weights' symmetry puts a key on the line of d - r as well.  _kernel_lines
+answers a key () when either of its lines holds two empty keys other than
+itself, and builds it otherwise: a line with a nonempty key is built at
+every key, so no difference is derived from others and every residual is
+the direct build's.  The rule needs m = 2: mod Phi_n^m the difference is a
+polynomial of degree m - 1 in t.  The table holds the lines of one (n, d),
+cleared when a key of another comes, so it holds at most two lines per
+empty key of one block.  A sweep runs each (n, d) block in one stretch of
+one worker; sym_grid asks at most two keys of an (n, d) in a row and
+derives nothing; `qcong verify` decides one key per process and always
+builds.
+
 The rescaled side is Sum_j g_j (x; q^d)_j with ring coefficients g_j, and
 congruence.horner gives its x-coefficients from the last j down,
 S <- g_j + (1 - x q^(j*d)) S: monomial shifts again, with no BiPoly, no lift
@@ -119,8 +142,9 @@ budget: a lemma sweep forms each once per (n, j), whatever its s.
 CHECKS keys each check that builds a statement by (n, its weight spec),
 the _spec its builder uses; a sweep runs its tasks grouped by the (n, d)
 of that spec and then by that key, and hands each (n, d) block to one
-worker, so the tails, weights and kernels of a cell are built once while
-the bounded caches hold them.
+worker, so the tails and the kernel difference of a cell are built once
+while the bounded caches hold them, and its lines see every key of the
+block.
 
 Parameter conventions:
 
@@ -140,6 +164,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -507,16 +532,68 @@ def _ring_tails(n: int, step: int, power: int) -> tuple:
     return tuple(_tails(partial(reduce, n=n, m=2), step, n, power))
 
 
-@lru_cache(maxsize=4)
-def _ring_weights(n: int, spec: tuple) -> list:
-    """The weights of a spec mod Phi_n^2, kept across the families of a cell.
-    Their denominator G_0 is not kept here: it depends on d alone, and a
-    failing check reads it off _ring_tails."""
-    return _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, spec[1], 2))[0]
-
-
 @lru_cache(maxsize=16)
 def _kernel_diff(n: int, spec: tuple, e: int, sign: int) -> tuple:
+    """Theorem 1.1's kernel difference at (n, spec, e, sign), or () when it is
+    zero: _build_kernel_diff's value, kept per key.  A miss goes to the line
+    table (_kernel_lines), which answers () from the empty lines of its
+    (n, d) or builds it."""
+    return _kernel_lines(n, spec, e, sign)
+
+
+LineInfo = namedtuple("LineInfo", "hits misses currsize")
+"""The line table's cache_info: keys answered, keys built, lines held."""
+
+_lines: dict = {}  # (n, d) -> {line: the t of its known-empty points}, for one (n, d)
+_line_counts = [0, 0]  # keys answered, keys built
+
+
+def _kernel_lines(n: int, spec: tuple, e: int, sign: int) -> tuple:
+    """_build_kernel_diff(n, spec, e, sign), answered () with no weights and
+    no Horner when either line through the key already holds two empty
+    points other than the key's own, and built otherwise.  Every empty
+    result, built or answered, is recorded on both its lines.
+
+    For each spelling c of the spec, r and d - r, the key lies on the line
+    (c mod P, e + t*dE, sign) at t = c // P, where P = n for odd n and 2n
+    for even n, dE = P*(n - 1 - 2a)/2 and a == -c/d (mod n): e + t*dE is
+    the key's e moved back to t = 0.  Along a line the difference is affine
+    in t (the module docstring), so a line with two empty points is empty
+    at every t.  The table holds the lines of one (n, d), and is cleared
+    when a key of another comes."""
+    r, d = spec
+    held = _lines.get((n, d))
+    if held is None:
+        _lines.clear()
+        held = _lines[n, d] = {}
+    P, inverse = (n if n % 2 else 2 * n), pow(d, -1, n)
+    points = []
+    for c in (r, d - r):
+        t, a = c // P, -c * inverse % n
+        points.append(((c % P, e + t * (P * (n - 1 - 2 * a) // 2), sign), t))
+    if any(len(ts := held.get(line, ())) - (t in ts) >= 2 for line, t in points):
+        _line_counts[0] += 1
+        u = ()
+    else:
+        _line_counts[1] += 1
+        u = _build_kernel_diff(n, spec, e, sign)
+    if not u:
+        for line, t in points:
+            held.setdefault(line, set()).add(t)
+    return u
+
+
+def _clear_lines() -> None:
+    _lines.clear()
+    _line_counts[:] = [0, 0]
+
+
+# lru_cache's surface, so that the caches of a test or a benchmark pass are cleared with it
+_kernel_lines.cache_info = lambda: LineInfo(*_line_counts, sum(map(len, _lines.values())))
+_kernel_lines.cache_clear = _clear_lines
+
+
+def _build_kernel_diff(n: int, spec: tuple, e: int, sign: int) -> tuple:
     """Theorem 1.1's u^L - sign * q^e * u^R mod Phi_n^2, or () when the two
     agree: exactly when the statement holds for every family.  u^L and u^R
     are the kernels of the two sides, the u_j with
@@ -542,8 +619,10 @@ def _kernel_diff(n: int, spec: tuple, e: int, sign: int) -> tuple:
     product; only a failing cell forms u_j = q^(d*j) (w_j - out_j).
 
     The weights end at w_K (_weights), so both kernels have K + 1 entries and
-    every u_j past them is zero: Horner costs about K^2 shifts, not n^2."""
-    w = _ring_weights(n, spec)
+    every u_j past them is zero: Horner costs about K^2 shifts, not n^2.
+    The weights are built here, from the cached tails: a cell's families and
+    the thm1.2 and sun_p checks of its record read the kept difference."""
+    w = _weights(partial(reduce, n=n, m=2), n, *spec, G=_ring_tails(n, spec[1], 2))[0]
     out = horner(w, spec[1], (e, sign))
     if out == w:
         return ()

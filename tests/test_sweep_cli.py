@@ -539,10 +539,31 @@ def test_thm_2_1_shares_the_kernel_differences_of_thm_1_1_at_d_1(tmp_path):
     cells = {(n, theorems._spec(r, 1), -p.E, p.sign)
              for n in range(2, 8) for r in range(-13, 8) for p in [theorems.SymParams.create(n, 1, r)]}
     theorems._kernel_diff.cache_clear()
+    theorems._kernel_lines.cache_clear()
     summary = run_sweep(build_config(raw))
     info = theorems._kernel_diff.cache_info()
     assert summary.total == summary.passed == 2 * (6 * 21 + 3 * sum(range(2, 8)))
     assert info.misses == len(cells) and info.hits == summary.total - len(cells)
+
+
+@pytest.mark.parametrize("config, flags, misses, built", [
+    (None, {"theorems": "2.1", "n": "10", "s": "-50..50"}, 510, 20),
+    (None, {"theorems": "2.1", "n": "31", "s": "-25..25"}, 806, 31),
+    ("configs/example_sweep.cfg", {}, 178, 109),
+])
+def test_a_sweep_builds_at_most_two_kernel_differences_per_line(tmp_path, config, flags, misses, built):
+    """A one-worker sweep answers a kernel difference that misses its cache
+    from the lines of its (n, d) once a line through it holds two empty
+    points: thm2.1 at n = 10 over s -50..50 builds 20 of its 510 distinct
+    differences, at n = 31 over s -25..25 31 of 806, and the example sweep
+    109 of 178.  Every record holds."""
+    path = config and Path(__file__).parents[1] / config
+    theorems._kernel_diff.cache_clear()
+    theorems._kernel_lines.cache_clear()
+    summary = run_sweep(load_config(path, {**flags, "workers": "1", "output": str(tmp_path / "out.jsonl")}))
+    lines = theorems._kernel_lines.cache_info()
+    assert summary.total == summary.passed
+    assert (theorems._kernel_diff.cache_info().misses, lines.misses, lines.hits) == (misses, built, misses - built)
 
 
 # -- command line -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib.util
 import inspect
@@ -31,7 +32,6 @@ from qcong.theorems import (
     _full_sides,
     _residual_text,
     _ring_diff,
-    _ring_weights,
     _spec,
     _thm_1_1,
     _thm_1_2,
@@ -264,6 +264,11 @@ def _statement(build, p, seq):
     return p, cell, None if cell[1][1] else seq
 
 
+def _ring_weights_of(n, spec):
+    """The ring weights w_0..w_K of a spec, as _build_kernel_diff builds them."""
+    return _weights(partial(reduce, n=n, m=2), n, *spec, G=theorems._ring_tails(n, spec[1], 2))[0]
+
+
 @lru_cache(maxsize=64)
 def _kernel(n, spec, t, step):
     """The kernel of a side, d the spec's d: v_k = w_k q^(step*k) untransformed
@@ -275,7 +280,7 @@ def _kernel(n, spec, t, step):
     The matrix needs only the rows k the weights reach.  Kept per key, as
     the perturbed records of one cell read the same kernels."""
     d = spec[1]
-    v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights(n, spec))]
+    v = [wk * qpow(step * k) for k, wk in enumerate(_ring_weights_of(n, spec))]
     if t == 1:
         return tuple(r * qpow(d * j) for j, r in enumerate(horner([vk * qpow(-d * k) for k, vk in enumerate(v)], d)))
     if t == -1:
@@ -640,11 +645,11 @@ def test_a_trimmed_cell_lifts_only_its_prefix(monkeypatch):
         p = dataclasses.replace(cell, sign=-cell.sign)
         alpha = AlphaParams.create(5, 2, r)
         alpha = dataclasses.replace(alpha, sign=-alpha.sign)
-        assert len(_ring_weights(5, _spec(r, 2))) == K + 1
+        assert len(_ring_weights_of(5, _spec(r, 2))) == K + 1
         runs = [("thm1.1", partial(check_thm_1_1, p), partial(thm_1_1_sides, p), K),
                 ("thm1.2", partial(check_thm_1_2, p), partial(thm_1_2_sides, p), K),
                 ("thm2.1", partial(check_thm_2_1, alpha), partial(thm_2_1_sides, alpha),
-                 len(_ring_weights(5, _spec(-alpha.alpha, 1))) - 1)]
+                 len(_ring_weights_of(5, _spec(-alpha.alpha, 1))) - 1)]
         for name, check, sides, k in runs:
             for fam in ("ones", "random_poly:4:3"):
                 lifted.clear()
@@ -682,6 +687,7 @@ def test_sun_p_x_shares_the_kernel_diff_of_its_cell():
     """sun_p_x, then two other families at one thm1.2 cell: one _kernel_diff
     entry serves all three."""
     theorems._kernel_diff.cache_clear()
+    theorems._kernel_lines.cache_clear()
     p = SymParams.create(9, 4, -2)
     for fam in ("sun_p_x", "ones", "random_poly:4:3"):
         assert check_thm_1_2(p, fam).holds, fam
@@ -708,6 +714,7 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
     scales, so each is a new miss that fails: a key without the ratio's sign
     or exponent would report them holding."""
     theorems._kernel_diff.cache_clear()
+    theorems._kernel_lines.cache_clear()
     cell = SymParams.create(9, 4, -2)
     for p, holds in ((cell, True), (dataclasses.replace(cell, sign=-cell.sign), False),
                      (_bump_exponent(cell, 1), False)):
@@ -717,7 +724,7 @@ def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
     assert (info.misses, info.hits) == (3, 6)
 
 
-RING_CACHES = (theorems._ring_tails, theorems._ring_weights, theorems._kernel_diff, congruence._certify_den,
+RING_CACHES = (theorems._ring_tails, theorems._kernel_diff, theorems._kernel_lines, congruence._certify_den,
                congruence._inverse)
 BUDGETED = (theorems._ring_tails, congruence._certify_den, congruence._inverse)
 
@@ -814,7 +821,7 @@ def test_a_cold_linear_cell_runs_one_horner(check, monkeypatch):
     p = SymParams.create(11, 3, 2)
     for fam in ("ones", "random_poly:4:3"):
         assert check(p, fam).holds
-    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3, (-p.E, p.sign))]
+    assert calls == [(len(_ring_weights_of(11, _spec(2, 3))), 3, (-p.E, p.sign))]
 
 
 @pytest.mark.parametrize("flipped", [False, True])
@@ -838,7 +845,7 @@ def test_thm_1_2_and_sun_p_read_the_kernel_diff_of_thm_1_1(flipped, monkeypatch)
     assert rep.holds != flipped and (rep.residual is not None) == flipped
     after = theorems._kernel_diff.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 4)
-    assert calls == [(len(_ring_weights(11, _spec(2, 3))), 3, (0, 1))] * (2 * flipped)
+    assert calls == [(len(_ring_weights_of(11, _spec(2, 3))), 3, (0, 1))] * (2 * flipped)
 
 
 def _mirrored(entries, kind) -> PolySeq:
@@ -895,8 +902,8 @@ def _kernel_diff_of_two_kernels(n, spec, step, t, e, sign):
 
 @pytest.mark.parametrize("n", [*range(2, 14), 41, 61])
 def test_kernel_diff_matches_the_two_kernels_on_perturbed_records(n):
-    """Each kernel difference of a cell, formed cold (not read from its
-    cache), at the keys (spec, e, sign) of the true record and of records
+    """Each kernel difference of a cell, built directly (_build_kernel_diff,
+    with no cache and no line table), at the keys (spec, e, sign) of the true record and of records
     with E + 1, E - 1 or the sign flipped, against the two kernels formed
     apart: as thm1.1's difference at the ratio sign * q^e, with the hat
     kernel and the side step d, and mirrored (Residue.mirror at
@@ -915,12 +922,109 @@ def test_kernel_diff_matches_the_two_kernels_on_perturbed_records(n):
     failing = 0
     for spec, e, sign in sorted(keys):
         d = spec[1]
-        got = theorems._kernel_diff.__wrapped__(n, spec, e, sign)
+        got = theorems._build_kernel_diff(n, spec, e, sign)
         assert got == _kernel_diff_of_two_kernels(n, spec, d, 1, e, sign), (spec, e, sign)
         mirrored = tuple(u.mirror(d * n * (n - 1)) for u in got)
         assert mirrored == _kernel_diff_of_two_kernels(n, spec, 0, -1, -e, sign), (spec, e, sign)
         failing += got != ()
     assert 0 < failing < len(keys)
+
+
+def _period(n):
+    """P: r and r + P have one sign and an E that differs by a multiple of n."""
+    return n if n % 2 else 2 * n
+
+
+def _line_points(n, spec, e, sign):
+    """The (line, t) of a key on the line of each spelling c of its spec, r
+    and d - r: t = c // P and the line (c mod P, e + E(c) - E(c mod P), sign),
+    the e at t = 0, with E read off SymParams, not from a step formula."""
+    r, d = spec
+    P = _period(n)
+    return {((c % P, e + SymParams.create(n, d, c).E - SymParams.create(n, d, c % P).E, sign), c // P)
+            for c in (r, d - r)}
+
+
+def _line_offsets(n):
+    """The offsets of e = -E + offset: the true key, E -+ 1, E -+ n and E - 2n."""
+    return 0, 1, -1, n, -n, 2 * n
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_no_line_has_two_empty_points_and_a_nonempty_one(n):
+    """Mod Phi_n^2 the kernel difference is affine in t along a line, so a
+    line with two empty points is empty at every t.  Every key of d 1..6
+    coprime to n, r over three periods, e = -E + offset for the offsets
+    0, +-1, +-n and 2n, and both signs, each built directly
+    (_build_kernel_diff): no line holds two empty points and a nonempty one.
+    The grid has empty lines and others of three points or more."""
+    P, lines = _period(n), collections.defaultdict(dict)
+    keys = {(_spec(r, d), -SymParams.create(n, d, r).E + offset, sign)
+            for d in range(1, 7) if math.gcd(n, d) == 1 for r in range(-P, 2 * P)
+            for offset in _line_offsets(n) for sign in (1, -1)}
+    for spec, e, sign in keys:
+        empty = theorems._build_kernel_diff(n, spec, e, sign) == ()
+        for line, t in _line_points(n, spec, e, sign):
+            lines[spec[1], line][t] = empty
+    kinds = collections.Counter()
+    for points in lines.values():
+        assert not (sum(points.values()) >= 2 and not all(points.values())), points
+        kinds[all(points.values())] += len(points) >= 3
+    assert kinds[True] and kinds[False], kinds
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_line_table_answers_each_key_as_the_direct_build(data):
+    """Keys at n 2..13, d 1..6 coprime to n, r over four periods of one or
+    two classes, e = -E + offset for the offsets 0, +-1, +-n and 2n, and both
+    signs, asked of _kernel_diff cold in a random order: each answer, built
+    or read off the lines of its (n, d), is _build_kernel_diff's."""
+    n = data.draw(st.integers(2, 13))
+    d = data.draw(st.sampled_from([d for d in range(1, 7) if math.gcd(n, d) == 1]))
+    P = _period(n)
+    classes = data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=2, unique=True))
+    keys = sorted({(_spec(c + t * P, d), -SymParams.create(n, d, c + t * P).E + offset, sign)
+                   for c in classes for t in range(-1, 3) for offset in _line_offsets(n) for sign in (1, -1)})
+    theorems._kernel_diff.cache_clear()
+    theorems._kernel_lines.cache_clear()
+    for spec, e, sign in data.draw(st.permutations(keys)):
+        assert theorems._kernel_diff(n, spec, e, sign) == theorems._build_kernel_diff(n, spec, e, sign), (spec, e, sign)
+    info = theorems._kernel_lines.cache_info()
+    assert info.hits + info.misses == len(keys)
+
+
+def test_a_line_with_two_empty_points_answers_the_rest_of_it(monkeypatch):
+    """thm1.1 at (7, 3, r) for r = 1, 8, 15, 22, one line of period 7 along
+    which -E steps by -7: the first two keys are built, the next two
+    answered () with no weights built.  A sign-flipped key, on no empty
+    line, is built.  A key of another (n, d) clears the table, which then
+    holds the two lines of that key alone."""
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    built = []
+    build = theorems._build_kernel_diff
+    monkeypatch.setattr(theorems, "_build_kernel_diff", lambda *key: built.append(key) or build(*key))
+    for r in (1, 8, 15, 22):
+        assert check_thm_1_1(SymParams.create(7, 3, r), "ones").holds
+    assert [key[1] for key in built] == [_spec(1, 3), _spec(8, 3)]
+    assert theorems._kernel_lines.cache_info()[:2] == (2, 2)
+    cell = SymParams.create(7, 3, 29)
+    assert not check_thm_1_1(dataclasses.replace(cell, sign=-cell.sign), "ones").holds
+    assert len(built) == 3
+    assert theorems._kernel_lines.cache_info().currsize == 2
+    assert check_thm_1_1(SymParams.create(5, 3, 1), "ones").holds
+    assert (theorems._kernel_lines.cache_info().currsize, len(built)) == (2, 4)
+
+
+def test_sym_grid_rounds_answer_nothing_from_the_line_table():
+    """A sym_grid round asks at most two keys of each (n, d), thm1.1's and
+    thm1.2's, one after the other: the table never holds two points of a
+    line besides the one asked, so three rounds build every kernel
+    difference that misses its cache."""
+    _three_sym_grid_rounds()
+    lines, kernels = theorems._kernel_lines.cache_info(), theorems._kernel_diff.cache_info()
+    assert lines.hits == 0 and lines.misses == kernels.misses > 0
 
 
 def test_a_cold_holding_cell_multiplies_by_sparse_factors_only_in_its_pair_chain(monkeypatch):
@@ -931,11 +1035,10 @@ def test_a_cold_holding_cell_multiplies_by_sparse_factors_only_in_its_pair_chain
     eps-coordinates, so no monomial product is formed."""
     for cache in RING_CACHES:
         cache.cache_clear()
-    theorems._ring_tails(11, 4, 2)
+    (r, d), K = _spec(-5, 4), len(_ring_weights_of(11, _spec(-5, 4))) - 1
     calls, mul_poly = [], congruence._Ring.mul_poly
     monkeypatch.setattr(congruence._Ring, "mul_poly", lambda ring, a, p: calls.append(p) or mul_poly(ring, a, p))
     assert check_thm_1_1(SymParams.create(11, 4, -5), "ones").holds
-    (r, d), K = _spec(-5, 4), len(_ring_weights(11, _spec(-5, 4))) - 1
     assert K == 6 and calls == [(one - qpow(r + d * k)) * (one - qpow(d - r + d * k)) for k in range(K + 1)]
 
 
@@ -968,14 +1071,18 @@ def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
 def test_the_bench_cache_scan_finds_the_budgeted_tables():
     """bench/run.py finds qcong's caches by their cache_info (all_lru_caches),
     clears them all between passes and reads hit counts: the budgeted tables
-    answer to all three like lru_cache, under their own qualified names."""
+    and the line table of the kernel differences answer to all three like
+    lru_cache, under their own qualified names."""
     spec = importlib.util.spec_from_file_location("bench_run", Path(__file__).parents[1] / "bench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     found = run.all_lru_caches()
     names = {"qcong.theorems._ring_tails", "qcong.congruence._certify_den", "qcong.congruence._inverse"}
     assert names <= found.keys() and {found[name] for name in names} == set(BUDGETED)
-    theorems._ring_tails(5, 2, 2)
+    assert found["qcong.theorems._kernel_lines"] is theorems._kernel_lines
+    for r in (1, 6, 11):
+        assert check_thm_1_1(SymParams.create(5, 2, r), "ones").holds
+    assert theorems._kernel_lines.cache_info().currsize
     run.clear_caches(found)
     for cache in found.values():
         info = cache.cache_info()
@@ -1250,7 +1357,7 @@ def test_r_and_d_minus_r_share_one_weight_set(shape):
                 r_, d_ = SPEC_SHAPES[shape](r, d)
                 spellings = [(r_, d_), (d_ - r_, d_)]
                 assert _spec(*spellings[0]) == _spec(*spellings[1])
-                ring_w = _ring_weights(n, _spec(*spellings[0]))
+                ring_w = _ring_weights_of(n, _spec(*spellings[0]))
                 ring_den = theorems._ring_tails(n, d_, 2)[0]
                 K = len(ring_w) - 1
                 for spelling in spellings:
@@ -1328,7 +1435,7 @@ def test_ring_kernel_is_the_transposed_transform(case):
             tk = sum((entries[j] * matrix[k][j] for j in range(k + 1)), LaurentPoly())
         total = tk.substitute_power(d) * qpow(step * k) * w[k] + total
     u = _kernel(n, spec, t, step)
-    assert len(u) == len(_ring_weights(n, spec)) <= n
+    assert len(u) == len(_ring_weights_of(n, spec)) <= n
     lifted = [reduce_by_degree(f.substitute_power(d), n, 2) for f in entries]
     expected = reduce_by_degree(total, n, 2)
     for j in set(expected) | set().union(*lifted):
@@ -1497,6 +1604,7 @@ def test_sun_p_after_thm_1_2_adds_no_kernel_diff_miss():
     cell = SymParams.create(11, 3, 2)
     for p in (cell, dataclasses.replace(cell, sign=-cell.sign)):
         theorems._kernel_diff.cache_clear()
+        theorems._kernel_lines.cache_clear()
         holds = check_thm_1_2(p, "ones").holds
         before = theorems._kernel_diff.cache_info()
         assert check_sun_p_analogue(p).holds == holds
