@@ -1,19 +1,20 @@
 """Grid sweeps over theorem checks with byte-deterministic reports.
 
 A sweep expands its config into independent check tasks, runs them in
-ring order (in a process pool when workers > 1, of at most as many
+key order (in a process pool when workers > 1, of at most as many
 processes as there are tasks, chunks and cores), sorts the records by a
-fixed key, and renders them to JSON-lines or CSV.  Ring order sorts the
-tasks by the (n, d) block whose tails they read and then by CHECKS[id].key,
-the n and weight spec of the statement each builds, so the tasks that read
-one cell's ring weights and kernels run together while those are cached.
-The pool is handed chunks of whole (n, d) blocks (chunk_tasks), so each
-block's tails, weights and kernel differences are built in one worker; a
-block of more than a process's share of the tasks is cut at its (n, spec)
-cells instead, the tasks without a key (lemmas, even-sign, classical) are
-cut by size, and each worker calls run_task once per task.  Records never
-contain timing, so the emitted file depends only on the config, not on the
-worker count, the run order or machine load.  Grid cells outside a
+fixed key, and renders them to JSON-lines or CSV.  Key order sorts the
+tasks by CHECKS[id].key, which names the tables they share, coarsest
+first, so the tasks that read one cell's tails and kernel difference, or
+one lemma row's products, run together while those are cached.  The pool
+is handed chunks of whole blocks (key[0], chunk_tasks), so each block's
+tables are built in one worker; a block of more than a process's share of
+the tasks is cut only between its units (key[:2]: the classes of a
+statement's kernel lines, a lemma's (n, j) rows), so each line and each
+row still lives in one worker, and each worker calls run_task once per
+task.  The sweep reads nothing of a key but key[0] and key[:2].  Records
+never contain timing, so the emitted file depends only on the config, not
+on the worker count, the run order or machine load.  Grid cells outside a
 check's hypotheses (CHECKS[id].invalid) are counted as skipped, not
 errored.  A task that raises ValueError or ArithmeticError (an ill-posed
 cell, such as n = 1 or d = 0, which invalid never skips) becomes an error
@@ -268,31 +269,23 @@ def run_task(task: tuple) -> dict:
         return {"check": check_id, **dict(zip(check.args, args)), "error": str(exc)}
 
 
-def _order(task: tuple) -> tuple:
-    """A task's place in ring order: (n, d, key) for a check whose
-    CHECKS[id].key is (n, (r, d)), the (n, d) block whose tails it reads
-    first, and () for a check without ring weights."""
-    key = CHECKS[task[0]].key(*task[1])
-    return (key[0], key[1][1], key) if key else ()
-
-
 def chunk_tasks(tasks: list, processes: int) -> list[list]:
-    """The tasks in ring order (_order), cut into the chunks a pool of
+    """The tasks sorted by CHECKS[id].key, cut into the chunks a pool of
     processes is handed, about 8 a process.  A chunk closes once it holds
-    size = len(tasks) // (8 * processes) tasks, but only where an (n, d)
-    block ends, so each block's tails, weights and kernel differences are
-    built in one worker.  A block of more than a process's share of the
-    tasks may also close a chunk where an (n, spec) cell ends, so that a
-    grid of few blocks still runs in every process, each building that
-    block's tails at most once; the tasks without a key are cut at size."""
-    ordered = sorted(((_order(task), task) for task in tasks), key=lambda pair: pair[0])
+    size = len(tasks) // (8 * processes) tasks, but only where a block
+    (key[0]) ends, so each block's tables are built in one worker.  A block
+    of more than a process's share of the tasks may also close a chunk
+    between its units (key[:2]), so that a grid of few blocks still runs in
+    every process, while each kernel line and each lemma row is run in
+    one."""
+    keyed = sorted(((CHECKS[task[0]].key(*task[1]), task) for task in tasks), key=lambda pair: pair[0])
     size = max(1, len(tasks) // (8 * max(processes, 1)))
-    blocks = Counter(order[:2] for order, _ in ordered)
+    blocks = Counter(key[0] for key, _ in keyed)
     chunks, last = [], None
-    for order, task in ordered:
-        # the unit a chunk may not split: the cell of a block beyond its share, else the block
-        unit = order if blocks[order[:2]] * processes > len(tasks) else order[:2]
-        if not chunks or len(chunks[-1]) >= size and (not unit or unit != last):
+    for key, task in keyed:
+        # the unit a chunk may not split: a block, or a unit of a block beyond its share
+        unit = key[:2] if blocks[key[0]] * processes > len(tasks) else key[0]
+        if not chunks or len(chunks[-1]) >= size and unit != last:
             chunks.append([])
         chunks[-1].append(task)
         last = unit
@@ -342,7 +335,7 @@ def run_sweep(cfg: SweepConfig) -> SweepSummary:
     tasks, skipped = expand_tasks(cfg)
     # no more processes than tasks or cores, whatever workers asks for
     processes = min(cfg.workers, len(tasks), os.cpu_count() or 1)
-    # each (n, d) block, or each cell of one beyond its share, in one chunk, while its tables are cached
+    # each block, or each unit of one beyond its share, in one chunk, while its tables are cached
     chunks = chunk_tasks(tasks, processes)
     tasks = [task for chunk in chunks for task in chunk]
     processes = min(processes, len(chunks))  # and no more than chunks

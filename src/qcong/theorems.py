@@ -118,9 +118,9 @@ the direct build's.  The rule needs m = 2: mod Phi_n^m the difference is a
 polynomial of degree m - 1 in t.  The table holds the lines of one (n, d),
 cleared when a key of another comes, so it holds at most two lines per
 empty key of one block.  A sweep runs each (n, d) block in one stretch of
-one worker; sym_grid asks at most two keys of an (n, d) in a row and
-derives nothing; `qcong verify` decides one key per process and always
-builds.
+one worker, or, past a process's share, each class of lines in one;
+sym_grid asks at most two keys of an (n, d) in a row and derives nothing;
+`qcong verify` decides one key per process and always builds.
 
 The rescaled side is Sum_j g_j (x; q^d)_j with ring coefficients g_j, and
 congruence.horner gives its x-coefficients from the last j down,
@@ -139,12 +139,17 @@ q^n - 1 by rotations and divided once (_poch_mod).  Such a product reads
 its start a only mod n, so it is kept per (n, a mod n, k) under the ring
 budget: a lemma sweep forms each once per (n, j), whatever its s.
 
-CHECKS keys each check that builds a statement by (n, its weight spec),
-the _spec its builder uses; a sweep runs its tasks grouped by the (n, d)
-of that spec and then by that key, and hands each (n, d) block to one
-worker, so the tails and the kernel difference of a cell are built once
-while the bounded caches hold them, and its lines see every key of the
-block.
+CHECKS[id].key names the tables a check's tasks share, coarsest first,
+and is all a sweep knows of them.  A statement's key is ((n, d), c, spec)
+(_statement_key): the (n, d) block whose tails it reads, the class c of r
+mod P that holds both lines its kernel keys lie on, and the _spec its
+builder uses.  A lemma's is ((n,), j), the row of Pochhammer products it
+forms, and every other check's ((n,),).  A sweep sorts its tasks by key
+and runs each block (key[0]) in one worker, cutting a block beyond one
+process's share only between units (key[:2]), so the tails and the kernel
+difference of a cell are built once while the bounded caches hold them,
+every line sees all its keys in one worker, and each lemma row's products
+are formed once.
 
 Parameter conventions:
 
@@ -433,6 +438,23 @@ def _spec(r: int, d: int) -> tuple:
     return min(r, d - r), d
 
 
+def _period(n: int) -> int:
+    """P = n for odd n and 2n for even n: r -> r + P keeps a and the sign of
+    a record (the line rule of _kernel_lines)."""
+    return n if n % 2 else 2 * n
+
+
+def _statement_key(n: int, d: int, r: int) -> tuple:
+    """The sweep key ((n, d), c, spec) of the statement at (n, d, r): the
+    block whose tails it reads, the class c = min(r mod P, (d - r) mod P)
+    that holds both lines _kernel_lines puts its keys on, and its weight
+    spec.  x -> (d - x) mod P is an involution, so c names the pair of
+    classes.  P is taken as 1 at n = 0, an ill-posed cell whose key must not
+    raise."""
+    P = _period(n) or 1
+    return (n, d), min(r % P, (d - r) % P), _spec(r, d)
+
+
 # -- the statements -----------------------------------------------------------
 
 
@@ -566,7 +588,7 @@ def _kernel_lines(n: int, spec: tuple, e: int, sign: int) -> tuple:
     if held is None:
         _lines.clear()
         held = _lines[n, d] = {}
-    P, inverse = (n if n % 2 else 2 * n), pow(d, -1, n)
+    P, inverse = _period(n), pow(d, -1, n)
     points = []
     for c in (r, d - r):
         t, a = c // P, -c * inverse % n
@@ -938,10 +960,15 @@ class Check:
              None: also for an ill-posed cell (not _posed), which run
              raises on and a sweep reports as an error record
     run      (*args) -> CheckReport; ill-posed arguments raise ValueError
-    key      (*args) -> (n, weight spec) of the statement run builds, by
-             the _spec its builder uses, or () for a check without
-             ring weights; sweeps run tasks grouped by it.  Pure arithmetic
-             on the arguments, so it never raises.
+    key      (*args) -> the tables run shares with other tasks, coarsest
+             first; a sweep sorts its tasks by it.  key[0] is the block a
+             sweep runs in one worker, key[:2] the unit it may cut a block
+             beyond a process's share between: ((n, d), c, spec) for a
+             statement (_statement_key: the block of its tails, the class
+             of its kernel lines, its weight spec), ((n,), j) for a lemma,
+             whose Pochhammer products depend on (n, j) alone, and ((n,),)
+             by default.  Pure arithmetic on the arguments, so it never
+             raises.
     cost     (*args) -> the exponent span run works over, from the arguments
              alone; `qcong verify` refuses a request above MAX_SPAN before it
              runs.  Required, so every entry states its charge.
@@ -950,7 +977,7 @@ class Check:
     args: tuple[str, ...]
     invalid: Callable[..., "str | None"]
     run: Callable[..., CheckReport]
-    key: Callable[..., tuple] = lambda *args: ()
+    key: Callable[..., tuple] = lambda n, *args: ((n,),)
     cost: Callable[..., int] = field(kw_only=True)
 
 
@@ -970,21 +997,21 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d) or _polynomial(_kind(family), _RATIONAL_1_1) if _posed(n, d) else None,
         lambda n, d, r, family: check_thm_1_1(SymParams.create(n, d, r), family),
-        lambda n, d, r, family: (n, _spec(r, d)),
+        lambda n, d, r, family: _statement_key(n, d, r),
         cost=lambda n, d, r, family: _transform_span(n, family),  # the full sides' span: the check transforms no entry
     ),
     "thm1.2": Check(
         ("n", "d", "r", "family"),
         lambda n, d, r, family: _coprime(n, d) if _posed(n, d) else None,
         lambda n, d, r, family: check_thm_1_2(SymParams.create(n, d, r), family),
-        lambda n, d, r, family: (n, _spec(r, d)),
+        lambda n, d, r, family: _statement_key(n, d, r),
         cost=lambda n, d, r, family: _transform_span(n, family),
     ),
     "thm2.1": Check(
         ("n", "a", "s", "family"),
         lambda n, a, s, family: _a_in_range(n, a) or _polynomial(_kind(family)) if _posed(n) else None,
         lambda n, a, s, family: check_thm_2_1(AlphaParams.create(n, a, s), family),
-        lambda n, a, s, family: (n, _spec(-a - s * n, 1)),
+        lambda n, a, s, family: _statement_key(n, 1, -a - s * n),
         cost=lambda n, a, s, family: _transform_span(n, family),
     ),
     "s0": Check(
@@ -997,20 +1024,21 @@ CHECKS: dict[str, Check] = {
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d) if _posed(n, d) else None,
         lambda n, d, r: check_guo_zeng(SymParams.create(n, d, r)),
-        lambda n, d, r: (n, _spec(r, d)),
+        lambda n, d, r: _statement_key(n, d, r),
         cost=lambda n, d, r: _horner_span(n),
     ),
     "sun_p": Check(
         ("n", "d", "r"),
         lambda n, d, r: _coprime(n, d) or _odd_n(n) if _posed(n, d) else None,
         lambda n, d, r: check_sun_p_analogue(SymParams.create(n, d, r)),
-        lambda n, d, r: (n, _spec(r, d)),
+        lambda n, d, r: _statement_key(n, d, r),
         cost=lambda n, d, r: _horner_span(n),
     ),
     "lemma-sn": Check(
         ("n", "s", "j"),
         lambda n, s, j: _nonzero_s(s),
         lambda n, s, j: _bool_report("lemma-sn", check_lemma_sn_binom, n=n, s=s, j=j),
+        lambda n, s, j: ((n,), j),
         cost=lambda n, s, j: _qbinom_span(s * n, j),
     ),
     # holds at s = 0 as well, but sweeps pair it with lemma-sn and skip both there
@@ -1018,6 +1046,7 @@ CHECKS: dict[str, Check] = {
         ("n", "s", "j"),
         lambda n, s, j: _nonzero_s(s),
         lambda n, s, j: _bool_report("lemma-sn-minus1", check_lemma_sn_minus1, n=n, s=s, j=j),
+        lambda n, s, j: ((n,), j),
         cost=lambda n, s, j: _qbinom_span(s * n - 1, j - 1),
     ),
     "even-sign": Check(

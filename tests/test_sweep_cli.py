@@ -29,7 +29,7 @@ from qcong.sweep import (
     run_sweep,
     run_task,
 )
-from qcong.theorems import CHECKS, MAX_CLASSICAL_P
+from qcong.theorems import CHECKS, MAX_CLASSICAL_P, SymParams
 
 
 def record_key(rec: dict) -> tuple:
@@ -262,8 +262,8 @@ class _SerialContext:
 
 
 # thm1.1 grids by their task count: 14 tasks in 14 (n, d) blocks, one in
-# one, 21 in the 3 blocks (5, d), d = 1..3, of 17 (n, spec) cells, and 7 in
-# the one block (5, 1), of 6 cells (r and 1 - r share one)
+# one, 21 in the 3 blocks (5, d), d = 1..3, of 9 line classes, and 7 in the
+# one block (5, 1), of 3 classes (r, 1 - r and r + 5 share one)
 _POOL_GRIDS = {
     14: {"n": ["2..15"], "d": ["1"], "r": ["0"]},
     1: {"n": ["5"], "d": ["1"], "r": ["0"]},
@@ -279,15 +279,15 @@ _POOL_GRIDS = {
     (1_000_000, 1, 14, None),  # one core: in-process, no pool
     (1_000_000, None, 14, None),  # the core count unknown
     (1_000_000, 64, 1, None),  # one task
-    (1_000_000, 64, 21, 17),  # capped by the chunks: 17 (n, spec) cells
-    (1_000_000, 64, 7, 6),  # one block, cut at its 6 cells
+    (1_000_000, 64, 21, 9),  # capped by the chunks: 9 line classes
+    (1_000_000, 64, 7, 3),  # one block, cut between its 3 classes
     (3, 64, 21, 3),  # 3 blocks of a process's share, each one chunk
 ])
 def test_the_sweep_pool_is_capped_by_tasks_and_cores(workers, cores, tasks, pool, tmp_path, monkeypatch):
     """A sweep starts min(workers, tasks, cores, chunks) processes, and none
     when that is 1, however many workers it is asked for; a chunk splits an
-    (n, d) block only at its (n, spec) cells, and only a block of more than
-    a process's share of the tasks.  Its records and summary are those of a
+    (n, d) block only between its line classes, and only a block of more
+    than a process's share of the tasks.  Its records and summary are those of a
     one-worker run."""
     import multiprocessing
     import os
@@ -304,8 +304,8 @@ def test_the_sweep_pool_is_capped_by_tasks_and_cores(workers, cores, tasks, pool
     assert dataclasses.replace(many, wall_time=0) == dataclasses.replace(one, wall_time=0)
 
 
-# Sweeps run tasks grouped by CHECKS[id].key, the (n, left weight spec) of the
-# statement a check builds; these are the checks that build one.
+# Sweeps run tasks sorted by CHECKS[id].key, which names the tables they
+# share; these are the checks that build a statement.
 KEYED_CHECKS = ("thm1.1", "thm1.2", "thm2.1", "guo_zeng", "sun_p")
 
 
@@ -334,14 +334,19 @@ def check_arguments(draw):
 @settings(max_examples=60, deadline=None)
 @given(check_arguments())
 def test_the_sweep_key_is_the_statement_a_check_builds(case):
-    """A keyed check's key is (n, spec) of the statement its run decides:
-    the n of its params and the weight spec of the cell that the builder
-    passed to _check makes.  A check without a key decides no statement."""
+    """A check's key names the tables its run reads, coarsest first.  A
+    statement's is ((n, d), c, spec): the n of its params and the weight
+    spec of the cell that the builder passed to _check makes, and c the
+    least class mod P (n for odd n, 2n for even n) of the spec's spellings
+    r and d - r, the classes of the lines its kernel key lies on.  A
+    lemma's is ((n,), j): run at another s, it forms the same Pochhammer
+    products, all at n.  Every other check's is ((n,),), and none of those
+    decides a statement."""
     check_id, args = case
     check = CHECKS[check_id]
     if check.invalid(*args):
         return
-    decided, decide = [], theorems._check
+    decided, formed, decide, poch = [], [], theorems._check, theorems._poch_table
 
     def spy(name, p, fam, build):
         def built(p, seq):
@@ -353,11 +358,22 @@ def test_the_sweep_key_is_the_statement_a_check_builds(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(theorems, "_check", spy)
+        mp.setattr(theorems, "_poch_table", lambda *key: formed.append(key) or poch(*key))
         check.run(*args)
+        if check_id.startswith("lemma"):
+            (n, s, j), at_s = args, set(formed)
+            formed.clear()
+            check.run(n, s + 1 or s + 2, j)
+            assert set(formed) == at_s and {key[0] for key in at_s} == {n}
+    key = check.key(*args)
     if check_id in KEYED_CHECKS:
-        assert [check.key(*args)] == decided
+        [(n, spec)] = decided
+        P = n if n % 2 else 2 * n
+        assert key == ((n, spec[1]), min(spec[0] % P, (spec[1] - spec[0]) % P), spec)
+    elif check_id.startswith("lemma"):
+        assert (key, decided) == (((args[0],), args[2]), [])
     else:
-        assert (check.key(*args), decided) == ((), [])
+        assert (key, decided) == (((args[0],),), [])
 
 
 @st.composite
@@ -412,8 +428,7 @@ def test_the_sweep_skip_rule_is_the_check_hypothesis(case):
 def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
     """Tasks run in the reverse of their key order give the same JSONL and CSV
     bytes at one and two workers, with an n = 1 task raising.  The reversed
-    key keeps the (n, spec) shape that a sweep reads its (n, d) block from,
-    each task in a block of its own."""
+    key puts each task in a block of its own."""
     raw = {
         "theorems": ["1.1", "1.2", "2.1", "guo_zeng", "sun_p", "lemmas"],
         "n": ["1..6"], "d": ["1..3"], "r": ["-2", "1"], "s": ["-1", "2"],
@@ -426,7 +441,7 @@ def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
     for order in ("key", "reversed"):
         if order == "reversed":
             for check_id, check in CHECKS.items():
-                reverse = lambda *args, check_id=check_id: (-rank[check_id, args], (0, 0))
+                reverse = lambda *args, check_id=check_id: ((-rank[check_id, args],),)
                 monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(check, key=reverse))
         for fmt in ("jsonl", "csv"):
             for workers in ("1", "2"):
@@ -438,23 +453,21 @@ def test_sweep_output_does_not_depend_on_the_run_order(tmp_path, monkeypatch):
         assert len({outputs[order, fmt, workers] for order in ("key", "reversed") for workers in "12"}) == 1
 
 
-def _ring_block(task: tuple) -> tuple:
-    """The (n, d) of a task's key, or () when it has none."""
-    key = CHECKS[task[0]].key(*task[1])
-    return key and (key[0], key[1][1])
+def _key(task: tuple) -> tuple:
+    return CHECKS[task[0]].key(*task[1])
 
 
-def _runs(values: list) -> list:
-    """The first value of each run of equal values."""
-    return [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]
+def _block(task: tuple) -> tuple:
+    """The block a task's key names, key[0]."""
+    return _key(task)[0]
 
 
 def test_tasks_run_grouped_by_their_key(monkeypatch):
-    """The tasks run in ring order, at one worker and, through run_chunk,
-    in a pool of two: each (n, d) block in one run, and within it every
-    thm1.1, thm1.2 and guo_zeng task of one (n, spec) cell in one run.  The
-    pool is handed each block in one chunk, and calls sweep.run_task by its
-    module name, so a replacement sees every task."""
+    """The tasks run in key order, at one worker and, through run_chunk, in
+    a pool of two: each block in one run, and within it every thm1.1,
+    thm1.2 and guo_zeng task of one (n, spec) cell in one run.  The pool is
+    handed each block in one chunk, and calls sweep.run_task by its module
+    name, so a replacement sees every task."""
     import multiprocessing
 
     ran, context = [], _SerialContext()
@@ -467,66 +480,134 @@ def test_tasks_run_grouped_by_their_key(monkeypatch):
         ran.clear()
         run_sweep(build_config(dict(raw, workers=[workers])))
         assert len(ran) == len(expand_tasks(build_config(raw))[0])
-        keys = [CHECKS[check_id].key(*args) for check_id, args in ran]
-        keyed = [key for key in keys if key]
-        assert keys == [()] * (len(keys) - len(keyed)) + keyed  # the keyless tasks first
-        blocks = _runs([(n, spec[1]) for n, spec in keyed])
-        cells = _runs(keyed)
-        assert blocks == sorted(set(blocks)) and len(blocks) == 5 and len(cells) == len(set(cells))
-    chunks = [{_ring_block(task) for task in chunk} - {()} for chunk in context.mapped]
-    assert context.pools == [2] and len(chunks) > 2 and sum(map(len, chunks)) == len(set().union(*chunks)) == 5
+        keys = list(map(_key, ran))
+        assert keys == sorted(keys) and len({key[0] for key in keys}) == 8  # 5 (n, d) blocks, 3 lemma blocks
+    chunks = [set(map(_block, chunk)) for chunk in context.mapped]
+    assert context.pools == [2] and len(chunks) > 2 and sum(map(len, chunks)) == len(set().union(*chunks)) == 8
 
 
-# a grid with every check kind of a sweep, its keyless lemma, even-sign and
-# classical tasks among them
+# a grid with every check kind of a sweep: statements, lemma rows, and the
+# even-sign and classical tasks of the default key
 _CHUNK_GRID = {"theorems": list(sweep.SWEEP_GROUPS), "n": ["2..7"], "d": ["1..3"], "r": ["-1..1"], "s": ["-1..1"],
                "families": ["ones"], "alphas": ["2", "1/2"], "classical_seeds": ["2"]}
 
 
+def _unit(task: tuple, blocks: collections.Counter, processes: int, total: int) -> tuple:
+    """The run a chunk may not split: a task's block, or its key[:2] in a
+    block of more than a process's share of the total."""
+    key = _key(task)
+    return key[:2] if blocks[key[0]] * processes > total else key[0]
+
+
 @pytest.mark.parametrize("processes", [1, 2, 8, 12, 40, 10**6])
 def test_chunks_split_only_a_block_beyond_its_share(processes):
-    """sweep.chunk_tasks: the chunks, joined, are the tasks sorted by (n, d)
-    and then by key, the keyless ones first.  A chunk closes once it holds
-    size tasks, where the unit it is filling ends: an (n, d) block of at most
-    a process's share of the tasks, which thus never spans two chunks, or
-    an (n, spec) cell of a larger block.  The keyless tasks are cut at size.
-    At 1, 2 and 8 processes the grid's 13 blocks (9 to 33 tasks of 321) stay
-    whole; at 12 some are cut at their cells, at 40 and more every one."""
+    """sweep.chunk_tasks: the chunks, joined, are the tasks sorted by key.
+    A chunk closes once it holds size tasks, where the unit it is filling
+    ends: a block (key[0]) of at most a process's share of the tasks,
+    which thus never spans two chunks, or a unit (key[:2]: a line class or
+    a lemma row) of a larger block.  At 1, 2 and 8 processes the grid's 19
+    blocks (5 to 33 tasks of 321) stay whole; at 12 and more the larger
+    ones are cut between their units."""
     tasks = expand_tasks(build_config(_CHUNK_GRID))[0][::-1]
     chunks = sweep.chunk_tasks(tasks, processes)
     size = max(1, len(tasks) // (8 * processes))
-    ring_order = sorted(tasks, key=lambda task: (_ring_block(task), CHECKS[task[0]].key(*task[1])))
-    assert [task for chunk in chunks for task in chunk] == ring_order
-    sizes = collections.Counter(map(_ring_block, tasks))
-
-    def unit(task):
-        block = _ring_block(task)
-        return block and (CHECKS[task[0]].key(*task[1]) if sizes[block] * processes > len(tasks) else block)
-
-    units = [{unit(task) for task in chunk} - {()} for chunk in chunks]
+    assert [task for chunk in chunks for task in chunk] == sorted(tasks, key=_key)
+    blocks = collections.Counter(map(_block, tasks))
+    units = [{_unit(task, blocks, processes, len(tasks)) for task in chunk} for chunk in chunks]
     assert sum(map(len, units)) == len(set().union(*units))  # no unit spans two chunks
-    blocks = [{_ring_block(task) for task in chunk} - {()} for chunk in chunks]
-    whole = sum(map(len, blocks)) == len(set().union(*blocks)) == 13
+    held = [set(map(_block, chunk)) for chunk in chunks]
+    whole = sum(map(len, held)) == len(set().union(*held)) == len(blocks) == 19
     assert whole == (processes <= 9)
     assert all(len(chunk) >= size for chunk in chunks[:-1])
     for chunk in chunks:
         if len(chunk) > size:  # past size, it holds only the rest of the unit that filled it
-            assert len({unit(task) for task in chunk[size - 1:]}) == 1 and unit(chunk[-1])
-    keyless = [chunk for chunk in chunks if not _ring_block(chunk[0])]
-    assert all(len(chunk) == size and not any(map(_ring_block, chunk)) for chunk in keyless[:-1])
-    assert 0 < sum(not _ring_block(task) for task in keyless[-1]) <= size
+            assert len({_unit(task, blocks, processes, len(tasks)) for task in chunk[size - 1:]}) == 1
 
 
 def test_a_one_block_grid_is_chunked_for_every_process():
     """A grid whose tasks all read one (n, d) block, here thm2.1 at n = 101
-    with 21 values of s (2121 tasks, all at d = 1), is cut at its (n, spec)
-    cells into 7 to 8 chunks a process, not run in one chunk."""
+    with 21 values of s (2121 tasks, all at d = 1), is cut between its 51
+    line classes ({c, 1 - c} mod 101: 42 tasks each, 21 for c = 51), not run
+    in one chunk.  A chunk closes at the first class end past size, so each
+    but the last holds size to size + 41 tasks: 13 chunks at 2 processes,
+    and 51, one a class, at 8."""
     tasks = expand_tasks(build_config({"theorems": ["2.1"], "n": ["101"], "s": ["-10..10"]}))[0]
-    assert {_ring_block(task) for task in tasks} == {(101, 1)}
+    classes = collections.Counter(_key(task)[:2] for task in tasks)
+    assert {_block(task) for task in tasks} == {(101, 1)} and len(classes) == 51 and max(classes.values()) == 42
     assert len(sweep.chunk_tasks(tasks, 1)) == 1
-    for processes in (2, 8):
+    for processes, count in ((2, 13), (8, 51)):
         chunks = sweep.chunk_tasks(tasks, processes)
-        assert 7 * processes <= len(chunks) <= 8 * processes + 1
+        size = len(tasks) // (8 * processes)
+        assert len(tasks) // (size + 41) <= len(chunks) == count <= min(len(classes), len(tasks) // size + 1)
+        assert all(size <= len(chunk) <= size + 41 for chunk in chunks[:-1])
+
+
+@st.composite
+def chunk_grids(draw):
+    """(config, processes): one to four sweep groups over drawn windows of
+    n in 2..17, d in 1..6, r in -8..20 and s in -3..5, one or two
+    families, and 1 to 12 processes."""
+    def window(lo, hi, width):
+        start = draw(st.integers(lo, hi))
+        return [f"{start}..{start + draw(st.integers(0, width))}"]
+
+    families = st.sampled_from(("ones", "random_poly:3:2", "monomial_x", "sun_p_x", "delta:1"))
+    raw = {"theorems": draw(st.lists(st.sampled_from(sorted(sweep.SWEEP_GROUPS)), min_size=1, max_size=4, unique=True)),
+           "n": window(2, 12, 5), "d": window(1, 4, 2), "r": window(-8, 8, 12), "s": window(-3, 2, 3),
+           "families": draw(st.lists(families, min_size=1, max_size=2, unique=True)),
+           "alphas": ["2", "1/2"], "classical_seeds": ["2"]}
+    return raw, draw(st.integers(1, 12))
+
+
+def _statement(task: tuple) -> "tuple | None":
+    """(n, d, r) of the Theorem 1.1 cell a statement task decides (thm2.1 at
+    d = 1, r = -alpha), or None for a task that decides none."""
+    check_id, args = task
+    if check_id == "thm2.1":
+        n, a, s, _ = args
+        return n, 1, -a - s * n
+    return args[:3] if check_id in KEYED_CHECKS else None
+
+
+def _kernel_lines(n: int, d: int, r: int) -> set:
+    """The two lines of the kernel key (n, spec, -E, sign) a cell asks, as
+    test_theorems._line_points finds them: for each spelling c of the spec,
+    r and d - r, the line (c mod P, e + E(c) - E(c mod P), sign), with E read
+    off SymParams."""
+    p, P, low = SymParams.create(n, d, r), n if n % 2 else 2 * n, min(r, d - r)
+    return {(n, d, c % P, -p.E + SymParams.create(n, d, c).E - SymParams.create(n, d, c % P).E, p.sign)
+            for c in (low, d - low)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_grids())
+def test_no_chunk_splits_a_small_block_a_kernel_line_or_a_lemma_row(grid):
+    """Over drawn grids of every sweep group and 1..12 processes, the chunks,
+    joined, are the tasks sorted by key, and no chunk boundary falls inside
+    a block of at most a process's share of the tasks (the (n, d) of a
+    statement, the n of any other task), inside a kernel line (so the line
+    table of one worker sees every key of it), or inside a lemma (n, j) row
+    (so its Pochhammer products are formed once)."""
+    raw, processes = grid
+    tasks = expand_tasks(build_config(raw))[0][::-1]
+    chunks = sweep.chunk_tasks(tasks, processes)
+    assert [task for chunk in chunks for task in chunk] == sorted(tasks, key=_key)
+    held = collections.defaultdict(set)  # a run no chunk may split -> the chunks it is in
+    blocks = collections.Counter()
+    for task in tasks:
+        cell = _statement(task)
+        blocks[cell[:2] if cell else task[1][:1]] += 1
+    for i, chunk in enumerate(chunks):
+        for task in chunk:
+            cell = _statement(task)
+            block = cell[:2] if cell else task[1][:1]
+            if blocks[block] * processes <= len(tasks):
+                held["block", block].add(i)
+            for line in _kernel_lines(*cell) if cell else ():
+                held["line", line].add(i)
+            if task[0].startswith("lemma"):
+                held["row", task[1][0], task[1][2]].add(i)
+    assert all(len(at) == 1 for at in held.values()), {run: at for run, at in held.items() if len(at) > 1}
 
 
 def test_thm_2_1_shares_the_kernel_differences_of_thm_1_1_at_d_1(tmp_path):
@@ -546,24 +627,42 @@ def test_thm_2_1_shares_the_kernel_differences_of_thm_1_1_at_d_1(tmp_path):
     assert info.misses == len(cells) and info.hits == summary.total - len(cells)
 
 
-@pytest.mark.parametrize("config, flags, misses, built", [
-    (None, {"theorems": "2.1", "n": "10", "s": "-50..50"}, 510, 20),
-    (None, {"theorems": "2.1", "n": "31", "s": "-25..25"}, 806, 31),
-    ("configs/example_sweep.cfg", {}, 178, 109),
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config, flags, misses, built, products", [
+    (None, {"theorems": "2.1", "n": "10", "s": "-50..50"}, 510, 20, 0),
+    (None, {"theorems": "2.1", "n": "31", "s": "-25..25"}, 806, 31, 0),
+    ("configs/example_sweep.cfg", {}, 178, 109, 105),
 ])
-def test_a_sweep_builds_at_most_two_kernel_differences_per_line(tmp_path, config, flags, misses, built):
-    """A one-worker sweep answers a kernel difference that misses its cache
-    from the lines of its (n, d) once a line through it holds two empty
-    points: thm2.1 at n = 10 over s -50..50 builds 20 of its 510 distinct
+def test_a_sweep_builds_at_most_two_kernel_differences_per_line(tmp_path, monkeypatch, config, flags, misses, built,
+                                                                products, workers):
+    """A sweep answers a kernel difference that misses its cache from the
+    lines of its (n, d) once a line through it holds two empty points:
+    thm2.1 at n = 10 over s -50..50 builds 20 of its 510 distinct
     differences, at n = 31 over s -25..25 31 of 806, and the example sweep
-    109 of 178.  Every record holds."""
+    109 of 178, forming 105 lemma products.  Summed over two workers the
+    counts are the same: a block cut between processes is cut between its
+    line classes and lemma rows, so no line or row is built twice.  Each
+    process's cache_info is read after every task through a sweep.run_task
+    wrapper, which the forked pool workers inherit.  Every record holds."""
     path = config and Path(__file__).parents[1] / config
-    theorems._kernel_diff.cache_clear()
-    theorems._kernel_lines.cache_clear()
-    summary = run_sweep(load_config(path, {**flags, "workers": "1", "output": str(tmp_path / "out.jsonl")}))
-    lines = theorems._kernel_lines.cache_info()
+    counts, inner = tmp_path / "counts", sweep.run_task
+    counts.mkdir()
+
+    def counted(task):
+        rec = inner(task)
+        kernels, lines = theorems._kernel_diff.cache_info(), theorems._kernel_lines.cache_info()
+        read = [kernels.misses, lines.misses, lines.hits, theorems._poch_table.cache_info().misses]
+        (counts / str(os.getpid())).write_text(json.dumps(read))
+        return rec
+
+    monkeypatch.setattr(sweep, "run_task", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)  # a pool of two on any host
+    for cache in (theorems._kernel_diff, theorems._kernel_lines, theorems._poch_table):
+        cache.cache_clear()
+    summary = run_sweep(load_config(path, {**flags, "workers": str(workers), "output": str(tmp_path / "out.jsonl")}))
+    summed = [sum(read) for read in zip(*(json.loads(f.read_text()) for f in counts.iterdir()))]
     assert summary.total == summary.passed
-    assert (theorems._kernel_diff.cache_info().misses, lines.misses, lines.hits) == (misses, built, misses - built)
+    assert summed == [misses, built, misses - built, products]
 
 
 # -- command line -------------------------------------------------------------

@@ -1045,10 +1045,10 @@ def test_a_cold_holding_cell_multiplies_by_sparse_factors_only_in_its_pair_chain
 def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
     """Every builder's cell, the record _full_sides expands, is
     (spec, (step, rescaled), t, lscale, rscale, fden), with the (r, d) spec of
-    its CHECKS key, a rescaled side for the sun_p_x label alone and t = 1
-    (hat) or -1 (tilde); the left side is untransformed by construction.
-    thm2.1's spec, side and t are thm1.1's at d = 1, r = -alpha, and so is
-    its key."""
+    its CHECKS key ((n, d), c, spec) and the key's block (n, d) read off it,
+    a rescaled side for the sun_p_x label alone and t = 1 (hat) or -1
+    (tilde); the left side is untransformed by construction.  thm2.1's
+    spec, side and t are thm1.1's at d = 1, r = -alpha, and so is its key."""
     cells = 0
     for n in range(2, 10):
         for d in (d for d in range(1, 5) if math.gcd(n, d) == 1):
@@ -1057,12 +1057,13 @@ def test_every_linear_cell_has_one_spec_and_an_untransformed_left_side():
                 ones = FamilySpec.parse("ones")
                 built = [(_thm_1_1(p, ones), CHECKS["thm1.1"].key(n, d, r, "ones"), (d, False), 1),
                          (_thm_1_2(p, ones), CHECKS["thm1.2"].key(n, d, r, "ones"), (0, False), -1),
-                         (_thm_1_2(p, generate("sun_p_x", n)), (n, _spec(r, d)), (0, False), -1),
+                         (_thm_1_2(p, generate("sun_p_x", n)), CHECKS["thm1.2"].key(n, d, r, "sun_p_x"), (0, False),
+                          -1),
                          (_thm_1_2(p, SUN_P_X), CHECKS["sun_p"].key(n, d, r), (0, True), -1),
                          (_thm_2_1(alpha, ones), CHECKS["thm2.1"].key(n, alpha.a, alpha.s, "ones"), (1, False), 1),
                          (_thm_2_1(alpha, ones), CHECKS["thm1.1"].key(n, 1, -alpha.alpha, "ones"), (1, False), 1)]
                 for cell, key, side, t in built:
-                    assert (n, *cell[:3]) == (*key, side, t), (n, d, r)
+                    assert (key[0], key[2], *cell[1:3]) == ((n, cell[0][1]), cell[0], side, t), (n, d, r)
                     assert all(sign in (1, -1) for _, sign in cell[3:5]), (n, d, r)
                     cells += 1
     assert cells > 500
