@@ -193,20 +193,10 @@ class _Ring:
         With eps = q^n - 1, q^(a*n + b) == q^b * Sum_{i<m} C(a, i) eps^i, so in
         one pass over the terms each adds C(a, i)*c to T_i[b], i < m, and the
         element Sum_i eps^i T_i is taken out of eps-coordinates once at the
-        end (_taylor).  No term looks up a table or branches on its exponent.
-        A single term is placed directly: c*q^e itself when e < m*n, else
-        the series c*q^b * Sum_j w_j q^(j*n) of _shift."""
+        end (_taylor).  No term looks up a table or branches on its exponent,
+        and an element with T_0 alone, such as zero, one or a monomial below
+        q^n, skips that step."""
         n, span = self.n, self.span
-        if len(terms) <= 1:  # zero, reduce(one) and monomials
-            out = [0] * span
-            for e, c in terms.items():
-                if 0 <= e < span:
-                    out[e] = c
-                else:
-                    a, b = divmod(e, n)
-                    for j, w in enumerate(_shift(self.m, a)):
-                        out[b + j * n] = c * w
-            return out
         out = [0] * (span + n)  # T_0..T_(m-1), and one block more, which takes T_1 when m = 1
         higher = range(2 * n, span, n)
         for e, c in terms.items():
@@ -256,14 +246,10 @@ class _Ring:
     def mul_poly(self, a: list, p: LaurentPoly) -> list:
         """a * p by shifted copies of a, then one division: a term c*q^(k*n + b)
         adds c*w_j*a at b + j*n for the w of _shift(m, k), or c*a at k*n + b
-        when 0 <= k < m.  A p with more terms than the ring dimension is
-        reduced first."""
-        terms = p._terms  # the map itself: LaurentPoly.terms would copy it
-        if len(terms) > self.dim:
-            return self.mul(self.divide(self.fold(terms)), a)
+        when 0 <= k < m, whatever the number of terms."""
         n, m = self.n, self.m
         out, top = [0] * (self.span + len(a) - 1), 0
-        for e, c in terms.items():
+        for e, c in p._terms.items():  # the map itself: LaurentPoly.terms would copy it
             k, b = divmod(e, n)
             if 0 <= k < m:  # q^e itself is below m*n: one copy, no series
                 for i, y in enumerate(a, e):
@@ -321,8 +307,6 @@ class _Ring:
         whose first stage is empty."""
         n, m, span = self.n, self.m, self.span
         E, sign = scale
-        if len(g) == 1 and not E and sign == 1:  # g_0, already reduced, is the x^0 coefficient
-            return [list(g[0])]
         pad, zero = [0] * (span - self.dim), [0] * n
         G = [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
         for r in g:

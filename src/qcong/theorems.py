@@ -16,7 +16,8 @@ label, which reads no sequence, its f_k being the numerators
 q^k (q^(k+1);q)_(n-1-k) (x;q)_k of sun_p_x over (q;q)_(n-1), a denominator
 the side carries in place of fden.  A named family stays a FamilySpec,
 whose kind is known at once; it is generated only where a difference is
-mapped or a side expanded, and then once per check.
+mapped, and then once per check; the full sides (_full_sides) expand the
+sequence they are given, and no label.
 
 Four statements are others in disguise, and are decided as those cells,
 sharing their kernel differences.  guo_zeng is Theorem 1.1 at f_k = x^k,
@@ -144,8 +145,10 @@ and is all a sweep knows of them.  A statement's key is ((n, d), c, spec)
 (_statement_key): the (n, d) block whose tails it reads, the class c of r
 mod P that holds both lines its kernel keys lie on, and the _spec its
 builder uses.  A lemma's is ((n,), j), the row of Pochhammer products it
-forms, and every other check's ((n,),).  A sweep sorts its tasks by key
-and runs each block (key[0]) in one worker, cutting a block beyond one
+forms; classical's is ((), p), one block of every classical task, which
+shares no table with the others, so that they run in one stretch; every
+other check's is ((n,),).  A sweep sorts its tasks by key and runs each
+block (key[0]) in one worker, cutting a block beyond one
 process's share only between units (key[:2]), so the tails and the kernel
 difference of a cell are built once while the bounded caches hold them,
 every line sees all its keys in one worker, and each lemma row's products
@@ -523,23 +526,22 @@ def _expand(fs: tuple, t: int, d: int, step: int) -> tuple:
 
 
 def _full_den(n: int, d: int, rescaled: bool, fden: LaurentPoly, G0: LaurentPoly) -> LaurentPoly:
-    """The one denominator of both full sides, from G0, the weights'
-    (Q;Q)_(n-1)^2 with Q = q^d: G0 times fden, or times (Q;Q)_(n-1) for a
-    rescaled side."""
+    """The one denominator of both full sides of a cell, which _check's error
+    names, from G0, the weights' (Q;Q)_(n-1)^2 with Q = q^d: G0 times fden,
+    or times (Q;Q)_(n-1) for a rescaled side."""
     den = G0 * fden
     return den * qpoch(d, d, n - 1) if rescaled else den
 
 
-def _full_sides(p, cell: tuple, seq: "PolySeq | None") -> tuple[RatExpr, RatExpr]:
-    """Both sides of the cell a builder made of p, on full polynomials, with
-    the f_k of seq as polynomials (_numerators); a rescaled side reads
-    sun_p_x over its common denominator, as _thm_1_2 has it, and not seq."""
-    spec, (step, rescaled), t, lscale, rscale, fden = cell
-    n, d = p.n, spec[1]
-    w, G0 = _weights(lambda f: f, n, *spec)
-    den = _full_den(n, d, rescaled, fden, G0)
-    fs = _numerators((generate(_SUN_P_X, n) if rescaled else seq).entries)
-    return tuple(RatExpr(_sum(w, _expand(fs, tk, d, step)) * LaurentPoly.monomial(*scale), den)
+def _full_sides(p, cell: tuple, seq: PolySeq) -> tuple[RatExpr, RatExpr]:
+    """Both sides of the cell a builder made of p and the sequence seq, on
+    full polynomials, with the f_k of seq as polynomials (_numerators).  A
+    sequence is never a rescaled side: the sun_p_x entries, generated, have
+    its numerators over their shared denominator, the one it carries."""
+    spec, (step, _), t, lscale, rscale, fden = cell
+    w, G0 = _weights(lambda f: f, p.n, *spec)
+    fs = _numerators(seq.entries)
+    return tuple(RatExpr(_sum(w, _expand(fs, tk, spec[1], step)) * LaurentPoly.monomial(*scale), G0 * fden)
                  for tk, scale in ((0, lscale), (t, rscale)))
 
 
@@ -966,9 +968,10 @@ class Check:
              beyond a process's share between: ((n, d), c, spec) for a
              statement (_statement_key: the block of its tails, the class
              of its kernel lines, its weight spec), ((n,), j) for a lemma,
-             whose Pochhammer products depend on (n, j) alone, and ((n,),)
-             by default.  Pure arithmetic on the arguments, so it never
-             raises.
+             whose Pochhammer products depend on (n, j) alone, ((), p) for
+             classical, whose tasks share no table and run as one block,
+             and ((n,),) by default.  Pure arithmetic on the arguments, so
+             it never raises.
     cost     (*args) -> the exponent span run works over, from the arguments
              alone; `qcong verify` refuses a request above MAX_SPAN before it
              runs.  Required, so every entry states its charge.
@@ -1061,6 +1064,7 @@ CHECKS: dict[str, Check] = {
         # seed names the record only: the check reads no sequence
         lambda p, alpha, seed: _bool_report("classical", lambda p, alpha, _seed: check_classical_sun(p, alpha),
                                             p=p, alpha=str(_parse(Fraction, alpha, "alpha", "a fraction")), seed=seed),
+        lambda p, alpha, seed: ((), p),  # no table: one block of every classical task, cut between primes
         cost=lambda p, alpha, seed: 0,  # p is bounded by MAX_CLASSICAL_P
     ),
 }

@@ -396,3 +396,28 @@ def inverse_by_ext_gcd(a: LaurentPoly, n: int, m: int) -> tuple:
     if g != LaurentPoly.const(1):
         return g, None
     return g, residue_by_long_division(dict(enumerate(u)), n, m)
+
+
+# -- the line geometry of kernel keys (theorems._kernel_lines) ---------------
+
+
+def period(n: int) -> int:
+    """P: r and r + P have one sign and an E that differs by a multiple of n."""
+    return n if n % 2 else 2 * n
+
+
+def sym_exponent(n: int, d: int, r: int) -> int:
+    """E of the record (n, d, r), gcd(n, d) = 1, by its closed form: with a the
+    residue in [0, n) of a*d + r == 0 (mod n),
+    E = d*C(a+1, 2) + (a*d + r)*(n-1-2a)/2."""
+    a = next(a for a in range(n) if (a * d + r) % n == 0)
+    return d * comb(a + 1, 2) + (a * d + r) * (n - 1 - 2 * a) // 2
+
+
+def line_points(n: int, spec: tuple, e: int, sign: int) -> set:
+    """The (line, t) of the kernel key (n, spec, e, sign) on the line of each
+    spelling c of its spec, r and d - r: t = c // P and the line
+    (c mod P, e + E(c) - E(c mod P), sign), the e at t = 0."""
+    r, d = spec
+    P = period(n)
+    return {((c % P, e + sym_exponent(n, d, c) - sym_exponent(n, d, c % P), sign), c // P) for c in (r, d - r)}

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import line_points, period
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -340,8 +341,9 @@ def test_the_sweep_key_is_the_statement_a_check_builds(case):
     least class mod P (n for odd n, 2n for even n) of the spec's spellings
     r and d - r, the classes of the lines its kernel key lies on.  A
     lemma's is ((n,), j): run at another s, it forms the same Pochhammer
-    products, all at n.  Every other check's is ((n,),), and none of those
-    decides a statement."""
+    products, all at n.  classical's is ((), p): one block of every
+    classical task, whose units are its primes, for it reads no ring table.
+    Every other check's is ((n,),), and none of those decides a statement."""
     check_id, args = case
     check = CHECKS[check_id]
     if check.invalid(*args):
@@ -368,10 +370,12 @@ def test_the_sweep_key_is_the_statement_a_check_builds(case):
     key = check.key(*args)
     if check_id in KEYED_CHECKS:
         [(n, spec)] = decided
-        P = n if n % 2 else 2 * n
+        P = period(n)
         assert key == ((n, spec[1]), min(spec[0] % P, (spec[1] - spec[0]) % P), spec)
     elif check_id.startswith("lemma"):
         assert (key, decided) == (((args[0],), args[2]), [])
+    elif check_id == "classical":
+        assert (key, decided, formed) == (((), args[0]), [], [])
     else:
         assert (key, decided) == (((args[0],),), [])
 
@@ -486,8 +490,8 @@ def test_tasks_run_grouped_by_their_key(monkeypatch):
     assert context.pools == [2] and len(chunks) > 2 and sum(map(len, chunks)) == len(set().union(*chunks)) == 8
 
 
-# a grid with every check kind of a sweep: statements, lemma rows, and the
-# even-sign and classical tasks of the default key
+# a grid with every check kind of a sweep: statements, lemma rows, the
+# even-sign tasks of the default key and the one classical block
 _CHUNK_GRID = {"theorems": list(sweep.SWEEP_GROUPS), "n": ["2..7"], "d": ["1..3"], "r": ["-1..1"], "s": ["-1..1"],
                "families": ["ones"], "alphas": ["2", "1/2"], "classical_seeds": ["2"]}
 
@@ -505,9 +509,10 @@ def test_chunks_split_only_a_block_beyond_its_share(processes):
     A chunk closes once it holds size tasks, where the unit it is filling
     ends: a block (key[0]) of at most a process's share of the tasks,
     which thus never spans two chunks, or a unit (key[:2]: a line class or
-    a lemma row) of a larger block.  At 1, 2 and 8 processes the grid's 19
-    blocks (5 to 33 tasks of 321) stay whole; at 12 and more the larger
-    ones are cut between their units."""
+    a lemma row, a prime of classical) of a larger block.  At 1, 2 and 8
+    processes the grid's 20 blocks (13 (n, d), 6 (n,) and the classical
+    one; 5 to 33 tasks of 321) stay whole; at 12 and more the larger ones
+    are cut between their units."""
     tasks = expand_tasks(build_config(_CHUNK_GRID))[0][::-1]
     chunks = sweep.chunk_tasks(tasks, processes)
     size = max(1, len(tasks) // (8 * processes))
@@ -516,7 +521,7 @@ def test_chunks_split_only_a_block_beyond_its_share(processes):
     units = [{_unit(task, blocks, processes, len(tasks)) for task in chunk} for chunk in chunks]
     assert sum(map(len, units)) == len(set().union(*units))  # no unit spans two chunks
     held = [set(map(_block, chunk)) for chunk in chunks]
-    whole = sum(map(len, held)) == len(set().union(*held)) == len(blocks) == 19
+    whole = sum(map(len, held)) == len(set().union(*held)) == len(blocks) == 20
     assert whole == (processes <= 9)
     assert all(len(chunk) >= size for chunk in chunks[:-1])
     for chunk in chunks:
@@ -571,12 +576,9 @@ def _statement(task: tuple) -> "tuple | None":
 
 def _kernel_lines(n: int, d: int, r: int) -> set:
     """The two lines of the kernel key (n, spec, -E, sign) a cell asks, as
-    test_theorems._line_points finds them: for each spelling c of the spec,
-    r and d - r, the line (c mod P, e + E(c) - E(c mod P), sign), with E read
-    off SymParams."""
-    p, P, low = SymParams.create(n, d, r), n if n % 2 else 2 * n, min(r, d - r)
-    return {(n, d, c % P, -p.E + SymParams.create(n, d, c).E - SymParams.create(n, d, c % P).E, p.sign)
-            for c in (low, d - low)}
+    helpers.line_points finds them."""
+    p = SymParams.create(n, d, r)
+    return {(n, d, *line) for line, _ in line_points(n, (min(r, d - r), d), -p.E, p.sign)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,28 +587,32 @@ def test_no_chunk_splits_a_small_block_a_kernel_line_or_a_lemma_row(grid):
     """Over drawn grids of every sweep group and 1..12 processes, the chunks,
     joined, are the tasks sorted by key, and no chunk boundary falls inside
     a block of at most a process's share of the tasks (the (n, d) of a
-    statement, the n of any other task), inside a kernel line (so the line
-    table of one worker sees every key of it), or inside a lemma (n, j) row
-    (so its Pochhammer products are formed once)."""
+    statement, all the classical tasks, the n of any other task), inside a
+    kernel line (so the line table of one worker sees every key of it),
+    inside a lemma (n, j) row (so its Pochhammer products are formed once)
+    or inside the classical tasks of one prime."""
     raw, processes = grid
     tasks = expand_tasks(build_config(raw))[0][::-1]
     chunks = sweep.chunk_tasks(tasks, processes)
     assert [task for chunk in chunks for task in chunk] == sorted(tasks, key=_key)
-    held = collections.defaultdict(set)  # a run no chunk may split -> the chunks it is in
-    blocks = collections.Counter()
-    for task in tasks:
+
+    def block(task):
         cell = _statement(task)
-        blocks[cell[:2] if cell else task[1][:1]] += 1
+        return cell[:2] if cell else () if task[0] == "classical" else task[1][:1]
+
+    held = collections.defaultdict(set)  # a run no chunk may split -> the chunks it is in
+    blocks = collections.Counter(map(block, tasks))
     for i, chunk in enumerate(chunks):
         for task in chunk:
             cell = _statement(task)
-            block = cell[:2] if cell else task[1][:1]
-            if blocks[block] * processes <= len(tasks):
-                held["block", block].add(i)
+            if blocks[block(task)] * processes <= len(tasks):
+                held["block", block(task)].add(i)
             for line in _kernel_lines(*cell) if cell else ():
                 held["line", line].add(i)
             if task[0].startswith("lemma"):
                 held["row", task[1][0], task[1][2]].add(i)
+            if task[0] == "classical":
+                held["prime", task[1][0]].add(i)
     assert all(len(at) == 1 for at in held.values()), {run: at for run, at in held.items() if len(at) > 1}
 
 

@@ -9,8 +9,8 @@ from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
-from helpers import (classical_halves_by_rationals, classical_sun_by_rationals, residue_by_long_division, splitmix_ints,
-                     sun_p_by_definition, transform_matrix)
+from helpers import (classical_halves_by_rationals, classical_sun_by_rationals, line_points, period,
+                     residue_by_long_division, splitmix_ints, sun_p_by_definition, sym_exponent, transform_matrix)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,6 @@ from qcong.theorems import (
     CheckReport,
     SymParams,
     _odd_prime,
-    _full_sides,
     _residual_text,
     _ring_diff,
     _spec,
@@ -257,6 +256,13 @@ def _full_verdict(lhs, rhs, n):
 SUN_P_X = FamilySpec.parse("sun_p_x")
 
 
+def _sun_p_x_sides(p):
+    """The full sides of thm1.2 on the sun_p_x entries, generated: the
+    numerators and denominator G_0 (q^d;q^d)_(n-1) of the rescaled side,
+    which the sun_p_x label and sun_p decide."""
+    return thm_1_2_sides(p, generate("sun_p_x", p.n))
+
+
 def _statement(build, p, seq):
     """(p, cell, seq): a builder's cell at p, with the sequence seq as _check
     attaches it, None for a rescaled side (the sun_p_x label)."""
@@ -360,15 +366,17 @@ def test_bumped_ring_sides_match_bumped_full_sides(cell, fam):
 
 @st.composite
 def horner_cases(draw):
-    """(statement, bumped): guo_zeng's statement or a rescaled side at n <= 15,
-    d coprime to n, r in -5..5, and whether its lhs is bumped by c*q^j*Phi_n
-    at x^i."""
+    """((statement, full sides), bump): guo_zeng's statement or a rescaled
+    side at n <= 15, d coprime to n, r in -5..5, with its sides on full
+    polynomials, and whether its lhs is bumped by c*q^j*Phi_n at x^i."""
     n = draw(st.integers(min_value=2, max_value=15))
     d = draw(st.integers(min_value=1, max_value=7).filter(lambda d: math.gcd(n, d) == 1))
     p = SymParams.create(n, d, draw(st.integers(min_value=-5, max_value=5)))
-    statements = [partial(_statement, _thm_1_1, seq=generate("monomial_x", n)),
-                  partial(_statement, _thm_1_2, seq=SUN_P_X)]
-    st_ = draw(st.sampled_from(statements))(p=p)
+    xs = generate("monomial_x", n)
+    statements = [(partial(_statement, _thm_1_1, seq=xs), partial(thm_1_1_sides, seq=xs)),
+                  (partial(_statement, _thm_1_2, seq=SUN_P_X), _sun_p_x_sides)]
+    statement, sides = draw(st.sampled_from(statements))
+    st_ = statement(p=p), sides(p)
     bump = None
     if draw(st.booleans()):
         c = draw(st.integers(min_value=-3, max_value=3).filter(bool))
@@ -383,13 +391,14 @@ def test_horner_sides_match_the_full_sides(case):
     """guo_zeng and thm1.2 sun_p_x (which sun_p decides), each side mapped in
     the ring by _ring_diff (Horner in x for the rescaled side), give the
     verdict and residual string of the same statement on full polynomials
-    (_full_sides: BiPoly entries by running products, transformed by hat or
-    tilde), on the true sides and with the lhs bumped off them.
+    (thm_1_1_sides on monomial_x, thm_1_2_sides on the generated sun_p_x:
+    BiPoly entries by running products, transformed by hat or tilde), on
+    the true sides and with the lhs bumped off them.
     Each ring side is congruent to its full side, so a change that scales
     both alike is caught too."""
-    st_, bump = case
+    (st_, full), bump = case
     n = st_[0].n
-    ring, full = _ring_ratexprs(st_), _full_sides(*st_)
+    ring = _ring_ratexprs(st_)
     assert all(congruent(a, b, n, 2) for a, b in zip(ring, full))
     verdicts = []
     for lhs, rhs in (ring, full):
@@ -429,10 +438,10 @@ def test_a_hand_built_noncoprime_cell_raises_its_full_denominator(n, d, monkeypa
     p = SymParams(n, d, 1, 0, d + 1, 1, "odd" if n % 2 else "even")
     runs = [(partial(check_thm_1_1, p, "ones"), thm_1_1_sides(p, generate("ones", n))),
             (partial(check_thm_1_2, p, "random_poly:4:3"), thm_1_2_sides(p, generate("random_poly:4:3", n))),
-            (partial(check_thm_1_2, p, "sun_p_x"), _full_sides(*_statement(_thm_1_2, p, SUN_P_X))),
+            (partial(check_thm_1_2, p, "sun_p_x"), _sun_p_x_sides(p)),
             (partial(check_guo_zeng, p), thm_1_1_sides(p, generate("monomial_x", n)))]
     if n % 2:
-        runs.append((partial(check_sun_p_analogue, p), _full_sides(*_statement(_thm_1_2, p, SUN_P_X))))
+        runs.append((partial(check_sun_p_analogue, p), _sun_p_x_sides(p)))
     for check, sides in runs:
         with pytest.raises(NoncoprimeDenominatorError) as full:
             congruent(*sides, n, 2)
@@ -705,7 +714,7 @@ def test_a_failing_sun_p_x_check_forms_no_full_denominator(monkeypatch):
     rep = check_thm_1_2(p, "sun_p_x")
     monkeypatch.undo()
     assert rep.residual == FLIPPED_RESIDUALS["thm1.2", "sun_p_x"]
-    assert (rep.holds, rep.residual) == _full_verdict(*_full_sides(*_statement(_thm_1_2, p, SUN_P_X)), 5)
+    assert (rep.holds, rep.residual) == _full_verdict(*_sun_p_x_sides(p), 5)
 
 
 def test_one_kernel_diff_entry_per_cell_and_scale_ratio():
@@ -930,19 +939,13 @@ def test_kernel_diff_matches_the_two_kernels_on_perturbed_records(n):
     assert 0 < failing < len(keys)
 
 
-def _period(n):
-    """P: r and r + P have one sign and an E that differs by a multiple of n."""
-    return n if n % 2 else 2 * n
-
-
-def _line_points(n, spec, e, sign):
-    """The (line, t) of a key on the line of each spelling c of its spec, r
-    and d - r: t = c // P and the line (c mod P, e + E(c) - E(c mod P), sign),
-    the e at t = 0, with E read off SymParams, not from a step formula."""
-    r, d = spec
-    P = _period(n)
-    return {((c % P, e + SymParams.create(n, d, c).E - SymParams.create(n, d, c % P).E, sign), c // P)
-            for c in (r, d - r)}
+def test_the_line_oracle_reads_the_records_exponent():
+    """helpers.line_points takes E from its closed form: it is the E of
+    SymParams at n 2..13, every d 1..6 coprime to n and r over three
+    periods."""
+    cells = [(n, d, r) for n in range(2, 14) for d in range(1, 7) if math.gcd(n, d) == 1
+             for r in range(-period(n), 2 * period(n))]
+    assert [sym_exponent(*cell) for cell in cells] == [SymParams.create(*cell).E for cell in cells]
 
 
 def _line_offsets(n):
@@ -958,13 +961,13 @@ def test_no_line_has_two_empty_points_and_a_nonempty_one(n):
     0, +-1, +-n and 2n, and both signs, each built directly
     (_build_kernel_diff): no line holds two empty points and a nonempty one.
     The grid has empty lines and others of three points or more."""
-    P, lines = _period(n), collections.defaultdict(dict)
+    P, lines = period(n), collections.defaultdict(dict)
     keys = {(_spec(r, d), -SymParams.create(n, d, r).E + offset, sign)
             for d in range(1, 7) if math.gcd(n, d) == 1 for r in range(-P, 2 * P)
             for offset in _line_offsets(n) for sign in (1, -1)}
     for spec, e, sign in keys:
         empty = theorems._build_kernel_diff(n, spec, e, sign) == ()
-        for line, t in _line_points(n, spec, e, sign):
+        for line, t in line_points(n, spec, e, sign):
             lines[spec[1], line][t] = empty
     kinds = collections.Counter()
     for points in lines.values():
@@ -982,7 +985,7 @@ def test_the_line_table_answers_each_key_as_the_direct_build(data):
     or read off the lines of its (n, d), is _build_kernel_diff's."""
     n = data.draw(st.integers(2, 13))
     d = data.draw(st.sampled_from([d for d in range(1, 7) if math.gcd(n, d) == 1]))
-    P = _period(n)
+    P = period(n)
     classes = data.draw(st.lists(st.integers(0, P - 1), min_size=1, max_size=2, unique=True))
     keys = sorted({(_spec(c + t * P, d), -SymParams.create(n, d, c + t * P).E + offset, sign)
                    for c in classes for t in range(-1, 3) for offset in _line_offsets(n) for sign in (1, -1)})
@@ -1131,7 +1134,7 @@ def _linear_runs(p, alpha):
     n, custom = p.n, generate("random_poly:4:3", p.n)
     return [(partial(check_thm_1_1, p, "ones"), partial(thm_1_1_sides, p, generate("ones", n))),
             (partial(check_thm_1_2, p, "monomial_q:1"), partial(thm_1_2_sides, p, generate("monomial_q:1", n))),
-            (partial(check_thm_1_2, p, "sun_p_x"), lambda: _full_sides(*_statement(_thm_1_2, p, SUN_P_X))),
+            (partial(check_thm_1_2, p, "sun_p_x"), partial(_sun_p_x_sides, p)),
             (partial(check_thm_2_1, alpha, "ones"), partial(thm_2_1_sides, alpha, generate("ones", n))),
             (partial(check_guo_zeng, p), partial(thm_1_1_sides, p, generate("monomial_x", n))),
             (partial(check_thm_1_1, p, custom), partial(thm_1_1_sides, p, custom)),
@@ -1574,7 +1577,7 @@ def test_sun_p_is_theorem_1_2_at_sun_p_x(cell):
     rational function, not only mod Phi_n^2; with the sign flipped the right
     sides differ."""
     p = SymParams.create(*cell)
-    sides = thm_1_2_sides(p, generate("sun_p_x", p.n))
+    sides = _sun_p_x_sides(p)
     assert sun_p_by_definition(p) == sides
     assert sun_p_by_definition(dataclasses.replace(p, sign=-p.sign))[1] != sides[1]
 
