@@ -42,11 +42,12 @@ each block T_i by b and multiplies by (1 + eps)^K, or (1 + eps)^(K+1) for
 the b coefficients that wrap past q^n, which adds C(K, l) times T_(i-l) to
 T_i.  So a shift is a block rotation and one combination per level below,
 m*n coefficients a working x-coefficient whatever n is, and one helper
-(_Ring._times_qpow) makes every such shift: each Horner step's, each
-g_k's side step q^(d*k) right after the g_k are taken into eps-coordinates
-in one pass, and the scale sign * q^E on every result before they are
-taken out in one, each then divided by the tower.  So a side step and a
-scale cost no product of their own.  Residue.mirror is the one map
+(_Ring._times_qpow) makes every such shift.  Each Horner step is one:
+S <- S - q^(d*k) (x S - sign * g_k), the g_k taken into eps-coordinates
+in one pass, so the side step q^(d*k) of g_k is the step's own shift.
+The scale q^E is one more, on every result before they are taken out in
+one, each then divided by the tower.  So a side step and a scale cost no
+product of their own.  Residue.mirror is the one map
 q -> 1/q: q^M times it, one fold and one division, by which a Theorem 1.2
 difference is read off a Theorem 1.1 one (theorems).
 
@@ -294,34 +295,32 @@ class _Ring:
     def horner(self, g: list, d: int, scale: tuple = (0, 1)) -> list:
         """The x-coefficients of sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k, for
         residue lists g and scale = (E, sign), by Horner in x from the last k
-        down: S <- q^(d*k) g_k + (1 - x q^(d*k)) S.
+        down, from S = 0: S <- S - q^(d*k) (x S - sign * g_k).
 
         The work is in eps-coordinates, eps = q^n - 1, exact mod eps^m, which
         Phi_n^m divides: an element is Sum_{i<m} eps^i T_i with blocks T_i of
         n coefficients.  y[i] holds level i of every x-coefficient, x^j in
-        block j.  Every monomial is a block rotation with binomial carries
-        (_times_qpow): each g_k is times q^(d*k) right after the one pass
-        that takes the g_k into eps-coordinates, each Horner step shifts S by
-        q^(d*k), and sign * q^E multiplies every x-coefficient at once before
-        the one pass that takes them out.  Each is then divided by the tower,
-        whose first stage is empty."""
+        block j, and G[i] level i of every -sign * g_k, g_k in block k, taken
+        into eps-coordinates in one pass.  x S - sign * g_k is then G's block
+        k joined below y, and one block rotation with binomial carries
+        (_times_qpow) multiplies it by q^(d*k): one shift a step, and one
+        more for q^E on every x-coefficient at once before the one pass that
+        takes them out.  Each is then divided by the tower, whose first stage
+        is empty."""
         n, m, span = self.n, self.m, self.span
         E, sign = scale
         pad, zero = [0] * (span - self.dim), [0] * n
-        G = [[] for _ in range(m)]  # G[i]: level i of every g_k, g_k in block k
+        G = [[] for _ in range(m)]  # G[i]: level i of every -sign * g_k, in block k
         for r in g:
-            r = r + pad
+            r = [-sign * x for x in r] + pad
             for i, level in enumerate(G):
                 level += r[i * n:(i + 1) * n]
         _taylor(G, 1)
-        G = [[level[k * n:(k + 1) * n] for level in G] for k in range(len(g))]  # G[k][i]: level i of g_k
-        G = [[list(level) for level in self._times_qpow(gk, d * k)] if k else gk for k, gk in enumerate(G)]
-        y = G[-1]
-        for k in range(len(g) - 2, -1, -1):  # x^0: y_0 + g_k; x^j: y_j - q^(d*k) y_(j-1)
-            y = [list(map(add, level[:n], gk)) + list(map(sub, level[n:] + zero, shifted))
-                 for level, gk, shifted in zip(y, G[k], self._times_qpow(y, d * k))]
-        if E or sign != 1:
-            y = [list(level) if sign == 1 else [-x for x in level] for level in self._times_qpow(y, E)]
+        y = [[] for _ in range(m)]
+        for k in range(len(g) - 1, -1, -1):  # xs: x S - sign * g_k, its x^0 block -sign * g_k
+            xs = [level[k * n:(k + 1) * n] + yi for level, yi in zip(G, y)]
+            y = [list(map(sub, yi + zero, shifted)) for yi, shifted in zip(y, self._times_qpow(xs, d * k))]
+        y = [list(level) for level in self._times_qpow(y, E)]
         _taylor(y, -1)
         out = []
         for j in range(0, len(y[0]), n):  # x^j: its block of each level

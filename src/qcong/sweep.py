@@ -9,11 +9,12 @@ first, so the tasks that read one cell's tails and kernel difference, or
 one lemma row's products, run together while those are cached.  The pool
 is handed chunks of whole blocks (key[0], chunk_tasks), so each block's
 tables are built in one worker; a block of more than a process's share of
-the tasks is cut only between its units (key[:2]: the classes of a
-statement's kernel lines, a lemma's (n, j) rows, the primes of the one
-classical block), so each line and each row still lives in one worker, and each worker calls run_task once per
-task.  The sweep reads nothing of a key but key[0] and key[:2].  Records
-never contain timing, so the emitted file depends only on the config, not
+the tasks is cut only between its units (key[:2]: a statement's line
+classes, each naming the one line its kernel keys lie on, a lemma's (n, j)
+rows, the primes of the one classical block), so each line and each row
+still lives in one worker, and each worker calls run_task once per task.
+The sweep reads nothing of a key but key[0] and key[:2].  Records never
+contain timing, so the emitted file depends only on the config, not
 on the worker count, the run order or machine load.  Grid cells outside a
 check's hypotheses (CHECKS[id].invalid) are counted as skipped, not
 errored.  A task that raises ValueError or ArithmeticError (an ill-posed

@@ -111,26 +111,30 @@ sign), each pair factor 1 - q^(r + t*P + j*d), each weight, q^e and the
 Horner pass over them are affine in t: a product of terms whose t-parts are
 multiples of eps is.  The difference is too, and an affine function with
 two zeros is zero, so a line with two empty keys is empty at every t.  The
-weights' symmetry puts a key on the line of d - r as well.  _kernel_lines
-answers a key () when either of its lines holds two empty keys other than
-itself, and builds it otherwise: a line with a nonempty key is built at
-every key, so no difference is derived from others and every residual is
-the direct build's.  The rule needs m = 2: mod Phi_n^m the difference is a
-polynomial of degree m - 1 in t.  The table holds the lines of one (n, d),
-cleared when a key of another comes, so it holds at most two lines per
-empty key of one block.  A sweep runs each (n, d) block in one stretch of
-one worker, or, past a process's share, each class of lines in one;
-sym_grid asks at most two keys of an (n, d) in a row and derives nothing;
+weights' symmetry puts a key on the line of d - r as well, but that line
+holds the same keys: it is one line named twice, and _kernel_lines names
+it once, by the spelling whose class is the sweep key's (_statement_key).
+It answers a key () when its line holds two empty keys other than itself,
+or one when the line is self-paired (dE = 0, for odd n and r == d/2
+(mod n): its keys repeat under a reflection of t, so the difference is
+constant along it), and builds it otherwise: a line with a nonempty key is
+built at every key, so no difference is derived from others and every
+residual is the direct build's.  The rule needs m = 2: mod Phi_n^m the
+difference is a polynomial of degree m - 1 in t.  The table holds the
+lines of one (n, d), cleared when a key of another comes, so it holds at
+most one line per empty key of one block.  A sweep runs each (n, d) block
+in one stretch of one worker, or, past a process's share, each line class
+in one; sym_grid asks at most two keys of an (n, d) in a row and derives nothing;
 `qcong verify` decides one key per process and always builds.
 
-The rescaled side is Sum_j g_j (x; q^d)_j with ring coefficients g_j, and
-congruence.horner gives its x-coefficients from the last j down,
-S <- g_j + (1 - x q^(j*d)) S: monomial shifts again, with no BiPoly, no lift
-and no dense product per x-degree.  With Q = q^d,
-1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where H_j = (Q^(j+1);Q)_(n-1-j) is the tail
-G_j at (n, d, 1), so g_j = u_j Q^j H_j over the family denominator
-(Q;Q)_(n-1) = H_0, and no common denominator is expanded; the Q^j is
-horner's side step, applied in eps-coordinates.  The transposed
+The rescaled side is Sum_j Q^j g_j (x; Q)_j, Q = q^d, with ring
+coefficients g_j, and congruence.horner gives its x-coefficients from the
+last j down, from S = 0, S <- S - Q^j (x S - g_j): one monomial shift a
+step, which is the side step Q^j too, with no BiPoly, no lift and no
+dense product per x-degree.  1/(Q;Q)_j = H_j/(Q;Q)_(n-1) where
+H_j = (Q^(j+1);Q)_(n-1-j) is the tail G_j at (n, d, 1), so g_j = u_j H_j
+over the family denominator (Q;Q)_(n-1) = H_0, and no common denominator
+is expanded.  The transposed
 recurrence of _kernel_diff is the same Horner, in a variable that stands
 for the index of f: the hat kernel is Horner on (x q^d; q^d)_k, the
 Pochhammer right side guo_zeng would otherwise need.  Both run
@@ -143,7 +147,7 @@ budget: a lemma sweep forms each once per (n, j), whatever its s.
 CHECKS[id].key names the tables a check's tasks share, coarsest first,
 and is all a sweep knows of them.  A statement's key is ((n, d), c, spec)
 (_statement_key): the (n, d) block whose tails it reads, the class c of r
-mod P that holds both lines its kernel keys lie on, and the _spec its
+mod P that names the line its kernel keys lie on, and the _spec its
 builder uses.  A lemma's is ((n,), j), the row of Pochhammer products it
 forms; classical's is ((), p), one block of every classical task, which
 shares no table with the others, so that they run in one stretch; every
@@ -450,10 +454,10 @@ def _period(n: int) -> int:
 def _statement_key(n: int, d: int, r: int) -> tuple:
     """The sweep key ((n, d), c, spec) of the statement at (n, d, r): the
     block whose tails it reads, the class c = min(r mod P, (d - r) mod P)
-    that holds both lines _kernel_lines puts its keys on, and its weight
+    that names the line _kernel_lines puts its keys on, and its weight
     spec.  x -> (d - x) mod P is an involution, so c names the pair of
-    classes.  P is taken as 1 at n = 0, an ill-posed cell whose key must not
-    raise."""
+    classes of the key's two spellings, whose lines hold the same keys.  P
+    is taken as 1 at n = 0, an ill-posed cell whose key must not raise."""
     P = _period(n) or 1
     return (n, d), min(r % P, (d - r) % P), _spec(r, d)
 
@@ -574,36 +578,41 @@ _line_counts = [0, 0]  # keys answered, keys built
 
 def _kernel_lines(n: int, spec: tuple, e: int, sign: int) -> tuple:
     """_build_kernel_diff(n, spec, e, sign), answered () with no weights and
-    no Horner when either line through the key already holds two empty
-    points other than the key's own, and built otherwise.  Every empty
-    result, built or answered, is recorded on both its lines.
+    no Horner when the key's line already holds two empty points other than
+    the key's own, or one on a self-paired line, and built otherwise.  Every
+    empty result, built or answered, is recorded on its line.
 
-    For each spelling c of the spec, r and d - r, the key lies on the line
-    (c mod P, e + t*dE, sign) at t = c // P, where P = n for odd n and 2n
-    for even n, dE = P*(n - 1 - 2a)/2 and a == -c/d (mod n): e + t*dE is
-    the key's e moved back to t = 0.  Along a line the difference is affine
-    in t (the module docstring), so a line with two empty points is empty
-    at every t.  The table holds the lines of one (n, d), and is cleared
+    Of the spec's two spellings, r and d - r, take the c whose class
+    c mod P is the sweep key's, min(r mod P, (d - r) mod P)
+    (_statement_key), where P = n for odd n and 2n for even n.  The key
+    lies on the line (c mod P, e + t*dE, sign) at t = c // P, where
+    dE = P*(n - 1 - 2a)/2 and a == -c/d (mod n): e + t*dE is the key's e
+    moved back to t = 0.  The other spelling's line holds the same keys, so
+    it is not kept.  Along a line the difference is affine in t (the module
+    docstring), so a line with two empty points is empty at every t.  When
+    dE = 0 (odd n and c == d/2 (mod n)) the line is self-paired: its keys
+    repeat under t -> t1 + t2 - t, t1 and t2 the t of one key's two
+    spellings, so the difference is constant along it and one empty point
+    makes it empty.  The table holds the lines of one (n, d), and is cleared
     when a key of another comes."""
     r, d = spec
     held = _lines.get((n, d))
     if held is None:
         _lines.clear()
         held = _lines[n, d] = {}
-    P, inverse = _period(n), pow(d, -1, n)
-    points = []
-    for c in (r, d - r):
-        t, a = c // P, -c * inverse % n
-        points.append(((c % P, e + t * (P * (n - 1 - 2 * a) // 2), sign), t))
-    if any(len(ts := held.get(line, ())) - (t in ts) >= 2 for line, t in points):
+    P = _period(n)
+    c = r if r % P <= (d - r) % P else d - r
+    t, a = c // P, -c * pow(d, -1, n) % n
+    dE = P * (n - 1 - 2 * a) // 2
+    line = c % P, e + t * dE, sign
+    if len(ts := held.get(line, ())) - (t in ts) >= (2 if dE else 1):
         _line_counts[0] += 1
         u = ()
     else:
         _line_counts[1] += 1
         u = _build_kernel_diff(n, spec, e, sign)
     if not u:
-        for line, t in points:
-            held.setdefault(line, set()).add(t)
+        held.setdefault(line, set()).add(t)
     return u
 
 
@@ -967,7 +976,7 @@ class Check:
              sweep runs in one worker, key[:2] the unit it may cut a block
              beyond a process's share between: ((n, d), c, spec) for a
              statement (_statement_key: the block of its tails, the class
-             of its kernel lines, its weight spec), ((n,), j) for a lemma,
+             of its kernel line, its weight spec), ((n,), j) for a lemma,
              whose Pochhammer products depend on (n, j) alone, ((), p) for
              classical, whose tasks share no table and run as one block,
              and ((n,),) by default.  Pure arithmetic on the arguments, so

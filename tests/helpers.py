@@ -5,6 +5,7 @@ coefficient lists rather than the library's own arithmetic, so a bug in
 the package cannot hide itself by appearing on both sides of an assert.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -421,3 +422,93 @@ def line_points(n: int, spec: tuple, e: int, sign: int) -> set:
     r, d = spec
     P = period(n)
     return {((c % P, e + sym_exponent(n, d, c) - sym_exponent(n, d, c % P), sign), c // P) for c in (r, d - r)}
+
+
+def line_key(n: int, d: int, line: tuple, t: int) -> tuple:
+    """The kernel key (spec, e, sign) at t on the line (c, e0, sign) of an
+    (n, d), as line_points places it: the spelling c + t*P, its e the line's
+    e0 moved by the E of that spelling."""
+    c, e0, sign = line
+    r = c + t * period(n)
+    return (min(r, d - r), d), e0 - sym_exponent(n, d, r) + sym_exponent(n, d, c), sign
+
+
+# -- evaluation at a root of unity mod a large prime (large-n oracle) --------
+
+
+# Miller-Rabin to these bases decides primality exactly below 3.3e24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2 or any(p % w == 0 for w in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def root_of_unity_mod_prime(n: int, seed: int = 0) -> tuple:
+    """(ell, zeta): the first prime ell == 1 (mod n) from a seeded start near
+    2^61, and a primitive n-th root of unity zeta mod ell, a seeded h^((ell-1)/n)
+    of order exactly n."""
+    rng = random.Random(f"{n}:{seed}")
+    k = (1 << 61) // n + rng.randrange(1 << 40)
+    while not _is_prime(k * n + 1):
+        k += 1
+    ell = k * n + 1
+    primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+    while True:
+        zeta = pow(rng.randrange(2, ell - 1), (ell - 1) // n, ell)
+        if all(pow(zeta, n // p, ell) != 1 for p in primes):
+            return ell, zeta
+
+
+def dual_of(coeffs, ell: int, zeta: int) -> tuple:
+    """(R(zeta), R'(zeta)) mod ell for the polynomial R of the coefficient
+    list coeffs, lowest degree first: R at q = zeta + eps in F_ell[eps]/(eps^2).
+    Phi_n(zeta) = 0, so Phi_n^2 goes to 0, and this is a ring map from
+    Q[q]/(Phi_n^2) (denominators prime to ell)."""
+    v = dv = 0
+    for c in reversed(coeffs):
+        if isinstance(c, Fraction):
+            c = c.numerator * pow(c.denominator, -1, ell)
+        v, dv = (v * zeta + c) % ell, (dv * zeta + v) % ell
+    return v, dv
+
+
+def horner_by_evaluation(g: list, d: int, scale: tuple, ell: int, zeta: int) -> list:
+    """The len(g) x-coefficients of sign * q^E * Sum_k q^(d*k) g_k (x; q^d)_k,
+    scale = (E, sign), for coefficient lists g_k, each as its dual number
+    (dual_of) at q = zeta + eps, with q^e = zeta^e + e zeta^(e-1) eps for e
+    of either sign.  Each (x; q^d)_k is expanded from the one before, one
+    factor 1 - x q^(d*k) at a time, and every term summed: no Horner."""
+    def mul(a, b):
+        return a[0] * b[0] % ell, (a[0] * b[1] + a[1] * b[0]) % ell
+
+    def qpow_dual(e):
+        return pow(zeta, e, ell), e * pow(zeta, e - 1, ell) % ell
+
+    total, poch = [(0, 0)] * len(g), [(1, 0)]  # poch: the x-coefficients of (x; q^d)_k
+    for k, gk in enumerate(g):
+        step = qpow_dual(d * k)
+        term = mul(dual_of(gk, ell, zeta), step)
+        for j, c in enumerate(poch):
+            (t0, t1), (u0, u1) = total[j], mul(term, c)
+            total[j] = (t0 + u0) % ell, (t1 + u1) % ell
+        shifted = [(0, 0)] + [mul(step, c) for c in poch]  # x q^(d*k) (x; q^d)_k
+        poch = [((c0 - s0) % ell, (c1 - s1) % ell) for (c0, c1), (s0, s1) in zip(poch + [(0, 0)], shifted)]
+    E, sign = scale
+    return [mul((sign * a % ell, sign * b % ell), qpow_dual(E)) for a, b in total]

@@ -1,11 +1,13 @@
 import math
 import operator
+import random
 import time
 from fractions import Fraction
 
 import pytest
-from helpers import (cyclotomic_by_mobius, dense_mul, inverse_by_ext_gcd, qpascal, ref_add, ref_mul,
-                     residue_by_long_division, terms_of)
+from helpers import (cyclotomic_by_mobius, dense_mul, dual_of, horner_by_evaluation, inverse_by_ext_gcd,
+                     phi_power_by_mobius, qpascal, ref_add, ref_mul, residue_by_long_division, root_of_unity_mod_prime,
+                     terms_of)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -455,6 +457,26 @@ def test_horner_with_a_step_and_a_scale_matches_long_division(n, m, g, d, scale)
     for gs in (g, g[:1]):
         got = horner([reduce(gk, n, m) for gk in gs], d, scale)
         assert [list(r.coeffs) for r in got] == _horner_by_long_division(gs, d, n, m, scale)
+
+
+@pytest.mark.parametrize("n, K", [(61, 41), (101, 68), (199, 133)])
+@pytest.mark.parametrize("d, scale", [(1, (10**6, -1)), (3, (-999_983, 1)), (7, (-10**6, -1))])
+def test_horner_at_large_n_matches_evaluation_at_a_root_of_unity(n, K, d, scale):
+    """At n = 61, 101 and 199, far past what long division checks, K seeded
+    integer g_k of every coefficient, a step d and a scale of |E| up to
+    10^6: each x-coefficient of _Ring.horner, mapped to F_ell[eps]/(eps^2) at
+    q = zeta + eps (helpers.dual_of, zeta a primitive n-th root of unity
+    mod a prime ell near 2^61, where Phi_n^2 goes to 0 and Phi_n does not),
+    is the sum expanded there term by term; with the scale's sign flipped
+    it is not."""
+    ell, zeta = root_of_unity_mod_prime(n)
+    assert dual_of(phi_power_by_mobius(n, 2), ell, zeta) == (0, 0)
+    assert dual_of(phi_power_by_mobius(n, 1), ell, zeta) != (0, 0)
+    ring, rng = _ring(n, 2), random.Random(n * d)
+    g = [[rng.randint(-10**6, 10**6) for _ in range(ring.dim)] for _ in range(K)]
+    got = [dual_of(v, ell, zeta) for v in ring.horner(g, d, scale)]
+    assert got == horner_by_evaluation(g, d, scale, ell, zeta)
+    assert got != horner_by_evaluation(g, d, (scale[0], -scale[1]), ell, zeta)
 
 
 @settings(max_examples=40, deadline=None)

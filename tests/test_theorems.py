@@ -9,7 +9,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
-from helpers import (classical_halves_by_rationals, classical_sun_by_rationals, line_points, period,
+from helpers import (classical_halves_by_rationals, classical_sun_by_rationals, line_key, line_points, period,
                      residue_by_long_division, splitmix_ints, sun_p_by_definition, sym_exponent, transform_matrix)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -948,6 +948,49 @@ def test_the_line_oracle_reads_the_records_exponent():
     assert [sym_exponent(*cell) for cell in cells] == [SymParams.create(*cell).E for cell in cells]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 24), st.integers(-300, 300), st.integers(-10**6, 10**6),
+       st.sampled_from([1, -1]))
+@example(5, 2, 1, -6, 1)  # a self-paired key spelled once
+@example(7, 4, 9, -24, -1)  # a self-paired key spelled twice
+def test_both_spellings_of_a_key_name_one_line(n, d, r, e, sign):
+    """The two (line, t) points helpers.line_points gives a key, one per
+    spelling r and d - r of its spec, name the key itself at their t and
+    the same keys over a window of t around it (helpers.line_key): a key's
+    two lines are one line named twice, so _kernel_lines keeps one name.
+    On a self-paired line both points lie on the one line, and its keys
+    repeat under the reflection that swaps them."""
+    d = next(x for x in range(d, d + n) if math.gcd(n, x) == 1)
+    spec = _spec(r, d)
+    named = []
+    for line, t in line_points(n, spec, e, sign):
+        assert line_key(n, d, line, t) == (spec, e, sign)
+        named.append({line_key(n, d, line, t + i) for i in range(-4, 5)})
+    assert named[0] == named[-1]
+
+
+@pytest.mark.parametrize("n, d, rs", [(5, 2, (1, 6, 11)), (7, 4, (2, 9, 16)), (9, 2, (1, 10, -8))])
+def test_a_self_paired_line_builds_one_kernel_difference(monkeypatch, n, d, rs):
+    """thm1.1 on ones at records r of one self-paired line: odd n and
+    r == d/2 (mod n), where dE = 0, so the records share E and the line's
+    keys repeat under t -> t1 + t2 - t.  The difference is affine in t and
+    so constant along it: the first key is built and the rest answered (or,
+    at (9, 2), r = 10 and -8 spell one key).  Every key on the line, and on
+    the lines of E + 1, E + n and the flipped sign, built directly, gives
+    one tuple, () only on the records' own."""
+    for cache in RING_CACHES:
+        cache.cache_clear()
+    built, build = [], theorems._build_kernel_diff
+    monkeypatch.setattr(theorems, "_build_kernel_diff", lambda *key: built.append(key) or build(*key))
+    cells = [SymParams.create(n, d, r) for r in rs]
+    assert len({(p.E, p.sign) for p in cells}) == 1
+    assert all(check_thm_1_1(p, "ones").holds for p in cells)
+    assert len(built) == 1 and theorems._kernel_lines.cache_info().currsize == 1
+    for offset, flip in ((0, 1), (1, 1), (n, 1), (0, -1)):
+        diffs = {build(n, _spec(p.r, d), -p.E + offset, p.sign * flip) for p in cells}
+        assert len(diffs) == 1 and (diffs == {()}) == (offset == 0 and flip == 1), (offset, flip)
+
+
 def _line_offsets(n):
     """The offsets of e = -E + offset: the true key, E -+ 1, E -+ n and E - 2n."""
     return 0, 1, -1, n, -n, 2 * n
@@ -1002,7 +1045,7 @@ def test_a_line_with_two_empty_points_answers_the_rest_of_it(monkeypatch):
     which -E steps by -7: the first two keys are built, the next two
     answered () with no weights built.  A sign-flipped key, on no empty
     line, is built.  A key of another (n, d) clears the table, which then
-    holds the two lines of that key alone."""
+    holds the one line of that key alone."""
     for cache in RING_CACHES:
         cache.cache_clear()
     built = []
@@ -1015,9 +1058,9 @@ def test_a_line_with_two_empty_points_answers_the_rest_of_it(monkeypatch):
     cell = SymParams.create(7, 3, 29)
     assert not check_thm_1_1(dataclasses.replace(cell, sign=-cell.sign), "ones").holds
     assert len(built) == 3
-    assert theorems._kernel_lines.cache_info().currsize == 2
+    assert theorems._kernel_lines.cache_info().currsize == 1
     assert check_thm_1_1(SymParams.create(5, 3, 1), "ones").holds
-    assert (theorems._kernel_lines.cache_info().currsize, len(built)) == (2, 4)
+    assert (theorems._kernel_lines.cache_info().currsize, len(built)) == (1, 4)
 
 
 def test_sym_grid_rounds_answer_nothing_from_the_line_table():
